@@ -205,14 +205,11 @@ func (env *Env) runTickBatch(hs []*periodicHandler, now clock.Time) {
 			notifyDeltaLocked(e)
 		}
 	}
-	root := find(pubs[0].reg.comp)
-	seeds := root.seedBuf[:0]
+	sb := find(pubs[0].reg.comp).scratchLocked()
+	sb.seeds = sb.seeds[:0]
 	for _, e := range pubs {
-		for d := range e.dependents {
-			seeds = append(seeds, d)
-		}
+		sb.seeds = appendDependents(sb.seeds, e)
 	}
-	root.seedBuf = seeds
-	env.refreshClosureLocked(seeds, end)
+	env.refreshClosureLocked(sb.seeds, end)
 	sc.unlock()
 }

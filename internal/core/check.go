@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Structural self-checking for the model-based correctness harness
@@ -18,12 +19,18 @@ import (
 //     number of live external subscriptions plus the dependency-edge
 //     multiplicities of its included dependents.
 //  3. inclusion closure: every dependency handle of an included item
-//     points at an entry that is itself included (present in its
-//     registry's entry table), with symmetric dependent bookkeeping.
+//     points at an entry that is itself included (filed in its
+//     registry's slot), with symmetric dependent bookkeeping.
 //  4. union-find scope consistency: registries connected by a live
 //     dependency edge share a component root.
 //  5. event-registration consistency: the per-registry event tables
-//     and the entries' event lists mirror each other.
+//     and the definitions' event lists mirror each other.
+//  6. flat-graph consistency: every dependency edge stores the slot of
+//     a dependents element that points back at it and vice versa (so
+//     the dependents length is the declared-edge count), edges are
+//     stored in group order, the lock-free ndeps mirror matches, no
+//     plan-build mark is left behind, and no slot holds an entry
+//     without the definition it was built from.
 
 // ItemKey identifies one metadata item across registries, for the
 // external-subscription counts passed to VerifyIntegrity.
@@ -79,10 +86,20 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 		inSet[r] = true
 	}
 
+	included := func(e *entry) bool { return e.reg.entryLocked(e.kind()) == e }
 	for _, r := range all {
-		for kind, e := range r.entries {
-			if e.kind != kind || e.reg != r {
-				bad("%s/%s: entry filed under wrong key (%s/%s)", r.id, kind, e.reg.id, e.kind)
+		for kind, sl := range r.slots {
+			e := sl.entry
+			if e == nil {
+				continue
+			}
+			// Invariant 6: the slot's definition is the entry's.
+			if sl.def == nil {
+				bad("%s/%s: included without definition", r.id, kind)
+				continue
+			}
+			if e.def != sl.def || e.kind() != kind || e.reg != r {
+				bad("%s/%s: entry filed under wrong key (%s/%s)", r.id, kind, e.reg.id, e.kind())
 			}
 			// Invariant 1: handler lifecycle.
 			if e.refs < 1 {
@@ -96,75 +113,81 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			} else if *p != e.handler {
 				bad("%s/%s: published handler does not match structural handler", r.id, kind)
 			}
-			if e.def == nil {
-				bad("%s/%s: included without definition", r.id, kind)
-			}
 
-			// Invariant 3 + 4: dependency handles point at included
-			// entries, with symmetric multiplicities, inside the same
-			// dependency-scope component.
-			mult := make(map[*entry]int)
-			for _, g := range e.depGroups {
-				for _, de := range g {
-					mult[de]++
-				}
-			}
-			for de, m := range mult {
-				if de.reg.entries[de.kind] != de {
-					bad("%s/%s: depends on %s/%s which is not included", r.id, kind, de.reg.id, de.kind)
+			// Invariants 3, 4, 6: every dependency edge points at an
+			// included entry inside the same dependency-scope component,
+			// and its slot holds the mirror element pointing back at it.
+			group := int32(0)
+			for i := range e.deps {
+				ed := &e.deps[i]
+				de := ed.h.e
+				if !included(de) {
+					bad("%s/%s: depends on %s/%s which is not included", r.id, kind, de.reg.id, de.kind())
 					continue
 				}
-				if got := de.dependents[e]; got != m {
-					bad("%s/%s: dependency %s/%s records multiplicity %d, handles say %d",
-						r.id, kind, de.reg.id, de.kind, got, m)
+				if b := int(ed.back); b < 0 || b >= len(de.dependents) || de.dependents[b] != (dependent{e: e, edge: int32(i)}) {
+					bad("%s/%s: edge %d stores slot %d of %s/%s, which does not point back at it",
+						r.id, kind, i, ed.back, de.reg.id, de.kind())
 				}
+				if ed.group < group || ed.group >= e.ngroups {
+					bad("%s/%s: edge %d in group %d after group %d (of %d)", r.id, kind, i, ed.group, group, e.ngroups)
+				}
+				group = ed.group
 				if find(e.reg.comp) != find(de.reg.comp) {
 					bad("%s/%s and dependency %s/%s are in different scope components",
-						r.id, kind, de.reg.id, de.kind)
+						r.id, kind, de.reg.id, de.kind())
 				}
 				if !inSet[de.reg] {
 					bad("%s/%s: dependency registry %s not covered by the check", r.id, kind, de.reg.id)
 				}
 			}
-			for d, m := range e.dependents {
-				if m < 1 {
-					bad("%s/%s: dependent %s/%s with multiplicity %d", r.id, kind, d.reg.id, d.kind, m)
+			// ... and vice versa: one dependents element per declared
+			// edge, each naming an included dependent's edge that stores
+			// the element's slot. Together with the edge-side check this
+			// makes len(dependents) the declared-edge count.
+			for j, d := range e.dependents {
+				if !included(d.e) {
+					bad("%s/%s: dependent %s/%s is not included", r.id, kind, d.e.reg.id, d.e.kind())
+					continue
 				}
-				if d.reg.entries[d.kind] != d {
-					bad("%s/%s: dependent %s/%s is not included", r.id, kind, d.reg.id, d.kind)
+				if k := int(d.edge); k < 0 || k >= len(d.e.deps) || d.e.deps[k].h.e != e || int(d.e.deps[k].back) != j {
+					bad("%s/%s: dependents slot %d names edge %d of %s/%s, which does not point back at it",
+						r.id, kind, j, d.edge, d.e.reg.id, d.e.kind())
 				}
 			}
 			if got := int(e.ndeps.Load()); got != len(e.dependents) {
 				bad("%s/%s: ndeps mirror %d, dependents %d", r.id, kind, got, len(e.dependents))
 			}
+			if e.planIn != 0 {
+				bad("%s/%s: plan scratch %d left behind", r.id, kind, e.planIn)
+			}
 
 			// Invariant 2: refcount conservation.
 			if ext != nil {
-				want := ext[ItemKey{Registry: r.id, Kind: kind}]
-				for _, m := range e.dependents {
-					want += m
-				}
-				if e.refs != want {
+				want := ext[ItemKey{Registry: r.id, Kind: kind}] + len(e.dependents)
+				if int(e.refs) != want {
 					bad("%s/%s: refs=%d, want %d (external + dependent edges)", r.id, kind, e.refs, want)
 				}
 			}
 
 			// Invariant 5: event registrations, entry side.
-			for _, name := range e.events {
-				if !r.events[name][e] {
+			for _, name := range e.def.Events {
+				if !slices.Contains(r.events[name], e) {
 					bad("%s/%s: missing from event table %q", r.id, kind, name)
 				}
 			}
 		}
 
 		// Invariant 5: event registrations, table side.
-		for name, set := range r.events {
-			if len(set) == 0 {
+		for name, es := range r.events {
+			if len(es) == 0 {
 				bad("%s: empty event table %q not removed", r.id, name)
 			}
-			for e := range set {
-				if e.reg.entries[e.kind] != e {
-					bad("%s: event %q registers excluded item %s/%s", r.id, name, e.reg.id, e.kind)
+			for i, e := range es {
+				if !included(e) || e.reg != r {
+					bad("%s: event %q registers excluded item %s/%s", r.id, name, e.reg.id, e.kind())
+				} else if !slices.Contains(e.def.Events, name) || slices.Contains(es[:i], e) {
+					bad("%s: event %q registers %s/%s without declaration or twice", r.id, name, e.reg.id, e.kind())
 				}
 			}
 		}

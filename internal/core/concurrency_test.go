@@ -65,13 +65,16 @@ func TestConcurrentReadsDuringPeriodicUpdates(t *testing.T) {
 			}), nil
 		},
 	})
-	s, _ := r.Subscribe("rate")
-	defer s.Unsubscribe()
-
-	// Arrivals: 1 per unit.
+	// Arrivals: 1 per unit. Scheduled before the subscription arms the
+	// first boundary, so at every boundary instant the arrival fires
+	// before the tick (arm order) and every window holds exactly ten —
+	// armed the other way round the first two windows read 0.9 and 1.1
+	// and the test depended on no reader being scheduled that early.
 	for i := 1; i <= 1000; i++ {
 		vc.Schedule(clock.Time(i), func(clock.Time) { count.Inc() })
 	}
+	s, _ := r.Subscribe("rate")
+	defer s.Unsubscribe()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/clock"
 )
@@ -105,30 +107,32 @@ func (rc *ResolveContext) Registry() *Registry { return rc.reg }
 // by target currently has a handler (i.e. is already provided). With a
 // multi-registry selector it reports whether all matches are included.
 func (rc *ResolveContext) IsIncluded(target Selector, kind Kind) bool {
-	regs, err := rc.reg.resolveSelector(target)
+	var one [1]*Registry
+	regs, err := rc.reg.resolveSelector(target, &one)
 	if err != nil || len(regs) == 0 {
 		return false
 	}
 	for _, r := range regs {
-		r.mu.RLock()
-		_, ok := r.entries[kind]
-		r.mu.RUnlock()
-		if !ok {
+		if r.entryOf(kind) == nil {
 			return false
 		}
 	}
 	return true
 }
 
-// BuildContext carries the resolved dependencies into Definition.Build.
+// BuildContext carries the resolved dependencies into Definition.Build
+// (and into AdaptSpec factories at migration). It is a view of the
+// entry's flat edge slice, whose embedded Handles are the dependency
+// handles: the context owns no per-edge storage and is not retained.
 type BuildContext struct {
-	e      *entry
-	groups [][]*Handle
-	deps   []DepRef
+	e *entry
+	// ptrs points at every edge's Handle, in edge order; DepGroup slices
+	// it. Made by the first DepGroup call.
+	ptrs []*Handle
 }
 
 // Kind returns the kind of the item being built.
-func (ctx *BuildContext) Kind() Kind { return ctx.e.kind }
+func (ctx *BuildContext) Kind() Kind { return ctx.e.kind() }
 
 // Registry returns the registry owning the item.
 func (ctx *BuildContext) Registry() *Registry { return ctx.e.reg }
@@ -137,23 +141,47 @@ func (ctx *BuildContext) Registry() *Registry { return ctx.e.reg }
 func (ctx *BuildContext) Clock() clock.Clock { return ctx.e.reg.env.Clock() }
 
 // NumDeps returns the number of dependency groups (one per DepRef).
-func (ctx *BuildContext) NumDeps() int { return len(ctx.groups) }
+func (ctx *BuildContext) NumDeps() int { return int(ctx.e.ngroups) }
+
+// groupBounds returns the edge range [lo, hi) of dependency group i:
+// the edges are stored group by group, each tagged with its group.
+func (ctx *BuildContext) groupBounds(i int) (lo, hi int) {
+	if i < 0 || i >= ctx.NumDeps() {
+		panic(fmt.Sprintf("core: dependency group %d out of range [0,%d)", i, ctx.NumDeps()))
+	}
+	byGroup := func(ed depEdge, g int32) int { return cmp.Compare(ed.group, g) }
+	lo, _ = slices.BinarySearchFunc(ctx.e.deps, int32(i), byGroup)
+	hi, _ = slices.BinarySearchFunc(ctx.e.deps, int32(i+1), byGroup)
+	return lo, hi
+}
 
 // Dep returns the single handle of dependency group i. It panics if
 // the group does not hold exactly one handle; use DepGroup for
 // EachInput-style selectors.
 func (ctx *BuildContext) Dep(i int) *Handle {
-	g := ctx.groups[i]
-	if len(g) != 1 {
-		panic(fmt.Sprintf("core: dependency %d (%s %s) has %d handles, want 1",
-			i, ctx.deps[i].Target, ctx.deps[i].Kind, len(g)))
+	lo, hi := ctx.groupBounds(i)
+	if hi-lo != 1 {
+		panic(fmt.Sprintf("core: dependency %d of %s/%s has %d handles, want 1",
+			i, ctx.e.reg.id, ctx.e.kind(), hi-lo))
 	}
-	return g[0]
+	return &ctx.e.deps[lo].h
 }
 
 // DepGroup returns all handles of dependency group i (possibly empty
 // for optional dependencies).
-func (ctx *BuildContext) DepGroup(i int) []*Handle { return ctx.groups[i] }
+func (ctx *BuildContext) DepGroup(i int) []*Handle {
+	lo, hi := ctx.groupBounds(i)
+	if lo == hi {
+		return nil
+	}
+	if ctx.ptrs == nil {
+		ctx.ptrs = make([]*Handle, len(ctx.e.deps))
+		for k := range ctx.e.deps {
+			ctx.ptrs[k] = &ctx.e.deps[k].h
+		}
+	}
+	return ctx.ptrs[lo:hi:hi]
+}
 
 // Handle is the read proxy for an included metadata item. Handles are
 // used both by consumers (wrapped in a Subscription) and by compute
@@ -193,7 +221,7 @@ func (h *Handle) Float() (float64, error) {
 }
 
 // Kind returns the item's kind.
-func (h *Handle) Kind() Kind { return h.e.kind }
+func (h *Handle) Kind() Kind { return h.e.kind() }
 
 // Registry returns the registry providing the item.
 func (h *Handle) Registry() *Registry { return h.e.reg }
@@ -212,7 +240,7 @@ func (h *Handle) Mechanism() Mechanism {
 // reference count and removes the handler — and recursively every
 // dependency included solely for it — when the count reaches zero.
 type Subscription struct {
-	h        *Handle
+	h        Handle
 	released bool
 }
 
@@ -234,7 +262,7 @@ func (s *Subscription) Float() (float64, error) {
 
 // Handle exposes the underlying handle for compute closures.
 func (s *Subscription) Handle() *Handle {
-	return s.h
+	return &s.h
 }
 
 // Kind returns the subscribed item's kind.

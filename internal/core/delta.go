@@ -180,12 +180,12 @@ func DeltaMin() *DeltaSpec {
 }
 
 // deltaState is the per-handler state of a delta aggregate. Everything
-// except spec/handles (immutable after build) is guarded by the
+// except spec/fan (immutable after build) is guarded by the
 // dependency-scope component lock, which every refresh and every pair
 // push already holds.
 type deltaState struct {
-	spec    *DeltaSpec
-	handles []*Handle // flattened fan-in, declaration order
+	spec *DeltaSpec
+	fan  []depEdge // the entry's edge slice: the fan-in, declaration order
 
 	// acc is the running accumulator; valid reports whether it reflects
 	// a successful fold plus the consumed prefix of the pair stream.
@@ -223,17 +223,13 @@ func NewDeltaAggregate(ctx *BuildContext) (Handler, error) {
 	spec := ctx.e.def.Delta
 	if spec == nil {
 		return nil, fmt.Errorf("core: NewDeltaAggregate on %s/%s: definition declares no Delta spec",
-			ctx.e.reg.id, ctx.e.kind)
+			ctx.e.reg.id, ctx.e.kind())
 	}
 	if spec.Combine == nil {
 		return nil, fmt.Errorf("core: NewDeltaAggregate on %s/%s: Delta spec without Combine",
-			ctx.e.reg.id, ctx.e.kind)
+			ctx.e.reg.id, ctx.e.kind())
 	}
-	var handles []*Handle
-	for i := 0; i < ctx.NumDeps(); i++ {
-		handles = append(handles, ctx.DepGroup(i)...)
-	}
-	ds := &deltaState{spec: spec, handles: handles, rebase: spec.rebaseLimit()}
+	ds := &deltaState{spec: spec, fan: ctx.e.deps, rebase: spec.rebaseLimit()}
 	h := &triggeredHandler{ds: ds}
 	// The full recompute folds every fan-in value in declaration order,
 	// first error wins. It returns the raw DeltaAcc; the handler
@@ -257,7 +253,8 @@ func NewDeltaAggregate(ctx *BuildContext) (Handler, error) {
 // hand-written compute would.
 func (ds *deltaState) foldFrom(useLast bool) (DeltaAcc, error) {
 	var acc DeltaAcc
-	for _, h := range ds.handles {
+	for i := range ds.fan {
+		h := &ds.fan[i].h
 		var f float64
 		if useLast && h.e.deltaLastOK {
 			f = h.e.deltaLast
@@ -302,8 +299,8 @@ func (ds *deltaState) startLocked(e *entry) {
 	if env.deltaOff {
 		return
 	}
-	for _, h := range ds.handles {
-		if dh := h.e.getHandler(); dh == nil || dh.Mechanism() == OnDemandMechanism {
+	for i := range ds.fan {
+		if dh := ds.fan[i].h.e.getHandler(); dh == nil || dh.Mechanism() == OnDemandMechanism {
 			// An on-demand dependency recomputes per access and never
 			// publishes: its changes are invisible to the delta channel,
 			// so the whole aggregate stays on the fold path.
@@ -311,8 +308,8 @@ func (ds *deltaState) startLocked(e *entry) {
 		}
 	}
 	ds.eligible = true
-	for _, h := range ds.handles {
-		de := h.e
+	for i := range ds.fan {
+		de := ds.fan[i].h.e
 		de.deltaDeps++
 		if de.deltaDeps == 1 {
 			// First tracked consumer of this edge: anchor deltaLast to
@@ -324,14 +321,16 @@ func (ds *deltaState) startLocked(e *entry) {
 }
 
 // stopLocked deregisters the aggregate from its dependencies' delta
-// channels. Called from releaseLocked under the dependency-scope lock,
-// before the dependencies themselves are released.
+// channels and leaves it ineligible, so a second call is a no-op.
+// Called from releaseLocked under the dependency-scope lock, before the
+// dependencies themselves are released, and from migration.
 func (ds *deltaState) stopLocked() {
 	if !ds.eligible {
 		return
 	}
-	for _, h := range ds.handles {
-		h.e.deltaDeps--
+	ds.eligible = false
+	for i := range ds.fan {
+		ds.fan[i].h.e.deltaDeps--
 	}
 }
 
@@ -367,15 +366,13 @@ func notifyDeltaLocked(e *entry) {
 		return
 	}
 	pair := good && e.deltaLastOK
-	for d, edges := range e.dependents {
-		th, ok := d.handler.(*triggeredHandler)
+	for _, d := range e.dependents {
+		th, ok := d.e.handler.(*triggeredHandler)
 		if !ok || th.ds == nil || !th.ds.eligible {
 			continue
 		}
 		if pair {
-			for i := 0; i < edges; i++ {
-				th.ds.pending = append(th.ds.pending, DeltaPair{Old: e.deltaLast, New: f})
-			}
+			th.ds.pending = append(th.ds.pending, DeltaPair{Old: e.deltaLast, New: f})
 		} else {
 			// No trackable predecessor (error value, first good value
 			// after an error, NotifyChanged on a non-float): the

@@ -415,10 +415,10 @@ func TestDeltaUnsubscribeDeregisters(t *testing.T) {
 	defer ps.Unsubscribe()
 	_ = vals
 	sc := env.lockScope(r)
-	for _, e := range r.entries {
-		if e.deltaDeps != 0 {
+	for kind, sl := range r.slots {
+		if e := sl.entry; e != nil && e.deltaDeps != 0 {
 			sc.unlock()
-			t.Fatalf("entry %s has deltaDeps=%d after unsubscribe", e.kind, e.deltaDeps)
+			t.Fatalf("entry %s has deltaDeps=%d after unsubscribe", kind, e.deltaDeps)
 		}
 	}
 	sc.unlock()

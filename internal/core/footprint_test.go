@@ -1,0 +1,251 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/clock"
+)
+
+// The benchmark's plane shape (benchmark/plane.go), rebuilt on the
+// public API so the footprint guard and the graph microbenchmarks sit
+// beside the code they measure: tenants -> pipelines -> ten chained
+// operators; per operator `in` (static), `rate` (periodic), `sel`
+// (triggered on `in`), `est` (triggered on own `sel`, own `rate` and the
+// upstream `est`); per pipeline `mem_sum` (DeltaSum over its `est`); per
+// tenant `mem_mean` (DeltaMean over its `mem_sum`).
+const (
+	planeOpsPerPipeline = 10
+	planeTenants        = 2
+	// planeItemsPerPipeline is a cold pipeline's inclusion closure:
+	// four items per operator plus mem_sum.
+	planeItemsPerPipeline = 4*planeOpsPerPipeline + 1
+)
+
+type testPlane struct {
+	tenants   []*Registry
+	pipelines []*Registry
+	regs      []*Registry
+}
+
+func neighbors(regs []*Registry) func() []*Registry {
+	return func() []*Registry { return regs }
+}
+
+// buildTestPlane defines the plane; nothing is included until
+// subscribed.
+func buildTestPlane(env *Env, pipelines int) *testPlane {
+	p := &testPlane{}
+	for t := 0; t < planeTenants; t++ {
+		tn := env.NewRegistry(fmt.Sprintf("t%d", t))
+		p.tenants = append(p.tenants, tn)
+		p.regs = append(p.regs, tn)
+		var pls []*Registry
+		for i := 0; i < pipelines/planeTenants; i++ {
+			pl := env.NewRegistry(fmt.Sprintf("t%d.p%03d", t, i))
+			var ops []*Registry
+			for j := 0; j < planeOpsPerPipeline; j++ {
+				op := env.NewRegistry(fmt.Sprintf("t%d.p%03d.o%d", t, i, j))
+				if j > 0 {
+					op.SetNeighbors(neighbors(ops[j-1:j]), nil)
+				}
+				defineConst(op, "in", 1.0)
+				op.MustDefine(&Definition{
+					Kind: "rate",
+					Build: func(*BuildContext) (Handler, error) {
+						return NewPeriodic(100, func(_, _ clock.Time) (Value, error) { return 1.0, nil }), nil
+					},
+				})
+				defineDerived(op, "sel", Dep(Self(), "in"))
+				defineDerived(op, "est", Dep(Self(), "sel"), Dep(Self(), "rate"), OptionalDep(Input(0), "est"))
+				ops = append(ops, op)
+			}
+			pl.SetNeighbors(neighbors(ops), nil)
+			pl.MustDefine(&Definition{
+				Kind:  "mem_sum",
+				Deps:  []DepRef{Dep(EachInput(), "est")},
+				Delta: DeltaSum(),
+				Build: NewDeltaAggregate,
+			})
+			pls = append(pls, pl)
+			p.regs = append(append(p.regs, pl), ops...)
+		}
+		tn.SetNeighbors(neighbors(pls), nil)
+		tn.MustDefine(&Definition{
+			Kind:  "mem_mean",
+			Deps:  []DepRef{Dep(EachInput(), "mem_sum")},
+			Delta: DeltaMean(),
+			Build: NewDeltaAggregate,
+		})
+		p.pipelines = append(p.pipelines, pls...)
+	}
+	return p
+}
+
+// subscribeAll includes the whole plane top-down: one held subscription
+// on each tenant's mem_mean.
+func (p *testPlane) subscribeAll(tb testing.TB) []*Subscription {
+	tb.Helper()
+	var held []*Subscription
+	for _, tn := range p.tenants {
+		s, err := tn.Subscribe("mem_mean")
+		if err != nil {
+			tb.Fatalf("subscribing %s/mem_mean: %v", tn.ID(), err)
+		}
+		held = append(held, s)
+	}
+	return held
+}
+
+func (p *testPlane) includedItems() int {
+	n := 0
+	for _, r := range p.regs {
+		n += len(r.Included())
+	}
+	return n
+}
+
+// settledHeap returns HeapAlloc after two collections — the
+// benchmark's method for plane_bytes_per_item.
+func settledHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// Ceilings of the footprint guard, 5 % above what the flat dependency
+// graph landed (773 B per included item, 381 allocations per cold
+// pipeline inclusion and release). The map-based graph measured 1,210 B
+// and 700 allocations on the same shape, so both fail there.
+const (
+	maxPlaneBytesPerItem   = 811
+	maxColdInclusionAllocs = 400
+)
+
+// TestFootprintPlaneBytesPerItem builds the benchmark's plane shape at
+// 20 pipelines and bounds the settled heap per included item:
+// definitions, registries, entries, edges and handlers.
+func TestFootprintPlaneBytesPerItem(t *testing.T) {
+	const pipelines = 20
+	best := 0.0
+	// Other tests' garbage or a late finalizer can only add to a
+	// reading; the smallest of three is the plane's own footprint.
+	for trial := 0; trial < 3; trial++ {
+		before := settledHeap()
+		p := buildTestPlane(NewEnv(clock.NewVirtual()), pipelines)
+		held := p.subscribeAll(t)
+		after := settledHeap()
+		items := p.includedItems()
+		if want := pipelines*planeItemsPerPipeline + planeTenants; items != want {
+			t.Fatalf("included %d items, want %d", items, want)
+		}
+		if per := float64(after-before) / float64(items); trial == 0 || per < best {
+			best = per
+		}
+		runtime.KeepAlive(held)
+		runtime.KeepAlive(p)
+	}
+	t.Logf("%.1f B per included item (ceiling %d)", best, maxPlaneBytesPerItem)
+	if best > maxPlaneBytesPerItem {
+		t.Fatalf("plane costs %.1f B per included item, ceiling %d", best, maxPlaneBytesPerItem)
+	}
+}
+
+// TestFootprintColdInclusionAllocs bounds the heap allocations of one
+// cold pipeline inclusion (41 items, depth-first from mem_sum) and its
+// release.
+func TestFootprintColdInclusionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	p := buildTestPlane(NewEnv(clock.NewVirtual()), planeTenants)
+	pl := p.pipelines[0]
+	allocs := testing.AllocsPerRun(20, func() {
+		s, err := pl.Subscribe("mem_sum")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Unsubscribe()
+	})
+	t.Logf("%.0f allocations per cold %d-item inclusion and release (ceiling %d)",
+		allocs, planeItemsPerPipeline, maxColdInclusionAllocs)
+	if allocs > maxColdInclusionAllocs {
+		t.Fatalf("cold inclusion costs %.0f allocations, ceiling %d", allocs, maxColdInclusionAllocs)
+	}
+}
+
+// TestSharedSubscribeAllocatesOnlySubscription pins the shared path: a
+// subscription to an item already provided allocates its Subscription
+// and nothing else (no traversal state, no separate Handle).
+func TestSharedSubscribeAllocatesOnlySubscription(t *testing.T) {
+	p := buildTestPlane(NewEnv(clock.NewVirtual()), planeTenants)
+	held := p.subscribeAll(t)
+	defer func() {
+		for _, s := range held {
+			s.Unsubscribe()
+		}
+	}()
+	allocs := testing.AllocsPerRun(100, func() {
+		s, err := p.pipelines[0].Subscribe("mem_sum")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Unsubscribe()
+	})
+	if allocs != 1 {
+		t.Fatalf("shared subscribe + unsubscribe costs %.0f allocations, want 1", allocs)
+	}
+}
+
+// TestColdTopDownSubscribeWidensByLevel pins the widening cost of a
+// cold top-down subscribe: an attempt that leaves the locked scope
+// notes every registry it ran into, so a tenant -> pipelines ->
+// operators plane takes one attempt per level instead of one per
+// registry, and the inclusion steps stay linear in the items.
+func TestColdTopDownSubscribeWidensByLevel(t *testing.T) {
+	const pipelines = 50
+	env := NewEnv(clock.NewVirtual())
+	p := buildTestPlane(env, planeTenants*pipelines)
+	before := env.Stats().IncludeTraversals.Load()
+	s, err := p.tenants[0].Subscribe("mem_mean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := pipelines*planeItemsPerPipeline + 1
+	if n := p.includedItems(); n != items {
+		t.Fatalf("included %d items, want %d", n, items)
+	}
+	steps := env.Stats().IncludeTraversals.Load() - before
+	t.Logf("%d inclusion steps for %d items", steps, items)
+	if steps >= int64(3*items) {
+		t.Fatalf("cold subscribe took %d inclusion steps for %d items, want < %d", steps, items, 3*items)
+	}
+	if errs := VerifyIntegrity(map[ItemKey]int{{Registry: "t0", Kind: "mem_mean"}: 1}, p.regs...); len(errs) > 0 {
+		t.Fatalf("integrity: %v", errs)
+	}
+
+	// A failure below the widened levels leaves no residue: the second
+	// tenant's last operator cannot build its est.
+	last := p.regs[len(p.regs)-1]
+	last.MustDefine(&Definition{
+		Kind:  "est",
+		Deps:  []DepRef{Dep(Self(), "sel")},
+		Build: func(*BuildContext) (Handler, error) { return nil, fmt.Errorf("injected") },
+	})
+	if _, err := p.tenants[1].Subscribe("mem_mean"); err == nil {
+		t.Fatal("subscribe over a failing Build succeeded")
+	}
+	if n := p.includedItems(); n != items {
+		t.Fatalf("failed subscribe left residue: %d items included, want %d", n, items)
+	}
+	s.Unsubscribe()
+	if n := p.includedItems(); n != 0 {
+		t.Fatalf("%d items included after release", n)
+	}
+	if errs := VerifyIntegrity(map[ItemKey]int{}, p.regs...); len(errs) > 0 {
+		t.Fatalf("integrity: %v", errs)
+	}
+}

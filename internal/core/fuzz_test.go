@@ -76,7 +76,8 @@ func FuzzResolveSelector(f *testing.F) {
 		// registries, errors only for selectors not constructible via
 		// the public API.
 		for _, r := range []*Registry{up, node, down, mod} {
-			regs, err := r.resolveSelector(sel)
+			var one [1]*Registry
+			regs, err := r.resolveSelector(sel, &one)
 			if err != nil {
 				t.Fatalf("resolveSelector(%v) on %s: %v", sel, r.ID(), err)
 			}

@@ -1,0 +1,97 @@
+package core
+
+import (
+	"strconv"
+	"testing"
+
+	"repro/internal/clock"
+)
+
+// Microbenchmarks of the dependency graph's structural paths, on the
+// plane shape of footprint_test.go. Run with -benchmem: allocations per
+// operation are the figure the flat graph is built around.
+
+// BenchmarkIncludeCold41 is one cold pipeline inclusion — 41 items,
+// depth-first from mem_sum — and its release.
+func BenchmarkIncludeCold41(b *testing.B) {
+	p := buildTestPlane(NewEnv(clock.NewVirtual()), planeTenants)
+	pl := p.pipelines[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := pl.Subscribe("mem_sum")
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Unsubscribe()
+	}
+}
+
+// fanoutRegistry defines one source and n triggered dependents of it in
+// a single registry, plus `all`, which depends on every dependent: one
+// subscription on `all` holds the whole fan-out.
+func fanoutRegistry(env *Env, n int) *Registry {
+	r := env.NewRegistry("fan")
+	defineConst(r, "src", 1.0)
+	deps := make([]DepRef, n)
+	for i := range deps {
+		k := Kind("d" + strconv.Itoa(i))
+		defineDerived(r, k, Dep(Self(), "src"))
+		deps[i] = Dep(Self(), k)
+	}
+	defineDerived(r, "all", deps...)
+	return r
+}
+
+// BenchmarkReleaseFanout10k tears down (and, untimed, rebuilds) a
+// source with 10,000 dependents: the unlink cost per edge must not grow
+// with the fan-out.
+func BenchmarkReleaseFanout10k(b *testing.B) {
+	const fanout = 10000
+	r := fanoutRegistry(NewEnv(clock.NewVirtual()), fanout)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := r.Subscribe("all")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		s.Unsubscribe()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*fanout), "ns/edge")
+}
+
+// BenchmarkPropagateSeeds is the plan-cache miss path: seed collection
+// over a source's dependents plus the plan build, on a 20-pipeline
+// plane, each iteration on another operator's source after a structural
+// bump dropped the cached plans.
+func BenchmarkPropagateSeeds(b *testing.B) {
+	env := NewEnv(clock.NewVirtual())
+	p := buildTestPlane(env, 20)
+	held := p.subscribeAll(b)
+	defer func() {
+		for _, s := range held {
+			s.Unsubscribe()
+		}
+	}()
+	var ops []*Registry
+	for _, r := range p.regs {
+		if r.IsIncluded("in") {
+			ops = append(ops, r)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := ops[i%len(ops)]
+		sc := env.lockScope(r)
+		bumpStruct(r)
+		sc.unlock()
+		r.NotifyChanged("in")
+	}
+	if misses := env.Stats().PlanCacheMisses.Load(); misses < int64(b.N) {
+		b.Fatalf("%d plan-cache misses in %d propagations", misses, b.N)
+	}
+}

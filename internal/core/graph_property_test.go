@@ -1,0 +1,237 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/clock"
+)
+
+// fanoutChurn is one migratable source `src` (constant 1) with n
+// dependents of four flavors, chosen so every reader of the dependents
+// slice meets its hard case: a triggered item declaring the source once
+// (flavor 0) or twice (1), a pure on-demand item (2, memo re-decision on
+// migration) and a delta aggregate declaring it twice (3, two pairs per
+// publication, re-anchoring on migration). A dependent's value is its
+// number of edges on the source.
+type fanoutChurn struct {
+	t      *testing.T
+	env    *Env
+	r      *Registry
+	flavor []int
+	held   map[int]*Subscription
+	ext    map[ItemKey]int
+}
+
+func fanoutKind(i int) Kind { return Kind(fmt.Sprintf("d%04d", i)) }
+
+func fanoutEdges(flavor int) int { return 1 + flavor%2 }
+
+func (f *fanoutChurn) define(i, flavor int) {
+	f.flavor[i] = flavor
+	src := Dep(Self(), "src")
+	switch k := fanoutKind(i); flavor {
+	case 0:
+		defineDerived(f.r, k, src)
+	case 1:
+		defineDerived(f.r, k, src, src)
+	case 2:
+		defineAdaptive(f.r, k, OnDemandMechanism, 10, 0, src)
+	case 3:
+		f.r.MustDefine(&Definition{Kind: k, Deps: []DepRef{src, src}, Delta: DeltaSum(), Build: NewDeltaAggregate})
+	}
+}
+
+func (f *fanoutChurn) subscribe(i int) {
+	s, err := f.r.Subscribe(fanoutKind(i))
+	if err != nil {
+		f.t.Fatalf("subscribe %s: %v", fanoutKind(i), err)
+	}
+	f.held[i] = s
+	f.ext[ItemKey{Registry: f.r.id, Kind: fanoutKind(i)}] = 1
+}
+
+// unsubscribe releases dependent i and checks that its edges left the
+// source's dependents by swap-remove: the slice shrank by exactly the
+// declared edges and at most one element moved per edge, whatever the
+// fan-out.
+func (f *fanoutChurn) unsubscribe(i int) {
+	before := f.srcDependents()
+	f.held[i].Unsubscribe()
+	delete(f.held, i)
+	delete(f.ext, ItemKey{Registry: f.r.id, Kind: fanoutKind(i)})
+	after := f.srcDependents()
+	edges := fanoutEdges(f.flavor[i])
+	if len(after) != len(before)-edges {
+		f.t.Fatalf("releasing %s (%d edges) took src from %d to %d dependents", fanoutKind(i), edges, len(before), len(after))
+	}
+	moved := 0
+	for j := range after {
+		if after[j] != before[j] {
+			moved++
+		}
+	}
+	if moved > edges {
+		f.t.Fatalf("releasing %s (%d edges) moved %d of %d dependents elements", fanoutKind(i), edges, moved, len(after))
+	}
+}
+
+func (f *fanoutChurn) srcDependents() []dependent {
+	sc := f.env.lockScope(f.r)
+	defer sc.unlock()
+	if e := f.r.entryLocked("src"); e != nil {
+		return slices.Clone(e.dependents)
+	}
+	return nil
+}
+
+// check verifies the structural invariants and the value of dependent
+// i (if held).
+func (f *fanoutChurn) check(at string, i int) {
+	if errs := VerifyIntegrity(f.ext, f.r); len(errs) > 0 {
+		f.t.Fatalf("%s: %d integrity violations, first: %v", at, len(errs), errs[0])
+	}
+	if s := f.held[i]; s != nil {
+		if v, err := s.Float(); err != nil || v != float64(fanoutEdges(f.flavor[i])) {
+			f.t.Fatalf("%s: %s = %v, %v; want %d", at, fanoutKind(i), v, err, fanoutEdges(f.flavor[i]))
+		}
+	}
+}
+
+// TestPropertyFlatGraphUnderChurn drives seeded subscribe / unsubscribe
+// / migrate / redefine / notify sequences over a source with more than
+// 2,000 dependents, verifying the flat graph's invariants after every
+// operation, and tears the fan-out down checking O(1) unlink per edge.
+// Run with -race.
+func TestPropertyFlatGraphUnderChurn(t *testing.T) {
+	const n = 2048
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			vc := clock.NewVirtual()
+			env := NewEnv(vc, WithMemoizedOnDemand())
+			f := &fanoutChurn{
+				t: t, env: env, r: env.NewRegistry("hub"),
+				flavor: make([]int, n),
+				held:   make(map[int]*Subscription),
+				ext:    make(map[ItemKey]int),
+			}
+			defineAdaptive(f.r, "src", TriggeredMechanism, 10, 1)
+			for i := 0; i < n; i++ {
+				f.define(i, rng.Intn(4))
+			}
+			for i := 0; i < n; i++ {
+				f.subscribe(i)
+				if i%64 == 63 {
+					f.check(fmt.Sprintf("build-up %d", i), i)
+				}
+			}
+			if got := len(f.srcDependents()); got < n {
+				t.Fatalf("src has %d dependents elements, want >= %d", got, n)
+			}
+
+			mechs := []Mechanism{OnDemandMechanism, TriggeredMechanism, PeriodicMechanism}
+			for op := 0; op < 200; op++ {
+				i := rng.Intn(n)
+				var what string
+				switch c := rng.Intn(10); {
+				case c < 3 && f.held[i] != nil:
+					what = "unsubscribe"
+					f.unsubscribe(i)
+				case c < 6 && f.held[i] == nil:
+					what = "subscribe"
+					f.subscribe(i)
+				case c < 7 && f.held[i] == nil:
+					what = "redefine"
+					f.define(i, (f.flavor[i]+1+rng.Intn(3))%4)
+				case c < 8:
+					what = fmt.Sprintf("migrate to %v", mechs[op%3])
+					if err := f.r.Migrate("src", mechs[op%3], 10); err != nil {
+						t.Fatalf("op %d: %s: %v", op, what, err)
+					}
+				case c < 9:
+					what = "notify"
+					f.r.NotifyChanged("src")
+				default:
+					what = "advance"
+					vc.Advance(10)
+				}
+				f.check(fmt.Sprintf("op %d (%s %s)", op, what, fanoutKind(i)), i)
+			}
+
+			order := make([]int, 0, len(f.held))
+			for i := range f.held {
+				order = append(order, i)
+			}
+			slices.Sort(order)
+			rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+			for k, i := range order {
+				f.unsubscribe(i)
+				if k%64 == 63 {
+					f.check(fmt.Sprintf("teardown %d", k), i)
+				}
+			}
+			f.check("torn down", 0)
+			if inc := f.r.Included(); len(inc) != 0 {
+				t.Fatalf("%d items left included: %v", len(inc), inc)
+			}
+		})
+	}
+}
+
+// TestVerifyIntegrityCatchesBrokenEdges corrupts each half of the edge
+// mirror in turn and expects VerifyIntegrity to object.
+func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
+	env, _ := testEnv()
+	r := env.NewRegistry("n")
+	defineConst(r, "a", 1.0)
+	defineDerived(r, "b", Dep(Self(), "a"), Dep(Self(), "a"))
+	defineDerived(r, "c", Dep(Self(), "a"))
+	for _, k := range []Kind{"b", "c"} {
+		s, err := r.Subscribe(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Unsubscribe()
+	}
+	ext := map[ItemKey]int{{Registry: "n", Kind: "b"}: 1, {Registry: "n", Kind: "c"}: 1}
+	if errs := VerifyIntegrity(ext, r); len(errs) > 0 {
+		t.Fatalf("clean graph: %v", errs)
+	}
+	a, b := r.entryOf("a"), r.entryOf("b")
+	corruptions := map[string]func() (undo func()){
+		"edge slot": func() func() {
+			b.deps[0].back, b.deps[1].back = b.deps[1].back, b.deps[0].back
+			return func() { b.deps[0].back, b.deps[1].back = b.deps[1].back, b.deps[0].back }
+		},
+		"dependents element": func() func() {
+			a.dependents[2].edge = 7
+			return func() { a.dependents[2].edge = 0 }
+		},
+		"ndeps mirror": func() func() {
+			a.ndeps.Store(2)
+			return func() { a.ndeps.Store(3) }
+		},
+		"plan mark": func() func() {
+			b.planIn = 1
+			return func() { b.planIn = 0 }
+		},
+		"slot without definition": func() func() {
+			sl := r.slots["c"]
+			r.slots["c"] = slot{entry: sl.entry}
+			return func() { r.slots["c"] = sl }
+		},
+	}
+	for name, corrupt := range corruptions {
+		undo := corrupt()
+		if errs := VerifyIntegrity(ext, r); len(errs) == 0 {
+			t.Errorf("corrupted %s went unnoticed", name)
+		}
+		undo()
+	}
+	if errs := VerifyIntegrity(ext, r); len(errs) > 0 {
+		t.Fatalf("restored graph: %v", errs)
+	}
+}

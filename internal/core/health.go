@@ -420,10 +420,8 @@ func (ih *itemHealth) snapshot() HealthSnapshot {
 // without WithBreaker) report Healthy. The second result is false if
 // the item is not included.
 func (r *Registry) Health(kind Kind) (HealthSnapshot, bool) {
-	r.mu.RLock()
-	e, ok := r.entries[kind]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entryOf(kind)
+	if e == nil {
 		return HealthSnapshot{}, false
 	}
 	h := e.getHandler()

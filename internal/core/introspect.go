@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ItemRef identifies an included metadata item for introspection: the
 // registry it lives in, its kind, and its handler's mechanism.
@@ -32,29 +35,28 @@ func (r *Registry) Modules() []string {
 func (r *Registry) Dependencies(kind Kind) (deps []ItemRef, ok bool) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e, exists := r.entries[kind]
-	if !exists {
+	e := r.entryLocked(kind)
+	if e == nil {
 		return nil, false
 	}
-	for _, g := range e.depGroups {
-		for _, de := range g {
-			deps = append(deps, itemRefLocked(de))
-		}
+	for i := range e.deps {
+		deps = append(deps, itemRefLocked(e.deps[i].h.e))
 	}
 	return deps, true
 }
 
 // Dependents returns the included items that currently depend on the
-// item kind, or ok=false if it is not included.
+// item kind, each once however many edges it declares, or ok=false if
+// the item is not included.
 func (r *Registry) Dependents(kind Kind) (deps []ItemRef, ok bool) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e, exists := r.entries[kind]
-	if !exists {
+	e := r.entryLocked(kind)
+	if e == nil {
 		return nil, false
 	}
-	for d := range e.dependents {
-		deps = append(deps, itemRefLocked(d))
+	for _, d := range e.dependents {
+		deps = append(deps, itemRefLocked(d.e))
 	}
 	sort.Slice(deps, func(i, j int) bool {
 		if deps[i].RegistryID != deps[j].RegistryID {
@@ -62,15 +64,15 @@ func (r *Registry) Dependents(kind Kind) (deps []ItemRef, ok bool) {
 		}
 		return deps[i].Kind < deps[j].Kind
 	})
-	return deps, true
+	return slices.Compact(deps), true
 }
 
 // Ref returns the ItemRef of an included item.
 func (r *Registry) Ref(kind Kind) (ItemRef, bool) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e, exists := r.entries[kind]
-	if !exists {
+	e := r.entryLocked(kind)
+	if e == nil {
 		return ItemRef{}, false
 	}
 	return itemRefLocked(e), true
@@ -83,5 +85,5 @@ func itemRefLocked(e *entry) ItemRef {
 	if e.handler != nil {
 		mech = e.handler.Mechanism()
 	}
-	return ItemRef{RegistryID: e.reg.id, Kind: e.kind, Mechanism: mech}
+	return ItemRef{RegistryID: e.reg.id, Kind: e.kind(), Mechanism: mech}
 }

@@ -78,7 +78,7 @@ type memoState struct {
 
 // newMemoState decides memo engagement for a starting handler and
 // builds its read-path state, or returns nil to keep
-// recompute-per-access. Called under the component lock (depGroups are
+// recompute-per-access. Called under the component lock (the edges are
 // stable) and after every dependency's handler has started (depth-first
 // inclusion), so dependency engagement is already decided. Migration
 // re-runs this for the new handler — and for the direct dependents of a
@@ -91,21 +91,20 @@ func newMemoState(e *entry, health *itemHealth, pure bool) *memoState {
 		return nil
 	}
 	ms := &memoState{env: env, health: health}
-	for _, g := range e.depGroups {
-		for _, de := range g {
-			switch dep := de.getHandler().(type) {
-			case *staticHandler, *periodicHandler, *triggeredHandler:
-				ms.depMemo = append(ms.depMemo, nil)
-			case *onDemandHandler:
-				if dep.mstate.Load() == nil {
-					return nil
-				}
-				ms.depMemo = append(ms.depMemo, dep)
-			default:
+	for i := range e.deps {
+		de := e.deps[i].h.e
+		switch dep := de.getHandler().(type) {
+		case *staticHandler, *periodicHandler, *triggeredHandler:
+			ms.depMemo = append(ms.depMemo, nil)
+		case *onDemandHandler:
+			if dep.mstate.Load() == nil {
 				return nil
 			}
-			ms.deps = append(ms.deps, de)
+			ms.depMemo = append(ms.depMemo, dep)
+		default:
+			return nil
 		}
+		ms.deps = append(ms.deps, de)
 	}
 	return ms
 }

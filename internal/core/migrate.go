@@ -93,8 +93,8 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	env := r.env
 	now := env.Now()
 
-	e, ok := r.entries[kind]
-	if !ok {
+	e := r.entryLocked(kind)
+	if e == nil {
 		return fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, kind)
 	}
 	spec := e.def.Adapt
@@ -145,16 +145,19 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 
 	// Build the replacement compute before touching the old handler, so
 	// a panicking (or nil-returning) factory leaves the item untouched.
+	// The context is a fresh view of the entry's edge slice: the same
+	// dependency handles the original Build saw.
+	bctx := &BuildContext{e: e}
 	var compute ComputeFunc
 	var winCompute WindowComputeFunc
 	var err error
 	switch to {
 	case OnDemandMechanism:
-		compute, err = adaptCompute("on-demand", spec.OnDemand, e.bctx)
+		compute, err = adaptCompute("on-demand", spec.OnDemand, bctx)
 	case TriggeredMechanism:
-		compute, err = adaptCompute("triggered", spec.Triggered, e.bctx)
+		compute, err = adaptCompute("triggered", spec.Triggered, bctx)
 	case PeriodicMechanism:
-		winCompute, err = adaptWindowCompute(spec.Periodic, e.bctx)
+		winCompute, err = adaptWindowCompute(spec.Periodic, bctx)
 	}
 	if err != nil {
 		return fmt.Errorf("migrating %s/%s to %v: %w", r.id, kind, to, err)
@@ -302,36 +305,34 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	// deltaLast at the NEW handler's published value, and eligibility is
 	// re-decided against the new mechanism (an on-demand target forces
 	// dependents onto the exact fold path). Accumulators are invalidated;
-	// the propagation below re-folds them.
-	var aggs []*entry
-	for d := range e.dependents {
-		if th, ok := d.handler.(*triggeredHandler); ok && th.ds != nil {
-			aggs = append(aggs, d)
+	// the propagation below re-folds them. A dependent declaring this
+	// item twice is listed twice: the drop-and-reset pass is idempotent,
+	// and the re-register pass skips an aggregate that is eligible again.
+	for _, d := range e.dependents {
+		if th, ok := d.e.handler.(*triggeredHandler); ok && th.ds != nil {
+			th.ds.stopLocked()
+			th.ds.pending = th.ds.pending[:0]
+			th.ds.poisoned = false
+			th.ds.valid = false
 		}
 	}
-	for _, d := range aggs {
-		d.handler.(*triggeredHandler).ds.stopLocked()
-	}
-	for _, d := range aggs {
-		ds := d.handler.(*triggeredHandler).ds
-		ds.eligible = false
-		ds.pending = ds.pending[:0]
-		ds.poisoned = false
-		ds.valid = false
-		ds.startLocked(d)
+	for _, d := range e.dependents {
+		if th, ok := d.e.handler.(*triggeredHandler); ok && th.ds != nil && !th.ds.eligible {
+			th.ds.startLocked(d.e)
+		}
 	}
 
 	// Re-decide memo engagement for direct on-demand dependents: their
 	// stampability premises over this item may have changed in either
 	// direction (a volatile on-demand dependency became a publishing
 	// periodic one, or vice versa).
-	for d := range e.dependents {
-		od, ok := d.handler.(*onDemandHandler)
+	for _, d := range e.dependents {
+		od, ok := d.e.handler.(*onDemandHandler)
 		if !ok {
 			continue
 		}
 		od.mu.Lock()
-		od.mstate.Store(newMemoState(d, od.health, od.pure))
+		od.mstate.Store(newMemoState(d.e, od.health, od.pure))
 		od.memo.Store(nil)
 		od.mu.Unlock()
 	}
@@ -386,10 +387,8 @@ func adaptWindowCompute(f func(*BuildContext) WindowComputeFunc, ctx *BuildConte
 // entry, not the handler) and ends when the item is excluded. It
 // returns false if the item is not included.
 func (r *Registry) TrackReads(kind Kind) bool {
-	r.mu.RLock()
-	e, ok := r.entries[kind]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entryOf(kind)
+	if e == nil {
 		return false
 	}
 	if e.track.Load() == nil {
@@ -405,10 +404,8 @@ func (r *Registry) TrackReads(kind Kind) bool {
 // controller differencing two samples gets the read and update rates of
 // the interval. ok is false if the item is not included.
 func (r *Registry) AccessStats(kind Kind) (reads int64, updates uint64, ok bool) {
-	r.mu.RLock()
-	e, ok := r.entries[kind]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entryOf(kind)
+	if e == nil {
 		return 0, 0, false
 	}
 	if t := e.track.Load(); t != nil {
@@ -430,26 +427,21 @@ func (r *Registry) AccessStats(kind Kind) (reads int64, updates uint64, ok bool)
 func (r *Registry) DepUpdates(kind Kind) (sum uint64, ndeps int, ok bool) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e, found := r.entries[kind]
-	if !found {
+	e := r.entryLocked(kind)
+	if e == nil {
 		return 0, 0, false
 	}
-	for _, g := range e.depGroups {
-		for _, de := range g {
-			sum += de.version.Load()
-			ndeps++
-		}
+	for i := range e.deps {
+		sum += e.deps[i].h.e.version.Load()
 	}
-	return sum, ndeps, true
+	return sum, len(e.deps), true
 }
 
 // Window returns the update window of an included periodic item, or
 // ok == false for excluded items and non-periodic mechanisms.
 func (r *Registry) Window(kind Kind) (clock.Duration, bool) {
-	r.mu.RLock()
-	e, ok := r.entries[kind]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entryOf(kind)
+	if e == nil {
 		return 0, false
 	}
 	if ph, ok := e.getHandler().(*periodicHandler); ok {
@@ -463,10 +455,8 @@ func (r *Registry) Window(kind Kind) (clock.Duration, bool) {
 // on-demand form is memoizable (AdaptSpec.Pure). ok is false for
 // excluded items and for items without an AdaptSpec.
 func (r *Registry) Adaptable(kind Kind) (pure bool, ok bool) {
-	r.mu.RLock()
-	e, found := r.entries[kind]
-	r.mu.RUnlock()
-	if !found || e.def == nil || e.def.Adapt == nil {
+	e := r.entryOf(kind)
+	if e == nil || e.def.Adapt == nil {
 		return false, false
 	}
 	return e.def.Adapt.Pure, true

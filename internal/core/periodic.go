@@ -93,7 +93,7 @@ func (h *periodicHandler) start(e *entry) error {
 	h.async = env.async
 	h.deadline = env.deadlineFor(e.def)
 	h.health = newItemHealth(env, h)
-	if env.restorePendingFor(e.reg, e.kind) {
+	if env.restorePendingFor(e.reg, e.kind()) {
 		// Recovery replay: skip the initial compute — RestoreStale will
 		// re-publish the checkpointed last-good value before the plane is
 		// exposed — but still arm the boundary cadence below so an item

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/clock"
 )
@@ -29,6 +31,37 @@ import (
 // root and is guarded by the root's structural lock, which every
 // propagation path already holds.
 
+// planScratch is the plan cache and the reusable propagation scratch of
+// one component root. Only a root that propagates has one (most
+// registries never become — or stay — roots), made on first use under
+// the root's lock.
+type planScratch struct {
+	plans    map[string]*propPlan
+	seeds    []*entry // seed collection (propagateLocked, runTickBatch)
+	affected []*entry // buildPlanLocked's affected set
+	keyBuf   []int64
+	keyBytes []byte
+}
+
+// scratchLocked returns the root's scratch space. The root's lock must
+// be held.
+func (c *component) scratchLocked() *planScratch {
+	if c.scratch == nil {
+		c.scratch = new(planScratch)
+	}
+	return c.scratch
+}
+
+// appendDependents appends the dependent of every edge pointing at e:
+// a dependent declaring e twice appears twice, which the plan lookup's
+// seed deduplication absorbs. The component lock must be held.
+func appendDependents(dst []*entry, e *entry) []*entry {
+	for _, d := range e.dependents {
+		dst = append(dst, d.e)
+	}
+	return dst
+}
+
 // propPlan is one memoized propagation: the topologically ordered
 // affected entries for one seed set at one structural version.
 type propPlan struct {
@@ -46,8 +79,8 @@ const maxPlansPerScope = 64
 // stop being one under both locks, see union).
 func (c *component) bumpStructLocked() {
 	c.structVer++
-	if len(c.plans) > 0 {
-		clear(c.plans)
+	if c.scratch != nil {
+		clear(c.scratch.plans)
 	}
 }
 
@@ -78,7 +111,8 @@ func (env *Env) planFor(seeds []*entry) []*entry {
 	// Canonical cache key: the sorted, deduplicated seed seqs.
 	// Insertion sort on root-owned scratch keeps the hit path
 	// allocation-free; seed sets are small.
-	kb := root.keyBuf[:0]
+	sb := root.scratchLocked()
+	kb := sb.keyBuf[:0]
 	for _, s := range seeds {
 		kb = append(kb, s.seq)
 	}
@@ -95,32 +129,32 @@ func (env *Env) planFor(seeds []*entry) []*entry {
 		}
 	}
 	kb = kb[:u]
-	root.keyBuf = kb
+	sb.keyBuf = kb
 
 	// Exact key: the seq bytes themselves. A map lookup indexed by
 	// string(key) does not copy the byte slice, so hits stay
 	// allocation-free; only a miss materializes the key string.
-	key := root.keyBytes[:0]
+	key := sb.keyBytes[:0]
 	for _, q := range kb {
 		key = append(key,
 			byte(q), byte(q>>8), byte(q>>16), byte(q>>24),
 			byte(q>>32), byte(q>>40), byte(q>>48), byte(q>>56))
 	}
-	root.keyBytes = key
+	sb.keyBytes = key
 
-	if p := root.plans[string(key)]; p != nil && p.ver == root.structVer {
+	if p := sb.plans[string(key)]; p != nil && p.ver == root.structVer {
 		env.stats.PlanCacheHits.Add(1)
 		return p.order
 	}
 	env.stats.PlanCacheMisses.Add(1)
 	order := env.buildPlanLocked(seeds)
-	if root.plans == nil {
-		root.plans = make(map[string]*propPlan)
+	if sb.plans == nil {
+		sb.plans = make(map[string]*propPlan)
 	}
-	if len(root.plans) >= maxPlansPerScope {
-		clear(root.plans)
+	if len(sb.plans) >= maxPlansPerScope {
+		clear(sb.plans)
 	}
-	root.plans[string(key)] = &propPlan{ver: root.structVer, order: order}
+	sb.plans[string(key)] = &propPlan{ver: root.structVer, order: order}
 	return order
 }
 
@@ -130,83 +164,79 @@ func (env *Env) planFor(seeds []*entry) []*entry {
 // (edges run from dependency to dependent), ready entries processed in
 // creation order for determinism. This is the plan-cache miss path;
 // executing the result is refreshClosureLocked's job.
+//
+// The build marks entries through planIn (1 + unplanned in-degree while
+// affected, 0 otherwise) and walks the dependents slices only: one
+// element per declared edge means an element between two affected
+// entries is exactly one unit of in-degree.
 func (env *Env) buildPlanLocked(seeds []*entry) []*entry {
-	affected := make(map[*entry]bool)
-	var expand func(e *entry)
-	expand = func(e *entry) {
-		if affected[e] {
-			return
-		}
-		if _, ok := e.handler.(triggerable); !ok {
-			// Non-triggerable dependents absorb the notification:
-			// on-demand handlers recompute on access anyway, and
-			// periodic handlers follow their own schedule.
-			return
-		}
-		affected[e] = true
-		for d := range e.dependents {
-			expand(d)
-		}
-	}
+	sb := find(seeds[0].reg.comp).scratchLocked()
 	for _, s := range seeds {
-		expand(s)
+		sb.admit(s)
 	}
-	if len(affected) == 0 {
+	for i := 0; i < len(sb.affected); i++ {
+		for _, d := range sb.affected[i].dependents {
+			if sb.admit(d.e) {
+				d.e.planIn++
+			}
+		}
+	}
+	affected := len(sb.affected)
+	if affected == 0 {
 		return nil
 	}
 
-	indeg := make(map[*entry]int, len(affected))
-	for e := range affected {
-		for _, g := range e.depGroups {
-			for _, de := range g {
-				if affected[de] {
-					indeg[e]++
-				}
-			}
+	order := make([]*entry, 0, affected)
+	for _, e := range sb.affected {
+		if e.planIn == 1 {
+			order = append(order, e)
 		}
 	}
-	ready := make([]*entry, 0, len(affected))
-	for e := range affected {
-		if indeg[e] == 0 {
-			ready = append(ready, e)
-		}
-	}
-	sortEntries(ready)
-	order := make([]*entry, 0, len(affected))
-	for len(ready) > 0 {
-		e := ready[0]
-		ready = ready[1:]
-		order = append(order, e)
-		next := make([]*entry, 0)
-		for d := range e.dependents {
-			if !affected[d] {
+	slices.SortFunc(order, bySeq)
+	// order is queue and result at once: entries behind head are
+	// planned, entries from head on are ready.
+	for head := 0; head < len(order); head++ {
+		next := len(order)
+		for _, d := range order[head].dependents {
+			if d.e.planIn == 0 {
 				continue
 			}
-			// Each edge between e and d may be declared several times
-			// (multiple DepRefs); indeg counted each, so decrement per
-			// declared edge.
-			edges := 0
-			for _, g := range d.depGroups {
-				for _, de := range g {
-					if de == e {
-						edges++
-					}
-				}
-			}
-			indeg[d] -= edges
-			if indeg[d] == 0 {
-				next = append(next, d)
+			if d.e.planIn--; d.e.planIn == 1 {
+				order = append(order, d.e)
 			}
 		}
-		sortEntries(next)
-		ready = append(ready, next...)
+		slices.SortFunc(order[next:], bySeq)
 	}
-	if len(order) != len(affected) {
+	for i, e := range sb.affected {
+		e.planIn = 0
+		sb.affected[i] = nil // do not pin released entries between builds
+	}
+	sb.affected = sb.affected[:0]
+	if len(order) != affected {
 		// A cycle among triggered handlers would starve the queue;
 		// inclusion-time cycle detection should make this impossible.
-		panic(fmt.Sprintf("core: trigger propagation planned %d of %d entries (dependency cycle?)", len(order), len(affected)))
+		panic(fmt.Sprintf("core: trigger propagation planned %d of %d entries (dependency cycle?)", len(order), affected))
 	}
 	return order
+}
+
+// bySeq orders entries by creation sequence for deterministic
+// propagation.
+func bySeq(a, b *entry) int { return cmp.Compare(a.seq, b.seq) }
+
+// admit adds a triggerable entry to the affected set of the plan being
+// built and reports whether e is in it. Non-triggerable dependents
+// absorb the notification: on-demand handlers recompute on access
+// anyway, and periodic handlers follow their own schedule.
+func (sb *planScratch) admit(e *entry) bool {
+	if e.planIn == 0 {
+		if _, ok := e.handler.(triggerable); !ok {
+			return false
+		}
+		e.planIn = 1
+		sb.affected = append(sb.affected, e)
+	}
+	return true
 }
 
 // refreshClosureLocked refreshes the triggerable entries among seeds

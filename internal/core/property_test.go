@@ -42,7 +42,7 @@ func closure(r *Registry, subscribed map[Kind]int) map[Kind]bool {
 		}
 		out[k] = true
 		r.mu.RLock()
-		def := r.defs[k]
+		def := r.slots[k].def
 		r.mu.RUnlock()
 		if def == nil {
 			return
@@ -136,7 +136,7 @@ func TestPropertyDerivedValuesCorrect(t *testing.T) {
 		var eval func(k Kind) float64
 		eval = func(k Kind) float64 {
 			r.mu.RLock()
-			def := r.defs[k]
+			def := r.slots[k].def
 			r.mu.RUnlock()
 			if len(def.Deps) == 0 {
 				// constant leaf: value is its index

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,11 +34,17 @@ type Registry struct {
 	outputs func() []*Registry
 	parent  *Registry
 
+	// mu is the node-level lock of slots, modules and watchSinks. Every
+	// write also holds the registry's component lock, so structural code
+	// reads them under the component lock alone and lock-free read paths
+	// (Peek, IsIncluded, ...) under mu.RLock alone. events — the included
+	// items registered per event name — is guarded by the component lock
+	// only. slots is made by the first Define, modules and events on
+	// first use.
 	mu      sync.RWMutex
-	defs    map[Kind]*Definition
-	entries map[Kind]*entry
+	slots   map[Kind]slot
 	modules map[string]*Registry
-	events  map[string]map[*entry]bool
+	events  map[string][]*entry
 
 	// watchSinks holds the registered publication sinks per kind
 	// (watchgate.go), so a sink survives exclusion/re-inclusion of its
@@ -45,15 +52,44 @@ type Registry struct {
 	watchSinks map[Kind]WatchSink
 }
 
+// slot is a registry's record of one item kind: its definition and,
+// while the item is in use, its entry. One map of slots replaces
+// separate definition and entry tables, so an inclusion rewrites a map
+// value instead of growing a second map.
+type slot struct {
+	def   *Definition
+	entry *entry
+}
+
+// depEdge is one declared dependency edge of an entry, stored in the
+// dependent's flat deps slice in declaration order (DepRef by DepRef,
+// resolved registries in selector order). The edge embeds the Handle
+// Build receives for it, so the slice is also the backing array of the
+// item's dependency handles. h is immutable once the entry commits;
+// back is guarded by the component lock.
+type depEdge struct {
+	h     Handle // h.e is the dependency
+	back  int32  // index of the mirror element in h.e.dependents
+	group int32  // index of the declaring DepRef
+}
+
+// dependent mirrors one depEdge at the dependency: one element per
+// declared edge, so a dependent declaring the same dependency twice
+// appears twice — multiplicity, per-edge delta pairs and plan
+// in-degrees are the element count, not a stored number.
+type dependent struct {
+	e    *entry // the dependent entry
+	edge int32  // index of the mirrored edge in e.deps
+}
+
 // entry pairs an in-use metadata item with its handler (1-to-1,
 // Section 2.1). All structural fields are guarded by the owning
 // component's structural lock; the handler is additionally published
 // through an atomic pointer for lock-free reads on the value path.
 type entry struct {
-	reg  *Registry
-	kind Kind
-	def  *Definition
-	seq  int64
+	reg *Registry
+	def *Definition // def.Kind is the item's kind
+	seq int64
 
 	// handler is the structural reference, guarded by the component
 	// lock. Migration (migrate.go) may replace it while the entry is in
@@ -67,30 +103,28 @@ type entry struct {
 	// migration installs a replacement handler.
 	pub atomic.Pointer[Handler]
 
-	// bctx is the handler's build context, retained so migration can
-	// construct the replacement mechanism's compute over the same
-	// resolved dependency handles. Guarded by the component lock.
-	bctx *BuildContext
-
 	// track, when non-nil, counts value reads of this item (Handle
 	// reads and Registry.Peek) for the adaptive controller's access
 	// sampling; nil — the default — keeps the read path at a single
 	// predicted branch. Installed by Registry.TrackReads.
 	track atomic.Pointer[ShardedCounter]
 
-	refs       int
-	depGroups  [][]*entry
-	dependents map[*entry]int
-	events     []string
+	// deps holds the entry's dependency edges, dependents the mirror
+	// elements of the edges pointing at it (see depEdge, dependent).
+	// deps is fixed when the entry commits — Build, migration factories
+	// and compute closures hold pointers into it — and dependents only
+	// changes through linkLocked/unlinkLocked, both under the component
+	// lock.
+	deps       []depEdge
+	dependents []dependent
 
-	// Delta-channel edge state, guarded by the component lock (see
-	// delta.go). deltaDeps counts delta-eligible dependent edges;
-	// while it is positive, deltaLast/deltaLastOK track the latest
-	// delta-visible published value — the value every dependent
-	// accumulator over this edge currently reflects.
-	deltaDeps   int
-	deltaLast   float64
-	deltaLastOK bool
+	refs    int32
+	ngroups int32 // resolved DepRefs: the BuildContext's NumDeps
+
+	// planIn is buildPlanLocked's scratch: 0 outside a plan build,
+	// 1 + unplanned in-degree while the entry is in the affected set.
+	// Guarded by the component lock.
+	planIn int32
 
 	// ndeps mirrors len(dependents) so periodic handlers can skip the
 	// component lock entirely when nothing depends on them — the
@@ -98,6 +132,15 @@ type entry struct {
 	// 4.3: only the locks involved in the currently included items
 	// are used).
 	ndeps atomic.Int32
+
+	// Delta-channel edge state, guarded by the component lock (see
+	// delta.go). deltaDeps counts delta-eligible dependent edges;
+	// while it is positive, deltaLast/deltaLastOK track the latest
+	// delta-visible published value — the value every dependent
+	// accumulator over this edge currently reflects.
+	deltaDeps   int32
+	deltaLastOK bool
+	deltaLast   float64
 
 	// version counts the item's publications: every periodic window
 	// publish, triggered refresh, probe republish, quarantine trip, and
@@ -119,6 +162,41 @@ type entry struct {
 	// that loaded it may call through without synchronization while a
 	// replacement is installed.
 	watch atomic.Pointer[WatchSink]
+}
+
+// kind returns the item's kind.
+func (e *entry) kind() Kind { return e.def.Kind }
+
+// linkLocked appends the mirror element of every dependency edge of e
+// to its dependency's dependents, recording each side's slot on the
+// other. The component lock must be held.
+func (e *entry) linkLocked() {
+	for i := range e.deps {
+		ed := &e.deps[i]
+		de := ed.h.e
+		ed.back = int32(len(de.dependents))
+		de.dependents = append(de.dependents, dependent{e: e, edge: int32(i)})
+		de.ndeps.Store(int32(len(de.dependents)))
+	}
+}
+
+// unlinkLocked removes the mirror element of edge ed from its
+// dependency in O(1): the last dependents element moves into the freed
+// slot and the edge it mirrors is told its new slot. The component
+// lock must be held.
+func (ed *depEdge) unlinkLocked() {
+	de := ed.h.e
+	last := len(de.dependents) - 1
+	if moved := de.dependents[last]; int(ed.back) != last {
+		de.dependents[ed.back] = moved
+		moved.e.deps[moved.edge].back = ed.back
+	}
+	de.dependents[last] = dependent{}
+	de.dependents = de.dependents[:last]
+	if last == 0 {
+		de.dependents = nil // a drained fan-out gives its array back
+	}
+	de.ndeps.Store(int32(last))
 }
 
 // getHandler returns the entry's handler, or nil once removed. It is
@@ -145,15 +223,28 @@ func (e *entry) publishHandlerLocked(h Handler) {
 // registry starts as its own dependency-scope component; components
 // merge as metadata dependencies connect registries.
 func (env *Env) NewRegistry(id string) *Registry {
-	return &Registry{
-		env:     env,
-		id:      id,
-		comp:    env.newComponent(),
-		defs:    make(map[Kind]*Definition),
-		entries: make(map[Kind]*entry),
-		modules: make(map[string]*Registry),
-		events:  make(map[string]map[*entry]bool),
-	}
+	return &Registry{env: env, id: id, comp: env.newComponent()}
+}
+
+// entryLocked returns the kind's entry, or nil if the item is not
+// included. The component lock must be held.
+func (r *Registry) entryLocked(kind Kind) *entry { return r.slots[kind].entry }
+
+// entryOf is entryLocked for callers outside the component lock: one
+// map read under the node-level read lock.
+func (r *Registry) entryOf(kind Kind) *entry {
+	r.mu.RLock()
+	e := r.slots[kind].entry
+	r.mu.RUnlock()
+	return e
+}
+
+// setEntryLocked files e (nil on removal) in the kind's slot. The
+// component lock and r.mu must be held.
+func (r *Registry) setEntryLocked(kind Kind, e *entry) {
+	s := r.slots[kind]
+	s.entry = e
+	r.slots[kind] = s
 }
 
 // ID returns the registry's identifier.
@@ -183,6 +274,9 @@ func (r *Registry) AttachModule(name string, m *Registry) {
 	defer sc.unlock()
 	m.parent = r
 	r.mu.Lock()
+	if r.modules == nil {
+		r.modules = make(map[string]*Registry)
+	}
 	r.modules[name] = m
 	r.mu.Unlock()
 }
@@ -206,10 +300,7 @@ func (r *Registry) DetachModule(name string) error {
 	if !still {
 		return nil
 	}
-	m.mu.RLock()
-	inUse := len(m.entries)
-	m.mu.RUnlock()
-	if inUse > 0 {
+	if inUse := len(m.Included()); inUse > 0 {
 		return fmt.Errorf("%w: module %q of %s has %d included items",
 			ErrItemInUse, name, r.id, inUse)
 	}
@@ -241,12 +332,14 @@ func (r *Registry) Define(def *Definition) error {
 	}
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	r.mu.Lock()
-	if _, ok := r.entries[def.Kind]; ok {
-		r.mu.Unlock()
+	if r.entryLocked(def.Kind) != nil {
 		return fmt.Errorf("%w: %s/%s", ErrItemInUse, r.id, def.Kind)
 	}
-	r.defs[def.Kind] = def
+	r.mu.Lock()
+	if r.slots == nil {
+		r.slots = make(map[Kind]slot)
+	}
+	r.slots[def.Kind] = slot{def: def}
 	// The node lock is released before bumping and journaling: the
 	// journal may checkpoint inline, and a checkpoint reads items
 	// through node-RLock primitives (Peek) — holding the write lock
@@ -278,8 +371,8 @@ func (r *Registry) MustDefine(def *Definition) {
 func (r *Registry) Available() []Kind {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Kind, 0, len(r.defs))
-	for k := range r.defs {
+	out := make([]Kind, 0, len(r.slots))
+	for k := range r.slots {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -291,9 +384,11 @@ func (r *Registry) Available() []Kind {
 func (r *Registry) Included() []Kind {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Kind, 0, len(r.entries))
-	for k := range r.entries {
-		out = append(out, k)
+	out := make([]Kind, 0, len(r.slots))
+	for k, s := range r.slots {
+		if s.entry != nil {
+			out = append(out, k)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -315,11 +410,11 @@ func (r *Registry) PersistableDefinitions() []PersistableDef {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]PersistableDef, 0)
-	for k, d := range r.defs {
-		if d.Persist == "" {
+	for k, s := range r.slots {
+		if s.def.Persist == "" {
 			continue
 		}
-		out = append(out, PersistableDef{Kind: k, Codec: d.Persist, Args: d.PersistArgs})
+		out = append(out, PersistableDef{Kind: k, Codec: s.def.Persist, Args: s.def.PersistArgs})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
 	return out
@@ -329,28 +424,22 @@ func (r *Registry) PersistableDefinitions() []PersistableDef {
 func (r *Registry) IsDefined(kind Kind) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	_, ok := r.defs[kind]
+	_, ok := r.slots[kind]
 	return ok
 }
 
 // IsIncluded reports whether the item currently has a handler.
-func (r *Registry) IsIncluded(kind Kind) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.entries[kind]
-	return ok
-}
+func (r *Registry) IsIncluded(kind Kind) bool { return r.entryOf(kind) != nil }
 
 // Refs returns the current reference count of the item (0 if not
 // included). Intended for tests and monitoring.
 func (r *Registry) Refs(kind Kind) int {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e, ok := r.entries[kind]
-	if !ok {
-		return 0
+	if e := r.entryLocked(kind); e != nil {
+		return int(e.refs)
 	}
-	return e.refs
+	return 0
 }
 
 // Peek reads the current value of an included item without taking a
@@ -360,10 +449,8 @@ func (r *Registry) Refs(kind Kind) int {
 // item is not included, which makes it the right primitive for
 // monitoring paths that sample many items at once.
 func (r *Registry) Peek(kind Kind) (Value, error) {
-	r.mu.RLock()
-	e, ok := r.entries[kind]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entryOf(kind)
+	if e == nil {
 		return nil, ErrUnsubscribed
 	}
 	h := e.getHandler()
@@ -378,10 +465,8 @@ func (r *Registry) Peek(kind Kind) (Value, error) {
 
 // Mechanism returns the update mechanism of an included item's handler.
 func (r *Registry) Mechanism(kind Kind) (Mechanism, bool) {
-	r.mu.RLock()
-	e, ok := r.entries[kind]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entryOf(kind)
+	if e == nil {
 		return 0, false
 	}
 	h := e.getHandler()
@@ -400,86 +485,113 @@ func (r *Registry) Mechanism(kind Kind) (Mechanism, bool) {
 // lock(s) covering the registries it touches. The covering set is not
 // known up front — an inter-node dependency may reach a registry in
 // another component — so the traversal starts under the subscriber's
-// component lock and, when it would leave the locked scope, rolls back,
-// widens the scope by the escaped registry (lockScope re-acquires all
-// locks in ascending component-id order), and retries. Each retry
-// covers strictly more of the closure and components only ever merge,
-// so the loop terminates. Cross-component edges created by the
-// traversal merge the components involved.
+// component lock and, when it would leave the locked scope, notes the
+// escaped registry and keeps scanning the remaining selectors without
+// descending into it. An attempt that escaped rolls back, widens the
+// scope by every registry it noted (lockScope re-acquires all locks in
+// ascending component-id order), and retries: one attempt per level of
+// not-yet-connected registries, not one per registry. Each retry covers
+// strictly more of the closure and components only ever merge, so the
+// loop terminates. Cross-component edges created by the traversal merge
+// the components involved.
 func (r *Registry) Subscribe(kind Kind) (*Subscription, error) {
 	need := []*Registry{r}
 	for {
-		e, err := r.subscribeAttempt(kind, need)
+		e, escaped, err := r.subscribeAttempt(kind, need)
 		if err == nil {
-			return &Subscription{h: &Handle{e: e}}, nil
+			return &Subscription{h: Handle{e: e}}, nil
 		}
-		var esc *scopeEscapeError
-		if errors.As(err, &esc) {
-			need = append(need, esc.reg)
-			continue
+		if err != errScopeEscape {
+			return nil, err
 		}
-		return nil, err
+		need = append(need, escaped...)
 	}
 }
 
 // subscribeAttempt runs one locked inclusion attempt over the widened
-// registry set. The unlock is deferred so that a panic escaping the
-// traversal (framework bug) propagates without wedging component
-// locks; user-code panics in Build/Resolve/compute are converted to
-// errors before they reach this frame.
-func (r *Registry) subscribeAttempt(kind Kind, need []*Registry) (*entry, error) {
-	sc := r.env.lockScope(need...)
-	defer sc.unlock()
-	e, err := r.includeLocked(kind, make(map[*Registry]map[Kind]bool), &sc)
+// registry set; errScopeEscape means the attempt rolled back because
+// the traversal ran into the returned registries outside the scope.
+// The unlock is deferred so that a panic escaping the traversal
+// (framework bug) propagates without wedging component locks; user-code
+// panics in Build/Resolve/compute are converted to errors before they
+// reach this frame.
+func (r *Registry) subscribeAttempt(kind Kind, need []*Registry) (*entry, []*Registry, error) {
+	tv := traversal{sc: r.env.lockScope(need...)}
+	defer tv.sc.unlock()
+	e, err := r.includeLocked(kind, &tv)
 	if err == nil {
 		// Journal the external subscription (transitive includes are
 		// derived state) inside the scope lock, so WAL order equals
 		// commit order per component.
 		r.env.journalRecord(JournalOp{Op: JournalSubscribe, Registry: r.id, Kind: kind})
 	}
-	return e, err
+	return e, tv.escaped, err
 }
 
+// traversal is the state of one inclusion attempt.
+type traversal struct {
+	sc scope
+	// visiting holds the items on the depth-first stack, for cycle
+	// detection; made by the first step that builds an item, so a
+	// subscription to an item already provided allocates nothing here.
+	visiting map[visitKey]struct{}
+	// escaped lists the registries outside the scope the attempt ran
+	// into, once per edge that reached them (lockScope deduplicates).
+	escaped []*Registry
+}
+
+type visitKey struct {
+	reg  *Registry
+	kind Kind
+}
+
+// errScopeEscape fails an inclusion step whose closure left the locked
+// scope; traversal.escaped names where. It is an internal control-flow
+// error and never escapes the package.
+var errScopeEscape = errors.New("core: dependency traversal left the locked scope")
+
 // resolveSelector maps a dependency selector to concrete registries.
-func (r *Registry) resolveSelector(s Selector) ([]*Registry, error) {
+// A selector naming a single registry answers through one, the caller's
+// (stack) buffer, so the inclusion traversal does not allocate a slice
+// per dependency.
+func (r *Registry) resolveSelector(s Selector, one *[1]*Registry) ([]*Registry, error) {
 	get := func(f func() []*Registry) []*Registry {
 		if f == nil {
 			return nil
 		}
 		return f()
 	}
-	switch s.kind {
-	case selSelf:
-		return []*Registry{r}, nil
-	case selInput:
-		ins := get(r.inputs)
-		if s.index < 0 || s.index >= len(ins) {
+	single := func(t *Registry) ([]*Registry, error) {
+		if t == nil {
 			return nil, nil
 		}
-		return []*Registry{ins[s.index]}, nil
+		one[0] = t
+		return one[:], nil
+	}
+	at := func(regs []*Registry, i int) *Registry {
+		if i < 0 || i >= len(regs) {
+			return nil
+		}
+		return regs[i]
+	}
+	switch s.kind {
+	case selSelf:
+		return single(r)
+	case selInput:
+		return single(at(get(r.inputs), s.index))
 	case selEachInput:
 		return get(r.inputs), nil
 	case selOutput:
-		outs := get(r.outputs)
-		if s.index < 0 || s.index >= len(outs) {
-			return nil, nil
-		}
-		return []*Registry{outs[s.index]}, nil
+		return single(at(get(r.outputs), s.index))
 	case selEachOutput:
 		return get(r.outputs), nil
 	case selModule:
 		r.mu.RLock()
 		m := r.modules[s.name]
 		r.mu.RUnlock()
-		if m == nil {
-			return nil, nil
-		}
-		return []*Registry{m}, nil
+		return single(m)
 	case selParent:
-		if r.parent == nil {
-			return nil, nil
-		}
-		return []*Registry{r.parent}, nil
+		return single(r.parent)
 	default:
 		return nil, fmt.Errorf("core: unknown selector %v on %s", s, r.id)
 	}
@@ -487,58 +599,55 @@ func (r *Registry) resolveSelector(s Selector) ([]*Registry, error) {
 
 // includeLocked performs one step of the depth-first inclusion
 // traversal. The component lock(s) of the scope must be held and cover
-// r. When a dependency resolves to a registry outside the scope, the
-// step rolls back and reports a scopeEscapeError so Subscribe can
-// widen the scope and retry.
-func (r *Registry) includeLocked(kind Kind, visiting map[*Registry]map[Kind]bool, sc *scope) (*entry, error) {
+// r. A dependency that resolves to a registry outside the scope is
+// noted in tv.escaped and skipped; the step then finishes scanning its
+// remaining dependencies (so one attempt finds every escape it can
+// reach), rolls back, and reports errScopeEscape.
+func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 	// The traversal stops at items already provided: sharing the
 	// existing handler saves redundant maintenance costs (Section 2.1).
-	if e, ok := r.entries[kind]; ok {
+	sl := r.slots[kind]
+	if e := sl.entry; e != nil {
 		e.refs++
 		r.env.stats.SharedSubscriptions.Add(1)
 		return e, nil
 	}
-	if visiting[r] != nil && visiting[r][kind] {
-		return nil, fmt.Errorf("%w: via %s/%s", ErrCycle, r.id, kind)
-	}
-	r.mu.RLock()
-	def := r.defs[kind]
-	r.mu.RUnlock()
+	def := sl.def
 	if def == nil {
 		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownItem, r.id, kind)
 	}
-	if visiting[r] == nil {
-		visiting[r] = make(map[Kind]bool)
+	vk := visitKey{r, kind}
+	if _, ok := tv.visiting[vk]; ok {
+		return nil, fmt.Errorf("%w: via %s/%s", ErrCycle, r.id, kind)
 	}
-	visiting[r][kind] = true
-	defer delete(visiting[r], kind)
+	if tv.visiting == nil {
+		tv.visiting = make(map[visitKey]struct{})
+	}
+	tv.visiting[vk] = struct{}{}
+	defer delete(tv.visiting, vk)
 
 	r.env.stats.IncludeTraversals.Add(1)
 
-	deps, err := resolveDeps(def, &ResolveContext{reg: r})
+	deps, err := resolveDeps(def, r)
 	if err != nil {
 		return nil, fmt.Errorf("resolving deps of %s/%s: %w", r.id, kind, err)
 	}
 
-	e := &entry{
-		reg:        r,
-		kind:       kind,
-		def:        def,
-		seq:        r.env.nextSeq(),
-		dependents: make(map[*entry]int),
-	}
+	e := &entry{reg: r, def: def, seq: r.env.nextSeq(), ngroups: int32(len(deps))}
 
 	// Include dependencies depth-first; roll back on any failure so a
-	// failed subscription leaves no residue.
-	var included []*entry
+	// failed subscription leaves no residue. The edges are not linked
+	// into the dependencies' dependents until commit, so rollback only
+	// has to drop the references taken so far.
 	rollback := func() {
-		for i := len(included) - 1; i >= 0; i-- {
-			included[i].releaseLocked()
+		for i := len(e.deps) - 1; i >= 0; i-- {
+			e.deps[i].h.e.releaseLocked()
 		}
 	}
-	groups := make([][]*entry, len(deps))
+	escaped := false
+	var one [1]*Registry
 	for i, dr := range deps {
-		regs, err := r.resolveSelector(dr.Target)
+		regs, err := r.resolveSelector(dr.Target, &one)
 		if err != nil {
 			rollback()
 			return nil, err
@@ -548,35 +657,38 @@ func (r *Registry) includeLocked(kind Kind, visiting map[*Registry]map[Kind]bool
 			return nil, fmt.Errorf("%w: %s of %s/%s (dep %s)",
 				ErrBadSelector, dr.Target, r.id, kind, dr.Kind)
 		}
+		// One exact-size growth per DepRef: the edge slice lives as long as
+		// the entry, so append's doubling would be retained slack.
+		e.deps = slices.Grow(e.deps, len(regs)+len(deps)-i-1)
 		for _, tr := range regs {
-			if !sc.covers(tr) {
-				rollback()
-				return nil, &scopeEscapeError{reg: tr}
+			if !tv.sc.covers(tr) {
+				tv.escaped = append(tv.escaped, tr)
+				escaped = true
+				continue
 			}
 			// The dependency edge r -> tr joins the two registries'
 			// components; merge eagerly (a later rollback leaves them
 			// merged, which is conservative but correct).
-			sc.mergeLocked(r, tr)
-			de, err := tr.includeLocked(dr.Kind, visiting, sc)
+			tv.sc.mergeLocked(r, tr)
+			de, err := tr.includeLocked(dr.Kind, tv)
+			if err == errScopeEscape {
+				escaped = true
+				continue
+			}
 			if err != nil {
 				rollback()
 				return nil, fmt.Errorf("including %s/%s: %w", r.id, kind, err)
 			}
-			included = append(included, de)
-			groups[i] = append(groups[i], de)
+			e.deps = append(e.deps, depEdge{h: Handle{e: de}, group: int32(i)})
 		}
 	}
-	e.depGroups = groups
+	if escaped {
+		rollback()
+		return nil, errScopeEscape
+	}
 
 	// Build the handler with handles on the resolved dependencies.
-	handleGroups := make([][]*Handle, len(groups))
-	for i, g := range groups {
-		for _, de := range g {
-			handleGroups[i] = append(handleGroups[i], &Handle{e: de})
-		}
-	}
-	bctx := &BuildContext{e: e, groups: handleGroups, deps: deps}
-	handler, err := buildHandler(def, bctx)
+	handler, err := buildHandler(def, &BuildContext{e: e})
 	if err != nil {
 		rollback()
 		return nil, fmt.Errorf("building handler %s/%s: %w", r.id, kind, err)
@@ -589,28 +701,23 @@ func (r *Registry) includeLocked(kind Kind, visiting map[*Registry]map[Kind]bool
 	// Commit: register trigger edges, event registrations, probe, and
 	// the entry itself, then start the handler (which may pre-compute
 	// the value from the now-included dependencies).
-	for _, g := range groups {
-		for _, de := range g {
-			de.dependents[e]++
-			de.ndeps.Store(int32(len(de.dependents)))
-		}
+	e.linkLocked()
+	if len(def.Events) > 0 && r.events == nil {
+		r.events = make(map[string][]*entry)
 	}
-	e.events = def.Events
-	for _, name := range def.Events {
-		if r.events[name] == nil {
-			r.events[name] = make(map[*entry]bool)
+	for i, name := range def.Events {
+		if !slices.Contains(def.Events[:i], name) {
+			r.events[name] = append(r.events[name], e)
 		}
-		r.events[name][e] = true
 	}
 	if def.Probe != nil {
 		def.Probe.Activate()
 	}
 	e.refs = 1
-	e.bctx = bctx
 	e.handler = handler
 	e.publishHandlerLocked(handler)
 	r.mu.Lock()
-	r.entries[kind] = e
+	r.setEntryLocked(kind, e)
 	if r.watchSinks != nil {
 		r.reattachWatchLocked(e)
 	}
@@ -630,12 +737,12 @@ func (r *Registry) includeLocked(kind Kind, visiting map[*Registry]map[Kind]bool
 // resolveDeps returns the item's dependencies, running a dynamic
 // Resolve hook with panic recovery: a panicking resolver fails the
 // subscription instead of unwinding with component locks held.
-func resolveDeps(def *Definition, rc *ResolveContext) (deps []DepRef, err error) {
+func resolveDeps(def *Definition, r *Registry) (deps []DepRef, err error) {
 	if def.Resolve == nil {
 		return def.Deps, nil
 	}
 	defer recoverCompute("resolve", &err)
-	return def.Resolve(rc), nil
+	return def.Resolve(&ResolveContext{reg: r}), nil
 }
 
 // buildHandler runs Definition.Build with panic recovery: a panicking
@@ -654,7 +761,7 @@ func (r *Registry) unsubscribe(e *entry) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
 	e.releaseLocked()
-	r.env.journalRecord(JournalOp{Op: JournalUnsubscribe, Registry: r.id, Kind: e.kind})
+	r.env.journalRecord(JournalOp{Op: JournalUnsubscribe, Registry: r.id, Kind: e.kind()})
 }
 
 // releaseLocked decrements the reference count and removes the handler
@@ -668,7 +775,7 @@ func (e *entry) releaseLocked() {
 	}
 	r := e.reg
 	r.mu.Lock()
-	delete(r.entries, e.kind)
+	r.setEntryLocked(e.kind(), nil)
 	r.mu.Unlock()
 	e.pub.Store(nil)
 
@@ -683,22 +790,17 @@ func (e *entry) releaseLocked() {
 	if e.def.Probe != nil {
 		e.def.Probe.Deactivate()
 	}
-	for _, name := range e.events {
-		if set := r.events[name]; set != nil {
-			delete(set, e)
-			if len(set) == 0 {
-				delete(r.events, name)
-			}
+	for _, name := range e.def.Events {
+		if es := slices.DeleteFunc(r.events[name], func(x *entry) bool { return x == e }); len(es) == 0 {
+			delete(r.events, name)
+		} else {
+			r.events[name] = es
 		}
 	}
-	for _, g := range e.depGroups {
-		for _, de := range g {
-			if de.dependents[e]--; de.dependents[e] <= 0 {
-				delete(de.dependents, e)
-			}
-			de.ndeps.Store(int32(len(de.dependents)))
-			de.releaseLocked()
-		}
+	for i := range e.deps {
+		ed := &e.deps[i]
+		ed.unlinkLocked()
+		ed.h.e.releaseLocked()
 	}
 	// Removing the entry (and its trigger edges) invalidates every
 	// cached propagation plan of the component — a stale plan would
@@ -715,20 +817,13 @@ func (r *Registry) FireEvent(name string) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
 	r.env.stats.EventsFired.Add(1)
-	set := r.events[name]
-	if len(set) == 0 {
+	es := r.events[name]
+	if len(es) == 0 {
 		return
 	}
-	// Seeds are collected into the component root's scratch buffer:
-	// the root is locked for the whole propagation, so the buffer has
-	// a single writer and steady-state event firing allocates nothing.
-	root := find(r.comp)
-	seeds := root.seedBuf[:0]
-	for e := range set {
-		seeds = append(seeds, e)
-	}
-	root.seedBuf = seeds
-	r.env.refreshClosureLocked(seeds, r.env.Now())
+	// The registration list is the seed set as it stands: propagation
+	// only reads it, so steady-state event firing allocates nothing.
+	r.env.refreshClosureLocked(es, r.env.Now())
 }
 
 // NotifyChanged announces that the value of an on-demand (or static)
@@ -738,8 +833,8 @@ func (r *Registry) FireEvent(name string) {
 func (r *Registry) NotifyChanged(kind Kind) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e, ok := r.entries[kind]
-	if !ok {
+	e := r.entryLocked(kind)
+	if e == nil {
 		return
 	}
 	// The announced change is invisible to publication versions (the
@@ -764,30 +859,20 @@ func (r *Registry) NotifyChanged(kind Kind) {
 // dependents. The owning component's lock must be held; the dependent
 // closure cannot leave the component.
 func (r *Registry) propagateLocked(e *entry, now clock.Time) {
-	root := find(r.comp)
-	seeds := root.seedBuf[:0]
-	for d := range e.dependents {
-		seeds = append(seeds, d)
-	}
-	root.seedBuf = seeds
-	r.env.refreshClosureLocked(seeds, now)
-}
-
-// sortEntries orders entries by creation sequence for deterministic
-// propagation.
-func sortEntries(es []*entry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].seq < es[j].seq })
+	sb := find(r.comp).scratchLocked()
+	sb.seeds = appendDependents(sb.seeds[:0], e)
+	r.env.refreshClosureLocked(sb.seeds, now)
 }
 
 // refreshNaiveLocked is the ablation propagation: plain depth-first
 // recursion along the inverted dependency graph without deduplication
-// or ordering. Diamond dependents refresh once per incoming edge and
-// may read half-updated inputs.
+// or ordering. Diamond dependents refresh once per incoming path (not
+// per declared edge: a seed listed twice is one dependent) and may read
+// half-updated inputs.
 func (env *Env) refreshNaiveLocked(seeds []*entry, now clock.Time) {
-	sorted := make([]*entry, len(seeds))
-	copy(sorted, seeds)
-	sortEntries(sorted)
-	for _, e := range sorted {
+	sorted := slices.Clone(seeds)
+	slices.SortFunc(sorted, bySeq)
+	for _, e := range slices.Compact(sorted) {
 		t, ok := e.handler.(triggerable)
 		if !ok {
 			continue
@@ -797,10 +882,6 @@ func (env *Env) refreshNaiveLocked(seeds []*entry, now clock.Time) {
 		if e.deltaDeps > 0 {
 			notifyDeltaLocked(e)
 		}
-		deps := make([]*entry, 0, len(e.dependents))
-		for d := range e.dependents {
-			deps = append(deps, d)
-		}
-		env.refreshNaiveLocked(deps, now)
+		env.refreshNaiveLocked(appendDependents(nil, e), now)
 	}
 }

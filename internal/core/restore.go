@@ -60,8 +60,8 @@ func (e *Env) restorePendingFor(reg *Registry, kind Kind) bool {
 func (r *Registry) RestoreStale(kind Kind, v Value, version uint64, cause error) error {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e, ok := r.entries[kind]
-	if !ok {
+	e := r.entryLocked(kind)
+	if e == nil {
 		return fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, kind)
 	}
 	if cause == nil {

@@ -43,16 +43,14 @@ type component struct {
 	// another, only while both roots' locks are held.
 	parent atomic.Pointer[component]
 
-	// Propagation-plan cache and reusable scratch space, guarded by mu
-	// and meaningful at roots (see plan.go). structVer counts
-	// structural mutations of the component — entry inclusion/removal,
-	// component merges, redefinitions — and stamps cached plans so a
-	// stale plan can never be executed.
+	// structVer counts structural mutations of the component — entry
+	// inclusion/removal, component merges, redefinitions — and stamps
+	// cached plans so a stale plan can never be executed. scratch is the
+	// propagation-plan cache and reusable scratch space (see plan.go),
+	// nil until the root first propagates. Both are guarded by mu and
+	// meaningful at roots.
 	structVer uint64
-	plans     map[string]*propPlan
-	seedBuf   []*entry
-	keyBuf    []int64
-	keyBytes  []byte
+	scratch   *planScratch
 }
 
 // newComponent allocates a fresh singleton component.
@@ -100,7 +98,7 @@ func union(a, b *component) *component {
 	// of both halves are stale. The loser can never be consulted again
 	// (it is no longer a root), so clearing it just releases memory.
 	a.bumpStructLocked()
-	b.plans = nil
+	b.scratch = nil
 	return a
 }
 
@@ -212,16 +210,4 @@ func rootsContain(roots []*component, c *component) bool {
 		}
 	}
 	return false
-}
-
-// scopeEscapeError reports that the inclusion traversal reached a
-// registry outside the locked scope. The caller rolls back, widens the
-// scope to include the escaped registry, and retries. It is an
-// internal control-flow error and never escapes the package.
-type scopeEscapeError struct {
-	reg *Registry
-}
-
-func (e *scopeEscapeError) Error() string {
-	return "core: dependency traversal left the locked scope at " + e.reg.id
 }

@@ -75,7 +75,7 @@ func (h *triggeredHandler) start(e *entry) error {
 		// runs under the dependency-scope lock (includeLocked).
 		h.ds.startLocked(e)
 	}
-	if e.reg.env.restorePendingFor(e.reg, e.kind) {
+	if e.reg.env.restorePendingFor(e.reg, e.kind()) {
 		// Recovery replay: skip the pre-compute — RestoreStale will
 		// re-publish the checkpointed last-good value before the plane is
 		// exposed. Delta aggregates stay registered on their dependency

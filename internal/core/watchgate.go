@@ -60,8 +60,8 @@ func (r *Registry) Watch(kind Kind, sink WatchSink) (uint64, error) {
 		r.watchSinks = make(map[Kind]WatchSink)
 	}
 	r.watchSinks[kind] = sink
-	e := r.entries[kind]
 	r.mu.Unlock()
+	e := r.entryLocked(kind)
 	if e == nil {
 		return 0, fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, kind)
 	}
@@ -79,9 +79,8 @@ func (r *Registry) Unwatch(kind Kind) {
 	defer sc.unlock()
 	r.mu.Lock()
 	delete(r.watchSinks, kind)
-	e := r.entries[kind]
 	r.mu.Unlock()
-	if e != nil {
+	if e := r.entryLocked(kind); e != nil {
 		e.watch.Store(nil)
 	}
 }
@@ -93,10 +92,8 @@ func (r *Registry) Unwatch(kind Kind) {
 // Peek the value, and every publication after the Peek carries a
 // version strictly greater than the one returned here.
 func (r *Registry) ItemVersion(kind Kind) (uint64, bool) {
-	r.mu.RLock()
-	e, ok := r.entries[kind]
-	r.mu.RUnlock()
-	if !ok {
+	e := r.entryOf(kind)
+	if e == nil {
 		return 0, false
 	}
 	return e.version.Load(), true
@@ -107,7 +104,7 @@ func (r *Registry) ItemVersion(kind Kind) (uint64, bool) {
 // component lock, gated on the registry having any sinks at all so the
 // common include path pays one map-nil check.
 func (r *Registry) reattachWatchLocked(e *entry) {
-	sink, ok := r.watchSinks[e.kind]
+	sink, ok := r.watchSinks[e.kind()]
 	if !ok {
 		return
 	}

@@ -17,13 +17,15 @@
 # watch-hub fan-out numbers live in BENCH_PR8.json; the durable-restart
 # (checkpoint + WAL recovery) numbers live in BENCH_PR9.json; the mux
 # watch transport (one connection, batched frames) numbers live in
-# BENCH_PR10.json.
+# BENCH_PR10.json. The dependency-graph microbenchmarks (cold
+# inclusion, fan-out release, plan-miss propagation) sit beside the code
+# in internal/core/graph_bench_test.go and run from here too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-bench.txt}"
 count="${2:-4}"
 
-benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkE19BatchedTicks|BenchmarkHealthyOverhead|BenchmarkE20MemoizedReads|BenchmarkE21DeltaPropagation|BenchmarkE22AdaptiveMaintenance|BenchmarkE23WatchFanout|BenchmarkE23PublishHotPath|BenchmarkE24Recovery|BenchmarkE25MuxFanout'
+benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkE19BatchedTicks|BenchmarkHealthyOverhead|BenchmarkE20MemoizedReads|BenchmarkE21DeltaPropagation|BenchmarkE22AdaptiveMaintenance|BenchmarkE23WatchFanout|BenchmarkE23PublishHotPath|BenchmarkE24Recovery|BenchmarkE25MuxFanout|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds'
 
-go test -run '^$' -bench "^(${benches})$" -benchmem -count "${count}" . | tee "${out}"
+go test -run '^$' -bench "^(${benches})$" -benchmem -count "${count}" . ./internal/core | tee "${out}"
