@@ -1,21 +1,25 @@
 package core
 
-import "repro/internal/clock"
+import (
+	"slices"
+
+	"repro/internal/clock"
+)
 
 // Batched tick dispatch (Section 4.3 at scale).
 //
-// All periodic handlers of an Env share one bucketed deadline
-// scheduler (clock.Scheduler): handlers due at the same instant arrive
+// All periodic items of an Env share one bucketed deadline scheduler
+// (clock.Scheduler): window policies due at the same instant arrive
 // here as a single batch behind a single clock event, in arm order —
 // which preserves the virtual clock's same-instant tie-break exactly
-// as if each handler still owned a private ticker. The dispatch then
+// as if each item still owned a private ticker. The dispatch then
 //
 //  1. re-arms every task for its next boundary (on the clock
 //     goroutine, like the old per-handler ticker reschedule, so pool
 //     workers lagging behind the clock never lose future ticks),
-//  2. groups the due handlers by dependency-scope root, and
+//  2. groups the due policies by dependency-scope root, and
 //  3. runs one scope batch per group — one Updater.Submit instead of
-//     one per handler.
+//     one per item.
 //
 // A scope batch publishes all of its windows first and then runs
 // trigger propagation once over the merged seed set, so a triggered
@@ -26,23 +30,28 @@ import "repro/internal/clock"
 // topological order, and the single pass reads all newly published
 // windows — only the redundant intermediate refreshes disappear.
 //
-// Lock footprint of the batched tick path: the grouping step takes
-// each handler's metadata-level mutex only to read its entry pointer;
-// publishing takes it per handler around the window compute (as
-// before); propagation then takes the dependency-scope lock(s) once
-// per batch — no handler mutex is held while any structural lock is
-// taken, and no structural lock is held while a window computes.
+// Lock footprint of the batched tick path: the dispatch itself, which
+// runs on the clock goroutine, takes no item mutex at all — an item's
+// mutex is held across its window compute, and waiting for it here
+// would stall every boundary and probe of the env behind one slow
+// compute (and, on the virtual clock, deadlock a compute whose release
+// needs time to advance). Publishing takes the item mutex per item
+// around the window compute, or skips the item when a compute is still
+// in flight (see item.tick); propagation then takes the
+// dependency-scope lock(s) once per batch — no item mutex is held while
+// any structural lock is taken, and no structural lock is held while a
+// window computes.
 
-// tickGroup collects the due handlers of one dependency-scope root.
-// The groups live in Env.tickGroups, reused across dispatches under
-// tickMu.
+// tickGroup collects the due window policies of one dependency-scope
+// root. The groups live in Env.tickGroups, reused across dispatches
+// under tickMu.
 type tickGroup struct {
 	root *component
-	hs   []*periodicHandler
+	ws   []*windowPolicy
 }
 
 // dispatchTicks is the Env's scheduler callback: it receives every
-// periodic handler due at instant now, in arm order.
+// window policy (and recovery probe) due at instant now, in arm order.
 func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 	// Re-arm first, in batch order: the scheduler ignores re-arms of
 	// tasks a concurrent unsubscribe has canceled, and arming before
@@ -52,12 +61,12 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 	sched := env.scheduler()
 	for _, t := range due {
 		switch d := t.Data.(type) {
-		case *periodicHandler:
+		case *windowPolicy:
 			sched.At(now.Add(d.window), t)
 		case *itemHealth:
-			// Recovery probe of a quarantined handler: not re-armed
-			// here — the probe's outcome decides whether the breaker
-			// closes (the owner reschedules itself) or the probe is
+			// Recovery probe of a quarantined item: not re-armed here —
+			// the probe's outcome decides whether the breaker closes (a
+			// window policy then re-arms its cadence) or the probe is
 			// re-armed on doubled backoff.
 			d.probeFired(now)
 		}
@@ -67,17 +76,16 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 
 	if env.perHandlerTicks {
 		// Ablation/baseline: one dispatch and one propagation per
-		// handler, legacy semantics.
+		// item, legacy semantics.
 		for _, t := range due {
-			h, ok := t.Data.(*periodicHandler)
+			w, ok := t.Data.(*windowPolicy)
 			if !ok {
 				continue
 			}
 			if inline {
-				h.tick(now)
+				w.it.tickAlone(w, now)
 			} else {
-				h := h
-				env.updater.Submit(func() { h.tick(now) })
+				env.updater.Submit(func() { w.it.tickAlone(w, now) })
 			}
 		}
 		return
@@ -91,15 +99,14 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 	// batches for this boundary.
 	n := 0
 	for _, t := range due {
-		h, ok := t.Data.(*periodicHandler)
+		w, ok := t.Data.(*windowPolicy)
 		if !ok {
 			continue // recovery probe, handled above
 		}
-		e := h.entry()
-		if e == nil {
-			continue // stopped between fire and dispatch
-		}
-		root := find(e.reg.comp)
+		// The item's entry is fixed from bind on, so this read needs no
+		// mutex; an item stopped between fire and dispatch still groups,
+		// and its tick does nothing.
+		root := find(w.it.e.reg.comp)
 		idx := -1
 		for i := 0; i < n; i++ {
 			if env.tickGroups[i].root == root {
@@ -110,14 +117,14 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 		if idx < 0 {
 			if n < len(env.tickGroups) {
 				env.tickGroups[n].root = root
-				env.tickGroups[n].hs = env.tickGroups[n].hs[:0]
+				env.tickGroups[n].ws = env.tickGroups[n].ws[:0]
 			} else {
 				env.tickGroups = append(env.tickGroups, tickGroup{root: root})
 			}
 			idx = n
 			n++
 		}
-		env.tickGroups[idx].hs = append(env.tickGroups[idx].hs, h)
+		env.tickGroups[idx].ws = append(env.tickGroups[idx].ws, w)
 	}
 	shed, _ := env.updater.(sheddableUpdater)
 	for i := 0; i < n; i++ {
@@ -128,10 +135,9 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 			// Inline updater: run the batch directly instead of paying
 			// a closure allocation and dispatch for a Submit that
 			// would execute it synchronously anyway.
-			env.runTickBatch(g.hs, now)
+			env.runTickBatch(g.ws, now)
 		} else {
-			hs := make([]*periodicHandler, len(g.hs))
-			copy(hs, g.hs)
+			ws := slices.Clone(g.ws)
 			if shed != nil {
 				// Scope batches are the sheddable class: under
 				// backpressure a batch still queued when this scope's
@@ -141,9 +147,9 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 				// (The root pointer is only a coalescing key; a bounded
 				// updater drops the reference when the batch runs or is
 				// superseded.)
-				shed.SubmitSheddable(root, func() { env.runTickBatch(hs, now) })
+				shed.SubmitSheddable(root, func() { env.runTickBatch(ws, now) })
 			} else {
-				env.updater.Submit(func() { env.runTickBatch(hs, now) })
+				env.updater.Submit(func() { env.runTickBatch(ws, now) })
 			}
 		}
 	}
@@ -152,17 +158,18 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 // runTickBatch executes one scope batch: publish every due window,
 // then propagate once over the merged seed set. It runs on the
 // updater (a pool worker for large graphs).
-func (env *Env) runTickBatch(hs []*periodicHandler, now clock.Time) {
+func (env *Env) runTickBatch(ws []*windowPolicy, now clock.Time) {
 	env.stats.ScopeBatches.Add(1)
-	env.stats.BatchedTicks.Add(int64(len(hs)))
+	env.stats.BatchedTicks.Add(int64(len(ws)))
 
 	var pubsArr [16]*entry
 	pubs := pubsArr[:0]
 	var regsArr [8]*Registry
 	regs := regsArr[:0]
 	end := now
-	for _, h := range hs {
-		e, pubEnd, ok := h.publish(now)
+	for _, w := range ws {
+		pubEnd, ok := w.it.tick(w, now)
+		e := w.it.e
 		if !ok || e.ndeps.Load() == 0 {
 			// Nothing depends on the item: skip the scope lock
 			// entirely (the key to parallel periodic updates on the
@@ -188,28 +195,37 @@ func (env *Env) runTickBatch(hs []*periodicHandler, now clock.Time) {
 		return
 	}
 
-	// One propagation for the whole batch, under the scope lock(s).
-	// Seeds — the dependents of every published entry — go into the
-	// root's scratch buffer; duplicates (an item depending on several
-	// publishers) are deduplicated by the plan lookup. A lagging pool
-	// batch may have clamped windows to a later end; propagate at the
-	// latest published instant so dependents never see a timestamp
-	// older than the values they read.
+	// One propagation for the whole batch, under the scope lock(s). A
+	// lagging pool batch may have clamped windows to a later end;
+	// propagate at the latest published instant so dependents never see
+	// a timestamp older than the values they read.
 	sc := env.lockScope(regs...)
-	// Deliver every publication of the batch to the delta channel
-	// first: a dependent shared by k same-boundary publishers then
-	// refreshes once with k pairs pending (the same coalescing the
-	// merged seed set gives the refresh itself).
+	env.announceLocked(end, pubs...)
+	sc.unlock()
+}
+
+// announceLocked is the one publish-then-propagate step: it tells the
+// dependents of the entries in pubs, all of which just published (or
+// had a change announced for them), and refreshes the affected closure
+// once. The lock(s) of the component(s) holding pubs must be held; no
+// item mutex may be.
+func (env *Env) announceLocked(now clock.Time, pubs ...*entry) {
+	// Deliver every publication to the delta channel first: a dependent
+	// shared by k same-boundary publishers then refreshes once with k
+	// pairs pending (the same coalescing the merged seed set gives the
+	// refresh itself).
 	for _, e := range pubs {
 		if e.deltaDeps > 0 {
 			notifyDeltaLocked(e)
 		}
 	}
+	// Seeds — the dependents of every published entry — go into the
+	// root's scratch buffer; duplicates (an item depending on several
+	// publishers) are deduplicated by the plan lookup.
 	sb := find(pubs[0].reg.comp).scratchLocked()
 	sb.seeds = sb.seeds[:0]
 	for _, e := range pubs {
 		sb.seeds = appendDependents(sb.seeds, e)
 	}
-	env.refreshClosureLocked(sb.seeds, end)
-	sc.unlock()
+	env.refreshClosureLocked(sb.seeds, now)
 }

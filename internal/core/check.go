@@ -11,8 +11,8 @@ import (
 // multiplicities, the union-find scope forest — and verify the
 // invariants the paper's semantics rely on:
 //
-//  1. handler lifecycle: every included item has a live handler, a
-//     published snapshot pointer, and a positive reference count; no
+//  1. handler lifecycle: every included item has a positive reference
+//     count and a live handler (invariant 7 says what that is); no
 //     handler exists for an item with zero references (removed entries
 //     are unreachable).
 //  2. refcount conservation: an item's reference count equals the
@@ -31,6 +31,12 @@ import (
 //     stored in group order, the lock-free ndeps mirror matches, no
 //     plan-build mark is left behind, and no slot holds an entry
 //     without the definition it was built from.
+//  7. item <-> entry: every included entry holds exactly one item, in
+//     service, whose back-pointer is that entry; the mechanism the item
+//     reports is the policy installed on it; a window policy has a
+//     boundary task unless the item is quarantined; delta state exists
+//     iff the definition declares Delta; and a removed entry still
+//     reachable through a (broken) edge holds no item.
 
 // ItemKey identifies one metadata item across registries, for the
 // external-subscription counts passed to VerifyIntegrity.
@@ -101,17 +107,14 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			if e.def != sl.def || e.kind() != kind || e.reg != r {
 				bad("%s/%s: entry filed under wrong key (%s/%s)", r.id, kind, e.reg.id, e.kind())
 			}
-			// Invariant 1: handler lifecycle.
+			// Invariants 1 and 7: handler lifecycle.
 			if e.refs < 1 {
 				bad("%s/%s: included with refs=%d", r.id, kind, e.refs)
 			}
-			if e.handler == nil {
-				bad("%s/%s: included without handler", r.id, kind)
-			}
-			if p := e.pub.Load(); p == nil {
-				bad("%s/%s: included without published handler", r.id, kind)
-			} else if *p != e.handler {
-				bad("%s/%s: published handler does not match structural handler", r.id, kind)
+			if it := e.h.Load(); it == nil {
+				bad("%s/%s: included without item", r.id, kind)
+			} else if why := it.inconsistency(e); why != "" {
+				bad("%s/%s: %s", r.id, kind, why)
 			}
 
 			// Invariants 3, 4, 6: every dependency edge points at an
@@ -123,6 +126,9 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 				de := ed.h.e
 				if !included(de) {
 					bad("%s/%s: depends on %s/%s which is not included", r.id, kind, de.reg.id, de.kind())
+					if de.h.Load() != nil {
+						bad("%s/%s: removed but still holds its item", de.reg.id, de.kind())
+					}
 					continue
 				}
 				if b := int(ed.back); b < 0 || b >= len(de.dependents) || de.dependents[b] != (dependent{e: e, edge: int32(i)}) {
@@ -148,6 +154,9 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			for j, d := range e.dependents {
 				if !included(d.e) {
 					bad("%s/%s: dependent %s/%s is not included", r.id, kind, d.e.reg.id, d.e.kind())
+					if d.e.h.Load() != nil {
+						bad("%s/%s: removed but still holds its item", d.e.reg.id, d.e.kind())
+					}
 					continue
 				}
 				if k := int(d.edge); k < 0 || k >= len(d.e.deps) || d.e.deps[k].h.e != e || int(d.e.deps[k].back) != j {

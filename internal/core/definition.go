@@ -30,8 +30,8 @@ type Definition struct {
 	Resolve func(rc *ResolveContext) []DepRef
 
 	// Events lists registry-local event names (fired via
-	// Registry.FireEvent) that refresh the item's handler if it is
-	// triggerable.
+	// Registry.FireEvent) that refresh the item while its mechanism is
+	// triggered.
 	Events []string
 
 	// Probe is the monitoring code the item requires in the node's
@@ -53,8 +53,8 @@ type Definition struct {
 	// invertible (Combine/Retract) fold over the fan-in values that
 	// lets dependency publications be applied as O(1) (old, new) pairs
 	// instead of re-running the full compute, with an exact fold
-	// fallback (see delta.go). Ignored by handlers other than
-	// NewDeltaAggregate.
+	// fallback (see delta.go). A definition that declares it builds
+	// with NewDeltaAggregate.
 	Delta *DeltaSpec
 
 	// Pure declares that the item's compute is a function of its
@@ -193,14 +193,20 @@ type Handle struct {
 // Value returns the item's current value under its handler's update
 // discipline.
 func (h *Handle) Value() (Value, error) {
-	hd := h.e.getHandler()
-	if hd == nil {
+	it := h.e.h.Load()
+	if it == nil {
 		return nil, ErrUnsubscribed
 	}
 	if t := h.e.track.Load(); t != nil {
 		t.Add(1)
 	}
-	return hd.Value()
+	// it.Value(), spelled out: the compiler does not inline it, and this
+	// is the read path of every consumer and of every compute that reads
+	// a dependency.
+	if s := it.cur.Load(); s != nil {
+		return s.val, s.err
+	}
+	return it.read()
 }
 
 // Float returns the item's current value as float64. A stale-tagged
@@ -228,11 +234,11 @@ func (h *Handle) Registry() *Registry { return h.e.reg }
 
 // Mechanism returns the update mechanism of the item's handler.
 func (h *Handle) Mechanism() Mechanism {
-	hd := h.e.getHandler()
-	if hd == nil {
+	it := h.e.h.Load()
+	if it == nil {
 		return StaticMechanism
 	}
-	return hd.Mechanism()
+	return it.Mechanism()
 }
 
 // Subscription is a consumer's claim on a metadata item, returned by

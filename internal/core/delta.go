@@ -12,7 +12,7 @@ import (
 // The paper's triggered maintenance recomputes a dependent from scratch
 // on every upstream publication, so an aggregate over N fan-in edges
 // pays O(N) per fire. The delta channel removes that cost for
-// invertible aggregates: every publishing handler records, per
+// invertible aggregates: every publishing item records, per
 // publication, the (old, new) float transition of its value, and a
 // dependent built with NewDeltaAggregate folds those transitions into a
 // running accumulator — sum: acc + new - old — in O(1) per fire,
@@ -21,7 +21,7 @@ import (
 //
 // The contract is opt-in-with-exact-fallback, like Pure/memoization:
 // whenever the O(1) path cannot be proven byte-identical to a full
-// recompute, the handler falls back to the fold. The fallback matrix:
+// recompute, the item falls back to the fold. The fallback matrix:
 //
 //   - the env disables the channel (WithoutDeltaPropagation, or the
 //     WithNaivePropagation paper-faithful ablation);
@@ -44,7 +44,7 @@ import (
 // Consistency of the pair stream: pairs are derived under the
 // dependency-scope lock from the per-entry deltaLast field — "the value
 // every delta accumulator over this edge currently reflects" — not
-// captured at publish time. Publishes happen under the handler's own
+// captured at publish time. Publishes happen under the item's own
 // mutex only (scope batches publish before locking the scope), so two
 // pool batches can publish v1->v2 and v2->v3 in either order; deriving
 // the pair as (deltaLast, currently-published) at the locked notify
@@ -179,7 +179,7 @@ func DeltaMin() *DeltaSpec {
 	}
 }
 
-// deltaState is the per-handler state of a delta aggregate. Everything
+// deltaState is the per-item state of a delta aggregate. Everything
 // except spec/fan (immutable after build) is guarded by the
 // dependency-scope component lock, which every refresh and every pair
 // push already holds.
@@ -230,19 +230,110 @@ func NewDeltaAggregate(ctx *BuildContext) (Handler, error) {
 			ctx.e.reg.id, ctx.e.kind())
 	}
 	ds := &deltaState{spec: spec, fan: ctx.e.deps, rebase: spec.rebaseLimit()}
-	h := &triggeredHandler{ds: ds}
+	it := newItem(TriggeredMechanism)
+	it.ds = ds
 	// The full recompute folds every fan-in value in declaration order,
-	// first error wins. It returns the raw DeltaAcc; the handler
-	// publishes finishAcc of it, so fold and delta paths share one
+	// first error wins. It returns the raw DeltaAcc; the item publishes
+	// finishAcc of it (foldSnap), so fold and delta paths share one
 	// Finish application and cannot diverge there.
-	h.compute = func(clock.Time) (Value, error) {
+	it.fn = func(clock.Time) (Value, error) {
 		acc, err := ds.foldFrom(ds.eligible)
 		if err != nil {
 			return nil, err
 		}
 		return acc, nil
 	}
-	return h, nil
+	return it, nil
+}
+
+// foldLive is the probe's compute: the probe runs without the scope
+// lock, so it folds the live snapshots, leaves the accumulator alone,
+// and returns the finished float.
+func (ds *deltaState) foldLive(clock.Time) (Value, error) {
+	acc, err := ds.foldFrom(false)
+	if err != nil {
+		return nil, err
+	}
+	return ds.spec.finishAcc(acc), nil
+}
+
+// foldSnap wraps the result of a full fold in a snapshot to publish: a
+// successful fold seeds the accumulator (stamped with epoch, the write
+// epoch captured before the fold read its inputs) and yields the
+// finished float; an error invalidates it and yields the error. The
+// scope lock and the item mutex must be held.
+func (ds *deltaState) foldSnap(a *snapAlloc, v Value, err error, epoch uint64) *valueSnapshot {
+	if err == nil {
+		if acc, ok := v.(DeltaAcc); ok {
+			ds.acc = acc
+			ds.valid = true
+			ds.applied = 0
+			ds.epoch = epoch
+			return a.putFloat(ds.spec.finishAcc(acc))
+		}
+		err = fmt.Errorf("%w: delta aggregate fold returned %T, want DeltaAcc", ErrNotNumeric, v)
+		v = nil
+	}
+	ds.valid = false
+	return a.put(v, err)
+}
+
+// refreshDelta is refresh for delta aggregates: consume the pending
+// (old, new) pairs and apply them to the accumulator in O(1) each when
+// the channel is provably exact, else fall back to the byte-identical
+// full fold, which re-seeds the accumulator. The caller holds the
+// dependency-scope lock (every refresh caller does), which guards the
+// delta state.
+func (it *item) refreshDelta(now clock.Time) {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	if !it.live {
+		return
+	}
+	ds := it.ds
+	// Consume the delta input first — pairs and poison marks must not
+	// leak into a later refresh — even when this refresh cannot use
+	// them (quarantine below drops them and invalidates instead).
+	pairs := ds.pending
+	poisoned := ds.poisoned
+	ds.pending = ds.pending[:0]
+	ds.poisoned = false
+	if it.e.health.isQuarantined() {
+		// The stale publication stands (see refresh); the accumulator
+		// no longer reflects the consumed pair stream.
+		ds.valid = false
+		return
+	}
+	env := it.e.reg.env
+	stats := &env.stats
+	stats.TriggeredUpdates.Add(1)
+	// eligible is false on delta-off envs (startLocked), so one flag
+	// covers both the ablation and the structural conditions.
+	if ds.eligible && ds.valid && !poisoned &&
+		ds.epoch == env.writeEpoch.Load() &&
+		(len(pairs) == 0 || ds.spec.Retract != nil) {
+		if ds.rebase > 0 && ds.applied >= ds.rebase {
+			// Drift bound: re-fold from scratch on schedule.
+			stats.DeltaRebases.Add(1)
+			it.publish(now, it.snapshot(now, true))
+			return
+		}
+		if acc, ok := ds.applyPairs(ds.acc, pairs); ok {
+			stats.DeltaFires.Add(1)
+			ds.acc = acc
+			ds.applied++
+			// No compute ran, so there is nothing for the breaker to
+			// judge: publish through the normal snapshot-then-version
+			// path, so memo stamps over this item stay exact.
+			it.accept(it.snaps.putFloat(ds.spec.finishAcc(acc)))
+			return
+		}
+		// Retract refused (or a spec callback panicked) mid-apply: the
+		// accumulator is unusable.
+		ds.valid = false
+	}
+	stats.DeltaFallbacks.Add(1)
+	it.publish(now, it.snapshot(now, true))
 }
 
 // foldFrom folds the fan-in into a fresh accumulator. With useLast,
@@ -291,7 +382,7 @@ func (ds *deltaState) applyPairs(acc DeltaAcc, pairs []DeltaPair) (out DeltaAcc,
 }
 
 // startLocked fixes eligibility and registers the aggregate on the
-// delta channel of its dependencies. Called from the handler's start
+// delta channel of its dependencies. Called from the item's start
 // under the dependency-scope lock, after the dependency entries have
 // committed and started.
 func (ds *deltaState) startLocked(e *entry) {
@@ -300,7 +391,7 @@ func (ds *deltaState) startLocked(e *entry) {
 		return
 	}
 	for i := range ds.fan {
-		if dh := ds.fan[i].h.e.getHandler(); dh == nil || dh.Mechanism() == OnDemandMechanism {
+		if ds.fan[i].h.Mechanism() == OnDemandMechanism {
 			// An on-demand dependency recomputes per access and never
 			// publishes: its changes are invisible to the delta channel,
 			// so the whole aggregate stays on the fold path.
@@ -337,11 +428,7 @@ func (ds *deltaState) stopLocked() {
 // currentFloat reads the entry's currently published value as a
 // delta-trackable float: ok only for a clean, finite numeric value.
 func currentFloat(e *entry) (float64, bool) {
-	h := e.getHandler()
-	if h == nil {
-		return 0, false
-	}
-	v, err := h.Value()
+	v, err := e.h.Load().Value()
 	if err != nil {
 		return 0, false
 	}
@@ -367,18 +454,18 @@ func notifyDeltaLocked(e *entry) {
 	}
 	pair := good && e.deltaLastOK
 	for _, d := range e.dependents {
-		th, ok := d.e.handler.(*triggeredHandler)
-		if !ok || th.ds == nil || !th.ds.eligible {
+		ds := d.e.h.Load().ds
+		if ds == nil || !ds.eligible {
 			continue
 		}
 		if pair {
-			th.ds.pending = append(th.ds.pending, DeltaPair{Old: e.deltaLast, New: f})
+			ds.pending = append(ds.pending, DeltaPair{Old: e.deltaLast, New: f})
 		} else {
 			// No trackable predecessor (error value, first good value
 			// after an error, NotifyChanged on a non-float): the
 			// accumulators over this edge cannot be patched — poison
 			// them onto the fold.
-			th.ds.poisoned = true
+			ds.poisoned = true
 		}
 	}
 	e.deltaLast, e.deltaLastOK = f, good
@@ -408,18 +495,7 @@ var float64EfaceType = func() unsafe.Pointer {
 // live chunk, which the GC tracks like any other; slots are never
 // reused, so a reader holding the snapshot keeps the box alive.
 func (a *snapAlloc) putFloat(f float64) *valueSnapshot {
-	if a.next == len(a.chunk) {
-		n := 2 * len(a.chunk)
-		if n == 0 {
-			n = 1
-		} else if n > 64 {
-			n = 64
-		}
-		a.chunk = make([]valueSnapshot, n)
-		a.next = 0
-	}
-	s := &a.chunk[a.next]
-	a.next++
+	s := a.slot()
 	s.fbox = f
 	ef := (*eface)(unsafe.Pointer(&s.val))
 	ef.typ = float64EfaceType

@@ -284,14 +284,12 @@ func TestDeltaNotifyChangedPoisons(t *testing.T) {
 func TestDeltaNotifyChangedOnFloatStatic(t *testing.T) {
 	env, _ := testEnv()
 	r := env.NewRegistry("n1")
-	// A float static whose definition captures a mutable box: Define
-	// stores the value at build time, NotifyChanged announces the edit.
-	cur := 5.0
+	// A float static edited behind the framework's back: NotifyChanged
+	// announces the edit.
+	cell := NewStatic(5.0)
 	r.MustDefine(&Definition{
-		Kind: "cell",
-		Build: func(*BuildContext) (Handler, error) {
-			return &mutableStatic{v: &cur}, nil
-		},
+		Kind:  "cell",
+		Build: func(*BuildContext) (Handler, error) { return cell, nil },
 	})
 	defineDeltaAgg(r, "agg", DeltaSum(), Dep(Self(), "cell"))
 	sub, err := r.Subscribe("agg")
@@ -302,21 +300,22 @@ func TestDeltaNotifyChangedOnFloatStatic(t *testing.T) {
 	if got := aggFloat(t, sub); got != 5 {
 		t.Fatalf("sum = %v, want 5", got)
 	}
-	cur = 8
+	setStatic(cell, 8.0)
 	r.NotifyChanged("cell")
 	if got := aggFloat(t, sub); got != 8 {
 		t.Fatalf("sum after NotifyChanged = %v, want 8", got)
 	}
 }
 
-// mutableStatic is a static-mechanism handler over external state, the
-// NotifyChanged escape-hatch scenario.
-type mutableStatic struct{ v *float64 }
-
-func (h *mutableStatic) Value() (Value, error) { return *h.v, nil }
-func (h *mutableStatic) Mechanism() Mechanism  { return StaticMechanism }
-func (h *mutableStatic) start(*entry) error    { return nil }
-func (h *mutableStatic) stop()                 {}
+// setStatic swaps the value a static item serves without publishing
+// it: the NotifyChanged escape-hatch scenario, a value that changes
+// outside the framework.
+func setStatic(h Handler, v Value) {
+	it := h.(*item)
+	it.mu.Lock()
+	it.cur.Store(it.snaps.put(v, nil))
+	it.mu.Unlock()
+}
 
 func TestDeltaRebaseInterval(t *testing.T) {
 	env, _ := testEnv()

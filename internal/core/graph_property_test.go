@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -182,52 +183,94 @@ func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 }
 
 // TestVerifyIntegrityCatchesBrokenEdges corrupts each half of the edge
-// mirror in turn and expects VerifyIntegrity to object.
+// mirror, and each clause of the item <-> entry invariant, in turn and
+// expects VerifyIntegrity to object (with the named complaint, where
+// one is given).
 func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 	env, _ := testEnv()
 	r := env.NewRegistry("n")
 	defineConst(r, "a", 1.0)
 	defineDerived(r, "b", Dep(Self(), "a"), Dep(Self(), "a"))
 	defineDerived(r, "c", Dep(Self(), "a"))
-	for _, k := range []Kind{"b", "c"} {
+	definePeriodicEnd(r, "p", 10)
+	defineDeltaAgg(r, "agg", DeltaSum(), Dep(Self(), "c"))
+	ext := map[ItemKey]int{}
+	for _, k := range []Kind{"b", "p", "agg"} {
 		s, err := r.Subscribe(k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Unsubscribe()
+		ext[ItemKey{Registry: "n", Kind: k}] = 1
 	}
-	ext := map[ItemKey]int{{Registry: "n", Kind: "b"}: 1, {Registry: "n", Kind: "c"}: 1}
 	if errs := VerifyIntegrity(ext, r); len(errs) > 0 {
 		t.Fatalf("clean graph: %v", errs)
 	}
 	a, b := r.entryOf("a"), r.entryOf("b")
-	corruptions := map[string]func() (undo func()){
-		"edge slot": func() func() {
+	bi, pi, aggi := b.h.Load(), r.entryOf("p").h.Load(), r.entryOf("agg").h.Load()
+	type corruption struct {
+		do   func() (undo func())
+		want string // a complaint VerifyIntegrity must make; "" = any
+	}
+	corruptions := map[string]corruption{
+		"edge slot": {do: func() func() {
 			b.deps[0].back, b.deps[1].back = b.deps[1].back, b.deps[0].back
 			return func() { b.deps[0].back, b.deps[1].back = b.deps[1].back, b.deps[0].back }
-		},
-		"dependents element": func() func() {
+		}},
+		"dependents element": {do: func() func() {
 			a.dependents[2].edge = 7
 			return func() { a.dependents[2].edge = 0 }
-		},
-		"ndeps mirror": func() func() {
+		}},
+		"ndeps mirror": {do: func() func() {
 			a.ndeps.Store(2)
 			return func() { a.ndeps.Store(3) }
-		},
-		"plan mark": func() func() {
+		}},
+		"plan mark": {do: func() func() {
 			b.planIn = 1
 			return func() { b.planIn = 0 }
-		},
-		"slot without definition": func() func() {
+		}},
+		"slot without definition": {do: func() func() {
+			sl := r.slots["b"]
+			r.slots["b"] = slot{entry: sl.entry}
+			return func() { r.slots["b"] = sl }
+		}},
+		"entry without item": {want: "included without item", do: func() func() {
+			b.h.Store(nil)
+			return func() { b.h.Store(bi) }
+		}},
+		"item bound elsewhere": {want: "back-pointer", do: func() func() {
+			bi.e = a
+			return func() { bi.e = b }
+		}},
+		"item out of service": {want: "not in service", do: func() func() {
+			bi.live = false
+			return func() { bi.live = true }
+		}},
+		"mechanism without its policy": {want: "another policy is installed", do: func() func() {
+			bi.mech.Store(int32(PeriodicMechanism))
+			return func() { bi.mech.Store(int32(TriggeredMechanism)) }
+		}},
+		"healthy window policy without task": {want: "boundary task", do: func() func() {
+			task := pi.win.task
+			pi.win.task = nil
+			return func() { pi.win.task = task }
+		}},
+		"aggregate without delta state": {want: "delta state", do: func() func() {
+			ds := aggi.ds
+			aggi.ds = nil
+			return func() { aggi.ds = ds }
+		}},
+		"removed entry holding its item": {want: "removed but still holds its item", do: func() func() {
 			sl := r.slots["c"]
-			r.slots["c"] = slot{entry: sl.entry}
+			r.slots["c"] = slot{def: sl.def}
 			return func() { r.slots["c"] = sl }
-		},
+		}},
 	}
-	for name, corrupt := range corruptions {
-		undo := corrupt()
-		if errs := VerifyIntegrity(ext, r); len(errs) == 0 {
-			t.Errorf("corrupted %s went unnoticed", name)
+	for name, cor := range corruptions {
+		undo := cor.do()
+		errs := VerifyIntegrity(ext, r)
+		if len(errs) == 0 || !strings.Contains(fmt.Sprint(errs), cor.want) {
+			t.Errorf("corrupted %s: got %v, want a complaint containing %q", name, errs, cor.want)
 		}
 		undo()
 	}

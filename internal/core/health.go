@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/clock"
 )
@@ -17,13 +18,16 @@ import (
 // file contains the containment layer: a bounded compute runner that
 // abandons a computation at its deadline (the abandoned goroutine is
 // fenced by a generation claim so its late result can never clobber a
-// newer publication), and a per-handler circuit breaker that trips a
+// newer publication), and a per-item circuit breaker that trips a
 // repeatedly failing item into quarantine — the item is unscheduled,
 // serves its last-good value tagged *StaleError, and is re-probed on
 // exponential backoff through the env's bucketed scheduler until a
 // success closes the breaker.
 //
-// Health state machine per handler:
+// Health state machine per item. The breaker belongs to the item, not
+// to its mechanism: a migration leaves it — failure history,
+// quarantine, armed probe and backoff — exactly where it is, and the
+// next probe recovers through whatever policy is installed by then.
 //
 //	            failure                 threshold reached
 //	Healthy ────────────▶ Degraded ────────────────────────▶ Quarantined
@@ -35,7 +39,7 @@ import (
 //	   └─────────────────────────────────────────────────────────┘
 //	                     (probe fails: backoff doubles, ──▶ Quarantined)
 //
-// Lock order: handler mutex -> itemHealth.mu -> scheduler/clock
+// Lock order: item mutex -> itemHealth.mu -> scheduler/clock
 // internals. The lock-free value read path never touches itemHealth.
 
 // BreakerPolicy configures circuit-breaker quarantine (WithBreaker).
@@ -140,28 +144,23 @@ type HealthSnapshot struct {
 	Cause error
 }
 
-// healthCarrier is implemented by handlers that track breaker state.
-type healthCarrier interface {
-	healthSnapshot() HealthSnapshot
-}
-
-// quarantineOwner is the handler-side contract of itemHealth: how to
-// run one recovery probe. The probe recomputes once; on success the
-// owner republishes, reschedules itself, and closes the breaker via
-// closeBreaker; on failure it reports probeFailed to re-arm the next
-// probe on doubled backoff.
-type quarantineOwner interface {
-	runProbe(now clock.Time)
-}
-
-// itemHealth is the per-handler circuit breaker. It exists only when
-// the env enables WithBreaker; every method is safe on a nil receiver
-// so handlers call the bookkeeping hooks unconditionally — the healthy
-// hot path with no breaker configured pays a single nil check.
+// itemHealth is the per-item circuit breaker. It exists only when the
+// env enables WithBreaker; every method is safe on a nil receiver so
+// items call the bookkeeping hooks unconditionally — the healthy hot
+// path with no breaker configured pays a single nil check.
 type itemHealth struct {
 	env    *Env
 	policy *BreakerPolicy
-	owner  quarantineOwner
+	// it is the item the breaker guards; a fired probe runs it.runProbe.
+	it *item
+
+	// lastGood is the latest cleanly computed value, republished tagged
+	// *StaleError while quarantined. It lives with the breaker because
+	// nothing else ever serves it; guarded by the item mutex, not mu.
+	// scratch is the slot keepLastGood records into: never published,
+	// so no reader can hold it and the next value may overwrite it.
+	lastGood *valueSnapshot
+	scratch  *valueSnapshot
 
 	// st mirrors state for lock-free healthy-path checks: the publish
 	// path reads it on every compute (isQuarantined, the onSuccess
@@ -181,13 +180,26 @@ type itemHealth struct {
 	stopped   bool
 }
 
-// newItemHealth returns breaker state for owner, or nil when the env
-// has no breaker configured.
-func newItemHealth(env *Env, owner quarantineOwner) *itemHealth {
+// newItemHealth returns breaker state for it, or nil when the env has
+// no breaker configured.
+func newItemHealth(env *Env, it *item) *itemHealth {
 	if env.breaker == nil {
 		return nil
 	}
-	return &itemHealth{env: env, policy: env.breaker, owner: owner}
+	return &itemHealth{env: env, policy: env.breaker, it: it}
+}
+
+// keepLastGood records a clean value that is not being published — an
+// on-demand result, served to its reader, or a restored checkpoint
+// value. A trip copies the value into the stale snapshot it publishes,
+// so the slot stays private to the breaker and is reused. The item
+// mutex must be held.
+func (ih *itemHealth) keepLastGood(a *snapAlloc, v Value) {
+	if ih.scratch == nil {
+		ih.scratch = a.slot()
+	}
+	ih.scratch.val = v
+	ih.lastGood = ih.scratch
 }
 
 // breakerEligible reports whether err counts toward tripping the
@@ -211,13 +223,17 @@ func (ih *itemHealth) setStateLocked(s HealthState) {
 }
 
 // onSuccess records a successful compute, resetting the failure window.
-// A handler that is already Healthy has nothing to reset (Healthy
-// implies an empty failure window), so the steady-state success path is
-// a single atomic load.
+// An item that is already Healthy has nothing to reset (Healthy implies
+// an empty failure window), so the steady-state success path is a
+// single atomic load — kept apart from the reset so that it inlines
+// into the publish path.
 func (ih *itemHealth) onSuccess() {
-	if ih == nil || ih.st.Load() == int32(Healthy) {
-		return
+	if ih != nil && ih.st.Load() != int32(Healthy) {
+		ih.resetFailures()
 	}
+}
+
+func (ih *itemHealth) resetFailures() {
 	ih.mu.Lock()
 	if ih.state == Degraded {
 		ih.setStateLocked(Healthy)
@@ -229,10 +245,10 @@ func (ih *itemHealth) onSuccess() {
 
 // onFailure records a breaker-eligible failure at now and reports
 // whether the breaker tripped on this failure. When it trips, the
-// probe is armed internally; the caller performs the handler-specific
-// quarantine actions (unschedule, publish stale) and must do so before
-// releasing the handler mutex it holds, so the stale publication and
-// the trip are one atomic step from a reader's perspective.
+// probe is armed internally; the caller (item.admit) publishes the
+// stale value before releasing the item mutex it holds, so the stale
+// publication and the trip are one atomic step from a reader's
+// perspective.
 func (ih *itemHealth) onFailure(now clock.Time, err error) (tripped bool) {
 	if ih == nil {
 		return false
@@ -319,12 +335,11 @@ func (ih *itemHealth) probeFired(now clock.Time) {
 		return
 	}
 	ih.setStateLocked(Probing)
-	owner := ih.owner
 	ih.mu.Unlock()
 	if ih.env.async {
-		ih.env.updater.Submit(func() { owner.runProbe(now) })
+		ih.env.updater.Submit(func() { ih.it.runProbe(now) })
 	} else {
-		owner.runProbe(now)
+		ih.it.runProbe(now)
 	}
 }
 
@@ -351,8 +366,8 @@ func (ih *itemHealth) probeFailed(now clock.Time, err error) {
 }
 
 // closeBreaker records a successful probe: the breaker closes and the
-// handler is healthy again. The owner republishes and reschedules
-// itself around this call.
+// item is healthy again. runProbe republishes and reschedules around
+// this call.
 func (ih *itemHealth) closeBreaker() {
 	if ih == nil {
 		return
@@ -370,7 +385,7 @@ func (ih *itemHealth) closeBreaker() {
 	ih.env.stats.BreakerRecoveries.Add(1)
 }
 
-// isQuarantined reports whether the handler currently serves stale
+// isQuarantined reports whether the item currently serves stale
 // values (quarantined or probing). Lock-free: it runs on every publish.
 func (ih *itemHealth) isQuarantined() bool {
 	if ih == nil {
@@ -380,7 +395,7 @@ func (ih *itemHealth) isQuarantined() bool {
 	return s == Quarantined || s == Probing
 }
 
-// stop retires the breaker when its handler stops, canceling any armed
+// stop retires the breaker when its item stops, canceling any armed
 // probe.
 func (ih *itemHealth) stop() {
 	if ih == nil {
@@ -424,17 +439,18 @@ func (r *Registry) Health(kind Kind) (HealthSnapshot, bool) {
 	if e == nil {
 		return HealthSnapshot{}, false
 	}
-	h := e.getHandler()
-	if h == nil {
-		return HealthSnapshot{}, false
-	}
-	if hc, ok := h.(healthCarrier); ok {
-		return hc.healthSnapshot(), true
-	}
-	return HealthSnapshot{State: Healthy}, true
+	return e.health.snapshot(), true
 }
 
 // --- Bounded computes ---
+
+// deadlineGrace is how long a compute whose deadline expired on a
+// simulated clock may still deliver its result. A deadline is in clock
+// time but a compute runs in real time: a virtual clock can jump past a
+// deadline in no real time at all, while a compute that never blocks is
+// still waiting for a processor. The real clock needs no grace — there
+// the deadline itself was real time.
+const deadlineGrace = 10 * time.Millisecond
 
 type computeResult struct {
 	v   Value
@@ -479,6 +495,15 @@ func runBounded(clk clock.Clock, d clock.Duration, stats *Stats, compute func() 
 		clk.Cancel(ev)
 		return r.v, r.err
 	case <-timeout:
+		if _, realTime := clk.(*clock.Real); !realTime {
+			// The clock may have outrun the compute (see deadlineGrace):
+			// a result that arrives within the grace still wins.
+			select {
+			case r := <-done:
+				return r.v, r.err
+			case <-time.After(deadlineGrace):
+			}
+		}
 		if gen.CompareAndSwap(0, 1) {
 			stats.Timeouts.Add(1)
 			return nil, ErrComputeTimeout

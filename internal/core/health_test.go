@@ -303,75 +303,321 @@ func TestDeadlineInlineEnvInert(t *testing.T) {
 	}
 }
 
-// TestQuarantineOnDemandPanics: the breaker also contains repeatedly
-// panicking on-demand items, without deadlines and on an inline env —
-// Value() serves the last good result tagged stale and a probe closes
-// the breaker.
-func TestQuarantineOnDemandPanics(t *testing.T) {
-	vc := clock.NewVirtual()
-	env := NewEnv(vc, WithBreaker(BreakerPolicy{
-		FailureThreshold: 3,
-		FailureWindow:    100,
-		ProbeBackoff:     10,
-		MaxProbeBackoff:  40,
-	}))
-	r := env.NewRegistry("op")
-	var broken atomic.Bool
-	r.MustDefine(&Definition{
-		Kind: "mem",
-		Build: func(*BuildContext) (Handler, error) {
-			return NewOnDemand(func(now clock.Time) (Value, error) {
-				if broken.Load() {
-					panic("estimator corrupted")
+// TestPublishContract drives the breaker lifecycle of
+// TestQuarantineBreakerLifecycle with panics instead of hangs — inline
+// env, no deadlines — once per mechanism, with and without a breaker,
+// and holds every row to the same contract, because every mechanism
+// publishes through the same code: one version bump per publication,
+// seen once by the watch sink; a compute error is published as a
+// value; a panic as ErrComputePanic; a trip serves the last-good value
+// under a *StaleError and stops computing; a successful probe
+// republishes and propagates exactly once; RestoreStale raises, then
+// bumps, the version; and a stopped item reports ErrUnsubscribed.
+func TestPublishContract(t *testing.T) {
+	const (
+		modeOK int32 = iota
+		modeErr
+		modePanic
+	)
+	errBoom := errors.New("boom")
+	rows := []struct {
+		name string
+		opts []EnvOption
+		// build wraps the row's compute in the mechanism under test; nil
+		// selects a delta aggregate, whose compute is its fold.
+		build   func(c ComputeFunc) Handler
+		advance clock.Duration // poke: let a window boundary pass
+		// quietOK: a healthy compute publishes nothing (volatile
+		// on-demand: the read is the delivery). quietPanic: nor does a
+		// panic below the trip threshold (on-demand: delivered to the
+		// reader, never memoized). readPublishes: the first read after
+		// an invalidation publishes a memo, a version bump of its own.
+		quietOK, quietPanic, readPublishes bool
+	}{
+		{name: "on-demand", build: func(c ComputeFunc) Handler { return NewOnDemand(c) }, quietOK: true, quietPanic: true},
+		{name: "on-demand-memoized", opts: []EnvOption{WithMemoizedOnDemand()},
+			build: func(c ComputeFunc) Handler { return NewOnDemand(c) }, quietPanic: true, readPublishes: true},
+		{name: "periodic", advance: 10, build: func(c ComputeFunc) Handler {
+			return NewPeriodic(10, func(_, end clock.Time) (Value, error) { return c(end) })
+		}},
+		{name: "triggered", build: func(c ComputeFunc) Handler { return NewTriggered(c) }},
+		{name: "delta-aggregate"},
+	}
+	for _, row := range rows {
+		for _, breaker := range []bool{false, true} {
+			name := row.name + "/no-breaker"
+			if breaker {
+				name = row.name + "/breaker"
+			}
+			t.Run(name, func(t *testing.T) {
+				vc := clock.NewVirtual()
+				opts := row.opts
+				if breaker {
+					// The backoff dwarfs every advance a poke makes, so a
+					// probe fires only when the test asks for it.
+					opts = append(opts[:len(opts):len(opts)], WithBreaker(BreakerPolicy{
+						FailureThreshold: 2, FailureWindow: 1 << 20,
+						ProbeBackoff: 1000, MaxProbeBackoff: 4000,
+					}))
 				}
-				return 42.0, nil
-			}), nil
-		},
-	})
-	sub, err := r.Subscribe("mem")
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	defer sub.Unsubscribe()
+				env := NewEnv(vc, opts...)
+				r := env.NewRegistry("op")
 
-	if v, err := sub.Value(); err != nil || v.(float64) != 42.0 {
-		t.Fatalf("healthy Value = %v, %v", v, err)
-	}
+				// src is the cell x reads: errors are injected there, so
+				// x's compute returns an ordinary error; panics are
+				// injected in x's own compute.
+				var mode atomic.Int32
+				var xCalls, depCalls atomic.Int64
+				src := 1.0
+				r.MustDefine(&Definition{
+					Kind:   "src",
+					Events: []string{"ev"},
+					Build: func(*BuildContext) (Handler, error) {
+						return NewTriggered(func(clock.Time) (Value, error) {
+							if mode.Load() == modeErr {
+								return nil, errBoom
+							}
+							return src, nil
+						}), nil
+					},
+				})
+				fault := func() {
+					xCalls.Add(1)
+					if mode.Load() == modePanic {
+						panic("estimator corrupted")
+					}
+				}
+				var built Handler
+				x := &Definition{Kind: "x", Deps: []DepRef{Dep(Self(), "src")}, Pure: true}
+				if row.build != nil {
+					x.Build = func(ctx *BuildContext) (Handler, error) {
+						in := ctx.Dep(0)
+						built = row.build(func(clock.Time) (Value, error) {
+							fault()
+							v, err := in.Float()
+							if err != nil {
+								return nil, err
+							}
+							return v, nil
+						})
+						return built, nil
+					}
+				} else {
+					x.Delta = &DeltaSpec{
+						Combine: func(a DeltaAcc, v float64) DeltaAcc { fault(); a[0] += v; return a },
+						Retract: func(a DeltaAcc, v float64) (DeltaAcc, bool) { a[0] -= v; return a, true },
+					}
+					x.Build = func(ctx *BuildContext) (h Handler, err error) {
+						built, err = NewDeltaAggregate(ctx)
+						return built, err
+					}
+				}
+				r.MustDefine(x)
+				r.MustDefine(&Definition{
+					Kind: "dep",
+					Deps: []DepRef{Dep(Self(), "x")},
+					Build: func(ctx *BuildContext) (Handler, error) {
+						in := ctx.Dep(0)
+						return NewTriggered(func(clock.Time) (Value, error) {
+							depCalls.Add(1)
+							return in.Value()
+						}), nil
+					},
+				})
+				depSub, err := r.Subscribe("dep")
+				if err != nil {
+					t.Fatal(err)
+				}
+				xSub, err := r.Subscribe("x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				sink := new(recordingSink)
+				version, err := r.Watch("x", sink)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	broken.Store(true)
-	for i := 0; i < 3; i++ {
-		if _, err := sub.Value(); !errors.Is(err, ErrComputePanic) && !errors.Is(err, ErrStale) {
-			t.Fatalf("failure %d: err = %v", i, err)
+				// poke provokes exactly one compute of x — src republishes,
+				// then the row's own trigger: the propagation from src, a
+				// window boundary, or the read itself — and reads x.
+				poke := func() (Value, error) {
+					src++
+					r.FireEvent("ev")
+					vc.Advance(row.advance)
+					return xSub.Value()
+				}
+				// bumped checks that x's version moved by exactly n since
+				// the last check and that the sink saw each step once.
+				bumped := func(what string, n uint64) {
+					t.Helper()
+					got, _ := r.ItemVersion("x")
+					seen := sink.take()
+					if got != version+n || uint64(len(seen)) != n {
+						t.Fatalf("%s: version %d -> %d, sink saw %v; want %d bump(s), each seen once", what, version, got, seen, n)
+					}
+					for i, v := range seen {
+						if v != version+uint64(i)+1 {
+							t.Fatalf("%s: sink saw %v after version %d", what, seen, version)
+						}
+					}
+					version = got
+				}
+				quiet := func(q bool) uint64 {
+					if q {
+						return 0
+					}
+					return 1
+				}
+				state := func() HealthState {
+					hs, ok := r.Health("x")
+					if !ok {
+						t.Fatal("x has no health")
+					}
+					return hs.State
+				}
+
+				// A healthy publication.
+				if v, err := poke(); err != nil || v != src {
+					t.Fatalf("healthy: %v, %v; want %v", v, err, src)
+				}
+				bumped("healthy", quiet(row.quietOK))
+
+				// A compute error is a value like any other: published,
+				// and of no interest to the breaker.
+				mode.Store(modeErr)
+				if _, err := poke(); !errors.Is(err, errBoom) || errors.Is(err, ErrStale) {
+					t.Fatalf("compute error: read error %v, want the compute's own", err)
+				}
+				bumped("compute error", quiet(row.quietOK))
+				if state() != Healthy {
+					t.Fatalf("compute error: health %v, want Healthy", state())
+				}
+				mode.Store(modeOK)
+				if v, err := poke(); err != nil || v != src {
+					t.Fatalf("after compute error: %v, %v; want %v", v, err, src)
+				}
+				bumped("after compute error", quiet(row.quietOK))
+				lastGood := src
+
+				// A panic is contained and published as ErrComputePanic.
+				mode.Store(modePanic)
+				if _, err := poke(); !errors.Is(err, ErrComputePanic) || errors.Is(err, ErrStale) {
+					t.Fatalf("panic: read error %v, want ErrComputePanic", err)
+				}
+				bumped("panic", quiet(row.quietPanic))
+
+				if !breaker {
+					// Without a breaker nothing ever trips, and there is no
+					// quarantine to restore into.
+					if _, err := poke(); !errors.Is(err, ErrComputePanic) || errors.Is(err, ErrStale) {
+						t.Fatalf("second panic: read error %v, want ErrComputePanic", err)
+					}
+					bumped("second panic", quiet(row.quietPanic))
+					if state() != Healthy {
+						t.Fatalf("health %v without a breaker", state())
+					}
+					if err := r.RestoreStale("x", 99.0, version+100, nil); !errors.Is(err, ErrNotRestorable) {
+						t.Fatalf("RestoreStale without a breaker: %v, want ErrNotRestorable", err)
+					}
+				} else {
+					if state() != Degraded {
+						t.Fatalf("after one panic: health %v, want Degraded", state())
+					}
+					// The second panic trips the breaker: the last-good value
+					// is republished — once, for every mechanism — under a
+					// *StaleError that wraps the cause.
+					v, err := poke()
+					var stale *StaleError
+					if !errors.Is(err, ErrStale) || !errors.Is(err, ErrComputePanic) || !errors.As(err, &stale) {
+						t.Fatalf("trip: read error %v, want a *StaleError wrapping ErrComputePanic", err)
+					}
+					if v != lastGood {
+						t.Fatalf("trip: stale value %v, want last-good %v", v, lastGood)
+					}
+					bumped("trip", 1)
+					if state() != Quarantined {
+						t.Fatalf("after two panics: health %v, want Quarantined", state())
+					}
+					if _, err := depSub.Value(); !row.quietPanic && !errors.Is(err, ErrStale) {
+						// A publishing x propagated its trip to dep.
+						t.Fatalf("trip: dependent read error %v, want ErrStale propagated", err)
+					}
+					// Quarantined, x neither computes nor publishes.
+					calls := xCalls.Load()
+					if v, err := poke(); !errors.Is(err, ErrStale) || v != lastGood {
+						t.Fatalf("quarantined: %v, %v; want last-good %v under ErrStale", v, err, lastGood)
+					}
+					bumped("quarantined", 0)
+					if got := xCalls.Load(); got != calls {
+						t.Fatalf("quarantined x still computed (%d calls)", got-calls)
+					}
+
+					// Heal; the probe closes the breaker, republishes once
+					// and propagates once (and the dependent's read of a
+					// memoized x publishes the fresh memo).
+					mode.Store(modeOK)
+					refreshes := depCalls.Load()
+					vc.AdvanceTo(stale.Since.Add(1000))
+					if state() != Healthy {
+						t.Fatalf("after probe: health %v, want Healthy", state())
+					}
+					bumped("probe", 1+quiet(!row.readPublishes))
+					if got := depCalls.Load() - refreshes; got != 1 {
+						t.Fatalf("probe: dependent refreshed %d times, want 1", got)
+					}
+					if v, err := xSub.Value(); err != nil || v != src {
+						t.Fatalf("recovered: %v, %v; want %v", v, err, src)
+					}
+					if v, err := depSub.Value(); err != nil || v != src {
+						t.Fatalf("recovered dependent: %v, %v; want %v", v, err, src)
+					}
+					if got := env.Stats().BreakerRecoveries.Load(); got != 1 {
+						t.Fatalf("BreakerRecoveries = %d, want 1", got)
+					}
+
+					// RestoreStale raises the version to the persisted one,
+					// then bumps it for the stale publication: the sink sees
+					// that one step, not the raise.
+					target := version + 100
+					if err := r.RestoreStale("x", 99.0, target, nil); err != nil {
+						t.Fatalf("RestoreStale: %v", err)
+					}
+					if got, _ := r.ItemVersion("x"); got != target+1 {
+						t.Fatalf("RestoreStale: version %d, want %d", got, target+1)
+					}
+					if seen := sink.take(); len(seen) != 1 || seen[0] != target+1 {
+						t.Fatalf("RestoreStale: sink saw %v, want [%d]", seen, target+1)
+					}
+					if v, err := xSub.Value(); !errors.Is(err, ErrStale) || !errors.Is(err, ErrRestored) || v != 99.0 {
+						t.Fatalf("restored: %v, %v; want 99 under ErrStale wrapping ErrRestored", v, err)
+					}
+					vc.Advance(1000)
+					if v, err := xSub.Value(); err != nil || v != src || state() != Healthy {
+						t.Fatalf("after restore probe: %v, %v, %v; want %v, healthy", v, err, state(), src)
+					}
+				}
+
+				if errs := VerifyIntegrity(map[ItemKey]int{{Registry: "op", Kind: "x"}: 1, {Registry: "op", Kind: "dep"}: 1}, r); len(errs) > 0 {
+					t.Fatalf("integrity: %v", errs)
+				}
+				// A stopped item serves nothing, through its handle or directly.
+				h := xSub.Handle()
+				sink.take()
+				xSub.Unsubscribe()
+				depSub.Unsubscribe()
+				if _, err := h.Value(); !errors.Is(err, ErrUnsubscribed) {
+					t.Fatalf("handle read after stop: %v, want ErrUnsubscribed", err)
+				}
+				if _, err := built.Value(); !errors.Is(err, ErrUnsubscribed) {
+					t.Fatalf("handler read after stop: %v, want ErrUnsubscribed", err)
+				}
+				vc.Advance(2000)
+				if seen := sink.take(); len(seen) != 0 {
+					t.Fatalf("stopped item still published: %v", seen)
+				}
+			})
 		}
-	}
-	if hs, _ := r.Health("mem"); hs.State != Quarantined {
-		t.Fatalf("health = %+v, want quarantined after 3 panics", hs)
-	}
-	// Quarantined reads serve the last good value, stale-tagged, and do
-	// not invoke the panicking compute.
-	before := env.Stats().ComputeCalls.Load()
-	v, err := sub.Value()
-	if !errors.Is(err, ErrStale) || !errors.Is(err, ErrComputePanic) {
-		t.Fatalf("quarantined err = %v, want ErrStale wrapping ErrComputePanic", err)
-	}
-	if v.(float64) != 42.0 {
-		t.Fatalf("quarantined value = %v, want last-good 42", v)
-	}
-	if got := env.Stats().ComputeCalls.Load(); got != before {
-		t.Fatalf("quarantined on-demand read still computed (%d calls)", got-before)
-	}
-
-	// Heal and let the probe close the breaker.
-	broken.Store(false)
-	vc.Advance(10)
-	if hs, _ := r.Health("mem"); hs.State != Healthy {
-		t.Fatalf("health after probe = %+v, want healthy", hs)
-	}
-	if v, err := sub.Value(); err != nil || v.(float64) != 42.0 {
-		t.Fatalf("recovered Value = %v, %v", v, err)
-	}
-	if got := env.Stats().BreakerRecoveries.Load(); got != 1 {
-		t.Fatalf("BreakerRecoveries = %d, want 1", got)
 	}
 }
 

@@ -81,9 +81,5 @@ func (r *Registry) Ref(kind Kind) (ItemRef, bool) {
 // itemRefLocked builds an ItemRef; the owning component's lock must be
 // held.
 func itemRefLocked(e *entry) ItemRef {
-	mech := StaticMechanism
-	if e.handler != nil {
-		mech = e.handler.Mechanism()
-	}
-	return ItemRef{RegistryID: e.reg.id, Kind: e.kind(), Mechanism: mech}
+	return ItemRef{RegistryID: e.reg.id, Kind: e.kind(), Mechanism: e.h.Load().Mechanism()}
 }

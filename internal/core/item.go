@@ -1,0 +1,850 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/clock"
+)
+
+// recoverCompute converts a panic in user-supplied code (compute
+// closures, Definition.Build, Definition.Resolve) into an
+// ErrComputePanic error. Items store the error like any other compute
+// failure, so it surfaces at the consumer's next Value() read instead
+// of unwinding through framework locks (a panic escaping a pool worker
+// would kill the process; one escaping a tick would wedge the item
+// mutex).
+func recoverCompute(what string, errp *error) {
+	if p := recover(); p != nil {
+		*errp = fmt.Errorf("%w: %s: %v", ErrComputePanic, what, p)
+	}
+}
+
+// safeCompute runs an on-demand/triggered compute with panic recovery.
+func safeCompute(fn ComputeFunc, now clock.Time) (v Value, err error) {
+	defer recoverCompute("compute", &err)
+	return fn(now)
+}
+
+// safeWindowCompute runs a periodic window compute with panic recovery.
+func safeWindowCompute(fn WindowComputeFunc, start, end clock.Time) (v Value, err error) {
+	defer recoverCompute("window compute", &err)
+	return fn(start, end)
+}
+
+// Handler maintains the value of one metadata item. There is a 1-to-1
+// relationship between in-use metadata items and handlers (Section
+// 2.1): the first subscription creates the handler, later ones share
+// it, and the last unsubscription removes it.
+//
+// A handler is a proxy between the item and its consumers: it
+// synchronizes concurrent access and guarantees a consistent view of
+// the value during updates.
+type Handler interface {
+	// Value returns the current metadata value under the handler's
+	// update discipline.
+	Value() (Value, error)
+	// Mechanism identifies the update mechanism.
+	Mechanism() Mechanism
+
+	// bind claims the handler for the entry being built and returns
+	// the item state behind it. A handler serves one inclusion: Build
+	// must return a fresh one every time it runs.
+	bind(e *entry) (*item, error)
+}
+
+// ComputeFunc computes a metadata value at the given time.
+type ComputeFunc func(now clock.Time) (Value, error)
+
+// WindowComputeFunc computes a periodic metadata value for the time
+// window [start, end). The initial value at subscription time is
+// computed with start == end; rate-like computations must handle the
+// zero-width window (typically by returning 0).
+type WindowComputeFunc func(start, end clock.Time) (Value, error)
+
+// valueSnapshot is one published (value, error) pair. Publishing swaps
+// a pointer to the current snapshot, so Value() is a single atomic
+// load and the read path never touches a mutex.
+type valueSnapshot struct {
+	val Value
+	err error
+	// fbox is the inline storage of a float64 published via putFloat
+	// (delta path): val's eface points at it, so the publish costs no
+	// boxing allocation (see delta.go).
+	fbox float64
+}
+
+// snapAlloc hands out valueSnapshot slots from chunked backing arrays,
+// amortizing the per-publish heap allocation that lock-free value
+// publication would otherwise pay on every update. Slots are never
+// reused, so a reader holding a snapshot pointer is always safe; a
+// chunk becomes collectable once no reader references any of its
+// slots. Callers must serialize slot calls (items publish under their
+// mutex).
+type snapAlloc struct {
+	// first is the first chunk, inline: an item and the first value it
+	// publishes are one allocation (see newItem).
+	first [1]valueSnapshot
+	// chunk's length counts the slots handed out of the current chunk,
+	// its capacity is the chunk size.
+	chunk []valueSnapshot
+}
+
+// slot returns the next slot, freshly zeroed.
+func (a *snapAlloc) slot() *valueSnapshot {
+	n := len(a.chunk)
+	if n == cap(a.chunk) {
+		// Grow geometrically from the single inline slot: an item that
+		// only ever publishes once (create/destroy churn) allocates no
+		// chunk at all, while a long-lived periodic item quickly reaches
+		// full chunks.
+		a.chunk = make([]valueSnapshot, 0, min(max(2*n, 1), 64))
+		n = 0
+	}
+	a.chunk = a.chunk[:n+1]
+	return &a.chunk[n]
+}
+
+func (a *snapAlloc) put(v Value, err error) *valueSnapshot {
+	s := a.slot()
+	s.val = v
+	if err != nil {
+		// Slots are freshly zeroed and never reused, so the nil-error
+		// common case needs no store (and no write barrier).
+		s.err = err
+	}
+	return s
+}
+
+// item is the one Handler implementation: the state of one in-use
+// metadata item — its published value, its breaker, and the update
+// mechanism installed on it. The mechanism is a policy, not a type:
+// it says when the item's compute runs (never / on read / at a window
+// boundary / on notify) and carries the state that schedule needs.
+// Everything else — how a computed result is published, how failures
+// count against the breaker, how a quarantined item recovers — is the
+// same code for every mechanism, and Registry.Migrate changes the
+// mechanism of a live item by swapping the policy fields in place.
+//
+// The published value goes through an atomic snapshot pointer, so
+// Value() of a publishing mechanism is lock-free: readers never
+// contend with an update or with each other. This is what guarantees
+// the isolation condition of Section 3 for periodic items — concurrent
+// consumers never interfere with each other's measurements (contrast
+// Figure 4, where naive on-demand rate computations by two consumers
+// corrupt each other's counters).
+type item struct {
+	// cur is the published snapshot. Periodic and triggered items hold
+	// one from start to stop, a static item from construction. An
+	// on-demand item publishes nothing while healthy (nil: its reads
+	// compute) and its stale last-good value while quarantined. nil
+	// before start and after stop, where reads report ErrUnsubscribed.
+	cur atomic.Pointer[valueSnapshot]
+
+	// mu is the item mutex. It guards live, snaps, the policy fields
+	// below and the breaker's lastGood, and it is held across every
+	// maintenance compute (tick, refresh, probe, volatile on-demand
+	// read), which is what serializes compute-and-publish against stop
+	// and Migrate. That is safe because readers never take it — a
+	// compute reaches other items through their lock-free snapshots —
+	// and no caller holds one item's mutex while refreshing another
+	// (propagation refreshes strictly one item at a time under the
+	// scope lock). No scope lock is ever taken with mu held.
+	mu sync.Mutex
+	// e is the entry the item serves, set once by bind and never
+	// cleared, so the tick dispatcher may follow it without mu. The
+	// item's circuit breaker hangs off it (e.health).
+	e     *entry
+	snaps snapAlloc
+
+	// The installed policy. start and Migrate write it holding the
+	// scope lock and mu together, so holding either suffices to read
+	// it; mech and rd are atomic as well because Mechanism() and
+	// Value() read them holding neither.
+	mech atomic.Int32
+	// live is the one stale-publisher fence: set by start, cleared by
+	// stop. Every compute path checks it under mu before it runs, so
+	// nothing publishes for an entry that has been removed.
+	live bool
+	// pure records whether fn is a pure function of the declared
+	// dependencies (Definition.Pure at start, AdaptSpec.Pure after a
+	// migration); it decides memo engagement of an on-demand policy.
+	pure bool
+	// fn is the compute of the on-read and on-notify policies.
+	fn ComputeFunc
+	// win is the at-a-boundary policy (periodic), nil otherwise.
+	win *windowPolicy
+	// rd is the on-read policy state (on-demand), nil otherwise.
+	rd atomic.Pointer[readPolicy]
+	// ds is the delta-aggregate state of an on-notify policy built by
+	// NewDeltaAggregate, nil otherwise. Fixed at construction; its
+	// mutable fields are guarded by the scope lock (see delta.go).
+	ds *deltaState
+}
+
+// windowPolicy is the periodic mechanism: compute over [winStart, now)
+// at every window boundary. Boundary scheduling is delegated to the
+// env's bucketed scheduler: the policy arms one clock.Task per pending
+// boundary, whose Data is the policy itself, and all policies due at
+// the same instant are dispatched as one batch (see batch.go). it,
+// window and compute are immutable, so the dispatcher reads them
+// without the item mutex; a migration to another window installs a new
+// policy (and a tick dispatched under the old one finds it replaced).
+type windowPolicy struct {
+	it      *item
+	window  clock.Duration
+	compute WindowComputeFunc
+	// winStart and task are guarded by it.mu. task is nil while the
+	// item is quarantined: the trip unschedules the boundary cadence
+	// and the recovery probe re-arms it on a fresh task.
+	winStart clock.Time
+	task     *clock.Task
+}
+
+// readPolicy is the state of the on-demand mechanism beyond its
+// compute: the versioned read path of memo.go.
+type readPolicy struct {
+	// mstate is published when memoization engages (env option + pure
+	// + stampable deps) and nil otherwise. Non-nil mstate routes reads
+	// through the memo; nil keeps the paper's recompute-per-access
+	// behaviour untouched.
+	mstate atomic.Pointer[memoState]
+	// memo is the current dependency-stamped snapshot; nil before the
+	// first memoized compute, after a breaker trip, and after stop.
+	memo atomic.Pointer[memoSnapshot]
+	// flight is the in-flight coalesced compute, guarded by the item
+	// mutex.
+	flight *memoFlight
+}
+
+func newItem(m Mechanism) *item {
+	it := new(item)
+	it.mech.Store(int32(m))
+	it.snaps.chunk = it.snaps.first[:0]
+	return it
+}
+
+// NewStatic returns a handler for static metadata such as schema
+// information or element sizes.
+func NewStatic(v Value) Handler {
+	it := newItem(StaticMechanism)
+	// The value is given, not computed: serving it is not a publication,
+	// and the item's version stays 0.
+	it.cur.Store(it.snaps.put(v, nil))
+	return it
+}
+
+// NewOnDemand returns a handler that evaluates compute on each access.
+// Use it for items that are rarely accessed, cheap to compute, or
+// whose consumers need the exact value at access time (Section 3.2.1).
+func NewOnDemand(compute ComputeFunc) Handler {
+	it := newItem(OnDemandMechanism)
+	it.fn = compute
+	it.rd.Store(new(readPolicy))
+	return it
+}
+
+// NewPeriodic returns a handler that recomputes its value every window
+// time units. Information gathered during a window (via probes) is
+// turned into the value published for the following window.
+func NewPeriodic(window clock.Duration, compute WindowComputeFunc) Handler {
+	if window <= 0 {
+		panic("core: periodic window must be positive")
+	}
+	it := newItem(PeriodicMechanism)
+	it.win = &windowPolicy{it: it, window: window, compute: compute}
+	return it
+}
+
+// NewTriggered returns a handler recomputed on dependency updates and
+// on the events listed in the item's Definition. compute typically
+// reads the item's dependency handles.
+func NewTriggered(compute ComputeFunc) Handler {
+	it := newItem(TriggeredMechanism)
+	it.fn = compute
+	return it
+}
+
+func (it *item) Mechanism() Mechanism { return Mechanism(it.mech.Load()) }
+
+func (it *item) Value() (Value, error) {
+	if s := it.cur.Load(); s != nil {
+		return s.val, s.err
+	}
+	return it.read()
+}
+
+// bind implements Handler.
+func (it *item) bind(e *entry) (*item, error) {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	if it.e != nil {
+		return nil, fmt.Errorf("core: handler of %s/%s is already bound to %s/%s (Build must return a fresh handler)",
+			e.reg.id, e.kind(), it.e.reg.id, it.e.kind())
+	}
+	it.e = e
+	if it.Mechanism() != StaticMechanism {
+		e.health = newItemHealth(e.reg.env, it)
+	}
+	return it, nil
+}
+
+// start brings a bound item into service. includeLocked calls it once,
+// under the scope lock, after the entry committed — dependencies are
+// included and started, so an initial compute may read them.
+func (it *item) start() {
+	e := it.e
+	env := e.reg.env
+	now := env.Now()
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	it.live = true
+	switch it.Mechanism() {
+	case StaticMechanism:
+		return
+	case OnDemandMechanism:
+		it.pure = e.def.Pure
+		it.rd.Load().mstate.Store(newMemoState(e, it.pure))
+		return
+	}
+	if it.ds != nil {
+		// Fix delta eligibility and register on the dependencies' delta
+		// channels before the initial fold, so the fold reads the same
+		// deltaLast values the accumulator will be patched from.
+		it.ds.startLocked(e)
+	}
+	if w := it.win; w != nil {
+		w.winStart = now
+	}
+	if env.restorePendingFor(e.reg, e.kind()) {
+		// Recovery replay: skip the initial compute — RestoreStale will
+		// re-publish the checkpointed last-good value before the plane is
+		// exposed — but still arm the boundary cadence below, so an item
+		// that turns out to have no checkpoint snapshot updates normally.
+		// A delta aggregate keeps its accumulator invalid; its first
+		// refresh after recovery re-folds.
+		it.store(it.snaps.put(nil, ErrNoValue))
+	} else {
+		// Section 3.2.3: "values of metadata items with triggered
+		// handlers are pre-computed on the first subscription"; a
+		// periodic item publishes its zero-width initial window.
+		it.accept(it.snapshot(now, false))
+	}
+	it.arm(now)
+}
+
+// stop takes the item out of service when its entry is removed.
+func (it *item) stop() {
+	it.mu.Lock()
+	it.live = false
+	it.cur.Store(nil)
+	if rd := it.rd.Load(); rd != nil {
+		rd.mstate.Store(nil)
+		rd.memo.Store(nil)
+	}
+	it.disarm()
+	it.mu.Unlock()
+	// Retire the breaker and any armed recovery probe with the item.
+	it.e.health.stop()
+}
+
+// arm schedules the first boundary of an installed window policy; a
+// no-op for the other mechanisms. The scheduler coalesces every policy
+// due at the same instant behind one clock event and delivers them in
+// arm order, so same-instant fire order follows the scheduling
+// sequence. it.mu must be held.
+func (it *item) arm(now clock.Time) {
+	if w := it.win; w != nil {
+		w.task = &clock.Task{Data: w}
+		it.e.reg.env.scheduler().At(now.Add(w.window), w.task)
+	}
+}
+
+// disarm cancels the pending boundary, if any. Cancel retires the task
+// for good — a concurrent dispatch that already detached it finds its
+// re-arm ignored — so arming again takes a fresh task. it.mu must be
+// held.
+func (it *item) disarm() {
+	if w := it.win; w != nil && w.task != nil {
+		it.e.reg.env.scheduler().Cancel(w.task)
+		w.task = nil
+	}
+}
+
+// --- the one publish path ---
+
+// store makes snap the served value: the snapshot pointer first, then
+// the version (the single gate for watch sinks), so a reader observing
+// version n sees the n-th value or a newer one. it.mu must be held.
+func (it *item) store(snap *valueSnapshot) {
+	it.cur.Store(snap)
+	it.e.bumpVersion()
+}
+
+// accept publishes snap as a computed result and remembers a clean one
+// as the last-good value. it.mu must be held.
+func (it *item) accept(snap *valueSnapshot) {
+	if h := it.e.health; h != nil && snap.err == nil {
+		// lastGood is only ever served while quarantined, so the
+		// breaker-less hot path skips the pointer store (and its write
+		// barrier).
+		h.lastGood = snap
+	}
+	it.store(snap)
+}
+
+// admit is the breaker ladder, run over the result of every
+// maintenance compute. A success (an ordinary compute error is a
+// legitimate result) resets the failure window. A panic or timeout
+// counts toward the breaker: below the trip threshold the result is
+// still served like any compute failure (degraded, still scheduled);
+// at the threshold the item quarantines — its stale last-good value
+// is published in the result's place — and admit reports false.
+// it.mu must be held, so the stale publication and the trip are one
+// atomic step from a reader's perspective.
+func (it *item) admit(now clock.Time, err error) bool {
+	if err == nil || !breakerEligible(err) {
+		it.e.health.onSuccess()
+		return true
+	}
+	if !it.e.health.onFailure(now, err) {
+		return true
+	}
+	it.publishStale()
+	return false
+}
+
+// publish is the one path from a maintenance compute to the served
+// value: breaker ladder, snapshot store, last-good, version bump. The
+// propagation that follows (announce) carries a quarantine's degraded
+// view onward to dependents just like a fresh value.
+func (it *item) publish(now clock.Time, snap *valueSnapshot) {
+	if it.admit(now, snap.err) {
+		it.accept(snap)
+	}
+}
+
+// publishStale puts the item into its quarantined serving state: the
+// boundary cadence is unscheduled, the memo dropped, and the last-good
+// value republished tagged *StaleError. It stands until a recovery
+// probe succeeds. The breaker must already be open; it.mu must be held.
+func (it *item) publishStale() {
+	it.disarm()
+	it.dropMemo()
+	var last Value
+	if lg := it.e.health.lastGood; lg != nil {
+		last = lg.val
+	}
+	it.store(it.snaps.put(last, it.e.health.staleError()))
+}
+
+// dropMemo discards an on-demand item's memo (its stamps cover
+// dependencies, not whatever the caller is about to announce).
+func (it *item) dropMemo() {
+	if rd := it.rd.Load(); rd != nil {
+		rd.memo.Store(nil)
+	}
+}
+
+// snapshot runs the installed compute for the instant now — the
+// window [winStart, now) of a window policy, else fn(now) — and wraps
+// its result in a fresh snapshot, ready to publish. bounded applies the
+// item's compute deadline; initial computes run on the subscriber's
+// goroutine (possibly the clock-advancing one), where a deadline wait
+// could never be released, and are never bounded. The full fold of a
+// delta aggregate re-seeds the accumulator on the way, stamped with the
+// write epoch captured before the fold read its inputs: a structural
+// change racing the fold then invalidates the accumulator at the next
+// refresh instead of being half-visible in it. it.mu must be held, and
+// the scope lock too for a delta aggregate.
+func (it *item) snapshot(now clock.Time, bounded bool) *valueSnapshot {
+	env := it.e.reg.env
+	epoch := env.writeEpoch.Load()
+	env.stats.ComputeCalls.Add(1)
+	var d clock.Duration
+	if bounded {
+		d = env.deadlineFor(it.e.def)
+	}
+	var v Value
+	var err error
+	if w := it.win; w != nil {
+		v, err = boundedWindowCompute(env.clk, d, &env.stats, w.compute, w.winStart, now)
+	} else {
+		v, err = boundedCompute(env.clk, d, &env.stats, it.fn, now)
+	}
+	if it.ds != nil {
+		return it.ds.foldSnap(&it.snaps, v, err, epoch)
+	}
+	return it.snaps.put(v, err)
+}
+
+// announce propagates the item's latest publication to its dependents.
+// It takes the scope lock, so the caller must hold no item mutex;
+// nothing depending on the item skips the scope lock entirely (the key
+// to parallel periodic updates on the worker pool).
+func (it *item) announce(now clock.Time) {
+	e := it.e
+	if e.ndeps.Load() == 0 {
+		return
+	}
+	env := e.reg.env
+	sc := env.lockScope(e.reg)
+	env.announceLocked(now, e)
+	sc.unlock()
+}
+
+// clampLate moves now forward to the clock's position on an async
+// updater: a pooled batch or probe may run after the clock has moved
+// past its scheduled instant (Submit never blocks, so the clock
+// goroutine can outpace the workers). Measuring up to the clock's
+// current position makes the window cover exactly the probe events
+// gathered since winStart, instead of attributing them all to the
+// first lagging window and none to the rest. Inline updates run
+// synchronously on the clock goroutine and are never late.
+func (env *Env) clampLate(now clock.Time) clock.Time {
+	if env.async {
+		if cur := env.Now(); cur > now {
+			return cur
+		}
+	}
+	return now
+}
+
+// --- compute at a window boundary ---
+
+// tick computes and publishes the window ending at now (clamped, see
+// clampLate) without propagating, for a boundary dispatched under
+// policy w. It reports the actual window end, or ok == false when the
+// tick did nothing. The computation runs under the item mutex only, so
+// independent scope batches execute in parallel on the worker pool and
+// no structural lock is held while user code computes.
+func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) {
+	if !it.mu.TryLock() {
+		// The mutex is held across every compute of the item, so a tick
+		// that finds it taken arrived while a window compute is still in
+		// flight — skip it: windows are cumulative, the next boundary
+		// covers this one (the argument SubmitSheddable makes for whole
+		// batches). Waiting instead would park a pool worker behind a
+		// slow compute at every boundary it misses, and start a second
+		// compute on a hung item the moment its deadline frees the
+		// mutex. Any other holder — stop, Migrate, RestoreStale, a probe
+		// — leaves the item in a state where this tick is moot.
+		return 0, false
+	}
+	defer it.mu.Unlock()
+	if !it.live || it.win != w || it.e.health.isQuarantined() {
+		// Stopped, migrated off w, or tripped since the boundary was
+		// dispatched; a quarantined item's stale publication stands
+		// until a probe succeeds.
+		return 0, false
+	}
+	env := it.e.reg.env
+	now = env.clampLate(now)
+	if now <= w.winStart {
+		// A worker pool may also execute batches out of order; a stale
+		// tick must not overwrite a newer published value.
+		return 0, false
+	}
+	env.stats.PeriodicUpdates.Add(1)
+	it.publish(now, it.snapshot(now, true))
+	if !it.e.health.isQuarantined() {
+		// A trip leaves winStart in place: the recovery probe recomputes
+		// the cumulative window [winStart, probe instant).
+		w.winStart = now
+	}
+	return now, true
+}
+
+// tickAlone is the legacy per-item update path, kept for the
+// WithPerHandlerTicks ablation: publish, then propagate this item's
+// update alone.
+func (it *item) tickAlone(w *windowPolicy, now clock.Time) {
+	if end, ok := it.tick(w, now); ok {
+		it.announce(end)
+	}
+}
+
+// --- compute on notify ---
+
+// refresh recomputes and publishes a triggered item. Callers hold the
+// scope lock (propagation, event fires), which is also what guards a
+// delta aggregate's accumulator.
+func (it *item) refresh(now clock.Time) {
+	if it.ds != nil {
+		it.refreshDelta(now)
+		return
+	}
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	if !it.live || it.e.health.isQuarantined() {
+		// The stale publication stands; recovery goes through the probe,
+		// not through trigger propagation (a quarantined compute re-run
+		// on every upstream update would defeat the quarantine).
+		return
+	}
+	it.e.reg.env.stats.TriggeredUpdates.Add(1)
+	it.publish(now, it.snapshot(now, true))
+}
+
+// --- compute on read ---
+
+// read is Value() for an item with nothing published: an on-demand
+// item, whose reads compute — or one that is not in service.
+func (it *item) read() (Value, error) {
+	rd := it.rd.Load()
+	if rd == nil {
+		// Not on-demand (any more). A migration away from on-demand
+		// publishes before it clears rd, so a second look at cur tells a
+		// migrated item from a stopped one.
+		if s := it.cur.Load(); s != nil {
+			return s.val, s.err
+		}
+		return nil, ErrUnsubscribed
+	}
+	if ms := rd.mstate.Load(); ms != nil {
+		// Memoized fast path: a hit is a few atomic pointer loads plus
+		// the stamp walk — no mutex, no compute, no allocation. The
+		// atomic memo load orders the snapshot's fields before this read.
+		if m := rd.memo.Load(); m != nil && ms.memoValid(m) {
+			ms.env.stats.MemoHits.Add(1)
+			return m.val, m.err
+		}
+		return it.readMiss(rd, ms)
+	}
+	// The paper's on-demand read: recompute per access under the item
+	// mutex. A deadline wait needs the clock to keep advancing, so
+	// deadline-bounded on-demand reads must not be issued from the
+	// clock-advancing goroutine itself.
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	if v, err, ok := it.readGate(); !ok {
+		return v, err
+	}
+	env := it.e.reg.env
+	env.stats.ComputeCalls.Add(1)
+	env.stats.OnDemandComputes.Add(1)
+	now := env.Now()
+	v, err := boundedCompute(env.clk, env.deadlineFor(it.e.def), &env.stats, it.fn, now)
+	return it.settle(now, v, err, nil)
+}
+
+// readGate re-checks, under the mutex, that a read which found nothing
+// published must still compute. ok == false means it must not: the
+// item stopped, or something was published while the read waited for
+// the mutex — a trip's stale value (recovery goes through the armed
+// probe, not through reads) or the first value of a publishing
+// mechanism the item migrated to. Value() may run during trigger
+// propagation with the scope lock held, so nothing on the read path
+// may take structural locks.
+func (it *item) readGate() (v Value, err error, ok bool) {
+	if !it.live {
+		return nil, ErrUnsubscribed, false
+	}
+	if s := it.cur.Load(); s != nil {
+		return s.val, s.err, false
+	}
+	return nil, nil, true
+}
+
+// settle is publish for an on-demand compute: the same breaker ladder,
+// but a result that passes it is served to the reader instead of
+// published. What it leaves behind is the last-good value and — when
+// the read was memoized and the result is a value of the pure function
+// rather than a transient containment outcome — the stamped memo m.
+// it.mu must be held.
+func (it *item) settle(now clock.Time, v Value, err error, m *memoSnapshot) (Value, error) {
+	if !it.admit(now, err) {
+		s := it.cur.Load()
+		return s.val, s.err
+	}
+	if err == nil && it.e.health != nil {
+		it.e.health.keepLastGood(&it.snaps, v)
+	}
+	if m != nil && !breakerEligible(err) {
+		// Publish the memo, then bump the version (publication order: a
+		// dependent observing the new version sees this memo or a newer
+		// one). Pure compute errors are memoized like values —
+		// recomputing would fail identically.
+		m.val, m.err = v, err
+		it.rd.Load().memo.Store(m)
+		it.e.bumpVersion()
+	}
+	return v, err
+}
+
+// readMiss is the memoized slow path: revalidate under the mutex,
+// coalesce onto an in-flight compute when one exists, else lead one
+// compute outside the mutex and publish the stamped result.
+func (it *item) readMiss(rd *readPolicy, ms *memoState) (Value, error) {
+	env := ms.env
+	stats := &env.stats
+	it.mu.Lock()
+	if v, err, ok := it.readGate(); !ok {
+		it.mu.Unlock()
+		return v, err
+	}
+	// Double-check under the mutex: a leader that beat us here may have
+	// published a valid memo while we blocked on the lock.
+	if m := rd.memo.Load(); m != nil && ms.memoValid(m) {
+		it.mu.Unlock()
+		stats.MemoHits.Add(1)
+		return m.val, m.err
+	}
+	if f := rd.flight; f != nil {
+		// Coalesce: another reader is computing this miss. Wait off the
+		// mutex so the leader can publish.
+		it.mu.Unlock()
+		stats.CoalescedReads.Add(1)
+		<-f.done
+		return f.val, f.err
+	}
+	f := &memoFlight{done: make(chan struct{})}
+	rd.flight = f
+	stats.MemoMisses.Add(1)
+	stats.ComputeCalls.Add(1)
+	stats.OnDemandComputes.Add(1)
+	fn, deadline := it.fn, env.deadlineFor(it.e.def)
+	it.mu.Unlock()
+
+	// Warm memoized dependencies whose memo is not current before
+	// capturing stamps: a cold dependency bumps its version when its
+	// first read publishes its memo, and a stamp captured before that
+	// bump would be immediately stale — costing one spurious miss per
+	// chain level per read until convergence. Warming first lets a
+	// dependency chain of any depth converge in a single read. No lock is
+	// held here, so recursing into dependency read paths cannot deadlock.
+	for _, od := range ms.depMemo {
+		if od != nil && !od.memoCurrent() {
+			od.Value()
+		}
+	}
+	// Stamps are captured BEFORE the compute reads its inputs — the
+	// order the exactness argument in memo.go depends on. They are
+	// atomic loads and need no mutex.
+	m := ms.captureStamps()
+
+	// The compute runs outside the item mutex: hits and coalescing
+	// waiters never queue behind user code. Panics are recovered inside
+	// boundedCompute, so the flight is always delivered.
+	now := env.Now()
+	v, err := boundedCompute(env.clk, deadline, stats, fn, now)
+
+	it.mu.Lock()
+	rd.flight = nil
+	if it.live && it.rd.Load() == rd {
+		v, err = it.settle(now, v, err, m)
+	}
+	// Else the item stopped or migrated mid-compute: the result still
+	// answers this read and its waiters, but there is nothing left to
+	// publish it to.
+	it.mu.Unlock()
+	f.deliver(v, err)
+	return v, err
+}
+
+// --- recovery ---
+
+// runProbe is the recovery probe of a quarantined item: recompute once
+// under whichever policy is installed now. Success (or an ordinary
+// compute error, which is a legitimate result) closes the breaker,
+// publishes the result — an on-demand item goes back to computing on
+// read instead — re-arms a window policy's boundary cadence, and
+// propagates the recovery so dependents drop their degraded view;
+// another panic or timeout re-arms the probe on doubled backoff. It
+// runs on the updater with no locks held.
+func (it *item) runProbe(now clock.Time) {
+	it.mu.Lock()
+	if !it.live {
+		it.mu.Unlock()
+		return
+	}
+	env := it.e.reg.env
+	stats := &env.stats
+	mech := it.Mechanism()
+	if w := it.win; w != nil {
+		now = env.clampLate(now)
+		if now <= w.winStart {
+			it.mu.Unlock()
+			it.e.health.probeFailed(now, nil)
+			return
+		}
+	}
+	if mech == OnDemandMechanism {
+		stats.OnDemandComputes.Add(1)
+	}
+	var snap *valueSnapshot
+	if ds := it.ds; ds != nil {
+		// The probe runs without the scope lock, so it must not touch
+		// the scope-guarded delta state: fold the live snapshots (the
+		// accumulator stays invalid; the next locked refresh re-folds
+		// and re-validates) and publish the finished float.
+		stats.ComputeCalls.Add(1)
+		snap = it.snaps.put(boundedCompute(env.clk, env.deadlineFor(it.e.def), stats, ds.foldLive, now))
+	} else {
+		snap = it.snapshot(now, true)
+	}
+	if snap.err != nil && breakerEligible(snap.err) {
+		it.mu.Unlock()
+		it.e.health.probeFailed(now, snap.err)
+		return
+	}
+	it.e.health.closeBreaker()
+	switch mech {
+	case OnDemandMechanism:
+		// Live again: reads compute fresh where they were served stale.
+		// The memo stays dropped (since the trip) — the next read
+		// recomputes with fresh stamps — and the bump makes dependent
+		// memos stamped over this item revalidate.
+		if snap.err == nil {
+			it.e.health.keepLastGood(&it.snaps, snap.val)
+		}
+		it.cur.Store(nil)
+		it.e.bumpVersion()
+	case PeriodicMechanism:
+		stats.PeriodicUpdates.Add(1)
+		it.accept(snap)
+		it.win.winStart = now
+		it.arm(now)
+	default:
+		stats.TriggeredUpdates.Add(1)
+		it.accept(snap)
+	}
+	it.mu.Unlock()
+	it.announce(now)
+}
+
+// inconsistency is VerifyIntegrity's invariant 7 for the item held by
+// included entry e: it describes the first way the item disagrees with
+// its entry or with its own installed policy, or returns "". The scope
+// lock must be held (it guards the policy fields against Migrate); the
+// item mutex is taken for the fields a tick or probe may move.
+func (it *item) inconsistency(e *entry) string {
+	it.mu.Lock()
+	defer it.mu.Unlock()
+	rd := it.rd.Load()
+	var policy bool
+	switch it.Mechanism() {
+	case StaticMechanism:
+		policy = it.fn == nil && it.win == nil && rd == nil
+	case OnDemandMechanism:
+		policy = it.fn != nil && it.win == nil && rd != nil
+	case PeriodicMechanism:
+		policy = it.win != nil && it.win.it == it && rd == nil
+	case TriggeredMechanism:
+		policy = it.fn != nil && it.win == nil && rd == nil
+	}
+	switch {
+	case it.e != e:
+		return "item's back-pointer names another entry"
+	case !it.live:
+		return "item is not in service"
+	case !policy:
+		return fmt.Sprintf("item reports %v but another policy is installed", it.Mechanism())
+	case it.win != nil && (it.win.task == nil) != it.e.health.isQuarantined():
+		return "window policy's boundary task does not match the breaker state"
+	case (it.ds != nil) != (e.def.Delta != nil):
+		return "delta state does not match the definition's Delta spec"
+	}
+	return ""
+}

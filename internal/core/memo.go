@@ -4,10 +4,10 @@ package core
 //
 // The paper's on-demand mechanism recomputes on every access — exact,
 // but a popular item is recomputed redundantly by every reader, and the
-// handler mutex serializes them. For items whose compute is a pure
+// item mutex serializes them. For items whose compute is a pure
 // function of their declared dependencies (Definition.Pure), the exact
 // value can be served without recomputing as long as no dependency has
-// republished: the handler caches (value, err) together with a stamp —
+// republished: the item caches (value, err) together with a stamp —
 // the env write epoch plus the publication version of every dependency,
 // captured BEFORE the compute ran — and a read that finds every stamp
 // component unchanged returns the cache with zero mutexes and zero
@@ -27,16 +27,15 @@ package core
 //
 // Stampability. A dependency is stampable when its served value cannot
 // change without a version bump: static (never changes), periodic and
-// triggered (every publish bumps), and memoized on-demand handlers
+// triggered (every publish bumps), and memoized on-demand items
 // (every recompute bumps; their own memo validity is checked
 // recursively, because their version only moves when they actually
 // recompute). A volatile — or pure but unmemoized — on-demand
 // dependency is NOT stampable: it recomputes on access without any
 // publication, so a stamp over it proves nothing. An item with such a
-// dependency (or any unknown handler type) keeps recompute-per-access
-// even when declared Pure.
+// dependency keeps recompute-per-access even when declared Pure.
 //
-// Misses coalesce (singleflight): the first reader through the handler
+// Misses coalesce (singleflight): the first reader through the item
 // mutex becomes the leader and computes outside the mutex; concurrent
 // readers find the in-flight marker and wait on its done channel, so N
 // readers of one miss cost one compute (OnDemandComputes +1,
@@ -59,54 +58,66 @@ type memoSnapshot struct {
 }
 
 // memoState is the immutable read-path state of a memoized on-demand
-// handler, published through an atomic pointer at start so the
-// lock-free fast path can reach env, deps, and breaker without touching
-// the handler mutex. nil while memoization is not engaged.
+// item, published through an atomic pointer at start so the lock-free
+// fast path can reach env, deps, and breaker without touching the item
+// mutex. nil while memoization is not engaged.
 type memoState struct {
 	env    *Env
 	health *itemHealth
 	// deps is the flattened declared dependency list (every entry of
 	// every dep group, inclusion order). Dependencies outlive the
-	// handler's inclusion — each holds a reference taken at include
-	// time — so the entry pointers stay valid for the handler's life.
+	// item's inclusion — each holds a reference taken at include time —
+	// so the entry pointers stay valid for the item's life.
 	deps []*entry
 	// depMemo is parallel to deps: non-nil where the dependency is
-	// itself a memoized on-demand handler, whose memo validity must be
+	// itself a memoized on-demand item, whose memo validity must be
 	// checked recursively on revalidation.
-	depMemo []*onDemandHandler
+	depMemo []*item
 }
 
-// newMemoState decides memo engagement for a starting handler and
+// newMemoState decides memo engagement for an on-demand policy and
 // builds its read-path state, or returns nil to keep
 // recompute-per-access. Called under the component lock (the edges are
-// stable) and after every dependency's handler has started (depth-first
+// stable) and after every dependency has started (depth-first
 // inclusion), so dependency engagement is already decided. Migration
-// re-runs this for the new handler — and for the direct dependents of a
-// migrated item, whose stampability premises may have changed — passing
-// the purity of the form currently installed (Definition.Pure for built
-// handlers, AdaptSpec.Pure after a migration to on-demand).
-func newMemoState(e *entry, health *itemHealth, pure bool) *memoState {
+// re-runs this for the policy it installs — and for the direct
+// dependents of a migrated item, whose stampability premises may have
+// changed — passing the purity of the form currently installed
+// (Definition.Pure at start, AdaptSpec.Pure after a migration to
+// on-demand).
+func newMemoState(e *entry, pure bool) *memoState {
 	env := e.reg.env
-	if !env.memoOnDemand || e.def == nil || !pure {
+	if !env.memoOnDemand || !pure {
 		return nil
 	}
-	ms := &memoState{env: env, health: health}
+	ms := &memoState{env: env, health: e.health}
 	for i := range e.deps {
 		de := e.deps[i].h.e
-		switch dep := de.getHandler().(type) {
-		case *staticHandler, *periodicHandler, *triggeredHandler:
-			ms.depMemo = append(ms.depMemo, nil)
-		case *onDemandHandler:
-			if dep.mstate.Load() == nil {
+		var memoized *item
+		if dep := de.h.Load(); dep.Mechanism() == OnDemandMechanism {
+			if dep.rd.Load().mstate.Load() == nil {
 				return nil
 			}
-			ms.depMemo = append(ms.depMemo, dep)
-		default:
-			return nil
+			memoized = dep
 		}
 		ms.deps = append(ms.deps, de)
+		ms.depMemo = append(ms.depMemo, memoized)
 	}
 	return ms
+}
+
+// rememo re-decides an on-demand item's memo engagement and drops its
+// memo; a no-op for the other mechanisms. The component lock must be
+// held.
+func (it *item) rememo() {
+	rd := it.rd.Load()
+	if rd == nil {
+		return
+	}
+	it.mu.Lock()
+	rd.mstate.Store(newMemoState(it.e, it.pure))
+	rd.memo.Store(nil)
+	it.mu.Unlock()
 }
 
 // memoValid reports whether m may be served. Lock-free; called on every
@@ -129,32 +140,36 @@ func (ms *memoState) memoValid(m *memoSnapshot) bool {
 	return true
 }
 
-// memoCurrent reports whether h currently holds a servable memo; used
+// memoCurrent reports whether it currently holds a servable memo; used
 // for the recursive dependency check. A memoized dependency whose memo
 // is invalid may serve a different value on its next read without
 // bumping its version first, so a parent stamp over it only holds
 // while the dependency's own memo holds.
-func (h *onDemandHandler) memoCurrent() bool {
-	ms := h.mstate.Load()
+func (it *item) memoCurrent() bool {
+	rd := it.rd.Load()
+	if rd == nil {
+		return false
+	}
+	ms := rd.mstate.Load()
 	if ms == nil {
 		return false
 	}
-	m := h.memo.Load()
+	m := rd.memo.Load()
 	return m != nil && ms.memoValid(m)
 }
 
-// captureStamps reads the write epoch and every dependency version.
-// Must be called before the compute runs (see the exactness argument
-// above).
-func (ms *memoState) captureStamps() (epoch uint64, depVers []uint64) {
-	epoch = ms.env.writeEpoch.Load()
+// captureStamps reads the write epoch and every dependency version
+// into a memo snapshot still waiting for its value. Must be called
+// before the compute runs (see the exactness argument above).
+func (ms *memoState) captureStamps() *memoSnapshot {
+	m := &memoSnapshot{epoch: ms.env.writeEpoch.Load()}
 	if len(ms.deps) > 0 {
-		depVers = make([]uint64, len(ms.deps))
+		m.depVers = make([]uint64, len(ms.deps))
 		for i, de := range ms.deps {
-			depVers[i] = de.version.Load()
+			m.depVers[i] = de.version.Load()
 		}
 	}
-	return epoch, depVers
+	return m
 }
 
 // memoFlight is one in-flight coalesced compute: the leader publishes

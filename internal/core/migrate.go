@@ -13,12 +13,10 @@ import (
 // an item read on every tuple wants a published (periodic/triggered)
 // or memoized value, an item updated constantly but read rarely wants
 // on-demand, and the break-even point moves as the stream's mix moves.
-// Registry.Migrate swaps an in-use item's handler for an equivalent one
-// under a different mechanism — atomically under the dependency-scope
-// lock, without disturbing subscribers, and preserving the item's
-// last-good value and circuit-breaker state — so a controller
-// (internal/adapt) can follow the workload instead of pinning the
-// definition-time guess.
+// Registry.Migrate gives an in-use item the equivalent compute under a
+// different mechanism — atomically under the dependency-scope lock,
+// without disturbing subscribers — so a controller (internal/adapt) can
+// follow the workload instead of pinning the definition-time guess.
 //
 // A definition opts in by declaring an AdaptSpec: the same metadata
 // quantity expressed as an on-demand compute, a triggered compute,
@@ -26,29 +24,26 @@ import (
 // original BuildContext, so every form reads the same resolved
 // dependency handles and the forms cannot drift structurally.
 //
-// What a migration preserves:
+// The mechanism is a policy of the item, not its type (item.go), so a
+// migration is a swap of the policy fields on the item that stays:
 //
-//   - subscribers: Subscriptions and Handles point at the entry, not
-//     the handler; they observe the new mechanism on their next read.
-//   - readers in flight: the entry publishes its handler through a
-//     write-once heap cell (entry.pub); a reader that loaded the old
-//     cell finishes its read against the old handler, which stays
-//     servable (its published snapshot is left in place) until
-//     unreferenced.
-//   - last-good value and breaker state: the itemHealth is transplanted
-//     to the new handler — failure history, quarantine, armed probes
-//     and their backoff all carry over; a quarantined item migrates
-//     quarantined, serving the same stale value, and its next probe
+//   - subscribers, readers in flight, the breaker and the last-good
+//     value are untouched, because the object they belong to is. A
+//     quarantined item migrates quarantined, keeps serving the same
+//     stale value, and its next probe — even one already fired —
 //     recovers through the new mechanism.
+//   - maintenance dispatched under the old policy (a queued tick, a
+//     memoized read still computing) finds the policy replaced when it
+//     takes the item mutex and publishes nothing.
 //   - exactness machinery: the migration bumps the item's publication
-//     version and the env write epoch, so memo stamps and cached
+//     version once and the env write epoch, so memo stamps and cached
 //     propagation plans can never survive it; dependent delta
 //     aggregates are re-anchored in two phases so their accumulators
-//     re-fold against the new handler's published value.
+//     re-fold against the value the new mechanism publishes.
 //
 // What cannot migrate: static items (nothing to maintain), delta
-// aggregates (their handler IS the delta machinery; re-expressing it
-// per mechanism is not meaningful), items without an AdaptSpec, and
+// aggregates (the item IS the delta machinery; re-expressing it per
+// mechanism is not meaningful), items without an AdaptSpec, and
 // targets the spec declares no compute for — all ErrNotMigratable.
 
 // AdaptSpec declares a metadata item's alternative maintenance forms
@@ -104,11 +99,9 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	if e.def.Delta != nil {
 		return fmt.Errorf("%w: %s/%s is a delta aggregate", ErrNotMigratable, r.id, kind)
 	}
-	old := e.handler
-	switch old.(type) {
-	case *onDemandHandler, *periodicHandler, *triggeredHandler:
-	default:
-		return fmt.Errorf("%w: %s/%s handler is %T", ErrNotMigratable, r.id, kind, old)
+	it := e.h.Load()
+	if it.Mechanism() == StaticMechanism {
+		return fmt.Errorf("%w: %s/%s is static", ErrNotMigratable, r.id, kind)
 	}
 
 	// Target checks precede the identity no-op so an unsupported target
@@ -136,215 +129,111 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	default:
 		return fmt.Errorf("%w: cannot migrate %s/%s to %v", ErrNotMigratable, r.id, kind, to)
 	}
-
-	if old.Mechanism() == to {
-		if to != PeriodicMechanism || old.(*periodicHandler).window == window {
-			return nil
-		}
+	if it.Mechanism() == to && (to != PeriodicMechanism || it.win.window == window) {
+		return nil
 	}
 
-	// Build the replacement compute before touching the old handler, so
-	// a panicking (or nil-returning) factory leaves the item untouched.
-	// The context is a fresh view of the entry's edge slice: the same
-	// dependency handles the original Build saw.
+	// Run the factory before touching the item, so a panicking (or
+	// nil-returning) factory leaves it untouched. The context is a fresh
+	// view of the entry's edge slice: the same dependency handles the
+	// original Build saw.
 	bctx := &BuildContext{e: e}
-	var compute ComputeFunc
-	var winCompute WindowComputeFunc
+	var fn ComputeFunc
+	var win *windowPolicy
 	var err error
 	switch to {
 	case OnDemandMechanism:
-		compute, err = adaptCompute("on-demand", spec.OnDemand, bctx)
+		fn, err = adaptCompute("on-demand", spec.OnDemand, bctx)
 	case TriggeredMechanism:
-		compute, err = adaptCompute("triggered", spec.Triggered, bctx)
+		fn, err = adaptCompute("triggered", spec.Triggered, bctx)
 	case PeriodicMechanism:
-		winCompute, err = adaptWindowCompute(spec.Periodic, bctx)
+		win = &windowPolicy{it: it, window: window, winStart: now}
+		win.compute, err = adaptWindowCompute(spec.Periodic, bctx)
 	}
 	if err != nil {
 		return fmt.Errorf("migrating %s/%s to %v: %w", r.id, kind, to, err)
 	}
 
-	// Tear down the old handler WITHOUT stop(): stop would retire the
-	// breaker and cancel armed probes, which must survive the migration.
-	// The old handler's published snapshot is deliberately left in place
-	// so a reader that loaded the old pub cell still gets a coherent
-	// (pre-migration) read; its maintenance is disarmed so it never
-	// publishes again.
-	var lastGood Value
-	var haveGood bool
-	var ih *itemHealth
-	var cancelTask *clock.Task
-	switch h := old.(type) {
-	case *onDemandHandler:
-		h.mu.Lock()
-		ih = h.health
-		lastGood = h.lastGood
-		haveGood = h.lastGood != nil
-		h.retired = true
-		h.mstate.Store(nil)
-		h.memo.Store(nil)
-		// h.e stays set: ghost readers of the retired handler still
-		// compute (equivalent to a read that landed just before the
-		// migration); runProbe routes around it via the retired flag.
-		h.mu.Unlock()
-	case *periodicHandler:
-		h.mu.Lock()
-		ih = h.health
-		if h.lastGood != nil {
-			lastGood, haveGood = h.lastGood.val, true
+	// Swap the policy under the item mutex (the scope lock is already
+	// held): whatever maintenance is in flight has finished, and
+	// whatever was dispatched under the old policy finds it gone. The
+	// new policy then publishes its initial value — computed on the
+	// caller's goroutine exactly like an include-time initial compute,
+	// and therefore never deadline-bounded — unless the item is
+	// quarantined: then the stale publication stands, the cadence stays
+	// unscheduled, and the armed probe owns recovery, now through the
+	// new mechanism. Readers switch over without a gap: a target that
+	// publishes stores its snapshot before rd is cleared, an on-demand
+	// target sets rd before the snapshot is withdrawn (see item.read).
+	// Either way the item's version moves exactly once.
+	it.mu.Lock()
+	quarantined := it.e.health.isQuarantined()
+	it.disarm()
+	it.mech.Store(int32(to))
+	it.fn, it.win, it.pure = fn, win, spec.Pure
+	switch {
+	case to == OnDemandMechanism:
+		rd := new(readPolicy)
+		rd.mstate.Store(newMemoState(e, it.pure))
+		it.rd.Store(rd)
+		if !quarantined {
+			it.cur.Store(nil)
 		}
-		h.stopped = true
-		h.e = nil
-		cancelTask = h.task
-		h.task = nil
-		h.mu.Unlock()
-	case *triggeredHandler:
-		h.mu.Lock()
-		ih = h.health
-		if h.lastGood != nil {
-			lastGood, haveGood = h.lastGood.val, true
-		}
-		h.e = nil
-		h.mu.Unlock()
+		e.bumpVersion()
+	case quarantined:
+		e.bumpVersion()
+	default:
+		it.accept(it.snapshot(now, false))
 	}
-	if cancelTask != nil {
-		env.scheduler().Cancel(cancelTask)
+	if to != OnDemandMechanism {
+		it.rd.Store(nil)
 	}
-	quarantined := ih.isQuarantined()
-
-	// Build and initialize the replacement. This mirrors what the
-	// handler's start would do, except the itemHealth is the transplanted
-	// one and a quarantined item publishes its stale last-good instead of
-	// computing (the armed probe owns recovery, now through the new
-	// mechanism). Initial computes run on the caller's goroutine under
-	// the scope lock, exactly like include-time initial computes, and are
-	// therefore never deadline-bounded.
-	var nh Handler
-	switch to {
-	case OnDemandMechanism:
-		od := &onDemandHandler{compute: compute}
-		od.e = e
-		od.deadline = env.deadlineFor(e.def)
-		od.health = ih
-		od.pure = spec.Pure
-		od.lastGood = lastGood
-		if ms := newMemoState(e, ih, od.pure); ms != nil {
-			od.mstate.Store(ms)
-		}
-		nh = od
-	case TriggeredMechanism:
-		th := &triggeredHandler{compute: compute}
-		th.e = e
-		th.deadline = env.deadlineFor(e.def)
-		th.health = ih
-		if haveGood && ih != nil {
-			th.lastGood = th.snaps.put(lastGood, nil)
-		}
-		if quarantined {
-			th.cur.Store(th.snaps.put(lastGood, ih.staleError()))
-		} else {
-			env.stats.ComputeCalls.Add(1)
-			v, cerr := safeCompute(compute, now)
-			snap := th.snaps.put(v, cerr)
-			th.cur.Store(snap)
-			if cerr == nil && ih != nil {
-				th.lastGood = snap
-			}
-		}
-		nh = th
-	case PeriodicMechanism:
-		ph := &periodicHandler{window: window, compute: winCompute}
-		ph.env = env
-		ph.e = e
-		ph.winStart = now
-		ph.async = env.async
-		ph.deadline = env.deadlineFor(e.def)
-		ph.health = ih
-		if haveGood && ih != nil {
-			ph.lastGood = ph.snaps.put(lastGood, nil)
-		}
-		if quarantined {
-			// Unscheduled like any quarantined periodic handler; the
-			// probe's success republishes and re-arms the cadence.
-			ph.cur.Store(ph.snaps.put(lastGood, ih.staleError()))
-		} else {
-			env.stats.ComputeCalls.Add(1)
-			v, cerr := safeWindowCompute(winCompute, now, now)
-			snap := ph.snaps.put(v, cerr)
-			ph.cur.Store(snap)
-			if cerr == nil && ih != nil {
-				ph.lastGood = snap
-			}
-			ph.task = &clock.Task{Data: ph}
-			env.scheduler().At(now.Add(window), ph.task)
-		}
-		nh = ph
+	if !quarantined {
+		it.arm(now)
 	}
-
-	// Transplant the breaker: from here on, probe fires reach the new
-	// handler. A probe that fired against the old handler in the window
-	// since teardown re-armed itself via probeFailed and lands here next.
-	if ih != nil {
-		ih.mu.Lock()
-		ih.owner = nh.(quarantineOwner)
-		ih.mu.Unlock()
-	}
-
-	// Commit: swap the structural reference, publish the new handler
-	// through a fresh write-once cell, and invalidate every exactness
-	// cache — the version bump covers memo stamps over this item, the
-	// structural bump covers plans and env-wide memo epochs.
-	e.handler = nh
-	e.publishHandlerLocked(nh)
-	e.bumpVersion()
+	it.mu.Unlock()
+	// The structural bump covers cached plans (the item joined or left
+	// the triggered set) and env-wide memo epochs.
 	bumpStruct(r)
 
 	// Re-anchor dependent delta aggregates in two phases: first drop
 	// every tracked edge (so this entry's deltaDeps drains to zero even
 	// when several aggregates track it), then reset and re-register each
 	// aggregate. The 0 -> 1 transition in startLocked re-anchors
-	// deltaLast at the NEW handler's published value, and eligibility is
-	// re-decided against the new mechanism (an on-demand target forces
+	// deltaLast at the value the new mechanism published, and
+	// eligibility is re-decided against it (an on-demand target forces
 	// dependents onto the exact fold path). Accumulators are invalidated;
 	// the propagation below re-folds them. A dependent declaring this
 	// item twice is listed twice: the drop-and-reset pass is idempotent,
 	// and the re-register pass skips an aggregate that is eligible again.
 	for _, d := range e.dependents {
-		if th, ok := d.e.handler.(*triggeredHandler); ok && th.ds != nil {
-			th.ds.stopLocked()
-			th.ds.pending = th.ds.pending[:0]
-			th.ds.poisoned = false
-			th.ds.valid = false
+		if ds := d.e.h.Load().ds; ds != nil {
+			ds.stopLocked()
+			ds.pending = ds.pending[:0]
+			ds.poisoned = false
+			ds.valid = false
 		}
 	}
 	for _, d := range e.dependents {
-		if th, ok := d.e.handler.(*triggeredHandler); ok && th.ds != nil && !th.ds.eligible {
-			th.ds.startLocked(d.e)
+		if ds := d.e.h.Load().ds; ds != nil && !ds.eligible {
+			ds.startLocked(d.e)
 		}
+		// Re-decide memo engagement of direct on-demand dependents:
+		// their stampability premises over this item may have changed in
+		// either direction (a volatile on-demand dependency became a
+		// publishing periodic one, or vice versa).
+		d.e.h.Load().rememo()
 	}
 
-	// Re-decide memo engagement for direct on-demand dependents: their
-	// stampability premises over this item may have changed in either
-	// direction (a volatile on-demand dependency became a publishing
-	// periodic one, or vice versa).
-	for _, d := range e.dependents {
-		od, ok := d.e.handler.(*onDemandHandler)
-		if !ok {
-			continue
-		}
-		od.mu.Lock()
-		od.mstate.Store(newMemoState(d.e, od.health, od.pure))
-		od.memo.Store(nil)
-		od.mu.Unlock()
-	}
-
-	// The old handler is retired, the new one live: counted as a
-	// removal plus a creation so handler conservation checks stay exact.
+	// No handler was retired or created, but a migration has always
+	// counted as a removal plus a creation, and conservation checks
+	// (created - removed = included) hold either way.
 	env.stats.HandlersCreated.Add(1)
 	env.stats.HandlersRemoved.Add(1)
 	env.stats.Migrations.Add(1)
 
 	// Dependents refresh against the new mechanism's published value.
-	r.propagateLocked(e, now)
+	env.announceLocked(now, e)
 
 	// Journal the committed migration (identity no-ops returned early
 	// and are never recorded); replaying it at recovery reproduces the
@@ -440,12 +329,12 @@ func (r *Registry) DepUpdates(kind Kind) (sum uint64, ndeps int, ok bool) {
 // Window returns the update window of an included periodic item, or
 // ok == false for excluded items and non-periodic mechanisms.
 func (r *Registry) Window(kind Kind) (clock.Duration, bool) {
-	e := r.entryOf(kind)
-	if e == nil {
-		return 0, false
-	}
-	if ph, ok := e.getHandler().(*periodicHandler); ok {
-		return ph.window, true
+	// The policy is swapped under the scope lock, so holding it makes
+	// the read safe without waiting out a compute on the item mutex.
+	sc := r.env.lockScope(r)
+	defer sc.unlock()
+	if e := r.entryLocked(kind); e != nil && e.h.Load().win != nil {
+		return e.h.Load().win.window, true
 	}
 	return 0, false
 }

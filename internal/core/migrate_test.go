@@ -66,43 +66,177 @@ func defineAdaptive(r *Registry, kind Kind, start Mechanism, window clock.Durati
 // TestMigrateTransitionMatrix walks all six transitions between the
 // three dynamic mechanisms on a live subscription, checking after each
 // that the mechanism switched, the value is preserved exactly, the
-// subscription still works, and the structural invariants hold.
+// subscription still works, and the structural invariants hold — once
+// from a healthy start, and once from a quarantined one, where every
+// mechanism must keep serving the same stale value (no recompute, no
+// boundary cadence) until the probe recovers the item through whichever
+// mechanism the walk ended on.
 func TestMigrateTransitionMatrix(t *testing.T) {
-	env, _ := testEnv()
-	r := env.NewRegistry("n")
-	defineConst(r, "base", 7.0)
-	defineAdaptive(r, "x", OnDemandMechanism, 10, 0, Dep(Self(), "base"))
+	for _, quarantined := range []bool{false, true} {
+		name := "healthy"
+		if quarantined {
+			name = "quarantined"
+		}
+		t.Run(name, func(t *testing.T) {
+			vc := clock.NewVirtual()
+			env := NewEnv(vc, WithBreaker(BreakerPolicy{
+				FailureThreshold: 3, FailureWindow: 1000,
+				ProbeBackoff: 500, MaxProbeBackoff: 4000,
+			}))
+			r := env.NewRegistry("n")
+			defineConst(r, "base", 7.0)
+			defineAdaptive(r, "x", OnDemandMechanism, 10, 0, Dep(Self(), "base"))
 
-	s, err := r.Subscribe("x")
+			s, err := r.Subscribe("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Unsubscribe()
+			want := 7.0
+			if quarantined {
+				// Park x in quarantine on a value no form computes.
+				want = 5
+				if err := r.RestoreStale("x", want, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			steps := []Mechanism{
+				TriggeredMechanism, PeriodicMechanism, OnDemandMechanism, // od->trig, trig->per, per->od
+				PeriodicMechanism, TriggeredMechanism, OnDemandMechanism, // od->per, per->trig, trig->od
+			}
+			computes := env.Stats().ComputeCalls.Load()
+			for i, to := range steps {
+				if err := r.Migrate("x", to, 0); err != nil {
+					t.Fatalf("step %d: Migrate to %v: %v", i, to, err)
+				}
+				if m, _ := r.Mechanism("x"); m != to {
+					t.Fatalf("step %d: mechanism = %v, want %v", i, m, to)
+				}
+				vc.Advance(20) // two boundaries of the periodic form
+				if v, err := s.Float(); v != want || errors.Is(err, ErrStale) != quarantined {
+					t.Fatalf("step %d: value = %v, %v, want %v (stale: %v)", i, v, err, want, quarantined)
+				}
+				if hs, _ := r.Health("x"); (hs.State == Quarantined) != quarantined {
+					t.Fatalf("step %d: health %v (quarantined start: %v)", i, hs.State, quarantined)
+				}
+				ext := map[ItemKey]int{{Registry: "n", Kind: "x"}: 1}
+				if errs := VerifyIntegrity(ext, r); len(errs) != 0 {
+					t.Fatalf("step %d: integrity: %v", i, errs)
+				}
+			}
+			if got := env.Stats().Migrations.Load(); got != int64(len(steps)) {
+				t.Fatalf("Migrations = %d, want %d", got, len(steps))
+			}
+			if c, rm := env.Stats().HandlersCreated.Load(), env.Stats().HandlersRemoved.Load(); c-rm != 2 {
+				t.Fatalf("created %d - removed %d != 2 live handlers", c, rm)
+			}
+			if !quarantined {
+				return
+			}
+			if got := env.Stats().ComputeCalls.Load(); got != computes {
+				t.Fatalf("quarantined walk computed %d times", got-computes)
+			}
+			vc.Advance(500)
+			if hs, _ := r.Health("x"); hs.State != Healthy {
+				t.Fatalf("after probe: health %v, want Healthy", hs.State)
+			}
+			if v, err := s.Float(); err != nil || v != 7 {
+				t.Fatalf("recovered value = %v, %v, want 7", v, err)
+			}
+		})
+	}
+}
+
+// heldUpdater is an asynchronous updater that runs nothing until told.
+type heldUpdater struct {
+	mu   sync.Mutex
+	held []func()
+}
+
+func (u *heldUpdater) Submit(fn func()) {
+	u.mu.Lock()
+	u.held = append(u.held, fn)
+	u.mu.Unlock()
+}
+func (u *heldUpdater) WaitIdle() {}
+func (u *heldUpdater) Stop()     {}
+
+// release runs everything submitted so far.
+func (u *heldUpdater) release() {
+	u.mu.Lock()
+	held := u.held
+	u.held = nil
+	u.mu.Unlock()
+	for _, fn := range held {
+		fn()
+	}
+}
+
+// TestMigrateRacingFiredProbe: a migration that lands between a
+// probe's fire and its run on the updater must not cost the item a
+// backoff. The probe belongs to the item, not to a mechanism: it runs
+// under whichever policy is installed when the updater gets to it.
+func TestMigrateRacingFiredProbe(t *testing.T) {
+	vc := clock.NewVirtual()
+	u := new(heldUpdater)
+	env := NewEnv(vc, WithUpdater(u), WithBreaker(BreakerPolicy{
+		FailureThreshold: 2, FailureWindow: 1000,
+		ProbeBackoff: 50, MaxProbeBackoff: 400,
+	}))
+	r := env.NewRegistry("n")
+	var failing atomic.Bool
+	form := func(v float64) func(*BuildContext) ComputeFunc {
+		return func(*BuildContext) ComputeFunc {
+			return func(clock.Time) (Value, error) {
+				if failing.Load() {
+					panic("flap")
+				}
+				return v, nil
+			}
+		}
+	}
+	r.MustDefine(&Definition{
+		Kind:   "f",
+		Events: []string{"ev"},
+		Adapt:  &AdaptSpec{OnDemand: form(7), Triggered: form(42)},
+		Build: func(ctx *BuildContext) (Handler, error) {
+			return NewTriggered(form(42)(ctx)), nil
+		},
+	})
+	s, err := r.Subscribe("f")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Unsubscribe()
 
-	steps := []Mechanism{
-		TriggeredMechanism, PeriodicMechanism, OnDemandMechanism, // od->trig, trig->per, per->od
-		PeriodicMechanism, TriggeredMechanism, OnDemandMechanism, // od->per, per->trig, trig->od
+	failing.Store(true)
+	r.FireEvent("ev")
+	r.FireEvent("ev")
+	if hs, _ := r.Health("f"); hs.State != Quarantined {
+		t.Fatalf("state = %v after 2 panics, want Quarantined", hs.State)
 	}
-	for i, to := range steps {
-		if err := r.Migrate("x", to, 0); err != nil {
-			t.Fatalf("step %d: Migrate to %v: %v", i, to, err)
-		}
-		if m, _ := r.Mechanism("x"); m != to {
-			t.Fatalf("step %d: mechanism = %v, want %v", i, m, to)
-		}
-		if v, err := s.Float(); err != nil || v != 7 {
-			t.Fatalf("step %d: value = %v, %v, want 7", i, v, err)
-		}
-		ext := map[ItemKey]int{{Registry: "n", Kind: "x"}: 1}
-		if errs := VerifyIntegrity(ext, r); len(errs) != 0 {
-			t.Fatalf("step %d: integrity: %v", i, errs)
-		}
+	failing.Store(false)
+
+	// The probe fires and is handed to the updater, which sits on it
+	// while the migration goes through.
+	vc.Advance(50)
+	if hs, _ := r.Health("f"); hs.State != Probing {
+		t.Fatalf("state = %v at the probe instant, want Probing", hs.State)
 	}
-	if got := env.Stats().Migrations.Load(); got != int64(len(steps)) {
-		t.Fatalf("Migrations = %d, want %d", got, len(steps))
+	if err := r.Migrate("f", OnDemandMechanism, 0); err != nil {
+		t.Fatal(err)
 	}
-	if c, rm := env.Stats().HandlersCreated.Load(), env.Stats().HandlersRemoved.Load(); c-rm != 2 {
-		t.Fatalf("created %d - removed %d != 2 live handlers", c, rm)
+	u.release()
+
+	if hs, _ := r.Health("f"); hs.State != Healthy {
+		t.Fatalf("state = %v after the held probe ran, want Healthy", hs.State)
+	}
+	if got := env.Stats().BreakerRecoveries.Load(); got != 1 {
+		t.Fatalf("BreakerRecoveries = %d, want 1 at this probe", got)
+	}
+	if v, err := s.Float(); err != nil || v != 7 {
+		t.Fatalf("recovered value = %v, %v, want 7 (on-demand form)", v, err)
 	}
 }
 

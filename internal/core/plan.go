@@ -37,7 +37,7 @@ import (
 // the root's lock.
 type planScratch struct {
 	plans    map[string]*propPlan
-	seeds    []*entry // seed collection (propagateLocked, runTickBatch)
+	seeds    []*entry // seed collection (announceLocked)
 	affected []*entry // buildPlanLocked's affected set
 	keyBuf   []int64
 	keyBytes []byte
@@ -159,8 +159,8 @@ func (env *Env) planFor(seeds []*entry) []*entry {
 }
 
 // buildPlanLocked computes the ordered affected-entry slice for seeds:
-// the triggerable entries among the seeds and all their transitive
-// triggerable dependents, in topological order of the dependency graph
+// the triggered entries among the seeds and all their transitive
+// triggered dependents, in topological order of the dependency graph
 // (edges run from dependency to dependent), ready entries processed in
 // creation order for determinism. This is the plan-cache miss path;
 // executing the result is refreshClosureLocked's job.
@@ -224,13 +224,13 @@ func (env *Env) buildPlanLocked(seeds []*entry) []*entry {
 // propagation.
 func bySeq(a, b *entry) int { return cmp.Compare(a.seq, b.seq) }
 
-// admit adds a triggerable entry to the affected set of the plan being
-// built and reports whether e is in it. Non-triggerable dependents
-// absorb the notification: on-demand handlers recompute on access
-// anyway, and periodic handlers follow their own schedule.
+// admit adds a triggered entry to the affected set of the plan being
+// built and reports whether e is in it. Dependents under any other
+// mechanism absorb the notification: on-demand items recompute on
+// access anyway, and periodic items follow their own schedule.
 func (sb *planScratch) admit(e *entry) bool {
 	if e.planIn == 0 {
-		if _, ok := e.handler.(triggerable); !ok {
+		if e.h.Load().Mechanism() != TriggeredMechanism {
 			return false
 		}
 		e.planIn = 1
@@ -239,9 +239,9 @@ func (sb *planScratch) admit(e *entry) bool {
 	return true
 }
 
-// refreshClosureLocked refreshes the triggerable entries among seeds
-// and all their transitive triggerable dependents, in topological
-// order of the dependency graph, so every handler recomputes after all
+// refreshClosureLocked refreshes the triggered entries among seeds
+// and all their transitive triggered dependents, in topological
+// order of the dependency graph, so every item recomputes after all
 // of its updated dependencies (the update-order requirement of Section
 // 3.2.3). The lock of the component(s) holding the seeds must be held.
 // The walk itself executes a (usually cached) propagation plan and is
@@ -256,16 +256,15 @@ func (env *Env) refreshClosureLocked(seeds []*entry, now clock.Time) {
 	}
 	for _, e := range env.planFor(seeds) {
 		env.stats.TriggerNotifications.Add(1)
-		if t, ok := e.handler.(triggerable); ok {
-			// Errors are stored in the handler and surface at the
-			// consumer's next read.
-			_ = t.refresh(now)
-			// The refresh may have republished; deliver the transition
-			// to delta dependents before the plan reaches them (the
-			// topological order guarantees they come later).
-			if e.deltaDeps > 0 {
-				notifyDeltaLocked(e)
-			}
+		// A migration off the triggered mechanism invalidates the plan,
+		// so every planned entry still is one. Compute errors are
+		// published as values and surface at the consumer's next read.
+		e.h.Load().refresh(now)
+		// The refresh may have republished; deliver the transition to
+		// delta dependents before the plan reaches them (the topological
+		// order guarantees they come later).
+		if e.deltaDeps > 0 {
+			notifyDeltaLocked(e)
 		}
 	}
 }

@@ -84,24 +84,21 @@ type dependent struct {
 
 // entry pairs an in-use metadata item with its handler (1-to-1,
 // Section 2.1). All structural fields are guarded by the owning
-// component's structural lock; the handler is additionally published
-// through an atomic pointer for lock-free reads on the value path.
+// component's structural lock.
 type entry struct {
 	reg *Registry
 	def *Definition // def.Kind is the item's kind
 	seq int64
 
-	// handler is the structural reference, guarded by the component
-	// lock. Migration (migrate.go) may replace it while the entry is in
-	// use.
-	handler Handler
-	// pub publishes the handler for lock-free value reads; nil before
-	// the entry commits and again once it is removed. It points at a
-	// heap cell that is written once and never mutated: commit and
-	// migration each publish a fresh cell, so a reader that loaded the
-	// pointer may dereference it without synchronization even while a
-	// migration installs a replacement handler.
-	pub atomic.Pointer[Handler]
+	// h is the item state behind the entry's handler: stored when the
+	// entry commits, cleared when it is removed, and never replaced in
+	// between (a migration changes the item's policy, not the item).
+	// Atomic because the value read path loads it with no lock.
+	h atomic.Pointer[item]
+	// health is the item's circuit breaker: nil on envs without
+	// WithBreaker and for static items. Set when the item is bound to
+	// the entry, before the entry commits, and fixed from then on.
+	health *itemHealth
 
 	// track, when non-nil, counts value reads of this item (Handle
 	// reads and Registry.Peek) for the adaptive controller's access
@@ -126,7 +123,7 @@ type entry struct {
 	// Guarded by the component lock.
 	planIn int32
 
-	// ndeps mirrors len(dependents) so periodic handlers can skip the
+	// ndeps mirrors len(dependents) so periodic items can skip the
 	// component lock entirely when nothing depends on them — the
 	// key to parallel periodic updates on the worker pool (Section
 	// 4.3: only the locks involved in the currently included items
@@ -148,10 +145,10 @@ type entry struct {
 	// stored, so a reader observing version v sees the v-th value or a
 	// newer one). NotifyChanged bumps it too, as the declared escape
 	// hatch for items whose value changed outside the framework.
-	// Memoized on-demand handlers stamp their dependencies' versions at
+	// Memoized on-demand items stamp their dependencies' versions at
 	// compute time; an unchanged stamp proves the dependency's served
 	// value is unchanged, which is what makes the lock-free memo hit
-	// exact (see handler.go). Monotonic and never reused, so a stale
+	// exact (see memo.go). Monotonic and never reused, so a stale
 	// stamp can never revalidate.
 	version atomic.Uint64
 
@@ -197,25 +194,6 @@ func (ed *depEdge) unlinkLocked() {
 		de.dependents = nil // a drained fan-out gives its array back
 	}
 	de.ndeps.Store(int32(last))
-}
-
-// getHandler returns the entry's handler, or nil once removed. It is
-// an atomic load — the value read path takes no lock.
-func (e *entry) getHandler() Handler {
-	if p := e.pub.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// publishHandlerLocked publishes h for lock-free reads through a fresh
-// write-once heap cell. The component lock must be held. Readers that
-// loaded the previous cell keep a consistent view of the previous
-// handler; the cell is never mutated after this store.
-func (e *entry) publishHandlerLocked(h Handler) {
-	c := new(Handler)
-	*c = h
-	e.pub.Store(c)
 }
 
 // NewRegistry creates a registry bound to this environment. The id
@@ -453,14 +431,7 @@ func (r *Registry) Peek(kind Kind) (Value, error) {
 	if e == nil {
 		return nil, ErrUnsubscribed
 	}
-	h := e.getHandler()
-	if h == nil {
-		return nil, ErrUnsubscribed
-	}
-	if t := e.track.Load(); t != nil {
-		t.Add(1)
-	}
-	return h.Value()
+	return (&Handle{e: e}).Value()
 }
 
 // Mechanism returns the update mechanism of an included item's handler.
@@ -469,11 +440,11 @@ func (r *Registry) Mechanism(kind Kind) (Mechanism, bool) {
 	if e == nil {
 		return 0, false
 	}
-	h := e.getHandler()
-	if h == nil {
+	it := e.h.Load()
+	if it == nil {
 		return 0, false
 	}
-	return h.Mechanism(), true
+	return it.Mechanism(), true
 }
 
 // Subscribe obtains a Subscription on the item, creating its handler —
@@ -687,7 +658,8 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 		return nil, errScopeEscape
 	}
 
-	// Build the handler with handles on the resolved dependencies.
+	// Build the handler with handles on the resolved dependencies, and
+	// claim the item behind it for this entry.
 	handler, err := buildHandler(def, &BuildContext{e: e})
 	if err != nil {
 		rollback()
@@ -697,10 +669,15 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 		rollback()
 		return nil, fmt.Errorf("core: Build of %s/%s returned nil handler", r.id, kind)
 	}
+	it, err := handler.bind(e)
+	if err != nil {
+		rollback()
+		return nil, err
+	}
 
 	// Commit: register trigger edges, event registrations, probe, and
-	// the entry itself, then start the handler (which may pre-compute
-	// the value from the now-included dependencies).
+	// the entry itself, then start the item (which may pre-compute the
+	// value from the now-included dependencies).
 	e.linkLocked()
 	if len(def.Events) > 0 && r.events == nil {
 		r.events = make(map[string][]*entry)
@@ -714,8 +691,7 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 		def.Probe.Activate()
 	}
 	e.refs = 1
-	e.handler = handler
-	e.publishHandlerLocked(handler)
+	e.h.Store(it)
 	r.mu.Lock()
 	r.setEntryLocked(kind, e)
 	if r.watchSinks != nil {
@@ -727,10 +703,7 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 	bumpStruct(r)
 	r.env.stats.HandlersCreated.Add(1)
 
-	if err := handler.start(e); err != nil {
-		e.releaseLocked()
-		return nil, fmt.Errorf("starting handler %s/%s: %w", r.id, kind, err)
-	}
+	it.start()
 	return e, nil
 }
 
@@ -777,15 +750,12 @@ func (e *entry) releaseLocked() {
 	r.mu.Lock()
 	r.setEntryLocked(e.kind(), nil)
 	r.mu.Unlock()
-	e.pub.Store(nil)
-
-	if e.handler != nil {
-		e.handler.stop()
-	}
+	it := e.h.Swap(nil)
+	it.stop()
 	// Deregister from the dependencies' delta channels before the
 	// dependency entries themselves are released.
-	if th, ok := e.handler.(*triggeredHandler); ok && th.ds != nil {
-		th.ds.stopLocked()
+	if it.ds != nil {
+		it.ds.stopLocked()
 	}
 	if e.def.Probe != nil {
 		e.def.Probe.Deactivate()
@@ -804,7 +774,7 @@ func (e *entry) releaseLocked() {
 	}
 	// Removing the entry (and its trigger edges) invalidates every
 	// cached propagation plan of the component — a stale plan would
-	// refresh a dead handler.
+	// refresh a dead item.
 	bumpStruct(r)
 	r.env.stats.HandlersRemoved.Add(1)
 }
@@ -838,30 +808,16 @@ func (r *Registry) NotifyChanged(kind Kind) {
 		return
 	}
 	// The announced change is invisible to publication versions (the
-	// handler did not publish), so invalidate explicitly: drop the item's
+	// item did not publish), so invalidate explicitly: drop the item's
 	// own memo (its stamps cover dependencies, not the announced change)
 	// and bump the version so memoized dependents revalidate just like
-	// triggered dependents refresh.
-	if od, ok := e.getHandler().(*onDemandHandler); ok {
-		od.memo.Store(nil)
-	}
+	// triggered dependents refresh. The announced value is also the new
+	// delta-visible truth of this edge: announceLocked delivers the
+	// transition (or a poison mark for non-float values) to delta
+	// dependents before they refresh.
+	e.h.Load().dropMemo()
 	e.bumpVersion()
-	// The announced value is the new delta-visible truth of this edge:
-	// deliver the transition (or a poison mark for non-float values) to
-	// delta dependents before they refresh.
-	if e.deltaDeps > 0 {
-		notifyDeltaLocked(e)
-	}
-	r.propagateLocked(e, r.env.Now())
-}
-
-// propagateLocked pushes an update of e to its transitive triggerable
-// dependents. The owning component's lock must be held; the dependent
-// closure cannot leave the component.
-func (r *Registry) propagateLocked(e *entry, now clock.Time) {
-	sb := find(r.comp).scratchLocked()
-	sb.seeds = appendDependents(sb.seeds[:0], e)
-	r.env.refreshClosureLocked(sb.seeds, now)
+	r.env.announceLocked(r.env.Now(), e)
 }
 
 // refreshNaiveLocked is the ablation propagation: plain depth-first
@@ -873,12 +829,12 @@ func (env *Env) refreshNaiveLocked(seeds []*entry, now clock.Time) {
 	sorted := slices.Clone(seeds)
 	slices.SortFunc(sorted, bySeq)
 	for _, e := range slices.Compact(sorted) {
-		t, ok := e.handler.(triggerable)
-		if !ok {
+		it := e.h.Load()
+		if it.Mechanism() != TriggeredMechanism {
 			continue
 		}
 		env.stats.TriggerNotifications.Add(1)
-		_ = t.refresh(now)
+		it.refresh(now)
 		if e.deltaDeps > 0 {
 			notifyDeltaLocked(e)
 		}

@@ -67,75 +67,41 @@ func (r *Registry) RestoreStale(kind Kind, v Value, version uint64, cause error)
 	if cause == nil {
 		cause = ErrRestored
 	}
-	now := r.env.Now()
-	switch h := e.handler.(type) {
-	case *onDemandHandler:
-		h.mu.Lock()
-		if h.health == nil {
-			h.mu.Unlock()
-			return fmt.Errorf("%w: %s/%s has no breaker (env without WithBreaker)",
-				ErrNotRestorable, r.id, kind)
+	it := e.h.Load()
+	if it.e.health == nil {
+		why := "has no breaker (env without WithBreaker)"
+		if it.Mechanism() == StaticMechanism {
+			why = "is static"
 		}
-		h.lastGood = v
-		h.memo.Store(nil)
-		h.health.forceQuarantine(now, cause)
-		h.mu.Unlock()
-	case *periodicHandler:
-		h.mu.Lock()
-		if h.health == nil {
-			h.mu.Unlock()
-			return fmt.Errorf("%w: %s/%s has no breaker (env without WithBreaker)",
-				ErrNotRestorable, r.id, kind)
-		}
-		h.lastGood = h.snaps.put(v, nil)
-		h.health.forceQuarantine(now, cause)
-		// Unschedule the boundary cadence like a runtime trip; the probe
-		// recomputes the cumulative window and re-arms it on success.
-		if t := h.task; t != nil {
-			h.task = nil
-			r.env.scheduler().Cancel(t)
-		}
-		h.cur.Store(h.snaps.put(v, h.health.staleError()))
-		h.mu.Unlock()
-	case *triggeredHandler:
-		h.mu.Lock()
-		if h.health == nil {
-			h.mu.Unlock()
-			return fmt.Errorf("%w: %s/%s has no breaker (env without WithBreaker)",
-				ErrNotRestorable, r.id, kind)
-		}
-		h.lastGood = h.snaps.put(v, nil)
-		if h.ds != nil {
-			// The restored accumulator is unknown; the next locked
-			// refresh (or the probe) re-folds and re-validates.
-			h.ds.valid = false
-		}
-		h.health.forceQuarantine(now, cause)
-		h.cur.Store(h.snaps.put(v, h.health.staleError()))
-		h.mu.Unlock()
-	default:
-		return fmt.Errorf("%w: %s/%s handler is %T", ErrNotRestorable, r.id, kind, e.handler)
+		return fmt.Errorf("%w: %s/%s %s", ErrNotRestorable, r.id, kind, why)
 	}
+	now := r.env.Now()
+	it.mu.Lock()
+	it.e.health.keepLastGood(&it.snaps, v)
+	if it.ds != nil {
+		// The restored accumulator is unknown; the next locked refresh
+		// (or the probe) re-folds and re-validates.
+		it.ds.valid = false
+	}
+	it.e.health.forceQuarantine(now, cause)
 	// Restore the publication version stream: raise to the persisted
-	// version (CAS loop: a concurrent publication may race the restore),
-	// then bump for the stale publication itself.
+	// version (CAS loop: a concurrent publication may race the restore);
+	// the stale publication itself then bumps it. Like a runtime trip,
+	// publishStale also unschedules a boundary cadence; the probe
+	// recomputes the cumulative window and re-arms it on success.
 	for {
 		cur := e.version.Load()
 		if cur >= version || e.version.CompareAndSwap(cur, version) {
 			break
 		}
 	}
-	e.bumpVersion()
+	it.publishStale()
+	it.mu.Unlock()
 	// Propagate like any publication: dependents that were NOT restored
 	// (items subscribed in the WAL tail after the checkpoint) refresh
 	// from the restored value instead of staying on their placeholder;
 	// restored dependents are quarantined and their refresh is a no-op.
-	if e.ndeps.Load() > 0 {
-		if e.deltaDeps > 0 {
-			notifyDeltaLocked(e)
-		}
-		r.propagateLocked(e, now)
-	}
+	r.env.announceLocked(now, e)
 	r.env.stats.RestoredStale.Add(1)
 	return nil
 }

@@ -18,6 +18,15 @@ func (s *recordingSink) Published(v uint64) {
 	s.mu.Unlock()
 }
 
+// take returns the versions recorded since the last take.
+func (s *recordingSink) take() []uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vers := s.vers
+	s.vers = nil
+	return vers
+}
+
 func (s *recordingSink) versions() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
