@@ -200,8 +200,7 @@ func startDemo(addr, dir string, out io.Writer) (*demo, error) {
 		d.plane = plane
 		recovered = rs.Subscribed > 0
 		if rs.Recovered {
-			fmt.Fprintf(out, "mdserve: recovered plane from %s (ckpt seq %d, %d WAL records, %d subs, %d items restored stale)\n",
-				dir, rs.CheckpointSeq, rs.WALRecords, rs.Subscribed, rs.Restored)
+			fmt.Fprintf(out, "mdserve: recovered plane from %s (%v)\n", dir, rs)
 		}
 	}
 	if !recovered {

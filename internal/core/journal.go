@@ -52,7 +52,7 @@ type JournalOp struct {
 // with the mutating operation's dependency-scope lock held, so
 // implementations must not call back into structural operations
 // (Subscribe, Define, Migrate, lockScope takers) — node-level read
-// primitives (Peek, ItemVersion, Health, Included) are safe.
+// primitives (Peek, ItemVersion, Health, Included, AppendSlots) are safe.
 type Journal interface {
 	Record(op JournalOp)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -372,30 +373,64 @@ func (r *Registry) Included() []Kind {
 	return out
 }
 
-// PersistableDef identifies a definition restorable through a codec
-// (Definition.Persist), as recorded in checkpoints.
-type PersistableDef struct {
-	Kind  Kind
-	Codec string
-	Args  string
+// SlotState is one item kind of a registry as a checkpoint reads it:
+// the definition's codec and, while the item is in use, its mechanism
+// and current publication.
+type SlotState struct {
+	Kind Kind
+	// Codec and Args are Definition.Persist and PersistArgs; Codec is
+	// empty for a definition recovery cannot rebuild.
+	Codec, Args string
+	// Included reports an item in use; the fields below are zero
+	// otherwise. Version is read before Value, so every publication
+	// after the read of Value carries a version above it. A stale read
+	// carries the last-good value with a *StaleError.
+	Included  bool
+	Mechanism Mechanism
+	Version   uint64
+	Value     Value
+	Err       error
+
+	// e carries the entry from AppendSlots' locked pass to its unlocked
+	// one; nil in every state a caller sees.
+	e *entry
 }
 
-// PersistableDefinitions returns the registry's codec-backed
-// definitions, sorted by kind. Checkpoints read this instead of
-// mirroring Define calls so definitions registered before the journal
-// attached are still captured.
-func (r *Registry) PersistableDefinitions() []PersistableDef {
+// AppendSlots appends the state of every defined kind to dst, sorted by
+// kind, and returns the extended slice. It is the checkpoint's one pass
+// over a registry: the slot map is read once under the node-level read
+// lock, and values are read after it is released (an on-demand read runs
+// user code), through the same lock-free path as Peek — without counting
+// as a consumer read. Reading definitions from the live registry rather
+// than from journaled Define calls also captures definitions registered
+// before the journal attached. A caller that reuses dst pays no
+// allocation per registry.
+func (r *Registry) AppendSlots(dst []SlotState) []SlotState {
+	base := len(dst)
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]PersistableDef, 0)
 	for k, s := range r.slots {
-		if s.def.Persist == "" {
+		dst = append(dst, SlotState{Kind: k, Codec: s.def.Persist, Args: s.def.PersistArgs, e: s.entry})
+	}
+	r.mu.RUnlock()
+	slots := dst[base:]
+	slices.SortFunc(slots, func(a, b SlotState) int { return cmp.Compare(a.Kind, b.Kind) })
+	for i := range slots {
+		s := &slots[i]
+		e := s.e
+		s.e = nil
+		if e == nil {
 			continue
 		}
-		out = append(out, PersistableDef{Kind: k, Codec: s.def.Persist, Args: s.def.PersistArgs})
+		it := e.h.Load()
+		if it == nil {
+			continue
+		}
+		s.Included = true
+		s.Mechanism = it.Mechanism()
+		s.Version = e.version.Load()
+		s.Value, s.Err = it.Value()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kind < out[j].Kind })
-	return out
+	return dst
 }
 
 // IsDefined reports whether the item kind has a definition.

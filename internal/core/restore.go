@@ -13,7 +13,7 @@ import "fmt"
 //     (SetRestorePending), replayed subscriptions skip their initial
 //     compute and publish ErrNoValue — a placeholder no reader should
 //     ever see, because phase 2 follows before recovery returns.
-//  2. RestoreStale re-publishes each checkpointed (value, version)
+//  2. RestoreStaleBatch re-publishes each checkpointed (value, version)
 //     pair with the item parked in quarantine: reads serve the
 //     last-good value tagged *StaleError (exactly PR 4's degraded
 //     mode), and the armed recovery probe warms the item back to
@@ -44,64 +44,97 @@ func (e *Env) restorePendingFor(reg *Registry, kind Kind) bool {
 	return p != nil && (*p)(reg, kind)
 }
 
-// RestoreStale re-publishes a checkpointed last-good value on an
-// included item and parks the item in quarantine serving it: reads
-// return (v, *StaleError) with cause as the quarantine cause
-// (ErrRestored when nil), and a recovery probe is armed on the breaker
-// policy's backoff — its success recomputes, republishes fresh, and
-// closes the breaker, exactly as if the item had tripped at runtime.
+// RestoredItem is one checkpointed publication handed to
+// RestoreStaleBatch. Cause is the quarantine cause (ErrRestored when
+// nil). Err is the batch's per-item verdict: nil once restored,
+// ErrUnsubscribed for an item that is not included, ErrNotRestorable
+// for a static item or an env without WithBreaker (there is no
+// quarantine machinery to serve the stale value through).
+type RestoredItem struct {
+	Kind    Kind
+	Value   Value
+	Version uint64
+	Cause   error
+	Err     error
+}
+
+// RestoreStale is RestoreStaleBatch for one item.
+func (r *Registry) RestoreStale(kind Kind, v Value, version uint64, cause error) error {
+	one := [1]RestoredItem{{Kind: kind, Value: v, Version: version, Cause: cause}}
+	r.RestoreStaleBatch(one[:])
+	return one[0].Err
+}
+
+// RestoreStaleBatch re-publishes checkpointed last-good values on the
+// registry's included items and parks each in quarantine serving it:
+// reads return (Value, *StaleError) with Cause as the quarantine cause,
+// and a recovery probe is armed on the breaker policy's backoff — its
+// success recomputes, republishes fresh, and closes the breaker,
+// exactly as if the item had tripped at runtime. It returns how many
+// items it restored and leaves the reason on every other one (Err).
 //
-// version is the item's pre-crash publication version; the entry's
+// Version is the item's pre-crash publication version; the entry's
 // version counter is raised to it (never lowered) before the stale
 // publication bumps it, so since-based watch resumption survives the
-// restart. It returns ErrUnsubscribed if the item is not included and
-// ErrNotRestorable for static handlers or envs without WithBreaker
-// (there is no quarantine machinery to serve the stale value through).
-func (r *Registry) RestoreStale(kind Kind, v Value, version uint64, cause error) error {
+// restart.
+//
+// The scope is locked once and the batch announced once, after all of
+// it is quarantined — the state that restoring the items one by one
+// reaches in any order (DESIGN.md §13.3).
+func (r *Registry) RestoreStaleBatch(items []RestoredItem) int {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e := r.entryLocked(kind)
-	if e == nil {
-		return fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, kind)
-	}
-	if cause == nil {
-		cause = ErrRestored
-	}
-	it := e.h.Load()
-	if it.e.health == nil {
-		why := "has no breaker (env without WithBreaker)"
-		if it.Mechanism() == StaticMechanism {
-			why = "is static"
-		}
-		return fmt.Errorf("%w: %s/%s %s", ErrNotRestorable, r.id, kind, why)
-	}
 	now := r.env.Now()
-	it.mu.Lock()
-	it.e.health.keepLastGood(&it.snaps, v)
-	if it.ds != nil {
-		// The restored accumulator is unknown; the next locked refresh
-		// (or the probe) re-folds and re-validates.
-		it.ds.valid = false
-	}
-	it.e.health.forceQuarantine(now, cause)
-	// Restore the publication version stream: raise to the persisted
-	// version (CAS loop: a concurrent publication may race the restore);
-	// the stale publication itself then bumps it. Like a runtime trip,
-	// publishStale also unschedules a boundary cadence; the probe
-	// recomputes the cumulative window and re-arms it on success.
-	for {
-		cur := e.version.Load()
-		if cur >= version || e.version.CompareAndSwap(cur, version) {
-			break
+	var pubsArr [16]*entry
+	pubs := pubsArr[:0]
+	for i := range items {
+		ri := &items[i]
+		e := r.entryLocked(ri.Kind)
+		if e == nil {
+			ri.Err = fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, ri.Kind)
+			continue
 		}
+		it := e.h.Load()
+		if e.health == nil {
+			why := "has no breaker (env without WithBreaker)"
+			if it.Mechanism() == StaticMechanism {
+				why = "is static"
+			}
+			ri.Err = fmt.Errorf("%w: %s/%s %s", ErrNotRestorable, r.id, ri.Kind, why)
+			continue
+		}
+		cause := ri.Cause
+		if cause == nil {
+			cause = ErrRestored
+		}
+		it.mu.Lock()
+		e.health.keepLastGood(&it.snaps, ri.Value)
+		if it.ds != nil {
+			// The restored accumulator is unknown; the next locked refresh
+			// (or the probe) re-folds and re-validates.
+			it.ds.valid = false
+		}
+		e.health.forceQuarantine(now, cause)
+		// Restore the publication version stream: raise to the persisted
+		// version (CAS loop: a concurrent publication may race the
+		// restore); the stale publication itself then bumps it. Like a
+		// runtime trip, publishStale also unschedules a boundary cadence;
+		// the probe recomputes the cumulative window and re-arms it on
+		// success.
+		for {
+			cur := e.version.Load()
+			if cur >= ri.Version || e.version.CompareAndSwap(cur, ri.Version) {
+				break
+			}
+		}
+		it.publishStale()
+		it.mu.Unlock()
+		ri.Err = nil
+		pubs = append(pubs, e)
 	}
-	it.publishStale()
-	it.mu.Unlock()
-	// Propagate like any publication: dependents that were NOT restored
-	// (items subscribed in the WAL tail after the checkpoint) refresh
-	// from the restored value instead of staying on their placeholder;
-	// restored dependents are quarantined and their refresh is a no-op.
-	r.env.announceLocked(now, e)
-	r.env.stats.RestoredStale.Add(1)
-	return nil
+	if len(pubs) > 0 {
+		r.env.announceLocked(now, pubs...)
+		r.env.stats.RestoredStale.Add(int64(len(pubs)))
+	}
+	return len(pubs)
 }

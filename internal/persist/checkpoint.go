@@ -2,150 +2,317 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+
+	"repro/internal/clock"
+	"repro/internal/core"
 )
 
-// ckptMagic heads every checkpoint file; the trailing version digit
-// gates future format changes.
-var ckptMagic = []byte("MDCKPT1\n")
+// Checkpoint format MDCKPT2: the magic, then CRC frames (frame.go) of
+// at most ckptChunk payload bytes whose payloads, concatenated, are one
+// stream. A record may straddle a frame edge, so no value is too large
+// to write and none makes a frame the reader refuses. The stream is
+//
+//	uvarint seq, uvarint now
+//	recRegistry, str id        the registry of the records after it
+//	tag, str kind, uvarint n, str s, bytes b        one record, where
+//
+//	  tag        n        s      b
+//	  recDefine  -        codec  codec arguments
+//	  recItem    version  cause  'f' + 8 bytes of float bits | 'j' + JSON
+//	  recSub     count    -      -
+//	  recMig     window   -      the target mechanism, one byte
+//
+//	recEnd, uvarint records    the trailer, in a frame of its own
+//
+// in the order recovery applies it: defines and items, then subs, then
+// migrations. bytes is a uvarint length and the bytes; str goes through
+// a string table built while reading — a uvarint below the table's size
+// names an entry, one equal to it is followed by bytes and appends them
+// — so an id, a kind, a codec or a stale cause costs its text once per
+// file. Writer and reader hold one record at a time. A file cut
+// anywhere lacks the trailer, so every defect — magic, torn or
+// oversized frame, CRC, malformed record, wrong total, trailing bytes —
+// is ErrCorrupt.
+var ckptMagic = []byte("MDCKPT2\n")
 
-// checkpointData is the full-plane snapshot serialized into one framed
-// JSON record: topology (external subscription counts and applied
-// migrations), persistable definitions, and per-item last-good
-// (value, version) snapshots with their health condition.
-type checkpointData struct {
+// ckptChunk bounds a checkpoint frame's payload.
+const ckptChunk = 256 << 10
+
+const (
+	recDefine = iota + 1
+	recItem
+	recSub
+	recMig
+	recRegistry
+	recEnd
+)
+
+// recSection orders the record tags: a record never follows one of a
+// later section.
+var recSection = [...]int{recDefine: 1, recItem: 1, recSub: 2, recMig: 3}
+
+// ckptRec is one record; see the format table for n, s and b. An item's
+// cause is the root cause of one already serving a stale value, ""
+// otherwise.
+type ckptRec struct {
+	tag       byte
+	reg, kind string
+	n         uint64
+	s         string
+	b         []byte
+}
+
+// appendValue encodes an item's value as a record's b, reporting false
+// for one that does not round-trip (functions, channels, cyclic
+// graphs). Floats keep their IEEE-754 bit pattern — a decimal rendering
+// would perturb the modelcheck bit-identity contract; the rest is JSON.
+func appendValue(dst []byte, v core.Value) ([]byte, bool) {
+	if f, ok := v.(float64); ok {
+		return binary.LittleEndian.AppendUint64(append(dst, 'f'), math.Float64bits(f)), true
+	}
+	j, err := json.Marshal(v)
+	return append(append(dst, 'j'), j...), err == nil
+}
+
+// decodeValue is appendValue's inverse on a record the reader passed.
+func decodeValue(b []byte) (v core.Value, err error) {
+	if b[0] == 'f' {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b[1:])), nil
+	}
+	err = json.Unmarshal(b[1:], &v)
+	return v, err
+}
+
+// CheckpointInfo is a checkpoint's header and record total.
+type CheckpointInfo struct {
 	// Seq numbers checkpoints; the WAL segment wal.<Seq>.log holds the
 	// ops recorded after this checkpoint.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Now is the env clock at checkpoint time. Recovery advances a
 	// virtual clock to it so probe backoffs and window cadences resume
 	// on the pre-crash timeline; real clocks are left alone.
-	Now int64 `json:"now"`
-
-	Defines []defineRec `json:"defines,omitempty"`
-	Subs    []subRec    `json:"subs,omitempty"`
-	Migs    []migRec    `json:"migs,omitempty"`
-	Items   []itemRec   `json:"items,omitempty"`
+	Now     clock.Time
+	Records uint64
 }
 
-// defineRec is a persistable definition by codec name (Definition.Persist).
-type defineRec struct {
-	Reg   string `json:"reg"`
-	Kind  string `json:"kind"`
-	Codec string `json:"codec"`
-	Args  string `json:"args,omitempty"`
+// ckptWriter streams a checkpoint into out, a frame per ckptChunk bytes
+// of records. The first write error sticks and is returned by finish.
+type ckptWriter struct {
+	out        io.Writer
+	buf, frame []byte // records not yet framed; the frame being written
+	ids        map[string]uint64
+	reg        string
+	records    uint64
+	err        error
 }
 
-// subRec is the external subscription count of one item.
-type subRec struct {
-	Reg   string `json:"reg"`
-	Kind  string `json:"kind"`
-	Count int    `json:"count"`
+func newCkptWriter(out io.Writer, seq uint64, now clock.Time) *ckptWriter {
+	w := &ckptWriter{out: out, buf: make([]byte, 0, ckptChunk+1024), ids: make(map[string]uint64)}
+	w.write(ckptMagic)
+	w.buf = binary.AppendUvarint(binary.AppendUvarint(w.buf, seq), uint64(now))
+	return w
 }
 
-// migRec is the last applied migration of one item.
-type migRec struct {
-	Reg    string `json:"reg"`
-	Kind   string `json:"kind"`
-	To     uint8  `json:"to"`
-	Window int64  `json:"win,omitempty"`
-}
-
-// itemRec is one included item's last-good snapshot. Float values are
-// persisted as their IEEE-754 bit pattern (exact round trip — a decimal
-// rendering would perturb the modelcheck bit-identity contract); other
-// values ride JSON and are skipped if unencodable.
-type itemRec struct {
-	Reg     string          `json:"reg"`
-	Kind    string          `json:"kind"`
-	Version uint64          `json:"ver"`
-	F       *uint64         `json:"f,omitempty"`
-	J       json.RawMessage `json:"j,omitempty"`
-	// Stale marks an item that was already serving a stale value at
-	// checkpoint time; Cause preserves its quarantine cause text.
-	Stale bool   `json:"stale,omitempty"`
-	Cause string `json:"cause,omitempty"`
-}
-
-// encodeValue packs a value into an itemRec, reporting ok=false for
-// values that do not round-trip (functions, channels, cyclic graphs).
-func (ir *itemRec) encodeValue(v any) bool {
-	if f, isF := v.(float64); isF {
-		bits := math.Float64bits(f)
-		ir.F = &bits
-		return true
+func (w *ckptWriter) write(b []byte) {
+	if w.err == nil {
+		_, w.err = w.out.Write(b)
 	}
-	j, err := json.Marshal(v)
-	if err != nil {
-		return false
-	}
-	ir.J = j
-	return true
 }
 
-// decodeValue unpacks the persisted value.
-func (ir *itemRec) decodeValue() (any, error) {
-	if ir.F != nil {
-		return math.Float64frombits(*ir.F), nil
+// cut frames the buffered records in ckptChunk pieces — all of them
+// when flush is set, else only whole chunks — so no frame exceeds what
+// the reader accepts, however large one record is.
+func (w *ckptWriter) cut(flush bool) {
+	for len(w.buf) >= ckptChunk || flush && len(w.buf) > 0 {
+		n := min(len(w.buf), ckptChunk)
+		w.frame = appendFrame(w.frame[:0], w.buf[:n])
+		w.write(w.frame)
+		w.buf = w.buf[:copy(w.buf, w.buf[n:])]
 	}
-	var v any
-	if err := json.Unmarshal(ir.J, &v); err != nil {
-		return nil, fmt.Errorf("%w: item %s/%s value: %v", ErrCorrupt, ir.Reg, ir.Kind, err)
-	}
-	return v, nil
 }
 
-// EncodeCheckpoint serializes d as magic + one framed JSON record.
-func EncodeCheckpoint(d *checkpointData) ([]byte, error) {
-	payload, err := json.Marshal(d)
-	if err != nil {
-		return nil, fmt.Errorf("persist: encoding checkpoint: %w", err)
+func (w *ckptWriter) str(s string) {
+	id, ok := w.ids[s]
+	if !ok {
+		id = uint64(len(w.ids))
+		w.ids[s] = id
 	}
-	out := make([]byte, 0, len(ckptMagic)+frameHeader+len(payload))
-	out = append(out, ckptMagic...)
-	return appendFrame(out, payload), nil
+	w.buf = binary.AppendUvarint(w.buf, id)
+	if !ok {
+		w.buf = append(binary.AppendUvarint(w.buf, uint64(len(s))), s...)
+	}
 }
 
-// DecodeCheckpoint parses checkpoint bytes. Checkpoints are written
-// atomically (temp-file + rename), so any defect — bad magic, torn
-// frame, CRC mismatch, malformed JSON, trailing garbage — is real
-// corruption and reports ErrCorrupt; it never panics.
-func DecodeCheckpoint(b []byte) (*checkpointData, error) {
+// put appends one record, preceded by its registry when that changes.
+func (w *ckptWriter) put(r *ckptRec) {
+	if r.reg != w.reg {
+		w.reg = r.reg
+		w.buf = append(w.buf, recRegistry)
+		w.str(r.reg)
+	}
+	w.buf = append(w.buf, r.tag)
+	w.str(r.kind)
+	w.buf = binary.AppendUvarint(w.buf, r.n)
+	w.str(r.s)
+	w.buf = append(binary.AppendUvarint(w.buf, uint64(len(r.b))), r.b...)
+	w.records++
+	w.cut(false)
+}
+
+// finish writes the trailer and reports the first write error.
+func (w *ckptWriter) finish() error {
+	w.cut(true)
+	w.buf = binary.AppendUvarint(append(w.buf, recEnd), w.records)
+	w.cut(true)
+	return w.err
+}
+
+// ckptReader yields the records of a checkpoint. The byte slices it
+// hands out alias its stream; the first defect sticks in err.
+type ckptReader struct {
+	s    []byte // the unread stream
+	strs []string
+	reg  string
+	sec  int // section of the last record
+	info CheckpointInfo
+	done bool
+	err  error
+}
+
+// newCkptReader verifies the magic and every frame of b and opens the
+// stream they carry. It allocates one copy of b at most.
+func newCkptReader(b []byte) *ckptReader {
+	r := &ckptReader{}
 	if !bytes.HasPrefix(b, ckptMagic) {
-		return nil, fmt.Errorf("%w: bad checkpoint magic", ErrCorrupt)
+		if len(b) >= len(ckptMagic) && bytes.HasPrefix(b, ckptMagic[:6]) {
+			r.fail("format version %q, this build reads %q", b[6], ckptMagic[6])
+		}
+		r.fail("bad magic")
+		return r
 	}
-	payload, n, err := readFrame(b[len(ckptMagic):])
-	if err != nil {
-		return nil, fmt.Errorf("%w: checkpoint frame", ErrCorrupt)
+	r.s = make([]byte, 0, len(b))
+	for b = b[len(ckptMagic):]; len(b) > 0; {
+		p, n, err := readFrame(b)
+		if err != nil || len(p) > ckptChunk {
+			r.fail("torn or oversized frame %d bytes before the end", len(b))
+			return r
+		}
+		r.s, b = append(r.s, p...), b[n:]
 	}
-	if len(b) != len(ckptMagic)+n {
-		return nil, fmt.Errorf("%w: %d trailing checkpoint bytes", ErrCorrupt, len(b)-len(ckptMagic)-n)
-	}
-	var d checkpointData
-	if err := json.Unmarshal(payload, &d); err != nil {
-		return nil, fmt.Errorf("%w: checkpoint payload: %v", ErrCorrupt, err)
-	}
-	return &d, nil
+	r.info.Seq, r.info.Now = r.uvarint(), clock.Time(r.uvarint())
+	return r
 }
 
-// writeCheckpoint atomically replaces dir/checkpoint.db: write to a
-// temp file in the same directory, fsync it, rename over the target,
-// fsync the directory so the rename itself is durable.
-func writeCheckpoint(dir string, d *checkpointData) error {
-	enc, err := EncodeCheckpoint(d)
-	if err != nil {
-		return err
+func (r *ckptReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: checkpoint: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 	}
+}
+
+func (r *ckptReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.s)
+	if n <= 0 {
+		r.fail("truncated or overlong varint %d bytes before the end", len(r.s))
+		return 0
+	}
+	r.s = r.s[n:]
+	return v
+}
+
+func (r *ckptReader) bytes() []byte {
+	n := r.uvarint()
+	if n > uint64(len(r.s)) {
+		r.fail("%d-byte field %d bytes before the end", n, len(r.s))
+		return nil
+	}
+	b := r.s[:n:n]
+	r.s = r.s[n:]
+	return b
+}
+
+func (r *ckptReader) str() string {
+	id := r.uvarint()
+	switch {
+	case id < uint64(len(r.strs)):
+		return r.strs[id]
+	case id == uint64(len(r.strs)) && r.err == nil:
+		r.strs = append(r.strs, string(r.bytes()))
+		return r.strs[id]
+	}
+	r.fail("string %d of a table of %d", id, len(r.strs))
+	return ""
+}
+
+// next decodes the next record into rec, reporting false at the trailer
+// or at the first defect (err tells which).
+func (r *ckptReader) next(rec *ckptRec) bool {
+	for r.err == nil && !r.done {
+		tag := r.uvarint()
+		switch {
+		case tag == recRegistry:
+			r.reg = r.str()
+			continue
+		case tag == recEnd:
+			if n := r.uvarint(); n != r.info.Records || len(r.s) > 0 {
+				r.fail("trailer of %d records after %d, %d bytes left", n, r.info.Records, len(r.s))
+			}
+			r.done = true
+			return false
+		case tag >= uint64(len(recSection)) || recSection[tag] < max(r.sec, 1):
+			r.fail("record tag %d in section %d", tag, r.sec)
+			return false
+		}
+		r.sec = recSection[tag]
+		*rec = ckptRec{tag: byte(tag), reg: r.reg, kind: r.str(), n: r.uvarint(), s: r.str(), b: r.bytes()}
+		switch b := rec.b; {
+		case tag == recItem && !(len(b) == 9 && b[0] == 'f' || len(b) > 1 && b[0] == 'j'),
+			tag == recMig && len(b) != 1,
+			tag == recSub && rec.n > math.MaxInt32:
+			r.fail("malformed %+v", *rec)
+		}
+		r.info.Records++
+		return r.err == nil
+	}
+	return false
+}
+
+// check reads a copy of r — the receiver is a value — to the trailer and
+// returns the header and record total, or the first defect.
+func (r ckptReader) check() (*CheckpointInfo, error) {
+	for rec := new(ckptRec); r.next(rec); {
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return &r.info, nil
+}
+
+// DecodeCheckpoint reads a whole checkpoint and returns its header and
+// record total. Checkpoints are written atomically (temp-file +
+// rename), so any defect is real corruption and reports ErrCorrupt; it
+// never panics, and allocates in proportion to the input at most.
+func DecodeCheckpoint(b []byte) (*CheckpointInfo, error) { return newCkptReader(b).check() }
+
+// writeCheckpoint atomically replaces dir/checkpoint.db with the
+// records fill puts: stream them into a temp file in the same
+// directory, fsync it, rename over the target, fsync the directory so
+// the rename itself is durable.
+func writeCheckpoint(dir string, seq uint64, now clock.Time, fill func(*ckptWriter)) error {
 	tmp := filepath.Join(dir, "checkpoint.db.tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: checkpoint temp: %w", err)
 	}
-	if _, err := f.Write(enc); err != nil {
+	w := newCkptWriter(f, seq, now)
+	fill(w)
+	if err := w.finish(); err != nil {
 		f.Close()
 		return fmt.Errorf("persist: checkpoint write: %w", err)
 	}

@@ -7,7 +7,9 @@
 //
 // On-disk layout (all inside one directory):
 //
-//	checkpoint.db   magic + one CRC-framed JSON record (temp+rename)
+//	checkpoint.db   magic + a sequence of CRC frames of at most 256 KiB
+//	                carrying one binary record stream that ends in a
+//	                trailer of record totals (temp+rename; checkpoint.go)
 //	wal.<seq>.log   CRC-framed JSON records, one per structural op;
 //	                <seq> is the checkpoint sequence the segment follows
 //

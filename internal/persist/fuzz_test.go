@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -40,36 +41,42 @@ func FuzzWALReplay(f *testing.F) {
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("MDCKPT1\n"))
-	if enc, err := EncodeCheckpoint(&checkpointData{Seq: 1, Now: 42}); err == nil {
-		f.Add(enc)
-		f.Add(enc[:len(enc)-1])
-		f.Add(append(enc, 0))
-	}
+	enc := encodeRecs(CheckpointInfo{Seq: 1, Now: 42}, sampleRecs())
+	f.Add(enc)
+	f.Add(enc[:len(enc)-1])
+	f.Add(append(append([]byte{}, enc...), 0))
+	f.Add(encodeRecs(CheckpointInfo{}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := DecodeCheckpoint(data)
+		// Allocation is bounded by the input: every decoded record owns
+		// at least one input byte, no length field is trusted beyond the
+		// bytes that are there.
+		var recs []ckptRec
+		rd := newCkptReader(data)
+		for rec := (ckptRec{}); rd.next(&rec); {
+			recs = append(recs, rec)
+		}
+		info, err := DecodeCheckpoint(data)
+		if (err == nil) != (rd.err == nil) {
+			t.Fatalf("DecodeCheckpoint says %v, the reader %v", err, rd.err)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("decode error %v does not wrap ErrCorrupt", err)
 			}
 			return
 		}
-		// A successful decode must re-encode and decode to the same seq
-		// (full structural round trip).
-		enc, err := EncodeCheckpoint(d)
-		if err != nil {
-			t.Fatalf("re-encode of decoded checkpoint: %v", err)
+		if *info != rd.info || uint64(len(recs)) != info.Records {
+			t.Fatalf("totals %+v, reader %+v with %d records", info, rd.info, len(recs))
 		}
-		d2, err := DecodeCheckpoint(enc)
+		// A successful decode re-encodes and decodes to the same records
+		// (full structural round trip).
+		enc := encodeRecs(*info, recs)
+		info2, recs2, err := decodeRecs(enc)
 		if err != nil {
 			t.Fatalf("decode of re-encode: %v", err)
 		}
-		if d2.Seq != d.Seq || d2.Now != d.Now || len(d2.Items) != len(d.Items) {
-			t.Fatalf("round trip drifted: %+v vs %+v", d, d2)
-		}
-		for i := range d.Items {
-			if _, err := d.Items[i].decodeValue(); err != nil && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("item %d decodeValue error %v does not wrap ErrCorrupt", i, err)
-			}
+		if info2 != *info || !reflect.DeepEqual(recs, recs2) {
+			t.Fatalf("round trip drifted:\n%+v %+v\n%+v %+v", info, recs, info2, recs2)
 		}
 	})
 }

@@ -1,0 +1,212 @@
+package persist
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/clock"
+	"repro/internal/core"
+)
+
+// The benchmark plane: regs registries, each a chain of chainLen
+// codec-backed triggered items (c0 = the registry's index, ck = c(k-1)+1)
+// with its tail and one middle item subscribed — the shape of the
+// repository benchmark's durable-restart workload (10,000 x 10 there).
+
+const (
+	chainLen = 10
+	chainMid = 4
+)
+
+func chainKind(k int) core.Kind { return core.Kind("c" + strconv.Itoa(k)) }
+
+func init() {
+	RegisterCodec("test.chain", func(args string) (*core.Definition, error) {
+		a, b, _ := strings.Cut(args, ",")
+		idx, err1 := strconv.Atoi(a)
+		k, err2 := strconv.Atoi(b)
+		if err1 != nil || err2 != nil || k < 0 || k >= chainLen {
+			return nil, fmt.Errorf("bad chain args %q", args)
+		}
+		def := &core.Definition{Kind: chainKind(k)}
+		if k == 0 {
+			def.Build = func(*core.BuildContext) (core.Handler, error) {
+				return core.NewTriggered(func(clock.Time) (core.Value, error) { return float64(idx), nil }), nil
+			}
+			return def, nil
+		}
+		def.Deps = []core.DepRef{core.Dep(core.Self(), chainKind(k-1))}
+		def.Build = func(ctx *core.BuildContext) (core.Handler, error) {
+			prev := ctx.DepGroup(0)[0]
+			return core.NewTriggered(func(clock.Time) (core.Value, error) {
+				f, err := prev.Float()
+				return f + 1, err
+			}), nil
+		}
+		return def, nil
+	})
+}
+
+// chainEnv is a fresh process image: a breaker-armed env and n bare
+// registries, with the chain definitions registered when define is set
+// and left to the codec otherwise.
+func chainEnv(tb testing.TB, n int, define bool) (*core.Env, []*core.Registry) {
+	tb.Helper()
+	env := core.NewEnv(clock.NewVirtual(), core.WithBreaker(core.BreakerPolicy{}))
+	regs := make([]*core.Registry, n)
+	for i := range regs {
+		regs[i] = env.NewRegistry(fmt.Sprintf("d%05d", i))
+		for k := 0; define && k < chainLen; k++ {
+			def, err := buildDef("test.chain", fmt.Sprintf("%d,%d", i, k))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			regs[i].MustDefine(def)
+		}
+	}
+	return env, regs
+}
+
+// chainPlane opens a plane over n chain registries in dir and subscribes
+// the tail and the middle item of each.
+func chainPlane(tb testing.TB, dir string, n int) (*Plane, []*core.Registry) {
+	tb.Helper()
+	env, regs := chainEnv(tb, n, true)
+	p, _, err := Open(env, dir, Options{Sync: SyncNone}, regs...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, kind := range []core.Kind{chainKind(chainLen - 1), chainKind(chainMid)} {
+		for _, r := range regs {
+			if _, err := r.Subscribe(kind); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return p, regs
+}
+
+// chainCheckpoint is the checkpoint file of a crashed n-registry chain
+// plane, left in dir with its empty WAL segment.
+func chainCheckpoint(tb testing.TB, dir string, n int) []byte {
+	tb.Helper()
+	p, _ := chainPlane(tb, dir, n)
+	if err := p.Checkpoint(); err != nil {
+		tb.Fatal(err)
+	}
+	p.Abandon()
+	raw, err := os.ReadFile(filepath.Join(dir, "checkpoint.db"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+const benchRegs = 10_000
+
+func BenchmarkCheckpoint100k(b *testing.B) {
+	p, _ := chainPlane(b, b.TempDir(), benchRegs)
+	defer p.Abandon()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkOpenRecover100k(b *testing.B) {
+	dir := b.TempDir()
+	chainCheckpoint(b, dir, benchRegs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		env, regs := chainEnv(b, benchRegs, false)
+		b.StartTimer()
+		p, rs, err := Open(env, dir, Options{Sync: SyncNone}, regs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rs.Restored != benchRegs*chainLen || rs.Skipped != 0 {
+			b.Fatalf("recovery stats %+v", rs)
+		}
+		p.Abandon()
+	}
+}
+
+var decodeSink *CheckpointInfo
+
+func BenchmarkDecodeCheckpoint(b *testing.B) {
+	raw := chainCheckpoint(b, b.TempDir(), benchRegs)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		info, err := DecodeCheckpoint(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		decodeSink = info
+	}
+}
+
+// BenchmarkRestoreStaleBatch restores a whole plane of placeholders,
+// one batch per registry; ns/op is per plane of benchRegs*chainLen items.
+func BenchmarkRestoreStaleBatch(b *testing.B) {
+	batch := make([]core.RestoredItem, chainLen)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		env, regs := chainEnv(b, benchRegs, true)
+		env.SetRestorePending(func(*core.Registry, core.Kind) bool { return true })
+		for _, r := range regs {
+			if _, err := r.Subscribe(chainKind(chainLen - 1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		env.SetRestorePending(nil)
+		b.StartTimer()
+		for ri, r := range regs {
+			for k := range batch {
+				batch[k] = core.RestoredItem{Kind: chainKind(k), Value: float64(ri + k), Version: 7}
+			}
+			if n := r.RestoreStaleBatch(batch); n != chainLen {
+				b.Fatalf("restored %d of %d", n, chainLen)
+			}
+		}
+	}
+}
+
+// TestCheckpointBytesPerItem gates the format's density on the
+// benchmark plane. The figure is a count — it repeats to the byte — so
+// a format regression fails here without a timing in CI.
+func TestCheckpointBytesPerItem(t *testing.T) {
+	const regs, ceiling = 1000, 48.0
+	raw := chainCheckpoint(t, t.TempDir(), regs)
+	_, recs, err := decodeRecs(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[byte]int{}
+	for _, rec := range recs {
+		count[rec.tag]++
+	}
+	if count[recItem] != regs*chainLen || count[recDefine] != regs*chainLen || count[recSub] != 2*regs || count[recMig] != 0 {
+		t.Fatalf("checkpoint holds %v records by tag", count)
+	}
+	perItem := float64(len(raw)) / float64(regs*chainLen)
+	t.Logf("%d bytes for %d items: %.2f B/item", len(raw), regs*chainLen, perItem)
+	if perItem > ceiling {
+		t.Fatalf("checkpoint is %.2f B/item, ceiling %v", perItem, ceiling)
+	}
+	if again := chainCheckpoint(t, t.TempDir(), regs); !bytes.Equal(raw, again) {
+		t.Fatal("two checkpoints of the same plane differ")
+	}
+}

@@ -1,13 +1,15 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -44,9 +46,69 @@ type RecoveryStats struct {
 	Migrated   int
 	Restored   int
 	Skipped    int
+
+	// CheckpointBytes is the size of the loaded checkpoint. The
+	// durations split Open's wall time: reading and validating the
+	// checkpoint, reading and decoding the WAL tail, rebuilding the
+	// topology (defines, subscribes and migrations of both), restoring
+	// the checkpointed values, and writing the barrier checkpoint.
+	CheckpointBytes int64
+	DecodeDur       time.Duration
+	ReplayDur       time.Duration
+	RebuildDur      time.Duration
+	RestoreDur      time.Duration
+	BarrierDur      time.Duration
+}
+
+// String renders the stats on one line, as mdserve's recovery banner
+// prints them.
+func (rs *RecoveryStats) String() string {
+	if !rs.Recovered {
+		return "fresh start"
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return fmt.Sprintf("ckpt seq %d (%d B), %d WAL records, %d defined, %d subs, %d migrated, %d items restored stale, %d skipped; "+
+		"decode %.1f ms, replay %.1f ms, rebuild %.1f ms, restore %.1f ms, barrier %.1f ms",
+		rs.CheckpointSeq, rs.CheckpointBytes, rs.WALRecords, rs.Defined, rs.Subscribed, rs.Migrated, rs.Restored, rs.Skipped,
+		ms(rs.DecodeDur), ms(rs.ReplayDur), ms(rs.RebuildDur), ms(rs.RestoreDur), ms(rs.BarrierDur))
 }
 
 type key struct{ reg, kind string }
+
+// mig is the last applied migration of one item.
+type mig struct {
+	to     core.Mechanism
+	window clock.Duration
+}
+
+// restoredError is the quarantine cause of an item the checkpoint
+// recorded as already stale: ErrRestored, carrying the root cause's
+// text. Checkpoints persist root, not the wrapped text, so the cause
+// reads the same however many restarts it survives.
+type restoredError struct{ root string }
+
+func (e *restoredError) Error() string {
+	return fmt.Sprintf("%v (pre-crash cause: %s)", core.ErrRestored, e.root)
+}
+
+func (e *restoredError) Unwrap() error { return core.ErrRestored }
+
+// rootCause is the text a checkpoint records for a quarantine cause:
+// nothing for a plain restore, the pre-crash root of a restored one.
+func rootCause(cause error) string {
+	if cause == nil || cause == core.ErrRestored {
+		return ""
+	}
+	if re := (*restoredError)(nil); errors.As(cause, &re) {
+		return re.root
+	}
+	if errors.Is(cause, core.ErrRestored) {
+		return ""
+	}
+	return cause.Error()
+}
+
+func byKind(it core.RestoredItem, k core.Kind) int { return cmp.Compare(it.Kind, k) }
 
 // Plane is the durability side of one Env: it implements core.Journal
 // (appending every structural op to the WAL), writes checkpoints, and
@@ -68,7 +130,7 @@ type Plane struct {
 	seq       uint64
 	subs      map[key]int
 	held      map[key][]*core.Subscription
-	migs      map[key]migRec
+	migs      map[key]mig
 	sinceCkpt int
 	closed    bool
 	broken    error
@@ -103,7 +165,7 @@ func Open(env *core.Env, dir string, opt Options, regs ...*core.Registry) (*Plan
 		regs: make(map[string]*core.Registry, len(regs)),
 		subs: make(map[key]int),
 		held: make(map[key][]*core.Subscription),
-		migs: make(map[key]migRec),
+		migs: make(map[key]mig),
 	}
 	for _, r := range regs {
 		if _, dup := p.regs[r.ID()]; dup {
@@ -112,7 +174,7 @@ func Open(env *core.Env, dir string, opt Options, regs ...*core.Registry) (*Plan
 		p.regs[r.ID()] = r
 		p.regOrder = append(p.regOrder, r.ID())
 	}
-	sort.Strings(p.regOrder)
+	slices.Sort(p.regOrder)
 
 	rs, err := p.recover()
 	if err != nil {
@@ -123,6 +185,7 @@ func Open(env *core.Env, dir string, opt Options, regs ...*core.Registry) (*Plan
 	env.SetJournal(p)
 	// Barrier checkpoint: the recovered state becomes the new baseline
 	// and a fresh WAL segment starts empty.
+	t0 := time.Now()
 	p.mu.Lock()
 	err = p.checkpointLocked()
 	p.mu.Unlock()
@@ -130,6 +193,7 @@ func Open(env *core.Env, dir string, opt Options, regs ...*core.Registry) (*Plan
 		env.SetJournal(nil)
 		return nil, nil, err
 	}
+	rs.BarrierDur = time.Since(t0)
 	return p, rs, nil
 }
 
@@ -137,26 +201,29 @@ func Open(env *core.Env, dir string, opt Options, regs ...*core.Registry) (*Plan
 // in-memory mirrors the next checkpoint serializes.
 func (p *Plane) recover() (*RecoveryStats, error) {
 	rs := &RecoveryStats{}
-	var data *checkpointData
+	t0 := time.Now()
+	var rd *ckptReader
 	raw, err := os.ReadFile(filepath.Join(p.dir, "checkpoint.db"))
 	switch {
 	case err == nil:
-		data, err = DecodeCheckpoint(raw)
+		// Read the whole file once before its first record is applied: a
+		// defect anywhere is ErrCorrupt, never a partial restore.
+		rd = newCkptReader(raw)
+		info, err := rd.check()
 		if err != nil {
 			return nil, err
 		}
+		p.seq = info.Seq
+		rs.CheckpointSeq, rs.CheckpointNow, rs.CheckpointBytes = info.Seq, info.Now, int64(len(raw))
 	case os.IsNotExist(err):
 		// Fresh start (or checkpoint lost): replay the WAL alone.
 	default:
 		return nil, fmt.Errorf("persist: reading checkpoint: %w", err)
 	}
+	rs.DecodeDur = time.Since(t0)
 
+	t0 = time.Now()
 	var tail []core.JournalOp
-	if data != nil {
-		p.seq = data.Seq
-		rs.CheckpointSeq = data.Seq
-		rs.CheckpointNow = clock.Time(data.Now)
-	}
 	walRaw, err := os.ReadFile(p.walPath(p.seq))
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("persist: reading WAL: %w", err)
@@ -175,171 +242,149 @@ func (p *Plane) recover() (*RecoveryStats, error) {
 	}
 	rs.WALRecords = len(tail)
 	rs.WALTruncated = truncated
-	if data == nil && len(tail) == 0 {
+	rs.ReplayDur = time.Since(t0)
+	if rd == nil && len(tail) == 0 {
 		return rs, nil
 	}
 	rs.Recovered = true
 
-	// Resume the pre-crash timeline on virtual clocks so probe backoffs
-	// and window cadences recover deterministically; wall clocks are
-	// already past the persisted instant.
-	if data != nil {
-		if vc, ok := p.env.Clock().(*clock.Virtual); ok && clock.Time(data.Now) > p.env.Now() {
-			vc.AdvanceTo(clock.Time(data.Now))
+	// Checkpoint state, record by record in file order: definitions are
+	// registered and item snapshots collected per registry, then external
+	// subscriptions and the last applied migration per item are replayed.
+	// Replayed subscriptions of collected items skip their initial compute
+	// (the restore below re-publishes the last-good value), which requires
+	// the breaker machinery; without it the snapshots are passed over.
+	t0 = time.Now()
+	pending := make(map[*core.Registry][]core.RestoredItem)
+	if rd != nil {
+		// Resume the pre-crash timeline on virtual clocks so probe
+		// backoffs and window cadences recover deterministically; wall
+		// clocks are already past the persisted instant.
+		if vc, ok := p.env.Clock().(*clock.Virtual); ok && rs.CheckpointNow > p.env.Now() {
+			vc.AdvanceTo(rs.CheckpointNow)
 		}
-	}
-
-	// Restore-pending predicate: replayed subscriptions of checkpointed
-	// items skip their initial compute (RestoreStale below re-publishes
-	// the last-good value). Requires the breaker machinery.
-	restorable := make(map[key]bool)
-	if data != nil && p.env.HasBreaker() {
-		for _, ir := range data.Items {
-			restorable[key{ir.Reg, ir.Kind}] = true
-		}
-	}
-	if len(restorable) > 0 {
-		p.env.SetRestorePending(func(reg *core.Registry, kind core.Kind) bool {
-			return restorable[key{reg.ID(), string(kind)}]
-		})
-		defer p.env.SetRestorePending(nil)
-	}
-
-	// Checkpoint state: definitions, then external subscriptions, then
-	// the last applied migration per item.
-	if data != nil {
-		for _, dr := range data.Defines {
-			p.applyDefine(core.JournalOp{
-				Op: core.JournalDefine, Registry: dr.Reg, Kind: core.Kind(dr.Kind),
-				Codec: dr.Codec, CodecArgs: dr.Args,
-			}, rs)
-		}
-		for _, sr := range data.Subs {
-			for i := 0; i < sr.Count; i++ {
-				p.applySubscribe(core.JournalOp{
-					Op: core.JournalSubscribe, Registry: sr.Reg, Kind: core.Kind(sr.Kind),
+		var rec ckptRec
+		more := rd.next(&rec)
+		for ; more && (rec.tag == recDefine || rec.tag == recItem); more = rd.next(&rec) {
+			if rec.tag == recDefine {
+				p.apply(core.JournalOp{
+					Op: core.JournalDefine, Registry: rec.reg, Kind: core.Kind(rec.kind),
+					Codec: rec.s, CodecArgs: string(rec.b),
 				}, rs)
+			} else if reg := p.regs[rec.reg]; reg != nil && p.env.HasBreaker() {
+				it := core.RestoredItem{Kind: core.Kind(rec.kind), Version: rec.n}
+				if it.Value, err = decodeValue(rec.b); err != nil {
+					rs.Skipped++
+					continue
+				}
+				if rec.s != "" {
+					it.Cause = &restoredError{root: rec.s}
+				}
+				pending[reg] = append(pending[reg], it)
 			}
 		}
-		for _, mr := range data.Migs {
-			p.applyMigrate(core.JournalOp{
-				Op: core.JournalMigrate, Registry: mr.Reg, Kind: core.Kind(mr.Kind),
-				To: core.Mechanism(mr.To), Window: clock.Duration(mr.Window),
-			}, rs)
+		for _, items := range pending {
+			slices.SortFunc(items, func(a, b core.RestoredItem) int { return byKind(a, b.Kind) })
+		}
+		if len(pending) > 0 {
+			p.env.SetRestorePending(func(reg *core.Registry, kind core.Kind) bool {
+				_, ok := slices.BinarySearchFunc(pending[reg], kind, byKind)
+				return ok
+			})
+			defer p.env.SetRestorePending(nil)
+		}
+		for ; more; more = rd.next(&rec) {
+			op := core.JournalOp{Op: core.JournalSubscribe, Registry: rec.reg, Kind: core.Kind(rec.kind)}
+			times := rec.n // a sub record stands for that many subscribes
+			if rec.tag == recMig {
+				op.Op, op.To, op.Window = core.JournalMigrate, core.Mechanism(rec.b[0]), clock.Duration(rec.n)
+				times = 1
+			}
+			for ; times > 0; times-- {
+				p.apply(op, rs)
+			}
 		}
 	}
 	// WAL tail, in commit order.
 	for _, op := range tail {
-		switch op.Op {
-		case core.JournalDefine:
-			p.applyDefine(op, rs)
-		case core.JournalSubscribe:
-			p.applySubscribe(op, rs)
-		case core.JournalUnsubscribe:
-			p.applyUnsubscribe(op, rs)
-		case core.JournalMigrate:
-			p.applyMigrate(op, rs)
-		default:
-			rs.Skipped++
-		}
+		p.apply(op, rs)
 	}
+	rs.RebuildDur = time.Since(t0)
 
-	// Degraded-mode restore: every checkpointed item still included
-	// serves its pre-crash last-good tagged ErrStale, recovery probe
-	// armed. Items excluded by the WAL tail are simply skipped.
-	if data != nil && p.env.HasBreaker() {
-		for _, ir := range data.Items {
-			reg := p.regs[ir.Reg]
-			if reg == nil || !reg.IsIncluded(core.Kind(ir.Kind)) {
-				continue
-			}
-			v, err := ir.decodeValue()
-			if err != nil {
+	// Degraded-mode restore, one batch per registry: every checkpointed
+	// item still included serves its pre-crash last-good tagged ErrStale,
+	// recovery probe armed. Items excluded by the WAL tail are passed
+	// over; any other refusal counts as skipped.
+	t0 = time.Now()
+	for _, id := range p.regOrder {
+		items := pending[p.regs[id]]
+		if len(items) == 0 {
+			continue
+		}
+		rs.Restored += p.regs[id].RestoreStaleBatch(items)
+		for i := range items {
+			if err := items[i].Err; err != nil && !errors.Is(err, core.ErrUnsubscribed) {
 				rs.Skipped++
-				continue
 			}
-			cause := core.ErrRestored
-			if ir.Stale && ir.Cause != "" {
-				cause = fmt.Errorf("%w (pre-crash cause: %s)", core.ErrRestored, ir.Cause)
-			}
-			if err := reg.RestoreStale(core.Kind(ir.Kind), v, ir.Version, cause); err != nil {
-				rs.Skipped++
-				continue
-			}
-			rs.Restored++
 		}
 	}
+	rs.RestoreDur = time.Since(t0)
 	p.env.Stats().Recoveries.Add(1)
 	return rs, nil
 }
 
-func (p *Plane) applyDefine(op core.JournalOp, rs *RecoveryStats) {
-	reg := p.regs[op.Registry]
-	if reg == nil {
+// apply replays one structural op of the checkpoint or the WAL tail,
+// counting it under its kind or, when it cannot be applied, as skipped.
+func (p *Plane) apply(op core.JournalOp, rs *RecoveryStats) {
+	if !p.applyOp(op, rs) {
 		rs.Skipped++
-		return
-	}
-	if reg.IsDefined(op.Kind) {
-		// Already re-registered by application code; keep its version.
-		return
-	}
-	def, err := buildDef(op.Codec, op.CodecArgs)
-	if err != nil || def.Kind != op.Kind {
-		rs.Skipped++
-		return
-	}
-	if err := reg.Define(def); err != nil {
-		rs.Skipped++
-		return
-	}
-	rs.Defined++
-}
-
-func (p *Plane) applySubscribe(op core.JournalOp, rs *RecoveryStats) {
-	k := key{op.Registry, string(op.Kind)}
-	reg := p.regs[op.Registry]
-	if reg == nil {
-		rs.Skipped++
-		return
-	}
-	sub, err := reg.Subscribe(op.Kind)
-	if err != nil {
-		rs.Skipped++
-		return
-	}
-	p.subs[k]++
-	p.held[k] = append(p.held[k], sub)
-	rs.Subscribed++
-}
-
-func (p *Plane) applyUnsubscribe(op core.JournalOp, rs *RecoveryStats) {
-	k := key{op.Registry, string(op.Kind)}
-	hs := p.held[k]
-	if len(hs) == 0 {
-		rs.Skipped++
-		return
-	}
-	sub := hs[len(hs)-1]
-	p.held[k] = hs[:len(hs)-1]
-	sub.Unsubscribe()
-	if p.subs[k]--; p.subs[k] <= 0 {
-		delete(p.subs, k)
 	}
 }
 
-func (p *Plane) applyMigrate(op core.JournalOp, rs *RecoveryStats) {
-	k := key{op.Registry, string(op.Kind)}
-	reg := p.regs[op.Registry]
+func (p *Plane) applyOp(op core.JournalOp, rs *RecoveryStats) bool {
+	k, reg := key{op.Registry, string(op.Kind)}, p.regs[op.Registry]
 	if reg == nil {
-		rs.Skipped++
-		return
+		return false
 	}
-	if err := reg.Migrate(op.Kind, op.To, op.Window); err != nil {
-		rs.Skipped++
-		return
+	switch op.Op {
+	case core.JournalDefine:
+		if reg.IsDefined(op.Kind) {
+			// Already re-registered by application code; keep its version.
+			return true
+		}
+		def, err := buildDef(op.Codec, op.CodecArgs)
+		if err != nil || def.Kind != op.Kind || reg.Define(def) != nil {
+			return false
+		}
+		rs.Defined++
+	case core.JournalSubscribe:
+		sub, err := reg.Subscribe(op.Kind)
+		if err != nil {
+			return false
+		}
+		p.subs[k]++
+		p.held[k] = append(p.held[k], sub)
+		rs.Subscribed++
+	case core.JournalUnsubscribe:
+		hs := p.held[k]
+		if len(hs) == 0 {
+			return false
+		}
+		p.held[k] = hs[:len(hs)-1]
+		hs[len(hs)-1].Unsubscribe()
+		if p.subs[k]--; p.subs[k] <= 0 {
+			delete(p.subs, k)
+		}
+	case core.JournalMigrate:
+		if reg.Migrate(op.Kind, op.To, op.Window) != nil {
+			return false
+		}
+		p.migs[k] = mig{to: op.To, window: op.Window}
+		rs.Migrated++
+	default:
+		return false
 	}
-	p.migs[k] = migRec{Reg: op.Registry, Kind: string(op.Kind), To: uint8(op.To), Window: int64(op.Window)}
-	rs.Migrated++
+	return true
 }
 
 // Record implements core.Journal: append the op to the WAL, maintain
@@ -356,8 +401,8 @@ func (p *Plane) Record(op core.JournalOp) {
 	k := key{op.Registry, string(op.Kind)}
 	switch op.Op {
 	case core.JournalDefine:
-		// No mirror: checkpoints read PersistableDefinitions from the
-		// live registry, which also covers pre-attach defines.
+		// No mirror: checkpoints read the definitions from the live
+		// registry (AppendSlots), which also covers pre-attach defines.
 	case core.JournalSubscribe:
 		p.subs[k]++
 	case core.JournalUnsubscribe:
@@ -365,7 +410,7 @@ func (p *Plane) Record(op core.JournalOp) {
 			delete(p.subs, k)
 		}
 	case core.JournalMigrate:
-		p.migs[k] = migRec{Reg: op.Registry, Kind: string(op.Kind), To: uint8(op.To), Window: int64(op.Window)}
+		p.migs[k] = mig{to: op.To, window: op.Window}
 	}
 	payload, err := json.Marshal(walRecOf(op))
 	if err != nil {
@@ -423,83 +468,24 @@ func (p *Plane) Checkpoint() error {
 	return p.checkpointLocked()
 }
 
-// checkpointLocked serializes the plane — mirrors for topology, live
-// node-level reads for item snapshots — writes it atomically, and
-// rotates the WAL segment. It takes no component locks: values,
-// versions, and health come from the node-RLock read primitives, and
-// subscription counts from the plane's own mirror, so it is safe to run
-// inline from Record (which holds a component lock).
+// checkpointLocked streams the plane — mirrors for topology, one pass
+// over each live registry for definitions and item snapshots — into a
+// new checkpoint file and rotates the WAL segment. It takes no
+// component locks: values, versions, and health come from the
+// node-RLock read primitives, and subscription counts from the plane's
+// own mirror, so it is safe to run inline from Record (which holds a
+// component lock).
 func (p *Plane) checkpointLocked() error {
-	now := p.env.Now()
-	d := &checkpointData{Seq: p.seq + 1, Now: int64(now)}
-	for _, id := range p.regOrder {
-		for _, pd := range p.regs[id].PersistableDefinitions() {
-			d.Defines = append(d.Defines, defineRec{Reg: id, Kind: string(pd.Kind), Codec: pd.Codec, Args: pd.Args})
-		}
-	}
-	for _, k := range sortedKeys(p.subs) {
-		d.Subs = append(d.Subs, subRec{Reg: k.reg, Kind: k.kind, Count: p.subs[k]})
-	}
-	for _, k := range sortedKeys(p.migs) {
-		// The mirror is last-written intent; an item fully released since
-		// its migration reverts to its definition's default mechanism on
-		// re-include, so only migrations still live on an included handler
-		// are replayable state.
-		mr := p.migs[k]
-		reg := p.regs[k.reg]
-		if reg == nil {
-			continue
-		}
-		if mech, ok := reg.Mechanism(core.Kind(k.kind)); !ok || uint8(mech) != mr.To {
-			continue
-		}
-		if mr.To == uint8(core.PeriodicMechanism) {
-			if w, ok := reg.Window(core.Kind(k.kind)); ok {
-				mr.Window = int64(w)
-			}
-		}
-		d.Migs = append(d.Migs, mr)
-	}
-	for _, id := range p.regOrder {
-		reg := p.regs[id]
-		for _, kind := range reg.Included() {
-			if mech, ok := reg.Mechanism(kind); !ok || mech == core.StaticMechanism {
-				// Static values are rebuilt by Build at replay time;
-				// there is nothing stale to restore.
-				continue
-			}
-			ver, ok := reg.ItemVersion(kind)
-			if !ok {
-				continue
-			}
-			v, err := reg.Peek(kind)
-			rec := itemRec{Reg: id, Kind: string(kind), Version: ver}
-			if err != nil {
-				if !errors.Is(err, core.ErrStale) {
-					// No last-good value to serve after recovery.
-					continue
-				}
-				rec.Stale = true
-				var se *core.StaleError
-				if errors.As(err, &se) && se.Cause != nil {
-					rec.Cause = se.Cause.Error()
-				}
-			}
-			if !rec.encodeValue(v) {
-				continue
-			}
-			d.Items = append(d.Items, rec)
-		}
-	}
-	if err := writeCheckpoint(p.dir, d); err != nil {
+	now, seq := p.env.Now(), p.seq+1
+	if err := writeCheckpoint(p.dir, seq, now, p.snapshot); err != nil {
 		return err
 	}
-	neww, err := openWAL(p.walPath(d.Seq), p.opt.Sync)
+	neww, err := openWAL(p.walPath(seq), p.opt.Sync)
 	if err != nil {
 		return err
 	}
 	old, oldSeq := p.w, p.seq
-	p.w, p.seq, p.sinceCkpt = neww, d.Seq, 0
+	p.w, p.seq, p.sinceCkpt = neww, seq, 0
 	if old != nil {
 		old.close()
 	}
@@ -509,6 +495,63 @@ func (p *Plane) checkpointLocked() error {
 	st.CheckpointAt.Store(int64(now))
 	st.WALBytes.Store(0)
 	return nil
+}
+
+// snapshot puts the plane's records in file order: per registry its
+// codec-backed definitions and the last-good snapshot of every included
+// item, then the subscription counts, then the migrations. p.mu must be
+// held.
+func (p *Plane) snapshot(w *ckptWriter) {
+	var slots []core.SlotState
+	var val []byte
+	for _, id := range p.regOrder {
+		slots = p.regs[id].AppendSlots(slots[:0])
+		for i := range slots {
+			s := &slots[i]
+			if s.Codec != "" {
+				val = append(val[:0], s.Args...)
+				w.put(&ckptRec{tag: recDefine, reg: id, kind: string(s.Kind), s: s.Codec, b: val})
+			}
+			// Static values are rebuilt by Build at replay time, and an
+			// item whose error is not its own quarantine's has no
+			// last-good value to serve after recovery.
+			se, stale := s.Err.(*core.StaleError)
+			if !s.Included || s.Mechanism == core.StaticMechanism || s.Err != nil && !stale {
+				continue
+			}
+			rec := ckptRec{tag: recItem, reg: id, kind: string(s.Kind), n: s.Version}
+			if stale {
+				rec.s = rootCause(se.Cause)
+			}
+			var ok bool
+			if val, ok = appendValue(val[:0], s.Value); ok {
+				rec.b = val
+				w.put(&rec)
+			}
+		}
+	}
+	for _, k := range sortedKeys(p.subs) {
+		w.put(&ckptRec{tag: recSub, reg: k.reg, kind: k.kind, n: uint64(p.subs[k])})
+	}
+	for _, k := range sortedKeys(p.migs) {
+		// The mirror is last-written intent; an item fully released since
+		// its migration reverts to its definition's default mechanism on
+		// re-include, so only migrations still live on an included handler
+		// are replayable state.
+		m, reg := p.migs[k], p.regs[k.reg]
+		if reg == nil {
+			continue
+		}
+		if mech, ok := reg.Mechanism(core.Kind(k.kind)); !ok || mech != m.to {
+			continue
+		}
+		if m.to == core.PeriodicMechanism {
+			if win, ok := reg.Window(core.Kind(k.kind)); ok {
+				m.window = win
+			}
+		}
+		w.put(&ckptRec{tag: recMig, reg: k.reg, kind: k.kind, n: uint64(m.window), b: []byte{byte(m.to)}})
+	}
 }
 
 // Close writes a final checkpoint, detaches the journal, and releases
@@ -570,11 +613,8 @@ func sortedKeys[V any](m map[key]V) []key {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].reg != ks[j].reg {
-			return ks[i].reg < ks[j].reg
-		}
-		return ks[i].kind < ks[j].kind
+	slices.SortFunc(ks, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.reg, b.reg), cmp.Compare(a.kind, b.kind))
 	})
 	return ks
 }

@@ -78,6 +78,11 @@ func openWAL(path string, sync SyncPolicy) (*walWriter, error) {
 
 // append frames and writes one payload, fsyncing per the policy.
 func (w *walWriter) append(payload []byte) error {
+	if len(payload) > maxFrame {
+		// readFrame would refuse it: the record and everything after it
+		// would be lost to replay as a torn tail.
+		return fmt.Errorf("persist: WAL record of %d bytes exceeds the %d-byte frame limit", len(payload), maxFrame)
+	}
 	w.buf = appendFrame(w.buf[:0], payload)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("persist: WAL append: %w", err)

@@ -19,13 +19,15 @@
 # watch transport (one connection, batched frames) numbers live in
 # BENCH_PR10.json. The dependency-graph microbenchmarks (cold
 # inclusion, fan-out release, plan-miss propagation) sit beside the code
-# in internal/core/graph_bench_test.go and run from here too.
+# in internal/core/graph_bench_test.go and run from here too, as do the
+# durability ones (checkpoint, recovery, decode, batch restore of a
+# 100k-item plane) in internal/persist/persist_bench_test.go.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-bench.txt}"
 count="${2:-4}"
 
-benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkE19BatchedTicks|BenchmarkHealthyOverhead|BenchmarkE20MemoizedReads|BenchmarkE21DeltaPropagation|BenchmarkE22AdaptiveMaintenance|BenchmarkE23WatchFanout|BenchmarkE23PublishHotPath|BenchmarkE24Recovery|BenchmarkE25MuxFanout|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds'
+benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkE19BatchedTicks|BenchmarkHealthyOverhead|BenchmarkE20MemoizedReads|BenchmarkE21DeltaPropagation|BenchmarkE22AdaptiveMaintenance|BenchmarkE23WatchFanout|BenchmarkE23PublishHotPath|BenchmarkE24Recovery|BenchmarkE25MuxFanout|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch'
 
-go test -run '^$' -bench "^(${benches})$" -benchmem -count "${count}" . ./internal/core | tee "${out}"
+go test -run '^$' -bench "^(${benches})$" -benchmem -count "${count}" . ./internal/core ./internal/persist | tee "${out}"
