@@ -29,8 +29,9 @@ import (
 //     a dependents element that points back at it and vice versa (so
 //     the dependents length is the declared-edge count), edges are
 //     stored in group order, the lock-free ndeps mirror matches, no
-//     plan-build mark is left behind, and no slot holds an entry
-//     without the definition it was built from.
+//     plan-build mark is left behind, every slot table is strictly
+//     ascending by kind, and an included entry's definition is the
+//     record of the slot it is filed in.
 //  7. item <-> entry: every included entry holds exactly one item, in
 //     service, whose back-pointer is that entry; the mechanism the item
 //     reports is the policy installed on it; a window policy has a
@@ -94,17 +95,18 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 
 	included := func(e *entry) bool { return e.reg.entryLocked(e.kind()) == e }
 	for _, r := range all {
-		for kind, sl := range r.slots {
+		for i, sl := range r.slots {
+			kind := sl.kind
+			// Invariant 6: the table is sorted, and the slot's record is
+			// the entry's definition.
+			if i > 0 && r.slots[i-1].kind >= kind {
+				bad("%s: slot table out of order at %d (%s after %s)", r.id, i, kind, r.slots[i-1].kind)
+			}
 			e := sl.entry
 			if e == nil {
 				continue
 			}
-			// Invariant 6: the slot's definition is the entry's.
-			if sl.def == nil {
-				bad("%s/%s: included without definition", r.id, kind)
-				continue
-			}
-			if e.def != sl.def || e.kind() != kind || e.reg != r {
+			if e.def != sl || e.reg != r {
 				bad("%s/%s: entry filed under wrong key (%s/%s)", r.id, kind, e.reg.id, e.kind())
 			}
 			// Invariants 1 and 7: handler lifecycle.
@@ -180,7 +182,7 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			}
 
 			// Invariant 5: event registrations, entry side.
-			for _, name := range e.def.Events {
+			for _, name := range e.def.rare.events {
 				if !slices.Contains(r.events[name], e) {
 					bad("%s/%s: missing from event table %q", r.id, kind, name)
 				}
@@ -195,7 +197,7 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			for i, e := range es {
 				if !included(e) || e.reg != r {
 					bad("%s: event %q registers excluded item %s/%s", r.id, name, e.reg.id, e.kind())
-				} else if !slices.Contains(e.def.Events, name) || slices.Contains(es[:i], e) {
+				} else if !slices.Contains(e.def.rare.events, name) || slices.Contains(es[:i], e) {
 					bad("%s: event %q registers %s/%s without declaration or twice", r.id, name, e.reg.id, e.kind())
 				}
 			}

@@ -414,10 +414,10 @@ func TestDeltaUnsubscribeDeregisters(t *testing.T) {
 	defer ps.Unsubscribe()
 	_ = vals
 	sc := env.lockScope(r)
-	for kind, sl := range r.slots {
+	for _, sl := range r.slots {
 		if e := sl.entry; e != nil && e.deltaDeps != 0 {
 			sc.unlock()
-			t.Fatalf("entry %s has deltaDeps=%d after unsubscribe", kind, e.deltaDeps)
+			t.Fatalf("entry %s has deltaDeps=%d after unsubscribe", sl.kind, e.deltaDeps)
 		}
 	}
 	sc.unlock()

@@ -243,12 +243,12 @@ func (e *Env) nextSeq() int64 { return e.seq.Add(1) }
 // override when set, else the graph-wide default. Always 0 (unbounded)
 // on inline-updater envs, where a deadline wait would deadlock the
 // clock.
-func (e *Env) deadlineFor(def *Definition) clock.Duration {
+func (e *Env) deadlineFor(def *slotDef) clock.Duration {
 	if !e.async {
 		return 0
 	}
-	if def != nil && def.ComputeDeadline > 0 {
-		return def.ComputeDeadline
+	if def != nil && def.rare.deadline > 0 {
+		return def.rare.deadline
 	}
 	return e.deadline
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -93,5 +94,67 @@ func BenchmarkPropagateSeeds(b *testing.B) {
 	}
 	if misses := env.Stats().PlanCacheMisses.Load(); misses < int64(b.N) {
 		b.Fatalf("%d plan-cache misses in %d propagations", misses, b.N)
+	}
+}
+
+// BenchmarkSlotLookup is one slot-table lookup at 1 to 64 kinds per
+// registry: Peek of the kind that sorts last (a hit, plus the value
+// read) and IsDefined of a kind past it (a miss).
+func BenchmarkSlotLookup(b *testing.B) {
+	for _, n := range []int{1, 4, 8, 64} {
+		r, last := tableRegistry(NewEnv(clock.NewVirtual()), "kinds", n), tableKind(n-1)
+		if _, err := r.Subscribe(last); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("Peek/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Peek(last); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("Miss/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if r.IsDefined("zz") {
+					b.Fatal("zz is defined")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDefine registers the benchmark operator's four kinds on a
+// fresh registry; the Definition literals are the caller's and count.
+func BenchmarkDefine(b *testing.B) {
+	env := NewEnv(clock.NewVirtual())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := env.NewRegistry("op")
+		defineConst(r, "in", 1.0)
+		defineConst(r, "rate", 1.0)
+		defineDerived(r, "sel", Dep(Self(), "in"))
+		defineDerived(r, "est", Dep(Self(), "sel"), Dep(Self(), "rate"))
+	}
+}
+
+// BenchmarkAppendSlots is the checkpoint's pass over one ten-kind
+// registry with every item included, into a reused buffer.
+func BenchmarkAppendSlots(b *testing.B) {
+	r := NewEnv(clock.NewVirtual()).NewRegistry("n")
+	defineConst(r, "k0", 1.0)
+	for i := 1; i < 10; i++ {
+		defineDerived(r, Kind("k"+strconv.Itoa(i)), Dep(Self(), Kind("k"+strconv.Itoa(i-1))))
+	}
+	if _, err := r.Subscribe("k9"); err != nil {
+		b.Fatal(err)
+	}
+	var dst []SlotState
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = r.AppendSlots(dst[:0])
+	}
+	if len(dst) != 10 || !dst[9].Included {
+		b.Fatalf("AppendSlots returned %d slots", len(dst))
 	}
 }

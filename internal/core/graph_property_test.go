@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/clock"
@@ -105,7 +107,10 @@ func (f *fanoutChurn) check(at string, i int) {
 // / migrate / redefine / notify sequences over a source with more than
 // 2,000 dependents, verifying the flat graph's invariants after every
 // operation, and tears the fan-out down checking O(1) unlink per edge.
-// Run with -race.
+// Beside the sequence one goroutine defines fresh kinds that sort
+// between the included ones — every insertion shifts the slot table —
+// and another reads through it; no entry's definition may move or go
+// stale. Run with -race.
 func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 	const n = 2048
 	for _, seed := range []int64{1, 2} {
@@ -132,6 +137,38 @@ func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 			if got := len(f.srcDependents()); got < n {
 				t.Fatalf("src has %d dependents elements, want >= %d", got, n)
 			}
+
+			const fresh = 512
+			srcDef := f.r.entryOf("src").def
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < fresh; k++ {
+					defineConst(f.r, Kind(fmt.Sprintf("d%04d+", k*n/fresh)), 1.0)
+					runtime.Gosched()
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for k := 0; ; k++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := f.r.Peek("src"); err != nil {
+						t.Errorf("Peek(src) beside Define: %v", err)
+						return
+					}
+					f.r.Peek(fanoutKind(k % n))
+					if f.r.IsDefined("d0000-") {
+						t.Error("an undefined kind is defined")
+						return
+					}
+				}
+			}()
 
 			mechs := []Mechanism{OnDemandMechanism, TriggeredMechanism, PeriodicMechanism}
 			for op := 0; op < 200; op++ {
@@ -161,6 +198,16 @@ func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 				}
 				f.check(fmt.Sprintf("op %d (%s %s)", op, what, fanoutKind(i)), i)
 			}
+
+			close(stop)
+			wg.Wait()
+			if got := f.r.entryOf("src").def; got != srcDef {
+				t.Fatalf("src's definition record moved from %p to %p under concurrent Define", srcDef, got)
+			}
+			if avail := f.r.Available(); len(avail) != n+1+fresh || !slices.IsSorted(avail) {
+				t.Fatalf("%d kinds available (sorted: %v), want %d sorted", len(avail), slices.IsSorted(avail), n+1+fresh)
+			}
+			f.check("after concurrent defines", 0)
 
 			order := make([]int, 0, len(f.held))
 			for i := range f.held {
@@ -229,10 +276,15 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 			b.planIn = 1
 			return func() { b.planIn = 0 }
 		}},
-		"slot without definition": {do: func() func() {
-			sl := r.slots["b"]
-			r.slots["b"] = slot{entry: sl.entry}
-			return func() { r.slots["b"] = sl }
+		"two slots swapped": {want: "slot table out of order", do: func() func() {
+			r.slots[0], r.slots[1] = r.slots[1], r.slots[0]
+			return func() { r.slots[0], r.slots[1] = r.slots[1], r.slots[0] }
+		}},
+		"entry built from another record": {want: "entry filed under wrong key", do: func() func() {
+			i, _ := r.searchSlot("b")
+			sl, cp := r.slots[i], *r.slots[i]
+			r.slots[i] = &cp
+			return func() { r.slots[i] = sl }
 		}},
 		"entry without item": {want: "included without item", do: func() func() {
 			b.h.Store(nil)
@@ -251,9 +303,9 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 			return func() { bi.mech.Store(int32(TriggeredMechanism)) }
 		}},
 		"healthy window policy without task": {want: "boundary task", do: func() func() {
-			task := pi.win.task
-			pi.win.task = nil
-			return func() { pi.win.task = task }
+			task := pi.win.Load().task
+			pi.win.Load().task = nil
+			return func() { pi.win.Load().task = task }
 		}},
 		"aggregate without delta state": {want: "delta state", do: func() func() {
 			ds := aggi.ds
@@ -261,9 +313,10 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 			return func() { aggi.ds = ds }
 		}},
 		"removed entry holding its item": {want: "removed but still holds its item", do: func() func() {
-			sl := r.slots["c"]
-			r.slots["c"] = slot{def: sl.def}
-			return func() { r.slots["c"] = sl }
+			i, _ := r.searchSlot("c")
+			c := r.slots[i].entry
+			r.slots[i].entry = nil
+			return func() { r.slots[i].entry = c }
 		}},
 	}
 	for name, cor := range corruptions {

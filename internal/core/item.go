@@ -173,8 +173,9 @@ type item struct {
 	pure bool
 	// fn is the compute of the on-read and on-notify policies.
 	fn ComputeFunc
-	// win is the at-a-boundary policy (periodic), nil otherwise.
-	win *windowPolicy
+	// win is the at-a-boundary policy (periodic), nil otherwise. Atomic
+	// so a checkpoint reads the window holding no lock (AppendSlots).
+	win atomic.Pointer[windowPolicy]
 	// rd is the on-read policy state (on-demand), nil otherwise.
 	rd atomic.Pointer[readPolicy]
 	// ds is the delta-aggregate state of an on-notify policy built by
@@ -253,7 +254,7 @@ func NewPeriodic(window clock.Duration, compute WindowComputeFunc) Handler {
 		panic("core: periodic window must be positive")
 	}
 	it := newItem(PeriodicMechanism)
-	it.win = &windowPolicy{it: it, window: window, compute: compute}
+	it.win.Store(&windowPolicy{it: it, window: window, compute: compute})
 	return it
 }
 
@@ -304,7 +305,7 @@ func (it *item) start() {
 	case StaticMechanism:
 		return
 	case OnDemandMechanism:
-		it.pure = e.def.Pure
+		it.pure = e.def.pure
 		it.rd.Load().mstate.Store(newMemoState(e, it.pure))
 		return
 	}
@@ -314,7 +315,7 @@ func (it *item) start() {
 		// deltaLast values the accumulator will be patched from.
 		it.ds.startLocked(e)
 	}
-	if w := it.win; w != nil {
+	if w := it.win.Load(); w != nil {
 		w.winStart = now
 	}
 	if env.restorePendingFor(e.reg, e.kind()) {
@@ -355,7 +356,7 @@ func (it *item) stop() {
 // arm order, so same-instant fire order follows the scheduling
 // sequence. it.mu must be held.
 func (it *item) arm(now clock.Time) {
-	if w := it.win; w != nil {
+	if w := it.win.Load(); w != nil {
 		w.task = &clock.Task{Data: w}
 		it.e.reg.env.scheduler().At(now.Add(w.window), w.task)
 	}
@@ -366,7 +367,7 @@ func (it *item) arm(now clock.Time) {
 // re-arm ignored — so arming again takes a fresh task. it.mu must be
 // held.
 func (it *item) disarm() {
-	if w := it.win; w != nil && w.task != nil {
+	if w := it.win.Load(); w != nil && w.task != nil {
 		it.e.reg.env.scheduler().Cancel(w.task)
 		w.task = nil
 	}
@@ -468,7 +469,7 @@ func (it *item) snapshot(now clock.Time, bounded bool) *valueSnapshot {
 	}
 	var v Value
 	var err error
-	if w := it.win; w != nil {
+	if w := it.win.Load(); w != nil {
 		v, err = boundedWindowCompute(env.clk, d, &env.stats, w.compute, w.winStart, now)
 	} else {
 		v, err = boundedCompute(env.clk, d, &env.stats, it.fn, now)
@@ -533,7 +534,7 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 		return 0, false
 	}
 	defer it.mu.Unlock()
-	if !it.live || it.win != w || it.e.health.isQuarantined() {
+	if !it.live || it.win.Load() != w || it.e.health.isQuarantined() {
 		// Stopped, migrated off w, or tripped since the boundary was
 		// dispatched; a quarantined item's stale publication stands
 		// until a probe succeeds.
@@ -762,7 +763,7 @@ func (it *item) runProbe(now clock.Time) {
 	env := it.e.reg.env
 	stats := &env.stats
 	mech := it.Mechanism()
-	if w := it.win; w != nil {
+	if w := it.win.Load(); w != nil {
 		now = env.clampLate(now)
 		if now <= w.winStart {
 			it.mu.Unlock()
@@ -804,7 +805,7 @@ func (it *item) runProbe(now clock.Time) {
 	case PeriodicMechanism:
 		stats.PeriodicUpdates.Add(1)
 		it.accept(snap)
-		it.win.winStart = now
+		it.win.Load().winStart = now
 		it.arm(now)
 	default:
 		stats.TriggeredUpdates.Add(1)
@@ -822,17 +823,17 @@ func (it *item) runProbe(now clock.Time) {
 func (it *item) inconsistency(e *entry) string {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	rd := it.rd.Load()
+	rd, win := it.rd.Load(), it.win.Load()
 	var policy bool
 	switch it.Mechanism() {
 	case StaticMechanism:
-		policy = it.fn == nil && it.win == nil && rd == nil
+		policy = it.fn == nil && win == nil && rd == nil
 	case OnDemandMechanism:
-		policy = it.fn != nil && it.win == nil && rd != nil
+		policy = it.fn != nil && win == nil && rd != nil
 	case PeriodicMechanism:
-		policy = it.win != nil && it.win.it == it && rd == nil
+		policy = win != nil && win.it == it && rd == nil
 	case TriggeredMechanism:
-		policy = it.fn != nil && it.win == nil && rd == nil
+		policy = it.fn != nil && win == nil && rd == nil
 	}
 	switch {
 	case it.e != e:
@@ -841,9 +842,9 @@ func (it *item) inconsistency(e *entry) string {
 		return "item is not in service"
 	case !policy:
 		return fmt.Sprintf("item reports %v but another policy is installed", it.Mechanism())
-	case it.win != nil && (it.win.task == nil) != it.e.health.isQuarantined():
+	case win != nil && (win.task == nil) != it.e.health.isQuarantined():
 		return "window policy's boundary task does not match the breaker state"
-	case (it.ds != nil) != (e.def.Delta != nil):
+	case (it.ds != nil) != (e.def.rare.delta != nil):
 		return "delta state does not match the definition's Delta spec"
 	}
 	return ""

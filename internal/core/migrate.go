@@ -92,11 +92,11 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	if e == nil {
 		return fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, kind)
 	}
-	spec := e.def.Adapt
+	spec := e.def.adapt
 	if spec == nil {
 		return fmt.Errorf("%w: %s/%s declares no AdaptSpec", ErrNotMigratable, r.id, kind)
 	}
-	if e.def.Delta != nil {
+	if e.def.rare.delta != nil {
 		return fmt.Errorf("%w: %s/%s is a delta aggregate", ErrNotMigratable, r.id, kind)
 	}
 	it := e.h.Load()
@@ -129,7 +129,7 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	default:
 		return fmt.Errorf("%w: cannot migrate %s/%s to %v", ErrNotMigratable, r.id, kind, to)
 	}
-	if it.Mechanism() == to && (to != PeriodicMechanism || it.win.window == window) {
+	if it.Mechanism() == to && (to != PeriodicMechanism || it.win.Load().window == window) {
 		return nil
 	}
 
@@ -170,7 +170,8 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	quarantined := it.e.health.isQuarantined()
 	it.disarm()
 	it.mech.Store(int32(to))
-	it.fn, it.win, it.pure = fn, win, spec.Pure
+	it.fn, it.pure = fn, spec.Pure
+	it.win.Store(win)
 	switch {
 	case to == OnDemandMechanism:
 		rd := new(readPolicy)
@@ -329,12 +330,10 @@ func (r *Registry) DepUpdates(kind Kind) (sum uint64, ndeps int, ok bool) {
 // Window returns the update window of an included periodic item, or
 // ok == false for excluded items and non-periodic mechanisms.
 func (r *Registry) Window(kind Kind) (clock.Duration, bool) {
-	// The policy is swapped under the scope lock, so holding it makes
-	// the read safe without waiting out a compute on the item mutex.
-	sc := r.env.lockScope(r)
-	defer sc.unlock()
-	if e := r.entryLocked(kind); e != nil && e.h.Load().win != nil {
-		return e.h.Load().win.window, true
+	if it := r.itemOf(kind); it != nil {
+		if w := it.win.Load(); w != nil {
+			return w.window, true
+		}
 	}
 	return 0, false
 }
@@ -345,8 +344,8 @@ func (r *Registry) Window(kind Kind) (clock.Duration, bool) {
 // excluded items and for items without an AdaptSpec.
 func (r *Registry) Adaptable(kind Kind) (pure bool, ok bool) {
 	e := r.entryOf(kind)
-	if e == nil || e.def.Adapt == nil {
+	if e == nil || e.def.adapt == nil {
 		return false, false
 	}
-	return e.def.Adapt.Pure, true
+	return e.def.adapt.Pure, true
 }

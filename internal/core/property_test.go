@@ -31,6 +31,17 @@ func buildRandomDAG(r *Registry, nItems int, rng *rand.Rand) []Kind {
 	return kinds
 }
 
+// depsOf returns the declared dependencies of a defined kind (nil for
+// an undefined one).
+func depsOf(r *Registry, k Kind) []DepRef {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if i, ok := r.searchSlot(k); ok {
+		return r.slots[i].deps
+	}
+	return nil
+}
+
 // closure computes the transitive dependency closure of a set of
 // subscribed kinds from the definitions.
 func closure(r *Registry, subscribed map[Kind]int) map[Kind]bool {
@@ -41,13 +52,7 @@ func closure(r *Registry, subscribed map[Kind]int) map[Kind]bool {
 			return
 		}
 		out[k] = true
-		r.mu.RLock()
-		def := r.slots[k].def
-		r.mu.RUnlock()
-		if def == nil {
-			return
-		}
-		for _, d := range def.Deps {
+		for _, d := range depsOf(r, k) {
 			visit(d.Kind)
 		}
 	}
@@ -135,17 +140,15 @@ func TestPropertyDerivedValuesCorrect(t *testing.T) {
 		// Reference evaluation from the definitions.
 		var eval func(k Kind) float64
 		eval = func(k Kind) float64 {
-			r.mu.RLock()
-			def := r.slots[k].def
-			r.mu.RUnlock()
-			if len(def.Deps) == 0 {
+			deps := depsOf(r, k)
+			if len(deps) == 0 {
 				// constant leaf: value is its index
 				var idx int
 				fmt.Sscanf(string(k), "i%d", &idx)
 				return float64(idx)
 			}
 			sum := 0.0
-			for _, d := range def.Deps {
+			for _, d := range deps {
 				sum += eval(d.Kind)
 			}
 			return sum

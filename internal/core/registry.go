@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -40,10 +38,12 @@ type Registry struct {
 	// reads them under the component lock alone and lock-free read paths
 	// (Peek, IsIncluded, ...) under mu.RLock alone. events — the included
 	// items registered per event name — is guarded by the component lock
-	// only. slots is made by the first Define, modules and events on
-	// first use.
-	mu      sync.RWMutex
-	slots   map[Kind]slot
+	// only. modules and events are made on first use.
+	mu sync.RWMutex
+	// slots is the slot table: one record per defined kind, strictly
+	// ascending by kind. The slice moves when Define grows it; the
+	// records never do.
+	slots   []*slotDef
 	modules map[string]*Registry
 	events  map[string][]*entry
 
@@ -53,13 +53,60 @@ type Registry struct {
 	watchSinks map[Kind]WatchSink
 }
 
-// slot is a registry's record of one item kind: its definition and,
-// while the item is in use, its entry. One map of slots replaces
-// separate definition and entry tables, so an inclusion rewrites a map
-// value instead of growing a second map.
-type slot struct {
-	def   *Definition
+// slotDef is a registry's record of one item kind: what Define compiled
+// the caller's Definition into and, while the item is in use, its entry
+// (guarded like the table: written under the component lock and r.mu).
+// Every other field is immutable, so an entry keeps a pointer to the
+// record it was built from. The fields most definitions leave unset
+// live in a rareDef; rare is never nil — a plain definition shares the
+// zero block — so readers follow it unconditionally.
+type slotDef struct {
+	kind  Kind
+	deps  []DepRef
+	build func(ctx *BuildContext) (Handler, error)
+	adapt *AdaptSpec
 	entry *entry
+	rare  *rareDef
+	pure  bool
+}
+
+// rareDef holds Definition's Resolve, Events, Probe, ComputeDeadline,
+// Delta, Persist and PersistArgs.
+type rareDef struct {
+	resolve     func(rc *ResolveContext) []DepRef
+	events      []string
+	probe       Probe
+	deadline    clock.Duration
+	delta       *DeltaSpec
+	persist     string
+	persistArgs string
+}
+
+// plainDef is the rare block of every definition that sets none of its
+// fields. Never written.
+var plainDef rareDef
+
+// compileDef copies def into a fresh record. Deps and Events are
+// cloned, so nothing the caller still holds — the struct or its slices
+// — is referenced afterwards; a definition with rare fields is one
+// allocation holding both blocks.
+func compileDef(def *Definition) *slotDef {
+	s := slotDef{kind: def.Kind, deps: slices.Clone(def.Deps), build: def.Build, adapt: def.Adapt, rare: &plainDef, pure: def.Pure}
+	if def.Resolve == nil && len(def.Events) == 0 && def.Probe == nil && def.ComputeDeadline == 0 &&
+		def.Delta == nil && def.Persist == "" && def.PersistArgs == "" {
+		plain := new(slotDef)
+		*plain = s
+		return plain
+	}
+	full := &struct {
+		slotDef
+		rareDef
+	}{s, rareDef{
+		resolve: def.Resolve, events: slices.Clone(def.Events), probe: def.Probe, deadline: def.ComputeDeadline,
+		delta: def.Delta, persist: def.Persist, persistArgs: def.PersistArgs,
+	}}
+	full.rare = &full.rareDef
+	return &full.slotDef
 }
 
 // depEdge is one declared dependency edge of an entry, stored in the
@@ -88,7 +135,7 @@ type dependent struct {
 // component's structural lock.
 type entry struct {
 	reg *Registry
-	def *Definition // def.Kind is the item's kind
+	def *slotDef // the record the entry was built from; def.kind is the item's kind
 	seq int64
 
 	// h is the item state behind the entry's handler: stored when the
@@ -163,7 +210,7 @@ type entry struct {
 }
 
 // kind returns the item's kind.
-func (e *entry) kind() Kind { return e.def.Kind }
+func (e *entry) kind() Kind { return e.def.kind }
 
 // linkLocked appends the mirror element of every dependency edge of e
 // to its dependency's dependents, recording each side's slot on the
@@ -205,25 +252,36 @@ func (env *Env) NewRegistry(id string) *Registry {
 	return &Registry{env: env, id: id, comp: env.newComponent()}
 }
 
-// entryLocked returns the kind's entry, or nil if the item is not
-// included. The component lock must be held.
-func (r *Registry) entryLocked(kind Kind) *entry { return r.slots[kind].entry }
-
-// entryOf is entryLocked for callers outside the component lock: one
-// map read under the node-level read lock.
-func (r *Registry) entryOf(kind Kind) *entry {
-	r.mu.RLock()
-	e := r.slots[kind].entry
-	r.mu.RUnlock()
-	return e
+// searchSlot returns where the kind's record is, or would be inserted,
+// in the slot table. The component lock or r.mu must be held.
+func (r *Registry) searchSlot(kind Kind) (int, bool) {
+	lo, hi := 0, len(r.slots)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); r.slots[m].kind < kind {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(r.slots) && r.slots[lo].kind == kind
 }
 
-// setEntryLocked files e (nil on removal) in the kind's slot. The
-// component lock and r.mu must be held.
-func (r *Registry) setEntryLocked(kind Kind, e *entry) {
-	s := r.slots[kind]
-	s.entry = e
-	r.slots[kind] = s
+// entryLocked returns the kind's entry, or nil if the item is not
+// included. The component lock must be held.
+func (r *Registry) entryLocked(kind Kind) *entry {
+	if i, ok := r.searchSlot(kind); ok {
+		return r.slots[i].entry
+	}
+	return nil
+}
+
+// entryOf is entryLocked for callers outside the component lock: one
+// table search under the node-level read lock.
+func (r *Registry) entryOf(kind Kind) *entry {
+	r.mu.RLock()
+	e := r.entryLocked(kind)
+	r.mu.RUnlock()
+	return e
 }
 
 // ID returns the registry's identifier.
@@ -301,7 +359,9 @@ func (r *Registry) ModuleRegistry(name string) *Registry {
 // Overriding implements metadata inheritance (Section 4.4.2): a
 // specialized node re-Defines an inherited item, e.g. to reflect
 // additional data structures in its memory usage. An item currently in
-// use cannot be redefined.
+// use cannot be redefined. Define copies what it needs of def, Deps and
+// Events included; the caller's struct and slices are not referenced
+// once it returns.
 func (r *Registry) Define(def *Definition) error {
 	if def.Kind == "" {
 		return fmt.Errorf("core: definition without kind on %s", r.id)
@@ -311,14 +371,17 @@ func (r *Registry) Define(def *Definition) error {
 	}
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	if r.entryLocked(def.Kind) != nil {
+	i, redefine := r.searchSlot(def.Kind)
+	if redefine && r.slots[i].entry != nil {
 		return fmt.Errorf("%w: %s/%s", ErrItemInUse, r.id, def.Kind)
 	}
+	rec := compileDef(def)
 	r.mu.Lock()
-	if r.slots == nil {
-		r.slots = make(map[Kind]slot)
+	if redefine {
+		r.slots[i] = rec
+	} else {
+		r.slots = slices.Insert(r.slots, i, rec)
 	}
-	r.slots[def.Kind] = slot{def: def}
 	// The node lock is released before bumping and journaling: the
 	// journal may checkpoint inline, and a checkpoint reads items
 	// through node-RLock primitives (Peek) — holding the write lock
@@ -350,11 +413,10 @@ func (r *Registry) MustDefine(def *Definition) {
 func (r *Registry) Available() []Kind {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]Kind, 0, len(r.slots))
-	for k := range r.slots {
-		out = append(out, k)
+	out := make([]Kind, len(r.slots))
+	for i, s := range r.slots {
+		out[i] = s.kind
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -364,18 +426,17 @@ func (r *Registry) Included() []Kind {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]Kind, 0, len(r.slots))
-	for k, s := range r.slots {
+	for _, s := range r.slots {
 		if s.entry != nil {
-			out = append(out, k)
+			out = append(out, s.kind)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // SlotState is one item kind of a registry as a checkpoint reads it:
 // the definition's codec and, while the item is in use, its mechanism
-// and current publication.
+// (with the window of a periodic one) and current publication.
 type SlotState struct {
 	Kind Kind
 	// Codec and Args are Definition.Persist and PersistArgs; Codec is
@@ -387,6 +448,7 @@ type SlotState struct {
 	// carries the last-good value with a *StaleError.
 	Included  bool
 	Mechanism Mechanism
+	Window    clock.Duration
 	Version   uint64
 	Value     Value
 	Err       error
@@ -398,24 +460,23 @@ type SlotState struct {
 
 // AppendSlots appends the state of every defined kind to dst, sorted by
 // kind, and returns the extended slice. It is the checkpoint's one pass
-// over a registry: the slot map is read once under the node-level read
-// lock, and values are read after it is released (an on-demand read runs
-// user code), through the same lock-free path as Peek — without counting
-// as a consumer read. Reading definitions from the live registry rather
+// over a registry: the slot table is read once, in its own order, under
+// the node-level read lock, and the items are read after it is released
+// (an on-demand read runs user code), through the same lock-free path as
+// Peek — without counting as a consumer read — so it is safe under a
+// scope lock. Reading definitions from the live registry rather
 // than from journaled Define calls also captures definitions registered
 // before the journal attached. A caller that reuses dst pays no
 // allocation per registry.
 func (r *Registry) AppendSlots(dst []SlotState) []SlotState {
 	base := len(dst)
 	r.mu.RLock()
-	for k, s := range r.slots {
-		dst = append(dst, SlotState{Kind: k, Codec: s.def.Persist, Args: s.def.PersistArgs, e: s.entry})
+	for _, s := range r.slots {
+		dst = append(dst, SlotState{Kind: s.kind, Codec: s.rare.persist, Args: s.rare.persistArgs, e: s.entry})
 	}
 	r.mu.RUnlock()
-	slots := dst[base:]
-	slices.SortFunc(slots, func(a, b SlotState) int { return cmp.Compare(a.Kind, b.Kind) })
-	for i := range slots {
-		s := &slots[i]
+	for i := base; i < len(dst); i++ {
+		s := &dst[i]
 		e := s.e
 		s.e = nil
 		if e == nil {
@@ -427,6 +488,9 @@ func (r *Registry) AppendSlots(dst []SlotState) []SlotState {
 		}
 		s.Included = true
 		s.Mechanism = it.Mechanism()
+		if w := it.win.Load(); w != nil {
+			s.Window = w.window
+		}
 		s.Version = e.version.Load()
 		s.Value, s.Err = it.Value()
 	}
@@ -437,7 +501,7 @@ func (r *Registry) AppendSlots(dst []SlotState) []SlotState {
 func (r *Registry) IsDefined(kind Kind) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	_, ok := r.slots[kind]
+	_, ok := r.searchSlot(kind)
 	return ok
 }
 
@@ -457,7 +521,7 @@ func (r *Registry) Refs(kind Kind) int {
 
 // Peek reads the current value of an included item without taking a
 // subscription: no reference count churn, no structural lock — just
-// the node-level map read and the handler's own (lock-free for
+// the node-level table search and the handler's own (lock-free for
 // periodic/triggered) value read. It returns ErrUnsubscribed if the
 // item is not included, which makes it the right primitive for
 // monitoring paths that sample many items at once.
@@ -469,13 +533,18 @@ func (r *Registry) Peek(kind Kind) (Value, error) {
 	return (&Handle{e: e}).Value()
 }
 
+// itemOf returns the item of an included kind, or nil, holding no lock
+// on return.
+func (r *Registry) itemOf(kind Kind) *item {
+	if e := r.entryOf(kind); e != nil {
+		return e.h.Load()
+	}
+	return nil
+}
+
 // Mechanism returns the update mechanism of an included item's handler.
 func (r *Registry) Mechanism(kind Kind) (Mechanism, bool) {
-	e := r.entryOf(kind)
-	if e == nil {
-		return 0, false
-	}
-	it := e.h.Load()
+	it := r.itemOf(kind)
 	if it == nil {
 		return 0, false
 	}
@@ -612,15 +681,15 @@ func (r *Registry) resolveSelector(s Selector, one *[1]*Registry) ([]*Registry, 
 func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 	// The traversal stops at items already provided: sharing the
 	// existing handler saves redundant maintenance costs (Section 2.1).
-	sl := r.slots[kind]
-	if e := sl.entry; e != nil {
+	i, ok := r.searchSlot(kind)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownItem, r.id, kind)
+	}
+	def := r.slots[i]
+	if e := def.entry; e != nil {
 		e.refs++
 		r.env.stats.SharedSubscriptions.Add(1)
 		return e, nil
-	}
-	def := sl.def
-	if def == nil {
-		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownItem, r.id, kind)
 	}
 	vk := visitKey{r, kind}
 	if _, ok := tv.visiting[vk]; ok {
@@ -714,21 +783,22 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 	// the entry itself, then start the item (which may pre-compute the
 	// value from the now-included dependencies).
 	e.linkLocked()
-	if len(def.Events) > 0 && r.events == nil {
+	events := def.rare.events
+	if len(events) > 0 && r.events == nil {
 		r.events = make(map[string][]*entry)
 	}
-	for i, name := range def.Events {
-		if !slices.Contains(def.Events[:i], name) {
+	for i, name := range events {
+		if !slices.Contains(events[:i], name) {
 			r.events[name] = append(r.events[name], e)
 		}
 	}
-	if def.Probe != nil {
-		def.Probe.Activate()
+	if def.rare.probe != nil {
+		def.rare.probe.Activate()
 	}
 	e.refs = 1
 	e.h.Store(it)
 	r.mu.Lock()
-	r.setEntryLocked(kind, e)
+	def.entry = e
 	if r.watchSinks != nil {
 		r.reattachWatchLocked(e)
 	}
@@ -745,20 +815,20 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 // resolveDeps returns the item's dependencies, running a dynamic
 // Resolve hook with panic recovery: a panicking resolver fails the
 // subscription instead of unwinding with component locks held.
-func resolveDeps(def *Definition, r *Registry) (deps []DepRef, err error) {
-	if def.Resolve == nil {
-		return def.Deps, nil
+func resolveDeps(def *slotDef, r *Registry) (deps []DepRef, err error) {
+	if def.rare.resolve == nil {
+		return def.deps, nil
 	}
 	defer recoverCompute("resolve", &err)
-	return def.Resolve(&ResolveContext{reg: r}), nil
+	return def.rare.resolve(&ResolveContext{reg: r}), nil
 }
 
 // buildHandler runs Definition.Build with panic recovery: a panicking
 // Build fails the subscription (rolling back included dependencies)
 // instead of unwinding with component locks held.
-func buildHandler(def *Definition, ctx *BuildContext) (h Handler, err error) {
+func buildHandler(def *slotDef, ctx *BuildContext) (h Handler, err error) {
 	defer recoverCompute("build", &err)
-	return def.Build(ctx)
+	return def.build(ctx)
 }
 
 // unsubscribe releases one reference from a consumer Subscription.
@@ -783,7 +853,7 @@ func (e *entry) releaseLocked() {
 	}
 	r := e.reg
 	r.mu.Lock()
-	r.setEntryLocked(e.kind(), nil)
+	e.def.entry = nil
 	r.mu.Unlock()
 	it := e.h.Swap(nil)
 	it.stop()
@@ -792,10 +862,10 @@ func (e *entry) releaseLocked() {
 	if it.ds != nil {
 		it.ds.stopLocked()
 	}
-	if e.def.Probe != nil {
-		e.def.Probe.Deactivate()
+	if e.def.rare.probe != nil {
+		e.def.rare.probe.Deactivate()
 	}
-	for _, name := range e.def.Events {
+	for _, name := range e.def.rare.events {
 		if es := slices.DeleteFunc(r.events[name], func(x *entry) bool { return x == e }); len(es) == 0 {
 			delete(r.events, name)
 		} else {

@@ -87,7 +87,7 @@ func (r *Registry) Unwatch(kind Kind) {
 
 // ItemVersion returns the item's current publication version, or
 // ok == false when the item is not included. It is a lock-free read
-// (one map read under the node-level RLock plus an atomic load), the
+// (one table search under the node-level RLock plus an atomic load), the
 // right primitive for snapshot-then-delta catch-up: read the version,
 // Peek the value, and every publication after the Peek carries a
 // version strictly greater than the one returned here.

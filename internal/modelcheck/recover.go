@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clock"
@@ -194,12 +195,22 @@ func warmRecovered(t *testing.T, at string, sys *System) {
 	}
 }
 
+// countingSink is a watcher that only counts what it is told.
+type countingSink struct{ published atomic.Uint64 }
+
+func (s *countingSink) Published(uint64) { s.published.Add(1) }
+
 // RunCrashRecovery drives one seeded workload with a durability plane,
 // checkpoints at op ckptAt, kills the process (no final checkpoint) at
 // op killAt, recovers into a fresh system, and verifies the recovery
 // contract. The first run is a full model lockstep, so the pre-crash
 // state itself is verified before it becomes the recovery oracle.
-func RunCrashRecovery(t *testing.T, seed int64, ckptAt, killAt int) {
+//
+// every > 0 is the inline placement: the plane also checkpoints by
+// itself every that many WAL records — from the journal hook, under the
+// scope lock of the operation that crossed the threshold, live
+// migrations included — and every item has a watcher attached.
+func RunCrashRecovery(t *testing.T, seed int64, ckptAt, killAt, every int) {
 	t.Helper()
 	wl, script := crashScript(seed, 60)
 	if killAt > len(script) {
@@ -208,21 +219,35 @@ func RunCrashRecovery(t *testing.T, seed int64, ckptAt, killAt int) {
 	if ckptAt > killAt {
 		ckptAt = killAt
 	}
-	at := fmt.Sprintf("seed=%d ckpt@%d kill@%d", seed, ckptAt, killAt)
+	at := fmt.Sprintf("seed=%d ckpt@%d every=%d kill@%d", seed, ckptAt, every, killAt)
 	dir := t.TempDir()
 
 	// ---- First life: lockstep with the model, plane attached. ----
 	sys1 := NewSystem(wl, nil, nil, breakerEnv()...)
 	model := NewModel(wl)
-	plane1, rs1, err := persist.Open(sys1.Env, dir, persist.Options{}, sys1.Regs...)
+	plane1, rs1, err := persist.Open(sys1.Env, dir, persist.Options{CheckpointEvery: every}, sys1.Regs...)
 	if err != nil {
 		t.Fatalf("%s: first Open: %v", at, err)
 	}
 	if rs1.Recovered {
 		t.Fatalf("%s: fresh dir reported recovered", at)
 	}
+	sink := new(countingSink)
+	if every > 0 {
+		// A sink outlives exclusion, so registering it on an item not yet
+		// included (ErrUnsubscribed) still attaches it at inclusion.
+		for ri, reg := range sys1.Regs {
+			for _, it := range wl.Regs[ri].Items {
+				reg.Watch(it.Kind, sink)
+			}
+		}
+	}
 	var subs []heldSub
-	var ckptItems map[ikey]itemState
+	// ckptItems is what the last checkpoint saw: every journaled op
+	// writes its record as its last step, so the state after the op that
+	// checkpointed — inline or by the call below — is the checkpoint's.
+	ckptItems := map[ikey]itemState{}
+	ckpts := sys1.Env.Stats().Checkpoints.Load()
 	for i := 0; i < killAt; i++ {
 		opAt := fmt.Sprintf("%s op#%d (%s)", at, i, script[i])
 		subs = stepOp(t, opAt, sys1, model, script[i], subs)
@@ -231,11 +256,17 @@ func RunCrashRecovery(t *testing.T, seed int64, ckptAt, killAt int) {
 			if err := plane1.Checkpoint(); err != nil {
 				t.Fatalf("%s: checkpoint: %v", opAt, err)
 			}
-			ckptItems = snapshotItems(sys1)
+		}
+		if n := sys1.Env.Stats().Checkpoints.Load(); n != ckpts {
+			ckpts, ckptItems = n, snapshotItems(sys1)
 		}
 	}
-	if ckptAt == 0 {
-		ckptItems = map[ikey]itemState{}
+	if every > 0 && sink.published.Load() == 0 {
+		for k, st := range snapshotItems(sys1) {
+			if st.version > 0 {
+				t.Fatalf("%s: %v is at version %d but the attached watcher saw no publication", at, k, st.version)
+			}
+		}
 	}
 	wantTopology := topologyString(sys1)
 	tailRecords := sys1.Env.Stats().WALBytes.Load() // bytes in current segment

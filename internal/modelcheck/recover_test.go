@@ -7,7 +7,9 @@ import (
 
 // Kill-matrix: arbitrary op boundaries across seeds, with the
 // checkpoint placed before, at, and far from the kill point so the
-// WAL-tail replay length varies from zero to the whole script.
+// WAL-tail replay length varies from zero to the whole script — and
+// placed inline, by the plane itself every second WAL record, with
+// watchers attached.
 func TestCrashRecoveryKillMatrix(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 5, 8} {
 		for _, kill := range []int{1, 7, 20, 45, 1 << 30} {
@@ -19,9 +21,14 @@ func TestCrashRecoveryKillMatrix(t *testing.T) {
 				seed, kill, ckpt := seed, kill, ckpt
 				t.Run(fmt.Sprintf("seed%d_ckpt%d_kill%d", seed, ckpt, kill), func(t *testing.T) {
 					t.Parallel()
-					RunCrashRecovery(t, seed, ckpt, kill)
+					RunCrashRecovery(t, seed, ckpt, kill, 0)
 				})
 			}
+			seed, kill := seed, kill
+			t.Run(fmt.Sprintf("seed%d_inline2_kill%d", seed, kill), func(t *testing.T) {
+				t.Parallel()
+				RunCrashRecovery(t, seed, 0, kill, 2)
+			})
 		}
 	}
 }

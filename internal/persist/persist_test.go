@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -403,6 +404,68 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 	for _, s := range held {
 		s.Unsubscribe()
+	}
+}
+
+// TestInlineCheckpointWithLivePeriodicMigration: an inline checkpoint
+// runs from the journal hook, under the scope lock of the operation that
+// crossed CheckpointEvery, and must read a live periodic migration's
+// window without re-entering that lock. The operations run on a guard
+// goroutine; on a hang the test fails without touching the plane, whose
+// mutex the wedged checkpoint holds.
+func TestInlineCheckpointWithLivePeriodicMigration(t *testing.T) {
+	dir := t.TempDir()
+	env, _ := testEnv(t, true)
+	r := env.NewRegistry("op")
+	defineCell(t, r, 0)
+	defineCell(t, r, 1)
+	p, _, err := Open(env, dir, Options{CheckpointEvery: 2}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := env.Stats().Checkpoints.Load()
+	done := make(chan error, 1)
+	go func() {
+		if _, err := r.Subscribe("cell0"); err != nil {
+			done <- err
+			return
+		}
+		if err := r.Migrate("cell0", core.PeriodicMechanism, 25); err != nil {
+			done <- err
+			return
+		}
+		_, err := r.Subscribe("cell1")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("inline checkpoint with a live periodic migration did not return")
+	}
+	if got := env.Stats().Checkpoints.Load() - base; got != 1 {
+		t.Fatalf("inline checkpoints = %d, want 1 (3 ops / every 2)", got)
+	}
+	p.Abandon()
+
+	// The checkpoint carried the migration with its live window.
+	env2, _ := testEnv(t, true)
+	r2 := env2.NewRegistry("op")
+	p2, rs, err := Open(env2, dir, Options{}, r2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if rs.Migrated != 1 || rs.Skipped != 0 {
+		t.Fatalf("recovery stats %+v, want 1 migration and nothing skipped", rs)
+	}
+	if mech, _ := r2.Mechanism("cell0"); mech != core.PeriodicMechanism {
+		t.Fatalf("recovered cell0 mechanism %v, want periodic", mech)
+	}
+	if win, _ := r2.Window("cell0"); win != 25 {
+		t.Fatalf("recovered cell0 window %d, want 25", win)
 	}
 }
 

@@ -471,10 +471,10 @@ func (p *Plane) Checkpoint() error {
 // checkpointLocked streams the plane — mirrors for topology, one pass
 // over each live registry for definitions and item snapshots — into a
 // new checkpoint file and rotates the WAL segment. It takes no
-// component locks: values, versions, and health come from the
-// node-RLock read primitives, and subscription counts from the plane's
-// own mirror, so it is safe to run inline from Record (which holds a
-// component lock).
+// component locks: values, versions, mechanisms and windows come from
+// AppendSlots (node-RLock and lock-free reads), and subscription counts
+// from the plane's own mirror, so it is safe to run inline from Record
+// (which holds a component lock).
 func (p *Plane) checkpointLocked() error {
 	now, seq := p.env.Now(), p.seq+1
 	if err := writeCheckpoint(p.dir, seq, now, p.snapshot); err != nil {
@@ -504,10 +504,23 @@ func (p *Plane) checkpointLocked() error {
 func (p *Plane) snapshot(w *ckptWriter) {
 	var slots []core.SlotState
 	var val []byte
+	// migs collects the migration section during the slots pass, which
+	// visits items in the section's (registry, kind) order.
+	var migs []ckptRec
 	for _, id := range p.regOrder {
 		slots = p.regs[id].AppendSlots(slots[:0])
 		for i := range slots {
 			s := &slots[i]
+			// The mirror is last-written intent; an item fully released
+			// since its migration reverts to its definition's default
+			// mechanism on re-include, so only migrations still live on an
+			// included handler are replayable state.
+			if m, ok := p.migs[key{id, string(s.Kind)}]; ok && s.Included && s.Mechanism == m.to {
+				if s.Window > 0 {
+					m.window = s.Window
+				}
+				migs = append(migs, ckptRec{tag: recMig, reg: id, kind: string(s.Kind), n: uint64(m.window), b: []byte{byte(m.to)}})
+			}
 			if s.Codec != "" {
 				val = append(val[:0], s.Args...)
 				w.put(&ckptRec{tag: recDefine, reg: id, kind: string(s.Kind), s: s.Codec, b: val})
@@ -533,24 +546,8 @@ func (p *Plane) snapshot(w *ckptWriter) {
 	for _, k := range sortedKeys(p.subs) {
 		w.put(&ckptRec{tag: recSub, reg: k.reg, kind: k.kind, n: uint64(p.subs[k])})
 	}
-	for _, k := range sortedKeys(p.migs) {
-		// The mirror is last-written intent; an item fully released since
-		// its migration reverts to its definition's default mechanism on
-		// re-include, so only migrations still live on an included handler
-		// are replayable state.
-		m, reg := p.migs[k], p.regs[k.reg]
-		if reg == nil {
-			continue
-		}
-		if mech, ok := reg.Mechanism(core.Kind(k.kind)); !ok || mech != m.to {
-			continue
-		}
-		if m.to == core.PeriodicMechanism {
-			if win, ok := reg.Window(core.Kind(k.kind)); ok {
-				m.window = win
-			}
-		}
-		w.put(&ckptRec{tag: recMig, reg: k.reg, kind: k.kind, n: uint64(m.window), b: []byte{byte(m.to)}})
+	for i := range migs {
+		w.put(&migs[i])
 	}
 }
 
