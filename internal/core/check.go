@@ -30,8 +30,9 @@ import (
 //     the dependents length is the declared-edge count), edges are
 //     stored in group order, the lock-free ndeps mirror matches, no
 //     plan-build mark is left behind, every slot table is strictly
-//     ascending by kind, and an included entry's definition is the
-//     record of the slot it is filed in.
+//     ascending by shape.kind, an included entry's definition is the
+//     shape of the slot it is filed in, and every slot's shape is the
+//     env's interned shape for its own content.
 //  7. item <-> entry: every included entry holds exactly one item, in
 //     service, whose back-pointer is that entry; the mechanism the item
 //     reports is the policy installed on it; a window policy has a
@@ -95,18 +96,27 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 
 	included := func(e *entry) bool { return e.reg.entryLocked(e.kind()) == e }
 	for _, r := range all {
-		for i, sl := range r.slots {
-			kind := sl.kind
-			// Invariant 6: the table is sorted, and the slot's record is
-			// the entry's definition.
-			if i > 0 && r.slots[i-1].kind >= kind {
-				bad("%s: slot table out of order at %d (%s after %s)", r.id, i, kind, r.slots[i-1].kind)
+		for i := range r.slots {
+			sl := &r.slots[i]
+			kind := sl.shape.kind
+			// Invariant 6: the table is sorted, the slot's shape is the one
+			// interned for its content (not a copy, not written to since),
+			// and it is the entry's definition.
+			if i > 0 && r.slots[i-1].shape.kind >= kind {
+				bad("%s: slot table out of order at %d (%s after %s)", r.id, i, kind, r.slots[i-1].shape.kind)
+			}
+			env.shapeMu.Lock()
+			env.shapeKey = sl.shape.appendKey(env.shapeKey[:0])
+			interned := env.shapes[string(env.shapeKey)]
+			env.shapeMu.Unlock()
+			if interned != sl.shape {
+				bad("%s/%s: slot's shape is not the interned shape of its content", r.id, kind)
 			}
 			e := sl.entry
 			if e == nil {
 				continue
 			}
-			if e.def != sl || e.reg != r {
+			if e.def != sl.shape || e.reg != r {
 				bad("%s/%s: entry filed under wrong key (%s/%s)", r.id, kind, e.reg.id, e.kind())
 			}
 			// Invariants 1 and 7: handler lifecycle.
@@ -115,7 +125,7 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			}
 			if it := e.h.Load(); it == nil {
 				bad("%s/%s: included without item", r.id, kind)
-			} else if why := it.inconsistency(e); why != "" {
+			} else if why := it.inconsistency(e, sl); why != "" {
 				bad("%s/%s: %s", r.id, kind, why)
 			}
 
@@ -182,7 +192,7 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			}
 
 			// Invariant 5: event registrations, entry side.
-			for _, name := range e.def.rare.events {
+			for _, name := range e.def.events {
 				if !slices.Contains(r.events[name], e) {
 					bad("%s/%s: missing from event table %q", r.id, kind, name)
 				}
@@ -197,7 +207,7 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			for i, e := range es {
 				if !included(e) || e.reg != r {
 					bad("%s: event %q registers excluded item %s/%s", r.id, name, e.reg.id, e.kind())
-				} else if !slices.Contains(e.def.rare.events, name) || slices.Contains(es[:i], e) {
+				} else if !slices.Contains(e.def.events, name) || slices.Contains(es[:i], e) {
 					bad("%s: event %q registers %s/%s without declaration or twice", r.id, name, e.reg.id, e.kind())
 				}
 			}

@@ -220,7 +220,7 @@ type deltaState struct {
 // fan-in, falling back to the byte-identical fold per the matrix in the
 // package comment.
 func NewDeltaAggregate(ctx *BuildContext) (Handler, error) {
-	spec := ctx.e.def.rare.delta
+	spec := ctx.e.slotOf().rareFields().delta // Build runs under the scope lock
 	if spec == nil {
 		return nil, fmt.Errorf("core: NewDeltaAggregate on %s/%s: definition declares no Delta spec",
 			ctx.e.reg.id, ctx.e.kind())

@@ -417,7 +417,7 @@ func TestDeltaUnsubscribeDeregisters(t *testing.T) {
 	for _, sl := range r.slots {
 		if e := sl.entry; e != nil && e.deltaDeps != 0 {
 			sc.unlock()
-			t.Fatalf("entry %s has deltaDeps=%d after unsubscribe", sl.kind, e.deltaDeps)
+			t.Fatalf("entry %s has deltaDeps=%d after unsubscribe", sl.shape.kind, e.deltaDeps)
 		}
 	}
 	sc.unlock()

@@ -91,6 +91,12 @@ type Env struct {
 	tickMu     sync.Mutex
 	tickGroups []tickGroup
 
+	// shapes interns the env's definition shapes by defShape.appendKey, built
+	// in the reused shapeKey; shapeMu, a leaf lock, guards both (internShape).
+	shapeMu  sync.Mutex
+	shapes   map[string]*defShape
+	shapeKey []byte
+
 	// journal, when non-nil, receives every structural mutation in
 	// commit order (see journal.go). The pointer-to-interface cell keeps
 	// the no-journal hot path at one atomic load.
@@ -197,7 +203,7 @@ func WithBreaker(p BreakerPolicy) EnvOption {
 
 // NewEnv returns an Env on the given clock.
 func NewEnv(clk clock.Clock, opts ...EnvOption) *Env {
-	e := &Env{clk: clk, updater: NewInlineUpdater()}
+	e := &Env{clk: clk, updater: NewInlineUpdater(), shapes: make(map[string]*defShape)}
 	for _, o := range opts {
 		o(e)
 	}
@@ -243,12 +249,12 @@ func (e *Env) nextSeq() int64 { return e.seq.Add(1) }
 // override when set, else the graph-wide default. Always 0 (unbounded)
 // on inline-updater envs, where a deadline wait would deadlock the
 // clock.
-func (e *Env) deadlineFor(def *slotDef) clock.Duration {
+func (e *Env) deadlineFor(def *defShape) clock.Duration {
 	if !e.async {
 		return 0
 	}
-	if def != nil && def.rare.deadline > 0 {
-		return def.rare.deadline
+	if def != nil && def.deadline > 0 {
+		return def.deadline
 	}
 	return e.deadline
 }

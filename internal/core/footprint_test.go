@@ -116,13 +116,14 @@ func settledHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// Ceilings of the footprint guard: bytes 2 % above what the slot table
-// landed (604 B per included item; the map of slots with retained
-// Definitions measured 773 B, the map-based graph before it 1,210 B),
-// allocations 5 % above the flat dependency graph's 381 per cold
-// pipeline inclusion and release (the map-based graph: 700).
+// Ceilings of the footprint guard: bytes 2 % above what interned shapes
+// and by-value slots landed (496.7 B per included item; the table of
+// per-definition records measured 604 B, the map of slots with retained
+// Definitions 773 B, the map-based graph before it 1,210 B), allocations
+// 5 % above the flat dependency graph's 381 per cold pipeline inclusion
+// and release (the map-based graph: 700).
 const (
-	maxPlaneBytesPerItem   = 617
+	maxPlaneBytesPerItem   = 506
 	maxColdInclusionAllocs = 400
 )
 

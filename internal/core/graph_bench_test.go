@@ -125,15 +125,47 @@ func BenchmarkSlotLookup(b *testing.B) {
 
 // BenchmarkDefine registers the benchmark operator's four kinds on a
 // fresh registry; the Definition literals are the caller's and count.
+// hit is every operator after a plane's first — the env holds all four
+// shapes; miss gives each registry kinds of its own (the suffix is one
+// more allocation per kind), so every Define interns a new shape.
 func BenchmarkDefine(b *testing.B) {
-	env := NewEnv(clock.NewVirtual())
+	for _, name := range []string{"hit", "miss"} {
+		miss := name == "miss"
+		b.Run(name, func(b *testing.B) {
+			env := NewEnv(clock.NewVirtual())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				suffix := ""
+				if miss {
+					suffix = strconv.Itoa(i)
+				}
+				in, rate, sel := Kind("in"+suffix), Kind("rate"+suffix), Kind("sel"+suffix)
+				r := env.NewRegistry("op")
+				defineConst(r, in, 1.0)
+				defineConst(r, rate, 1.0)
+				defineDerived(r, sel, Dep(Self(), in))
+				defineDerived(r, Kind("est"+suffix), Dep(Self(), sel), Dep(Self(), rate))
+			}
+		})
+	}
+}
+
+// BenchmarkMigrate flips one included adaptive item of an eight-kind
+// registry between its triggered and on-demand forms: the slot search,
+// the factory, the policy swap and the announcement.
+func BenchmarkMigrate(b *testing.B) {
+	r := tableRegistry(NewEnv(clock.NewVirtual()), "kinds", 7)
+	defineAdaptive(r, "m", TriggeredMechanism, 10, 1, Dep(Self(), tableKind(0)))
+	if _, err := r.Subscribe("m"); err != nil {
+		b.Fatal(err)
+	}
+	mechs := [2]Mechanism{OnDemandMechanism, TriggeredMechanism}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := env.NewRegistry("op")
-		defineConst(r, "in", 1.0)
-		defineConst(r, "rate", 1.0)
-		defineDerived(r, "sel", Dep(Self(), "in"))
-		defineDerived(r, "est", Dep(Self(), "sel"), Dep(Self(), "rate"))
+		if err := r.Migrate("m", mechs[i%2], 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -108,9 +109,11 @@ func (f *fanoutChurn) check(at string, i int) {
 // 2,000 dependents, verifying the flat graph's invariants after every
 // operation, and tears the fan-out down checking O(1) unlink per edge.
 // Beside the sequence one goroutine defines fresh kinds that sort
-// between the included ones — every insertion shifts the slot table —
-// and another reads through it; no entry's definition may move or go
-// stale. Run with -race.
+// between the included ones — every insertion shifts the by-value slots
+// and, when the table grows, moves the slice — and another reads through
+// it (Peek, Adaptable, AppendSlots) while the sequence migrates,
+// releases and includes: no entry may be found, filed or removed under a
+// stale index, and no entry's shape may change. Run with -race.
 func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 	const n = 2048
 	for _, seed := range []int64{1, 2} {
@@ -152,6 +155,7 @@ func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 			}()
 			go func() {
 				defer wg.Done()
+				var states []SlotState
 				for k := 0; ; k++ {
 					select {
 					case <-stop:
@@ -162,9 +166,28 @@ func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 						t.Errorf("Peek(src) beside Define: %v", err)
 						return
 					}
-					f.r.Peek(fanoutKind(k % n))
+					if _, ok := f.r.Adaptable("src"); !ok {
+						t.Error("Adaptable(src) beside Define: not adaptable")
+						return
+					}
+					kind := fanoutKind(k % n)
+					f.r.Peek(kind)
+					if e := f.r.entryOf(kind); e != nil && e.kind() != kind {
+						t.Errorf("%s is filed in the slot of %s", e.kind(), kind)
+						return
+					}
 					if f.r.IsDefined("d0000-") {
 						t.Error("an undefined kind is defined")
+						return
+					}
+					if k%64 != 0 {
+						continue
+					}
+					states = f.r.AppendSlots(states[:0])
+					src, _ := slices.BinarySearchFunc(states, "src", func(s SlotState, k Kind) int { return cmp.Compare(s.Kind, k) })
+					if !slices.IsSortedFunc(states, func(a, b SlotState) int { return cmp.Compare(a.Kind, b.Kind) }) ||
+						len(states) < n+1 || !states[src].Included {
+						t.Errorf("AppendSlots beside Define: %d states, src included: %v", len(states), states[src].Included)
 						return
 					}
 				}
@@ -202,7 +225,7 @@ func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 			close(stop)
 			wg.Wait()
 			if got := f.r.entryOf("src").def; got != srcDef {
-				t.Fatalf("src's definition record moved from %p to %p under concurrent Define", srcDef, got)
+				t.Fatalf("src's shape changed from %p to %p under concurrent Define", srcDef, got)
 			}
 			if avail := f.r.Available(); len(avail) != n+1+fresh || !slices.IsSorted(avail) {
 				t.Fatalf("%d kinds available (sorted: %v), want %d sorted", len(avail), slices.IsSorted(avail), n+1+fresh)
@@ -280,11 +303,20 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 			r.slots[0], r.slots[1] = r.slots[1], r.slots[0]
 			return func() { r.slots[0], r.slots[1] = r.slots[1], r.slots[0] }
 		}},
-		"entry built from another record": {want: "entry filed under wrong key", do: func() func() {
-			i, _ := r.searchSlot("b")
-			sl, cp := r.slots[i], *r.slots[i]
-			r.slots[i] = &cp
-			return func() { r.slots[i] = sl }
+		"slot pointing at a private copy of its shape": {want: "not the interned shape", do: func() func() {
+			i, _ := r.searchSlot("c")
+			sh, cp := r.slots[i].shape, *r.slots[i].shape
+			r.slots[i].shape = &cp
+			return func() { r.slots[i].shape = sh }
+		}},
+		"entry built from another shape": {want: "entry filed under wrong key", do: func() func() {
+			sh, cp := b.def, *b.def
+			b.def = &cp
+			return func() { b.def = sh }
+		}},
+		"shared shape's deps mutated in place": {want: "not the interned shape", do: func() func() {
+			b.def.deps[1].Kind = "c"
+			return func() { b.def.deps[1].Kind = "a" }
 		}},
 		"entry without item": {want: "included without item", do: func() func() {
 			b.h.Store(nil)

@@ -816,11 +816,12 @@ func (it *item) runProbe(now clock.Time) {
 }
 
 // inconsistency is VerifyIntegrity's invariant 7 for the item held by
-// included entry e: it describes the first way the item disagrees with
-// its entry or with its own installed policy, or returns "". The scope
+// included entry e of slot sl: it describes the first way the item
+// disagrees with its entry, its definition or its own installed policy,
+// or returns "". The scope
 // lock must be held (it guards the policy fields against Migrate); the
 // item mutex is taken for the fields a tick or probe may move.
-func (it *item) inconsistency(e *entry) string {
+func (it *item) inconsistency(e *entry, sl *slot) string {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	rd, win := it.rd.Load(), it.win.Load()
@@ -844,7 +845,7 @@ func (it *item) inconsistency(e *entry) string {
 		return fmt.Sprintf("item reports %v but another policy is installed", it.Mechanism())
 	case win != nil && (win.task == nil) != it.e.health.isQuarantined():
 		return "window policy's boundary task does not match the breaker state"
-	case (it.ds != nil) != (e.def.rare.delta != nil):
+	case (it.ds != nil) != (sl.rareFields().delta != nil):
 		return "delta state does not match the definition's Delta spec"
 	}
 	return ""

@@ -92,11 +92,12 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	if e == nil {
 		return fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, kind)
 	}
-	spec := e.def.adapt
+	sl := e.slotOf() // good for the whole call: the scope lock excludes Define
+	spec := sl.adapt
 	if spec == nil {
 		return fmt.Errorf("%w: %s/%s declares no AdaptSpec", ErrNotMigratable, r.id, kind)
 	}
-	if e.def.rare.delta != nil {
+	if sl.rareFields().delta != nil {
 		return fmt.Errorf("%w: %s/%s is a delta aggregate", ErrNotMigratable, r.id, kind)
 	}
 	it := e.h.Load()
@@ -343,9 +344,11 @@ func (r *Registry) Window(kind Kind) (clock.Duration, bool) {
 // on-demand form is memoizable (AdaptSpec.Pure). ok is false for
 // excluded items and for items without an AdaptSpec.
 func (r *Registry) Adaptable(kind Kind) (pure bool, ok bool) {
-	e := r.entryOf(kind)
-	if e == nil || e.def.adapt == nil {
-		return false, false
+	// Read under the node lock: Define moves the table once it is released.
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if i, ok := r.searchSlot(kind); ok && r.slots[i].entry != nil && r.slots[i].adapt != nil {
+		return r.slots[i].adapt.Pure, true
 	}
-	return e.def.adapt.Pure, true
+	return false, false
 }

@@ -37,7 +37,7 @@ func depsOf(r *Registry, k Kind) []DepRef {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if i, ok := r.searchSlot(k); ok {
-		return r.slots[i].deps
+		return r.slots[i].shape.deps
 	}
 	return nil
 }

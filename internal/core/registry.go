@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -40,10 +42,10 @@ type Registry struct {
 	// items registered per event name — is guarded by the component lock
 	// only. modules and events are made on first use.
 	mu sync.RWMutex
-	// slots is the slot table: one record per defined kind, strictly
-	// ascending by kind. The slice moves when Define grows it; the
-	// records never do.
-	slots   []*slotDef
+	// slots is the slot table: one slot per defined kind, by value, strictly
+	// ascending by shape.kind. Define shifts and moves it, so an index or a
+	// &slots[i] is good only under the lock it was found under; shapes never move.
+	slots   []slot
 	modules map[string]*Registry
 	events  map[string][]*entry
 
@@ -53,60 +55,103 @@ type Registry struct {
 	watchSinks map[Kind]WatchSink
 }
 
-// slotDef is a registry's record of one item kind: what Define compiled
-// the caller's Definition into and, while the item is in use, its entry
+// defShape is the part of a definition every instance of an operator
+// class shares, and all the hot path reads of it. Shapes are immutable
+// and interned per Env (internShape): equal content is one object however
+// many registries define it, and an entry points at the one it was built from.
+type defShape struct {
+	kind     Kind
+	deps     []DepRef
+	events   []string
+	deadline clock.Duration
+	persist  string
+	pure     bool
+}
+
+// slot is a registry's own part of one defined kind: the closures and
+// specs of this instance and, while the item is in use, its entry
 // (guarded like the table: written under the component lock and r.mu).
-// Every other field is immutable, so an entry keeps a pointer to the
-// record it was built from. The fields most definitions leave unset
-// live in a rareDef; rare is never nil — a plain definition shares the
-// zero block — so readers follow it unconditionally.
-type slotDef struct {
-	kind  Kind
-	deps  []DepRef
+// rare is nil unless the definition sets one of slotRare's fields.
+type slot struct {
+	shape *defShape
 	build func(ctx *BuildContext) (Handler, error)
 	adapt *AdaptSpec
 	entry *entry
-	rare  *rareDef
-	pure  bool
+	rare  *slotRare
 }
 
-// rareDef holds Definition's Resolve, Events, Probe, ComputeDeadline,
-// Delta, Persist and PersistArgs.
-type rareDef struct {
+// slotRare holds Definition's Resolve, Probe, Delta and PersistArgs.
+type slotRare struct {
 	resolve     func(rc *ResolveContext) []DepRef
-	events      []string
 	probe       Probe
-	deadline    clock.Duration
 	delta       *DeltaSpec
-	persist     string
 	persistArgs string
 }
 
-// plainDef is the rare block of every definition that sets none of its
-// fields. Never written.
-var plainDef rareDef
-
-// compileDef copies def into a fresh record. Deps and Events are
-// cloned, so nothing the caller still holds — the struct or its slices
-// — is referenced afterwards; a definition with rare fields is one
-// allocation holding both blocks.
-func compileDef(def *Definition) *slotDef {
-	s := slotDef{kind: def.Kind, deps: slices.Clone(def.Deps), build: def.Build, adapt: def.Adapt, rare: &plainDef, pure: def.Pure}
-	if def.Resolve == nil && len(def.Events) == 0 && def.Probe == nil && def.ComputeDeadline == 0 &&
-		def.Delta == nil && def.Persist == "" && def.PersistArgs == "" {
-		plain := new(slotDef)
-		*plain = s
-		return plain
+// rareFields returns the slot's rare block, zero when it has none.
+func (s *slot) rareFields() slotRare {
+	if s.rare == nil {
+		return slotRare{}
 	}
-	full := &struct {
-		slotDef
-		rareDef
-	}{s, rareDef{
-		resolve: def.Resolve, events: slices.Clone(def.Events), probe: def.Probe, deadline: def.ComputeDeadline,
-		delta: def.Delta, persist: def.Persist, persistArgs: def.PersistArgs,
-	}}
-	full.rare = &full.rareDef
-	return &full.slotDef
+	return *s.rare
+}
+
+// appendKey appends the shape's table key to b: every field in a fixed
+// order, each string and each list behind its length (a bool as "true" or
+// "false"), so no two different shapes encode alike.
+func (s *defShape) appendKey(b []byte) []byte {
+	str := func(v string) {
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		b = append(b, v...)
+	}
+	str(string(s.kind))
+	b = binary.AppendUvarint(b, uint64(len(s.deps)))
+	for _, d := range s.deps {
+		b = binary.AppendUvarint(b, uint64(d.Target.kind))
+		b = binary.AppendVarint(b, int64(d.Target.index))
+		str(d.Target.name)
+		str(string(d.Kind))
+		b = strconv.AppendBool(b, d.Optional)
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.events)))
+	for _, name := range s.events {
+		str(name)
+	}
+	b = binary.AppendVarint(b, int64(s.deadline))
+	str(s.persist)
+	return strconv.AppendBool(b, s.pure)
+}
+
+// internShape returns the env's shape for def's content, making it on
+// first sight. A hit allocates and copies nothing; a miss clones Deps and
+// Events, so no shape references a caller's slice. Shapes live as long as
+// the env: the table grows with the distinct definitions a program's code
+// declares, not with the registries defining them.
+func (env *Env) internShape(def *Definition) *defShape {
+	probe := defShape{kind: def.Kind, deps: def.Deps, events: def.Events,
+		deadline: def.ComputeDeadline, persist: def.Persist, pure: def.Pure}
+	env.shapeMu.Lock()
+	defer env.shapeMu.Unlock()
+	env.shapeKey = probe.appendKey(env.shapeKey[:0])
+	if s := env.shapes[string(env.shapeKey)]; s != nil {
+		return s
+	}
+	s := new(defShape)
+	*s = probe
+	s.deps, s.events = slices.Clone(def.Deps), slices.Clone(def.Events)
+	env.shapes[string(env.shapeKey)] = s
+	return s
+}
+
+// compileDef splits def into its interned shape and this instance's
+// slot. Nothing the caller still holds — the struct or its slices — is
+// referenced afterwards.
+func (env *Env) compileDef(def *Definition) slot {
+	s := slot{shape: env.internShape(def), build: def.Build, adapt: def.Adapt}
+	if def.Resolve != nil || def.Probe != nil || def.Delta != nil || def.PersistArgs != "" {
+		s.rare = &slotRare{resolve: def.Resolve, probe: def.Probe, delta: def.Delta, persistArgs: def.PersistArgs}
+	}
+	return s
 }
 
 // depEdge is one declared dependency edge of an entry, stored in the
@@ -135,7 +180,7 @@ type dependent struct {
 // component's structural lock.
 type entry struct {
 	reg *Registry
-	def *slotDef // the record the entry was built from; def.kind is the item's kind
+	def *defShape // the shape the entry was built from — its slot's, for the entry's life
 	seq int64
 
 	// h is the item state behind the entry's handler: stored when the
@@ -252,18 +297,25 @@ func (env *Env) NewRegistry(id string) *Registry {
 	return &Registry{env: env, id: id, comp: env.newComponent()}
 }
 
-// searchSlot returns where the kind's record is, or would be inserted,
-// in the slot table. The component lock or r.mu must be held.
+// searchSlot returns where the kind's slot is, or would be inserted, in the
+// table. The component lock or r.mu must be held while the index is used.
 func (r *Registry) searchSlot(kind Kind) (int, bool) {
 	lo, hi := 0, len(r.slots)
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); r.slots[m].kind < kind {
+		if m := int(uint(lo+hi) >> 1); r.slots[m].shape.kind < kind {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	return lo, lo < len(r.slots) && r.slots[lo].kind == kind
+	return lo, lo < len(r.slots) && r.slots[lo].shape.kind == kind
+}
+
+// slotOf returns the slot an included entry is filed in. The component
+// lock must be held; the pointer is good until it is released.
+func (e *entry) slotOf() *slot {
+	i, _ := e.reg.searchSlot(e.def.kind)
+	return &e.reg.slots[i]
 }
 
 // entryLocked returns the kind's entry, or nil if the item is not
@@ -375,12 +427,12 @@ func (r *Registry) Define(def *Definition) error {
 	if redefine && r.slots[i].entry != nil {
 		return fmt.Errorf("%w: %s/%s", ErrItemInUse, r.id, def.Kind)
 	}
-	rec := compileDef(def)
+	sl := r.env.compileDef(def)
 	r.mu.Lock()
 	if redefine {
-		r.slots[i] = rec
+		r.slots[i] = sl
 	} else {
-		r.slots = slices.Insert(r.slots, i, rec)
+		r.slots = slices.Insert(r.slots, i, sl)
 	}
 	// The node lock is released before bumping and journaling: the
 	// journal may checkpoint inline, and a checkpoint reads items
@@ -415,7 +467,7 @@ func (r *Registry) Available() []Kind {
 	defer r.mu.RUnlock()
 	out := make([]Kind, len(r.slots))
 	for i, s := range r.slots {
-		out[i] = s.kind
+		out[i] = s.shape.kind
 	}
 	return out
 }
@@ -428,7 +480,7 @@ func (r *Registry) Included() []Kind {
 	out := make([]Kind, 0, len(r.slots))
 	for _, s := range r.slots {
 		if s.entry != nil {
-			out = append(out, s.kind)
+			out = append(out, s.shape.kind)
 		}
 	}
 	return out
@@ -471,8 +523,12 @@ type SlotState struct {
 func (r *Registry) AppendSlots(dst []SlotState) []SlotState {
 	base := len(dst)
 	r.mu.RLock()
-	for _, s := range r.slots {
-		dst = append(dst, SlotState{Kind: s.kind, Codec: s.rare.persist, Args: s.rare.persistArgs, e: s.entry})
+	for i := range r.slots {
+		s := &r.slots[i]
+		dst = append(dst, SlotState{Kind: s.shape.kind, Codec: s.shape.persist, e: s.entry})
+		if s.rare != nil {
+			dst[len(dst)-1].Args = s.rare.persistArgs
+		}
 	}
 	r.mu.RUnlock()
 	for i := base; i < len(dst); i++ {
@@ -685,8 +741,10 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownItem, r.id, kind)
 	}
-	def := r.slots[i]
-	if e := def.entry; e != nil {
+	// sl points into the table across the whole step, recursion and user
+	// code included: the scope lock excludes Define on r, which moves it.
+	sl := &r.slots[i]
+	if e := sl.entry; e != nil {
 		e.refs++
 		r.env.stats.SharedSubscriptions.Add(1)
 		return e, nil
@@ -703,12 +761,13 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 
 	r.env.stats.IncludeTraversals.Add(1)
 
-	deps, err := resolveDeps(def, r)
+	rare := sl.rareFields()
+	deps, err := resolveDeps(sl.shape, rare.resolve, r)
 	if err != nil {
 		return nil, fmt.Errorf("resolving deps of %s/%s: %w", r.id, kind, err)
 	}
 
-	e := &entry{reg: r, def: def, seq: r.env.nextSeq(), ngroups: int32(len(deps))}
+	e := &entry{reg: r, def: sl.shape, seq: r.env.nextSeq(), ngroups: int32(len(deps))}
 
 	// Include dependencies depth-first; roll back on any failure so a
 	// failed subscription leaves no residue. The edges are not linked
@@ -764,7 +823,7 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 
 	// Build the handler with handles on the resolved dependencies, and
 	// claim the item behind it for this entry.
-	handler, err := buildHandler(def, &BuildContext{e: e})
+	handler, err := buildHandler(sl.build, &BuildContext{e: e})
 	if err != nil {
 		rollback()
 		return nil, fmt.Errorf("building handler %s/%s: %w", r.id, kind, err)
@@ -783,7 +842,7 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 	// the entry itself, then start the item (which may pre-compute the
 	// value from the now-included dependencies).
 	e.linkLocked()
-	events := def.rare.events
+	events := sl.shape.events
 	if len(events) > 0 && r.events == nil {
 		r.events = make(map[string][]*entry)
 	}
@@ -792,13 +851,13 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 			r.events[name] = append(r.events[name], e)
 		}
 	}
-	if def.rare.probe != nil {
-		def.rare.probe.Activate()
+	if rare.probe != nil {
+		rare.probe.Activate()
 	}
 	e.refs = 1
 	e.h.Store(it)
 	r.mu.Lock()
-	def.entry = e
+	sl.entry = e
 	if r.watchSinks != nil {
 		r.reattachWatchLocked(e)
 	}
@@ -815,20 +874,20 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 // resolveDeps returns the item's dependencies, running a dynamic
 // Resolve hook with panic recovery: a panicking resolver fails the
 // subscription instead of unwinding with component locks held.
-func resolveDeps(def *slotDef, r *Registry) (deps []DepRef, err error) {
-	if def.rare.resolve == nil {
-		return def.deps, nil
+func resolveDeps(shape *defShape, resolve func(*ResolveContext) []DepRef, r *Registry) (deps []DepRef, err error) {
+	if resolve == nil {
+		return shape.deps, nil
 	}
 	defer recoverCompute("resolve", &err)
-	return def.rare.resolve(&ResolveContext{reg: r}), nil
+	return resolve(&ResolveContext{reg: r}), nil
 }
 
 // buildHandler runs Definition.Build with panic recovery: a panicking
 // Build fails the subscription (rolling back included dependencies)
 // instead of unwinding with component locks held.
-func buildHandler(def *slotDef, ctx *BuildContext) (h Handler, err error) {
+func buildHandler(build func(*BuildContext) (Handler, error), ctx *BuildContext) (h Handler, err error) {
 	defer recoverCompute("build", &err)
-	return def.build(ctx)
+	return build(ctx)
 }
 
 // unsubscribe releases one reference from a consumer Subscription.
@@ -852,8 +911,9 @@ func (e *entry) releaseLocked() {
 		return
 	}
 	r := e.reg
+	sl := e.slotOf()
 	r.mu.Lock()
-	e.def.entry = nil
+	sl.entry = nil
 	r.mu.Unlock()
 	it := e.h.Swap(nil)
 	it.stop()
@@ -862,10 +922,10 @@ func (e *entry) releaseLocked() {
 	if it.ds != nil {
 		it.ds.stopLocked()
 	}
-	if e.def.rare.probe != nil {
-		e.def.rare.probe.Deactivate()
+	if probe := sl.rareFields().probe; probe != nil {
+		probe.Deactivate()
 	}
-	for _, name := range e.def.rare.events {
+	for _, name := range e.def.events {
 		if es := slices.DeleteFunc(r.events[name], func(x *entry) bool { return x == e }); len(es) == 0 {
 			delete(r.events, name)
 		} else {

@@ -204,8 +204,8 @@ func TestDefineCopiesItsArgument(t *testing.T) {
 		},
 	}
 	r.MustDefine(def)
-	if rec := r.slots[len(r.slots)-1]; cap(rec.deps) != 1 || cap(rec.rare.events) != 1 {
-		t.Fatalf("the record kept the caller's spare capacity: deps cap %d, events cap %d", cap(rec.deps), cap(rec.rare.events))
+	if sh := r.slots[len(r.slots)-1].shape; cap(sh.deps) != 1 || cap(sh.events) != 1 {
+		t.Fatalf("the shape kept the caller's spare capacity: deps cap %d, events cap %d", cap(sh.deps), cap(sh.events))
 	}
 
 	deps[0] = Dep(Self(), "b")
@@ -237,14 +237,15 @@ func TestDefineCopiesItsArgument(t *testing.T) {
 }
 
 // maxBytesFourPlainKinds is 2 % above the definition table of one
-// benchmark operator: four 80-B records and a 32-B table.
-const maxBytesFourPlainKinds = (4*8 + 4*80) * 102 / 100
+// benchmark operator: four 40-B slots by value, their shapes shared with
+// every other operator.
+const maxBytesFourPlainKinds = 4 * 40 * 102 / 100
 
 // TestFootprintBytesPerDefinedKind bounds what a definition costs
 // before anything subscribes to it.
 func TestFootprintBytesPerDefinedKind(t *testing.T) {
-	if got := unsafe.Sizeof(slotDef{}); got > 80 {
-		t.Fatalf("slotDef is %d B, ceiling 80", got)
+	if got := unsafe.Sizeof(slot{}); got > 40 {
+		t.Fatalf("slot is %d B, ceiling 40", got)
 	}
 	const regs = 1000
 	env, _ := testEnv()
@@ -277,45 +278,70 @@ func TestFootprintBytesPerDefinedKind(t *testing.T) {
 	}
 }
 
-// TestDefineAllocs: once the table has room, Define allocates the
-// record — one object whether or not it carries rare fields — plus one
-// clone per non-empty slice it copies. The caller's Definition is not
-// Define's and is built outside the measured call.
+// TestDefineAllocs: once the table has room, a Define whose shape the env
+// already holds allocates nothing but the rare block, if the definition
+// has one — on a fresh registry or as a redefinition; a shape the env
+// sees for the first time costs its key, the shape and one clone per
+// non-empty slice. The caller's Definition is not Define's and is built
+// outside the measured call.
 func TestDefineAllocs(t *testing.T) {
 	const runs = 20
 	env, _ := testEnv()
 	build := func(*BuildContext) (Handler, error) { return NewStatic(1.0), nil }
+	deps := []DepRef{Dep(Self(), "a")}
 	cases := []struct {
-		name string
-		def  Definition
-		want float64
+		name      string
+		def       Definition
+		hit, miss float64
 	}{
-		{"plain", Definition{Build: build}, 1},
-		{"plain with deps", Definition{Build: build, Deps: []DepRef{Dep(Self(), "a")}}, 2},
-		{"persist-backed", Definition{Build: build, Persist: "codec", PersistArgs: "7"}, 1},
-		{"persist-backed with deps", Definition{Build: build, Persist: "codec", Deps: []DepRef{Dep(Self(), "a")}}, 2},
-		{"adapt-carrying with an event", Definition{Build: build, Adapt: &AdaptSpec{}, Events: []string{"e"}}, 2},
+		{"plain", Definition{Build: build}, 0, 2},
+		{"deps", Definition{Build: build, Deps: deps}, 0, 3},
+		{"codec, adapt, deps and an event", Definition{Build: build, Persist: "codec", Adapt: &AdaptSpec{}, Deps: deps, Events: []string{"e"}}, 0, 4},
+		{"codec args", Definition{Build: build, Persist: "codec", PersistArgs: "7"}, 1, 3},
+		{"delta over deps", Definition{Build: build, Delta: DeltaSum(), Deps: deps}, 1, 4},
 	}
-	for _, c := range cases {
-		for _, redefine := range []bool{false, true} {
-			r := tableRegistry(env, "n", 64)
-			r.slots = r.slots[:1] // room for every measured insert
-			defs := make([]Definition, runs+1)
-			for i := range defs {
-				defs[i] = c.def
-				defs[i].Kind = "x"
-				if !redefine {
-					defs[i].Kind = tableKind(1000 + i)
-				}
-			}
-			next := 0
-			got := testing.AllocsPerRun(runs, func() {
-				r.MustDefine(&defs[next])
-				next++
-			})
-			if got != c.want {
-				t.Errorf("%s (redefine %v): Define allocates %v objects, want %v", c.name, redefine, got, c.want)
-			}
+	// room returns a registry whose table takes every measured insert
+	// without growing.
+	room := func() *Registry {
+		r := tableRegistry(env, "n", 64)
+		r.slots = r.slots[:1]
+		return r
+	}
+	for ci, c := range cases {
+		x := Kind(fmt.Sprintf("x%d", ci))
+		hit := c.def
+		hit.Kind = x
+		env.NewRegistry("first").MustDefine(&hit)
+
+		fresh := make([]*Registry, runs+1)
+		for i := range fresh {
+			fresh[i] = room()
+		}
+		next := 0
+		if got := testing.AllocsPerRun(runs, func() {
+			fresh[next].MustDefine(&hit)
+			next++
+		}); got != c.hit {
+			t.Errorf("%s: Define of a shape the env holds allocates %v objects, want %v", c.name, got, c.hit)
+		}
+
+		r := room()
+		r.MustDefine(&hit)
+		if got := testing.AllocsPerRun(runs, func() { r.MustDefine(&hit) }); got != c.hit {
+			t.Errorf("%s: redefinition allocates %v objects, want %v", c.name, got, c.hit)
+		}
+
+		misses := make([]Definition, runs+1)
+		for i := range misses {
+			misses[i] = c.def
+			misses[i].Kind = Kind(fmt.Sprintf("y%d-%02d", ci, i))
+		}
+		next = 0
+		if got := testing.AllocsPerRun(runs, func() {
+			r.MustDefine(&misses[next])
+			next++
+		}); got != c.miss {
+			t.Errorf("%s: Define of a new shape allocates %v objects, want %v", c.name, got, c.miss)
 		}
 	}
 }

@@ -212,6 +212,34 @@ func (s *countingSink) Published(uint64) { s.published.Add(1) }
 // migrations included — and every item has a watcher attached.
 func RunCrashRecovery(t *testing.T, seed int64, ckptAt, killAt, every int) {
 	t.Helper()
+	runCrashRecovery(t, seed, ckptAt, killAt, every, false)
+}
+
+// redefKind is the kill matrix's codec-backed kind: one kind whatever the
+// codec args, a static item whose value is their length.
+const redefKind core.Kind = "redef"
+
+func redefDefinition(args string) (*core.Definition, error) {
+	return &core.Definition{
+		Kind: redefKind, Persist: "modelcheck.redef", PersistArgs: args,
+		Build: func(*core.BuildContext) (core.Handler, error) { return core.NewStatic(float64(len(args))), nil },
+	}, nil
+}
+
+func init() { persist.RegisterCodec("modelcheck.redef", redefDefinition) }
+
+// RunRedefineRecovery is RunCrashRecovery with one more step before the
+// kill: the first registry defines redefKind, redefines it while unused
+// (Section 4.4.2) and subscribes to it, all three in the WAL tail. The
+// recovered process never registers the kind itself, so replay must end
+// on the second definition.
+func RunRedefineRecovery(t *testing.T, seed int64, ckptAt, killAt int) {
+	t.Helper()
+	runCrashRecovery(t, seed, ckptAt, killAt, 0, true)
+}
+
+func runCrashRecovery(t *testing.T, seed int64, ckptAt, killAt, every int, redefine bool) {
+	t.Helper()
 	wl, script := crashScript(seed, 60)
 	if killAt > len(script) {
 		killAt = len(script)
@@ -266,6 +294,15 @@ func RunCrashRecovery(t *testing.T, seed int64, ckptAt, killAt, every int) {
 			if st.version > 0 {
 				t.Fatalf("%s: %v is at version %d but the attached watcher saw no publication", at, k, st.version)
 			}
+		}
+	}
+	if redefine {
+		for _, args := range []string{"a", "bbb"} {
+			def, _ := redefDefinition(args)
+			sys1.Regs[0].MustDefine(def)
+		}
+		if _, err := sys1.Regs[0].Subscribe(redefKind); err != nil {
+			t.Fatalf("%s: subscribing %s: %v", at, redefKind, err)
 		}
 	}
 	wantTopology := topologyString(sys1)
@@ -323,7 +360,15 @@ func RunCrashRecovery(t *testing.T, seed int64, ckptAt, killAt, every int) {
 	// 3. Warm back to healthy through the probe machinery.
 	warmRecovered(t, at, sys2)
 
-	if errs := core.VerifyIntegrity(extCounts(wl, subs), sys2.BaseRegs()...); len(errs) > 0 {
+	ext := extCounts(wl, subs)
+	if redefine {
+		if v, err := sys2.Regs[0].Peek(redefKind); err != nil || v != 3.0 || rs2.Defined != 2 {
+			t.Fatalf("%s: recovered %s = %v, %v with %d records defined; want the second definition's 3 and 2",
+				at, redefKind, v, err, rs2.Defined)
+		}
+		ext[core.ItemKey{Registry: sys2.Regs[0].ID(), Kind: redefKind}] = 1
+	}
+	if errs := core.VerifyIntegrity(ext, sys2.BaseRegs()...); len(errs) > 0 {
 		t.Fatalf("%s: recovered integrity violations: %v", at, errs)
 	}
 	if err := core.ScopesUnlocked(sys2.Regs...); err != nil {

@@ -31,6 +31,12 @@ func TestCrashRecoveryKillMatrix(t *testing.T) {
 			})
 		}
 	}
+	// One more placement: a kind defined twice and subscribed in the WAL
+	// tail, after a checkpoint that knows nothing of it.
+	t.Run("seed1_ckpt10_kill20_redefine", func(t *testing.T) {
+		t.Parallel()
+		RunRedefineRecovery(t, 1, 10, 20)
+	})
 }
 
 // Torn-write fault injection: every truncation class plus mid-record

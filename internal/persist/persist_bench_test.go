@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -208,5 +209,37 @@ func TestCheckpointBytesPerItem(t *testing.T) {
 	}
 	if again := chainCheckpoint(t, t.TempDir(), regs); !bytes.Equal(raw, again) {
 		t.Fatal("two checkpoints of the same plane differ")
+	}
+}
+
+// TestOpenAllocsPerRestoredItem gates what recovery allocates, on the
+// same plane at 10,000 items: decode, one Define per record (the shapes
+// are interned, so a definition costs its rare block, not a record and a
+// Deps clone), the replayed subscriptions' inclusions, the batch restore
+// and the barrier checkpoint. A count, like the bytes above; the ceiling
+// is 2 % over the reading (the per-definition records read 24.1).
+func TestOpenAllocsPerRestoredItem(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const regs, ceiling = 1000, 23.7
+	dir := t.TempDir()
+	chainCheckpoint(t, dir, regs)
+	env, bare := chainEnv(t, regs, false)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, rs, err := Open(env, dir, Options{Sync: SyncNone}, bare...)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Abandon()
+	if rs.Restored != regs*chainLen || rs.Skipped != 0 {
+		t.Fatalf("recovery stats %+v", rs)
+	}
+	perItem := float64(after.Mallocs-before.Mallocs) / float64(rs.Restored)
+	t.Logf("%d allocations for %d restored items: %.2f per item", after.Mallocs-before.Mallocs, rs.Restored, perItem)
+	if perItem > ceiling {
+		t.Fatalf("Open allocates %.2f objects per restored item, ceiling %v", perItem, ceiling)
 	}
 }

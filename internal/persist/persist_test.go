@@ -507,3 +507,71 @@ func TestCloseReleasesAndRestartRepins(t *testing.T) {
 		}
 	}
 }
+
+func init() {
+	// One kind whatever the args; the args decide the value.
+	RegisterCodec("test.len", func(args string) (*core.Definition, error) {
+		return &core.Definition{
+			Kind:  "len",
+			Build: func(*core.BuildContext) (core.Handler, error) { return core.NewStatic(float64(len(args))), nil },
+		}, nil
+	})
+}
+
+// TestRecoverRedefinitionInWALTail: both definitions of a kind redefined
+// while unused (Section 4.4.2) are journaled, and replay ends on the
+// second — unless application code defined the kind before Open, whose
+// version replay keeps.
+func TestRecoverRedefinitionInWALTail(t *testing.T) {
+	dir := t.TempDir()
+	env1, _ := testEnv(t, true)
+	r1 := env1.NewRegistry("op")
+	p1, _, err := Open(env1, dir, Options{}, r1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range []string{"a", "bbb"} {
+		def, err := buildDef("test.len", args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1.MustDefine(def)
+	}
+	if _, err := r1.Subscribe("len"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r1.Peek("len"); err != nil || v != 3.0 {
+		t.Fatalf("pre-crash len = %v, %v; want 3", v, err)
+	}
+	p1.Abandon()
+
+	recoverLen := func(define func(*core.Registry)) (core.Value, *RecoveryStats) {
+		t.Helper()
+		env, _ := testEnv(t, true)
+		r := env.NewRegistry("op")
+		define(r)
+		p, rs, err := Open(env, dir, Options{}, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Abandon()
+		v, err := r.Peek("len")
+		if err != nil {
+			t.Fatalf("recovered len: %v (stats %+v)", err, rs)
+		}
+		return v, rs
+	}
+	if v, rs := recoverLen(func(*core.Registry) {}); v != 3.0 || rs.Defined != 2 || rs.Skipped != 0 {
+		t.Fatalf("bare registry recovered len = %v with %+v; want the second definition's 3, both records defined", v, rs)
+	}
+	v, rs := recoverLen(func(r *core.Registry) {
+		def, err := buildDef("test.len", "zzzzz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.MustDefine(def)
+	})
+	if v != 5.0 || rs.Defined != 0 || rs.Skipped != 0 {
+		t.Fatalf("application-defined len = %v with %+v; want the application's 5, nothing redefined", v, rs)
+	}
+}

@@ -134,6 +134,11 @@ type Plane struct {
 	sinceCkpt int
 	closed    bool
 	broken    error
+
+	// appDefined holds, per registry id, the sorted kinds application code
+	// defined before Open: replay keeps those and (re)defines every other
+	// kind from its latest record. Set for the duration of a recovery.
+	appDefined map[string][]core.Kind
 }
 
 func (p *Plane) walPath(seq uint64) string {
@@ -247,6 +252,13 @@ func (p *Plane) recover() (*RecoveryStats, error) {
 		return rs, nil
 	}
 	rs.Recovered = true
+	p.appDefined = make(map[string][]core.Kind)
+	defer func() { p.appDefined = nil }()
+	for id, reg := range p.regs {
+		if kinds := reg.Available(); len(kinds) > 0 {
+			p.appDefined[id] = kinds
+		}
+	}
 
 	// Checkpoint state, record by record in file order: definitions are
 	// registered and item snapshots collected per registry, then external
@@ -348,10 +360,12 @@ func (p *Plane) applyOp(op core.JournalOp, rs *RecoveryStats) bool {
 	}
 	switch op.Op {
 	case core.JournalDefine:
-		if reg.IsDefined(op.Kind) {
+		if _, app := slices.BinarySearch(p.appDefined[op.Registry], op.Kind); app {
 			// Already re-registered by application code; keep its version.
 			return true
 		}
+		// A kind an earlier record of this replay defined is redefined: the
+		// latest record wins, and commit order says the kind is unused here.
 		def, err := buildDef(op.Codec, op.CodecArgs)
 		if err != nil || def.Kind != op.Kind || reg.Define(def) != nil {
 			return false

@@ -19,7 +19,7 @@
 # watch transport (one connection, batched frames) numbers live in
 # BENCH_PR10.json. The dependency-graph microbenchmarks (cold
 # inclusion, fan-out release, plan-miss propagation, slot-table lookup,
-# Define, AppendSlots) sit beside the code in
+# Define on an interned and on a new shape, Migrate, AppendSlots) sit beside the code in
 # internal/core/graph_bench_test.go and run from here too, as do the
 # durability ones (checkpoint, recovery, decode, batch restore of a
 # 100k-item plane) in internal/persist/persist_bench_test.go.
@@ -29,6 +29,6 @@ cd "$(dirname "$0")/.."
 out="${1:-bench.txt}"
 count="${2:-4}"
 
-benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkE19BatchedTicks|BenchmarkHealthyOverhead|BenchmarkE20MemoizedReads|BenchmarkE21DeltaPropagation|BenchmarkE22AdaptiveMaintenance|BenchmarkE23WatchFanout|BenchmarkE23PublishHotPath|BenchmarkE24Recovery|BenchmarkE25MuxFanout|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch'
+benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkE19BatchedTicks|BenchmarkHealthyOverhead|BenchmarkE20MemoizedReads|BenchmarkE21DeltaPropagation|BenchmarkE22AdaptiveMaintenance|BenchmarkE23WatchFanout|BenchmarkE23PublishHotPath|BenchmarkE24Recovery|BenchmarkE25MuxFanout|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkMigrate|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch'
 
 go test -run '^$' -bench "^(${benches})$" -benchmem -count "${count}" . ./internal/core ./internal/persist | tee "${out}"
