@@ -991,35 +991,3 @@ func BenchmarkE24Recovery(b *testing.B) {
 	b.ReportMetric(float64(warm.NsTotal), "warmNsToFirstRead")
 	b.ReportMetric(float64(cold.NsTotal)/float64(max64(warm.NsTotal, 1)), "speedup")
 }
-
-// BenchmarkE25MuxFanout prices the mux watch transport against the
-// legacy per-watch SSE path: N watches on one item, a 50-publication
-// burst, timed until every watch has seen the final version. The mux
-// session must carry everything on one connection and amortize its
-// writes — under burst the batched binary framing packs well over 8
-// events per frame (i.e. under 1/8th of a write per event), where SSE
-// pays one flush per event per connection.
-func BenchmarkE25MuxFanout(b *testing.B) {
-	const publishes = 50
-	for _, watches := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("watches=%d", watches), func(b *testing.B) {
-			var mux, sse bench.E25Row
-			for i := 0; i < b.N; i++ {
-				// Interleaved A/B: ablation then mux within each
-				// iteration.
-				sse = bench.RunE25Mode("sse", watches, publishes)
-				mux = bench.RunE25Mode("mux", watches, publishes)
-				if mux.Conns != 1 || sse.Conns != watches {
-					b.Fatalf("conns: mux=%d sse=%d, want 1/%d", mux.Conns, sse.Conns, watches)
-				}
-				if mux.EventsPerFrame < 8 {
-					b.Fatalf("mux events/frame = %.1f under burst, want >= 8", mux.EventsPerFrame)
-				}
-			}
-			b.ReportMetric(mux.EventsPerFrame, "eventsPerFrame")
-			b.ReportMetric(float64(mux.NsPerEvent), "muxNsPerEvent")
-			b.ReportMetric(float64(sse.NsPerEvent), "sseNsPerEvent")
-			b.ReportMetric(float64(sse.NsPerEvent)/float64(max64(mux.NsPerEvent, 1)), "speedup")
-		})
-	}
-}

@@ -189,17 +189,6 @@ var experiments = map[string]struct {
 		}
 		return bench.E24Table(rows)
 	}},
-	"e25": {"mux watch transport: one connection vs per-watch SSE", func() *bench.Table {
-		if *watchesFlag <= 0 {
-			fmt.Fprintln(os.Stderr, "-watches must be > 0")
-			os.Exit(2)
-		}
-		counts := []int{100, 1000, *watchesFlag}
-		if *watchesFlag <= 1000 {
-			counts = []int{*watchesFlag}
-		}
-		return bench.E25Table(bench.RunE25(counts, 200))
-	}},
 	"a1": {"ablation: topological vs naive propagation", func() *bench.Table {
 		return bench.A1Table(bench.RunA1([]int{2, 4, 6, 8, 10, 12}))
 	}},
@@ -242,13 +231,8 @@ var watchersFlag = flag.Int("watchers", 100000, "e23 watch fan-out subscriber co
 // itemsFlag is e24's durable-plane size (subscribed items per start).
 var itemsFlag = flag.Int("items", 1000, "e24 durable restart item count")
 
-// watchesFlag is e25's largest watch count; values at or below 1000
-// run only that count, larger values run 100/1000/N (the per-watch
-// SSE ablation is skipped above bench.E25SSEConnCap connections).
-var watchesFlag = flag.Int("watches", 10000, "e25 mux transport watch count")
-
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e25, a1, c1, f2, all)")
+	exp := flag.String("exp", "all", "experiment id (e1..e24, a1, c1, f2, all)")
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
 

@@ -1,8 +1,8 @@
 // Command mdserve runs a small wall-clock demo pipeline and exposes
-// its metadata over HTTP/SSE via the watch hub — the network face of
-// the Section 2.5 monitoring story. Clients (e.g. mdtop -connect)
-// subscribe to per-item version streams and receive snapshot-then-delta
-// catch-up followed by coalesced live updates.
+// its metadata over HTTP via the watch hub — the network face of the
+// Section 2.5 monitoring story. Clients (e.g. mdtop -connect) open one
+// mux session, add the items they want to watch, and receive
+// snapshot-then-delta catch-up followed by coalesced live updates.
 //
 // Usage:
 //
@@ -16,7 +16,7 @@
 //	                             # and re-serve its items here
 //
 // With -durable, SIGINT/SIGTERM triggers a graceful shutdown: the HTTP
-// server drains open SSE streams under a deadline and a final
+// server drains open session streams under a deadline and a final
 // checkpoint is written, so a restarted mdserve resumes with the same
 // pins and version streams (since-based watch catch-up keeps working
 // across the restart).
@@ -26,8 +26,8 @@
 // publication. If the upstream restarts, the relay reconnects and
 // resumes every watch from its last seen version (one snapshot each).
 //
-// Endpoints: /watch?registry=N&kind=K[&since=V], /mux, /mux/watch,
-// /mux/stream, /items, /stats.
+// Endpoints: /mux, /mux/watch, /mux/stream, /items, /stats (see
+// watch.Server).
 package main
 
 import (
@@ -244,20 +244,20 @@ func startDemo(addr, dir string, out io.Writer) (*demo, error) {
 		return nil, err
 	}
 	d.URL = "http://" + ln.Addr().String()
-	fmt.Fprintf(out, "mdserve: listening on %s (watch: /watch?registry=%s&kind=%s)\n",
+	fmt.Fprintf(out, "mdserve: listening on %s (POST /mux, POST /mux/watch, GET /mux/stream; e.g. watch %s/%s)\n",
 		d.URL, f.Registry().ID(), ops.KindInputRate)
 	d.hs = &http.Server{Handler: srv.Handler()}
 	go d.hs.Serve(ln)
 	return d, nil
 }
 
-// Shutdown stops the demo gracefully: the hub closes first (ending
-// open SSE loops so the HTTP server can drain), the server gets a 2 s
-// drain deadline before being cut, and — when durable — a final
+// Shutdown stops the demo gracefully: the hub closes first (no more
+// deliveries), open session streams get a 2 s drain deadline before
+// the server cuts them, and — when durable — a final
 // checkpoint is written so the next start resumes exactly here.
 func (d *demo) Shutdown(out io.Writer) {
 	if d.hub != nil {
-		d.hub.Close() // wakes every SSE handler via its Done channel
+		d.hub.Close()
 		d.hub = nil
 	}
 	if d.hs != nil {
@@ -286,7 +286,7 @@ func (d *demo) Shutdown(out io.Writer) {
 	d.rc.Stop()
 }
 
-// Close stops everything abruptly (dropping open SSE streams, no final
+// Close stops everything abruptly (dropping open session streams, no final
 // checkpoint) — the error-path cleanup; tests use it to simulate a
 // crash of a durable instance.
 func (d *demo) Close() {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -10,8 +11,30 @@ import (
 	"repro/internal/watch"
 )
 
+// firstEvent opens a one-watch mux session on (registry, kind) resuming
+// after since — the per-item case — and returns its first event.
+func firstEvent(ctx context.Context, c *watch.Client, registry, kind string, since uint64) (*watch.MuxSession, watch.MuxEvent, error) {
+	m, err := c.Mux(ctx)
+	if err != nil {
+		return nil, watch.MuxEvent{}, err
+	}
+	rejects, err := m.Add(ctx, map[uint64]watch.MuxWatch{1: {Registry: registry, Kind: kind, Since: since}})
+	if err == nil && len(rejects) != 0 {
+		err = fmt.Errorf("watch rejected: %v", rejects)
+	}
+	var ev watch.MuxEvent
+	if err == nil {
+		ev, err = m.Next()
+	}
+	if err != nil {
+		m.Close()
+		return nil, ev, err
+	}
+	return m, ev, nil
+}
+
 // TestServeSmoke boots the demo on an ephemeral port and walks the
-// HTTP surface with the SSE client: snapshot frame, item inventory,
+// HTTP surface with the mux client: snapshot event, item inventory,
 // and hub stats.
 func TestServeSmoke(t *testing.T) {
 	d, err := startDemo("127.0.0.1:0", "", io.Discard)
@@ -42,17 +65,13 @@ func TestServeSmoke(t *testing.T) {
 	keyOf("src")
 	keyOf("sink")
 
-	st, err := c.Watch(ctx, even, "inputRate", 0)
+	st, f, err := firstEvent(ctx, c, even, "inputRate", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	f, err := st.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Snapshot || f.Registry != even || f.Kind != "inputRate" || f.Version == 0 {
-		t.Fatalf("first frame = %+v, want %s/inputRate snapshot", f, even)
+	if !f.Snapshot || f.ID != 1 || !f.Numeric || f.Version == 0 {
+		t.Fatalf("first event = %+v, want a numeric %s/inputRate snapshot on watch 1", f, even)
 	}
 
 	stats, err := c.Stats(ctx)
@@ -65,7 +84,7 @@ func TestServeSmoke(t *testing.T) {
 }
 
 // TestServeDurableRestartResume runs a durable demo through a graceful
-// restart and then a crash: since-based SSE catch-up must work across
+// restart and then a crash: since-based catch-up must work across
 // the restart (the restored item republishes above the version a
 // pre-restart watcher saw), and the crash recovery must re-pin the
 // demo subscriptions from the WAL alone.
@@ -95,19 +114,14 @@ func TestServeDurableRestartResume(t *testing.T) {
 		d1.Close()
 		t.Fatalf("items = %v, no even registry", items)
 	}
-	st, err := c1.Watch(ctx, even, "inputRate", 0)
-	if err != nil {
-		d1.Close()
-		t.Fatal(err)
-	}
-	f, err := st.Next()
+	st, f, err := firstEvent(ctx, c1, even, "inputRate", 0)
 	if err != nil {
 		d1.Close()
 		t.Fatal(err)
 	}
 	seen := f.Version
 	st.Close()
-	d1.Shutdown(io.Discard) // graceful: drains SSE, writes final checkpoint
+	d1.Shutdown(io.Discard) // graceful: drains sessions, writes final checkpoint
 
 	// ---- Life 2: recover; a since=seen watcher resumes. ----
 	d2, err := startDemo("127.0.0.1:0", dir, io.Discard)
@@ -129,19 +143,14 @@ func TestServeDurableRestartResume(t *testing.T) {
 		t.Fatalf("stats = Recoveries %d RestoredStale %d, want 1 and >= 1",
 			stats["Recoveries"], stats["RestoredStale"])
 	}
-	st2, err := c2.Watch(ctx, even, "inputRate", seen)
-	if err != nil {
-		d2.Close()
-		t.Fatal(err)
-	}
-	f2, err := st2.Next()
+	st2, f2, err := firstEvent(ctx, c2, even, "inputRate", seen)
 	if err != nil {
 		d2.Close()
 		t.Fatal(err)
 	}
 	if f2.Version <= seen {
 		d2.Close()
-		t.Fatalf("resumed frame = %+v, want version above pre-restart %d", f2, seen)
+		t.Fatalf("resumed event = %+v, want version above pre-restart %d", f2, seen)
 	}
 	st2.Close()
 
@@ -165,16 +174,12 @@ func TestServeDurableRestartResume(t *testing.T) {
 	}
 	// The demo pins survived the crash: the item is live and watchable
 	// with a non-zero version stream.
-	st3, err := c3.Watch(ctx, even, "inputRate", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f3, err := st3.Next()
+	st3, f3, err := firstEvent(ctx, c3, even, "inputRate", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !f3.Snapshot || f3.Version == 0 {
-		t.Fatalf("post-crash frame = %+v, want pinned snapshot", f3)
+		t.Fatalf("post-crash event = %+v, want pinned snapshot", f3)
 	}
 	st3.Close()
 }

@@ -12,19 +12,13 @@ import (
 
 // runConnect attaches mdtop to a running mdserve (or mdserve -relay)
 // and prints a fixed number of watch frames followed by the server's
-// hub counters. The default transport is one mux session carrying
-// every watched item over a single connection, reconnecting with
-// resume if the server bounces; legacy switches to the per-item SSE
-// stream (one connection per item — the ablation E25 measures
-// against). item is "registry/kind"; when empty, mux mode watches
-// every advertised item and legacy mode the first one.
-func runConnect(base, item string, frames int, since uint64, legacy bool, out io.Writer) error {
+// hub counters. The transport is one mux session carrying every
+// watched item over a single connection, reconnecting with resume if
+// the server bounces. item is "registry/kind"; when empty, every
+// advertised item is watched.
+func runConnect(base, item string, frames int, since uint64, out io.Writer) error {
 	c := pipes.NewWatchClient(base)
 	ctx := context.Background()
-
-	if legacy {
-		return runConnectLegacy(ctx, c, base, item, frames, since, out)
-	}
 
 	// Build the watch list: the one named item, or everything the
 	// server advertises.
@@ -55,7 +49,7 @@ func runConnect(base, item string, frames int, since uint64, legacy bool, out io
 	}
 
 	attaches := 0
-	m := c.MuxReconnect(ctx, pipes.WatchReconnectOptions{})
+	m := c.MuxReconnect(ctx, pipes.ReconnectOptions{})
 	m.OnResume = func(watches int) {
 		attaches++
 		if attaches == 1 {
@@ -105,50 +99,6 @@ func runConnect(base, item string, frames int, since uint64, legacy bool, out io
 	return printServerStats(ctx, c, out)
 }
 
-// runConnectLegacy is the pre-mux path: one SSE connection for one
-// item.
-func runConnectLegacy(ctx context.Context, c *pipes.WatchClient, base, item string, frames int, since uint64, out io.Writer) error {
-	reg, kind, ok := strings.Cut(item, "/")
-	if !ok || reg == "" || kind == "" {
-		var err error
-		reg, kind, err = firstItem(ctx, c)
-		if err != nil {
-			return err
-		}
-	}
-
-	st, err := c.Watch(ctx, reg, kind, since)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	fmt.Fprintf(out, "watching %s/%s on %s (S=snapshot C=coalesced)\n", reg, kind, base)
-	fmt.Fprintf(out, "%-2s %8s %12s\n", "", "version", "value")
-	for i := 0; i < frames; i++ {
-		f, err := st.Next()
-		if err != nil {
-			return err
-		}
-		tag := ""
-		switch {
-		case f.Snapshot:
-			tag = "S"
-		case f.Coalesced:
-			tag = "C"
-		}
-		val := f.Raw
-		if f.Numeric {
-			val = fmt.Sprintf("%.4f", f.Value)
-		}
-		if f.Err != "" {
-			val = "error: " + f.Err
-		}
-		fmt.Fprintf(out, "%-2s %8d %12s\n", tag, f.Version, val)
-	}
-	return printServerStats(ctx, c, out)
-}
-
 // printServerStats prints the server-side hub, mux, relay, and
 // durability counters.
 func printServerStats(ctx context.Context, c *pipes.WatchClient, out io.Writer) error {
@@ -177,26 +127,4 @@ func printServerStats(ctx context.Context, c *pipes.WatchClient, out io.Writer) 
 			stats["CheckpointAt"], stats["Recoveries"], stats["RestoredStale"])
 	}
 	return nil
-}
-
-// firstItem picks the lexicographically first registry/kind pair the
-// server advertises.
-func firstItem(ctx context.Context, c *pipes.WatchClient) (string, string, error) {
-	items, err := c.Items(ctx)
-	if err != nil {
-		return "", "", err
-	}
-	regs := make([]string, 0, len(items))
-	for reg, kinds := range items {
-		if len(kinds) > 0 {
-			regs = append(regs, reg)
-		}
-	}
-	if len(regs) == 0 {
-		return "", "", fmt.Errorf("mdtop: server advertises no watchable items")
-	}
-	sort.Strings(regs)
-	kinds := items[regs[0]]
-	sort.Strings(kinds)
-	return regs[0], kinds[0], nil
 }

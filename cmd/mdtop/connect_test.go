@@ -77,14 +77,14 @@ func connectServer(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// TestConnectEndToEnd points runConnect's default mux transport at an
+// TestConnectEndToEnd points runConnect's mux session at an
 // in-process watch server and checks the printed frames and stat
 // lines.
 func TestConnectEndToEnd(t *testing.T) {
 	srv := connectServer(t)
 
 	var buf syncBuf
-	if err := runConnect(srv.URL, "n1/val", 3, 0, false, &buf); err != nil {
+	if err := runConnect(srv.URL, "n1/val", 3, 0, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -109,39 +109,10 @@ func TestConnectEndToEnd(t *testing.T) {
 	// Item discovery: empty -item watches every advertised pair over
 	// the one session.
 	buf = syncBuf{}
-	if err := runConnect(srv.URL, "", 1, 0, false, &buf); err != nil {
+	if err := runConnect(srv.URL, "", 1, 0, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "watching 2 item(s)") {
 		t.Fatalf("discovery output = %q, want watching 2 item(s)", buf.String())
-	}
-}
-
-// TestConnectLegacySSE covers the -legacy per-item SSE ablation path.
-func TestConnectLegacySSE(t *testing.T) {
-	srv := connectServer(t)
-
-	var buf syncBuf
-	if err := runConnect(srv.URL, "n1/val", 3, 0, true, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"watching n1/val",
-		"S ",
-		"watch hub: watchers=",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("legacy output missing %q:\n%s", want, out)
-		}
-	}
-
-	// Legacy discovery picks the first advertised pair.
-	buf = syncBuf{}
-	if err := runConnect(srv.URL, "", 1, 0, true, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "watching n1/") {
-		t.Fatalf("legacy discovery output = %q, want watching n1/...", buf.String())
 	}
 }

@@ -11,7 +11,6 @@
 //	mdtop -csv                             # dump the recorded series as CSV
 //	mdtop -connect http://localhost:7171   # watch a running mdserve: every
 //	                                       # advertised item over ONE mux session
-//	mdtop -connect URL -legacy             # per-item SSE ablation (one conn/item)
 package main
 
 import (
@@ -29,14 +28,13 @@ func main() {
 	wall := flag.Int("wall", 0, "run on the wall clock for this many seconds instead of the simulation")
 	jsonOut := flag.Bool("json", false, "emit a JSON snapshot of all included metadata")
 	connect := flag.String("connect", "", "attach to a running mdserve at this base URL instead of simulating")
-	item := flag.String("item", "", "with -connect: item to watch as registry/kind (default: all advertised; first with -legacy)")
+	item := flag.String("item", "", "with -connect: item to watch as registry/kind (default: all advertised)")
 	frames := flag.Int("frames", 5, "with -connect: number of watch frames to print")
 	since := flag.Uint64("since", 0, "with -connect: resume the watch after this version")
-	legacy := flag.Bool("legacy", false, "with -connect: use the per-item SSE stream instead of one mux session")
 	flag.Parse()
 
 	if *connect != "" {
-		must(runConnect(*connect, *item, *frames, *since, *legacy, os.Stdout))
+		must(runConnect(*connect, *item, *frames, *since, os.Stdout))
 		return
 	}
 	if *wall > 0 {

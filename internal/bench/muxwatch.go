@@ -4,182 +4,91 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/watch"
 )
 
-// E25SSEConnCap bounds the per-watch SSE ablation: beyond this many
-// watches the legacy path is skipped (each watch is its own TCP
-// connection and goroutine pair, and the point of E25 is that this
-// does not scale), while the mux rows keep going — 10k watches still
-// ride one connection.
-const E25SSEConnCap = 2000
-
-// E25Row is one (mode, watches) cell of the mux transport experiment.
+// E25Row is one watch count of the mux transport experiment.
 type E25Row struct {
-	// Mode is "mux" (one session, batched binary frames) or "sse"
-	// (ablation: the legacy per-watch SSE stream, one connection per
-	// watch).
-	Mode string
 	// Watches is the number of concurrent watches on the published
 	// item.
 	Watches int
-	// Conns is the TCP connections the transport used: always 1 for
-	// mux, Watches for sse.
+	// Conns is the event-carrying connections the server held during
+	// the burst (its live session streams, one connection each): 1
+	// whatever the watch count.
 	Conns int
 	// Publishes is the timed publication burst length.
 	Publishes int
 	// Delivered counts events received client-side — fewer than
 	// Watches*Publishes when coalesce-to-latest merged versions.
 	Delivered int64
-	// Frames is the binary frames the mux stream carried (0 for sse,
-	// where every event is its own HTTP flush).
+	// Frames is the binary frames the mux stream carried.
 	Frames int64
 	// EventsPerFrame is Delivered/Frames — the write amortization the
-	// batched framing buys (1 event : 1 write for sse, by definition).
+	// batched framing buys.
 	EventsPerFrame float64
 	// NsPerEvent is wall time per delivered event from burst start
 	// until every watch has seen the final version — the end-to-end
-	// serve cost of one event on this transport.
+	// serve cost of one event.
 	NsPerEvent int64
 }
 
-// RunE25Mode times a burst of publishes publications of one item
-// fanned out to watches subscribers over the given transport. Setup
-// (connections, watch registration) is excluded from the window; the
-// window closes when every watch has observed the final version, so
-// coalescing shortens it rather than hiding work.
-func RunE25Mode(mode string, watches, publishes int) E25Row {
+// RunE25 times a burst of publishes publications of one item fanned
+// out to watches subscribers over one mux session. Setup (connection,
+// watch registration) is excluded from the window; the window closes
+// when every watch has observed the final version, so coalescing
+// shortens it rather than hiding work. (The per-watch SSE arm this was
+// measured against — 29–61× slower, EXPERIMENTS.md "E25" — was retired
+// with that transport.)
+func RunE25(watches, publishes int) E25Row {
 	env, r, publish := E23System()
 	h := watch.NewHub(env)
 	defer h.Close()
 	srv := watch.NewServer(h, env, r)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	c := watch.NewClient(ts.URL)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	row := E25Row{Mode: mode, Watches: watches, Publishes: publishes}
+	m, err := watch.NewClient(ts.URL).Mux(ctx)
+	if err != nil {
+		panic(err)
+	}
+	defer m.Close()
+	adds := make(map[uint64]watch.MuxWatch, watches)
+	for i := 0; i < watches; i++ {
+		// Since: 1 skips the catch-up snapshot so the window times
+		// only burst deliveries.
+		adds[uint64(i+1)] = watch.MuxWatch{Registry: "op", Kind: "val", Since: 1}
+	}
+	if rejects, err := m.Add(ctx, adds); err != nil || len(rejects) != 0 {
+		panic(fmt.Sprintf("E25: mux add: %v %v", rejects, err))
+	}
+	row := E25Row{Watches: watches, Conns: int(env.Stats().MuxSessions.Load()), Publishes: publishes}
 	final := uint64(publishes + 1) // inclusion published v1
-	switch mode {
-	case "mux":
-		m, err := c.Mux(ctx)
+	start := time.Now()
+	for i := 0; i < publishes; i++ {
+		publish()
+	}
+	h.Barrier()
+	// Versions are strictly increasing per watch, so each watch yields
+	// the final version exactly once.
+	for caught := 0; caught < watches; {
+		ev, err := m.Next()
 		if err != nil {
-			panic(err)
+			panic(fmt.Sprintf("E25: mux next: %v", err))
 		}
-		defer m.Close()
-		adds := make(map[uint64]watch.MuxWatch, watches)
-		for i := 0; i < watches; i++ {
-			// Since: 1 skips the catch-up snapshot so the window times
-			// only burst deliveries.
-			adds[uint64(i+1)] = watch.MuxWatch{Registry: "op", Kind: "val", Since: 1}
+		row.Delivered++
+		if ev.Version == final {
+			caught++
 		}
-		if rejects, err := m.Add(ctx, adds); err != nil || len(rejects) != 0 {
-			panic(fmt.Sprintf("E25: mux add: %v %v", rejects, err))
-		}
-		start := time.Now()
-		for i := 0; i < publishes; i++ {
-			publish()
-		}
-		h.Barrier()
-		// Versions are strictly increasing per watch, so each watch
-		// yields the final version exactly once.
-		caught := 0
-		for caught < watches {
-			ev, err := m.Next()
-			if err != nil {
-				panic(fmt.Sprintf("E25: mux next: %v", err))
-			}
-			row.Delivered++
-			if ev.Version == final {
-				caught++
-			}
-		}
-		ns := time.Since(start).Nanoseconds()
-		row.Conns = 1
-		row.Frames = m.Frames()
-		if row.Frames > 0 {
-			row.EventsPerFrame = float64(m.Events()) / float64(row.Frames)
-		}
-		row.NsPerEvent = ns / maxI64(row.Delivered, 1)
-	case "sse":
-		streams := make([]*watch.Stream, watches)
-		for i := range streams {
-			st, err := c.Watch(ctx, "op", "val", 1)
-			if err != nil {
-				panic(fmt.Sprintf("E25: sse watch: %v", err))
-			}
-			streams[i] = st
-			defer st.Close()
-		}
-		var delivered atomic.Int64
-		var wg sync.WaitGroup
-		start := time.Now()
-		for _, st := range streams {
-			wg.Add(1)
-			go func(st *watch.Stream) {
-				defer wg.Done()
-				for {
-					f, err := st.Next()
-					if err != nil {
-						panic(fmt.Sprintf("E25: sse next: %v", err))
-					}
-					delivered.Add(1)
-					if f.Version == final {
-						return
-					}
-				}
-			}(st)
-		}
-		for i := 0; i < publishes; i++ {
-			publish()
-		}
-		h.Barrier()
-		wg.Wait()
-		ns := time.Since(start).Nanoseconds()
-		row.Conns = watches
-		row.Delivered = delivered.Load()
-		row.EventsPerFrame = 1 // one event per HTTP flush, by construction
-		row.NsPerEvent = ns / maxI64(row.Delivered, 1)
-	default:
-		panic(fmt.Sprintf("E25: unknown mode %q", mode))
 	}
+	ns := time.Since(start).Nanoseconds()
+	row.Frames = m.Frames()
+	if row.Frames > 0 {
+		row.EventsPerFrame = float64(m.Events()) / float64(row.Frames)
+	}
+	row.NsPerEvent = ns / max(row.Delivered, 1)
 	return row
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// RunE25 runs both transports at each watch count, skipping the SSE
-// ablation above E25SSEConnCap.
-func RunE25(watchCounts []int, publishes int) []E25Row {
-	var rows []E25Row
-	for _, n := range watchCounts {
-		if n <= E25SSEConnCap {
-			rows = append(rows, RunE25Mode("sse", n, publishes))
-		}
-		rows = append(rows, RunE25Mode("mux", n, publishes))
-	}
-	return rows
-}
-
-// E25Table renders the transport comparison.
-func E25Table(rows []E25Row) *Table {
-	t := &Table{
-		Title:  "E25 — mux watch transport: one connection vs per-watch SSE",
-		Note:   fmt.Sprintf("one item, N watches, a publication burst, timed until every watch sees the final version. The legacy path pays one TCP connection and one HTTP flush per watch per event; the mux session carries every watch on one connection and packs events into CRC-framed binary batches, so conns stays 1 and events/frame amortizes the write cost (SSE ablation skipped above %d watches)", E25SSEConnCap),
-		Header: []string{"mode", "watches", "conns", "publishes", "delivered", "frames", "events/frame", "ns/event"},
-	}
-	for _, r := range rows {
-		t.Add(r.Mode, r.Watches, r.Conns, r.Publishes, r.Delivered, r.Frames, r.EventsPerFrame, r.NsPerEvent)
-	}
-	return t
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/clock"
@@ -61,6 +62,27 @@ func E23System() (*core.Env, *core.Registry, func()) {
 	}
 }
 
+// callbackFanout is E23's ablation baseline: the classic per-subscriber
+// callback fan-out. As the item's core.WatchSink it synchronously
+// invokes every subscriber's callback on the publisher's goroutine, so
+// publish cost is O(watchers) — the shape the epoch-diff hub exists to
+// avoid. The read lock is what any callback registry that admits
+// concurrent subscribes pays per publication; it stays in the baseline.
+type callbackFanout struct {
+	mu  sync.RWMutex
+	cbs []func(version uint64)
+}
+
+// Published implements core.WatchSink by calling back every subscriber
+// inline.
+func (f *callbackFanout) Published(v uint64) {
+	f.mu.RLock()
+	for _, cb := range f.cbs {
+		cb(v)
+	}
+	f.mu.RUnlock()
+}
+
 // RunE23Mode times publishes publications of one item fanned out to
 // watchers subscribers through the given mode. Subscriber setup is
 // excluded from the timing; for the hub the timing includes a final
@@ -70,15 +92,20 @@ func RunE23Mode(mode string, watchers, publishes int, elapsed func(fn func()) in
 	row := E23Row{Mode: mode, Watchers: watchers, Publishes: publishes}
 	switch mode {
 	case "callback":
-		nh := watch.NewNaiveHub()
-		defer nh.Close()
-		var delivered atomic.Int64
-		cb := func(uint64) { delivered.Add(1) }
-		for i := 0; i < watchers; i++ {
-			if err := nh.Subscribe(r, "val", cb); err != nil {
-				panic(err)
-			}
+		sub, err := r.Subscribe("val")
+		if err != nil {
+			panic(err)
 		}
+		defer sub.Unsubscribe()
+		var delivered atomic.Int64
+		fan := &callbackFanout{}
+		for i := 0; i < watchers; i++ {
+			fan.cbs = append(fan.cbs, func(uint64) { delivered.Add(1) })
+		}
+		if _, err := r.Watch("val", fan); err != nil {
+			panic(err)
+		}
+		defer r.Unwatch("val")
 		ns := elapsed(func() {
 			for i := 0; i < publishes; i++ {
 				publish()

@@ -19,9 +19,9 @@
 package persist
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
+
+	"repro/internal/frame"
 )
 
 // ErrCorrupt reports persistence bytes that cannot be decoded: a bad
@@ -31,22 +31,16 @@ import (
 // partial replay, not an error.
 var ErrCorrupt = errors.New("persist: corrupt or truncated data")
 
-// A frame is: 4-byte little-endian payload length, 4-byte little-endian
-// IEEE CRC32 of the payload, payload bytes.
-const frameHeader = 8
+// Records and checkpoint chunks use the module's one CRC framing
+// (internal/frame).
+const frameHeader = frame.Header
 
 // maxFrame bounds a single frame payload; a length field beyond it is
 // treated as corruption, not an allocation request.
 const maxFrame = 64 << 20
 
 // appendFrame appends the framed payload to dst and returns it.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
-}
+func appendFrame(dst, payload []byte) []byte { return frame.Append(dst, payload) }
 
 // readFrame decodes one frame at the start of b, returning the payload
 // and the total bytes consumed. It returns ErrCorrupt for a frame that
@@ -54,17 +48,8 @@ func appendFrame(dst, payload []byte) []byte {
 // match — callers decide whether that is a clean replay stop (WAL tail)
 // or a hard error (checkpoint).
 func readFrame(b []byte) (payload []byte, n int, err error) {
-	if len(b) < frameHeader {
-		return nil, 0, ErrCorrupt
+	if payload, n, err = frame.Decode(b, maxFrame); err != nil {
+		err = ErrCorrupt
 	}
-	ln := binary.LittleEndian.Uint32(b[0:4])
-	sum := binary.LittleEndian.Uint32(b[4:8])
-	if ln > maxFrame || int(ln) > len(b)-frameHeader {
-		return nil, 0, ErrCorrupt
-	}
-	payload = b[frameHeader : frameHeader+int(ln)]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, ErrCorrupt
-	}
-	return payload, frameHeader + int(ln), nil
+	return payload, n, err
 }

@@ -1,38 +1,34 @@
 package watch
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
 
 // ErrHeartbeatTimeout reports a stream whose peer went silent past the
-// heartbeat deadline: no event, keepalive, or heartbeat frame arrived
-// in time, so the TCP peer is presumed dead even though the connection
-// never errored. It is reconnectable — WatchReconnect (and the mux
-// ReconnectMux) redial on it like any transport failure.
+// heartbeat deadline: no event or heartbeat frame arrived in time, so
+// the TCP peer is presumed dead even though the connection never
+// errored. It is reconnectable — ReconnectMux redials on it like any
+// transport failure.
 var ErrHeartbeatTimeout = errors.New("watch: heartbeat timeout")
 
-// Client consumes a Server's watch streams — the library behind
+// Client consumes a Server's mux sessions — the library behind
 // cmd/mdtop's -connect mode. It uses only net/http.
 type Client struct {
 	base string
 	hc   *http.Client
 
-	// HeartbeatTimeout, when positive, arms a watchdog on every stream
-	// this client opens: if no bytes (events, SSE keepalive comments,
-	// or mux heartbeat frames) arrive for this long, the stream fails
-	// with ErrHeartbeatTimeout instead of hanging on a dead peer. Set
-	// it above the server's heartbeat interval (e.g. 4x).
+	// HeartbeatTimeout, when positive, arms a watchdog on every session
+	// this client opens: if no frame (events or heartbeat) arrives for
+	// this long, the session fails with ErrHeartbeatTimeout instead of
+	// hanging on a dead peer. Set it above the server's heartbeat
+	// interval (e.g. 4x).
 	HeartbeatTimeout time.Duration
 }
 
@@ -43,7 +39,7 @@ func NewClient(base string) *Client {
 }
 
 // watchdog closes a stream body when the peer goes silent too long.
-// Reset after every received line/frame; expired reports whether the
+// Reset after every received frame; expired reports whether the
 // teardown it forced was a heartbeat timeout (vs a normal Close).
 type watchdog struct {
 	timer    *time.Timer
@@ -79,73 +75,6 @@ func (wd *watchdog) stop() {
 // watchdog caused it.
 func (wd *watchdog) expired() bool {
 	return wd != nil && wd.timedOut.Load()
-}
-
-// Stream is one live SSE watch subscription.
-type Stream struct {
-	body io.ReadCloser
-	sc   *bufio.Scanner
-	wd   *watchdog
-	hbt  time.Duration
-}
-
-// Watch opens a watch stream on (registry, kind) resuming after since
-// (0 for snapshot-first). Cancel ctx to end the stream.
-func (c *Client) Watch(ctx context.Context, registry, kind string, since uint64) (*Stream, error) {
-	return c.watch(ctx, registry, kind, since, c.HeartbeatTimeout)
-}
-
-func (c *Client) watch(ctx context.Context, registry, kind string, since uint64, hbt time.Duration) (*Stream, error) {
-	u := fmt.Sprintf("%s/watch?registry=%s&kind=%s&since=%s",
-		c.base, url.QueryEscape(registry), url.QueryEscape(kind),
-		strconv.FormatUint(since, 10))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		return nil, &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	return &Stream{body: resp.Body, sc: sc, wd: newWatchdog(hbt, resp.Body), hbt: hbt}, nil
-}
-
-// Next blocks for the next frame. It returns io.EOF when the server
-// closes the stream, ErrHeartbeatTimeout when the peer goes silent
-// past the client's heartbeat deadline, and the context's error when
-// the watch context is canceled.
-func (s *Stream) Next() (Frame, error) {
-	for s.sc.Scan() {
-		// Any line — data, keepalive comment, blank separator — proves
-		// the peer alive.
-		s.wd.reset(s.hbt)
-		line := s.sc.Bytes()
-		rest, ok := bytes.CutPrefix(line, []byte("data: "))
-		if !ok {
-			continue // blank separators, comments, other SSE fields
-		}
-		return DecodeFrame(rest)
-	}
-	if s.wd.expired() {
-		return Frame{}, ErrHeartbeatTimeout
-	}
-	if err := s.sc.Err(); err != nil {
-		return Frame{}, err
-	}
-	return Frame{}, io.EOF
-}
-
-// Close ends the stream.
-func (s *Stream) Close() error {
-	s.wd.stop()
-	return s.body.Close()
 }
 
 // Items fetches the server's inventory: registry ID to defined kinds.

@@ -399,8 +399,9 @@ func (m *ReconnectMux) Next() (MuxEvent, error) {
 	}
 }
 
-// backoff sleeps the next jittered exponential delay, mirroring
-// ReconnectStream.backoff.
+// backoff sleeps the next jittered exponential delay. It returns a
+// non-nil error — cause, or the context's error — when the retry budget
+// or the context is exhausted, ending the session.
 func (m *ReconnectMux) backoff(cause error) error {
 	m.attempts++
 	if m.opt.MaxAttempts > 0 && m.attempts >= m.opt.MaxAttempts {

@@ -295,75 +295,3 @@ func TestReconnectMuxResumesWithOneSnapshot(t *testing.T) {
 		t.Fatalf("post-resume delta = %+v; want v5 delta", ev)
 	}
 }
-
-func TestLegacyClientHeartbeatTimeout(t *testing.T) {
-	// The legacy SSE path gets the same watchdog: a silent server ends
-	// the stream with ErrHeartbeatTimeout instead of hanging forever,
-	// and WatchReconnect treats it as reconnectable.
-	ts, h, publish := muxTestServer(t, time.Hour)
-	c := NewClient(ts.URL)
-	c.HeartbeatTimeout = 50 * time.Millisecond
-	ctx := context.Background()
-
-	st, err := c.Watch(ctx, "n1", "val", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if f, err := st.Next(); err != nil || !f.Snapshot {
-		t.Fatalf("snapshot = %+v, %v", f, err)
-	}
-	if _, err := st.Next(); err != ErrHeartbeatTimeout {
-		t.Fatalf("idle Next = %v, want ErrHeartbeatTimeout", err)
-	}
-
-	// Through WatchReconnect the timeout is just another redial: the
-	// stream heals and the next publication arrives.
-	rs := c.WatchReconnect(ctx, "n1", "val", 0, fastReconnect())
-	defer rs.Close()
-	if f, err := rs.Next(); err != nil || !f.Snapshot {
-		t.Fatalf("reconnect snapshot = %+v, %v", f, err)
-	}
-	publish()
-	h.Barrier()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		f, err := rs.Next()
-		if err != nil {
-			t.Fatalf("reconnect stream died: %v", err)
-		}
-		if f.Version >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no post-timeout delivery")
-		}
-	}
-}
-
-func TestLegacySSEHeartbeatComments(t *testing.T) {
-	// Fast server heartbeats keep a watchdogged legacy stream alive
-	// while idle.
-	ts, _, _ := muxTestServer(t, 10*time.Millisecond)
-	c := NewClient(ts.URL)
-	c.HeartbeatTimeout = 150 * time.Millisecond
-	ctx := context.Background()
-	st, err := c.Watch(ctx, "n1", "val", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if f, err := st.Next(); err != nil || !f.Snapshot {
-		t.Fatalf("snapshot = %+v, %v", f, err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := st.Next()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("stream ended during heartbeat-covered idle: %v", err)
-	case <-time.After(400 * time.Millisecond):
-	}
-}

@@ -4,13 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+
+	"repro/internal/core"
+	"repro/internal/frame"
 )
 
 // The mux wire protocol batches many watch events into one CRC-framed
-// binary write. Framing follows internal/persist: 4-byte little-endian
+// binary write. Framing is internal/frame's: 4-byte little-endian
 // payload length, 4-byte little-endian IEEE CRC32 of the payload, then
 // the payload. The payload's first byte is its type:
 //
@@ -23,7 +25,7 @@ import (
 //
 // Registry and kind never travel per event — the watch id was bound to
 // them at Add time, which is what makes a 10k-watch burst amortize to a
-// few hundred bytes per frame instead of 10k JSON objects.
+// few bytes per event.
 const (
 	muxPayloadEvents    = 'E'
 	muxPayloadHeartbeat = 'H'
@@ -35,7 +37,6 @@ const (
 	muxErr       = 1 << 4
 	muxFlagsMask = muxSnapshot | muxCoalesced | muxNumeric | muxRaw | muxErr
 
-	muxFrameHeader = 8
 	// maxMuxFrame bounds one frame payload; a longer length field is
 	// corruption, not an allocation request.
 	maxMuxFrame = 16 << 20
@@ -58,43 +59,47 @@ type MuxEvent struct {
 	Err       string
 }
 
-// MuxEventOf converts an in-process event for watch id to wire form,
-// with the same value routing as FrameOf (finite numerics in Value,
-// everything else stringly in Raw).
+// MuxEventOf converts an in-process event for watch id to wire form:
+// a finite numeric value travels in Value with Numeric set, every other
+// value (NaN and ±Inf included, which the strict decoder refuses as
+// numerics) as its string form in Raw, and an error as its text in Err.
 func MuxEventOf(id uint64, ev Event) MuxEvent {
-	f := FrameOf(ev)
-	return MuxEvent{
-		ID:        id,
-		Version:   f.Version,
-		Snapshot:  f.Snapshot,
-		Coalesced: f.Coalesced,
-		Numeric:   f.Numeric,
-		Value:     f.Value,
-		Raw:       f.Raw,
-		Err:       f.Err,
+	me := MuxEvent{ID: id, Version: ev.Version, Snapshot: ev.Snapshot, Coalesced: ev.Coalesced}
+	if ev.Err != nil {
+		me.Err = ev.Err.Error()
 	}
+	if ev.Value == nil {
+		return me
+	}
+	if x, err := core.Float(ev.Value); err == nil && !math.IsNaN(x) && !math.IsInf(x, 0) {
+		me.Numeric, me.Value = true, x
+	} else {
+		me.Raw = fmt.Sprint(ev.Value)
+	}
+	return me
 }
 
-// AsFrame rebinds the wire event to the (registry, kind) its watch id
-// was registered under, recovering the legacy Frame shape.
-func (me MuxEvent) AsFrame(registry, kind string) Frame {
-	return Frame{
-		Registry:  registry,
-		Kind:      kind,
-		Version:   me.Version,
-		Numeric:   me.Numeric,
-		Value:     me.Value,
-		Raw:       me.Raw,
-		Err:       me.Err,
-		Snapshot:  me.Snapshot,
-		Coalesced: me.Coalesced,
+// Event is MuxEventOf's inverse: the in-process event for the
+// (registry, kind) the watch id was registered under. A numeric value
+// comes back as float64, any other as its string form, an error as its
+// text.
+func (me MuxEvent) Event(registry string, kind core.Kind) Event {
+	ev := Event{Registry: registry, Kind: kind, Version: me.Version, Snapshot: me.Snapshot, Coalesced: me.Coalesced}
+	if me.Err != "" {
+		ev.Err = errors.New(me.Err)
 	}
+	if me.Numeric {
+		ev.Value = me.Value
+	} else if me.Raw != "" {
+		ev.Value = me.Raw
+	}
+	return ev
 }
 
 // appendMuxEvent appends one event body (no framing) to dst. Encoding
-// is total: a non-finite numeric is rerouted to Raw, mirroring
-// EncodeFrame, so the strict decoder's NaN/Inf rejection can never hit
-// our own output.
+// is total: a non-finite numeric in a hand-built MuxEvent is rerouted
+// to Raw, so the strict decoder's NaN/Inf rejection can never hit our
+// own output.
 func appendMuxEvent(dst []byte, me MuxEvent) []byte {
 	if me.Numeric && (math.IsNaN(me.Value) || math.IsInf(me.Value, 0)) {
 		me.Raw = fmt.Sprint(me.Value)
@@ -143,26 +148,17 @@ func AppendMuxEvents(dst []byte, evs []MuxEvent) []byte {
 	if len(evs) == 0 {
 		return dst
 	}
-	payload := make([]byte, 1, 1+16*len(evs))
-	payload[0] = muxPayloadEvents
+	off := len(dst)
+	dst = append(frame.Begin(dst), muxPayloadEvents)
 	for _, me := range evs {
-		payload = appendMuxEvent(payload, me)
+		dst = appendMuxEvent(dst, me)
 	}
-	return appendMuxFrame(dst, payload)
+	return frame.Finish(dst, off)
 }
 
 // AppendMuxHeartbeat appends one framed 'H' payload.
 func AppendMuxHeartbeat(dst []byte) []byte {
-	return appendMuxFrame(dst, []byte{muxPayloadHeartbeat})
-}
-
-// appendMuxFrame wraps payload in the length+CRC header.
-func appendMuxFrame(dst, payload []byte) []byte {
-	var hdr [muxFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return frame.Append(dst, []byte{muxPayloadHeartbeat})
 }
 
 // decodeMuxEvent decodes one event body at the start of b, returning
@@ -272,23 +268,15 @@ func DecodeMuxPayload(payload []byte) (evs []MuxEvent, heartbeat bool, err error
 // the bytes consumed — the byte-slice twin of ReadMuxFrame, used by
 // tests and the fuzz harness.
 func DecodeMuxFrame(b []byte) (evs []MuxEvent, heartbeat bool, n int, err error) {
-	if len(b) < muxFrameHeader {
-		return nil, false, 0, ErrMuxCorrupt
-	}
-	ln := binary.LittleEndian.Uint32(b[0:4])
-	sum := binary.LittleEndian.Uint32(b[4:8])
-	if ln > maxMuxFrame || int(ln) > len(b)-muxFrameHeader {
-		return nil, false, 0, ErrMuxCorrupt
-	}
-	payload := b[muxFrameHeader : muxFrameHeader+int(ln)]
-	if crc32.ChecksumIEEE(payload) != sum {
+	payload, n, err := frame.Decode(b, maxMuxFrame)
+	if err != nil {
 		return nil, false, 0, ErrMuxCorrupt
 	}
 	evs, heartbeat, err = DecodeMuxPayload(payload)
 	if err != nil {
 		return nil, false, 0, err
 	}
-	return evs, heartbeat, muxFrameHeader + int(ln), nil
+	return evs, heartbeat, n, nil
 }
 
 // ReadMuxFrame reads one whole frame from r. io.EOF on a frame
@@ -296,38 +284,14 @@ func DecodeMuxFrame(b []byte) (evs []MuxEvent, heartbeat bool, n int, err error)
 // inside a frame is io.ErrUnexpectedEOF, and a CRC/grammar violation
 // is ErrMuxCorrupt.
 func ReadMuxFrame(r io.Reader) (evs []MuxEvent, heartbeat bool, err error) {
-	var hdr [muxFrameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return nil, false, err // io.EOF here is a clean stream end
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, false, err
-	}
-	ln := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if ln > maxMuxFrame {
+	payload, err := frame.Read(r, maxMuxFrame)
+	if err == frame.ErrCorrupt {
 		return nil, false, ErrMuxCorrupt
 	}
-	payload := make([]byte, ln)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	if err != nil {
 		return nil, false, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, false, ErrMuxCorrupt
 	}
 	return DecodeMuxPayload(payload)
-}
-
-// muxItem names one watched item in the JSON control protocol.
-type muxItem struct {
-	Registry string `json:"registry"`
-	Kind     string `json:"kind"`
 }
 
 // muxAdd is one watch registration in a control request.

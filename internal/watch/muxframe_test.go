@@ -9,6 +9,73 @@ import (
 	"testing"
 )
 
+// TestMuxEventOf pins the value routing of the one Event → wire
+// conversion: a finite numeric travels in Value, anything else —
+// NaN and ±Inf included — as its string form in Raw, an error as its
+// text, and a nil value as nothing.
+func TestMuxEventOf(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ev   Event
+		want MuxEvent
+	}{
+		{"numeric", Event{Registry: "n1", Kind: "val", Version: 7, Value: 3.5, Snapshot: true},
+			MuxEvent{ID: 9, Version: 7, Snapshot: true, Numeric: true, Value: 3.5}},
+		{"integer", Event{Version: 1, Value: int64(4)}, MuxEvent{ID: 9, Version: 1, Numeric: true, Value: 4}},
+		{"string", Event{Version: 2, Value: "a,b", Coalesced: true}, MuxEvent{ID: 9, Version: 2, Coalesced: true, Raw: "a,b"}},
+		{"error", Event{Version: 3, Err: errors.New("boom")}, MuxEvent{ID: 9, Version: 3, Err: "boom"}},
+		{"stale value", Event{Version: 4, Value: 1.5, Err: errors.New("stale")},
+			MuxEvent{ID: 9, Version: 4, Numeric: true, Value: 1.5, Err: "stale"}},
+		{"nil value", Event{Version: 5}, MuxEvent{ID: 9, Version: 5}},
+		{"NaN", Event{Version: 6, Value: math.NaN()}, MuxEvent{ID: 9, Version: 6, Raw: "NaN"}},
+		{"+Inf", Event{Version: 7, Value: math.Inf(1)}, MuxEvent{ID: 9, Version: 7, Raw: "+Inf"}},
+		{"-Inf", Event{Version: 8, Value: math.Inf(-1)}, MuxEvent{ID: 9, Version: 8, Raw: "-Inf"}},
+	} {
+		if got := MuxEventOf(9, tc.ev); got != tc.want {
+			t.Errorf("%s: MuxEventOf = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestFrameRoundTrip sends events through a mux frame and back:
+// MuxEventOf → AppendMuxEvents → DecodeMuxFrame → MuxEvent.Event keeps
+// version, flags, value and error text, rebound to the item the watch
+// id was registered under.
+func TestFrameRoundTrip(t *testing.T) {
+	in := []Event{
+		{Version: 42, Value: 1.25, Snapshot: true},
+		{Version: 43, Value: "a,b", Coalesced: true},
+		{Version: 44, Err: errors.New("compute timeout")},
+		{Version: 45, Value: 2.5, Err: errors.New("stale")},
+		{Version: 46},
+		{Version: 47, Value: math.Inf(1)},
+	}
+	wire := make([]MuxEvent, len(in))
+	for i, ev := range in {
+		wire[i] = MuxEventOf(uint64(i+1), ev)
+	}
+	b := AppendMuxEvents(nil, wire)
+	got, _, n, err := DecodeMuxFrame(b)
+	if err != nil || n != len(b) || len(got) != len(in) {
+		t.Fatalf("DecodeMuxFrame = %d events, n=%d of %d, err=%v", len(got), n, len(b), err)
+	}
+	for i, me := range got {
+		want := in[i]
+		want.Registry, want.Kind = "n1", "val"
+		if x, ok := want.Value.(float64); ok && math.IsInf(x, 0) {
+			want.Value = "+Inf" // non-finite values come back as their text
+		}
+		ev := me.Event("n1", "val")
+		if me.ID != uint64(i+1) || ev.Registry != "n1" || ev.Kind != "val" || ev.Version != want.Version ||
+			ev.Snapshot != want.Snapshot || ev.Coalesced != want.Coalesced || ev.Value != want.Value {
+			t.Errorf("event %d came back as %+v (id %d), want %+v", i, ev, me.ID, want)
+		}
+		if (ev.Err == nil) != (want.Err == nil) || ev.Err != nil && ev.Err.Error() != want.Err.Error() {
+			t.Errorf("event %d error = %v, want %v", i, ev.Err, want.Err)
+		}
+	}
+}
+
 func TestMuxFrameRoundTrip(t *testing.T) {
 	evs := []MuxEvent{
 		{ID: 1, Version: 7, Numeric: true, Value: 3.25},
@@ -42,9 +109,8 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 }
 
 func TestMuxFrameNonFiniteReroutes(t *testing.T) {
-	// Encoding is total: NaN/Inf numerics travel as Raw strings, like
-	// EncodeFrame, so the strict decoder never sees our own output as
-	// corrupt.
+	// Encoding is total: NaN/Inf numerics travel as Raw strings, so the
+	// strict decoder never sees our own output as corrupt.
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		b := AppendMuxEvents(nil, []MuxEvent{{ID: 1, Version: 2, Numeric: true, Value: v}})
 		got, _, _, err := DecodeMuxFrame(b)

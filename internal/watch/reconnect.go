@@ -2,13 +2,12 @@ package watch
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"net/http"
 	"time"
 )
 
-// ReconnectOptions tunes WatchReconnect's retry loop. The zero value
+// ReconnectOptions tunes ReconnectMux's retry loop. The zero value
 // retries forever with 50ms initial backoff doubling to 2s, each delay
 // jittered uniformly over [d/2, d] to decorrelate a fleet of clients
 // reconnecting after the same server restart.
@@ -20,7 +19,7 @@ type ReconnectOptions struct {
 	// MaxAttempts bounds consecutive failures before Next gives up and
 	// returns the last error; 0 retries until the context is canceled.
 	MaxAttempts int
-	// HeartbeatTimeout arms the per-stream silent-peer watchdog (see
+	// HeartbeatTimeout arms the per-session silent-peer watchdog (see
 	// Client.HeartbeatTimeout); 0 falls back to the client's setting.
 	// A tripped watchdog surfaces as ErrHeartbeatTimeout internally and
 	// is retried like any dropped connection.
@@ -31,9 +30,9 @@ type ReconnectOptions struct {
 	jitter func(time.Duration) time.Duration
 }
 
-// StatusError reports a watch request the server answered with a
-// non-200 status. Client errors (4xx) mark the watch itself invalid —
-// unknown registry or kind — and are not retried by WatchReconnect.
+// StatusError reports a request the server answered with a non-200
+// status; on a session's control endpoint, 410 Gone means the session
+// died with its stream and the client must redial.
 type StatusError struct {
 	Code int
 	Body string
@@ -41,30 +40,6 @@ type StatusError struct {
 
 func (e *StatusError) Error() string {
 	return "watch: " + http.StatusText(e.Code) + ": " + e.Body
-}
-
-// ReconnectStream is a Watch that survives server restarts. On any
-// stream error it backs off and redials with since set to the highest
-// version it delivered, so the server's snapshot-then-delta catch-up
-// yields at most one Snapshot-flagged frame per reconnect and no
-// replayed deltas. Connection is lazy: the first Next dials.
-type ReconnectStream struct {
-	c              *Client
-	ctx            context.Context
-	registry, kind string
-	opt            ReconnectOptions
-
-	cur      *Stream
-	lastSeen uint64
-	delay    time.Duration
-	attempts int
-}
-
-// WatchReconnect creates a self-healing watch stream on (registry,
-// kind) resuming after since. It never dials here — connection errors
-// surface through Next, which retries them under opt's backoff policy.
-func (c *Client) WatchReconnect(ctx context.Context, registry, kind string, since uint64, opt ReconnectOptions) *ReconnectStream {
-	return &ReconnectStream{c: c, ctx: ctx, registry: registry, kind: kind, opt: opt.withDefaults(), lastSeen: since}
 }
 
 // withDefaults fills the zero-value policy: 50ms initial backoff
@@ -94,83 +69,4 @@ func (opt ReconnectOptions) withDefaults() ReconnectOptions {
 		}
 	}
 	return opt
-}
-
-// LastSeen reports the highest version Next has delivered — the resume
-// point the next reconnect will use.
-func (s *ReconnectStream) LastSeen() uint64 { return s.lastSeen }
-
-// Next blocks for the next frame, transparently reconnecting across
-// dropped connections. It returns the context's error on cancellation,
-// a *StatusError immediately when the server rejects the watch as
-// invalid (4xx), and the last dial error once MaxAttempts consecutive
-// failures accumulate.
-func (s *ReconnectStream) Next() (Frame, error) {
-	for {
-		if err := s.ctx.Err(); err != nil {
-			return Frame{}, err
-		}
-		if s.cur == nil {
-			hbt := s.opt.HeartbeatTimeout
-			if hbt <= 0 {
-				hbt = s.c.HeartbeatTimeout
-			}
-			st, err := s.c.watch(s.ctx, s.registry, s.kind, s.lastSeen, hbt)
-			if err != nil {
-				var se *StatusError
-				if errors.As(err, &se) && se.Code >= 400 && se.Code < 500 {
-					return Frame{}, err
-				}
-				if err2 := s.backoff(err); err2 != nil {
-					return Frame{}, err2
-				}
-				continue
-			}
-			s.cur = st
-		}
-		f, err := s.cur.Next()
-		if err != nil {
-			s.cur.Close()
-			s.cur = nil
-			if cerr := s.ctx.Err(); cerr != nil {
-				return Frame{}, cerr
-			}
-			if err2 := s.backoff(err); err2 != nil {
-				return Frame{}, err2
-			}
-			continue
-		}
-		s.delay, s.attempts = 0, 0
-		if f.Version > s.lastSeen {
-			s.lastSeen = f.Version
-		}
-		return f, nil
-	}
-}
-
-// backoff sleeps the next jittered exponential delay. It returns a
-// non-nil error — cause, or the context's error — when the retry budget
-// or the context is exhausted, ending the stream.
-func (s *ReconnectStream) backoff(cause error) error {
-	s.attempts++
-	if s.opt.MaxAttempts > 0 && s.attempts >= s.opt.MaxAttempts {
-		return cause
-	}
-	if s.delay == 0 {
-		s.delay = s.opt.InitialBackoff
-	} else if s.delay *= 2; s.delay > s.opt.MaxBackoff {
-		s.delay = s.opt.MaxBackoff
-	}
-	return s.opt.sleep(s.ctx, s.opt.jitter(s.delay))
-}
-
-// Close ends the stream. Further Next calls redial unless the context
-// is also canceled, so cancel the watch context to stop for good.
-func (s *ReconnectStream) Close() error {
-	if s.cur == nil {
-		return nil
-	}
-	st := s.cur
-	s.cur = nil
-	return st.Close()
 }

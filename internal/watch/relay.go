@@ -2,7 +2,6 @@ package watch
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -32,8 +31,8 @@ type relayKey struct {
 	kind     core.Kind
 }
 
-// rpoint is one mirrored item: the latest value received upstream plus
-// the local watchers fanned out to. Its mutex orders delivery against
+// rpoint is one mirrored item: the latest event received upstream
+// (transport flags stripped) plus the local watchers fanned out to. Its mutex orders delivery against
 // catch-up — ItemVersion can only report v after every watcher ring
 // registered before v's arrival contains v (or a successor).
 type rpoint struct {
@@ -41,8 +40,7 @@ type rpoint struct {
 	kind     core.Kind
 
 	mu       sync.Mutex
-	version  uint64
-	frame    Frame
+	last     Event
 	watchers map[*Watcher]struct{}
 }
 
@@ -158,49 +156,26 @@ func (r *Relay) pump() {
 
 // apply publishes one upstream event into the point and its watchers.
 func (r *Relay) apply(p *rpoint, me MuxEvent) {
-	f := me.AsFrame(p.registry, string(p.kind))
+	ev := me.Event(p.registry, p.kind)
 	// Strip transport flags: an upstream Snapshot or Coalesced is a
 	// fact about the *upstream* stream. Locally both re-derive — any
 	// skipped publication is a version jump, which each watcher ring
 	// flags Coalesced itself, and Snapshot marks only the head of a
 	// local catch-up (so a mid-stream downstream frame is never
 	// Snapshot-flagged, preserving the contract through the hop).
-	f.Snapshot = false
-	f.Coalesced = false
-	ev := frameEvent(f)
+	ev.Snapshot, ev.Coalesced = false, false
 
 	p.mu.Lock()
-	if me.Version <= p.version {
+	if me.Version <= p.last.Version {
 		p.mu.Unlock()
 		return // stale duplicate (e.g. the post-resume snapshot)
 	}
-	p.version = me.Version
-	p.frame = f
+	p.last = ev
 	for w := range p.watchers {
 		w.deliver(ev)
 	}
 	p.mu.Unlock()
 	r.stats.RelayEvents.Add(1)
-}
-
-// frameEvent converts a wire frame back to an in-process event.
-func frameEvent(f Frame) Event {
-	ev := Event{
-		Registry:  f.Registry,
-		Kind:      core.Kind(f.Kind),
-		Version:   f.Version,
-		Snapshot:  f.Snapshot,
-		Coalesced: f.Coalesced,
-	}
-	if f.Err != "" {
-		ev.Err = errors.New(f.Err)
-	}
-	if f.Numeric {
-		ev.Value = f.Value
-	} else if f.Raw != "" {
-		ev.Value = f.Raw
-	}
-	return ev
 }
 
 // WatchItem implements Source: a local watcher on a mirrored item,
@@ -219,8 +194,8 @@ func (r *Relay) WatchItem(registry string, kind core.Kind, opt Options) (*Watche
 	}
 	w := newWatcher(r.stats, opt.Buffer, opt.Since, opt.Notify, func(w *Watcher) { r.detach(p, w) })
 	p.mu.Lock()
-	if p.version > opt.Since {
-		snap := frameEvent(p.frame)
+	if p.last.Version > opt.Since {
+		snap := p.last
 		snap.Snapshot = true
 		w.deliver(snap)
 		r.stats.CatchUps.Add(1)
@@ -265,7 +240,7 @@ func (r *Relay) ItemVersion(registry string, kind core.Kind) (uint64, bool) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.version, p.version > 0
+	return p.last.Version, p.last.Version > 0
 }
 
 // Resumes reports completed upstream reconnect-with-resume cycles.

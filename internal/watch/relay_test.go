@@ -2,12 +2,14 @@ package watch
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 )
 
@@ -94,6 +96,74 @@ func TestRelayMirrorsUpstream(t *testing.T) {
 	}
 	if rel.SourceStats().RelayEvents.Load() < 2 {
 		t.Fatalf("RelayEvents = %d, want >= 2", rel.SourceStats().RelayEvents.Load())
+	}
+}
+
+// TestRelayCarriesTextAndErrors follows a non-numeric value and a
+// compute error from the origin through a relay to a downstream client:
+// both are text on the wire and must arrive with that text intact.
+func TestRelayCarriesTextAndErrors(t *testing.T) {
+	env := core.NewEnv(clock.NewVirtual())
+	r := env.NewRegistry("n1")
+	r.MustDefine(&core.Definition{
+		Kind: "schema",
+		Build: func(*core.BuildContext) (core.Handler, error) {
+			return core.NewTriggered(func(clock.Time) (core.Value, error) { return "a:int,b:string", nil }), nil
+		},
+	})
+	r.MustDefine(&core.Definition{
+		Kind: "broken",
+		Build: func(*core.BuildContext) (core.Handler, error) {
+			return core.NewTriggered(func(clock.Time) (core.Value, error) {
+				return nil, errors.New("sensor offline")
+			}), nil
+		},
+	})
+	h := NewHub(env)
+	defer h.Close()
+	origin := httptest.NewServer(NewServer(h, env, r).Handler())
+	defer origin.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rel, err := NewRelay(ctx, origin.URL, RelayOptions{Reconnect: fastReconnect()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel.Close()
+	waitVersion(t, rel, "n1", "schema", 1)
+	waitVersion(t, rel, "n1", "broken", 1)
+	_, wantErr := r.Peek("broken")
+	if wantErr == nil {
+		t.Fatal("the origin's broken item reports no error")
+	}
+
+	tier := httptest.NewServer(NewSourceServer(rel).Handler())
+	defer tier.Close()
+	m, err := NewClient(tier.URL).Mux(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if rejects, err := m.Add(ctx, map[uint64]MuxWatch{
+		1: {Registry: "n1", Kind: "schema"},
+		2: {Registry: "n1", Kind: "broken"},
+	}); err != nil || len(rejects) != 0 {
+		t.Fatalf("Add = %v, %v", rejects, err)
+	}
+	got := map[uint64]MuxEvent{}
+	for len(got) < 2 {
+		ev, err := m.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[ev.ID] = ev
+	}
+	if ev := got[1]; ev.Numeric || ev.Raw != "a:int,b:string" || ev.Err != "" {
+		t.Fatalf("schema through the relay = %+v, want Raw %q", ev, "a:int,b:string")
+	}
+	if ev := got[2]; ev.Err != wantErr.Error() {
+		t.Fatalf("broken through the relay = %+v, want Err %q", ev, wantErr)
 	}
 }
 

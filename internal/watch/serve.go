@@ -4,18 +4,16 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 )
 
-// DefaultHeartbeat is the interval between server keepalives on an
-// otherwise idle stream: a comment line on legacy SSE, an 'H' frame on
-// mux streams. Clients use its absence to detect a silently dead peer.
+// DefaultHeartbeat is the interval between 'H' frames on an otherwise
+// idle session stream. Clients use their absence to detect a silently
+// dead peer.
 const DefaultHeartbeat = 15 * time.Second
 
 // muxSessionTTL bounds how long a created-but-unclaimed mux session
@@ -28,19 +26,18 @@ const maxMuxBatch = 1024
 
 // Server exposes a watch Source over HTTP — the stdlib-only wire
 // surface behind cmd/mdserve, serving either a primary hub (HubView)
-// or a Relay. Endpoints:
+// or a Relay. The mux session is the only watch transport; watching
+// one item is a session holding one watch. Endpoints:
 //
-//	GET /watch?registry=ID&kind=K[&since=N][&buffer=N]
-//	    Legacy per-item stream: text/event-stream of JSON frames, one
-//	    snapshot (when behind) then deltas, with ": hb" comment
-//	    keepalives. One connection per watched item.
 //	POST /mux
 //	    Create a mux session; returns {"session": id}. The session
 //	    holds any number of watches over one downstream connection.
 //	POST /mux/watch?session=ID
 //	    Batched control: {"add": [{id, registry, kind, since}...],
-//	    "remove": [id...]}. Per-id failures come back in "errors";
-//	    unknown sessions answer 410 Gone (redial signal).
+//	    "remove": [id...]}. A watch added behind its item (since below
+//	    the current version) starts with one snapshot event, then
+//	    deltas. Per-id failures come back in "errors"; unknown sessions
+//	    answer 410 Gone (redial signal).
 //	GET /mux/stream?session=ID
 //	    The session's single downstream: CRC-framed binary batches
 //	    ('E' frames carrying many events, 'H' heartbeats). Closing the
@@ -89,105 +86,12 @@ func (s *Server) SetHeartbeat(d time.Duration) {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/watch", s.handleWatch)
 	mux.HandleFunc("/mux", s.handleMuxCreate)
 	mux.HandleFunc("/mux/watch", s.handleMuxControl)
 	mux.HandleFunc("/mux/stream", s.handleMuxStream)
 	mux.HandleFunc("/items", s.handleItems)
 	mux.HandleFunc("/stats", s.handleStats)
 	return mux
-}
-
-// parseWatchOptions extracts since/buffer from a query.
-func parseWatchOptions(q map[string][]string) (Options, error) {
-	var opt Options
-	get := func(k string) string {
-		if vs := q[k]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	if v := get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return opt, fmt.Errorf("bad since")
-		}
-		opt.Since = n
-	}
-	if v := get("buffer"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return opt, fmt.Errorf("bad buffer")
-		}
-		opt.Buffer = n
-	}
-	return opt, nil
-}
-
-func (s *Server) handleWatch(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query()
-	opt, err := parseWatchOptions(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	wt, err := s.src.WatchItem(q.Get("registry"), core.Kind(q.Get("kind")), opt)
-	if err != nil {
-		code := http.StatusNotFound
-		if q.Get("kind") == "" {
-			code = http.StatusBadRequest
-		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	defer wt.Close()
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	stats := s.src.SourceStats()
-	hb := time.NewTicker(s.heartbeat)
-	defer hb.Stop()
-	ctx := req.Context()
-	for {
-		// Drain every pending event before the single Flush below: a
-		// burst costs one flush (and at most one packet per writev),
-		// not one per event.
-		for {
-			ev, ok := wt.Poll()
-			if !ok {
-				break
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", EncodeFrame(FrameOf(ev))); err != nil {
-				return
-			}
-		}
-		fl.Flush()
-		select {
-		case <-wt.Signal():
-		case <-hb.C:
-			// SSE comment line: ignored by frame parsing, resets the
-			// client's heartbeat watchdog.
-			if _, err := fmt.Fprintf(w, ": hb\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-			stats.MuxHeartbeats.Add(1)
-		case <-wt.Done():
-			return
-		case <-ctx.Done():
-			return
-		}
-	}
 }
 
 // handleMuxCreate allocates a session and sweeps stale unclaimed ones.

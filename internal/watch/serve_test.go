@@ -2,11 +2,29 @@ package watch
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 )
 
-func TestServerSSEEndToEnd(t *testing.T) {
+// oneWatch opens a mux session holding the single watch id 1 on
+// (registry, kind) resuming after since — the per-item case. The caller
+// closes it (before the server: an open stream blocks its Close).
+func oneWatch(t *testing.T, ctx context.Context, c *Client, registry, kind string, since uint64) *MuxSession {
+	t.Helper()
+	m, err := c.Mux(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejects, err := m.Add(ctx, map[uint64]MuxWatch{1: {Registry: registry, Kind: kind, Since: since}})
+	if err != nil || len(rejects) != 0 {
+		m.Close()
+		t.Fatalf("Add(%s/%s) = %v, %v", registry, kind, rejects, err)
+	}
+	return m
+}
+
+func TestServerEndToEnd(t *testing.T) {
 	env, r, _, publish := testPlane(t)
 	h := NewHub(env)
 	defer h.Close()
@@ -17,29 +35,26 @@ func TestServerSSEEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	st, err := c.Watch(ctx, "n1", "val", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	m := oneWatch(t, ctx, c, "n1", "val", 0)
+	defer m.Close()
 
 	// Snapshot head: the watch included the item (publishing v1) and
-	// the fresh stream is behind.
-	f, err := st.Next()
+	// the fresh watch is behind.
+	ev, err := m.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.Snapshot || f.Version != 1 || f.Registry != "n1" || f.Kind != "val" {
-		t.Fatalf("first frame = %+v, want n1/val snapshot v1", f)
+	if !ev.Snapshot || ev.Version != 1 || ev.ID != 1 {
+		t.Fatalf("first event = %+v, want watch 1 snapshot v1", ev)
 	}
 
 	publish()
-	f, err = st.Next()
+	ev, err = m.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Snapshot || f.Version != 2 || !f.Numeric || f.Value != 1 {
-		t.Fatalf("delta frame = %+v, want v2 value 1", f)
+	if ev.Snapshot || ev.Version != 2 || !ev.Numeric || ev.Value != 1 {
+		t.Fatalf("delta event = %+v, want v2 value 1", ev)
 	}
 
 	items, err := c.Items(ctx)
@@ -59,6 +74,16 @@ func TestServerSSEEndToEnd(t *testing.T) {
 	if stats["CatchUps"] < 1 {
 		t.Fatalf("stats CatchUps = %d, want >= 1", stats["CatchUps"])
 	}
+
+	// The per-item endpoint is gone, not hidden.
+	resp, err := http.Get(srv.URL + "/watch?registry=n1&kind=val")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /watch = %d, want 404", resp.StatusCode)
+	}
 }
 
 func TestServerWatchErrors(t *testing.T) {
@@ -75,8 +100,14 @@ func TestServerWatchErrors(t *testing.T) {
 		{"n1", ""},        // missing kind
 		{"n1", "missing"}, // unknown item
 	} {
-		if _, err := c.Watch(ctx, tc.reg, tc.kind, 0); err == nil {
-			t.Fatalf("Watch(%q, %q) succeeded", tc.reg, tc.kind)
+		m, err := c.Mux(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rejects, err := m.Add(ctx, map[uint64]MuxWatch{1: {Registry: tc.reg, Kind: tc.kind}})
+		m.Close()
+		if err != nil || rejects[1] == "" {
+			t.Fatalf("Add(%q, %q) = %v, %v; want a per-id error for watch 1", tc.reg, tc.kind, rejects, err)
 		}
 	}
 }
@@ -100,18 +131,15 @@ func TestServerResume(t *testing.T) {
 	}
 	defer sub.Unsubscribe()
 
-	// First connection: snapshot, then disconnect after noting the
+	// First session: snapshot, then disconnect after noting the
 	// version.
-	st, err := c.Watch(ctx, "n1", "val", 0)
+	m := oneWatch(t, ctx, c, "n1", "val", 0)
+	ev, err := m.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := st.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	seen := f.Version
+	m.Close()
+	seen := ev.Version
 
 	// Activity while disconnected.
 	publish()
@@ -120,16 +148,27 @@ func TestServerResume(t *testing.T) {
 
 	// Resume with since=seen: one snapshot covering the gap, nothing
 	// replayed.
-	st2, err := c.Watch(ctx, "n1", "val", seen)
+	m2 := oneWatch(t, ctx, c, "n1", "val", seen)
+	defer m2.Close()
+	ev2, err := m2.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	f2, err := st2.Next()
+	if !ev2.Snapshot || ev2.Version != seen+2 {
+		t.Fatalf("resume event = %+v, want snapshot v%d", ev2, seen+2)
+	}
+
+	// Resume when current: no snapshot — the first event is the next
+	// publication's delta.
+	m3 := oneWatch(t, ctx, c, "n1", "val", ev2.Version)
+	defer m3.Close()
+	publish()
+	h.Barrier()
+	ev3, err := m3.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f2.Snapshot || f2.Version != seen+2 {
-		t.Fatalf("resume frame = %+v, want snapshot v%d", f2, seen+2)
+	if ev3.Snapshot || ev3.Version != ev2.Version+1 {
+		t.Fatalf("current-resume event = %+v, want v%d delta", ev3, ev2.Version+1)
 	}
 }

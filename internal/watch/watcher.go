@@ -161,14 +161,6 @@ func (w *Watcher) Next() (Event, bool) {
 	}
 }
 
-// Signal exposes the watcher's wakeup channel for select loops (e.g.
-// an SSE connection multiplexing the watcher with its request
-// context). After a receive, drain the ring with Poll until empty.
-func (w *Watcher) Signal() <-chan struct{} { return w.signal }
-
-// Done is closed when the watcher is closed.
-func (w *Watcher) Done() <-chan struct{} { return w.done }
-
 // LastSent returns the version of the most recently enqueued event —
 // the watcher's delivery horizon (queued events included, drained or
 // not).

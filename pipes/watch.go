@@ -16,13 +16,11 @@ type (
 	// WatchOptions configure a watch registration (resume version and
 	// ring capacity).
 	WatchOptions = watch.Options
-	// WatchFrame is the JSON/SSE wire form of a watch event.
-	WatchFrame = watch.Frame
 	// WatchHub is the epoch-diff fan-out hub behind Stream.Watch.
 	WatchHub = watch.Hub
 	// WatchServer exposes a hub or relay over HTTP (see cmd/mdserve).
 	WatchServer = watch.Server
-	// WatchClient consumes a WatchServer's streams (SSE or mux).
+	// WatchClient consumes a WatchServer's mux sessions.
 	WatchClient = watch.Client
 	// WatchSession is an in-process mux session: many watches, one
 	// merged queue and wakeup (see System.WatchMux).
@@ -42,8 +40,8 @@ type (
 	WatchRelay = watch.Relay
 	// WatchRelayOptions tune a relay's upstream leg.
 	WatchRelayOptions = watch.RelayOptions
-	// WatchReconnectOptions tune client reconnect backoff.
-	WatchReconnectOptions = watch.ReconnectOptions
+	// ReconnectOptions tune a ReconnectMux's redial backoff.
+	ReconnectOptions = watch.ReconnectOptions
 )
 
 // MetaValue is a metadata item's value as carried in a WatchEvent.
@@ -77,8 +75,8 @@ func (st *Stream) Watch(kind Kind, opt WatchOptions) (*Watcher, error) {
 }
 
 // NewWatchServer builds an HTTP server over the system's hub exposing
-// every node's registry by node name, serving both the legacy per-item
-// SSE stream and the mux session endpoints.
+// every node's registry by node name through the mux session
+// endpoints (see watch.Server).
 func (s *System) NewWatchServer() *WatchServer {
 	regs := make([]*Registry, 0)
 	for _, n := range s.graph.Nodes() {

@@ -29,6 +29,6 @@ cd "$(dirname "$0")/.."
 out="${1:-bench.txt}"
 count="${2:-4}"
 
-benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkE19BatchedTicks|BenchmarkHealthyOverhead|BenchmarkE20MemoizedReads|BenchmarkE21DeltaPropagation|BenchmarkE22AdaptiveMaintenance|BenchmarkE23WatchFanout|BenchmarkE23PublishHotPath|BenchmarkE24Recovery|BenchmarkE25MuxFanout|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkMigrate|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch'
+benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkE19BatchedTicks|BenchmarkHealthyOverhead|BenchmarkE20MemoizedReads|BenchmarkE21DeltaPropagation|BenchmarkE22AdaptiveMaintenance|BenchmarkE23WatchFanout|BenchmarkE23PublishHotPath|BenchmarkE24Recovery|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkMigrate|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch'
 
 go test -run '^$' -bench "^(${benches})$" -benchmem -count "${count}" . ./internal/core ./internal/persist | tee "${out}"
