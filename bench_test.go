@@ -5,21 +5,17 @@
 //
 //	go test -bench=. -benchmem
 //
-// The printable paper-style tables are produced by cmd/mdbench.
+// The printable paper-style tables are produced by cmd/mdbench. Only
+// what no single package owns lives here: the benchmarks that guard a
+// package's hot paths sit beside it (internal/core, internal/watch,
+// internal/persist).
 package repro_test
 
 import (
-	"fmt"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/bench"
 	"repro/internal/clock"
-	"repro/internal/core"
-	"repro/internal/stream"
-	"repro/internal/watch"
 	"repro/pipes"
 )
 
@@ -249,145 +245,6 @@ func BenchmarkE18QoSScheduling(b *testing.B) {
 	}
 }
 
-// BenchmarkE19BatchedTicks drives N=1000 same-boundary periodic
-// handlers over 4 dependency scopes through timed window boundaries,
-// comparing the batched update pipeline against the per-handler
-// ablation (WithPerHandlerTicks). Acceptance: the batched pipeline
-// issues >= 5x fewer Updater.Submit dispatches per boundary (4 scope
-// batches vs 1000 per-handler dispatches) at lower ns/op.
-func BenchmarkE19BatchedTicks(b *testing.B) {
-	for _, tc := range []struct{ name, mode string }{
-		{"batched", "batched"},
-		{"perHandler", "per-handler"},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			var row bench.E19Row
-			for i := 0; i < b.N; i++ {
-				row = bench.RunE19Mode(tc.mode, 1000, 4, 20, func(fn func()) int64 {
-					fn()
-					return 0
-				})
-			}
-			b.ReportMetric(row.SubmitsPerBoundary, "submits/boundary")
-			b.ReportMetric(row.RefreshesPerBoundary, "refreshes/boundary")
-		})
-	}
-}
-
-// BenchmarkHealthyOverhead measures what the degraded-mode machinery
-// costs when nothing is degraded: the E19 batched-tick workload (1000
-// periodic handlers over 4 scopes, one window boundary per op, pool-2
-// updater) with breaker tracking — and then deadline bounding —
-// enabled versus the plain pipeline. The graph is built outside the
-// timer so ns/op is the steady-state publish path, not subscribe-time
-// setup. Acceptance: the breaker variant stays within 2% of baseline —
-// its success path is one lock-free state check before the compute and
-// one atomic state load after it. The deadline variant prices the
-// generation fence itself — one spawned goroutine, result channel, and
-// armed clock event per compute, the cost of being able to abandon a
-// hung computation — which is why deadlines are opt-in (graph default
-// or per-definition) for computes expensive enough to hang, not free
-// insurance on trivial ones. Committed numbers live in BENCH_PR4.json.
-func BenchmarkHealthyOverhead(b *testing.B) {
-	const (
-		handlers = 1000
-		scopes   = 4
-		window   = 10
-	)
-	for _, tc := range []struct {
-		name string
-		opts []core.EnvOption
-	}{
-		{"baseline", nil},
-		{"breaker", []core.EnvOption{
-			core.WithBreaker(core.DefaultBreakerPolicy),
-		}},
-		{"breakerAndDeadline", []core.EnvOption{
-			core.WithBreaker(core.DefaultBreakerPolicy),
-			core.WithComputeDeadline(1 << 20),
-		}},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			vc := clock.NewVirtual()
-			opts := append([]core.EnvOption{core.WithUpdater(core.NewPoolUpdater(2))}, tc.opts...)
-			env := core.NewEnv(vc, opts...)
-			subs := make([]*core.Subscription, 0, scopes)
-			for s := 0; s < scopes; s++ {
-				r := env.NewRegistry(fmt.Sprintf("op%d", s))
-				deps := make([]core.DepRef, 0, handlers/scopes)
-				for i := 0; i < handlers/scopes; i++ {
-					kind := core.Kind(fmt.Sprintf("p%d", i))
-					r.MustDefine(&core.Definition{
-						Kind: kind,
-						Build: func(*core.BuildContext) (core.Handler, error) {
-							return core.NewPeriodic(window, func(start, end clock.Time) (core.Value, error) {
-								return float64(end), nil
-							}), nil
-						},
-					})
-					deps = append(deps, core.Dep(core.Self(), kind))
-				}
-				r.MustDefine(&core.Definition{
-					Kind: "agg",
-					Deps: deps,
-					Build: func(ctx *core.BuildContext) (core.Handler, error) {
-						hs := make([]*core.Handle, len(deps))
-						for i := range deps {
-							hs[i] = ctx.Dep(i)
-						}
-						return core.NewTriggered(func(clock.Time) (core.Value, error) {
-							var sum float64
-							for _, h := range hs {
-								v, err := h.Float()
-								if err != nil {
-									return nil, err
-								}
-								sum += v
-							}
-							return sum, nil
-						}), nil
-					},
-				})
-				sub, err := r.Subscribe("agg")
-				if err != nil {
-					b.Fatal(err)
-				}
-				subs = append(subs, sub)
-			}
-			// Warm-up boundary: propagation plans built, pool spun up.
-			vc.Advance(window)
-			env.Quiesce()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vc.Advance(window)
-				env.Quiesce()
-			}
-			b.StopTimer()
-			want := float64(handlers/scopes) * float64(env.Now())
-			for _, sub := range subs {
-				if got, err := sub.Float(); err != nil || got != want {
-					b.Fatalf("agg = %v, %v; want %v", got, err, want)
-				}
-				sub.Unsubscribe()
-			}
-			env.Updater().Stop()
-		})
-	}
-}
-
-func BenchmarkA1PropagationAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := bench.RunA1([]int{10})
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(float64(r.Refreshes), r.Mode+"Refreshes")
-			}
-		}
-	}
-}
-
 // BenchmarkA2ProbeGatingAblation measures the element-path cost of a
 // 20-filter chain with all monitoring probes deactivated (the
 // framework default when nothing is subscribed) versus force-activated
@@ -439,480 +296,6 @@ func BenchmarkA2ProbeGatingAblation(b *testing.B) {
 	}
 }
 
-// --- Framework micro-benchmarks ---
-
-// BenchmarkSubscribeUnsubscribe measures one subscribe/unsubscribe
-// cycle over a 10-item dependency chain.
-func BenchmarkSubscribeUnsubscribe(b *testing.B) {
-	vc := clock.NewVirtual()
-	env := core.NewEnv(vc)
-	r := env.NewRegistry("op")
-	r.MustDefine(&core.Definition{
-		Kind:  "k0",
-		Build: func(*core.BuildContext) (core.Handler, error) { return core.NewStatic(1.0), nil },
-	})
-	kinds := []core.Kind{"k0"}
-	for i := 1; i <= 10; i++ {
-		prev := kinds[i-1]
-		kind := core.Kind("k" + string(rune('0'+i%10)) + string(rune('a'+i/10)))
-		r.MustDefine(&core.Definition{
-			Kind: kind,
-			Deps: []core.DepRef{core.Dep(core.Self(), prev)},
-			Build: func(ctx *core.BuildContext) (core.Handler, error) {
-				h := ctx.Dep(0)
-				return core.NewTriggered(func(clock.Time) (core.Value, error) { return h.Float() }), nil
-			},
-		})
-		kinds = append(kinds, kind)
-	}
-	top := kinds[len(kinds)-1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := r.Subscribe(top)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Unsubscribe()
-	}
-}
-
-// BenchmarkValueRead measures a metadata read per mechanism.
-func BenchmarkValueRead(b *testing.B) {
-	vc := clock.NewVirtual()
-	env := core.NewEnv(vc)
-	r := env.NewRegistry("op")
-	r.MustDefine(&core.Definition{
-		Kind:  "static",
-		Build: func(*core.BuildContext) (core.Handler, error) { return core.NewStatic(1.0), nil },
-	})
-	r.MustDefine(&core.Definition{
-		Kind: "ondemand",
-		Build: func(*core.BuildContext) (core.Handler, error) {
-			return core.NewOnDemand(func(now clock.Time) (core.Value, error) { return float64(now), nil }), nil
-		},
-	})
-	r.MustDefine(&core.Definition{
-		Kind: "periodic",
-		Build: func(*core.BuildContext) (core.Handler, error) {
-			return core.NewPeriodic(10, func(a, c clock.Time) (core.Value, error) { return 1.0, nil }), nil
-		},
-	})
-	r.MustDefine(&core.Definition{
-		Kind: "triggered",
-		Build: func(*core.BuildContext) (core.Handler, error) {
-			return core.NewTriggered(func(clock.Time) (core.Value, error) { return 1.0, nil }), nil
-		},
-	})
-	for _, kind := range []core.Kind{"static", "ondemand", "periodic", "triggered"} {
-		kind := kind
-		b.Run(string(kind), func(b *testing.B) {
-			s, err := r.Subscribe(kind)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Unsubscribe()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Value(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTriggerPropagation measures one event propagating through a
-// 20-item triggered chain. The chain computes pass the dependency value
-// through unchanged (no per-refresh interface boxing) and the base
-// cycles runtime-interned small ints, so the reported allocs/op expose
-// the propagation machinery itself: with cached propagation plans,
-// steady-state propagation over an unchanged graph is allocation-free.
-func BenchmarkTriggerPropagation(b *testing.B) {
-	vc := clock.NewVirtual()
-	env := core.NewEnv(vc)
-	r := env.NewRegistry("op")
-	v := 0
-	r.MustDefine(&core.Definition{
-		Kind:   "base",
-		Events: []string{"changed"},
-		Build: func(*core.BuildContext) (core.Handler, error) {
-			return core.NewTriggered(func(clock.Time) (core.Value, error) { return v, nil }), nil
-		},
-	})
-	prev := core.Kind("base")
-	for i := 0; i < 20; i++ {
-		kind := core.Kind("t" + string(rune('a'+i)))
-		p := prev
-		r.MustDefine(&core.Definition{
-			Kind: kind,
-			Deps: []core.DepRef{core.Dep(core.Self(), p)},
-			Build: func(ctx *core.BuildContext) (core.Handler, error) {
-				h := ctx.Dep(0)
-				return core.NewTriggered(func(clock.Time) (core.Value, error) { return h.Value() }), nil
-			},
-		})
-		prev = kind
-	}
-	s, err := r.Subscribe(prev)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Unsubscribe()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v = (v + 1) % 256
-		r.FireEvent("changed")
-	}
-	b.StopTimer()
-	if f, err := s.Float(); err != nil || int(f) != v {
-		b.Fatalf("chain tail = %v, %v; want %d", f, err, v)
-	}
-}
-
-// BenchmarkValueReadParallel measures concurrent metadata reads of one
-// shared periodic item from many goroutines (run with -cpu 1,4,8). The
-// read path is lock-free (atomic snapshot), so throughput should scale
-// with cores instead of serializing on a lock.
-func BenchmarkValueReadParallel(b *testing.B) {
-	vc := clock.NewVirtual()
-	env := core.NewEnv(vc)
-	r := env.NewRegistry("op")
-	r.MustDefine(&core.Definition{
-		Kind: "periodic",
-		Build: func(*core.BuildContext) (core.Handler, error) {
-			return core.NewPeriodic(10, func(a, c clock.Time) (core.Value, error) { return 1.0, nil }), nil
-		},
-	})
-	s, err := r.Subscribe("periodic")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Unsubscribe()
-	vc.Advance(100)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := s.Value(); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkE20MemoizedReads measures the hot-item read fan-out of E20
-// as a parallel read benchmark (run with -cpu 1,8): one Pure on-demand
-// item summing four static dependencies, read from every benchmark
-// goroutine. With memo=on the steady state is a lock-free stamped-memo
-// hit (0 allocs/op); with memo=off every read takes the handler mutex
-// and recomputes, so the goroutines serialize.
-func BenchmarkE20MemoizedReads(b *testing.B) {
-	for _, memo := range []bool{true, false} {
-		name := "memo=off"
-		var opts []core.EnvOption
-		if memo {
-			name = "memo=on"
-			opts = append(opts, core.WithMemoizedOnDemand())
-		}
-		b.Run(name, func(b *testing.B) {
-			vc := clock.NewVirtual()
-			env := core.NewEnv(vc, opts...)
-			r := env.NewRegistry("op")
-			const deps = 4
-			drefs := make([]core.DepRef, 0, deps)
-			for i := 0; i < deps; i++ {
-				kind := core.Kind("d" + string(rune('0'+i)))
-				v := float64(i + 1)
-				r.MustDefine(&core.Definition{
-					Kind:  kind,
-					Build: func(*core.BuildContext) (core.Handler, error) { return core.NewStatic(v), nil },
-				})
-				drefs = append(drefs, core.Dep(core.Self(), kind))
-			}
-			r.MustDefine(&core.Definition{
-				Kind: "hot",
-				Deps: drefs,
-				Pure: true,
-				Build: func(ctx *core.BuildContext) (core.Handler, error) {
-					hs := make([]*core.Handle, len(drefs))
-					for i := range drefs {
-						hs[i] = ctx.Dep(i)
-					}
-					return core.NewOnDemand(func(clock.Time) (core.Value, error) {
-						var sum float64
-						for _, h := range hs {
-							f, err := h.Float()
-							if err != nil {
-								return nil, err
-							}
-							sum += f
-						}
-						return sum, nil
-					}), nil
-				},
-			})
-			s, err := r.Subscribe("hot")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Unsubscribe()
-			if v, err := s.Float(); err != nil || v != 10 {
-				b.Fatalf("hot = %v, %v; want 10", v, err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := s.Value(); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkE21DeltaPropagation measures the fan-in maintenance cost of
-// E21: one DeltaSum aggregate over N dependencies, one edge
-// republishing per iteration. delta=on patches the accumulator with
-// the (old, new) pair in O(1) per fire — ns/op is flat in N and the
-// steady state is allocation-free; delta=off (WithoutDeltaPropagation)
-// re-folds all N dependencies per fire, so ns/op grows linearly.
-func BenchmarkE21DeltaPropagation(b *testing.B) {
-	for _, mode := range []string{"delta=on", "delta=off"} {
-		for _, n := range []int{100, 1000} {
-			b.Run(fmt.Sprintf("%s/N=%d", mode, n), func(b *testing.B) {
-				m := "delta"
-				if mode == "delta=off" {
-					m = "fold"
-				}
-				r, step, sub, _ := bench.E21System(m, n)
-				defer sub.Unsubscribe()
-				*step = 1
-				r.FireEvent("tick")
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					*step = i
-					r.FireEvent("tick")
-				}
-				b.StopTimer()
-				if v, err := sub.Float(); err != nil || v != bench.E21Want(b.N-1, n) {
-					b.Fatalf("agg = %v, %v; want %v", v, err, bench.E21Want(b.N-1, n))
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkE22AdaptiveMaintenance measures the adaptive-maintenance
-// machinery of E22 on its steady state: mode=* sub-benchmarks run one
-// read-heavy round (100 reads, 1 write, 10-unit advance — plus one
-// controller step in adaptive mode, which has converged to triggered
-// and stays there) per iteration, so adaptive-vs-triggered is the
-// closed loop's sampling overhead on an already-optimal configuration.
-// The migrate sub-benchmark prices the live-migration primitive itself:
-// one on-demand <-> triggered round-trip (two Migrates) per iteration
-// on a subscribed item with a live dependency.
-func BenchmarkE22AdaptiveMaintenance(b *testing.B) {
-	for _, mode := range []string{"ondemand", "triggered", "adaptive"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			r, sub, _, writes, env := bench.E22System(mode)
-			defer sub.Unsubscribe()
-			vc := env.Clock().(*clock.Virtual)
-			var ctrl *adapt.Controller
-			if mode == "adaptive" {
-				ctrl = adapt.New(r, adapt.Config{Interval: 10, Hysteresis: 0.2, MinDwell: -1})
-				if err := ctrl.Track("hot", 0, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			round := func() {
-				for i := 0; i < 100; i++ {
-					if _, err := sub.Float(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				*writes++
-				r.FireEvent("w")
-				vc.Advance(10)
-				if ctrl != nil {
-					if _, err := ctrl.Step(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			for i := 0; i < 10; i++ {
-				round() // converge the controller before timing
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				round()
-			}
-			b.StopTimer()
-			if v, err := sub.Float(); err != nil || v != float64(*writes)+1 {
-				b.Fatalf("hot = %v, %v; want %v", v, err, float64(*writes)+1)
-			}
-		})
-	}
-	b.Run("migrate", func(b *testing.B) {
-		r, sub, _, writes, _ := bench.E22System("ondemand")
-		defer sub.Unsubscribe()
-		*writes = 7
-		r.FireEvent("w")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := r.Migrate("hot", core.TriggeredMechanism, 0); err != nil {
-				b.Fatal(err)
-			}
-			if err := r.Migrate("hot", core.OnDemandMechanism, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if v, err := sub.Float(); err != nil || v != 8 {
-			b.Fatalf("hot = %v, %v; want 8", v, err)
-		}
-	})
-}
-
-// BenchmarkE23WatchFanout runs the watch fan-out experiment: one item,
-// watchers=* subscribers, a burst of 1000 back-to-back publications
-// per run. The callback baseline pays O(watchers) inline per publish;
-// the hub pays O(1) per publish and delivers through a constant
-// number of coalesced sweeps per burst, so callbackNsPerPublish grows
-// with the subscriber count while hubNsPerPublish amortizes toward
-// the bare publish cost.
-func BenchmarkE23WatchFanout(b *testing.B) {
-	elapsed := func(fn func()) int64 {
-		start := time.Now()
-		fn()
-		return int64(time.Since(start))
-	}
-	const publishes = 1000
-	for _, watchers := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("watchers=%d", watchers), func(b *testing.B) {
-			var cb, hub bench.E23Row
-			for i := 0; i < b.N; i++ {
-				// Interleaved A/B: baseline then hub within each
-				// iteration.
-				cb = bench.RunE23Mode("callback", watchers, publishes, elapsed)
-				hub = bench.RunE23Mode("hub", watchers, publishes, elapsed)
-				if cb.Delivered != int64(watchers*publishes) {
-					b.Fatalf("callback delivered %d, want %d", cb.Delivered, watchers*publishes)
-				}
-				if hub.Delivered < int64(watchers) {
-					b.Fatalf("hub delivered %d, want >= %d", hub.Delivered, watchers)
-				}
-			}
-			b.ReportMetric(float64(cb.NsPerPublish), "callbackNsPerPublish")
-			b.ReportMetric(float64(hub.NsPerPublish), "hubNsPerPublish")
-			b.ReportMetric(float64(cb.NsPerPublish)/float64(max64(hub.NsPerPublish, 1)), "speedup")
-		})
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// BenchmarkE23PublishHotPath prices what one publication costs the
-// publisher with the hub attached, steady state: watchers=0 is the
-// bare propagation plane (no sink installed — the A/B baseline for
-// the version-gate overhead), watchers=N has N subscribers with full
-// 2-slot rings, so every publication takes the complete hot path
-// (CAS-max version, dirty election, sweeper kick) plus a sweeper
-// delivery that coalesces-to-latest into the full rings. The hub adds
-// no allocations on this path: allocs/op must match the watchers=0
-// baseline (the boxing of each recomputed value, which the core pays
-// with or without a watch sink).
-func BenchmarkE23PublishHotPath(b *testing.B) {
-	for _, watchers := range []int{0, 1000} {
-		b.Run(fmt.Sprintf("watchers=%d", watchers), func(b *testing.B) {
-			env, r, publish := bench.E23System()
-			sub, err := r.Subscribe("val")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sub.Unsubscribe()
-			var h *watch.Hub
-			if watchers > 0 {
-				h = watch.NewHub(env)
-				defer h.Close()
-				for i := 0; i < watchers; i++ {
-					w, err := h.Watch(r, "val", watch.Options{Since: 1, Buffer: 2})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer w.Close()
-				}
-				// Fill every ring so steady state is the
-				// coalesce-to-latest overwrite path.
-				publish()
-				publish()
-				h.Barrier()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				publish()
-			}
-			b.StopTimer()
-			if h != nil {
-				h.Barrier()
-			}
-		})
-	}
-}
-
-// BenchmarkSubscribeChurnParallel measures subscribe/unsubscribe churn
-// over independent registries from many goroutines (run with
-// -cpu 1,4,8). Each registry is its own dependency-scope component, so
-// with per-scope structural locks the churn parallelizes; under a
-// global graph lock it serializes.
-func BenchmarkSubscribeChurnParallel(b *testing.B) {
-	vc := clock.NewVirtual()
-	env := core.NewEnv(vc)
-	const nregs = 64
-	regs := make([]*core.Registry, nregs)
-	for i := range regs {
-		r := env.NewRegistry("op" + string(rune('a'+i%26)) + string(rune('a'+i/26)))
-		r.MustDefine(&core.Definition{
-			Kind:  "base",
-			Build: func(*core.BuildContext) (core.Handler, error) { return core.NewStatic(1.0), nil },
-		})
-		r.MustDefine(&core.Definition{
-			Kind: "derived",
-			Deps: []core.DepRef{core.Dep(core.Self(), "base")},
-			Build: func(ctx *core.BuildContext) (core.Handler, error) {
-				h := ctx.Dep(0)
-				return core.NewTriggered(func(clock.Time) (core.Value, error) { return h.Float() }), nil
-			},
-		})
-		regs[i] = r
-	}
-	var next int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		r := regs[int(atomic.AddInt64(&next, 1))%nregs]
-		for pb.Next() {
-			s, err := r.Subscribe("derived")
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			s.Unsubscribe()
-		}
-	})
-}
-
 // BenchmarkJoinThroughput measures end-to-end elements/sec through a
 // window join with metadata monitoring attached.
 func BenchmarkJoinThroughput(b *testing.B) {
@@ -938,56 +321,4 @@ func BenchmarkJoinThroughput(b *testing.B) {
 			b.Fatal("no join results")
 		}
 	}
-}
-
-// BenchmarkProbeOverhead measures the element-path cost of an inactive
-// vs active monitoring probe — the "overhead for counting incoming
-// elements is low" claim.
-func BenchmarkProbeOverhead(b *testing.B) {
-	var c core.Counter
-	b.Run("inactive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-		}
-	})
-	c.Activate()
-	b.Run("active", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.Inc()
-		}
-	})
-}
-
-var _ = stream.NewConstantRate
-
-// BenchmarkE24Recovery runs the durable-restart experiment: each
-// iteration seeds a durable plane of 1000 subscribed items, then times
-// a cold start (subscribe + inline compute per item before the first
-// read) against a warm start (checkpoint load, re-pin, serve every
-// pre-shutdown value stale with zero computes). The headline metric is
-// the warm/cold speedup of time-to-first-read.
-func BenchmarkE24Recovery(b *testing.B) {
-	elapsed := func(fn func()) int64 {
-		start := time.Now()
-		fn()
-		return int64(time.Since(start))
-	}
-	const items = 1000
-	var cold, warm bench.E24Row
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunE24(b.TempDir(), items, elapsed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cold, warm = rows[0], rows[1]
-		if cold.Computes < items {
-			b.Fatalf("cold computed %d times, want >= %d", cold.Computes, items)
-		}
-		if warm.Computes != 0 || warm.Restored != items {
-			b.Fatalf("warm computes=%d restored=%d, want 0/%d", warm.Computes, warm.Restored, items)
-		}
-	}
-	b.ReportMetric(float64(cold.NsTotal), "coldNsToFirstRead")
-	b.ReportMetric(float64(warm.NsTotal), "warmNsToFirstRead")
-	b.ReportMetric(float64(cold.NsTotal)/float64(max64(warm.NsTotal, 1)), "speedup")
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -49,11 +50,6 @@ var experiments = map[string]struct {
 		return bench.RunE8(0.1, 100, 4000, 200).Table()
 	}},
 	"e9": {"periodic update worker pool", func() *bench.Table {
-		elapsed := func(fn func()) int64 {
-			start := time.Now()
-			fn()
-			return time.Since(start).Nanoseconds()
-		}
 		return bench.E9Table(bench.RunE9([]int{0, 1, 2, 4, 8}, 400, 25, 20000, elapsed))
 	}},
 	"e10": {"Chain scheduling vs baselines", func() *bench.Table {
@@ -83,124 +79,10 @@ var experiments = map[string]struct {
 	"e18": {"QoS-priority scheduling vs round-robin", func() *bench.Table {
 		return bench.E18Table(bench.RunE18(3000))
 	}},
-	"e19": {"batched update pipeline vs per-handler ticks", func() *bench.Table {
-		elapsed := func(fn func()) int64 {
-			start := time.Now()
-			fn()
-			return time.Since(start).Nanoseconds()
-		}
-		return bench.E19Table(bench.RunE19(1000, 4, 50, elapsed))
-	}},
-	"e20": {"hot-item read fan-out: memoized vs recompute", func() *bench.Table {
-		elapsed := func(fn func()) int64 {
-			start := time.Now()
-			fn()
-			return time.Since(start).Nanoseconds()
-		}
-		switch *memoFlag {
-		case "both":
-			return bench.E20Table(bench.RunE20(8, 200000, 4, elapsed))
-		case "on":
-			return bench.E20Table([]bench.E20Row{bench.RunE20Mode("memoized", 8, 200000, 4, elapsed)})
-		case "off":
-			return bench.E20Table([]bench.E20Row{bench.RunE20Mode("recompute", 8, 200000, 4, elapsed)})
-		default:
-			fmt.Fprintln(os.Stderr, `-memo must be "both", "on", or "off"`)
-			os.Exit(2)
-			return nil
-		}
-	}},
-	"e21": {"incremental delta propagation vs full fold", func() *bench.Table {
-		elapsed := func(fn func()) int64 {
-			start := time.Now()
-			fn()
-			return time.Since(start).Nanoseconds()
-		}
-		var rows []bench.E21Row
-		for _, n := range []int{100, 1000} {
-			switch *deltaFlag {
-			case "both":
-				rows = append(rows, bench.RunE21(n, 100000, elapsed)...)
-			case "on":
-				rows = append(rows, bench.RunE21Mode("delta", n, 100000, elapsed))
-			case "off":
-				rows = append(rows, bench.RunE21Mode("fold", n, 100000, elapsed))
-			default:
-				fmt.Fprintln(os.Stderr, `-delta must be "both", "on", or "off"`)
-				os.Exit(2)
-			}
-		}
-		return bench.E21Table(rows)
-	}},
-	"e22": {"closed-loop adaptive maintenance across a phase shift", func() *bench.Table {
-		elapsed := func(fn func()) int64 {
-			start := time.Now()
-			fn()
-			return time.Since(start).Nanoseconds()
-		}
-		switch *adaptFlag {
-		case "both":
-			return bench.E22Table(bench.RunE22(40, elapsed))
-		case "on":
-			return bench.E22Table([]bench.E22Row{bench.RunE22Mode("adaptive", 40, elapsed)})
-		case "off":
-			return bench.E22Table([]bench.E22Row{
-				bench.RunE22Mode("ondemand", 40, elapsed),
-				bench.RunE22Mode("triggered", 40, elapsed),
-			})
-		default:
-			fmt.Fprintln(os.Stderr, `-adapt must be "both", "on", or "off"`)
-			os.Exit(2)
-			return nil
-		}
-	}},
-	"e23": {"watch fan-out: epoch-diff hub vs per-subscriber callbacks", func() *bench.Table {
-		if *watchersFlag <= 0 {
-			fmt.Fprintln(os.Stderr, "-watchers must be > 0")
-			os.Exit(2)
-		}
-		elapsed := func(fn func()) int64 {
-			start := time.Now()
-			fn()
-			return time.Since(start).Nanoseconds()
-		}
-		counts := []int{1000, 10000, *watchersFlag}
-		if *watchersFlag <= 10000 {
-			counts = []int{*watchersFlag}
-		}
-		return bench.E23Table(bench.RunE23(counts, 1000, elapsed))
-	}},
-	"e24": {"durable restart: warm recovery vs cold recompute", func() *bench.Table {
-		elapsed := func(fn func()) int64 {
-			start := time.Now()
-			fn()
-			return time.Since(start).Nanoseconds()
-		}
-		dir, err := os.MkdirTemp("", "mdbench-e24-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-		rows, err := bench.RunE24(dir, *itemsFlag, elapsed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return bench.E24Table(rows)
-	}},
-	"a1": {"ablation: topological vs naive propagation", func() *bench.Table {
-		return bench.A1Table(bench.RunA1([]int{2, 4, 6, 8, 10, 12}))
-	}},
 	"c1": {"contention: parallel reads & churn across dependency scopes", func() *bench.Table {
 		if *workersFlag < 0 {
 			fmt.Fprintln(os.Stderr, "-workers must be >= 0 (0 runs the inline updater)")
 			os.Exit(2)
-		}
-		elapsed := func(fn func()) int64 {
-			start := time.Now()
-			fn()
-			return time.Since(start).Nanoseconds()
 		}
 		return bench.C1Table(bench.RunC1([]int{1, 2, 4, 8}, 64, 100000, *workersFlag, elapsed))
 	}},
@@ -211,31 +93,14 @@ var experiments = map[string]struct {
 // (c1); 0 selects the inline updater.
 var workersFlag = flag.Int("workers", 2, "updater worker pool size for c1 (0 = inline)")
 
-// memoFlag is the e20 memoization ablation: run both modes, or only the
-// memoized / recompute-per-access read path.
-var memoFlag = flag.String("memo", "both", `e20 read-path ablation: "both", "on", or "off"`)
-
-// deltaFlag is the e21 delta-propagation ablation: run both modes, or
-// only the O(1) pair-apply / full-fold maintenance path.
-var deltaFlag = flag.String("delta", "both", `e21 delta-propagation ablation: "both", "on", or "off"`)
-
-// adaptFlag is the e22 adaptive-maintenance ablation: run the statics
-// and the adaptive controller, only the adaptive run, or only the two
-// static configurations.
-var adaptFlag = flag.String("adapt", "both", `e22 adaptive-maintenance ablation: "both", "on" (adaptive only), or "off" (statics only)`)
-
-// watchersFlag is e23's largest subscriber count; counts at or below
-// 10000 run only that count, larger values run 1000/10000/N.
-var watchersFlag = flag.Int("watchers", 100000, "e23 watch fan-out subscriber count")
-
-// itemsFlag is e24's durable-plane size (subscribed items per start).
-var itemsFlag = flag.Int("items", 1000, "e24 durable restart item count")
+// elapsed reports how long fn takes on the wall clock, in nanoseconds.
+func elapsed(fn func()) int64 {
+	start := time.Now()
+	fn()
+	return time.Since(start).Nanoseconds()
+}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e24, a1, c1, f2, all)")
-	list := flag.Bool("list", false, "list experiments")
-	flag.Parse()
-
 	ids := make([]string, 0, len(experiments))
 	for id := range experiments {
 		ids = append(ids, id)
@@ -246,6 +111,10 @@ func main() {
 		}
 		return ids[i] < ids[j]
 	})
+
+	exp := flag.String("exp", "all", "experiment id: "+strings.Join(ids, ", ")+", or all")
+	list := flag.Bool("list", false, "list experiments")
+	flag.Parse()
 
 	if *list {
 		for _, id := range ids {

@@ -132,6 +132,88 @@ func TestControllerClosedLoop(t *testing.T) {
 	}
 }
 
+// TestControllerPhaseFlipCost pins what the closed loop buys: across a
+// 100:1 -> 1:100 read/write flip the controller's maintenance cost
+// stays within 1.2x of the best static mechanism in each phase, while
+// each static mechanism pays at least 2x on its off-phase. Cost is
+// the hot item's recomputes over the steady second half of a phase.
+func TestControllerPhaseFlipCost(t *testing.T) {
+	const rounds = 40
+	type cost struct{ readHeavy, writeHeavy, migrations int64 }
+	run := func(static core.Mechanism, adaptive bool) cost {
+		env, vc, r, s := buildLoop(t)
+		if static != core.OnDemandMechanism {
+			if err := r.Migrate("hot", static, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var c *Controller
+		if adaptive {
+			c = New(r, Config{Interval: 10, Hysteresis: 0.2, MinDwell: -1})
+			if err := c.Track("hot", 0, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := env.Stats()
+		var writes int64
+		// src refreshes once per write under every mechanism; what is
+		// left of the two counters is hot's own recomputes.
+		computes := func() int64 {
+			return st.OnDemandComputes.Load() + st.TriggeredUpdates.Load() - writes
+		}
+		phase := func(reads, writesPerRound int) int64 {
+			var start int64
+			for i := 0; i < rounds; i++ {
+				if i == rounds/2 {
+					start = computes()
+				}
+				for j := 0; j < reads; j++ {
+					if v, err := s.Float(); err != nil || v != 6 {
+						t.Fatalf("hot = %v, %v, want 6", v, err)
+					}
+				}
+				for j := 0; j < writesPerRound; j++ {
+					writes++
+					r.FireEvent("w")
+				}
+				vc.Advance(10)
+				if c != nil {
+					if _, err := c.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			return computes() - start
+		}
+		before := st.Migrations.Load()
+		readHeavy := phase(100, 1)
+		writeHeavy := phase(1, 100)
+		return cost{readHeavy, writeHeavy, st.Migrations.Load() - before}
+	}
+	od := run(core.OnDemandMechanism, false)
+	trig := run(core.TriggeredMechanism, false)
+	ad := run(core.OnDemandMechanism, true)
+
+	// Best static per phase: triggered while reads dominate (one
+	// compute per write), on-demand while writes do (one per read).
+	bestA, bestB := trig.readHeavy, od.writeHeavy
+	if bestA == 0 || bestB == 0 {
+		t.Fatalf("degenerate steady-state costs: bestA=%d bestB=%d", bestA, bestB)
+	}
+	if float64(ad.readHeavy) > 1.2*float64(bestA) || float64(ad.writeHeavy) > 1.2*float64(bestB) {
+		t.Fatalf("adaptive computes = %d / %d, want <= 1.2x best static (%d / %d)",
+			ad.readHeavy, ad.writeHeavy, bestA, bestB)
+	}
+	if od.readHeavy < 2*bestA || trig.writeHeavy < 2*bestB {
+		t.Fatalf("static off-phase computes = %d (on-demand, read-heavy) / %d (triggered, write-heavy), want >= 2x best (%d / %d)",
+			od.readHeavy, trig.writeHeavy, bestA, bestB)
+	}
+	if ad.migrations < 2 || od.migrations != 0 || trig.migrations != 0 {
+		t.Fatalf("migrations = %d adaptive, %d / %d static; want >= 2 and 0 / 0",
+			ad.migrations, od.migrations, trig.migrations)
+	}
+}
+
 // TestControllerDwellDamping checks MinDwell: a clearly beneficial
 // migration is still held back until the item has dwelled enough
 // sampling intervals, then fires.

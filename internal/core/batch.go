@@ -74,23 +74,6 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 
 	_, inline := env.updater.(inlineUpdater)
 
-	if env.perHandlerTicks {
-		// Ablation/baseline: one dispatch and one propagation per
-		// item, legacy semantics.
-		for _, t := range due {
-			w, ok := t.Data.(*windowPolicy)
-			if !ok {
-				continue
-			}
-			if inline {
-				w.it.tickAlone(w, now)
-			} else {
-				env.updater.Submit(func() { w.it.tickAlone(w, now) })
-			}
-		}
-		return
-	}
-
 	env.tickMu.Lock()
 	defer env.tickMu.Unlock()
 	// Group by dependency-scope root. The lock-free find may observe a

@@ -22,6 +22,30 @@ func definePeriodicEnd(r *Registry, kind Kind, window clock.Duration) {
 	})
 }
 
+// subscribeTickScopes builds scopes registries — each its own dependency
+// scope — of perScope same-window periodic items topped by a triggered
+// fan-in over all of them, and subscribes every fan-in.
+func subscribeTickScopes(tb testing.TB, env *Env, scopes, perScope int, window clock.Duration) []*Subscription {
+	tb.Helper()
+	subs := make([]*Subscription, 0, scopes)
+	for sc := 0; sc < scopes; sc++ {
+		r := env.NewRegistry(fmt.Sprintf("op%d", sc))
+		deps := make([]DepRef, 0, perScope)
+		for i := 0; i < perScope; i++ {
+			kind := Kind(fmt.Sprintf("p%d", i))
+			definePeriodicEnd(r, kind, window)
+			deps = append(deps, Dep(Self(), kind))
+		}
+		defineDerived(r, "fanin", deps...)
+		s, err := r.Subscribe("fanin")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		subs = append(subs, s)
+	}
+	return subs
+}
+
 // countingUpdater wraps an inner updater and counts Submit calls. It
 // is deliberately NOT the inlineUpdater type, so the tick dispatch
 // takes the Submit path even when the inner updater runs synchronously
@@ -39,86 +63,51 @@ func (c *countingUpdater) WaitIdle() { c.inner.WaitIdle() }
 func (c *countingUpdater) Stop()     { c.inner.Stop() }
 
 // TestBatchedTicksSubmitCount pins the dispatch economics of the
-// batched pipeline: N same-boundary handlers in one dependency scope
-// cost one Updater.Submit per boundary, where the per-handler baseline
-// (WithPerHandlerTicks) costs N.
+// batched pipeline: N same-boundary handlers cost one Updater.Submit
+// and one coalesced propagation per dependency scope per boundary —
+// not one per handler — and after the warm-up boundary every
+// propagation runs a cached plan.
 func TestBatchedTicksSubmitCount(t *testing.T) {
-	const n = 40
-	run := func(opts ...EnvOption) (submits int64, env *Env) {
+	const n, boundaries = 40, 3
+	for _, scopes := range []int{1, 2} {
+		perScope := n / scopes
 		vc := clock.NewVirtual()
 		cu := &countingUpdater{inner: NewInlineUpdater()}
-		env = NewEnv(vc, append(opts, WithUpdater(cu))...)
-		r := env.NewRegistry("op")
-		var subs []*Subscription
-		for i := 0; i < n; i++ {
-			kind := Kind(fmt.Sprintf("p%d", i))
-			definePeriodicEnd(r, kind, 10)
-			s, err := r.Subscribe(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			subs = append(subs, s)
-		}
+		env := NewEnv(vc, WithUpdater(cu))
+		subs := subscribeTickScopes(t, env, scopes, perScope, 10)
+		vc.Advance(10) // warm-up boundary: builds the propagation plans
 		cu.submits.Store(0)
-		for b := 0; b < 3; b++ {
+		before := env.Stats().Snapshot()
+		for b := 0; b < boundaries; b++ {
 			vc.Advance(10)
 		}
+		st := env.Stats().Snapshot().Sub(before)
+
+		want := int64(boundaries * scopes)
+		if got := cu.submits.Load(); got != want {
+			t.Fatalf("%d scopes: %d submits for %d boundaries, want %d", scopes, got, boundaries, want)
+		}
+		if st.ScopeBatches != want || st.BatchedTicks != boundaries*n {
+			t.Fatalf("%d scopes: ScopeBatches=%d BatchedTicks=%d, want %d / %d",
+				scopes, st.ScopeBatches, st.BatchedTicks, want, boundaries*n)
+		}
+		if got := st.MeanBatchSize(); got != float64(perScope) {
+			t.Fatalf("%d scopes: MeanBatchSize = %v, want %d", scopes, got, perScope)
+		}
+		if st.TriggerNotifications != want {
+			t.Fatalf("%d scopes: %d fan-in refreshes for %d boundaries, want %d (coalesced)",
+				scopes, st.TriggerNotifications, boundaries, want)
+		}
+		if got := st.PlanHitRate(); got != 1 {
+			t.Fatalf("%d scopes: PlanHitRate = %v, want 1 after warm-up", scopes, got)
+		}
+		sum := float64(perScope) * float64(env.Now())
 		for _, s := range subs {
+			if v, err := s.Float(); err != nil || v != sum {
+				t.Fatalf("%d scopes: fanin = %v, %v; want %v", scopes, v, err, sum)
+			}
 			s.Unsubscribe()
 		}
-		return cu.submits.Load(), env
-	}
-
-	batched, env := run()
-	if batched != 3 {
-		t.Fatalf("batched pipeline: %d submits for 3 boundaries, want 3", batched)
-	}
-	st := env.Stats().Snapshot()
-	if st.ScopeBatches != 3 || st.BatchedTicks != 3*n {
-		t.Fatalf("ScopeBatches=%d BatchedTicks=%d, want 3 / %d", st.ScopeBatches, st.BatchedTicks, 3*n)
-	}
-	if got := st.MeanBatchSize(); got != n {
-		t.Fatalf("MeanBatchSize = %v, want %d", got, n)
-	}
-
-	perHandler, _ := run(WithPerHandlerTicks())
-	if perHandler != 3*n {
-		t.Fatalf("per-handler baseline: %d submits for 3 boundaries, want %d", perHandler, 3*n)
-	}
-	if perHandler < 5*batched {
-		t.Fatalf("batching saves only %dx submits, want >= 5x", perHandler/batched)
-	}
-}
-
-// TestPerHandlerTicksAblation pins the legacy semantics of the
-// ablation mode: without coalescing, a triggered dependent of k
-// same-boundary publishers refreshes k times per instant.
-func TestPerHandlerTicksAblation(t *testing.T) {
-	const k = 4
-	vc := clock.NewVirtual()
-	env := NewEnv(vc, WithPerHandlerTicks())
-	r := env.NewRegistry("op")
-	deps := make([]DepRef, 0, k)
-	for i := 0; i < k; i++ {
-		kind := Kind(fmt.Sprintf("p%d", i))
-		definePeriodicEnd(r, kind, 10)
-		deps = append(deps, Dep(Self(), kind))
-	}
-	defineDerived(r, "fanin", deps...)
-	s, err := r.Subscribe("fanin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Unsubscribe()
-
-	before := env.Stats().TriggerNotifications.Load()
-	vc.Advance(10)
-	got := env.Stats().TriggerNotifications.Load() - before
-	if got != k {
-		t.Fatalf("ablation mode: fan-in refreshed %d times per boundary, want %d (uncoalesced)", got, k)
-	}
-	if v, err := s.Float(); err != nil || v != 4*10 {
-		t.Fatalf("fanin = %v, %v; want 40", v, err)
 	}
 }
 

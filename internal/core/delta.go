@@ -23,8 +23,7 @@ import (
 // whenever the O(1) path cannot be proven byte-identical to a full
 // recompute, the item falls back to the fold. The fallback matrix:
 //
-//   - the env disables the channel (WithoutDeltaPropagation, or the
-//     WithNaivePropagation paper-faithful ablation);
+//   - the env disables the channel (WithoutDeltaPropagation);
 //   - any fan-in edge lacks a delta form (an on-demand dependency never
 //     publishes, so its changes are invisible to the channel);
 //   - the accumulator is invalid (no successful fold yet, a prior
@@ -308,7 +307,7 @@ func (it *item) refreshDelta(now clock.Time) {
 	stats := &env.stats
 	stats.TriggeredUpdates.Add(1)
 	// eligible is false on delta-off envs (startLocked), so one flag
-	// covers both the ablation and the structural conditions.
+	// covers both the kill-switch and the structural conditions.
 	if ds.eligible && ds.valid && !poisoned &&
 		ds.epoch == env.writeEpoch.Load() &&
 		(len(pairs) == 0 || ds.spec.Retract != nil) {

@@ -92,24 +92,22 @@ func TestDeltaSumFiresOnCellUpdates(t *testing.T) {
 }
 
 func TestDeltaOffEnvNeverFires(t *testing.T) {
-	for _, opt := range []EnvOption{WithoutDeltaPropagation(), WithNaivePropagation()} {
-		vc := clock.NewVirtual()
-		env := NewEnv(vc, opt)
-		r := env.NewRegistry("n1")
-		vals, sub := deltaCells(t, r, DeltaSum(), 3)
-		vals[1] = 20
-		r.FireEvent("evB")
-		if got := aggFloat(t, sub); got != 1+20+3 {
-			t.Fatalf("sum = %v, want 24", got)
-		}
-		st := env.Stats().Snapshot()
-		if st.DeltaFires != 0 {
-			t.Fatalf("DeltaFires = %d on delta-off env, want 0", st.DeltaFires)
-		}
-		if st.DeltaFallbacks == 0 {
-			t.Fatalf("DeltaFallbacks = 0 on delta-off env, want > 0")
-		}
-		sub.Unsubscribe()
+	vc := clock.NewVirtual()
+	env := NewEnv(vc, WithoutDeltaPropagation())
+	r := env.NewRegistry("n1")
+	vals, sub := deltaCells(t, r, DeltaSum(), 3)
+	defer sub.Unsubscribe()
+	vals[1] = 20
+	r.FireEvent("evB")
+	if got := aggFloat(t, sub); got != 1+20+3 {
+		t.Fatalf("sum = %v, want 24", got)
+	}
+	st := env.Stats().Snapshot()
+	if st.DeltaFires != 0 {
+		t.Fatalf("DeltaFires = %d on delta-off env, want 0", st.DeltaFires)
+	}
+	if st.DeltaFallbacks == 0 {
+		t.Fatalf("DeltaFallbacks = 0 on delta-off env, want > 0")
 	}
 }
 

@@ -51,19 +51,10 @@ type Env struct {
 	// cross-component lock-acquisition order.
 	compSeq atomic.Int64
 
-	// naivePropagation enables the ablation propagation mode.
-	naivePropagation bool
-
 	// deltaOff disables the delta channel: aggregates built with
 	// NewDeltaAggregate refresh by full fold only (see delta.go). Set
-	// by WithoutDeltaPropagation and by the WithNaivePropagation
-	// ablation.
+	// by WithoutDeltaPropagation.
 	deltaOff bool
-
-	// perHandlerTicks enables the legacy per-handler tick dispatch
-	// (one Submit and one propagation per periodic handler per
-	// boundary) instead of scope-batched ticks. Ablation only.
-	perHandlerTicks bool
 
 	// async reports that the updater runs tasks off the submitting
 	// goroutine (pool updater). Compute deadlines require it: with the
@@ -118,43 +109,15 @@ func WithUpdater(u Updater) EnvOption {
 	return func(e *Env) { e.updater = u }
 }
 
-// WithNaivePropagation switches trigger propagation from topological
-// order to naive depth-first recursion. FOR ABLATION EXPERIMENTS ONLY:
-// naive propagation refreshes diamond-shaped dependents once per
-// incoming edge — exponentially often in layered DAGs — and may
-// compute them from half-updated inputs, which is exactly the
-// update-order problem Section 3.3 warns about. The option also forces
-// the delta channel off (every aggregate refresh is a full fold), so
-// the flag means "paper-faithful baseline" on every propagation axis:
-// no plan cache is consulted in naive mode, and no O(1) delta
-// shortcut hides the per-edge recompute cost being measured.
-func WithNaivePropagation() EnvOption {
-	return func(e *Env) {
-		e.naivePropagation = true
-		e.deltaOff = true
-	}
-}
-
 // WithoutDeltaPropagation disables the delta channel on an otherwise
 // unchanged pipeline: publishers stop recording (old, new) transitions
 // and every NewDeltaAggregate refresh runs the full fold, exactly the
-// paper's triggered recompute. FOR ABLATION AND BASELINE MEASUREMENTS
-// (benchmark E21) and for the delta-off half of the model-based
-// equivalence harness; the delta path is a pure optimization, so
-// values are byte-identical with the option on or off.
+// paper's triggered recompute. It is the delta path's kill-switch and
+// the delta-off half of the model-based equivalence harness; the delta
+// path is a pure optimization, so values are byte-identical with the
+// option on or off.
 func WithoutDeltaPropagation() EnvOption {
 	return func(e *Env) { e.deltaOff = true }
-}
-
-// WithPerHandlerTicks disables tick batching: every periodic handler
-// is dispatched individually at its boundary and propagates its own
-// update, as if it still owned a private ticker. FOR ABLATION AND
-// BASELINE MEASUREMENTS ONLY (benchmark E19): same-instant publishes
-// then no longer coalesce their trigger propagation, so a triggered
-// item depending on k same-boundary periodic items refreshes k times
-// per instant instead of once.
-func WithPerHandlerTicks() EnvOption {
-	return func(e *Env) { e.perHandlerTicks = true }
 }
 
 // WithMemoizedOnDemand enables the versioned read path for on-demand

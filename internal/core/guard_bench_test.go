@@ -1,0 +1,295 @@
+package core
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/clock"
+)
+
+// Guard benchmarks of the item hot paths: value reads per mechanism,
+// trigger propagation, subscribe/unsubscribe churn, the batched tick
+// pipeline with and without the degraded-mode machinery, and the
+// monitoring probe. ROADMAP cites BenchmarkTriggerPropagation and the
+// lock-free read by name; the structural paths are in
+// graph_bench_test.go.
+
+// BenchmarkHealthyOverhead measures what the degraded-mode machinery
+// costs when nothing is degraded: the batched-tick workload (1000
+// periodic handlers over 4 scopes, each topped by a triggered fan-in,
+// one window boundary per op, pool-2 updater) with breaker tracking —
+// and then deadline bounding — enabled versus the plain pipeline. The graph is built outside the
+// timer so ns/op is the steady-state publish path, not subscribe-time
+// setup. Acceptance: the breaker variant stays within 2% of baseline —
+// its success path is one lock-free state check before the compute and
+// one atomic state load after it. The deadline variant prices the
+// generation fence itself — one spawned goroutine, result channel, and
+// armed clock event per compute, the cost of being able to abandon a
+// hung computation — which is why deadlines are opt-in (graph default
+// or per-definition) for computes expensive enough to hang, not free
+// insurance on trivial ones. Paired numbers: EXPERIMENTS.md "PR 15";
+// PR 4's raw JSON at commit 33e2bdb.
+func BenchmarkHealthyOverhead(b *testing.B) {
+	const (
+		handlers = 1000
+		scopes   = 4
+		window   = 10
+	)
+	for _, tc := range []struct {
+		name string
+		opts []EnvOption
+	}{
+		{"baseline", nil},
+		{"breaker", []EnvOption{
+			WithBreaker(DefaultBreakerPolicy),
+		}},
+		{"breakerAndDeadline", []EnvOption{
+			WithBreaker(DefaultBreakerPolicy),
+			WithComputeDeadline(1 << 20),
+		}},
+	} {
+		tc := tc
+		b.Run(tc.name, func(b *testing.B) {
+			vc := clock.NewVirtual()
+			opts := append([]EnvOption{WithUpdater(NewPoolUpdater(2))}, tc.opts...)
+			env := NewEnv(vc, opts...)
+			subs := subscribeTickScopes(b, env, scopes, handlers/scopes, window)
+			// Warm-up boundary: propagation plans built, pool spun up.
+			vc.Advance(window)
+			env.Quiesce()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vc.Advance(window)
+				env.Quiesce()
+			}
+			b.StopTimer()
+			want := float64(handlers/scopes) * float64(env.Now())
+			for _, sub := range subs {
+				if got, err := sub.Float(); err != nil || got != want {
+					b.Fatalf("agg = %v, %v; want %v", got, err, want)
+				}
+				sub.Unsubscribe()
+			}
+			env.Updater().Stop()
+		})
+	}
+}
+
+// BenchmarkSubscribeUnsubscribe measures one subscribe/unsubscribe
+// cycle over a 10-item dependency chain.
+func BenchmarkSubscribeUnsubscribe(b *testing.B) {
+	vc := clock.NewVirtual()
+	env := NewEnv(vc)
+	r := env.NewRegistry("op")
+	r.MustDefine(&Definition{
+		Kind:  "k0",
+		Build: func(*BuildContext) (Handler, error) { return NewStatic(1.0), nil },
+	})
+	kinds := []Kind{"k0"}
+	for i := 1; i <= 10; i++ {
+		prev := kinds[i-1]
+		kind := Kind("k" + string(rune('0'+i%10)) + string(rune('a'+i/10)))
+		r.MustDefine(&Definition{
+			Kind: kind,
+			Deps: []DepRef{Dep(Self(), prev)},
+			Build: func(ctx *BuildContext) (Handler, error) {
+				h := ctx.Dep(0)
+				return NewTriggered(func(clock.Time) (Value, error) { return h.Float() }), nil
+			},
+		})
+		kinds = append(kinds, kind)
+	}
+	top := kinds[len(kinds)-1]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := r.Subscribe(top)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Unsubscribe()
+	}
+}
+
+// BenchmarkValueRead measures a metadata read per mechanism.
+func BenchmarkValueRead(b *testing.B) {
+	vc := clock.NewVirtual()
+	env := NewEnv(vc)
+	r := env.NewRegistry("op")
+	r.MustDefine(&Definition{
+		Kind:  "static",
+		Build: func(*BuildContext) (Handler, error) { return NewStatic(1.0), nil },
+	})
+	r.MustDefine(&Definition{
+		Kind: "ondemand",
+		Build: func(*BuildContext) (Handler, error) {
+			return NewOnDemand(func(now clock.Time) (Value, error) { return float64(now), nil }), nil
+		},
+	})
+	r.MustDefine(&Definition{
+		Kind: "periodic",
+		Build: func(*BuildContext) (Handler, error) {
+			return NewPeriodic(10, func(a, c clock.Time) (Value, error) { return 1.0, nil }), nil
+		},
+	})
+	r.MustDefine(&Definition{
+		Kind: "triggered",
+		Build: func(*BuildContext) (Handler, error) {
+			return NewTriggered(func(clock.Time) (Value, error) { return 1.0, nil }), nil
+		},
+	})
+	for _, kind := range []Kind{"static", "ondemand", "periodic", "triggered"} {
+		kind := kind
+		b.Run(string(kind), func(b *testing.B) {
+			s, err := r.Subscribe(kind)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Unsubscribe()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Value(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkTriggerPropagation measures one event propagating through a
+// 20-item triggered chain. The chain computes pass the dependency value
+// through unchanged (no per-refresh interface boxing) and the base
+// cycles runtime-interned small ints, so the reported allocs/op expose
+// the propagation machinery itself: with cached propagation plans,
+// steady-state propagation over an unchanged graph is allocation-free.
+func BenchmarkTriggerPropagation(b *testing.B) {
+	vc := clock.NewVirtual()
+	env := NewEnv(vc)
+	r := env.NewRegistry("op")
+	v := 0
+	r.MustDefine(&Definition{
+		Kind:   "base",
+		Events: []string{"changed"},
+		Build: func(*BuildContext) (Handler, error) {
+			return NewTriggered(func(clock.Time) (Value, error) { return v, nil }), nil
+		},
+	})
+	prev := Kind("base")
+	for i := 0; i < 20; i++ {
+		kind := Kind("t" + string(rune('a'+i)))
+		p := prev
+		r.MustDefine(&Definition{
+			Kind: kind,
+			Deps: []DepRef{Dep(Self(), p)},
+			Build: func(ctx *BuildContext) (Handler, error) {
+				h := ctx.Dep(0)
+				return NewTriggered(func(clock.Time) (Value, error) { return h.Value() }), nil
+			},
+		})
+		prev = kind
+	}
+	s, err := r.Subscribe(prev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Unsubscribe()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v = (v + 1) % 256
+		r.FireEvent("changed")
+	}
+	b.StopTimer()
+	if f, err := s.Float(); err != nil || int(f) != v {
+		b.Fatalf("chain tail = %v, %v; want %d", f, err, v)
+	}
+}
+
+// BenchmarkValueReadParallel measures concurrent metadata reads of one
+// shared periodic item from many goroutines (run with -cpu 1,4,8). The
+// read path is lock-free (atomic snapshot), so throughput should scale
+// with cores instead of serializing on a lock.
+func BenchmarkValueReadParallel(b *testing.B) {
+	vc := clock.NewVirtual()
+	env := NewEnv(vc)
+	r := env.NewRegistry("op")
+	r.MustDefine(&Definition{
+		Kind: "periodic",
+		Build: func(*BuildContext) (Handler, error) {
+			return NewPeriodic(10, func(a, c clock.Time) (Value, error) { return 1.0, nil }), nil
+		},
+	})
+	s, err := r.Subscribe("periodic")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Unsubscribe()
+	vc.Advance(100)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := s.Value(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkSubscribeChurnParallel measures subscribe/unsubscribe churn
+// over independent registries from many goroutines (run with
+// -cpu 1,4,8). Each registry is its own dependency-scope component, so
+// with per-scope structural locks the churn parallelizes; under a
+// global graph lock it serializes.
+func BenchmarkSubscribeChurnParallel(b *testing.B) {
+	vc := clock.NewVirtual()
+	env := NewEnv(vc)
+	const nregs = 64
+	regs := make([]*Registry, nregs)
+	for i := range regs {
+		r := env.NewRegistry("op" + string(rune('a'+i%26)) + string(rune('a'+i/26)))
+		r.MustDefine(&Definition{
+			Kind:  "base",
+			Build: func(*BuildContext) (Handler, error) { return NewStatic(1.0), nil },
+		})
+		r.MustDefine(&Definition{
+			Kind: "derived",
+			Deps: []DepRef{Dep(Self(), "base")},
+			Build: func(ctx *BuildContext) (Handler, error) {
+				h := ctx.Dep(0)
+				return NewTriggered(func(clock.Time) (Value, error) { return h.Float() }), nil
+			},
+		})
+		regs[i] = r
+	}
+	var next int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		r := regs[int(atomic.AddInt64(&next, 1))%nregs]
+		for pb.Next() {
+			s, err := r.Subscribe("derived")
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			s.Unsubscribe()
+		}
+	})
+}
+
+// BenchmarkProbeOverhead measures the element-path cost of an inactive
+// vs active monitoring probe — the "overhead for counting incoming
+// elements is low" claim.
+func BenchmarkProbeOverhead(b *testing.B) {
+	var c Counter
+	b.Run("inactive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Inc()
+		}
+	})
+	c.Activate()
+	b.Run("active", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Inc()
+		}
+	})
+}

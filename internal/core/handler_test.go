@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -322,6 +323,45 @@ func TestDiamondPropagationOrder(t *testing.T) {
 	}
 	if v, _ := s.Float(); v != 20 {
 		t.Fatalf("c = %v, want 20 (both branches must be fresh when c computes)", v)
+	}
+
+	// A ladder of diamonds — every layer holds two items, each depending
+	// on both items of the layer below — updated once at its base: every
+	// affected item refreshes exactly once (the base, both sides of each
+	// inner layer, the one subscribed top item: 2L), however many paths
+	// reach it, and the top ends on base·2^L.
+	for _, L := range []int{2, 6, 10} {
+		env, _ := testEnv()
+		r := env.NewRegistry("n1")
+		base := 1.0
+		r.MustDefine(&Definition{
+			Kind:   "base",
+			Events: []string{"changed"},
+			Build: func(*BuildContext) (Handler, error) {
+				return NewTriggered(func(clock.Time) (Value, error) { return base, nil }), nil
+			},
+		})
+		prevA, prevB := Kind("base"), Kind("base")
+		for l := 1; l <= L; l++ {
+			a, b := Kind(fmt.Sprintf("l%da", l)), Kind(fmt.Sprintf("l%db", l))
+			defineDerived(r, a, Dep(Self(), prevA), Dep(Self(), prevB))
+			defineDerived(r, b, Dep(Self(), prevA), Dep(Self(), prevB))
+			prevA, prevB = a, b
+		}
+		top, err := r.Subscribe(prevA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := env.Stats().TriggeredUpdates.Load()
+		base = 2
+		r.FireEvent("changed")
+		if got := env.Stats().TriggeredUpdates.Load() - before; got != int64(2*L) {
+			t.Fatalf("%d-layer ladder: %d refreshes for one base update, want %d", L, got, 2*L)
+		}
+		if v, err := top.Float(); err != nil || v != math.Ldexp(base, L) {
+			t.Fatalf("%d-layer ladder: top = %v, %v; want %v", L, v, err, math.Ldexp(base, L))
+		}
+		top.Unsubscribe()
 	}
 }
 

@@ -557,15 +557,6 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 	return now, true
 }
 
-// tickAlone is the legacy per-item update path, kept for the
-// WithPerHandlerTicks ablation: publish, then propagate this item's
-// update alone.
-func (it *item) tickAlone(w *windowPolicy, now clock.Time) {
-	if end, ok := it.tick(w, now); ok {
-		it.announce(end)
-	}
-}
-
 // --- compute on notify ---
 
 // refresh recomputes and publishes a triggered item. Callers hold the

@@ -247,10 +247,6 @@ func (sb *planScratch) admit(e *entry) bool {
 // The walk itself executes a (usually cached) propagation plan and is
 // allocation-free on cache hits.
 func (env *Env) refreshClosureLocked(seeds []*entry, now clock.Time) {
-	if env.naivePropagation {
-		env.refreshNaiveLocked(seeds, now)
-		return
-	}
 	if len(seeds) == 0 {
 		return
 	}

@@ -984,25 +984,3 @@ func (r *Registry) NotifyChanged(kind Kind) {
 	e.bumpVersion()
 	r.env.announceLocked(r.env.Now(), e)
 }
-
-// refreshNaiveLocked is the ablation propagation: plain depth-first
-// recursion along the inverted dependency graph without deduplication
-// or ordering. Diamond dependents refresh once per incoming path (not
-// per declared edge: a seed listed twice is one dependent) and may read
-// half-updated inputs.
-func (env *Env) refreshNaiveLocked(seeds []*entry, now clock.Time) {
-	sorted := slices.Clone(seeds)
-	slices.SortFunc(sorted, bySeq)
-	for _, e := range slices.Compact(sorted) {
-		it := e.h.Load()
-		if it.Mechanism() != TriggeredMechanism {
-			continue
-		}
-		env.stats.TriggerNotifications.Add(1)
-		it.refresh(now)
-		if e.deltaDeps > 0 {
-			notifyDeltaLocked(e)
-		}
-		env.refreshNaiveLocked(appendDependents(nil, e), now)
-	}
-}

@@ -126,8 +126,7 @@ type Stats struct {
 	MuxFrames atomic.Int64
 	// MuxEvents counts watch events carried inside mux frames.
 	MuxEvents atomic.Int64
-	// MuxHeartbeats counts heartbeat frames written to mux streams plus
-	// keepalive comments written to legacy SSE streams.
+	// MuxHeartbeats counts heartbeat frames written to mux streams.
 	MuxHeartbeats atomic.Int64
 	// RelayEvents counts upstream events a relay republished into its
 	// local fan-out hub.

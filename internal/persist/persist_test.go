@@ -231,6 +231,11 @@ func TestSaveRecoverCycle(t *testing.T) {
 		t.Fatalf("recovery stats: Recoveries=%d RestoredStale=%d",
 			env2.Stats().Recoveries.Load(), env2.Stats().RestoredStale.Load())
 	}
+	// A warm start computes nothing: rebuild, restore and the reads above
+	// were all served from the checkpoint.
+	if got := env2.Stats().ComputeCalls.Load(); got != 0 {
+		t.Fatalf("recovery ran %d computes, want 0", got)
+	}
 
 	// ---- Warm phase: probes recompute from the live world. ----
 	vc2.Advance(2 * core.DefaultBreakerPolicy.MaxProbeBackoff)

@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // and a triggered "val" that recomputes n on every src notification.
 // The returned publish func bumps n and fires a propagation, so each
 // call publishes exactly one new version of "val".
-func testPlane(t *testing.T) (*core.Env, *core.Registry, *atomic.Int64, func()) {
+func testPlane(t testing.TB) (*core.Env, *core.Registry, *atomic.Int64, func()) {
 	t.Helper()
 	env := core.NewEnv(clock.NewVirtual())
 	r := env.NewRegistry("n1")
@@ -264,5 +265,54 @@ func TestHubManyWatchersOnePublish(t *testing.T) {
 		if len(evs) != 1 || evs[0].Version != 2 {
 			t.Fatalf("watcher %d saw %+v, want one v2 event", i, evs)
 		}
+	}
+}
+
+// BenchmarkE23PublishHotPath prices what one publication costs the
+// publisher with the hub attached, steady state: watchers=0 is the
+// bare propagation plane (no sink installed — the A/B baseline for
+// the version-gate overhead), watchers=N has N subscribers with full
+// 2-slot rings, so every publication takes the complete hot path
+// (CAS-max version, dirty election, sweeper kick) plus a sweeper
+// delivery that coalesces-to-latest into the full rings. The hub adds
+// no allocations on this path: allocs/op must match the watchers=0
+// baseline (the boxing of each recomputed value, which the core pays
+// with or without a watch sink).
+func BenchmarkE23PublishHotPath(b *testing.B) {
+	for _, watchers := range []int{0, 1000} {
+		b.Run(fmt.Sprintf("watchers=%d", watchers), func(b *testing.B) {
+			env, r, _, publish := testPlane(b)
+			sub, err := r.Subscribe("val")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sub.Unsubscribe()
+			var h *Hub
+			if watchers > 0 {
+				h = NewHub(env)
+				defer h.Close()
+				for i := 0; i < watchers; i++ {
+					w, err := h.Watch(r, "val", Options{Since: 1, Buffer: 2})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer w.Close()
+				}
+				// Fill every ring so steady state is the
+				// coalesce-to-latest overwrite path.
+				publish()
+				publish()
+				h.Barrier()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				publish()
+			}
+			b.StopTimer()
+			if h != nil {
+				h.Barrier()
+			}
+		})
 	}
 }

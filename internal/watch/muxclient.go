@@ -147,7 +147,7 @@ func (m *MuxSession) Next() (MuxEvent, error) {
 
 // Frames and Events report how many event frames and events this
 // session has received — Events()/Frames() is the measured batching
-// factor (E25's events-per-write column).
+// factor (events per write; the benchmark's watch.events_per_frame).
 func (m *MuxSession) Frames() int64 { return m.frames.Load() }
 
 // Events reports total events received; see Frames.

@@ -49,6 +49,9 @@ func TestMuxSessionEndToEnd(t *testing.T) {
 	if err != nil || len(rejects) != 0 {
 		t.Fatalf("Add = %v, %v", rejects, err)
 	}
+	if got := h.stats.MuxSessions.Load(); got != 1 {
+		t.Fatalf("MuxSessions = %d with two watches, want 1 (one session, one connection)", got)
+	}
 
 	// Both watches catch up with their inclusion snapshots through the
 	// one stream.

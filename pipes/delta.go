@@ -43,9 +43,9 @@ var (
 )
 
 // WithoutDeltaPropagation disables the incremental delta channel:
-// every aggregate refresh runs the full fold. Ablation switch for the
-// delta-propagation experiments (E21); WithNaivePropagation implies
-// it.
+// every aggregate refresh runs the full fold — the kill-switch for the
+// delta path, and the delta-off twin of the model-based equivalence
+// harness.
 func WithoutDeltaPropagation() SystemOption {
 	return func(s *System) { s.envOpts = append(s.envOpts, core.WithoutDeltaPropagation()) }
 }

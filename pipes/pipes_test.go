@@ -208,10 +208,15 @@ func TestUpdaterPoolOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rate.Unsubscribe()
-	sys.Run(100)
-	sys.Env().Updater().WaitIdle()
-	// Pooled updates run asynchronously, so window boundaries are not
-	// exact; the measured rate is approximately the true rate 1.
+	// One stat window at a time, waiting for the pool in between: the
+	// rate compute takes the arrival counter on a pool worker, so a
+	// worker still closing window k while the engine runs on through
+	// window k+1 would divide both windows' arrivals by one window's
+	// length (rate 1.5 or 2, about one run in ten).
+	for end := Time(10); end <= 100; end += 10 {
+		sys.Run(end)
+		sys.Env().Updater().WaitIdle()
+	}
 	if v, _ := rate.Float(); v < 0.7 || v > 1.3 {
 		t.Fatalf("pooled rate = %v, want ~1", v)
 	}
