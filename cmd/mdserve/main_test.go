@@ -78,8 +78,8 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["Watchers"] != 1 {
-		t.Fatalf("stats Watchers = %d, want 1", stats["Watchers"])
+	if stats.Watchers != 1 {
+		t.Fatalf("stats Watchers = %d, want 1", stats.Watchers)
 	}
 }
 
@@ -138,10 +138,10 @@ func TestServeDurableRestartResume(t *testing.T) {
 		d2.Close()
 		t.Fatal(err)
 	}
-	if stats["Recoveries"] != 1 || stats["RestoredStale"] < 1 {
+	if stats.Recoveries != 1 || stats.RestoredStale < 1 {
 		d2.Close()
 		t.Fatalf("stats = Recoveries %d RestoredStale %d, want 1 and >= 1",
-			stats["Recoveries"], stats["RestoredStale"])
+			stats.Recoveries, stats.RestoredStale)
 	}
 	st2, f2, err := firstEvent(ctx, c2, even, "inputRate", seen)
 	if err != nil {

@@ -7,12 +7,13 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/monitor"
 	"repro/pipes"
 )
 
 // runConnect attaches mdtop to a running mdserve (or mdserve -relay)
 // and prints a fixed number of watch frames followed by the server's
-// hub counters. The transport is one mux session carrying every
+// stats report. The transport is one mux session carrying every
 // watched item over a single connection, reconnecting with resume if
 // the server bounces. item is "registry/kind"; when empty, every
 // advertised item is watched.
@@ -96,35 +97,9 @@ func runConnect(base, item string, frames int, since uint64, out io.Writer) erro
 		fmt.Fprintf(out, "mux client: frames=%d events=%d eventsPerFrame=%.1f\n",
 			sess.Frames(), sess.Events(), float64(sess.Events())/float64(sess.Frames()))
 	}
-	return printServerStats(ctx, c, out)
-}
-
-// printServerStats prints the server-side hub, mux, relay, and
-// durability counters.
-func printServerStats(ctx context.Context, c *pipes.WatchClient, out io.Writer) error {
 	stats, err := c.Stats(ctx)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "watch hub: watchers=%d wakeups=%d coalescedWakeups=%d shedNotifies=%d catchUps=%d\n",
-		stats["Watchers"], stats["Wakeups"], stats["CoalescedWakeups"],
-		stats["ShedNotifies"], stats["CatchUps"])
-	if stats["MuxFrames"]+stats["MuxSessions"]+stats["MuxHeartbeats"] > 0 {
-		epf := 0.0
-		if stats["MuxFrames"] > 0 {
-			epf = float64(stats["MuxEvents"]) / float64(stats["MuxFrames"])
-		}
-		fmt.Fprintf(out, "mux: sessions=%d frames=%d events=%d heartbeats=%d eventsPerFrame=%.1f\n",
-			stats["MuxSessions"], stats["MuxFrames"], stats["MuxEvents"],
-			stats["MuxHeartbeats"], epf)
-	}
-	if stats["RelayEvents"]+stats["RelayResumes"] > 0 {
-		fmt.Fprintf(out, "relay: events=%d resumes=%d\n", stats["RelayEvents"], stats["RelayResumes"])
-	}
-	if stats["WALRecords"]+stats["Checkpoints"]+stats["Recoveries"] > 0 {
-		fmt.Fprintf(out, "durability: walRecords=%d walBytes=%d checkpoints=%d checkpointAt=%d recoveries=%d restoredStale=%d\n",
-			stats["WALRecords"], stats["WALBytes"], stats["Checkpoints"],
-			stats["CheckpointAt"], stats["Recoveries"], stats["RestoredStale"])
-	}
-	return nil
+	return monitor.WriteStats(out, stats)
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/monitor"
 	"repro/pipes"
 )
 
@@ -93,29 +94,8 @@ func main() {
 		fmt.Printf("  %-18s mean=%-10.4g last=%-10.4g max=%-10.4g samples=%d\n",
 			name, s.Mean(), s.Last().Value, s.Max(), len(s.Samples))
 	}
-	st := sys.Env().Stats().Snapshot()
-	fmt.Printf("\nframework activity: %+v\n", st)
-	fmt.Printf("update pipeline: scopeBatches=%d batchedTicks=%d meanBatch=%.1f planHitRate=%.3f\n",
-		st.ScopeBatches, st.BatchedTicks, st.MeanBatchSize(), st.PlanHitRate())
-	fmt.Printf("degraded ops: timeouts=%d lateResults=%d trips=%d recoveries=%d shedTicks=%d queueHighWater=%d\n",
-		st.Timeouts, st.LateResults, st.BreakerTrips, st.BreakerRecoveries,
-		st.ShedTicks, st.QueueHighWater)
-	fmt.Printf("read path: memoHits=%d memoMisses=%d memoHitRate=%.3f coalescedReads=%d\n",
-		st.MemoHits, st.MemoMisses, st.MemoHitRate(), st.CoalescedReads)
-	fmt.Printf("delta path: deltaFires=%d deltaFallbacks=%d deltaRebases=%d deltaHitRate=%.3f\n",
-		st.DeltaFires, st.DeltaFallbacks, st.DeltaRebases, st.DeltaHitRate())
-	fmt.Printf("adaptive: migrations=%d handlersCreated=%d handlersRemoved=%d\n",
-		st.Migrations, st.HandlersCreated, st.HandlersRemoved)
-	fmt.Printf("watch hub: watchers=%d wakeups=%d coalescedWakeups=%d shedNotifies=%d catchUps=%d\n",
-		st.Watchers, st.Wakeups, st.CoalescedWakeups, st.ShedNotifies, st.CatchUps)
-	if st.WALRecords+st.Checkpoints+st.Recoveries > 0 {
-		age := int64(-1)
-		if st.CheckpointAt > 0 {
-			age = int64(sys.Now()) - st.CheckpointAt
-		}
-		fmt.Printf("durability: walRecords=%d walBytes=%d checkpoints=%d checkpointAge=%d recoveries=%d restoredStale=%d\n",
-			st.WALRecords, st.WALBytes, st.Checkpoints, age, st.Recoveries, st.RestoredStale)
-	}
+	fmt.Println("\nframework activity:")
+	must(monitor.WriteStats(os.Stdout, sys.Env().Stats().Snapshot()))
 }
 
 func must(err error) {

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/monitor"
 	"repro/pipes"
 )
 
@@ -169,9 +170,8 @@ func main() {
 
 	sys.Run(5 * window)
 	env.Quiesce()
-	st := stats.Snapshot()
-	fmt.Printf("\ndegraded ops: timeouts=%d lateResults=%d trips=%d recoveries=%d\n",
-		st.Timeouts, st.LateResults, st.BreakerTrips, st.BreakerRecoveries)
+	fmt.Println()
+	check(monitor.WriteStats(os.Stdout, stats.Snapshot()))
 }
 
 // waitUntil polls for pool-worker progress that happens on OS

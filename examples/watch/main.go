@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/monitor"
 	"repro/pipes"
 )
 
@@ -114,9 +115,8 @@ func main() {
 	check(err)
 	fmt.Printf("  delivered as %d event(s) <= ring size; caught up to v%d queue=%.0f\n", n, last.Version, v)
 
-	st := sys.Env().Stats().Snapshot()
-	fmt.Printf("\nhub counters: catchUps=%d coalescedWakeups=%d shedNotifies=%d\n",
-		st.CatchUps, st.CoalescedWakeups, st.ShedNotifies)
+	fmt.Println()
+	check(monitor.WriteStats(os.Stdout, sys.Env().Stats().Snapshot()))
 }
 
 func check(err error) {

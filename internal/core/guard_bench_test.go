@@ -155,22 +155,16 @@ func BenchmarkValueRead(b *testing.B) {
 	}
 }
 
-// BenchmarkTriggerPropagation measures one event propagating through a
-// 20-item triggered chain. The chain computes pass the dependency value
-// through unchanged (no per-refresh interface boxing) and the base
-// cycles runtime-interned small ints, so the reported allocs/op expose
-// the propagation machinery itself: with cached propagation plans,
-// steady-state propagation over an unchanged graph is allocation-free.
-func BenchmarkTriggerPropagation(b *testing.B) {
-	vc := clock.NewVirtual()
-	env := NewEnv(vc)
-	r := env.NewRegistry("op")
-	v := 0
+// triggerChain defines a 21-item triggered chain — "base", fired by
+// event "changed" and returning *v, then 20 items passing their
+// dependency's value through unchanged — and subscribes its tail.
+func triggerChain(tb testing.TB, v *int) (*Registry, *Subscription) {
+	r := NewEnv(clock.NewVirtual()).NewRegistry("op")
 	r.MustDefine(&Definition{
 		Kind:   "base",
 		Events: []string{"changed"},
 		Build: func(*BuildContext) (Handler, error) {
-			return NewTriggered(func(clock.Time) (Value, error) { return v, nil }), nil
+			return NewTriggered(func(clock.Time) (Value, error) { return *v, nil }), nil
 		},
 	})
 	prev := Kind("base")
@@ -189,8 +183,21 @@ func BenchmarkTriggerPropagation(b *testing.B) {
 	}
 	s, err := r.Subscribe(prev)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return r, s
+}
+
+// BenchmarkTriggerPropagation measures one event propagating through
+// triggerChain. The chain computes pass the dependency value through
+// unchanged (no per-refresh interface boxing) and the base cycles
+// runtime-interned small ints, so the reported allocs/op expose the
+// propagation machinery itself: with cached propagation plans,
+// steady-state propagation over an unchanged graph is allocation-free
+// (TestTriggerPropagationAllocs gates it).
+func BenchmarkTriggerPropagation(b *testing.B) {
+	v := 0
+	r, s := triggerChain(b, &v)
 	defer s.Unsubscribe()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -201,6 +208,30 @@ func BenchmarkTriggerPropagation(b *testing.B) {
 	b.StopTimer()
 	if f, err := s.Float(); err != nil || int(f) != v {
 		b.Fatalf("chain tail = %v, %v; want %d", f, err, v)
+	}
+}
+
+// TestTriggerPropagationAllocs is the count gate of the propagation
+// path: one steady-state propagation through triggerChain allocates
+// nothing. The snapshot chunks a publication draws are amortised over
+// 64 publishes, below AllocsPerRun's integer average.
+func TestTriggerPropagationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	v := 0
+	r, s := triggerChain(t, &v)
+	defer s.Unsubscribe()
+	fire := func() {
+		v = (v + 1) % 256
+		r.FireEvent("changed")
+	}
+	fire() // the propagation plan is built on first use
+	if allocs := testing.AllocsPerRun(200, fire); allocs != 0 {
+		t.Fatalf("one propagation through a 21-item chain allocates %.0f times, want 0", allocs)
+	}
+	if f, err := s.Float(); err != nil || int(f) != v {
+		t.Fatalf("chain tail = %v, %v; want %d", f, err, v)
 	}
 }
 

@@ -1,11 +1,16 @@
 package core
 
-import "sync/atomic"
+import (
+	"reflect"
+	"sync/atomic"
+)
 
 // Stats are the framework's self-metrics. They power the scalability
 // experiments: every handler creation/removal, value computation,
 // periodic update, and trigger propagation is counted so the cost of
 // the metadata subsystem itself can be measured.
+// Every field is a counter (atomic.Int64, or ShardedCounter on a hot
+// path) or a Level; Snapshot copies field i into its own field i.
 type Stats struct {
 	// HandlersCreated counts first subscriptions that built a handler.
 	HandlersCreated atomic.Int64
@@ -64,9 +69,9 @@ type Stats struct {
 	ShedTicks atomic.Int64
 	// QueueDepth is the current number of tasks queued in the updater
 	// (bounded pool updaters only; 0 for inline).
-	QueueDepth atomic.Int64
+	QueueDepth Level
 	// QueueHighWater is the maximum QueueDepth observed.
-	QueueHighWater atomic.Int64
+	QueueHighWater Level
 	// MemoHits counts on-demand reads served from a dependency-stamped
 	// memo without recomputing (WithMemoizedOnDemand + Definition.Pure).
 	// Sharded: it is the memoized read hot path.
@@ -98,9 +103,8 @@ type Stats struct {
 	// Registry.Migrate (identity no-ops excluded).
 	Migrations atomic.Int64
 	// Watchers is the current number of registered watchers across all
-	// hubs on this env (a gauge, like QueueDepth: Sub keeps the newer
-	// snapshot's value instead of differencing).
-	Watchers atomic.Int64
+	// hubs on this env.
+	Watchers Level
 	// Wakeups counts sweep passes of the watch hub that processed at
 	// least one dirty item — the fan-out events that actually ran.
 	Wakeups atomic.Int64
@@ -117,9 +121,8 @@ type Stats struct {
 	// CatchUps counts snapshot-then-delta catch-ups delivered to late
 	// or lagging joiners (one Peek snapshot, then deltas only).
 	CatchUps atomic.Int64
-	// MuxSessions is the current number of live mux transport sessions
-	// (a gauge, like Watchers: Sub keeps the newer snapshot's value).
-	MuxSessions atomic.Int64
+	// MuxSessions is the current number of live mux transport sessions.
+	MuxSessions Level
 	// MuxFrames counts batched binary frames written to mux streams
 	// (heartbeats excluded); MuxEvents/MuxFrames is the amortization
 	// factor — events delivered per write.
@@ -138,16 +141,15 @@ type Stats struct {
 	// WALRecords counts structural ops appended to the durability WAL
 	// (internal/persist) since process start.
 	WALRecords atomic.Int64
-	// WALBytes is the size of the current WAL segment (a gauge: it
-	// resets to 0 when a checkpoint truncates the log; Sub keeps the
-	// newer snapshot's value).
-	WALBytes atomic.Int64
+	// WALBytes is the size of the current WAL segment; it resets to 0
+	// when a checkpoint truncates the log.
+	WALBytes Level
 	// Checkpoints counts checkpoints written (manual, periodic, and the
 	// post-recovery barrier checkpoint).
 	Checkpoints atomic.Int64
-	// CheckpointAt is the clock instant of the last checkpoint (a
-	// gauge; 0 before the first). Checkpoint age is Now - CheckpointAt.
-	CheckpointAt atomic.Int64
+	// CheckpointAt is the clock instant of the last checkpoint (0 before
+	// the first, or after one at instant 0: see Checkpoints).
+	CheckpointAt Level
 	// Recoveries counts recoveries performed by persist.Open (0 on a
 	// fresh start, 1 after loading a checkpoint and/or WAL).
 	Recoveries atomic.Int64
@@ -155,6 +157,11 @@ type Stats struct {
 	// quarantine-backed stale-serving state during recovery.
 	RestoredStale atomic.Int64
 }
+
+// Level is a Stats field holding a current level rather than a running
+// count: Snapshot.Sub keeps the newer snapshot's value instead of
+// differencing it. (Gauge is probe.go's activation-gated gauge.)
+type Level struct{ atomic.Int64 }
 
 // noteQueueDelta adjusts the updater queue-depth gauge by delta (+1 per
 // enqueue, -1 per dequeue) and maintains the high-water mark. Tracking
@@ -174,7 +181,7 @@ func (s *Stats) noteQueueDelta(delta int64) {
 	}
 }
 
-// Snapshot is an immutable copy of the counters.
+// Snapshot is an immutable copy of the counters, field for field.
 type Snapshot struct {
 	HandlersCreated      int64
 	HandlersRemoved      int64
@@ -225,152 +232,71 @@ type Snapshot struct {
 
 // Snapshot returns a copy of the current counter values.
 func (s *Stats) Snapshot() Snapshot {
-	return Snapshot{
-		HandlersCreated:      s.HandlersCreated.Load(),
-		HandlersRemoved:      s.HandlersRemoved.Load(),
-		SharedSubscriptions:  s.SharedSubscriptions.Load(),
-		ComputeCalls:         s.ComputeCalls.Load(),
-		OnDemandComputes:     s.OnDemandComputes.Load(),
-		PeriodicUpdates:      s.PeriodicUpdates.Load(),
-		TriggeredUpdates:     s.TriggeredUpdates.Load(),
-		TriggerNotifications: s.TriggerNotifications.Load(),
-		EventsFired:          s.EventsFired.Load(),
-		IncludeTraversals:    s.IncludeTraversals.Load(),
-		ScopeBatches:         s.ScopeBatches.Load(),
-		BatchedTicks:         s.BatchedTicks.Load(),
-		PlanCacheHits:        s.PlanCacheHits.Load(),
-		PlanCacheMisses:      s.PlanCacheMisses.Load(),
-		Timeouts:             s.Timeouts.Load(),
-		LateResults:          s.LateResults.Load(),
-		BreakerTrips:         s.BreakerTrips.Load(),
-		BreakerRecoveries:    s.BreakerRecoveries.Load(),
-		ShedTicks:            s.ShedTicks.Load(),
-		QueueDepth:           s.QueueDepth.Load(),
-		QueueHighWater:       s.QueueHighWater.Load(),
-		MemoHits:             s.MemoHits.Load(),
-		MemoMisses:           s.MemoMisses.Load(),
-		CoalescedReads:       s.CoalescedReads.Load(),
-		DeltaFires:           s.DeltaFires.Load(),
-		DeltaFallbacks:       s.DeltaFallbacks.Load(),
-		DeltaRebases:         s.DeltaRebases.Load(),
-		Migrations:           s.Migrations.Load(),
-		Watchers:             s.Watchers.Load(),
-		Wakeups:              s.Wakeups.Load(),
-		CoalescedWakeups:     s.CoalescedWakeups.Load(),
-		ShedNotifies:         s.ShedNotifies.Load(),
-		CatchUps:             s.CatchUps.Load(),
-		MuxSessions:          s.MuxSessions.Load(),
-		MuxFrames:            s.MuxFrames.Load(),
-		MuxEvents:            s.MuxEvents.Load(),
-		MuxHeartbeats:        s.MuxHeartbeats.Load(),
-		RelayEvents:          s.RelayEvents.Load(),
-		RelayResumes:         s.RelayResumes.Load(),
-		WALRecords:           s.WALRecords.Load(),
-		WALBytes:             s.WALBytes.Load(),
-		Checkpoints:          s.Checkpoints.Load(),
-		CheckpointAt:         s.CheckpointAt.Load(),
-		Recoveries:           s.Recoveries.Load(),
-		RestoredStale:        s.RestoredStale.Load(),
+	var out Snapshot
+	src, dst := reflect.ValueOf(s).Elem(), reflect.ValueOf(&out).Elem()
+	for i := range dst.NumField() {
+		dst.Field(i).SetInt(src.Field(i).Addr().Interface().(interface{ Load() int64 }).Load())
 	}
+	return out
 }
 
 // Sub returns the per-counter difference s - t, for measuring a window
-// of activity between two snapshots.
+// of activity between two snapshots. A Level keeps s's value.
 func (s Snapshot) Sub(t Snapshot) Snapshot {
-	return Snapshot{
-		HandlersCreated:      s.HandlersCreated - t.HandlersCreated,
-		HandlersRemoved:      s.HandlersRemoved - t.HandlersRemoved,
-		SharedSubscriptions:  s.SharedSubscriptions - t.SharedSubscriptions,
-		ComputeCalls:         s.ComputeCalls - t.ComputeCalls,
-		OnDemandComputes:     s.OnDemandComputes - t.OnDemandComputes,
-		PeriodicUpdates:      s.PeriodicUpdates - t.PeriodicUpdates,
-		TriggeredUpdates:     s.TriggeredUpdates - t.TriggeredUpdates,
-		TriggerNotifications: s.TriggerNotifications - t.TriggerNotifications,
-		EventsFired:          s.EventsFired - t.EventsFired,
-		IncludeTraversals:    s.IncludeTraversals - t.IncludeTraversals,
-		ScopeBatches:         s.ScopeBatches - t.ScopeBatches,
-		BatchedTicks:         s.BatchedTicks - t.BatchedTicks,
-		PlanCacheHits:        s.PlanCacheHits - t.PlanCacheHits,
-		PlanCacheMisses:      s.PlanCacheMisses - t.PlanCacheMisses,
-		Timeouts:             s.Timeouts - t.Timeouts,
-		LateResults:          s.LateResults - t.LateResults,
-		BreakerTrips:         s.BreakerTrips - t.BreakerTrips,
-		BreakerRecoveries:    s.BreakerRecoveries - t.BreakerRecoveries,
-		ShedTicks:            s.ShedTicks - t.ShedTicks,
-		// Depth and high-water are gauges, not counters; keep the
-		// newer snapshot's values rather than differencing.
-		QueueDepth:     s.QueueDepth,
-		QueueHighWater: s.QueueHighWater,
-		MemoHits:       s.MemoHits - t.MemoHits,
-		MemoMisses:     s.MemoMisses - t.MemoMisses,
-		CoalescedReads: s.CoalescedReads - t.CoalescedReads,
-		DeltaFires:     s.DeltaFires - t.DeltaFires,
-		DeltaFallbacks: s.DeltaFallbacks - t.DeltaFallbacks,
-		DeltaRebases:   s.DeltaRebases - t.DeltaRebases,
-		Migrations:     s.Migrations - t.Migrations,
-		// Watchers is a gauge like QueueDepth: keep the newer value.
-		Watchers:         s.Watchers,
-		Wakeups:          s.Wakeups - t.Wakeups,
-		CoalescedWakeups: s.CoalescedWakeups - t.CoalescedWakeups,
-		ShedNotifies:     s.ShedNotifies - t.ShedNotifies,
-		CatchUps:         s.CatchUps - t.CatchUps,
-		// MuxSessions is a gauge like Watchers: keep the newer value.
-		MuxSessions:   s.MuxSessions,
-		MuxFrames:     s.MuxFrames - t.MuxFrames,
-		MuxEvents:     s.MuxEvents - t.MuxEvents,
-		MuxHeartbeats: s.MuxHeartbeats - t.MuxHeartbeats,
-		RelayEvents:   s.RelayEvents - t.RelayEvents,
-		RelayResumes:  s.RelayResumes - t.RelayResumes,
-		WALRecords:    s.WALRecords - t.WALRecords,
-		// WALBytes and CheckpointAt are gauges: keep the newer values.
-		WALBytes:      s.WALBytes,
-		Checkpoints:   s.Checkpoints - t.Checkpoints,
-		CheckpointAt:  s.CheckpointAt,
-		Recoveries:    s.Recoveries - t.Recoveries,
-		RestoredStale: s.RestoredStale - t.RestoredStale,
+	d, tv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&t).Elem()
+	for i, level := range statsLevels {
+		if !level {
+			f := d.Field(i)
+			f.SetInt(f.Int() - tv.Field(i).Int())
+		}
 	}
+	return s
 }
+
+// statsLevels marks the Stats fields that are Levels, by position; built
+// once, because reflecting on a Stats value per Sub boxes 9.5 KB.
+var statsLevels = func() []bool {
+	t := reflect.TypeFor[Stats]()
+	levels := make([]bool, t.NumField())
+	for i := range levels {
+		levels[i] = t.Field(i).Type == reflect.TypeFor[Level]()
+	}
+	return levels
+}()
 
 // MeanBatchSize returns the mean number of periodic ticks per scope
 // batch in the snapshot, or 0 when no batches ran.
-func (s Snapshot) MeanBatchSize() float64 {
-	if s.ScopeBatches == 0 {
-		return 0
-	}
-	return float64(s.BatchedTicks) / float64(s.ScopeBatches)
-}
+func (s Snapshot) MeanBatchSize() float64 { return ratio(s.BatchedTicks, s.ScopeBatches) }
 
 // PlanHitRate returns the fraction of propagations served from a
 // cached plan, or 0 when no propagation ran.
 func (s Snapshot) PlanHitRate() float64 {
-	total := s.PlanCacheHits + s.PlanCacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.PlanCacheHits) / float64(total)
+	return ratio(s.PlanCacheHits, s.PlanCacheHits+s.PlanCacheMisses)
 }
 
 // MemoHitRate returns the fraction of memoized on-demand reads served
 // from the stamped memo without recomputing, or 0 when no memoized
 // reads ran.
-func (s Snapshot) MemoHitRate() float64 {
-	total := s.MemoHits + s.MemoMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.MemoHits) / float64(total)
-}
+func (s Snapshot) MemoHitRate() float64 { return ratio(s.MemoHits, s.MemoHits+s.MemoMisses) }
 
 // DeltaHitRate returns the fraction of delta-aggregate refreshes
 // served by the O(1) pair-apply path, or 0 when no aggregate refresh
 // ran. Rebases count toward the total (they are refreshes the delta
 // path did not serve) but are reported separately in the snapshot.
 func (s Snapshot) DeltaHitRate() float64 {
-	total := s.DeltaFires + s.DeltaFallbacks + s.DeltaRebases
-	if total == 0 {
+	return ratio(s.DeltaFires, s.DeltaFires+s.DeltaFallbacks+s.DeltaRebases)
+}
+
+// EventsPerFrame returns the mean number of watch events per mux frame
+// (events delivered per write), or 0 when no frame was written.
+func (s Snapshot) EventsPerFrame() float64 { return ratio(s.MuxEvents, s.MuxFrames) }
+
+// ratio returns n/d, or 0 for an empty denominator.
+func ratio(n, d int64) float64 {
+	if d == 0 {
 		return 0
 	}
-	return float64(s.DeltaFires) / float64(total)
+	return float64(n) / float64(d)
 }
 
 // UpdateWork returns the total number of maintenance operations in the

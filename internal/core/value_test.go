@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -81,6 +84,94 @@ func TestStatsSnapshotSub(t *testing.T) {
 	}
 	if got := b.UpdateWork(); got != 3+4+2+1 {
 		t.Fatalf("UpdateWork = %d, want 10", got)
+	}
+}
+
+// TestStatsMatchesSnapshot pins what Snapshot's field walk relies on:
+// Stats and Snapshot list the same names in the same order, every Stats
+// field is a counter or a Level, and every Snapshot field an int64.
+func TestStatsMatchesSnapshot(t *testing.T) {
+	st, sn := reflect.TypeFor[Stats](), reflect.TypeFor[Snapshot]()
+	if st.NumField() != sn.NumField() {
+		t.Fatalf("Stats has %d fields, Snapshot %d", st.NumField(), sn.NumField())
+	}
+	kinds := []reflect.Type{reflect.TypeFor[atomic.Int64](), reflect.TypeFor[ShardedCounter](), reflect.TypeFor[Level]()}
+	for i := range st.NumField() {
+		f, g := st.Field(i), sn.Field(i)
+		if f.Name != g.Name {
+			t.Errorf("field %d: Stats.%s, Snapshot.%s", i, f.Name, g.Name)
+		}
+		if !slices.Contains(kinds, f.Type) {
+			t.Errorf("Stats.%s is a %v, want atomic.Int64, ShardedCounter or Level", f.Name, f.Type)
+		}
+		if g.Type.Kind() != reflect.Int64 {
+			t.Errorf("Snapshot.%s is a %v, want int64", g.Name, g.Type)
+		}
+	}
+}
+
+// TestSnapshotSubEveryField loads a distinct value into every Stats
+// field and checks, field by field, that Snapshot copies it and that Sub
+// differences exactly the counters and keeps exactly the six Levels.
+func TestSnapshotSubEveryField(t *testing.T) {
+	var s Stats
+	sv := reflect.ValueOf(&s).Elem()
+	add := func(base int64) {
+		for i := range sv.NumField() {
+			switch c := sv.Field(i).Addr().Interface().(type) {
+			case *ShardedCounter:
+				c.Add(base + int64(i))
+			case interface{ Add(int64) int64 }:
+				c.Add(base + int64(i))
+			}
+		}
+	}
+	add(1000)
+	a := s.Snapshot()
+	add(100) // every field now holds 1100 + 2i
+	b := s.Snapshot()
+	d := b.Sub(a)
+	av, bv, dv := reflect.ValueOf(a), reflect.ValueOf(b), reflect.ValueOf(d)
+	var levels []string
+	for i := range sv.NumField() {
+		name := sv.Type().Field(i).Name
+		if got := av.Field(i).Int(); got != 1000+int64(i) {
+			t.Errorf("Snapshot.%s = %d, want %d", name, got, 1000+i)
+		}
+		want := bv.Field(i).Int() - av.Field(i).Int()
+		if sv.Field(i).Type() == reflect.TypeFor[Level]() {
+			levels = append(levels, name)
+			want = bv.Field(i).Int()
+		}
+		if got := dv.Field(i).Int(); got != want {
+			t.Errorf("Sub.%s = %d, want %d", name, got, want)
+		}
+	}
+	wantLevels := []string{"QueueDepth", "QueueHighWater", "Watchers", "MuxSessions", "WALBytes", "CheckpointAt"}
+	if !slices.Equal(levels, wantLevels) {
+		t.Fatalf("Levels = %v, want %v", levels, wantLevels)
+	}
+	if counters := sv.NumField() - len(levels); counters != 39 {
+		t.Fatalf("%d counters, want 39", counters)
+	}
+}
+
+// TestSnapshotSubAllocs pins that a window measurement — two Snapshots
+// and a Sub — allocates nothing.
+func TestSnapshotSubAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	s := new(Stats)
+	s.MemoHits.Add(3)
+	var d Snapshot
+	allocs := testing.AllocsPerRun(100, func() {
+		before := s.Snapshot()
+		s.Watchers.Add(1)
+		d = s.Snapshot().Sub(before)
+	})
+	if allocs != 0 || d.MemoHits != 0 || d.Watchers != 101 {
+		t.Fatalf("Snapshot+Snapshot+Sub: %.0f allocs, MemoHits %d, Watchers %d; want 0, 0, 101", allocs, d.MemoHits, d.Watchers)
 	}
 }
 

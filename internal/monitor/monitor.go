@@ -10,6 +10,7 @@ package monitor
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -246,9 +247,6 @@ type OverheadProfile struct {
 	Window core.Snapshot
 	// Duration is the profiled time span.
 	Duration clock.Duration
-	// At is the instant the window closed — the reference point for
-	// age-style gauges like checkpoint age.
-	At clock.Time
 }
 
 // UpdatesPerTimeUnit returns the maintenance operations per time unit.
@@ -259,107 +257,73 @@ func (p OverheadProfile) UpdatesPerTimeUnit() float64 {
 	return float64(p.Window.UpdateWork()) / float64(p.Duration)
 }
 
-// MeanBatchSize returns the mean number of periodic ticks per scope
-// batch in the profiled window — how much same-instant work the
-// batched update pipeline amortized per dispatch.
-func (p OverheadProfile) MeanBatchSize() float64 { return p.Window.MeanBatchSize() }
-
-// PlanHitRate returns the fraction of trigger propagations in the
-// window served from a cached propagation plan.
-func (p OverheadProfile) PlanHitRate() float64 { return p.Window.PlanHitRate() }
-
-// MemoHitRate returns the fraction of memoized on-demand reads in the
-// window served from the versioned memo without recomputing.
-func (p OverheadProfile) MemoHitRate() float64 { return p.Window.MemoHitRate() }
-
-// DeltaHitRate returns the fraction of delta-aggregate refreshes in
-// the window served by the O(1) pair-apply path instead of a full
-// fold.
-func (p OverheadProfile) DeltaHitRate() float64 { return p.Window.DeltaHitRate() }
-
-// FormatReadPath renders the window's versioned-read-path counters as a
-// one-line summary: memo hits and misses, the resulting hit rate, and
-// reads coalesced onto another reader's in-flight compute.
-func (p OverheadProfile) FormatReadPath() string {
-	return fmt.Sprintf("memoHits=%d memoMisses=%d memoHitRate=%.3f coalescedReads=%d",
-		p.Window.MemoHits, p.Window.MemoMisses, p.MemoHitRate(), p.Window.CoalescedReads)
+// stat is one label=value entry of a report line: the Snapshot field
+// named field, or a ratio derived from the snapshot, printed with prec
+// decimals.
+type stat struct {
+	label, field string
+	ratio        func(core.Snapshot) float64
+	prec         int
 }
 
-// FormatPipeline renders the window's batched-update-pipeline counters
-// as a one-line summary.
-func (p OverheadProfile) FormatPipeline() string {
-	return fmt.Sprintf("scopeBatches=%d batchedTicks=%d meanBatch=%.1f planHits=%d planMisses=%d hitRate=%.3f",
-		p.Window.ScopeBatches, p.Window.BatchedTicks, p.MeanBatchSize(),
-		p.Window.PlanCacheHits, p.Window.PlanCacheMisses, p.PlanHitRate())
+func count(label, field string) stat { return stat{label: label, field: field} }
+
+func ratio(label string, prec int, f func(core.Snapshot) float64) stat {
+	return stat{label: label, ratio: f, prec: prec}
 }
 
-// FormatDelta renders the window's delta-propagation counters as a
-// one-line summary: O(1) pair-apply fires, exact full-fold fallbacks,
-// scheduled drift rebases, and the resulting hit rate.
-func (p OverheadProfile) FormatDelta() string {
-	return fmt.Sprintf("deltaFires=%d deltaFallbacks=%d deltaRebases=%d deltaHitRate=%.3f",
-		p.Window.DeltaFires, p.Window.DeltaFallbacks, p.Window.DeltaRebases, p.DeltaHitRate())
+// report is the one rendering of core.Stats, a line per group in this
+// order. Every Snapshot field has exactly one entry
+// (TestWriteStatsRendersEveryField): a counter is a Stats field, a
+// Snapshot field and an entry here.
+var report = []struct {
+	group string
+	stats []stat
+}{
+	{"maintenance", []stat{count("computes", "ComputeCalls"), count("onDemandComputes", "OnDemandComputes"),
+		count("periodicUpdates", "PeriodicUpdates"), count("triggeredUpdates", "TriggeredUpdates"),
+		count("notifications", "TriggerNotifications"), count("events", "EventsFired"),
+		count("traversals", "IncludeTraversals"), count("sharedSubscriptions", "SharedSubscriptions")}},
+	{"update pipeline", []stat{count("scopeBatches", "ScopeBatches"), count("batchedTicks", "BatchedTicks"),
+		ratio("meanBatch", 1, core.Snapshot.MeanBatchSize), count("planHits", "PlanCacheHits"),
+		count("planMisses", "PlanCacheMisses"), ratio("planHitRate", 3, core.Snapshot.PlanHitRate)}},
+	{"degraded ops", []stat{count("timeouts", "Timeouts"), count("lateResults", "LateResults"),
+		count("trips", "BreakerTrips"), count("recoveries", "BreakerRecoveries"), count("shedTicks", "ShedTicks"),
+		count("queueDepth", "QueueDepth"), count("queueHighWater", "QueueHighWater")}},
+	{"read path", []stat{count("memoHits", "MemoHits"), count("memoMisses", "MemoMisses"),
+		ratio("memoHitRate", 3, core.Snapshot.MemoHitRate), count("coalescedReads", "CoalescedReads")}},
+	{"delta path", []stat{count("deltaFires", "DeltaFires"), count("deltaFallbacks", "DeltaFallbacks"),
+		count("deltaRebases", "DeltaRebases"), ratio("deltaHitRate", 3, core.Snapshot.DeltaHitRate)}},
+	{"adaptive", []stat{count("migrations", "Migrations"), count("handlersCreated", "HandlersCreated"),
+		count("handlersRemoved", "HandlersRemoved")}},
+	{"watch hub", []stat{count("watchers", "Watchers"), count("wakeups", "Wakeups"),
+		count("coalescedWakeups", "CoalescedWakeups"), count("shedNotifies", "ShedNotifies"), count("catchUps", "CatchUps")}},
+	{"mux", []stat{count("sessions", "MuxSessions"), count("frames", "MuxFrames"), count("events", "MuxEvents"),
+		count("heartbeats", "MuxHeartbeats"), ratio("eventsPerFrame", 1, core.Snapshot.EventsPerFrame)}},
+	{"relay", []stat{count("events", "RelayEvents"), count("resumes", "RelayResumes")}},
+	{"durability", []stat{count("walRecords", "WALRecords"), count("walBytes", "WALBytes"),
+		count("checkpoints", "Checkpoints"), count("checkpointAt", "CheckpointAt"),
+		count("recoveries", "Recoveries"), count("restoredStale", "RestoredStale")}},
 }
 
-// FormatAdaptive renders the window's adaptive-maintenance counters as
-// a one-line summary: live mechanism migrations and the handler churn
-// they (and subscription churn) caused.
-func (p OverheadProfile) FormatAdaptive() string {
-	return fmt.Sprintf("migrations=%d handlersCreated=%d handlersRemoved=%d",
-		p.Window.Migrations, p.Window.HandlersCreated, p.Window.HandlersRemoved)
-}
-
-// FormatHealth renders the window's degraded-operation counters as a
-// one-line summary: compute deadline hits, fenced late results,
-// breaker activity, and updater backpressure (shed scope batches plus
-// the bounded queue's current depth and high-water mark — the two
-// gauges report end-of-window state, not a delta).
-func (p OverheadProfile) FormatHealth() string {
-	return fmt.Sprintf("timeouts=%d lateResults=%d trips=%d recoveries=%d shedTicks=%d queueDepth=%d queueHighWater=%d",
-		p.Window.Timeouts, p.Window.LateResults,
-		p.Window.BreakerTrips, p.Window.BreakerRecoveries,
-		p.Window.ShedTicks, p.Window.QueueDepth, p.Window.QueueHighWater)
-}
-
-// FormatWatch renders the window's fan-out counters as a one-line
-// summary: registered watchers (a gauge: end-of-window state), sweep
-// wakeups that ran, publications coalesced into pending wakeups,
-// notifications shed onto full subscriber rings, and
-// snapshot-then-delta catch-ups.
-func (p OverheadProfile) FormatWatch() string {
-	return fmt.Sprintf("watchers=%d wakeups=%d coalescedWakeups=%d shedNotifies=%d catchUps=%d",
-		p.Window.Watchers, p.Window.Wakeups, p.Window.CoalescedWakeups,
-		p.Window.ShedNotifies, p.Window.CatchUps)
-}
-
-// FormatMux renders the window's network-tier counters as a one-line
-// summary: live mux sessions (a gauge: end-of-window state), batched
-// event frames written with the events they carried and the resulting
-// amortization factor (events per write), heartbeats sent, and —
-// when this process is a relay — upstream events republished locally
-// and completed reconnect-with-resume cycles.
-func (p OverheadProfile) FormatMux() string {
-	epf := 0.0
-	if p.Window.MuxFrames > 0 {
-		epf = float64(p.Window.MuxEvents) / float64(p.Window.MuxFrames)
+// WriteStats renders a stats snapshot (or a window of one, from
+// Snapshot.Sub) as the report: "group: label=value ..." per line.
+func WriteStats(w io.Writer, s core.Snapshot) error {
+	var b strings.Builder
+	v := reflect.ValueOf(s)
+	for _, line := range report {
+		b.WriteString(line.group + ":")
+		for _, st := range line.stats {
+			if st.ratio != nil {
+				fmt.Fprintf(&b, " %s=%.*f", st.label, st.prec, st.ratio(s))
+			} else {
+				fmt.Fprintf(&b, " %s=%d", st.label, v.FieldByName(st.field).Int())
+			}
+		}
+		b.WriteByte('\n')
 	}
-	return fmt.Sprintf("muxSessions=%d muxFrames=%d muxEvents=%d eventsPerFrame=%.1f heartbeats=%d relayEvents=%d relayResumes=%d",
-		p.Window.MuxSessions, p.Window.MuxFrames, p.Window.MuxEvents, epf,
-		p.Window.MuxHeartbeats, p.Window.RelayEvents, p.Window.RelayResumes)
-}
-
-// FormatDurability renders the window's durable-plane counters as a
-// one-line summary: WAL appends in the window and the current segment
-// size, checkpoints written with the age of the newest one
-// (checkpointAge=-1 means no checkpoint yet), and recovery activity.
-func (p OverheadProfile) FormatDurability() string {
-	age := int64(-1)
-	if p.Window.CheckpointAt > 0 {
-		age = int64(p.At.Sub(clock.Time(p.Window.CheckpointAt)))
-	}
-	return fmt.Sprintf("walRecords=%d walBytes=%d checkpoints=%d checkpointAge=%d recoveries=%d restoredStale=%d",
-		p.Window.WALRecords, p.Window.WALBytes, p.Window.Checkpoints,
-		age, p.Window.Recoveries, p.Window.RestoredStale)
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Profiler captures framework overhead over a time window.
@@ -379,7 +343,6 @@ func (p *Profiler) Stop() OverheadProfile {
 	return OverheadProfile{
 		Window:   p.env.Stats().Snapshot().Sub(p.start),
 		Duration: p.env.Now().Sub(p.since),
-		At:       p.env.Now(),
 	}
 }
 

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ops"
+	"repro/internal/persist"
 	"repro/internal/stream"
 	"repro/internal/watch"
 )
@@ -206,10 +209,10 @@ func TestOverheadProfileHealth(t *testing.T) {
 	if prof.Window.BreakerTrips != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", prof.Window.BreakerTrips)
 	}
-	line := prof.FormatHealth()
+	line := statLine(t, prof.Window, "degraded ops")
 	for _, want := range []string{"trips=1", "timeouts=0", "recoveries=0", "shedTicks=0"} {
 		if !strings.Contains(line, want) {
-			t.Fatalf("FormatHealth() = %q, missing %q", line, want)
+			t.Fatalf("degraded ops line = %q, missing %q", line, want)
 		}
 	}
 
@@ -223,8 +226,8 @@ func TestOverheadProfileHealth(t *testing.T) {
 		t.Fatalf("after recovery: trips=%d recoveries=%d, want 0/1",
 			prof.Window.BreakerTrips, prof.Window.BreakerRecoveries)
 	}
-	if line := prof.FormatHealth(); !strings.Contains(line, "recoveries=1") {
-		t.Fatalf("FormatHealth() = %q, missing recoveries=1", line)
+	if line := statLine(t, prof.Window, "degraded ops"); !strings.Contains(line, "recoveries=1") {
+		t.Fatalf("degraded ops line = %q, missing recoveries=1", line)
 	}
 }
 
@@ -259,10 +262,10 @@ func TestOverheadProfileAdaptive(t *testing.T) {
 	if prof.Window.Migrations != 1 {
 		t.Fatalf("Migrations = %d, want 1", prof.Window.Migrations)
 	}
-	line := prof.FormatAdaptive()
+	line := statLine(t, prof.Window, "adaptive")
 	for _, want := range []string{"migrations=1", "handlersCreated=1", "handlersRemoved=1"} {
 		if !strings.Contains(line, want) {
-			t.Fatalf("FormatAdaptive() = %q, missing %q", line, want)
+			t.Fatalf("adaptive line = %q, missing %q", line, want)
 		}
 	}
 }
@@ -292,10 +295,10 @@ func TestOverheadProfileWatch(t *testing.T) {
 	if prof.Window.Watchers != 1 || prof.Window.CatchUps != 1 {
 		t.Fatalf("Watchers=%d CatchUps=%d, want 1/1", prof.Window.Watchers, prof.Window.CatchUps)
 	}
-	line := prof.FormatWatch()
+	line := statLine(t, prof.Window, "watch hub")
 	for _, want := range []string{"watchers=1", "catchUps=1", "wakeups=", "coalescedWakeups=", "shedNotifies=0"} {
 		if !strings.Contains(line, want) {
-			t.Fatalf("FormatWatch() = %q, missing %q", line, want)
+			t.Fatalf("watch hub line = %q, missing %q", line, want)
 		}
 	}
 }
@@ -332,13 +335,13 @@ func TestOverheadProfilePipeline(t *testing.T) {
 	if prof.Window.ScopeBatches != 10 || prof.Window.BatchedTicks != 20 {
 		t.Fatalf("ScopeBatches=%d BatchedTicks=%d, want 10/20", prof.Window.ScopeBatches, prof.Window.BatchedTicks)
 	}
-	if got := prof.MeanBatchSize(); got != 2 {
+	if got := prof.Window.MeanBatchSize(); got != 2 {
 		t.Fatalf("MeanBatchSize = %v, want 2", got)
 	}
-	line := prof.FormatPipeline()
+	line := statLine(t, prof.Window, "update pipeline")
 	for _, want := range []string{"scopeBatches=10", "batchedTicks=20", "meanBatch=2.0"} {
 		if !strings.Contains(line, want) {
-			t.Fatalf("FormatPipeline() = %q, missing %q", line, want)
+			t.Fatalf("update pipeline line = %q, missing %q", line, want)
 		}
 	}
 }
@@ -358,19 +361,70 @@ func TestOverheadProfileDurability(t *testing.T) {
 	st.Recoveries.Add(1)
 	st.RestoredStale.Add(2)
 
-	line := p.Stop().FormatDurability()
+	line := statLine(t, p.Stop().Window, "durability")
 	for _, want := range []string{
 		"walRecords=3", "walBytes=120", "checkpoints=1",
-		"checkpointAge=10", "recoveries=1", "restoredStale=2",
+		"checkpointAt=40", "recoveries=1", "restoredStale=2",
 	} {
 		if !strings.Contains(line, want) {
-			t.Fatalf("FormatDurability() = %q, missing %q", line, want)
+			t.Fatalf("durability line = %q, missing %q", line, want)
 		}
 	}
 
-	// No checkpoint yet: age is -1, not a bogus now-zero delta.
-	fresh := NewProfiler(core.NewEnv(clock.NewVirtual())).Stop()
-	if line := fresh.FormatDurability(); !strings.Contains(line, "checkpointAge=-1") {
-		t.Fatalf("FormatDurability() = %q, want checkpointAge=-1", line)
+	// A durable plane opened at instant 0 has checkpointed (Open's
+	// barrier) although CheckpointAt still reads 0.
+	fresh := core.NewEnv(clock.NewVirtual())
+	plane, _, err := persist.Open(fresh, t.TempDir(), persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plane.Close()
+	line = statLine(t, fresh.Stats().Snapshot(), "durability")
+	for _, want := range []string{"checkpoints=1", "checkpointAt=0"} {
+		if !strings.Contains(line, want) {
+			t.Fatalf("durability line at t=0 = %q, missing %q", line, want)
+		}
+	}
+}
+
+// statLine renders s and returns the report's line for group.
+func statLine(t *testing.T, s core.Snapshot, group string) string {
+	t.Helper()
+	var b strings.Builder
+	if err := WriteStats(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, group+": ") {
+			return line
+		}
+	}
+	t.Fatalf("report has no %q line:\n%s", group, b.String())
+	return ""
+}
+
+// TestWriteStatsRendersEveryField gives every Snapshot field a distinct
+// value and checks the report prints each value exactly once: no
+// counter is silently missing, none is printed twice.
+func TestWriteStatsRendersEveryField(t *testing.T) {
+	var s core.Snapshot
+	v := reflect.ValueOf(&s).Elem()
+	for i := range v.NumField() {
+		v.Field(i).SetInt(int64(1000 + i))
+	}
+	var b strings.Builder
+	if err := WriteStats(&b, s); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, tok := range strings.Fields(b.String()) {
+		if _, val, ok := strings.Cut(tok, "="); ok {
+			seen[val]++
+		}
+	}
+	for i := range v.NumField() {
+		if n := seen[strconv.Itoa(1000+i)]; n != 1 {
+			t.Errorf("%s=%d printed %d times, want once:\n%s", v.Type().Field(i).Name, 1000+i, n, b.String())
+		}
 	}
 }

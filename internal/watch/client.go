@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
 // ErrHeartbeatTimeout reports a stream whose peer went silent past the
@@ -86,14 +88,11 @@ func (c *Client) Items(ctx context.Context) (map[string][]string, error) {
 	return out, nil
 }
 
-// Stats fetches the server's core stats snapshot as raw JSON keyed by
-// counter name.
-func (c *Client) Stats(ctx context.Context) (map[string]int64, error) {
-	var out map[string]int64
-	if err := c.getJSON(ctx, "/stats", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+// Stats fetches the server's core stats snapshot.
+func (c *Client) Stats(ctx context.Context) (core.Snapshot, error) {
+	var out core.Snapshot
+	err := c.getJSON(ctx, "/stats", &out)
+	return out, err
 }
 
 func (c *Client) getJSON(ctx context.Context, path string, v any) error {

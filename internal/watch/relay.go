@@ -20,8 +20,6 @@ type RelayOptions struct {
 	// resume (the first attach excluded) with the number of watches
 	// resumed — mdserve -relay prints its banner from here.
 	OnResume func(watches int)
-	// Stats is the relay's counter sink; nil allocates a private one.
-	Stats *core.Stats
 }
 
 // relayKey addresses one mirrored item by name (a relay has no
@@ -78,10 +76,7 @@ type Relay struct {
 // inventory over one mux session, and starts mirroring. The context
 // bounds the relay's lifetime (Close cancels it too).
 func NewRelay(ctx context.Context, upstream string, opt RelayOptions) (*Relay, error) {
-	stats := opt.Stats
-	if stats == nil {
-		stats = &core.Stats{}
-	}
+	stats := &core.Stats{}
 	client := NewClient(upstream)
 	items, err := client.Items(ctx)
 	if err != nil {
@@ -226,7 +221,8 @@ func (r *Relay) ListItems() (map[string][]string, error) {
 	return out, nil
 }
 
-// SourceStats implements Source.
+// SourceStats implements Source with the relay's own counters (a relay
+// always owns them; /stats on its server reports them).
 func (r *Relay) SourceStats() *core.Stats { return r.stats }
 
 // ItemVersion reports the highest upstream version mirrored for the

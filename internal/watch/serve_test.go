@@ -68,11 +68,11 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats["Watchers"] != 1 {
-		t.Fatalf("stats Watchers = %d, want 1", stats["Watchers"])
+	if stats.Watchers != 1 {
+		t.Fatalf("stats Watchers = %d, want 1", stats.Watchers)
 	}
-	if stats["CatchUps"] < 1 {
-		t.Fatalf("stats CatchUps = %d, want >= 1", stats["CatchUps"])
+	if stats.CatchUps < 1 {
+		t.Fatalf("stats CatchUps = %d, want >= 1", stats.CatchUps)
 	}
 
 	// The per-item endpoint is gone, not hidden.
