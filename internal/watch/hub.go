@@ -58,23 +58,32 @@ type Options struct {
 	Notify func()
 }
 
+// pointSource is where a point reads its item's current value: the
+// *core.Registry on a plane, a relay's per-item mirror on a relay.
+type pointSource interface {
+	ID() string
+	Peek(kind core.Kind) (core.Value, error)
+}
+
 // pointKey addresses one watched item.
 type pointKey struct {
-	reg  *core.Registry
+	src  pointSource
 	kind core.Kind
 }
 
 // point is the hub's per-item state: the highest published version,
 // the dirty flag, the intrusive dirty-stack link, and the sharded
-// wait-list. It implements core.WatchSink; Published is the publish
-// hot path and must stay O(1) and allocation-free.
+// wait-list. One fan-out serves every feeder: on a plane core's watch
+// gate calls Published (the publish hot path, which must stay O(1) and
+// allocation-free) and the sweeper delivers; on a relay the pump calls
+// deliverPoint itself.
 type point struct {
-	hub  *Hub
-	reg  *core.Registry
-	kind core.Kind
-	// sub pins the item for the lifetime of the point, so the entry
-	// (and its version stream) cannot be released while watched.
-	sub *core.Subscription
+	hub *Hub
+	pointKey
+	// release uninstalls the sink and drops the subscription that keeps
+	// the item's entry (and version stream) alive while watched; nil
+	// for a mirrored point, which lives until its hub closes.
+	release func()
 
 	// ver is the highest version handed to Published (CAS-max: calls
 	// may arrive out of order from concurrent publishers).
@@ -93,7 +102,8 @@ type point struct {
 
 	shards [shardCount]struct {
 		mu       sync.Mutex
-		watchers map[*Watcher]struct{}
+		watchers map[*Watcher]struct{} // made by the shard's first watcher
+		n        atomic.Int32          // len(watchers), read without mu
 	}
 }
 
@@ -123,9 +133,17 @@ func (p *point) casMax(v uint64) {
 	}
 }
 
-// Hub is an epoch-diff fan-out hub over one environment's registries.
-// One hub serves any number of items and watchers; a single sweeper
-// goroutine performs all per-subscriber work.
+// event reads the item's current value (one Peek) into an event at
+// version v.
+func (p *point) event(v uint64) Event {
+	val, err := p.src.Peek(p.kind)
+	return Event{Registry: p.src.ID(), Kind: p.kind, Version: v, Value: val, Err: err}
+}
+
+// Hub is an epoch-diff fan-out hub over one environment's registries
+// (or a relay's mirrored items). One hub serves any number of items and
+// watchers; a single sweeper goroutine performs all per-subscriber work
+// for a plane's items, the relay's pump for mirrored ones.
 type Hub struct {
 	stats *core.Stats
 
@@ -149,9 +167,11 @@ type Hub struct {
 
 // NewHub creates a hub accounting into the environment's stats and
 // starts its sweeper goroutine.
-func NewHub(env *core.Env) *Hub {
+func NewHub(env *core.Env) *Hub { return newHub(env.Stats()) }
+
+func newHub(stats *core.Stats) *Hub {
 	h := &Hub{
-		stats:  env.Stats(),
+		stats:  stats,
 		points: make(map[pointKey]*point),
 		wake:   make(chan struct{}, 1),
 		syncCh: make(chan chan struct{}),
@@ -236,21 +256,18 @@ func (h *Hub) sweepPass() bool {
 }
 
 // deliverPoint reads the item's current value once and hands one event
-// to every watcher behind v.
+// to every watcher behind v. The sweeper calls it for a plane's points,
+// a relay's pump for its mirrored ones.
 func (h *Hub) deliverPoint(p *point, v uint64) {
 	if p.nwatchers.Load() == 0 {
 		return
 	}
-	val, err := p.reg.Peek(p.kind)
-	ev := Event{
-		Registry: p.reg.ID(),
-		Kind:     p.kind,
-		Version:  v,
-		Value:    val,
-		Err:      err,
-	}
+	ev := p.event(v)
 	for i := range p.shards {
 		sh := &p.shards[i]
+		if sh.n.Load() == 0 {
+			continue // see attach
+		}
 		sh.mu.Lock()
 		for w := range sh.watchers {
 			w.deliver(ev)
@@ -271,18 +288,14 @@ func (h *Hub) Watch(reg *core.Registry, kind core.Kind, opt Options) (*Watcher, 
 		h.mu.Unlock()
 		return nil, fmt.Errorf("watch: hub is closed")
 	}
-	key := pointKey{reg, kind}
-	p := h.points[key]
+	p := h.points[pointKey{reg, kind}]
 	if p == nil {
 		sub, err := reg.Subscribe(kind)
 		if err != nil {
 			h.mu.Unlock()
 			return nil, fmt.Errorf("watch: including %s/%s: %w", reg.ID(), kind, err)
 		}
-		p = &point{hub: h, reg: reg, kind: kind, sub: sub}
-		for i := range p.shards {
-			p.shards[i].watchers = make(map[*Watcher]struct{})
-		}
+		p = &point{hub: h, pointKey: pointKey{reg, kind}}
 		v0, err := reg.Watch(kind, p)
 		if err != nil {
 			sub.Unsubscribe()
@@ -290,59 +303,68 @@ func (h *Hub) Watch(reg *core.Registry, kind core.Kind, opt Options) (*Watcher, 
 			return nil, err
 		}
 		p.casMax(v0)
-		h.points[key] = p
+		p.release = func() {
+			reg.Unwatch(kind)
+			sub.Unsubscribe()
+		}
+		h.points[p.pointKey] = p
 	}
+	// Counted under h.mu, so the last-watcher teardown in remove cannot
+	// retire p before attach registers the watcher.
 	p.nwatchers.Add(1)
 	h.mu.Unlock()
-	h.stats.Watchers.Add(1)
+	return h.attach(p, opt), nil
+}
 
-	w := newWatcher(h.stats, opt.Buffer, opt.Since, opt.Notify, func(w *Watcher) { h.remove(p, w) })
-	w.shardIdx = int(h.nextShard.Add(1) % shardCount)
-	sh := &p.shards[w.shard()]
-	// Catch-up and registration are atomic under the shard lock (the
-	// sweeper takes it to deliver): a publication before the version
-	// read below is covered by the snapshot, one after it is delivered
-	// by the sweep that follows the lock release.
+// attach registers a new watcher on p, which already counts it in
+// nwatchers (see Watch). Registration and catch-up are atomic under the
+// shard lock, which delivery takes too; delivery skips a shard whose
+// count reads 0 unlocked, so the count rises before the version read. A
+// publication before that read is covered by the snapshot, one after it
+// by the deliverPoint that follows the lock release.
+func (h *Hub) attach(p *point, opt Options) *Watcher {
+	h.stats.Watchers.Add(1)
+	w := newWatcher(p, opt, int(h.nextShard.Add(1)%shardCount))
+	sh := &p.shards[w.shard]
 	sh.mu.Lock()
-	if cur := p.ver.Load(); cur > opt.Since {
-		val, verr := p.reg.Peek(p.kind)
-		w.deliver(Event{
-			Registry: p.reg.ID(),
-			Kind:     p.kind,
-			Version:  cur,
-			Value:    val,
-			Err:      verr,
-			Snapshot: true,
-		})
-		h.stats.CatchUps.Add(1)
+	if sh.watchers == nil {
+		sh.watchers = make(map[*Watcher]struct{})
 	}
 	sh.watchers[w] = struct{}{}
+	sh.n.Store(int32(len(sh.watchers)))
+	if cur := p.ver.Load(); cur > opt.Since {
+		ev := p.event(cur)
+		ev.Snapshot = true
+		w.deliver(ev)
+		h.stats.CatchUps.Add(1)
+	}
 	sh.mu.Unlock()
-	return w, nil
+	return w
 }
 
 // remove unregisters w from its point and tears the point down when
 // the last watcher leaves: the sink is uninstalled and the pinning
-// subscription released, so an unwatched item costs nothing again.
+// subscription released, so an unwatched item costs nothing again. A
+// mirrored point (no release) stays for the next watcher.
 func (h *Hub) remove(p *point, w *Watcher) {
-	sh := &p.shards[w.shard()]
+	sh := &p.shards[w.shard]
 	sh.mu.Lock()
 	_, ok := sh.watchers[w]
 	delete(sh.watchers, w)
+	sh.n.Store(int32(len(sh.watchers)))
 	sh.mu.Unlock()
 	if !ok {
 		return
 	}
 	h.stats.Watchers.Add(-1)
 	h.mu.Lock()
-	last := p.nwatchers.Add(-1) == 0 && h.points[pointKey{p.reg, p.kind}] == p
+	last := p.nwatchers.Add(-1) == 0 && p.release != nil && h.points[p.pointKey] == p
 	if last {
-		delete(h.points, pointKey{p.reg, p.kind})
+		delete(h.points, p.pointKey)
 	}
 	h.mu.Unlock()
 	if last {
-		p.reg.Unwatch(p.kind)
-		p.sub.Unsubscribe()
+		p.release()
 		// The point may still sit on the dirty stack; the sweeper
 		// delivers it to an empty wait-list, which is a no-op.
 	}
@@ -370,16 +392,12 @@ func (h *Hub) Close() {
 		return
 	}
 	h.closed = true
-	points := make([]*point, 0, len(h.points))
-	for k, p := range h.points {
-		points = append(points, p)
-		delete(h.points, k)
-	}
+	points := h.points
+	h.points = nil
 	h.mu.Unlock()
 	close(h.done)
 	h.swept.Wait()
 	for _, p := range points {
-		p.reg.Unwatch(p.kind)
 		for i := range p.shards {
 			sh := &p.shards[i]
 			sh.mu.Lock()
@@ -390,6 +408,8 @@ func (h *Hub) Close() {
 			}
 			sh.mu.Unlock()
 		}
-		p.sub.Unsubscribe()
+		if p.release != nil {
+			p.release()
+		}
 	}
 }

@@ -29,17 +29,29 @@ type relayKey struct {
 	kind     core.Kind
 }
 
-// rpoint is one mirrored item: the latest event received upstream
-// (transport flags stripped) plus the local watchers fanned out to. Its mutex orders delivery against
-// catch-up — ItemVersion can only report v after every watcher ring
-// registered before v's arrival contains v (or a successor).
-type rpoint struct {
+// mirror is one mirrored item: the point source its hub point reads
+// (the value and error of the latest upstream event) plus that point.
+// Only the pump writes it.
+type mirror struct {
 	registry string
-	kind     core.Kind
+	p        *point
 
-	mu       sync.Mutex
-	last     Event
-	watchers map[*Watcher]struct{}
+	mu  sync.Mutex
+	val core.Value
+	err error
+	// delivered is the last version fully handed out: every watcher
+	// registered before it arrived has it (ItemVersion's anchor).
+	delivered atomic.Uint64
+}
+
+// ID implements pointSource with the upstream registry's name.
+func (m *mirror) ID() string { return m.registry }
+
+// Peek implements pointSource with the latest upstream value.
+func (m *mirror) Peek(core.Kind) (core.Value, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.val, m.err
 }
 
 // Relay mirrors an upstream watch server through exactly one mux
@@ -48,23 +60,22 @@ type rpoint struct {
 // watchers cost the upstream one connection and one event per
 // publication, whatever the local fan-out.
 //
-// Delivery preserves the 4-property contract end to end: versions are
-// the upstream item versions (monotonic per watcher by construction),
-// gaps are re-derived locally (an upstream coalesce or resume shows up
-// as a version jump and is flagged Coalesced by the watcher ring), a
+// Each mirrored item is a point on the relay's own hub, fed by the
+// pump where a plane's is fed by core's watch gate. Delivery preserves
+// the 4-property contract end to end: versions are the upstream item
+// versions (monotonic per watcher by construction), gaps are
+// re-derived locally (an upstream coalesce or resume shows up as a
+// version jump and is flagged Coalesced by the watcher ring), a
 // Snapshot is only ever the head of a local catch-up, and an upstream
 // reconnect resumes from each watch's LastSeen — one Snapshot-flagged
 // event per behind watch, never a replay.
 type Relay struct {
-	upstream string
-	stats    *core.Stats
-	onResume func(int)
-
 	cancel context.CancelFunc
 	mux    *ReconnectMux
+	hub    *Hub
 
-	points map[relayKey]*rpoint // immutable after NewRelay
-	byID   map[uint64]*rpoint   // upstream watch id -> point
+	points map[relayKey]*mirror // immutable after NewRelay
+	byID   []*mirror            // upstream watch id-1 -> item
 	items  map[string][]string  // upstream inventory at attach time
 
 	attaches atomic.Int64
@@ -76,7 +87,6 @@ type Relay struct {
 // inventory over one mux session, and starts mirroring. The context
 // bounds the relay's lifetime (Close cancels it too).
 func NewRelay(ctx context.Context, upstream string, opt RelayOptions) (*Relay, error) {
-	stats := &core.Stats{}
 	client := NewClient(upstream)
 	items, err := client.Items(ctx)
 	if err != nil {
@@ -84,21 +94,18 @@ func NewRelay(ctx context.Context, upstream string, opt RelayOptions) (*Relay, e
 	}
 	rctx, cancel := context.WithCancel(ctx)
 	r := &Relay{
-		upstream: upstream,
-		stats:    stats,
-		onResume: opt.OnResume,
-		cancel:   cancel,
-		points:   make(map[relayKey]*rpoint),
-		byID:     make(map[uint64]*rpoint),
-		items:    items,
-		done:     make(chan struct{}),
+		cancel: cancel,
+		hub:    newHub(&core.Stats{}),
+		points: make(map[relayKey]*mirror),
+		items:  items,
+		done:   make(chan struct{}),
 	}
 	r.mux = client.MuxReconnect(rctx, opt.Reconnect)
 	r.mux.OnResume = func(n int) {
 		if r.attaches.Add(1) > 1 {
-			stats.RelayResumes.Add(1)
-			if r.onResume != nil {
-				r.onResume(n)
+			r.hub.stats.RelayResumes.Add(1)
+			if opt.OnResume != nil {
+				opt.OnResume(n)
 			}
 		}
 	}
@@ -110,23 +117,31 @@ func NewRelay(ctx context.Context, upstream string, opt RelayOptions) (*Relay, e
 		regs = append(regs, reg)
 	}
 	sort.Strings(regs)
-	var id uint64
 	for _, reg := range regs {
 		kinds := append([]string(nil), items[reg]...)
 		sort.Strings(kinds)
 		for _, kind := range kinds {
-			id++
-			p := &rpoint{registry: reg, kind: core.Kind(kind), watchers: make(map[*Watcher]struct{})}
-			r.points[relayKey{reg, core.Kind(kind)}] = p
-			r.byID[id] = p
+			r.byID = append(r.byID, r.mirror(reg, core.Kind(kind)))
+			id := uint64(len(r.byID))
 			if err := r.mux.Add(id, MuxWatch{Registry: reg, Kind: kind}); err != nil {
 				cancel()
+				r.hub.Close()
 				return nil, fmt.Errorf("watch: relay: subscribe %s/%s: %w", reg, kind, err)
 			}
 		}
 	}
 	go r.pump()
 	return r, nil
+}
+
+// mirror adds the hub point for one upstream item. It has no release,
+// so only the hub's Close retires it, never the last watcher leaving.
+func (r *Relay) mirror(registry string, kind core.Kind) *mirror {
+	m := &mirror{registry: registry}
+	m.p = &point{hub: r.hub, pointKey: pointKey{m, kind}}
+	r.hub.points[m.p.pointKey] = m.p
+	r.points[relayKey{registry, kind}] = m
+	return m
 }
 
 // pump drains the upstream session for the relay's lifetime.
@@ -141,75 +156,56 @@ func (r *Relay) pump() {
 			r.err.Store(err)
 			return
 		}
-		p := r.byID[ev.ID]
-		if p == nil {
-			continue
+		if i := ev.ID - 1; i < uint64(len(r.byID)) {
+			r.apply(r.byID[i], ev)
 		}
-		r.apply(p, ev)
 	}
 }
 
-// apply publishes one upstream event into the point and its watchers.
-func (r *Relay) apply(p *rpoint, me MuxEvent) {
-	ev := me.Event(p.registry, p.kind)
-	// Strip transport flags: an upstream Snapshot or Coalesced is a
-	// fact about the *upstream* stream. Locally both re-derive — any
-	// skipped publication is a version jump, which each watcher ring
+// apply publishes one upstream event into the item's point and
+// delivers it inline: a hand-off to the hub's sweeper costs a goroutine
+// switch per hop and buys nothing at one local watcher per item.
+func (r *Relay) apply(m *mirror, me MuxEvent) {
+	if me.Version <= m.p.ver.Load() {
+		return // stale duplicate (e.g. the post-resume snapshot)
+	}
+	// The upstream Snapshot and Coalesced flags are facts about the
+	// *upstream* stream and are dropped here. Locally both re-derive —
+	// any skipped publication is a version jump, which each watcher ring
 	// flags Coalesced itself, and Snapshot marks only the head of a
 	// local catch-up (so a mid-stream downstream frame is never
 	// Snapshot-flagged, preserving the contract through the hop).
-	ev.Snapshot, ev.Coalesced = false, false
-
-	p.mu.Lock()
-	if me.Version <= p.last.Version {
-		p.mu.Unlock()
-		return // stale duplicate (e.g. the post-resume snapshot)
-	}
-	p.last = ev
-	for w := range p.watchers {
-		w.deliver(ev)
-	}
-	p.mu.Unlock()
-	r.stats.RelayEvents.Add(1)
+	ev := me.Event(m.registry, m.p.kind)
+	// Value before version, as core stores a snapshot before
+	// bumpVersion: a catch-up that reads version v must find v's value
+	// (or a newer one), never v-1's.
+	m.mu.Lock()
+	m.val, m.err = ev.Value, ev.Err
+	m.mu.Unlock()
+	m.p.casMax(me.Version)
+	r.hub.deliverPoint(m.p, me.Version)
+	m.delivered.Store(me.Version)
+	r.hub.stats.RelayEvents.Add(1)
 }
 
-// WatchItem implements Source: a local watcher on a mirrored item,
-// with the standard snapshot-then-delta catch-up against the last
-// value received upstream.
+// WatchItem implements Source: a local watcher on a mirrored item's
+// hub point, with the standard snapshot-then-delta catch-up against
+// the last value received upstream.
 func (r *Relay) WatchItem(registry string, kind core.Kind, opt Options) (*Watcher, error) {
 	if kind == "" {
 		return nil, fmt.Errorf("watch: missing kind")
 	}
-	p := r.points[relayKey{registry, kind}]
-	if p == nil {
+	m := r.points[relayKey{registry, kind}]
+	if m == nil {
 		if _, ok := r.items[registry]; !ok {
 			return nil, fmt.Errorf("watch: unknown registry %q", registry)
 		}
 		return nil, fmt.Errorf("watch: unknown kind %q in registry %q", kind, registry)
 	}
-	w := newWatcher(r.stats, opt.Buffer, opt.Since, opt.Notify, func(w *Watcher) { r.detach(p, w) })
-	p.mu.Lock()
-	if p.last.Version > opt.Since {
-		snap := p.last
-		snap.Snapshot = true
-		w.deliver(snap)
-		r.stats.CatchUps.Add(1)
-	}
-	p.watchers[w] = struct{}{}
-	p.mu.Unlock()
-	r.stats.Watchers.Add(1)
-	return w, nil
-}
-
-// detach removes a closed watcher from its point (idempotent).
-func (r *Relay) detach(p *rpoint, w *Watcher) {
-	p.mu.Lock()
-	_, present := p.watchers[w]
-	delete(p.watchers, w)
-	p.mu.Unlock()
-	if present {
-		r.stats.Watchers.Add(-1)
-	}
+	// A mirrored point is never torn down, so counting the watcher
+	// needs no hub lock (compare Hub.Watch).
+	m.p.nwatchers.Add(1)
+	return r.hub.attach(m.p, opt), nil
 }
 
 // ListItems implements Source with the upstream inventory.
@@ -221,32 +217,24 @@ func (r *Relay) ListItems() (map[string][]string, error) {
 	return out, nil
 }
 
-// SourceStats implements Source with the relay's own counters (a relay
-// always owns them; /stats on its server reports them).
-func (r *Relay) SourceStats() *core.Stats { return r.stats }
+// SourceStats implements Source with the relay's own counters, which
+// its hub accounts into (/stats on its server reports them).
+func (r *Relay) SourceStats() *core.Stats { return r.hub.stats }
 
 // ItemVersion reports the highest upstream version mirrored for the
 // item (0, false before the first event). Once it reports v, every
 // watcher registered before v arrived has v (or a successor) in its
 // ring — the quiescence anchor modelcheck polls.
 func (r *Relay) ItemVersion(registry string, kind core.Kind) (uint64, bool) {
-	p := r.points[relayKey{registry, kind}]
-	if p == nil {
-		return 0, false
+	var v uint64
+	if m := r.points[relayKey{registry, kind}]; m != nil {
+		v = m.delivered.Load()
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last.Version, p.last.Version > 0
+	return v, v > 0
 }
 
 // Resumes reports completed upstream reconnect-with-resume cycles.
-func (r *Relay) Resumes() int64 {
-	n := r.attaches.Load()
-	if n <= 1 {
-		return 0
-	}
-	return n - 1
-}
+func (r *Relay) Resumes() int64 { return max(r.attaches.Load()-1, 0) }
 
 // Watches reports the relay's upstream watch count (its whole
 // mirrored inventory).
@@ -254,35 +242,19 @@ func (r *Relay) Watches() int { return len(r.byID) }
 
 // Err returns the terminal upstream failure, if the pump has stopped.
 func (r *Relay) Err() error {
-	if v := r.err.Load(); v != nil {
-		return v.(error)
-	}
-	return nil
+	err, _ := r.err.Load().(error)
+	return err
 }
 
 // Done is closed when the upstream pump exits (cancellation or an
 // exhausted retry budget).
 func (r *Relay) Done() <-chan struct{} { return r.done }
 
-// Close tears down the upstream session and closes every local
-// watcher.
+// Close tears down the upstream session, waits for the pump, and
+// closes every local watcher with the hub.
 func (r *Relay) Close() {
 	r.cancel()
 	r.mux.Close()
 	<-r.done
-	for _, p := range r.points {
-		p.mu.Lock()
-		ws := make([]*Watcher, 0, len(p.watchers))
-		for w := range p.watchers {
-			ws = append(ws, w)
-		}
-		for _, w := range ws {
-			delete(p.watchers, w)
-		}
-		p.mu.Unlock()
-		for _, w := range ws {
-			r.stats.Watchers.Add(-1)
-			w.closeRing()
-		}
-	}
+	r.hub.Close()
 }

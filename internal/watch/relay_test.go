@@ -289,3 +289,148 @@ func TestRelayKillResume(t *testing.T) {
 		t.Fatalf("fresh relay reports %d resumes", relayB.Resumes())
 	}
 }
+
+// relayFixture is a relay with one mirrored item (n1/val, upstream
+// watch id 1) and one local Session watch on it, and no network: the
+// caller feeds apply as the pump would.
+func relayFixture(t testing.TB) (*Relay, *mirror, *Session) {
+	t.Helper()
+	rel := &Relay{
+		hub:    newHub(&core.Stats{}),
+		points: make(map[relayKey]*mirror),
+		items:  map[string][]string{"n1": {"val"}},
+	}
+	t.Cleanup(rel.hub.Close)
+	m := rel.mirror("n1", "val")
+	rel.byID = append(rel.byID, m)
+	s := NewSession(rel)
+	t.Cleanup(s.Close)
+	if err := s.Add(1, "n1", "val", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return rel, m, s
+}
+
+// TestRelayApplyAllocs pins what one numeric upstream event costs the
+// relay hop: apply (mirror, point delivery, watcher ring, session wake)
+// plus the local Session's Poll allocate at most once — the float
+// boxing in MuxEvent.Event.
+func TestRelayApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	rel, m, s := relayFixture(t)
+	var v uint64
+	allocs := testing.AllocsPerRun(1000, func() {
+		v++
+		rel.apply(m, MuxEvent{ID: 1, Version: v, Numeric: true, Value: float64(v) + 0.5})
+		if _, ok := s.Poll(); !ok {
+			t.Fatal("applied event not polled")
+		}
+	})
+	t.Logf("%.2f allocations per apply + Poll", allocs)
+	if allocs > 1 {
+		t.Fatalf("apply + Poll costs %.2f allocations, ceiling 1", allocs)
+	}
+}
+
+// BenchmarkRelayApply times the relay hop's own work per upstream event
+// (ns/op is ns per event): apply into the mirrored point and one local
+// Session watch, then Poll it back.
+func BenchmarkRelayApply(b *testing.B) {
+	rel, m, s := relayFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := uint64(i + 1)
+		rel.apply(m, MuxEvent{ID: 1, Version: v, Numeric: true, Value: float64(v)})
+		if _, ok := s.Poll(); !ok {
+			b.Fatal("applied event not polled")
+		}
+	}
+}
+
+// TestRelayLocalWatchersLifecycle checks the lifecycle a relay's local
+// watchers share with the hub's: a large audience on one mirrored item
+// gets each upstream publication once, the item's point outlives its
+// last watcher, and Close closes every watcher and zeroes the gauge.
+func TestRelayLocalWatchersLifecycle(t *testing.T) {
+	ts, h, r, publish := relayUpstream(t)
+	pin, err := h.Watch(r, "val", Options{Buffer: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pin.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rel, err := NewRelay(ctx, ts.URL, RelayOptions{Reconnect: fastReconnect()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rel.Close()
+	waitVersion(t, rel, "n1", "val", 1)
+	gauge := func(want int64) {
+		t.Helper()
+		if got := rel.SourceStats().Watchers.Load(); got != want {
+			t.Fatalf("Watchers = %d, want %d", got, want)
+		}
+	}
+
+	const n = 1000
+	ws := make([]*Watcher, n)
+	for i := range ws {
+		if ws[i], err = rel.WatchItem("n1", "val", Options{Since: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gauge(n)
+	publish()
+	h.Barrier()
+	waitVersion(t, rel, "n1", "val", 2)
+	for i, w := range ws {
+		if evs := drain(w); len(evs) != 1 || evs[0].Snapshot || evs[0].Version != 2 {
+			t.Fatalf("watcher %d saw %+v, want one v2 delta", i, evs)
+		}
+		w.Close()
+	}
+	gauge(0)
+
+	// The mirrored point survived its last watcher: a fresh one catches
+	// up at the mirrored version and keeps receiving publications.
+	w, err := rel.WatchItem("n1", "val", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev, ok := w.Next(); !ok || !ev.Snapshot || ev.Version != 2 {
+		t.Fatalf("fresh watcher's first event = %+v, %v; want snapshot v2", ev, ok)
+	}
+	publish()
+	h.Barrier()
+	waitVersion(t, rel, "n1", "val", 3)
+	if ev, ok := w.Next(); !ok || ev.Snapshot || ev.Version != 3 {
+		t.Fatalf("fresh watcher's delta = %+v, %v; want v3 delta", ev, ok)
+	}
+	idle, err := rel.WatchItem("n1", "val", Options{Since: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge(2)
+
+	rel.Close()
+	for i, w := range []*Watcher{w, idle} {
+		closed := make(chan bool, 1)
+		go func() {
+			_, ok := w.Next()
+			closed <- !ok
+		}()
+		select {
+		case ok := <-closed:
+			if !ok {
+				t.Fatalf("watcher %d delivered an event after Close", i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("watcher %d's Next still blocks after Close", i)
+		}
+	}
+	gauge(0)
+}

@@ -34,8 +34,11 @@ type Session struct {
 
 	mu      sync.Mutex
 	entries map[uint64]*sessionEntry
-	queue   []*sessionEntry
-	closed  bool
+	// queue[qhead:] are the dirty entries, popped by advancing qhead so
+	// the array is reused instead of reallocated as it drains and fills.
+	queue  []*sessionEntry
+	qhead  int
+	closed bool
 
 	// signal is the merged cap-1 wakeup; done closes with the session.
 	signal chan struct{}
@@ -136,6 +139,11 @@ func (s *Session) wake(e *sessionEntry) {
 func (s *Session) wakeLocked(e *sessionEntry) {
 	if !e.queued {
 		e.queued = true
+		if s.qhead > 0 && len(s.queue) == cap(s.queue) {
+			// Reuse the popped prefix before append grows the array.
+			s.queue = s.queue[:copy(s.queue, s.queue[s.qhead:])]
+			s.qhead = 0
+		}
 		s.queue = append(s.queue, e)
 	}
 	select {
@@ -150,9 +158,12 @@ func (s *Session) Poll() (SessionEvent, bool) {
 	for {
 		s.mu.Lock()
 		var e *sessionEntry
-		for len(s.queue) > 0 {
-			cand := s.queue[0]
-			s.queue = s.queue[1:]
+		for s.qhead < len(s.queue) {
+			cand := s.queue[s.qhead]
+			s.qhead++
+			if s.qhead == len(s.queue) {
+				s.queue, s.qhead = s.queue[:0], 0
+			}
 			cand.queued = false
 			if s.entries[cand.id] != cand || cand.w == nil {
 				continue // removed, or still registering (wake re-marks)
@@ -225,7 +236,7 @@ func (s *Session) Close() {
 		}
 		delete(s.entries, id)
 	}
-	s.queue = nil
+	s.queue, s.qhead = nil, 0
 	s.mu.Unlock()
 	for _, w := range ws {
 		w.Close()

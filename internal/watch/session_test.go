@@ -184,6 +184,38 @@ func TestSessionCloseReleasesNext(t *testing.T) {
 	}
 }
 
+// TestSessionPollAllocs pins the session's steady state: delivering an
+// event to one watch and polling it back allocates nothing. The dirty
+// queue drains to empty between events, so popping it must keep its
+// array for the next wake.
+func TestSessionPollAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	env, r, _, _ := testPlane(t)
+	h := NewHub(env)
+	defer h.Close()
+	s := NewSession(NewHubView(h, env, r))
+	defer s.Close()
+	if err := s.Add(1, "n1", "val", Options{}); err != nil {
+		t.Fatal(err)
+	}
+	drainSession(s)
+	p := h.points[pointKey{r, "val"}]
+	v := p.ver.Load()
+	allocs := testing.AllocsPerRun(1000, func() {
+		v++
+		h.deliverPoint(p, v)
+		if _, ok := s.Poll(); !ok {
+			t.Fatal("delivered event not polled")
+		}
+	})
+	t.Logf("%.2f allocations per deliver + Poll", allocs)
+	if allocs != 0 {
+		t.Fatalf("deliver + Poll costs %.2f allocations, want 0", allocs)
+	}
+}
+
 func TestSessionAggregatedSignal(t *testing.T) {
 	s, h, publish := sessionPlane(t)
 	for id := uint64(1); id <= 8; id++ {

@@ -9,10 +9,12 @@ import (
 
 // Source is anything that can register watchers on items addressed by
 // name: the in-process HubView (the epoch-diff hub over an
-// environment's registries) or a Relay re-serving an upstream server.
-// Server, Session, and the mux transport are written against this
-// interface, so one HTTP surface and one multiplexing session
-// implementation serve both a primary and any depth of relays.
+// environment's registries) or a Relay re-serving an upstream server
+// (a hub whose points mirror the upstream's items). Either way the
+// watcher lives on a hub point. Server, Session, and the mux transport
+// are written against this interface, so one HTTP surface and one
+// multiplexing session implementation serve both a primary and any
+// depth of relays.
 type Source interface {
 	// WatchItem registers a watcher on the item (registry, kind) with
 	// the usual contract: snapshot-then-delta catch-up when behind

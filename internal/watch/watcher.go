@@ -27,26 +27,23 @@ type Event struct {
 	Coalesced bool
 }
 
-// Watcher is one subscriber's bounded delivery queue. Its host (the
-// epoch-diff Hub, or a Relay re-serving an upstream server) writes
-// events into the ring; the consumer drains them with Next or Poll. A
-// full ring overwrites its newest slot with the latest event, so a
-// slow consumer always converges to the current value without ever
-// blocking a publisher.
+// Watcher is one subscriber's bounded delivery queue. It lives on one
+// hub point — a plane's item or a relay's mirrored one — whose
+// delivery writes events into the ring; the consumer drains them with
+// Next or Poll. A full ring overwrites its newest slot with the latest
+// event, so a slow consumer always converges to the current value
+// without ever blocking a publisher.
 type Watcher struct {
-	// stats is the host's counter sink (ShedNotifies on overflow).
-	stats *core.Stats
-	// detach unregisters the watcher from its host; set by the host at
-	// registration and called once from Close.
-	detach func(*Watcher)
+	// p is the point the watcher is registered on; Close leaves it and
+	// overflow counts into its hub's ShedNotifies.
+	p *point
 	// notify, when set (Options.Notify), is invoked after every ring
 	// write in addition to the signal channel — the aggregation hook a
 	// mux Session uses to fold many watchers into one wakeup.
 	notify func()
-	// shardIdx is the watcher's wait-list shard in a hub point,
-	// assigned round-robin at registration for an even spread (unused
-	// by relay hosts).
-	shardIdx int
+	// shard is the watcher's wait-list shard in p, assigned
+	// round-robin at registration for an even spread.
+	shard int
 
 	mu       sync.Mutex
 	ring     []Event
@@ -61,28 +58,26 @@ type Watcher struct {
 	done   chan struct{}
 }
 
-// newWatcher builds an unregistered watcher; the host fills detach and
-// delivers into it once it is on a wait-list.
-func newWatcher(stats *core.Stats, buffer int, since uint64, notify func(), detach func(*Watcher)) *Watcher {
+// newWatcher builds a watcher for p, not yet on its wait-list.
+func newWatcher(p *point, opt Options, shard int) *Watcher {
+	buffer := opt.Buffer
 	if buffer <= 0 {
 		buffer = DefaultBuffer
 	}
 	return &Watcher{
-		stats:    stats,
-		detach:   detach,
-		notify:   notify,
+		p:        p,
+		notify:   opt.Notify,
+		shard:    shard,
 		ring:     make([]Event, buffer),
-		lastSent: since,
+		lastSent: opt.Since,
 		signal:   make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
 }
 
-func (w *Watcher) shard() int { return w.shardIdx }
-
 // deliver enqueues ev unless the watcher already saw that version. It
-// is called by the host (and by catch-up under the host's lock) and
-// never blocks: a full ring coalesces to the latest event.
+// is called under the point's shard lock, by delivery and by catch-up,
+// and never blocks: a full ring coalesces to the latest event.
 func (w *Watcher) deliver(ev Event) {
 	w.mu.Lock()
 	if w.closed || ev.Version <= w.lastSent {
@@ -109,7 +104,7 @@ func (w *Watcher) deliver(ev Event) {
 	}
 	w.mu.Unlock()
 	if shed {
-		w.stats.ShedNotifies.Add(1)
+		w.p.hub.stats.ShedNotifies.Add(1)
 	}
 	select {
 	case w.signal <- struct{}{}:
@@ -173,7 +168,7 @@ func (w *Watcher) LastSent() uint64 {
 // Close unregisters the watcher. Queued events remain drainable; Next
 // returns ok == false once the ring is empty.
 func (w *Watcher) Close() {
-	w.detach(w)
+	w.p.hub.remove(w.p, w)
 	w.closeRing()
 }
 

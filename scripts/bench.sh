@@ -16,6 +16,8 @@
 # propagation, slot-table lookup, Define on an interned and on a new
 # shape, Migrate, AppendSlots) in internal/core/graph_bench_test.go, the
 # publish hot path with the hub attached in internal/watch/hub_test.go,
+# the relay hop (apply into a mirrored point plus a local Session poll)
+# in internal/watch/relay_test.go,
 # and the durability ones (checkpoint, recovery, decode, batch restore
 # of a 100k-item plane) in internal/persist/persist_bench_test.go; the
 # root package keeps the paper's experiments.
@@ -25,6 +27,6 @@ cd "$(dirname "$0")/.."
 out="${1:-bench.txt}"
 count="${2:-4}"
 
-benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkHealthyOverhead|BenchmarkE23PublishHotPath|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkMigrate|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch'
+benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkHealthyOverhead|BenchmarkE23PublishHotPath|BenchmarkRelayApply|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkMigrate|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch'
 
 go test -run '^$' -bench "^(${benches})$" -benchmem -count "${count}" . ./internal/core ./internal/watch ./internal/persist | tee "${out}"
