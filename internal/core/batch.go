@@ -86,10 +86,10 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 		if !ok {
 			continue // recovery probe, handled above
 		}
-		// The item's entry is fixed from bind on, so this read needs no
-		// mutex; an item stopped between fire and dispatch still groups,
-		// and its tick does nothing.
-		root := find(w.it.e.reg.comp)
+		// The item's registry is fixed from bind on, so this read needs
+		// no mutex; an item stopped between fire and dispatch still
+		// groups, and its tick does nothing.
+		root := find(w.it.reg.comp)
 		idx := -1
 		for i := 0; i < n; i++ {
 			if env.tickGroups[i].root == root {
@@ -145,33 +145,33 @@ func (env *Env) runTickBatch(ws []*windowPolicy, now clock.Time) {
 	env.stats.ScopeBatches.Add(1)
 	env.stats.BatchedTicks.Add(int64(len(ws)))
 
-	var pubsArr [16]*entry
+	var pubsArr [16]*item
 	pubs := pubsArr[:0]
 	var regsArr [8]*Registry
 	regs := regsArr[:0]
 	end := now
 	for _, w := range ws {
-		pubEnd, ok := w.it.tick(w, now)
-		e := w.it.e
-		if !ok || e.ndeps.Load() == 0 {
+		it := w.it
+		pubEnd, ok := it.tick(w, now)
+		if !ok || it.ndeps.Load() == 0 {
 			// Nothing depends on the item: skip the scope lock
 			// entirely (the key to parallel periodic updates on the
 			// worker pool).
 			continue
 		}
-		pubs = append(pubs, e)
+		pubs = append(pubs, it)
 		if pubEnd > end {
 			end = pubEnd
 		}
 		dup := false
 		for _, r := range regs {
-			if r == e.reg {
+			if r == it.reg {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			regs = append(regs, e.reg)
+			regs = append(regs, it.reg)
 		}
 	}
 	if len(pubs) == 0 {
@@ -188,27 +188,27 @@ func (env *Env) runTickBatch(ws []*windowPolicy, now clock.Time) {
 }
 
 // announceLocked is the one publish-then-propagate step: it tells the
-// dependents of the entries in pubs, all of which just published (or
+// dependents of the items in pubs, all of which just published (or
 // had a change announced for them), and refreshes the affected closure
 // once. The lock(s) of the component(s) holding pubs must be held; no
 // item mutex may be.
-func (env *Env) announceLocked(now clock.Time, pubs ...*entry) {
+func (env *Env) announceLocked(now clock.Time, pubs ...*item) {
 	// Deliver every publication to the delta channel first: a dependent
 	// shared by k same-boundary publishers then refreshes once with k
 	// pairs pending (the same coalescing the merged seed set gives the
 	// refresh itself).
-	for _, e := range pubs {
-		if e.deltaDeps > 0 {
-			notifyDeltaLocked(e)
+	for _, it := range pubs {
+		if it.deltaDeps > 0 {
+			notifyDeltaLocked(it)
 		}
 	}
-	// Seeds — the dependents of every published entry — go into the
+	// Seeds — the dependents of every published item — go into the
 	// root's scratch buffer; duplicates (an item depending on several
 	// publishers) are deduplicated by the plan lookup.
 	sb := find(pubs[0].reg.comp).scratchLocked()
 	sb.seeds = sb.seeds[:0]
-	for _, e := range pubs {
-		sb.seeds = appendDependents(sb.seeds, e)
+	for _, it := range pubs {
+		sb.seeds = appendDependents(sb.seeds, it)
 	}
 	env.refreshClosureLocked(sb.seeds, now)
 }

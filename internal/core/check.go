@@ -7,19 +7,19 @@ import (
 
 // Structural self-checking for the model-based correctness harness
 // (internal/modelcheck) and for debugging. These checks have access to
-// the framework's internals — entry reference counts, dependency
+// the framework's internals — item reference counts, dependency
 // multiplicities, the union-find scope forest — and verify the
 // invariants the paper's semantics rely on:
 //
 //  1. handler lifecycle: every included item has a positive reference
-//     count and a live handler (invariant 7 says what that is); no
-//     handler exists for an item with zero references (removed entries
-//     are unreachable).
+//     count and is in service (invariant 7 says what that is); no
+//     handler serves an item with zero references (removed items are
+//     unreachable).
 //  2. refcount conservation: an item's reference count equals the
 //     number of live external subscriptions plus the dependency-edge
 //     multiplicities of its included dependents.
 //  3. inclusion closure: every dependency handle of an included item
-//     points at an entry that is itself included (filed in its
+//     points at an item that is itself included (filed in its
 //     registry's slot), with symmetric dependent bookkeeping.
 //  4. union-find scope consistency: registries connected by a live
 //     dependency edge share a component root.
@@ -30,15 +30,14 @@ import (
 //     the dependents length is the declared-edge count), edges are
 //     stored in group order, the lock-free ndeps mirror matches, no
 //     plan-build mark is left behind, every slot table is strictly
-//     ascending by shape.kind, an included entry's definition is the
+//     ascending by shape.kind, an included item's definition is the
 //     shape of the slot it is filed in, and every slot's shape is the
 //     env's interned shape for its own content.
-//  7. item <-> entry: every included entry holds exactly one item, in
-//     service, whose back-pointer is that entry; the mechanism the item
+//  7. item state: every included item is in service; the mechanism it
 //     reports is the policy installed on it; a window policy has a
 //     boundary task unless the item is quarantined; delta state exists
-//     iff the definition declares Delta; and a removed entry still
-//     reachable through a (broken) edge holds no item.
+//     iff the definition declares Delta; and a removed item still
+//     reachable through a (broken) edge is out of service.
 
 // ItemKey identifies one metadata item across registries, for the
 // external-subscription counts passed to VerifyIntegrity.
@@ -94,14 +93,24 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 		inSet[r] = true
 	}
 
-	included := func(e *entry) bool { return e.reg.entryLocked(e.kind()) == e }
+	// included reports whether it is filed in its registry's slot; one
+	// that is not must be out of service (invariant 7).
+	included := func(it *item) bool {
+		if it.reg.entryLocked(it.kind()) == it {
+			return true
+		}
+		if it.live {
+			bad("%s/%s: removed but still in service", it.reg.id, it.kind())
+		}
+		return false
+	}
 	for _, r := range all {
 		for i := range r.slots {
 			sl := &r.slots[i]
 			kind := sl.shape.kind
 			// Invariant 6: the table is sorted, the slot's shape is the one
 			// interned for its content (not a copy, not written to since),
-			// and it is the entry's definition.
+			// and it is the included item's definition.
 			if i > 0 && r.slots[i-1].shape.kind >= kind {
 				bad("%s: slot table out of order at %d (%s after %s)", r.id, i, kind, r.slots[i-1].shape.kind)
 			}
@@ -112,46 +121,41 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			if interned != sl.shape {
 				bad("%s/%s: slot's shape is not the interned shape of its content", r.id, kind)
 			}
-			e := sl.entry
-			if e == nil {
+			it := sl.entry
+			if it == nil {
 				continue
 			}
-			if e.def != sl.shape || e.reg != r {
-				bad("%s/%s: entry filed under wrong key (%s/%s)", r.id, kind, e.reg.id, e.kind())
+			if it.def != sl.shape || it.reg != r {
+				bad("%s/%s: entry filed under wrong key (%s/%s)", r.id, kind, it.reg.id, it.kind())
 			}
 			// Invariants 1 and 7: handler lifecycle.
-			if e.refs < 1 {
-				bad("%s/%s: included with refs=%d", r.id, kind, e.refs)
+			if it.refs < 1 {
+				bad("%s/%s: included with refs=%d", r.id, kind, it.refs)
 			}
-			if it := e.h.Load(); it == nil {
-				bad("%s/%s: included without item", r.id, kind)
-			} else if why := it.inconsistency(e, sl); why != "" {
+			if why := it.inconsistency(sl); why != "" {
 				bad("%s/%s: %s", r.id, kind, why)
 			}
 
 			// Invariants 3, 4, 6: every dependency edge points at an
-			// included entry inside the same dependency-scope component,
+			// included item inside the same dependency-scope component,
 			// and its slot holds the mirror element pointing back at it.
 			group := int32(0)
-			for i := range e.deps {
-				ed := &e.deps[i]
-				de := ed.h.e
+			for i := range it.deps {
+				ed := &it.deps[i]
+				de := ed.h.it
 				if !included(de) {
 					bad("%s/%s: depends on %s/%s which is not included", r.id, kind, de.reg.id, de.kind())
-					if de.h.Load() != nil {
-						bad("%s/%s: removed but still holds its item", de.reg.id, de.kind())
-					}
 					continue
 				}
-				if b := int(ed.back); b < 0 || b >= len(de.dependents) || de.dependents[b] != (dependent{e: e, edge: int32(i)}) {
+				if b := int(ed.back); b < 0 || b >= len(de.dependents) || de.dependents[b] != (dependent{it: it, edge: int32(i)}) {
 					bad("%s/%s: edge %d stores slot %d of %s/%s, which does not point back at it",
 						r.id, kind, i, ed.back, de.reg.id, de.kind())
 				}
-				if ed.group < group || ed.group >= e.ngroups {
-					bad("%s/%s: edge %d in group %d after group %d (of %d)", r.id, kind, i, ed.group, group, e.ngroups)
+				if ed.group < group || ed.group >= it.ngroups {
+					bad("%s/%s: edge %d in group %d after group %d (of %d)", r.id, kind, i, ed.group, group, it.ngroups)
 				}
 				group = ed.group
-				if find(e.reg.comp) != find(de.reg.comp) {
+				if find(it.reg.comp) != find(de.reg.comp) {
 					bad("%s/%s and dependency %s/%s are in different scope components",
 						r.id, kind, de.reg.id, de.kind())
 				}
@@ -163,37 +167,34 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			// edge, each naming an included dependent's edge that stores
 			// the element's slot. Together with the edge-side check this
 			// makes len(dependents) the declared-edge count.
-			for j, d := range e.dependents {
-				if !included(d.e) {
-					bad("%s/%s: dependent %s/%s is not included", r.id, kind, d.e.reg.id, d.e.kind())
-					if d.e.h.Load() != nil {
-						bad("%s/%s: removed but still holds its item", d.e.reg.id, d.e.kind())
-					}
+			for j, d := range it.dependents {
+				if !included(d.it) {
+					bad("%s/%s: dependent %s/%s is not included", r.id, kind, d.it.reg.id, d.it.kind())
 					continue
 				}
-				if k := int(d.edge); k < 0 || k >= len(d.e.deps) || d.e.deps[k].h.e != e || int(d.e.deps[k].back) != j {
+				if k := int(d.edge); k < 0 || k >= len(d.it.deps) || d.it.deps[k].h.it != it || int(d.it.deps[k].back) != j {
 					bad("%s/%s: dependents slot %d names edge %d of %s/%s, which does not point back at it",
-						r.id, kind, j, d.edge, d.e.reg.id, d.e.kind())
+						r.id, kind, j, d.edge, d.it.reg.id, d.it.kind())
 				}
 			}
-			if got := int(e.ndeps.Load()); got != len(e.dependents) {
-				bad("%s/%s: ndeps mirror %d, dependents %d", r.id, kind, got, len(e.dependents))
+			if got := int(it.ndeps.Load()); got != len(it.dependents) {
+				bad("%s/%s: ndeps mirror %d, dependents %d", r.id, kind, got, len(it.dependents))
 			}
-			if e.planIn != 0 {
-				bad("%s/%s: plan scratch %d left behind", r.id, kind, e.planIn)
+			if it.planIn != 0 {
+				bad("%s/%s: plan scratch %d left behind", r.id, kind, it.planIn)
 			}
 
 			// Invariant 2: refcount conservation.
 			if ext != nil {
-				want := ext[ItemKey{Registry: r.id, Kind: kind}] + len(e.dependents)
-				if int(e.refs) != want {
-					bad("%s/%s: refs=%d, want %d (external + dependent edges)", r.id, kind, e.refs, want)
+				want := ext[ItemKey{Registry: r.id, Kind: kind}] + len(it.dependents)
+				if int(it.refs) != want {
+					bad("%s/%s: refs=%d, want %d (external + dependent edges)", r.id, kind, it.refs, want)
 				}
 			}
 
-			// Invariant 5: event registrations, entry side.
-			for _, name := range e.def.events {
-				if !slices.Contains(r.events[name], e) {
+			// Invariant 5: event registrations, item side.
+			for _, name := range it.def.events {
+				if !slices.Contains(r.events[name], it) {
 					bad("%s/%s: missing from event table %q", r.id, kind, name)
 				}
 			}
@@ -204,11 +205,11 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			if len(es) == 0 {
 				bad("%s: empty event table %q not removed", r.id, name)
 			}
-			for i, e := range es {
-				if !included(e) || e.reg != r {
-					bad("%s: event %q registers excluded item %s/%s", r.id, name, e.reg.id, e.kind())
-				} else if !slices.Contains(e.def.events, name) || slices.Contains(es[:i], e) {
-					bad("%s: event %q registers %s/%s without declaration or twice", r.id, name, e.reg.id, e.kind())
+			for i, it := range es {
+				if !included(it) || it.reg != r {
+					bad("%s: event %q registers excluded item %s/%s", r.id, name, it.reg.id, it.kind())
+				} else if !slices.Contains(it.def.events, name) || slices.Contains(es[:i], it) {
+					bad("%s: event %q registers %s/%s without declaration or twice", r.id, name, it.reg.id, it.kind())
 				}
 			}
 		}

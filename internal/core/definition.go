@@ -121,27 +121,34 @@ func (rc *ResolveContext) IsIncluded(target Selector, kind Kind) bool {
 }
 
 // BuildContext carries the resolved dependencies into Definition.Build
-// (and into AdaptSpec factories at migration). It is a view of the
-// entry's flat edge slice, whose embedded Handles are the dependency
-// handles: the context owns no per-edge storage and is not retained.
+// (and into AdaptSpec factories at migration). At inclusion it is the
+// scratch the traversal gathers the item's structural fields in — its
+// registry, shape, creation sequence, group count and flat edge slice,
+// whose embedded Handles are the dependency handles — and bind files
+// them into the handler Build returned; at migration it is a fresh view
+// of the item's own fields. The framework does not retain it.
 type BuildContext struct {
-	e *entry
+	reg     *Registry
+	def     *defShape
+	seq     int64
+	deps    []depEdge
+	ngroups int32
 	// ptrs points at every edge's Handle, in edge order; DepGroup slices
 	// it. Made by the first DepGroup call.
 	ptrs []*Handle
 }
 
 // Kind returns the kind of the item being built.
-func (ctx *BuildContext) Kind() Kind { return ctx.e.kind() }
+func (ctx *BuildContext) Kind() Kind { return ctx.def.kind }
 
 // Registry returns the registry owning the item.
-func (ctx *BuildContext) Registry() *Registry { return ctx.e.reg }
+func (ctx *BuildContext) Registry() *Registry { return ctx.reg }
 
 // Clock returns the environment clock.
-func (ctx *BuildContext) Clock() clock.Clock { return ctx.e.reg.env.Clock() }
+func (ctx *BuildContext) Clock() clock.Clock { return ctx.reg.env.Clock() }
 
 // NumDeps returns the number of dependency groups (one per DepRef).
-func (ctx *BuildContext) NumDeps() int { return int(ctx.e.ngroups) }
+func (ctx *BuildContext) NumDeps() int { return int(ctx.ngroups) }
 
 // groupBounds returns the edge range [lo, hi) of dependency group i:
 // the edges are stored group by group, each tagged with its group.
@@ -150,8 +157,8 @@ func (ctx *BuildContext) groupBounds(i int) (lo, hi int) {
 		panic(fmt.Sprintf("core: dependency group %d out of range [0,%d)", i, ctx.NumDeps()))
 	}
 	byGroup := func(ed depEdge, g int32) int { return cmp.Compare(ed.group, g) }
-	lo, _ = slices.BinarySearchFunc(ctx.e.deps, int32(i), byGroup)
-	hi, _ = slices.BinarySearchFunc(ctx.e.deps, int32(i+1), byGroup)
+	lo, _ = slices.BinarySearchFunc(ctx.deps, int32(i), byGroup)
+	hi, _ = slices.BinarySearchFunc(ctx.deps, int32(i+1), byGroup)
 	return lo, hi
 }
 
@@ -162,9 +169,9 @@ func (ctx *BuildContext) Dep(i int) *Handle {
 	lo, hi := ctx.groupBounds(i)
 	if hi-lo != 1 {
 		panic(fmt.Sprintf("core: dependency %d of %s/%s has %d handles, want 1",
-			i, ctx.e.reg.id, ctx.e.kind(), hi-lo))
+			i, ctx.reg.id, ctx.Kind(), hi-lo))
 	}
-	return &ctx.e.deps[lo].h
+	return &ctx.deps[lo].h
 }
 
 // DepGroup returns all handles of dependency group i (possibly empty
@@ -175,9 +182,9 @@ func (ctx *BuildContext) DepGroup(i int) []*Handle {
 		return nil
 	}
 	if ctx.ptrs == nil {
-		ctx.ptrs = make([]*Handle, len(ctx.e.deps))
-		for k := range ctx.e.deps {
-			ctx.ptrs[k] = &ctx.e.deps[k].h
+		ctx.ptrs = make([]*Handle, len(ctx.deps))
+		for k := range ctx.deps {
+			ctx.ptrs[k] = &ctx.deps[k].h
 		}
 	}
 	return ctx.ptrs[lo:hi:hi]
@@ -187,23 +194,23 @@ func (ctx *BuildContext) DepGroup(i int) []*Handle {
 // used both by consumers (wrapped in a Subscription) and by compute
 // closures reading their dependencies.
 type Handle struct {
-	e *entry
+	it *item
 }
 
 // Value returns the item's current value under its handler's update
-// discipline.
+// discipline. A handle that outlives its item reads ErrUnsubscribed:
+// stop withdrew the snapshot, and the item's read path reports it.
 func (h *Handle) Value() (Value, error) {
-	it := h.e.h.Load()
-	if it == nil {
-		return nil, ErrUnsubscribed
-	}
-	if t := h.e.track.Load(); t != nil {
-		t.Add(1)
-	}
+	it := h.it
 	// it.Value(), spelled out: the compiler does not inline it, and this
 	// is the read path of every consumer and of every compute that reads
-	// a dependency.
-	if s := it.cur.Load(); s != nil {
+	// a dependency. The snapshot is loaded before the read is counted, so
+	// the load the result waits for issues first.
+	s := it.cur.Load()
+	if t := it.track.Load(); t != nil {
+		t.Add(1)
+	}
+	if s != nil {
 		return s.val, s.err
 	}
 	return it.read()
@@ -227,19 +234,14 @@ func (h *Handle) Float() (float64, error) {
 }
 
 // Kind returns the item's kind.
-func (h *Handle) Kind() Kind { return h.e.kind() }
+func (h *Handle) Kind() Kind { return h.it.kind() }
 
 // Registry returns the registry providing the item.
-func (h *Handle) Registry() *Registry { return h.e.reg }
+func (h *Handle) Registry() *Registry { return h.it.reg }
 
-// Mechanism returns the update mechanism of the item's handler.
-func (h *Handle) Mechanism() Mechanism {
-	it := h.e.h.Load()
-	if it == nil {
-		return StaticMechanism
-	}
-	return it.Mechanism()
-}
+// Mechanism returns the update mechanism of the item's handler
+// (StaticMechanism once the item is removed).
+func (h *Handle) Mechanism() Mechanism { return h.it.Mechanism() }
 
 // Subscription is a consumer's claim on a metadata item, returned by
 // Registry.Subscribe. Releasing it (Unsubscribe) decrements the item's
@@ -283,5 +285,5 @@ func (s *Subscription) Unsubscribe() {
 		return
 	}
 	s.released = true
-	s.h.e.reg.unsubscribe(s.h.e)
+	s.h.it.reg.unsubscribe(s.h.it)
 }

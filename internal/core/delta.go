@@ -41,7 +41,7 @@ import (
 //   - the periodic rebase interval expired (float drift bound).
 //
 // Consistency of the pair stream: pairs are derived under the
-// dependency-scope lock from the per-entry deltaLast field — "the value
+// dependency-scope lock from the per-item deltaLast field — "the value
 // every delta accumulator over this edge currently reflects" — not
 // captured at publish time. Publishes happen under the item's own
 // mutex only (scope batches publish before locking the scope), so two
@@ -184,7 +184,7 @@ func DeltaMin() *DeltaSpec {
 // push already holds.
 type deltaState struct {
 	spec *DeltaSpec
-	fan  []depEdge // the entry's edge slice: the fan-in, declaration order
+	fan  []depEdge // the item's edge slice: the fan-in, declaration order
 
 	// acc is the running accumulator; valid reports whether it reflects
 	// a successful fold plus the consumed prefix of the pair stream.
@@ -219,16 +219,17 @@ type deltaState struct {
 // fan-in, falling back to the byte-identical fold per the matrix in the
 // package comment.
 func NewDeltaAggregate(ctx *BuildContext) (Handler, error) {
-	spec := ctx.e.slotOf().rareFields().delta // Build runs under the scope lock
+	i, _ := ctx.reg.searchSlot(ctx.Kind()) // Build runs under the scope lock
+	spec := ctx.reg.slots[i].rareFields().delta
 	if spec == nil {
 		return nil, fmt.Errorf("core: NewDeltaAggregate on %s/%s: definition declares no Delta spec",
-			ctx.e.reg.id, ctx.e.kind())
+			ctx.reg.id, ctx.Kind())
 	}
 	if spec.Combine == nil {
 		return nil, fmt.Errorf("core: NewDeltaAggregate on %s/%s: Delta spec without Combine",
-			ctx.e.reg.id, ctx.e.kind())
+			ctx.reg.id, ctx.Kind())
 	}
-	ds := &deltaState{spec: spec, fan: ctx.e.deps, rebase: spec.rebaseLimit()}
+	ds := &deltaState{spec: spec, fan: ctx.deps, rebase: spec.rebaseLimit()}
 	it := newItem(TriggeredMechanism)
 	it.ds = ds
 	// The full recompute folds every fan-in value in declaration order,
@@ -297,13 +298,13 @@ func (it *item) refreshDelta(now clock.Time) {
 	poisoned := ds.poisoned
 	ds.pending = ds.pending[:0]
 	ds.poisoned = false
-	if it.e.health.isQuarantined() {
+	if it.health.isQuarantined() {
 		// The stale publication stands (see refresh); the accumulator
 		// no longer reflects the consumed pair stream.
 		ds.valid = false
 		return
 	}
-	env := it.e.reg.env
+	env := it.reg.env
 	stats := &env.stats
 	stats.TriggeredUpdates.Add(1)
 	// eligible is false on delta-off envs (startLocked), so one flag
@@ -346,8 +347,8 @@ func (ds *deltaState) foldFrom(useLast bool) (DeltaAcc, error) {
 	for i := range ds.fan {
 		h := &ds.fan[i].h
 		var f float64
-		if useLast && h.e.deltaLastOK {
-			f = h.e.deltaLast
+		if useLast && h.it.deltaLastOK {
+			f = h.it.deltaLast
 		} else {
 			var err error
 			f, err = h.Float()
@@ -382,10 +383,9 @@ func (ds *deltaState) applyPairs(acc DeltaAcc, pairs []DeltaPair) (out DeltaAcc,
 
 // startLocked fixes eligibility and registers the aggregate on the
 // delta channel of its dependencies. Called from the item's start
-// under the dependency-scope lock, after the dependency entries have
+// under the dependency-scope lock, after the dependencies have
 // committed and started.
-func (ds *deltaState) startLocked(e *entry) {
-	env := e.reg.env
+func (ds *deltaState) startLocked(env *Env) {
 	if env.deltaOff {
 		return
 	}
@@ -399,7 +399,7 @@ func (ds *deltaState) startLocked(e *entry) {
 	}
 	ds.eligible = true
 	for i := range ds.fan {
-		de := ds.fan[i].h.e
+		de := ds.fan[i].h.it
 		de.deltaDeps++
 		if de.deltaDeps == 1 {
 			// First tracked consumer of this edge: anchor deltaLast to
@@ -420,14 +420,14 @@ func (ds *deltaState) stopLocked() {
 	}
 	ds.eligible = false
 	for i := range ds.fan {
-		ds.fan[i].h.e.deltaDeps--
+		ds.fan[i].h.it.deltaDeps--
 	}
 }
 
-// currentFloat reads the entry's currently published value as a
+// currentFloat reads the item's currently published value as a
 // delta-trackable float: ok only for a clean, finite numeric value.
-func currentFloat(e *entry) (float64, bool) {
-	v, err := e.h.Load().Value()
+func currentFloat(it *item) (float64, bool) {
+	v, err := it.Value()
 	if err != nil {
 		return 0, false
 	}
@@ -438,27 +438,27 @@ func currentFloat(e *entry) (float64, bool) {
 	return f, true
 }
 
-// notifyDeltaLocked delivers the entry's latest publication to the
+// notifyDeltaLocked delivers the item's latest publication to the
 // delta channel: it derives the (deltaLast, current) transition and
 // pushes it — or a poison mark, when the publication is not a clean
 // finite float — to every delta-eligible dependent, once per declared
 // edge. The dependency-scope lock must be held; callers gate on
-// e.deltaDeps > 0 so untracked entries pay one int load.
-func notifyDeltaLocked(e *entry) {
-	f, good := currentFloat(e)
-	if good && e.deltaLastOK && f == e.deltaLast {
+// it.deltaDeps > 0 so untracked items pay one int load.
+func notifyDeltaLocked(it *item) {
+	f, good := currentFloat(it)
+	if good && it.deltaLastOK && f == it.deltaLast {
 		// Republication of the identical value (or no publication since
 		// the last notify): nothing to deliver.
 		return
 	}
-	pair := good && e.deltaLastOK
-	for _, d := range e.dependents {
-		ds := d.e.h.Load().ds
+	pair := good && it.deltaLastOK
+	for _, d := range it.dependents {
+		ds := d.it.ds
 		if ds == nil || !ds.eligible {
 			continue
 		}
 		if pair {
-			ds.pending = append(ds.pending, DeltaPair{Old: e.deltaLast, New: f})
+			ds.pending = append(ds.pending, DeltaPair{Old: it.deltaLast, New: f})
 		} else {
 			// No trackable predecessor (error value, first good value
 			// after an error, NotifyChanged on a non-float): the
@@ -467,7 +467,7 @@ func notifyDeltaLocked(e *entry) {
 			ds.poisoned = true
 		}
 	}
-	e.deltaLast, e.deltaLastOK = f, good
+	it.deltaLast, it.deltaLastOK = f, good
 }
 
 // --- allocation-free float publication ---

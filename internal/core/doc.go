@@ -7,8 +7,8 @@
 // Every query-graph node (source, operator, sink) — and, recursively,
 // every exchangeable module inside an operator — owns a Registry. A
 // Registry holds Definitions of the metadata items the node can
-// provide, and, for each item currently in use, an entry pairing the
-// item with its unique metadata handler.
+// provide, and, for each item currently in use, its unique metadata
+// handler, which also carries the item's reference count and edges.
 //
 // Consumers call Registry.Subscribe to obtain a Subscription — a proxy
 // through which they read the current metadata value. The first

@@ -205,7 +205,7 @@ func (e *Env) Quiesce() { e.updater.WaitIdle() }
 // be parked in the quarantine-backed stale-serving state.
 func (e *Env) HasBreaker() bool { return e.breaker != nil }
 
-// nextSeq returns the next entry creation sequence number.
+// nextSeq returns the next item creation sequence number.
 func (e *Env) nextSeq() int64 { return e.seq.Add(1) }
 
 // deadlineFor returns the compute deadline for def: the definition's

@@ -253,7 +253,7 @@ func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 }
 
 // TestVerifyIntegrityCatchesBrokenEdges corrupts each half of the edge
-// mirror, and each clause of the item <-> entry invariant, in turn and
+// mirror, and each clause of the item-state invariant, in turn and
 // expects VerifyIntegrity to object (with the named complaint, where
 // one is given).
 func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
@@ -277,7 +277,7 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 		t.Fatalf("clean graph: %v", errs)
 	}
 	a, b := r.entryOf("a"), r.entryOf("b")
-	bi, pi, aggi := b.h.Load(), r.entryOf("p").h.Load(), r.entryOf("agg").h.Load()
+	bi, pi, aggi := b, r.entryOf("p"), r.entryOf("agg")
 	type corruption struct {
 		do   func() (undo func())
 		want string // a complaint VerifyIntegrity must make; "" = any
@@ -318,14 +318,6 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 			b.def.deps[1].Kind = "c"
 			return func() { b.def.deps[1].Kind = "a" }
 		}},
-		"entry without item": {want: "included without item", do: func() func() {
-			b.h.Store(nil)
-			return func() { b.h.Store(bi) }
-		}},
-		"item bound elsewhere": {want: "back-pointer", do: func() func() {
-			bi.e = a
-			return func() { bi.e = b }
-		}},
 		"item out of service": {want: "not in service", do: func() func() {
 			bi.live = false
 			return func() { bi.live = true }
@@ -344,7 +336,7 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 			aggi.ds = nil
 			return func() { aggi.ds = ds }
 		}},
-		"removed entry holding its item": {want: "removed but still holds its item", do: func() func() {
+		"removed entry holding its item": {want: "removed but still in service", do: func() func() {
 			i, _ := r.searchSlot("c")
 			c := r.slots[i].entry
 			r.slots[i].entry = nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clock"
@@ -492,5 +493,110 @@ func TestValueAfterHandlerRemoval(t *testing.T) {
 		if _, err := h.Value(); !errors.Is(err, ErrUnsubscribed) {
 			t.Fatalf("%s: read after removal: err = %v, want ErrUnsubscribed", k, err)
 		}
+	}
+
+	// The states in which an item still has something to serve when it
+	// is removed: a static value, a warm memo, a quarantined item's stale
+	// publication, and a kind included again after release. After release
+	// the old handle, its Float and Registry.Peek report ErrUnsubscribed
+	// and the handle reports StaticMechanism; a re-inclusion serves live
+	// values while the old handle stays released.
+	rows := []struct {
+		name string
+		opts []EnvOption
+		// define defines x; ready brings the subscribed x into the state
+		// the row releases it in.
+		define    func(r *Registry)
+		ready     func(t *testing.T, env *Env, vc *clock.Virtual, s *Subscription)
+		reinclude bool
+	}{
+		{name: "static", define: func(r *Registry) { defineConst(r, "x", 1.0) }},
+		{name: "memoized on-demand", opts: []EnvOption{WithMemoizedOnDemand()},
+			define: func(r *Registry) {
+				defineConst(r, "c", 1.0)
+				definePureSum(r, "x", 0, new(atomic.Int64), Dep(Self(), "c"))
+			},
+			ready: func(t *testing.T, env *Env, _ *clock.Virtual, s *Subscription) {
+				s.Value()
+				hits := env.Stats().MemoHits.Load()
+				if v, err := s.Float(); err != nil || v != 1 || env.Stats().MemoHits.Load() != hits+1 {
+					t.Fatalf("warm read = %v, %v with memo hits %d -> %d; want 1 from the memo", v, err, hits, env.Stats().MemoHits.Load())
+				}
+			}},
+		{name: "periodic quarantined", opts: []EnvOption{WithBreaker(BreakerPolicy{
+			FailureThreshold: 1, FailureWindow: 1 << 20, ProbeBackoff: 1000, MaxProbeBackoff: 4000,
+		})},
+			define: func(r *Registry) {
+				calls := 0
+				r.MustDefine(&Definition{Kind: "x", Build: func(*BuildContext) (Handler, error) {
+					return NewPeriodic(10, func(_, _ clock.Time) (Value, error) {
+						if calls++; calls > 1 {
+							panic("window compute fails")
+						}
+						return 1.0, nil
+					}), nil
+				}})
+			},
+			ready: func(t *testing.T, _ *Env, vc *clock.Virtual, s *Subscription) {
+				vc.Advance(10)
+				if v, err := s.Float(); !errors.Is(err, ErrStale) || v != 1 {
+					t.Fatalf("tripped read = %v, %v; want the stale 1", v, err)
+				}
+			}},
+		{name: "re-included", reinclude: true, define: func(r *Registry) {
+			n := 0.0
+			r.MustDefine(&Definition{Kind: "x", Events: []string{"ev"}, Build: func(*BuildContext) (Handler, error) {
+				return NewTriggered(func(clock.Time) (Value, error) { n++; return n, nil }), nil
+			}})
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			vc := clock.NewVirtual()
+			env := NewEnv(vc, row.opts...)
+			r := env.NewRegistry("n1")
+			row.define(r)
+			s, err := r.Subscribe("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.ready != nil {
+				row.ready(t, env, vc, s)
+			}
+			h := s.Handle()
+			s.Unsubscribe()
+			released := func(when string) {
+				t.Helper()
+				if _, err := h.Value(); !errors.Is(err, ErrUnsubscribed) {
+					t.Fatalf("%s: handle read err = %v, want ErrUnsubscribed", when, err)
+				}
+				if v, err := h.Float(); v != 0 || !errors.Is(err, ErrUnsubscribed) {
+					t.Fatalf("%s: handle Float = %v, %v; want 0, ErrUnsubscribed", when, v, err)
+				}
+				if m := h.Mechanism(); m != StaticMechanism {
+					t.Fatalf("%s: handle mechanism %v, want static", when, m)
+				}
+			}
+			released("after release")
+			if _, err := r.Peek("x"); !errors.Is(err, ErrUnsubscribed) {
+				t.Fatalf("Peek after release: err = %v, want ErrUnsubscribed", err)
+			}
+			if !row.reinclude {
+				return
+			}
+			s2, err := r.Subscribe("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Unsubscribe()
+			r.FireEvent("ev")
+			if v, err := s2.Float(); err != nil || v != 3 {
+				t.Fatalf("re-included read = %v, %v; want 3 (initial computes 1 and 2, one event)", v, err)
+			}
+			if v, err := r.Peek("x"); err != nil || v != 3.0 {
+				t.Fatalf("Peek of the re-included kind = %v, %v; want 3", v, err)
+			}
+			released("after re-inclusion")
+		})
 	}
 }

@@ -435,11 +435,11 @@ func (ih *itemHealth) snapshot() HealthSnapshot {
 // without WithBreaker) report Healthy. The second result is false if
 // the item is not included.
 func (r *Registry) Health(kind Kind) (HealthSnapshot, bool) {
-	e := r.entryOf(kind)
-	if e == nil {
+	it := r.entryOf(kind)
+	if it == nil {
 		return HealthSnapshot{}, false
 	}
-	return e.health.snapshot(), true
+	return it.health.snapshot(), true
 }
 
 // --- Bounded computes ---

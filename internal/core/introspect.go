@@ -35,12 +35,12 @@ func (r *Registry) Modules() []string {
 func (r *Registry) Dependencies(kind Kind) (deps []ItemRef, ok bool) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e := r.entryLocked(kind)
-	if e == nil {
+	it := r.entryLocked(kind)
+	if it == nil {
 		return nil, false
 	}
-	for i := range e.deps {
-		deps = append(deps, itemRefLocked(e.deps[i].h.e))
+	for i := range it.deps {
+		deps = append(deps, itemRefLocked(it.deps[i].h.it))
 	}
 	return deps, true
 }
@@ -51,12 +51,12 @@ func (r *Registry) Dependencies(kind Kind) (deps []ItemRef, ok bool) {
 func (r *Registry) Dependents(kind Kind) (deps []ItemRef, ok bool) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e := r.entryLocked(kind)
-	if e == nil {
+	it := r.entryLocked(kind)
+	if it == nil {
 		return nil, false
 	}
-	for _, d := range e.dependents {
-		deps = append(deps, itemRefLocked(d.e))
+	for _, d := range it.dependents {
+		deps = append(deps, itemRefLocked(d.it))
 	}
 	sort.Slice(deps, func(i, j int) bool {
 		if deps[i].RegistryID != deps[j].RegistryID {
@@ -71,15 +71,15 @@ func (r *Registry) Dependents(kind Kind) (deps []ItemRef, ok bool) {
 func (r *Registry) Ref(kind Kind) (ItemRef, bool) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e := r.entryLocked(kind)
-	if e == nil {
+	it := r.entryLocked(kind)
+	if it == nil {
 		return ItemRef{}, false
 	}
-	return itemRefLocked(e), true
+	return itemRefLocked(it), true
 }
 
 // itemRefLocked builds an ItemRef; the owning component's lock must be
 // held.
-func itemRefLocked(e *entry) ItemRef {
-	return ItemRef{RegistryID: e.reg.id, Kind: e.kind(), Mechanism: e.h.Load().Mechanism()}
+func itemRefLocked(it *item) ItemRef {
+	return ItemRef{RegistryID: it.reg.id, Kind: it.kind(), Mechanism: it.Mechanism()}
 }

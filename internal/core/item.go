@@ -48,10 +48,10 @@ type Handler interface {
 	// Mechanism identifies the update mechanism.
 	Mechanism() Mechanism
 
-	// bind claims the handler for the entry being built and returns
-	// the item state behind it. A handler serves one inclusion: Build
-	// must return a fresh one every time it runs.
-	bind(e *entry) (*item, error)
+	// bind files the inclusion ctx describes into the item behind the
+	// handler and returns the item. A handler serves one inclusion:
+	// Build must return a fresh one every time it runs.
+	bind(ctx *BuildContext) (*item, error)
 }
 
 // ComputeFunc computes a metadata value at the given time.
@@ -117,9 +117,10 @@ func (a *snapAlloc) put(v Value, err error) *valueSnapshot {
 	return s
 }
 
-// item is the one Handler implementation: the state of one in-use
-// metadata item — its published value, its breaker, and the update
-// mechanism installed on it. The mechanism is a policy, not a type:
+// item is the one Handler implementation and the one object an in-use
+// metadata item costs: its place in the registry and the dependency
+// graph (the embedded entry), its published value, its breaker, and the
+// update mechanism installed on it. The mechanism is a policy, not a type:
 // it says when the item's compute runs (never / on read / at a window
 // boundary / on notify) and carries the state that schedule needs.
 // Everything else — how a computed result is published, how failures
@@ -142,6 +143,10 @@ type item struct {
 	// before start and after stop, where reads report ErrUnsubscribed.
 	cur atomic.Pointer[valueSnapshot]
 
+	// entry is the structural half, guarded by the owning component's
+	// lock; bind files it when the inclusion commits.
+	entry
+
 	// mu is the item mutex. It guards live, snaps, the policy fields
 	// below and the breaker's lastGood, and it is held across every
 	// maintenance compute (tick, refresh, probe, volatile on-demand
@@ -151,11 +156,7 @@ type item struct {
 	// and no caller holds one item's mutex while refreshing another
 	// (propagation refreshes strictly one item at a time under the
 	// scope lock). No scope lock is ever taken with mu held.
-	mu sync.Mutex
-	// e is the entry the item serves, set once by bind and never
-	// cleared, so the tick dispatcher may follow it without mu. The
-	// item's circuit breaker hangs off it (e.health).
-	e     *entry
+	mu    sync.Mutex
 	snaps snapAlloc
 
 	// The installed policy. start and Migrate write it holding the
@@ -164,8 +165,9 @@ type item struct {
 	// Value() read them holding neither.
 	mech atomic.Int32
 	// live is the one stale-publisher fence: set by start, cleared by
-	// stop. Every compute path checks it under mu before it runs, so
-	// nothing publishes for an entry that has been removed.
+	// stop, both holding the scope lock and mu. Every compute path checks
+	// it under mu before it runs, so nothing publishes for an item that
+	// has been removed.
 	live bool
 	// pure records whether fn is a pure function of the declared
 	// dependencies (Definition.Pure at start, AdaptSpec.Pure after a
@@ -276,27 +278,27 @@ func (it *item) Value() (Value, error) {
 	return it.read()
 }
 
-// bind implements Handler.
-func (it *item) bind(e *entry) (*item, error) {
+// bind implements Handler. The item's registry is set here and never
+// cleared, so it also marks an item that has served an inclusion.
+func (it *item) bind(ctx *BuildContext) (*item, error) {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if it.e != nil {
+	if it.reg != nil {
 		return nil, fmt.Errorf("core: handler of %s/%s is already bound to %s/%s (Build must return a fresh handler)",
-			e.reg.id, e.kind(), it.e.reg.id, it.e.kind())
+			ctx.reg.id, ctx.Kind(), it.reg.id, it.kind())
 	}
-	it.e = e
+	it.reg, it.def, it.seq, it.deps, it.ngroups = ctx.reg, ctx.def, ctx.seq, ctx.deps, ctx.ngroups
 	if it.Mechanism() != StaticMechanism {
-		e.health = newItemHealth(e.reg.env, it)
+		it.health = newItemHealth(ctx.reg.env, it)
 	}
 	return it, nil
 }
 
 // start brings a bound item into service. includeLocked calls it once,
-// under the scope lock, after the entry committed — dependencies are
+// under the scope lock, after the item committed — dependencies are
 // included and started, so an initial compute may read them.
 func (it *item) start() {
-	e := it.e
-	env := e.reg.env
+	env := it.reg.env
 	now := env.Now()
 	it.mu.Lock()
 	defer it.mu.Unlock()
@@ -305,20 +307,20 @@ func (it *item) start() {
 	case StaticMechanism:
 		return
 	case OnDemandMechanism:
-		it.pure = e.def.pure
-		it.rd.Load().mstate.Store(newMemoState(e, it.pure))
+		it.pure = it.def.pure
+		it.rd.Load().mstate.Store(newMemoState(it, it.pure))
 		return
 	}
 	if it.ds != nil {
 		// Fix delta eligibility and register on the dependencies' delta
 		// channels before the initial fold, so the fold reads the same
 		// deltaLast values the accumulator will be patched from.
-		it.ds.startLocked(e)
+		it.ds.startLocked(env)
 	}
 	if w := it.win.Load(); w != nil {
 		w.winStart = now
 	}
-	if env.restorePendingFor(e.reg, e.kind()) {
+	if env.restorePendingFor(it.reg, it.kind()) {
 		// Recovery replay: skip the initial compute — RestoreStale will
 		// re-publish the checkpointed last-good value before the plane is
 		// exposed — but still arm the boundary cadence below, so an item
@@ -335,10 +337,12 @@ func (it *item) start() {
 	it.arm(now)
 }
 
-// stop takes the item out of service when its entry is removed.
+// stop takes the item out of service when it is removed. A handle that
+// outlives it reads ErrUnsubscribed and reports StaticMechanism.
 func (it *item) stop() {
 	it.mu.Lock()
 	it.live = false
+	it.mech.Store(int32(StaticMechanism))
 	it.cur.Store(nil)
 	if rd := it.rd.Load(); rd != nil {
 		rd.mstate.Store(nil)
@@ -347,7 +351,7 @@ func (it *item) stop() {
 	it.disarm()
 	it.mu.Unlock()
 	// Retire the breaker and any armed recovery probe with the item.
-	it.e.health.stop()
+	it.health.stop()
 }
 
 // arm schedules the first boundary of an installed window policy; a
@@ -358,7 +362,7 @@ func (it *item) stop() {
 func (it *item) arm(now clock.Time) {
 	if w := it.win.Load(); w != nil {
 		w.task = &clock.Task{Data: w}
-		it.e.reg.env.scheduler().At(now.Add(w.window), w.task)
+		it.reg.env.scheduler().At(now.Add(w.window), w.task)
 	}
 }
 
@@ -368,7 +372,7 @@ func (it *item) arm(now clock.Time) {
 // held.
 func (it *item) disarm() {
 	if w := it.win.Load(); w != nil && w.task != nil {
-		it.e.reg.env.scheduler().Cancel(w.task)
+		it.reg.env.scheduler().Cancel(w.task)
 		w.task = nil
 	}
 }
@@ -380,13 +384,13 @@ func (it *item) disarm() {
 // version n sees the n-th value or a newer one. it.mu must be held.
 func (it *item) store(snap *valueSnapshot) {
 	it.cur.Store(snap)
-	it.e.bumpVersion()
+	it.bumpVersion()
 }
 
 // accept publishes snap as a computed result and remembers a clean one
 // as the last-good value. it.mu must be held.
 func (it *item) accept(snap *valueSnapshot) {
-	if h := it.e.health; h != nil && snap.err == nil {
+	if h := it.health; h != nil && snap.err == nil {
 		// lastGood is only ever served while quarantined, so the
 		// breaker-less hot path skips the pointer store (and its write
 		// barrier).
@@ -406,10 +410,10 @@ func (it *item) accept(snap *valueSnapshot) {
 // atomic step from a reader's perspective.
 func (it *item) admit(now clock.Time, err error) bool {
 	if err == nil || !breakerEligible(err) {
-		it.e.health.onSuccess()
+		it.health.onSuccess()
 		return true
 	}
-	if !it.e.health.onFailure(now, err) {
+	if !it.health.onFailure(now, err) {
 		return true
 	}
 	it.publishStale()
@@ -434,10 +438,10 @@ func (it *item) publishStale() {
 	it.disarm()
 	it.dropMemo()
 	var last Value
-	if lg := it.e.health.lastGood; lg != nil {
+	if lg := it.health.lastGood; lg != nil {
 		last = lg.val
 	}
-	it.store(it.snaps.put(last, it.e.health.staleError()))
+	it.store(it.snaps.put(last, it.health.staleError()))
 }
 
 // dropMemo discards an on-demand item's memo (its stamps cover
@@ -460,12 +464,12 @@ func (it *item) dropMemo() {
 // refresh instead of being half-visible in it. it.mu must be held, and
 // the scope lock too for a delta aggregate.
 func (it *item) snapshot(now clock.Time, bounded bool) *valueSnapshot {
-	env := it.e.reg.env
+	env := it.reg.env
 	epoch := env.writeEpoch.Load()
 	env.stats.ComputeCalls.Add(1)
 	var d clock.Duration
 	if bounded {
-		d = env.deadlineFor(it.e.def)
+		d = env.deadlineFor(it.def)
 	}
 	var v Value
 	var err error
@@ -485,13 +489,12 @@ func (it *item) snapshot(now clock.Time, bounded bool) *valueSnapshot {
 // nothing depending on the item skips the scope lock entirely (the key
 // to parallel periodic updates on the worker pool).
 func (it *item) announce(now clock.Time) {
-	e := it.e
-	if e.ndeps.Load() == 0 {
+	if it.ndeps.Load() == 0 {
 		return
 	}
-	env := e.reg.env
-	sc := env.lockScope(e.reg)
-	env.announceLocked(now, e)
+	env := it.reg.env
+	sc := env.lockScope(it.reg)
+	env.announceLocked(now, it)
 	sc.unlock()
 }
 
@@ -534,13 +537,13 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 		return 0, false
 	}
 	defer it.mu.Unlock()
-	if !it.live || it.win.Load() != w || it.e.health.isQuarantined() {
+	if !it.live || it.win.Load() != w || it.health.isQuarantined() {
 		// Stopped, migrated off w, or tripped since the boundary was
 		// dispatched; a quarantined item's stale publication stands
 		// until a probe succeeds.
 		return 0, false
 	}
-	env := it.e.reg.env
+	env := it.reg.env
 	now = env.clampLate(now)
 	if now <= w.winStart {
 		// A worker pool may also execute batches out of order; a stale
@@ -549,7 +552,7 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 	}
 	env.stats.PeriodicUpdates.Add(1)
 	it.publish(now, it.snapshot(now, true))
-	if !it.e.health.isQuarantined() {
+	if !it.health.isQuarantined() {
 		// A trip leaves winStart in place: the recovery probe recomputes
 		// the cumulative window [winStart, probe instant).
 		w.winStart = now
@@ -569,13 +572,13 @@ func (it *item) refresh(now clock.Time) {
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if !it.live || it.e.health.isQuarantined() {
+	if !it.live || it.health.isQuarantined() {
 		// The stale publication stands; recovery goes through the probe,
 		// not through trigger propagation (a quarantined compute re-run
 		// on every upstream update would defeat the quarantine).
 		return
 	}
-	it.e.reg.env.stats.TriggeredUpdates.Add(1)
+	it.reg.env.stats.TriggeredUpdates.Add(1)
 	it.publish(now, it.snapshot(now, true))
 }
 
@@ -613,11 +616,11 @@ func (it *item) read() (Value, error) {
 	if v, err, ok := it.readGate(); !ok {
 		return v, err
 	}
-	env := it.e.reg.env
+	env := it.reg.env
 	env.stats.ComputeCalls.Add(1)
 	env.stats.OnDemandComputes.Add(1)
 	now := env.Now()
-	v, err := boundedCompute(env.clk, env.deadlineFor(it.e.def), &env.stats, it.fn, now)
+	v, err := boundedCompute(env.clk, env.deadlineFor(it.def), &env.stats, it.fn, now)
 	return it.settle(now, v, err, nil)
 }
 
@@ -650,8 +653,8 @@ func (it *item) settle(now clock.Time, v Value, err error, m *memoSnapshot) (Val
 		s := it.cur.Load()
 		return s.val, s.err
 	}
-	if err == nil && it.e.health != nil {
-		it.e.health.keepLastGood(&it.snaps, v)
+	if err == nil && it.health != nil {
+		it.health.keepLastGood(&it.snaps, v)
 	}
 	if m != nil && !breakerEligible(err) {
 		// Publish the memo, then bump the version (publication order: a
@@ -660,7 +663,7 @@ func (it *item) settle(now clock.Time, v Value, err error, m *memoSnapshot) (Val
 		// recomputing would fail identically.
 		m.val, m.err = v, err
 		it.rd.Load().memo.Store(m)
-		it.e.bumpVersion()
+		it.bumpVersion()
 	}
 	return v, err
 }
@@ -696,7 +699,7 @@ func (it *item) readMiss(rd *readPolicy, ms *memoState) (Value, error) {
 	stats.MemoMisses.Add(1)
 	stats.ComputeCalls.Add(1)
 	stats.OnDemandComputes.Add(1)
-	fn, deadline := it.fn, env.deadlineFor(it.e.def)
+	fn, deadline := it.fn, env.deadlineFor(it.def)
 	it.mu.Unlock()
 
 	// Warm memoized dependencies whose memo is not current before
@@ -751,14 +754,14 @@ func (it *item) runProbe(now clock.Time) {
 		it.mu.Unlock()
 		return
 	}
-	env := it.e.reg.env
+	env := it.reg.env
 	stats := &env.stats
 	mech := it.Mechanism()
 	if w := it.win.Load(); w != nil {
 		now = env.clampLate(now)
 		if now <= w.winStart {
 			it.mu.Unlock()
-			it.e.health.probeFailed(now, nil)
+			it.health.probeFailed(now, nil)
 			return
 		}
 	}
@@ -772,16 +775,16 @@ func (it *item) runProbe(now clock.Time) {
 		// accumulator stays invalid; the next locked refresh re-folds
 		// and re-validates) and publish the finished float.
 		stats.ComputeCalls.Add(1)
-		snap = it.snaps.put(boundedCompute(env.clk, env.deadlineFor(it.e.def), stats, ds.foldLive, now))
+		snap = it.snaps.put(boundedCompute(env.clk, env.deadlineFor(it.def), stats, ds.foldLive, now))
 	} else {
 		snap = it.snapshot(now, true)
 	}
 	if snap.err != nil && breakerEligible(snap.err) {
 		it.mu.Unlock()
-		it.e.health.probeFailed(now, snap.err)
+		it.health.probeFailed(now, snap.err)
 		return
 	}
-	it.e.health.closeBreaker()
+	it.health.closeBreaker()
 	switch mech {
 	case OnDemandMechanism:
 		// Live again: reads compute fresh where they were served stale.
@@ -789,10 +792,10 @@ func (it *item) runProbe(now clock.Time) {
 		// recomputes with fresh stamps — and the bump makes dependent
 		// memos stamped over this item revalidate.
 		if snap.err == nil {
-			it.e.health.keepLastGood(&it.snaps, snap.val)
+			it.health.keepLastGood(&it.snaps, snap.val)
 		}
 		it.cur.Store(nil)
-		it.e.bumpVersion()
+		it.bumpVersion()
 	case PeriodicMechanism:
 		stats.PeriodicUpdates.Add(1)
 		it.accept(snap)
@@ -806,13 +809,12 @@ func (it *item) runProbe(now clock.Time) {
 	it.announce(now)
 }
 
-// inconsistency is VerifyIntegrity's invariant 7 for the item held by
-// included entry e of slot sl: it describes the first way the item
-// disagrees with its entry, its definition or its own installed policy,
-// or returns "". The scope
+// inconsistency is VerifyIntegrity's invariant 7 for the item filed in
+// slot sl: it describes the first way the item disagrees with its
+// definition or its own installed policy, or returns "". The scope
 // lock must be held (it guards the policy fields against Migrate); the
 // item mutex is taken for the fields a tick or probe may move.
-func (it *item) inconsistency(e *entry, sl *slot) string {
+func (it *item) inconsistency(sl *slot) string {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	rd, win := it.rd.Load(), it.win.Load()
@@ -828,13 +830,11 @@ func (it *item) inconsistency(e *entry, sl *slot) string {
 		policy = it.fn != nil && win == nil && rd == nil
 	}
 	switch {
-	case it.e != e:
-		return "item's back-pointer names another entry"
 	case !it.live:
 		return "item is not in service"
 	case !policy:
 		return fmt.Sprintf("item reports %v but another policy is installed", it.Mechanism())
-	case win != nil && (win.task == nil) != it.e.health.isQuarantined():
+	case win != nil && (win.task == nil) != it.health.isQuarantined():
 		return "window policy's boundary task does not match the breaker state"
 	case (it.ds != nil) != (sl.rareFields().delta != nil):
 		return "delta state does not match the definition's Delta spec"

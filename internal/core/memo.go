@@ -64,11 +64,11 @@ type memoSnapshot struct {
 type memoState struct {
 	env    *Env
 	health *itemHealth
-	// deps is the flattened declared dependency list (every entry of
+	// deps is the flattened declared dependency list (every item of
 	// every dep group, inclusion order). Dependencies outlive the
 	// item's inclusion — each holds a reference taken at include time —
-	// so the entry pointers stay valid for the item's life.
-	deps []*entry
+	// so they stay in service for the item's life.
+	deps []*item
 	// depMemo is parallel to deps: non-nil where the dependency is
 	// itself a memoized on-demand item, whose memo validity must be
 	// checked recursively on revalidation.
@@ -85,20 +85,20 @@ type memoState struct {
 // changed — passing the purity of the form currently installed
 // (Definition.Pure at start, AdaptSpec.Pure after a migration to
 // on-demand).
-func newMemoState(e *entry, pure bool) *memoState {
-	env := e.reg.env
+func newMemoState(it *item, pure bool) *memoState {
+	env := it.reg.env
 	if !env.memoOnDemand || !pure {
 		return nil
 	}
-	ms := &memoState{env: env, health: e.health}
-	for i := range e.deps {
-		de := e.deps[i].h.e
+	ms := &memoState{env: env, health: it.health}
+	for i := range it.deps {
+		de := it.deps[i].h.it
 		var memoized *item
-		if dep := de.h.Load(); dep.Mechanism() == OnDemandMechanism {
-			if dep.rd.Load().mstate.Load() == nil {
+		if de.Mechanism() == OnDemandMechanism {
+			if de.rd.Load().mstate.Load() == nil {
 				return nil
 			}
-			memoized = dep
+			memoized = de
 		}
 		ms.deps = append(ms.deps, de)
 		ms.depMemo = append(ms.depMemo, memoized)
@@ -115,7 +115,7 @@ func (it *item) rememo() {
 		return
 	}
 	it.mu.Lock()
-	rd.mstate.Store(newMemoState(it.e, it.pure))
+	rd.mstate.Store(newMemoState(it, it.pure))
 	rd.memo.Store(nil)
 	it.mu.Unlock()
 }

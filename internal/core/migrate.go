@@ -88,11 +88,11 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	env := r.env
 	now := env.Now()
 
-	e := r.entryLocked(kind)
-	if e == nil {
+	it := r.entryLocked(kind)
+	if it == nil {
 		return fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, kind)
 	}
-	sl := e.slotOf() // good for the whole call: the scope lock excludes Define
+	sl := it.slotOf() // good for the whole call: the scope lock excludes Define
 	spec := sl.adapt
 	if spec == nil {
 		return fmt.Errorf("%w: %s/%s declares no AdaptSpec", ErrNotMigratable, r.id, kind)
@@ -100,7 +100,6 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	if sl.rareFields().delta != nil {
 		return fmt.Errorf("%w: %s/%s is a delta aggregate", ErrNotMigratable, r.id, kind)
 	}
-	it := e.h.Load()
 	if it.Mechanism() == StaticMechanism {
 		return fmt.Errorf("%w: %s/%s is static", ErrNotMigratable, r.id, kind)
 	}
@@ -136,9 +135,9 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 
 	// Run the factory before touching the item, so a panicking (or
 	// nil-returning) factory leaves it untouched. The context is a fresh
-	// view of the entry's edge slice: the same dependency handles the
+	// view of the item's edge slice: the same dependency handles the
 	// original Build saw.
-	bctx := &BuildContext{e: e}
+	bctx := &BuildContext{reg: r, def: it.def, deps: it.deps, ngroups: it.ngroups}
 	var fn ComputeFunc
 	var win *windowPolicy
 	var err error
@@ -168,7 +167,7 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	// target sets rd before the snapshot is withdrawn (see item.read).
 	// Either way the item's version moves exactly once.
 	it.mu.Lock()
-	quarantined := it.e.health.isQuarantined()
+	quarantined := it.health.isQuarantined()
 	it.disarm()
 	it.mech.Store(int32(to))
 	it.fn, it.pure = fn, spec.Pure
@@ -176,14 +175,14 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	switch {
 	case to == OnDemandMechanism:
 		rd := new(readPolicy)
-		rd.mstate.Store(newMemoState(e, it.pure))
+		rd.mstate.Store(newMemoState(it, it.pure))
 		it.rd.Store(rd)
 		if !quarantined {
 			it.cur.Store(nil)
 		}
-		e.bumpVersion()
+		it.bumpVersion()
 	case quarantined:
-		e.bumpVersion()
+		it.bumpVersion()
 	default:
 		it.accept(it.snapshot(now, false))
 	}
@@ -199,7 +198,7 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	bumpStruct(r)
 
 	// Re-anchor dependent delta aggregates in two phases: first drop
-	// every tracked edge (so this entry's deltaDeps drains to zero even
+	// every tracked edge (so this item's deltaDeps drains to zero even
 	// when several aggregates track it), then reset and re-register each
 	// aggregate. The 0 -> 1 transition in startLocked re-anchors
 	// deltaLast at the value the new mechanism published, and
@@ -208,23 +207,23 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	// the propagation below re-folds them. A dependent declaring this
 	// item twice is listed twice: the drop-and-reset pass is idempotent,
 	// and the re-register pass skips an aggregate that is eligible again.
-	for _, d := range e.dependents {
-		if ds := d.e.h.Load().ds; ds != nil {
+	for _, d := range it.dependents {
+		if ds := d.it.ds; ds != nil {
 			ds.stopLocked()
 			ds.pending = ds.pending[:0]
 			ds.poisoned = false
 			ds.valid = false
 		}
 	}
-	for _, d := range e.dependents {
-		if ds := d.e.h.Load().ds; ds != nil && !ds.eligible {
-			ds.startLocked(d.e)
+	for _, d := range it.dependents {
+		if ds := d.it.ds; ds != nil && !ds.eligible {
+			ds.startLocked(env)
 		}
 		// Re-decide memo engagement of direct on-demand dependents:
 		// their stampability premises over this item may have changed in
 		// either direction (a volatile on-demand dependency became a
 		// publishing periodic one, or vice versa).
-		d.e.h.Load().rememo()
+		d.it.rememo()
 	}
 
 	// No handler was retired or created, but a migration has always
@@ -235,7 +234,7 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	env.stats.Migrations.Add(1)
 
 	// Dependents refresh against the new mechanism's published value.
-	env.announceLocked(now, e)
+	env.announceLocked(now, it)
 
 	// Journal the committed migration (identity no-ops returned early
 	// and are never recorded); replaying it at recovery reproduces the
@@ -274,16 +273,16 @@ func adaptWindowCompute(f func(*BuildContext) WindowComputeFunc, ctx *BuildConte
 // Handle/Subscription read and every Registry.Peek of the item
 // increments it. The counter is sharded, so tracking adds one predicted
 // branch plus one striped increment to the read path; untracked items
-// pay the branch alone. Tracking survives migrations (it lives on the
-// entry, not the handler) and ends when the item is excluded. It
+// pay the branch alone. Tracking survives migrations (they change the
+// item's policy, not the item) and ends when the item is excluded. It
 // returns false if the item is not included.
 func (r *Registry) TrackReads(kind Kind) bool {
-	e := r.entryOf(kind)
-	if e == nil {
+	it := r.entryOf(kind)
+	if it == nil {
 		return false
 	}
-	if e.track.Load() == nil {
-		e.track.CompareAndSwap(nil, new(ShardedCounter))
+	if it.track.Load() == nil {
+		it.track.CompareAndSwap(nil, new(ShardedCounter))
 	}
 	return true
 }
@@ -295,14 +294,14 @@ func (r *Registry) TrackReads(kind Kind) bool {
 // controller differencing two samples gets the read and update rates of
 // the interval. ok is false if the item is not included.
 func (r *Registry) AccessStats(kind Kind) (reads int64, updates uint64, ok bool) {
-	e := r.entryOf(kind)
-	if e == nil {
+	it := r.entryOf(kind)
+	if it == nil {
 		return 0, 0, false
 	}
-	if t := e.track.Load(); t != nil {
+	if t := it.track.Load(); t != nil {
 		reads = t.Load()
 	}
-	return reads, e.version.Load(), true
+	return reads, it.version.Load(), true
 }
 
 // DepUpdates sums the publication versions of an included item's
@@ -318,20 +317,20 @@ func (r *Registry) AccessStats(kind Kind) (reads int64, updates uint64, ok bool)
 func (r *Registry) DepUpdates(kind Kind) (sum uint64, ndeps int, ok bool) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e := r.entryLocked(kind)
-	if e == nil {
+	it := r.entryLocked(kind)
+	if it == nil {
 		return 0, 0, false
 	}
-	for i := range e.deps {
-		sum += e.deps[i].h.e.version.Load()
+	for i := range it.deps {
+		sum += it.deps[i].h.it.version.Load()
 	}
-	return sum, len(e.deps), true
+	return sum, len(it.deps), true
 }
 
 // Window returns the update window of an included periodic item, or
 // ok == false for excluded items and non-periodic mechanisms.
 func (r *Registry) Window(kind Kind) (clock.Duration, bool) {
-	if it := r.itemOf(kind); it != nil {
+	if it := r.entryOf(kind); it != nil {
 		if w := it.win.Load(); w != nil {
 			return w.window, true
 		}

@@ -37,8 +37,8 @@ import (
 // the root's lock.
 type planScratch struct {
 	plans    map[string]*propPlan
-	seeds    []*entry // seed collection (announceLocked)
-	affected []*entry // buildPlanLocked's affected set
+	seeds    []*item // seed collection (announceLocked)
+	affected []*item // buildPlanLocked's affected set
 	keyBuf   []int64
 	keyBytes []byte
 }
@@ -52,12 +52,12 @@ func (c *component) scratchLocked() *planScratch {
 	return c.scratch
 }
 
-// appendDependents appends the dependent of every edge pointing at e:
-// a dependent declaring e twice appears twice, which the plan lookup's
+// appendDependents appends the dependent of every edge pointing at it:
+// a dependent declaring it twice appears twice, which the plan lookup's
 // seed deduplication absorbs. The component lock must be held.
-func appendDependents(dst []*entry, e *entry) []*entry {
-	for _, d := range e.dependents {
-		dst = append(dst, d.e)
+func appendDependents(dst []*item, it *item) []*item {
+	for _, d := range it.dependents {
+		dst = append(dst, d.it)
 	}
 	return dst
 }
@@ -66,7 +66,7 @@ func appendDependents(dst []*entry, e *entry) []*entry {
 // affected entries for one seed set at one structural version.
 type propPlan struct {
 	ver   uint64
-	order []*entry
+	order []*item
 }
 
 // maxPlansPerScope bounds the cache per component; steady workloads
@@ -100,7 +100,7 @@ func bumpStruct(r *Registry) {
 // roots (possible only transiently, while a multi-registry batch
 // observes a merge in flight) fall back to an uncached build. The
 // structural lock(s) covering the seeds must be held.
-func (env *Env) planFor(seeds []*entry) []*entry {
+func (env *Env) planFor(seeds []*item) []*item {
 	root := find(seeds[0].reg.comp)
 	for _, s := range seeds[1:] {
 		if find(s.reg.comp) != root {
@@ -169,15 +169,15 @@ func (env *Env) planFor(seeds []*entry) []*entry {
 // affected, 0 otherwise) and walks the dependents slices only: one
 // element per declared edge means an element between two affected
 // entries is exactly one unit of in-degree.
-func (env *Env) buildPlanLocked(seeds []*entry) []*entry {
+func (env *Env) buildPlanLocked(seeds []*item) []*item {
 	sb := find(seeds[0].reg.comp).scratchLocked()
 	for _, s := range seeds {
 		sb.admit(s)
 	}
 	for i := 0; i < len(sb.affected); i++ {
 		for _, d := range sb.affected[i].dependents {
-			if sb.admit(d.e) {
-				d.e.planIn++
+			if sb.admit(d.it) {
+				d.it.planIn++
 			}
 		}
 	}
@@ -186,10 +186,10 @@ func (env *Env) buildPlanLocked(seeds []*entry) []*entry {
 		return nil
 	}
 
-	order := make([]*entry, 0, affected)
-	for _, e := range sb.affected {
-		if e.planIn == 1 {
-			order = append(order, e)
+	order := make([]*item, 0, affected)
+	for _, it := range sb.affected {
+		if it.planIn == 1 {
+			order = append(order, it)
 		}
 	}
 	slices.SortFunc(order, bySeq)
@@ -198,18 +198,18 @@ func (env *Env) buildPlanLocked(seeds []*entry) []*entry {
 	for head := 0; head < len(order); head++ {
 		next := len(order)
 		for _, d := range order[head].dependents {
-			if d.e.planIn == 0 {
+			if d.it.planIn == 0 {
 				continue
 			}
-			if d.e.planIn--; d.e.planIn == 1 {
-				order = append(order, d.e)
+			if d.it.planIn--; d.it.planIn == 1 {
+				order = append(order, d.it)
 			}
 		}
 		slices.SortFunc(order[next:], bySeq)
 	}
-	for i, e := range sb.affected {
-		e.planIn = 0
-		sb.affected[i] = nil // do not pin released entries between builds
+	for i, it := range sb.affected {
+		it.planIn = 0
+		sb.affected[i] = nil // do not pin released items between builds
 	}
 	sb.affected = sb.affected[:0]
 	if len(order) != affected {
@@ -220,21 +220,21 @@ func (env *Env) buildPlanLocked(seeds []*entry) []*entry {
 	return order
 }
 
-// bySeq orders entries by creation sequence for deterministic
+// bySeq orders items by creation sequence for deterministic
 // propagation.
-func bySeq(a, b *entry) int { return cmp.Compare(a.seq, b.seq) }
+func bySeq(a, b *item) int { return cmp.Compare(a.seq, b.seq) }
 
-// admit adds a triggered entry to the affected set of the plan being
-// built and reports whether e is in it. Dependents under any other
+// admit adds a triggered item to the affected set of the plan being
+// built and reports whether it is in it. Dependents under any other
 // mechanism absorb the notification: on-demand items recompute on
 // access anyway, and periodic items follow their own schedule.
-func (sb *planScratch) admit(e *entry) bool {
-	if e.planIn == 0 {
-		if e.h.Load().Mechanism() != TriggeredMechanism {
+func (sb *planScratch) admit(it *item) bool {
+	if it.planIn == 0 {
+		if it.Mechanism() != TriggeredMechanism {
 			return false
 		}
-		e.planIn = 1
-		sb.affected = append(sb.affected, e)
+		it.planIn = 1
+		sb.affected = append(sb.affected, it)
 	}
 	return true
 }
@@ -246,21 +246,21 @@ func (sb *planScratch) admit(e *entry) bool {
 // 3.2.3). The lock of the component(s) holding the seeds must be held.
 // The walk itself executes a (usually cached) propagation plan and is
 // allocation-free on cache hits.
-func (env *Env) refreshClosureLocked(seeds []*entry, now clock.Time) {
+func (env *Env) refreshClosureLocked(seeds []*item, now clock.Time) {
 	if len(seeds) == 0 {
 		return
 	}
-	for _, e := range env.planFor(seeds) {
+	for _, it := range env.planFor(seeds) {
 		env.stats.TriggerNotifications.Add(1)
 		// A migration off the triggered mechanism invalidates the plan,
-		// so every planned entry still is one. Compute errors are
+		// so every planned item still is one. Compute errors are
 		// published as values and surface at the consumer's next read.
-		e.h.Load().refresh(now)
+		it.refresh(now)
 		// The refresh may have republished; deliver the transition to
 		// delta dependents before the plan reaches them (the topological
 		// order guarantees they come later).
-		if e.deltaDeps > 0 {
-			notifyDeltaLocked(e)
+		if it.deltaDeps > 0 {
+			notifyDeltaLocked(it)
 		}
 	}
 }

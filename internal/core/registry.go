@@ -14,8 +14,8 @@ import (
 
 // Registry manages the metadata items of one query-graph node (or of
 // one exchangeable module inside a node, Section 4.5). It stores the
-// item definitions, and — for items currently in use — the entry
-// pairing each item with its unique handler and reference count.
+// item definitions, and — for items currently in use — the item itself,
+// which is its unique handler and carries its reference count.
 // Metadata items are stored directly at the graph nodes they describe
 // (Section 2.2), so each registry advertises exactly the items its
 // node can provide.
@@ -47,7 +47,7 @@ type Registry struct {
 	// &slots[i] is good only under the lock it was found under; shapes never move.
 	slots   []slot
 	modules map[string]*Registry
-	events  map[string][]*entry
+	events  map[string][]*item
 
 	// watchSinks holds the registered publication sinks per kind
 	// (watchgate.go), so a sink survives exclusion/re-inclusion of its
@@ -58,7 +58,7 @@ type Registry struct {
 // defShape is the part of a definition every instance of an operator
 // class shares, and all the hot path reads of it. Shapes are immutable
 // and interned per Env (internShape): equal content is one object however
-// many registries define it, and an entry points at the one it was built from.
+// many registries define it, and an item points at the one it was built from.
 type defShape struct {
 	kind     Kind
 	deps     []DepRef
@@ -69,14 +69,14 @@ type defShape struct {
 }
 
 // slot is a registry's own part of one defined kind: the closures and
-// specs of this instance and, while the item is in use, its entry
+// specs of this instance and, while the item is in use, the item
 // (guarded like the table: written under the component lock and r.mu).
 // rare is nil unless the definition sets one of slotRare's fields.
 type slot struct {
 	shape *defShape
 	build func(ctx *BuildContext) (Handler, error)
 	adapt *AdaptSpec
-	entry *entry
+	entry *item
 	rare  *slotRare
 }
 
@@ -154,15 +154,15 @@ func (env *Env) compileDef(def *Definition) slot {
 	return s
 }
 
-// depEdge is one declared dependency edge of an entry, stored in the
+// depEdge is one declared dependency edge of an item, stored in the
 // dependent's flat deps slice in declaration order (DepRef by DepRef,
 // resolved registries in selector order). The edge embeds the Handle
 // Build receives for it, so the slice is also the backing array of the
-// item's dependency handles. h is immutable once the entry commits;
+// item's dependency handles. h is immutable once the item commits;
 // back is guarded by the component lock.
 type depEdge struct {
-	h     Handle // h.e is the dependency
-	back  int32  // index of the mirror element in h.e.dependents
+	h     Handle // h.it is the dependency
+	back  int32  // index of the mirror element in h.it.dependents
 	group int32  // index of the declaring DepRef
 }
 
@@ -171,26 +171,23 @@ type depEdge struct {
 // appears twice — multiplicity, per-edge delta pairs and plan
 // in-degrees are the element count, not a stored number.
 type dependent struct {
-	e    *entry // the dependent entry
-	edge int32  // index of the mirrored edge in e.deps
+	it   *item // the dependent item
+	edge int32 // index of the mirrored edge in it.deps
 }
 
-// entry pairs an in-use metadata item with its handler (1-to-1,
-// Section 2.1). All structural fields are guarded by the owning
+// entry is the structural half of an in-use item, embedded in it: the
+// item is its own handler (1-to-1, Section 2.1), so one object serves
+// the inclusion. bind files reg, def, seq, health, deps and ngroups when
+// the inclusion commits. All structural fields are guarded by the owning
 // component's structural lock.
 type entry struct {
 	reg *Registry
-	def *defShape // the shape the entry was built from — its slot's, for the entry's life
+	def *defShape // the shape the item was built from — its slot's, for the item's life
 	seq int64
 
-	// h is the item state behind the entry's handler: stored when the
-	// entry commits, cleared when it is removed, and never replaced in
-	// between (a migration changes the item's policy, not the item).
-	// Atomic because the value read path loads it with no lock.
-	h atomic.Pointer[item]
 	// health is the item's circuit breaker: nil on envs without
-	// WithBreaker and for static items. Set when the item is bound to
-	// the entry, before the entry commits, and fixed from then on.
+	// WithBreaker and for static items. Set by bind, before the item
+	// commits, and fixed from then on.
 	health *itemHealth
 
 	// track, when non-nil, counts value reads of this item (Handle
@@ -199,9 +196,9 @@ type entry struct {
 	// predicted branch. Installed by Registry.TrackReads.
 	track atomic.Pointer[ShardedCounter]
 
-	// deps holds the entry's dependency edges, dependents the mirror
+	// deps holds the item's dependency edges, dependents the mirror
 	// elements of the edges pointing at it (see depEdge, dependent).
-	// deps is fixed when the entry commits — Build, migration factories
+	// deps is fixed when the item commits — Build, migration factories
 	// and compute closures hold pointers into it — and dependents only
 	// changes through linkLocked/unlinkLocked, both under the component
 	// lock.
@@ -212,7 +209,7 @@ type entry struct {
 	ngroups int32 // resolved DepRefs: the BuildContext's NumDeps
 
 	// planIn is buildPlanLocked's scratch: 0 outside a plan build,
-	// 1 + unplanned in-degree while the entry is in the affected set.
+	// 1 + unplanned in-degree while the item is in the affected set.
 	// Guarded by the component lock.
 	planIn int32
 
@@ -257,15 +254,15 @@ type entry struct {
 // kind returns the item's kind.
 func (e *entry) kind() Kind { return e.def.kind }
 
-// linkLocked appends the mirror element of every dependency edge of e
+// linkLocked appends the mirror element of every dependency edge of it
 // to its dependency's dependents, recording each side's slot on the
 // other. The component lock must be held.
-func (e *entry) linkLocked() {
-	for i := range e.deps {
-		ed := &e.deps[i]
-		de := ed.h.e
+func (it *item) linkLocked() {
+	for i := range it.deps {
+		ed := &it.deps[i]
+		de := ed.h.it
 		ed.back = int32(len(de.dependents))
-		de.dependents = append(de.dependents, dependent{e: e, edge: int32(i)})
+		de.dependents = append(de.dependents, dependent{it: it, edge: int32(i)})
 		de.ndeps.Store(int32(len(de.dependents)))
 	}
 }
@@ -275,11 +272,11 @@ func (e *entry) linkLocked() {
 // slot and the edge it mirrors is told its new slot. The component
 // lock must be held.
 func (ed *depEdge) unlinkLocked() {
-	de := ed.h.e
+	de := ed.h.it
 	last := len(de.dependents) - 1
 	if moved := de.dependents[last]; int(ed.back) != last {
 		de.dependents[ed.back] = moved
-		moved.e.deps[moved.edge].back = ed.back
+		moved.it.deps[moved.edge].back = ed.back
 	}
 	de.dependents[last] = dependent{}
 	de.dependents = de.dependents[:last]
@@ -311,16 +308,16 @@ func (r *Registry) searchSlot(kind Kind) (int, bool) {
 	return lo, lo < len(r.slots) && r.slots[lo].shape.kind == kind
 }
 
-// slotOf returns the slot an included entry is filed in. The component
+// slotOf returns the slot an included item is filed in. The component
 // lock must be held; the pointer is good until it is released.
 func (e *entry) slotOf() *slot {
 	i, _ := e.reg.searchSlot(e.def.kind)
 	return &e.reg.slots[i]
 }
 
-// entryLocked returns the kind's entry, or nil if the item is not
-// included. The component lock must be held.
-func (r *Registry) entryLocked(kind Kind) *entry {
+// entryLocked returns the kind's item, or nil if it is not included.
+// The component lock must be held.
+func (r *Registry) entryLocked(kind Kind) *item {
 	if i, ok := r.searchSlot(kind); ok {
 		return r.slots[i].entry
 	}
@@ -329,11 +326,11 @@ func (r *Registry) entryLocked(kind Kind) *entry {
 
 // entryOf is entryLocked for callers outside the component lock: one
 // table search under the node-level read lock.
-func (r *Registry) entryOf(kind Kind) *entry {
+func (r *Registry) entryOf(kind Kind) *item {
 	r.mu.RLock()
-	e := r.entryLocked(kind)
+	it := r.entryLocked(kind)
 	r.mu.RUnlock()
-	return e
+	return it
 }
 
 // ID returns the registry's identifier.
@@ -497,7 +494,8 @@ type SlotState struct {
 	// Included reports an item in use; the fields below are zero
 	// otherwise. Version is read before Value, so every publication
 	// after the read of Value carries a version above it. A stale read
-	// carries the last-good value with a *StaleError.
+	// carries the last-good value with a *StaleError; an item released
+	// after the table was read carries ErrUnsubscribed.
 	Included  bool
 	Mechanism Mechanism
 	Window    clock.Duration
@@ -505,9 +503,9 @@ type SlotState struct {
 	Value     Value
 	Err       error
 
-	// e carries the entry from AppendSlots' locked pass to its unlocked
+	// it carries the item from AppendSlots' locked pass to its unlocked
 	// one; nil in every state a caller sees.
-	e *entry
+	it *item
 }
 
 // AppendSlots appends the state of every defined kind to dst, sorted by
@@ -525,7 +523,7 @@ func (r *Registry) AppendSlots(dst []SlotState) []SlotState {
 	r.mu.RLock()
 	for i := range r.slots {
 		s := &r.slots[i]
-		dst = append(dst, SlotState{Kind: s.shape.kind, Codec: s.shape.persist, e: s.entry})
+		dst = append(dst, SlotState{Kind: s.shape.kind, Codec: s.shape.persist, it: s.entry})
 		if s.rare != nil {
 			dst[len(dst)-1].Args = s.rare.persistArgs
 		}
@@ -533,12 +531,8 @@ func (r *Registry) AppendSlots(dst []SlotState) []SlotState {
 	r.mu.RUnlock()
 	for i := base; i < len(dst); i++ {
 		s := &dst[i]
-		e := s.e
-		s.e = nil
-		if e == nil {
-			continue
-		}
-		it := e.h.Load()
+		it := s.it
+		s.it = nil
 		if it == nil {
 			continue
 		}
@@ -547,7 +541,7 @@ func (r *Registry) AppendSlots(dst []SlotState) []SlotState {
 		if w := it.win.Load(); w != nil {
 			s.Window = w.window
 		}
-		s.Version = e.version.Load()
+		s.Version = it.version.Load()
 		s.Value, s.Err = it.Value()
 	}
 	return dst
@@ -569,8 +563,8 @@ func (r *Registry) IsIncluded(kind Kind) bool { return r.entryOf(kind) != nil }
 func (r *Registry) Refs(kind Kind) int {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	if e := r.entryLocked(kind); e != nil {
-		return int(e.refs)
+	if it := r.entryLocked(kind); it != nil {
+		return int(it.refs)
 	}
 	return 0
 }
@@ -582,25 +576,16 @@ func (r *Registry) Refs(kind Kind) int {
 // item is not included, which makes it the right primitive for
 // monitoring paths that sample many items at once.
 func (r *Registry) Peek(kind Kind) (Value, error) {
-	e := r.entryOf(kind)
-	if e == nil {
+	it := r.entryOf(kind)
+	if it == nil {
 		return nil, ErrUnsubscribed
 	}
-	return (&Handle{e: e}).Value()
-}
-
-// itemOf returns the item of an included kind, or nil, holding no lock
-// on return.
-func (r *Registry) itemOf(kind Kind) *item {
-	if e := r.entryOf(kind); e != nil {
-		return e.h.Load()
-	}
-	return nil
+	return (&Handle{it: it}).Value()
 }
 
 // Mechanism returns the update mechanism of an included item's handler.
 func (r *Registry) Mechanism(kind Kind) (Mechanism, bool) {
-	it := r.itemOf(kind)
+	it := r.entryOf(kind)
 	if it == nil {
 		return 0, false
 	}
@@ -628,9 +613,9 @@ func (r *Registry) Mechanism(kind Kind) (Mechanism, bool) {
 func (r *Registry) Subscribe(kind Kind) (*Subscription, error) {
 	need := []*Registry{r}
 	for {
-		e, escaped, err := r.subscribeAttempt(kind, need)
+		it, escaped, err := r.subscribeAttempt(kind, need)
 		if err == nil {
-			return &Subscription{h: Handle{e: e}}, nil
+			return &Subscription{h: Handle{it: it}}, nil
 		}
 		if err != errScopeEscape {
 			return nil, err
@@ -646,17 +631,17 @@ func (r *Registry) Subscribe(kind Kind) (*Subscription, error) {
 // (framework bug) propagates without wedging component locks; user-code
 // panics in Build/Resolve/compute are converted to errors before they
 // reach this frame.
-func (r *Registry) subscribeAttempt(kind Kind, need []*Registry) (*entry, []*Registry, error) {
+func (r *Registry) subscribeAttempt(kind Kind, need []*Registry) (*item, []*Registry, error) {
 	tv := traversal{sc: r.env.lockScope(need...)}
 	defer tv.sc.unlock()
-	e, err := r.includeLocked(kind, &tv)
+	it, err := r.includeLocked(kind, &tv)
 	if err == nil {
 		// Journal the external subscription (transitive includes are
 		// derived state) inside the scope lock, so WAL order equals
 		// commit order per component.
 		r.env.journalRecord(JournalOp{Op: JournalSubscribe, Registry: r.id, Kind: kind})
 	}
-	return e, tv.escaped, err
+	return it, tv.escaped, err
 }
 
 // traversal is the state of one inclusion attempt.
@@ -734,7 +719,7 @@ func (r *Registry) resolveSelector(s Selector, one *[1]*Registry) ([]*Registry, 
 // noted in tv.escaped and skipped; the step then finishes scanning its
 // remaining dependencies (so one attempt finds every escape it can
 // reach), rolls back, and reports errScopeEscape.
-func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
+func (r *Registry) includeLocked(kind Kind, tv *traversal) (*item, error) {
 	// The traversal stops at items already provided: sharing the
 	// existing handler saves redundant maintenance costs (Section 2.1).
 	i, ok := r.searchSlot(kind)
@@ -744,10 +729,10 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 	// sl points into the table across the whole step, recursion and user
 	// code included: the scope lock excludes Define on r, which moves it.
 	sl := &r.slots[i]
-	if e := sl.entry; e != nil {
-		e.refs++
+	if it := sl.entry; it != nil {
+		it.refs++
 		r.env.stats.SharedSubscriptions.Add(1)
-		return e, nil
+		return it, nil
 	}
 	vk := visitKey{r, kind}
 	if _, ok := tv.visiting[vk]; ok {
@@ -767,15 +752,18 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 		return nil, fmt.Errorf("resolving deps of %s/%s: %w", r.id, kind, err)
 	}
 
-	e := &entry{reg: r, def: sl.shape, seq: r.env.nextSeq(), ngroups: int32(len(deps))}
+	// The item's structural fields are gathered in the build context and
+	// filed into the item Build returns. seq is drawn before the
+	// dependencies are included, as creation-order tie-breaks expect.
+	ctx := &BuildContext{reg: r, def: sl.shape, seq: r.env.nextSeq(), ngroups: int32(len(deps))}
 
 	// Include dependencies depth-first; roll back on any failure so a
 	// failed subscription leaves no residue. The edges are not linked
 	// into the dependencies' dependents until commit, so rollback only
 	// has to drop the references taken so far.
 	rollback := func() {
-		for i := len(e.deps) - 1; i >= 0; i-- {
-			e.deps[i].h.e.releaseLocked()
+		for i := len(ctx.deps) - 1; i >= 0; i-- {
+			ctx.deps[i].h.it.releaseLocked()
 		}
 	}
 	escaped := false
@@ -792,8 +780,8 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 				ErrBadSelector, dr.Target, r.id, kind, dr.Kind)
 		}
 		// One exact-size growth per DepRef: the edge slice lives as long as
-		// the entry, so append's doubling would be retained slack.
-		e.deps = slices.Grow(e.deps, len(regs)+len(deps)-i-1)
+		// the item, so append's doubling would be retained slack.
+		ctx.deps = slices.Grow(ctx.deps, len(regs)+len(deps)-i-1)
 		for _, tr := range regs {
 			if !tv.sc.covers(tr) {
 				tv.escaped = append(tv.escaped, tr)
@@ -813,7 +801,7 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 				rollback()
 				return nil, fmt.Errorf("including %s/%s: %w", r.id, kind, err)
 			}
-			e.deps = append(e.deps, depEdge{h: Handle{e: de}, group: int32(i)})
+			ctx.deps = append(ctx.deps, depEdge{h: Handle{it: de}, group: int32(i)})
 		}
 	}
 	if escaped {
@@ -822,8 +810,8 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 	}
 
 	// Build the handler with handles on the resolved dependencies, and
-	// claim the item behind it for this entry.
-	handler, err := buildHandler(sl.build, &BuildContext{e: e})
+	// file the inclusion into the item behind it.
+	handler, err := buildHandler(sl.build, ctx)
 	if err != nil {
 		rollback()
 		return nil, fmt.Errorf("building handler %s/%s: %w", r.id, kind, err)
@@ -832,43 +820,42 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*entry, error) {
 		rollback()
 		return nil, fmt.Errorf("core: Build of %s/%s returned nil handler", r.id, kind)
 	}
-	it, err := handler.bind(e)
+	it, err := handler.bind(ctx)
 	if err != nil {
 		rollback()
 		return nil, err
 	}
 
 	// Commit: register trigger edges, event registrations, probe, and
-	// the entry itself, then start the item (which may pre-compute the
-	// value from the now-included dependencies).
-	e.linkLocked()
+	// the item itself, then start it (which may pre-compute the value
+	// from the now-included dependencies).
+	it.linkLocked()
 	events := sl.shape.events
 	if len(events) > 0 && r.events == nil {
-		r.events = make(map[string][]*entry)
+		r.events = make(map[string][]*item)
 	}
 	for i, name := range events {
 		if !slices.Contains(events[:i], name) {
-			r.events[name] = append(r.events[name], e)
+			r.events[name] = append(r.events[name], it)
 		}
 	}
 	if rare.probe != nil {
 		rare.probe.Activate()
 	}
-	e.refs = 1
-	e.h.Store(it)
+	it.refs = 1
 	r.mu.Lock()
-	sl.entry = e
+	sl.entry = it
 	if r.watchSinks != nil {
-		r.reattachWatchLocked(e)
+		r.reattachWatchLocked(it)
 	}
 	r.mu.Unlock()
-	// The new entry and its trigger edges changed the component's
+	// The new item and its trigger edges changed the component's
 	// propagation structure; cached plans are stale.
 	bumpStruct(r)
 	r.env.stats.HandlersCreated.Add(1)
 
 	it.start()
-	return e, nil
+	return it, nil
 }
 
 // resolveDeps returns the item's dependencies, running a dynamic
@@ -891,53 +878,52 @@ func buildHandler(build func(*BuildContext) (Handler, error), ctx *BuildContext)
 }
 
 // unsubscribe releases one reference from a consumer Subscription.
-// The release closure stays within the entry's component: every
+// The release closure stays within the item's component: every
 // dependency edge merged the components involved at inclusion time,
 // and components never split.
-func (r *Registry) unsubscribe(e *entry) {
+func (r *Registry) unsubscribe(it *item) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e.releaseLocked()
-	r.env.journalRecord(JournalOp{Op: JournalUnsubscribe, Registry: r.id, Kind: e.kind()})
+	it.releaseLocked()
+	r.env.journalRecord(JournalOp{Op: JournalUnsubscribe, Registry: r.id, Kind: it.kind()})
 }
 
 // releaseLocked decrements the reference count and removes the handler
 // — deactivating monitoring code and recursively excluding
 // dependencies — when it reaches zero (the removeMetadata operation of
 // Section 4.4.1). The owning component's lock must be held.
-func (e *entry) releaseLocked() {
-	e.refs--
-	if e.refs > 0 {
+func (it *item) releaseLocked() {
+	it.refs--
+	if it.refs > 0 {
 		return
 	}
-	r := e.reg
-	sl := e.slotOf()
+	r := it.reg
+	sl := it.slotOf()
 	r.mu.Lock()
 	sl.entry = nil
 	r.mu.Unlock()
-	it := e.h.Swap(nil)
 	it.stop()
 	// Deregister from the dependencies' delta channels before the
-	// dependency entries themselves are released.
+	// dependencies themselves are released.
 	if it.ds != nil {
 		it.ds.stopLocked()
 	}
 	if probe := sl.rareFields().probe; probe != nil {
 		probe.Deactivate()
 	}
-	for _, name := range e.def.events {
-		if es := slices.DeleteFunc(r.events[name], func(x *entry) bool { return x == e }); len(es) == 0 {
+	for _, name := range it.def.events {
+		if es := slices.DeleteFunc(r.events[name], func(x *item) bool { return x == it }); len(es) == 0 {
 			delete(r.events, name)
 		} else {
 			r.events[name] = es
 		}
 	}
-	for i := range e.deps {
-		ed := &e.deps[i]
+	for i := range it.deps {
+		ed := &it.deps[i]
 		ed.unlinkLocked()
-		ed.h.e.releaseLocked()
+		ed.h.it.releaseLocked()
 	}
-	// Removing the entry (and its trigger edges) invalidates every
+	// Removing the item (and its trigger edges) invalidates every
 	// cached propagation plan of the component — a stale plan would
 	// refresh a dead item.
 	bumpStruct(r)
@@ -968,8 +954,8 @@ func (r *Registry) FireEvent(name string) {
 func (r *Registry) NotifyChanged(kind Kind) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	e := r.entryLocked(kind)
-	if e == nil {
+	it := r.entryLocked(kind)
+	if it == nil {
 		return
 	}
 	// The announced change is invisible to publication versions (the
@@ -980,7 +966,7 @@ func (r *Registry) NotifyChanged(kind Kind) {
 	// delta-visible truth of this edge: announceLocked delivers the
 	// transition (or a poison mark for non-float values) to delta
 	// dependents before they refresh.
-	e.h.Load().dropMemo()
-	e.bumpVersion()
-	r.env.announceLocked(r.env.Now(), e)
+	it.dropMemo()
+	it.bumpVersion()
+	r.env.announceLocked(r.env.Now(), it)
 }

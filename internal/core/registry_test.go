@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/clock"
@@ -145,6 +146,110 @@ func TestReSubscribeAfterRemovalRebuilds(t *testing.T) {
 	defer s2.Unsubscribe()
 	if builds != 2 {
 		t.Fatalf("builds = %d, want 2 (handler rebuilt after removal)", builds)
+	}
+}
+
+// TestBuildMustReturnFreshHandler pins the refusal of a handler that has
+// already served an inclusion: a Build that caches its handler across a
+// release, and two kinds whose Build return the same handler, each fail
+// the subscription with no residue — the dependency's references are
+// back where they were, the kind is not included, the graph verifies —
+// while the handler's first inclusion is left as it was.
+func TestBuildMustReturnFreshHandler(t *testing.T) {
+	times10 := func(ctx *BuildContext) Handler {
+		h := ctx.Dep(0)
+		return NewTriggered(func(clock.Time) (Value, error) {
+			f, err := h.Float()
+			return 10 * f, err
+		})
+	}
+	// setup defines what the case needs on r over the on-demand src and
+	// takes the handler's first inclusion; it returns that subscription
+	// and the kind whose subscription must be refused.
+	cases := []struct {
+		name  string
+		setup func(t *testing.T, r *Registry) (*Subscription, Kind)
+	}{
+		{"cached across release", func(t *testing.T, r *Registry) (*Subscription, Kind) {
+			var cached Handler
+			r.MustDefine(&Definition{Kind: "x", Deps: []DepRef{Dep(Self(), "src")}, Build: func(ctx *BuildContext) (Handler, error) {
+				if cached == nil {
+					cached = times10(ctx)
+				}
+				return cached, nil
+			}})
+			first, err := r.Subscribe("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			first.Unsubscribe()
+			return first, "x"
+		}},
+		{"shared by two kinds", func(t *testing.T, r *Registry) (*Subscription, Kind) {
+			var shared Handler
+			r.MustDefine(&Definition{Kind: "a", Deps: []DepRef{Dep(Self(), "src")}, Build: func(ctx *BuildContext) (Handler, error) {
+				shared = times10(ctx)
+				return shared, nil
+			}})
+			r.MustDefine(&Definition{Kind: "b", Deps: []DepRef{Dep(Self(), "src")}, Build: func(*BuildContext) (Handler, error) {
+				return shared, nil
+			}})
+			first, err := r.Subscribe("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return first, "b"
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env, _ := testEnv()
+			r := env.NewRegistry("n")
+			src := 1.0
+			r.MustDefine(&Definition{Kind: "src", Build: func(*BuildContext) (Handler, error) {
+				return NewOnDemand(func(clock.Time) (Value, error) { return src, nil }), nil
+			}})
+			held, err := r.Subscribe("src")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer held.Unsubscribe()
+			first, kind := tc.setup(t, r)
+			ext := map[ItemKey]int{{Registry: "n", Kind: "src"}: 1}
+			if !first.released {
+				ext[ItemKey{Registry: "n", Kind: first.Kind()}] = 1
+			}
+			refs := r.Refs("src")
+
+			if _, err := r.Subscribe(kind); err == nil || !strings.Contains(err.Error(), "Build must return a fresh handler") {
+				t.Fatalf("subscribing %s: err = %v, want the fresh-handler refusal", kind, err)
+			}
+			if r.IsIncluded(kind) {
+				t.Fatalf("%s included after the refused subscription", kind)
+			}
+			if got := r.Refs("src"); got != refs {
+				t.Fatalf("Refs(src) = %d after the refused subscription, want %d", got, refs)
+			}
+			if errs := VerifyIntegrity(ext, r); len(errs) > 0 {
+				t.Fatalf("integrity after the refused subscription: %v", errs)
+			}
+
+			// The first inclusion is as it was: a released one stays out of
+			// service, a held one keeps refreshing from its dependency.
+			h := first.Handle()
+			if first.released {
+				if _, err := h.Value(); !errors.Is(err, ErrUnsubscribed) {
+					t.Fatalf("released first inclusion reads err = %v, want ErrUnsubscribed", err)
+				}
+				return
+			}
+			src = 2
+			r.NotifyChanged("src")
+			if v, err := h.Float(); err != nil || v != 20 {
+				t.Fatalf("first inclusion = %v, %v after the dependency changed; want 20", v, err)
+			}
+			first.Unsubscribe()
+		})
 	}
 }
 

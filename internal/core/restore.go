@@ -73,7 +73,7 @@ func (r *Registry) RestoreStale(kind Kind, v Value, version uint64, cause error)
 // exactly as if the item had tripped at runtime. It returns how many
 // items it restored and leaves the reason on every other one (Err).
 //
-// Version is the item's pre-crash publication version; the entry's
+// Version is the item's pre-crash publication version; the item's
 // version counter is raised to it (never lowered) before the stale
 // publication bumps it, so since-based watch resumption survives the
 // restart.
@@ -85,17 +85,16 @@ func (r *Registry) RestoreStaleBatch(items []RestoredItem) int {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
 	now := r.env.Now()
-	var pubsArr [16]*entry
+	var pubsArr [16]*item
 	pubs := pubsArr[:0]
 	for i := range items {
 		ri := &items[i]
-		e := r.entryLocked(ri.Kind)
-		if e == nil {
+		it := r.entryLocked(ri.Kind)
+		if it == nil {
 			ri.Err = fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, ri.Kind)
 			continue
 		}
-		it := e.h.Load()
-		if e.health == nil {
+		if it.health == nil {
 			why := "has no breaker (env without WithBreaker)"
 			if it.Mechanism() == StaticMechanism {
 				why = "is static"
@@ -108,13 +107,13 @@ func (r *Registry) RestoreStaleBatch(items []RestoredItem) int {
 			cause = ErrRestored
 		}
 		it.mu.Lock()
-		e.health.keepLastGood(&it.snaps, ri.Value)
+		it.health.keepLastGood(&it.snaps, ri.Value)
 		if it.ds != nil {
 			// The restored accumulator is unknown; the next locked refresh
 			// (or the probe) re-folds and re-validates.
 			it.ds.valid = false
 		}
-		e.health.forceQuarantine(now, cause)
+		it.health.forceQuarantine(now, cause)
 		// Restore the publication version stream: raise to the persisted
 		// version (CAS loop: a concurrent publication may race the
 		// restore); the stale publication itself then bumps it. Like a
@@ -122,15 +121,15 @@ func (r *Registry) RestoreStaleBatch(items []RestoredItem) int {
 		// the probe recomputes the cumulative window and re-arms it on
 		// success.
 		for {
-			cur := e.version.Load()
-			if cur >= ri.Version || e.version.CompareAndSwap(cur, ri.Version) {
+			cur := it.version.Load()
+			if cur >= ri.Version || it.version.CompareAndSwap(cur, ri.Version) {
 				break
 			}
 		}
 		it.publishStale()
 		it.mu.Unlock()
 		ri.Err = nil
-		pubs = append(pubs, e)
+		pubs = append(pubs, it)
 	}
 	if len(pubs) > 0 {
 		r.env.announceLocked(now, pubs...)

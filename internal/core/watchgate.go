@@ -22,7 +22,7 @@ type WatchSink interface {
 	Published(version uint64)
 }
 
-// bumpVersion is the single publication gate: it advances the entry's
+// bumpVersion is the single publication gate: it advances the item's
 // monotonic publication version and, when a watch sink is installed,
 // hands the new version to it. With no watcher the cost over a bare
 // version bump is one atomic load and a predicted-false branch, which
@@ -45,8 +45,8 @@ func (e *entry) bumpVersion() {
 // sink, which stops receiving notifications. The item must currently
 // be included (ErrUnsubscribed otherwise) and the sink survives
 // exclusion/re-inclusion of the item: it is re-installed when a new
-// entry for the kind commits. Note that publication versions are
-// per-entry-lifetime — a re-included item restarts at version 1 — so
+// item for the kind commits. Note that publication versions are
+// per-item-lifetime — a re-included item restarts at version 1 — so
 // callers that need a stable stream across re-inclusion (the watch
 // hub) pin the item with a Subscription for the sink's lifetime.
 func (r *Registry) Watch(kind Kind, sink WatchSink) (uint64, error) {
@@ -61,14 +61,14 @@ func (r *Registry) Watch(kind Kind, sink WatchSink) (uint64, error) {
 	}
 	r.watchSinks[kind] = sink
 	r.mu.Unlock()
-	e := r.entryLocked(kind)
-	if e == nil {
+	it := r.entryLocked(kind)
+	if it == nil {
 		return 0, fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, kind)
 	}
 	cell := new(WatchSink)
 	*cell = sink
-	e.watch.Store(cell)
-	return e.version.Load(), nil
+	it.watch.Store(cell)
+	return it.version.Load(), nil
 }
 
 // Unwatch removes the item's publication sink (a no-op when none is
@@ -80,8 +80,8 @@ func (r *Registry) Unwatch(kind Kind) {
 	r.mu.Lock()
 	delete(r.watchSinks, kind)
 	r.mu.Unlock()
-	if e := r.entryLocked(kind); e != nil {
-		e.watch.Store(nil)
+	if it := r.entryLocked(kind); it != nil {
+		it.watch.Store(nil)
 	}
 }
 
@@ -92,23 +92,23 @@ func (r *Registry) Unwatch(kind Kind) {
 // Peek the value, and every publication after the Peek carries a
 // version strictly greater than the one returned here.
 func (r *Registry) ItemVersion(kind Kind) (uint64, bool) {
-	e := r.entryOf(kind)
-	if e == nil {
+	it := r.entryOf(kind)
+	if it == nil {
 		return 0, false
 	}
-	return e.version.Load(), true
+	return it.version.Load(), true
 }
 
 // reattachWatchLocked re-installs a previously registered watch sink
-// on a freshly committed entry. Called from includeLocked under the
+// on a freshly committed item. Called from includeLocked under the
 // component lock, gated on the registry having any sinks at all so the
 // common include path pays one map-nil check.
-func (r *Registry) reattachWatchLocked(e *entry) {
-	sink, ok := r.watchSinks[e.kind()]
+func (r *Registry) reattachWatchLocked(it *item) {
+	sink, ok := r.watchSinks[it.kind()]
 	if !ok {
 		return
 	}
 	cell := new(WatchSink)
 	*cell = sink
-	e.watch.Store(cell)
+	it.watch.Store(cell)
 }

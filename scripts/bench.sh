@@ -10,7 +10,8 @@
 #
 # Recorded numbers are in EXPERIMENTS.md (per-PR sections). Every
 # benchmark that guards a package sits beside it and runs from here: the
-# item hot paths (reads, trigger propagation, churn, healthy-mode
+# item hot paths (the single-threaded read per mechanism and the shared
+# read from many goroutines, trigger propagation, churn, healthy-mode
 # overhead) in internal/core/guard_bench_test.go, the dependency-graph
 # microbenchmarks (cold inclusion, fan-out release, plan-miss
 # propagation, slot-table lookup, Define on an interned and on a new
@@ -27,6 +28,6 @@ cd "$(dirname "$0")/.."
 out="${1:-bench.txt}"
 count="${2:-4}"
 
-benches='BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkHealthyOverhead|BenchmarkE23PublishHotPath|BenchmarkRelayApply|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkMigrate|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch'
+benches='BenchmarkValueRead|BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkE4FreshnessOverhead|BenchmarkE5TriggeredVsPeriodic|BenchmarkE9WorkerPool|BenchmarkHealthyOverhead|BenchmarkE23PublishHotPath|BenchmarkRelayApply|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkMigrate|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch'
 
 go test -run '^$' -bench "^(${benches})$" -benchmem -count "${count}" . ./internal/core ./internal/watch ./internal/persist | tee "${out}"
