@@ -8,7 +8,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/monitor"
 	"repro/internal/ops"
 	"repro/internal/resource"
 	"repro/internal/sched"
@@ -93,8 +92,8 @@ func RunE8(rate float64, window clock.Duration, duration clock.Duration, sampleE
 	return res
 }
 
-// Table renders the trajectory.
-func (r *E8Result) Table() *Table {
+// table renders the trajectory.
+func (r *E8Result) table() *Table {
 	t := &Table{
 		Title:  "E8 / Figure 3 — estimated vs measured join CPU usage under a window change",
 		Note:   fmt.Sprintf("windows halved at t=%d: the triggered estimate steps immediately; the measurement follows as state expires", r.ResizeAt),
@@ -183,8 +182,8 @@ func RunE10(duration clock.Duration) []E10Row {
 	return rows
 }
 
-// E10Table renders the scheduling comparison.
-func E10Table(rows []E10Row) *Table {
+// e10Table renders the scheduling comparison.
+func e10Table(rows []E10Row) *Table {
 	t := &Table{
 		Title:  "E10 — Chain scheduling vs baselines (queue memory under overload)",
 		Note:   "Chain consumes live selectivity metadata and drains the discarding filter first, minimizing queue memory [5]",
@@ -274,8 +273,8 @@ func RunE11(capacity float64, duration clock.Duration) []E11Row {
 	return rows
 }
 
-// E11Table renders the shedding comparison.
-func E11Table(rows []E11Row) *Table {
+// e11Table renders the shedding comparison.
+func e11Table(rows []E11Row) *Table {
 	t := &Table{
 		Title:  "E11 — load shedding driven by resource-usage metadata",
 		Note:   "the shedder raises the drop probability until the measured CPU usage meets the capacity bound [21]",
@@ -367,8 +366,8 @@ func RunE14() *E14Result {
 	return res
 }
 
-// Table renders the override comparison.
-func (r *E14Result) Table() *Table {
+// table renders the override comparison.
+func (r *E14Result) table() *Table {
 	t := &Table{
 		Title:  "E14 — metadata inheritance and redefinition (Section 4.4.2)",
 		Note:   "the subclass overrides memUsage to reflect its auxiliary index; redefinition adds one dependency handler, no steady-state cost",
@@ -457,8 +456,8 @@ func RunE15(keys int, duration clock.Duration) []E15Row {
 	return rows
 }
 
-// E15Table renders the module comparison.
-func E15Table(rows []E15Row) *Table {
+// e15Table renders the module comparison.
+func e15Table(rows []E15Row) *Table {
 	t := &Table{
 		Title:  "E15 — metadata of exchangeable modules (list vs hash sweep areas)",
 		Note:   "join-level memUsage aggregates module metadata recursively; hash areas probe fewer candidates, visible in the measured CPU item",
@@ -470,10 +469,10 @@ func E15Table(rows []E15Row) *Table {
 	return t
 }
 
-// RunF2 demonstrates the metadata taxonomy of Figure 2 on a small live
+// f2Table demonstrates the metadata taxonomy of Figure 2 on a small live
 // graph: one item per mechanism, with its kind, mechanism, and current
 // value.
-func RunF2() *Table {
+func f2Table() *Table {
 	vc := clock.NewVirtual()
 	g := graph.New(core.NewEnv(vc))
 	src := ops.NewSource(g, "src", benchSchema, 0.5, 50)
@@ -528,25 +527,4 @@ func RunF2() *Table {
 		s.Unsubscribe()
 	}
 	return t
-}
-
-// RunInventory builds a small shared-subquery graph, subscribes to a
-// few items, and renders the per-node metadata discovery view of
-// Section 2.2.
-func RunInventory() string {
-	vc := clock.NewVirtual()
-	g := graph.New(core.NewEnv(vc))
-	src := ops.NewSource(g, "src", benchSchema, 0.5, 50)
-	f := ops.NewFilter(g, "filter", benchSchema, func(stream.Tuple) bool { return true }, 50)
-	s1 := ops.NewSink(g, "app1", benchSchema, nil, 100, 1, 50)
-	s2 := ops.NewSink(g, "app2", benchSchema, nil, 200, 2, 50)
-	g.Connect(src, f)
-	g.Connect(f, s1)
-	g.Connect(f, s2)
-	sub, err := f.Registry().Subscribe(ops.KindAvgInputRate)
-	if err != nil {
-		panic(err)
-	}
-	defer sub.Unsubscribe()
-	return monitor.FormatInventory(monitor.Inventory(g))
 }

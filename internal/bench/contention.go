@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -15,7 +16,8 @@ type C1Row struct {
 	Goroutines int
 	// Workers is the periodic-updater pool size (0 = inline).
 	Workers int
-	// ReadOps / ReadNs measure the lock-free value read phase.
+	// ReadOps / ReadNs measure the lock-free value read phase; the
+	// op counts are the operations the goroutines completed.
 	ReadOps int64
 	ReadNs  int64
 	// ChurnOps / ChurnNs measure the subscribe/unsubscribe phase.
@@ -83,7 +85,7 @@ func RunC1(goroutineCounts []int, registries, ops, workers int, elapsed func(fun
 		row := C1Row{Goroutines: g, Workers: workers}
 
 		// Phase 1: parallel value reads racing periodic publishes.
-		row.ReadOps = int64(g) * int64(ops)
+		var done atomic.Int64
 		row.ReadNs = elapsed(func() {
 			var wg sync.WaitGroup
 			for w := 0; w < g; w++ {
@@ -95,17 +97,18 @@ func RunC1(goroutineCounts []int, registries, ops, workers int, elapsed func(fun
 							panic(err)
 						}
 					}
+					done.Add(int64(ops))
 				}(w)
 			}
 			vc.Advance(1000)
 			wg.Wait()
 			updater.WaitIdle()
 		})
+		row.ReadOps = done.Swap(0)
 
 		// Phase 2: parallel subscription churn, one registry slice per
 		// goroutine so the structural work lands on disjoint
 		// dependency scopes.
-		row.ChurnOps = int64(g) * int64(ops/10)
 		row.ChurnNs = elapsed(func() {
 			var wg sync.WaitGroup
 			for w := 0; w < g; w++ {
@@ -120,10 +123,12 @@ func RunC1(goroutineCounts []int, registries, ops, workers int, elapsed func(fun
 						}
 						s.Unsubscribe()
 					}
+					done.Add(int64(ops / 10))
 				}(w)
 			}
 			wg.Wait()
 		})
+		row.ChurnOps = done.Load()
 
 		for _, s := range pinned {
 			s.Unsubscribe()
@@ -134,8 +139,8 @@ func RunC1(goroutineCounts []int, registries, ops, workers int, elapsed func(fun
 	return rows
 }
 
-// C1Table renders the contention sweep.
-func C1Table(rows []C1Row) *Table {
+// c1Table renders the contention sweep.
+func c1Table(rows []C1Row) *Table {
 	t := &Table{
 		Title: "C1 — structural-lock contention: parallel reads & subscription churn",
 		Note: "independent registries are independent dependency-scope components: value reads are lock-free atomic\n" +
@@ -145,15 +150,8 @@ func C1Table(rows []C1Row) *Table {
 	}
 	for _, r := range rows {
 		t.Add(r.Goroutines, r.Workers,
-			float64(r.ReadNs)/float64(max64(r.ReadOps, 1)),
-			float64(r.ChurnNs)/float64(max64(r.ChurnOps, 1)))
+			float64(r.ReadNs)/float64(max(r.ReadOps, 1)),
+			float64(r.ChurnNs)/float64(max(r.ChurnOps, 1)))
 	}
 	return t
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -108,8 +108,8 @@ func RunE1(accesses int) *E1Result {
 	return res
 }
 
-// Table renders the Figure 4 comparison.
-func (r *E1Result) Table() *Table {
+// table renders the Figure 4 comparison.
+func (r *E1Result) table() *Table {
 	t := &Table{
 		Title:  "E1 / Figure 4 — problems with concurrent periodic access",
 		Note:   "true input rate 0.1; naive on-demand sharing corrupts both users, the shared periodic handler is exact",
@@ -262,8 +262,8 @@ func RunE2(onDur, offDur clock.Duration, window clock.Duration, cycles int) *E2R
 	}
 }
 
-// Table renders the Figure 5 comparison.
-func (r *E2Result) Table() *Table {
+// table renders the Figure 5 comparison.
+func (r *E2Result) table() *Table {
 	t := &Table{
 		Title:  "E2 / Figure 5 — problems with on-demand aggregation",
 		Note:   "bursty arrivals: the on-demand average sampled at peaks reports ~the peak rate; the triggered average reports the true mean",

@@ -52,7 +52,7 @@ func TestE1SteadyStateMatchesFigure(t *testing.T) {
 }
 
 func TestE1Table(t *testing.T) {
-	tab := RunE1(4).Table()
+	tab := RunE1(4).table()
 	out := tab.String()
 	if !strings.Contains(out, "Figure 4") || len(tab.Rows) != 4 {
 		t.Fatalf("table wrong:\n%s", out)
@@ -76,7 +76,7 @@ func TestE2OnDemandBiasedTriggeredCorrect(t *testing.T) {
 }
 
 func TestE2Table(t *testing.T) {
-	out := RunE2(20, 80, 10, 10).Table().String()
+	out := RunE2(20, 80, 10, 10).table().String()
 	if !strings.Contains(out, "Figure 5") || !strings.Contains(out, "triggered average") {
 		t.Fatalf("table wrong:\n%s", out)
 	}

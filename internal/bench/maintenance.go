@@ -94,8 +94,8 @@ func RunE4(windows []clock.Duration, hi, lo float64, phase clock.Duration, durat
 	return rows
 }
 
-// E4Table renders the sweep.
-func E4Table(rows []E4Row) *Table {
+// e4Table renders the sweep.
+func e4Table(rows []E4Row) *Table {
 	t := &Table{
 		Title:  "E4 — freshness vs computational overhead (periodic window sweep)",
 		Note:   "updates fall as 1/window while the staleness error grows with the window — the trade-off of Section 3.1",
@@ -211,8 +211,8 @@ func RunE5(changeIntervals []clock.Duration, periodicWindow clock.Duration, dura
 	return rows
 }
 
-// E5Table renders the comparison.
-func E5Table(rows []E5Row) *Table {
+// e5Table renders the comparison.
+func e5Table(rows []E5Row) *Table {
 	t := &Table{
 		Title:  "E5 — triggered vs periodic maintenance",
 		Note:   "triggered updates scale with the change rate and are never stale; periodic updates cost a fixed rate and go stale between windows",
@@ -291,8 +291,8 @@ func RunE9(workerCounts []int, nHandlers, ticks, spinWork int, elapsed func(func
 	return rows
 }
 
-// E9Table renders the throughput sweep.
-func E9Table(rows []E9Row) *Table {
+// e9Table renders the throughput sweep.
+func e9Table(rows []E9Row) *Table {
 	t := &Table{
 		Title: "E9 — periodic update execution: worker pool sweep",
 		Note: "periodic update tasks distribute over a small worker pool (Section 4.3); workers=0 is the inline single-thread\n" +

@@ -110,8 +110,8 @@ func RunE16(duration clock.Duration) *E16Result {
 	}
 }
 
-// Table renders the reordering outcome.
-func (r *E16Result) Table() *Table {
+// table renders the reordering outcome.
+func (r *E16Result) table() *Table {
 	t := &Table{
 		Title:  "E16 — adaptive filter reordering on selectivity metadata (motivating app 3)",
 		Note:   "the optimizer moves the cheap, selective predicate first (rank = cost/(1-sel)); the query result is unchanged",
@@ -202,8 +202,8 @@ func RunE17() []E17Row {
 	return rows
 }
 
-// E17Table renders the advisor comparison.
-func E17Table(rows []E17Row) *Table {
+// e17Table renders the advisor comparison.
+func e17Table(rows []E17Row) *Table {
 	t := &Table{
 		Title:  "E17 — join-order advisor on estimated-rate metadata ([22, 25, 18])",
 		Note:   "the cost model scores all orderings from live rate estimates; a rate spike flips the recommendation",
@@ -271,8 +271,8 @@ func RunE18(duration clock.Duration) []E18Row {
 	return rows
 }
 
-// E18Table renders the QoS comparison.
-func E18Table(rows []E18Row) *Table {
+// e18Table renders the QoS comparison.
+func e18Table(rows []E18Row) *Table {
 	t := &Table{
 		Title:  "E18 — QoS-priority scheduling on query-level metadata",
 		Note:   "the qos scheduler reads sink qosPriority items: the important query is served near-immediately under overload",

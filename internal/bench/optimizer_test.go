@@ -19,7 +19,7 @@ func TestE16ReorderingPaysOff(t *testing.T) {
 	if len(r.RanksBefore) != 2 || r.RanksBefore[0] <= r.RanksBefore[1] {
 		t.Fatalf("ranks = %v: slot 0 should have ranked worse", r.RanksBefore)
 	}
-	if !strings.Contains(r.Table().String(), "improvement") {
+	if !strings.Contains(r.table().String(), "improvement") {
 		t.Fatal("table missing content")
 	}
 }
@@ -37,9 +37,6 @@ func TestE17AdvisorFlips(t *testing.T) {
 	}
 	if rows[0].EstCPU >= rows[0].Alternatives[0].EstCPU {
 		t.Fatal("recommended plan not cheapest")
-	}
-	if E17Table(rows).String() == "" {
-		t.Fatal("empty table")
 	}
 }
 
@@ -65,8 +62,5 @@ func TestE18QoSBeatsRoundRobinOnPriorityLatency(t *testing.T) {
 	// The QoS low-priority query pays for it.
 	if qos.LoLatency <= qos.HiLatency {
 		t.Fatal("qos low-priority query not delayed")
-	}
-	if E18Table(rows).String() == "" {
-		t.Fatal("empty table")
 	}
 }

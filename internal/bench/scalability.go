@@ -105,8 +105,8 @@ func RunE3(sizes []int, f float64, duration clock.Duration) []E3Row {
 	return rows
 }
 
-// E3Table renders the sweep.
-func E3Table(rows []E3Row) *Table {
+// e3Table renders the sweep.
+func e3Table(rows []E3Row) *Table {
 	t := &Table{
 		Title:  "E3 — metadata provision scalability (pub-sub on demand vs maintain-all)",
 		Note:   "maintain-all cost grows O(n); on-demand grows O(f*n) — tailored provision is crucial to scalability (Sections 1, 4.3)",
@@ -187,8 +187,8 @@ func RunE6(ks []int, duration clock.Duration) []E6Row {
 	return rows
 }
 
-// E6Table renders the sharing comparison.
-func E6Table(rows []E6Row) *Table {
+// e6Table renders the sharing comparison.
+func e6Table(rows []E6Row) *Table {
 	t := &Table{
 		Title:  "E6 — handler sharing across consumers",
 		Note:   "shared: one handler regardless of k (constant maintenance); unshared baseline: k handlers (linear maintenance)",
@@ -272,8 +272,8 @@ func RunE7(depths []int) []E7Row {
 	return rows
 }
 
-// E7Table renders the resolution sweep.
-func E7Table(rows []E7Row) *Table {
+// e7Table renders the resolution sweep.
+func e7Table(rows []E7Row) *Table {
 	t := &Table{
 		Title:  "E7 — automated dependency inclusion (DFS)",
 		Note:   "first subscription traverses the whole chain (depth+1 steps); a re-subscription stops at the provided item (0 steps)",
@@ -341,8 +341,8 @@ func RunE12(cycles int, poolSize int, holdTime clock.Duration) []E12Row {
 	return rows
 }
 
-// E12Table renders the churn comparison.
-func E12Table(rows []E12Row) *Table {
+// e12Table renders the churn comparison.
+func e12Table(rows []E12Row) *Table {
 	t := &Table{
 		Title:  "E12 — subscription churn and automated handler removal",
 		Note:   "with auto-removal the maintained set stays bounded and unused items cost nothing; without it, handlers and update work accumulate",
@@ -441,8 +441,8 @@ func RunE13(chainDepth int) []E13Row {
 	return rows
 }
 
-// E13Table renders the comparison.
-func E13Table(rows []E13Row) *Table {
+// e13Table renders the comparison.
+func e13Table(rows []E13Row) *Table {
 	t := &Table{
 		Title:  "E13 — dynamic dependency resolution (A from B or C)",
 		Note:   "with C already included, the dynamic resolver avoids including B's whole chain (Section 4.4.3)",

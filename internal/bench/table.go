@@ -1,9 +1,9 @@
 // Package bench implements the experiment harness: one driver per
-// figure and per quantitative claim of the paper (see DESIGN.md's
-// experiment index E1–E15/F2). Each driver runs a deterministic
-// virtual-clock workload and returns both a structured result (for
-// assertions in tests and benchmarks) and a printable table matching
-// the paper's presentation.
+// figure and per quantitative claim of the paper (E1–E18, C1, F2; see
+// DESIGN.md §3). Each driver runs a deterministic virtual-clock
+// workload and returns a structured result that a claim test asserts
+// on; Experiments is the one index that renders each result as a
+// printable table matching the paper's presentation.
 package bench
 
 import (
