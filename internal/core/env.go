@@ -39,7 +39,7 @@ type Env struct {
 	// Memoized on-demand reads stamp the epoch at compute time and treat
 	// any advance as an invalidation — a cheap, conservative guard that
 	// lets the lock-free read path notice structural change without
-	// touching component locks (see handler.go).
+	// touching component locks (see memo.go).
 	writeEpoch atomic.Uint64
 
 	// memoOnDemand enables dependency-stamped memoization for on-demand

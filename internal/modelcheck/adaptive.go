@@ -1,10 +1,8 @@
 package modelcheck
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/adapt"
@@ -50,14 +48,9 @@ func RunSequentialAdaptive(t *testing.T, seed int64) int {
 	tracked := make(map[ikey]bool)
 	applied := 0
 
-	var subs []heldSub
-	for i, op := range wl.Ops {
-		at := fmt.Sprintf("%s op#%d (%s)", label, i, op)
-		subs = stepOp(t, at, sys, model, op, subs)
-		compareStates(t, at, sys, model, subs)
-
+	subs := lockstep(t, label, sys, model, wl.Ops, func(i int, at string, subs []heldSub) {
 		if (i+1)%8 != 0 {
-			continue
+			return
 		}
 		// Sync controller tracking with the inclusion set: newly
 		// included adaptable items join (Track resets their sampling
@@ -81,36 +74,27 @@ func RunSequentialAdaptive(t *testing.T, seed int64) int {
 			}
 		}
 		// One controller iteration per registry, each planned migration
-		// mirrored into the model.
+		// stepped through system and model as a migrate op.
 		for ri, ctrl := range ctrls {
 			for _, mg := range ctrl.Plan(ctrl.Sample()) {
-				cat := fmt.Sprintf("%s ctrl[%d] %v", at, ri, mg)
-				err := sys.Regs[ri].Migrate(mg.Kind, mg.To, mg.Window)
-				merr := model.Migrate(ri, mg.Kind, mg.To, mg.Window)
-				if classify(err) != classify(merr) {
-					t.Fatalf("%s: real err %q, model err %q", cat, classify(err), classify(merr))
-				}
-				if err == nil {
+				op := Op{Kind: OpMigrate, Reg: ri, Item: mg.Kind, Arg: int64(mg.To) | int64(mg.Window)<<8}
+				cat := fmt.Sprintf("%s ctrl (%s)", at, op)
+				if _, err := stepOp(t, cat, sys, model, op, subs); err == nil {
 					applied++
 				}
 				compareStates(t, cat, sys, model, subs)
 			}
 		}
-	}
-
-	for _, s := range subs {
-		s.sub.Unsubscribe()
-		model.Unsubscribe(s.key)
-	}
-	checkClean(t, label+" teardown", sys)
+	})
+	teardown(t, label+" teardown", sys, subs)
 	checkWindowLogs(t, label, sys, nil)
 	return applied
 }
 
-// migTarget is one item a RunConcurrentMigrations migrator goroutine
-// owns: only that goroutine migrates it, so its mechanism trajectory —
-// and therefore the expected final mechanism and total migration count
-// — is deterministic regardless of how the other workers interleave.
+// migTarget is one item a RunConcurrentMigrations migrator owns: only
+// the migrator migrates it, so its mechanism trajectory — and therefore
+// the expected final mechanism and total migration count — is
+// deterministic regardless of how the other workers interleave.
 type migTarget struct {
 	ri    int
 	kind  core.Kind
@@ -132,192 +116,88 @@ type migTarget struct {
 // conservation) must hold. Returns the number of migrations performed.
 func RunConcurrentMigrations(t *testing.T, seed int64, workers int, extra ...core.EnvOption) int64 {
 	t.Helper()
-	wl := Generate(seed, Config{Ops: 40 * workers, Concurrent: true})
-	u := core.NewPoolUpdater(workers)
-	defer u.Stop()
-	sys := NewSystem(wl, u, nil, extra...)
+	return runConcurrent(t, seed, workers, true, extra)
+}
 
-	// Pre-subscribe up to four adaptable items from here, held for the
-	// whole run so the migrator never races exclusion (Migrate on an
-	// excluded item is ErrUnsubscribed, which would make the expected
-	// count schedule-dependent).
-	var targets []*migTarget
-	var held []heldSub
-	for ri := range wl.Regs {
-		for _, it := range wl.Regs[ri].Items {
-			if it.Adapt == AdaptNone || len(targets) >= 4 {
+// migrator is the migration storm of a concurrent run: its targets,
+// the subscriptions holding them, and the trajectory it performed.
+type migrator struct {
+	sys      *System
+	targets  []*migTarget
+	held     []heldSub
+	expected int64
+}
+
+// newMigrator pre-subscribes up to four adaptable items, held for the
+// whole run so the migrator never races exclusion (Migrate on an
+// excluded item is ErrUnsubscribed, which would make the expected
+// count schedule-dependent).
+func newMigrator(t *testing.T, seed int64, sys *System) *migrator {
+	t.Helper()
+	mg := &migrator{sys: sys}
+	for ri := range sys.Wl.Regs {
+		for _, it := range sys.Wl.Regs[ri].Items {
+			if it.Adapt == AdaptNone || len(mg.targets) >= 4 {
 				continue
 			}
 			sub, err := sys.Regs[ri].Subscribe(it.Kind)
 			if err != nil {
 				t.Fatalf("seed=%d: subscribing migration target r%d/%s: %v", seed, ri, it.Kind, err)
 			}
-			held = append(held, heldSub{sub: sub, key: ikey{ri, it.Kind}})
-			targets = append(targets, &migTarget{
+			mg.held = append(mg.held, heldSub{sub: sub, key: ikey{ri, it.Kind}})
+			mg.targets = append(mg.targets, &migTarget{
 				ri: ri, kind: it.Kind, adapt: it.Adapt,
 				mech: it.Mech, win: it.Window,
 			})
 		}
 	}
+	return mg
+}
 
-	// Partition the script exactly like RunConcurrent: advances to
-	// worker 0 (the virtual clock forbids re-entrant advancement), the
-	// rest round-robin.
-	scripts := make([][]Op, workers)
-	rr := 0
-	for _, op := range wl.Ops {
-		w := 0
-		if op.Kind != OpAdvance {
-			w = rr % workers
-			rr++
+// storm performs n seeded legal migrations over the targets, tracking
+// the deterministic expected trajectory. It runs on its own goroutine.
+func (mg *migrator) storm(t *testing.T, seed int64, n int) {
+	rng := rand.New(rand.NewSource(seed ^ 0x6d696772))
+	for i := 0; i < n; i++ {
+		tg := mg.targets[rng.Intn(len(mg.targets))]
+		var to core.Mechanism
+		if tg.adapt == AdaptExact {
+			// AdaptExact declares no triggered form.
+			to = []core.Mechanism{core.OnDemandMechanism, core.PeriodicMechanism}[rng.Intn(2)]
+		} else {
+			to = core.Mechanism(1 + rng.Intn(3))
 		}
-		scripts[w] = append(scripts[w], op)
+		win := []clock.Duration{3, 5, 7, 10}[rng.Intn(4)]
+		if err := mg.sys.Regs[tg.ri].Migrate(tg.kind, to, win); err != nil {
+			t.Errorf("seed=%d: migrate r%d/%s -> %v: %v", seed, tg.ri, tg.kind, to, err)
+			continue
+		}
+		if to != tg.mech || (to == core.PeriodicMechanism && win != tg.win) {
+			mg.expected++
+		}
+		tg.mech = to
+		if to == core.PeriodicMechanism {
+			tg.win = win
+		}
 	}
+}
 
-	survivors := make([][]heldSub, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var subs []heldSub
-			for _, op := range scripts[w] {
-				switch op.Kind {
-				case OpSubscribe:
-					sub, err := sys.Regs[op.Reg].Subscribe(op.Item)
-					if err != nil {
-						t.Errorf("seed=%d worker %d: %s failed: %v", seed, w, op, err)
-						continue
-					}
-					subs = append(subs, heldSub{sub: sub, key: ikey{op.Reg, op.Item}})
-				case OpUnsubscribe:
-					if len(subs) == 0 {
-						continue
-					}
-					idx := int(op.Arg) % len(subs)
-					subs[idx].sub.Unsubscribe()
-					subs = append(subs[:idx], subs[idx+1:]...)
-				case OpAdvance:
-					sys.Clk.Advance(clock.Duration(op.Arg))
-				case OpFireEvent:
-					sys.Regs[op.Reg].FireEvent(op.Event)
-				case OpNotifyChanged:
-					sys.Regs[op.Reg].NotifyChanged(op.Item)
-				case OpRead:
-					v, err := sys.Regs[op.Reg].Peek(op.Item)
-					if err != nil {
-						if !errors.Is(err, core.ErrUnsubscribed) {
-							t.Errorf("seed=%d worker %d: %s: %v", seed, w, op, err)
-						}
-						continue
-					}
-					if _, ok := v.(float64); !ok {
-						t.Errorf("seed=%d worker %d: %s: corrupt value %v (%T)", seed, w, op, v, v)
-					}
-				}
-			}
-			survivors[w] = subs
-		}(w)
+// check pins the migration counter and each target's final mechanism
+// and window against the trajectory storm performed.
+func (mg *migrator) check(t *testing.T, at string) {
+	t.Helper()
+	if got := mg.sys.Env.Stats().Migrations.Load(); got != mg.expected {
+		t.Fatalf("%s: %d migrations, migrator performed %d", at, got, mg.expected)
 	}
-
-	// The migrator: a seeded storm of legal migrations over the held
-	// targets, tracking the deterministic expected trajectory.
-	var expected int64
-	if len(targets) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed ^ 0x6d696772))
-			for i := 0; i < 6*workers; i++ {
-				tg := targets[rng.Intn(len(targets))]
-				var to core.Mechanism
-				if tg.adapt == AdaptExact {
-					// AdaptExact declares no triggered form.
-					to = []core.Mechanism{core.OnDemandMechanism, core.PeriodicMechanism}[rng.Intn(2)]
-				} else {
-					to = core.Mechanism(1 + rng.Intn(3))
-				}
-				win := []clock.Duration{3, 5, 7, 10}[rng.Intn(4)]
-				if err := sys.Regs[tg.ri].Migrate(tg.kind, to, win); err != nil {
-					t.Errorf("seed=%d: migrate r%d/%s -> %v: %v", seed, tg.ri, tg.kind, to, err)
-					continue
-				}
-				if to != tg.mech || (to == core.PeriodicMechanism && win != tg.win) {
-					expected++
-				}
-				tg.mech = to
-				if to == core.PeriodicMechanism {
-					tg.win = win
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	sys.Env.Quiesce()
-
-	at := fmt.Sprintf("seed=%d quiescent", seed)
-	if got := sys.Env.Stats().Migrations.Load(); got != expected {
-		t.Fatalf("%s: %d migrations, migrator performed %d", at, got, expected)
-	}
-	for _, tg := range targets {
-		mech, ok := sys.Regs[tg.ri].Mechanism(tg.kind)
-		if !ok || mech != tg.mech {
+	for _, tg := range mg.targets {
+		reg := mg.sys.Regs[tg.ri]
+		if mech, ok := reg.Mechanism(tg.kind); !ok || mech != tg.mech {
 			t.Fatalf("%s: r%d/%s mechanism %v (ok=%v), migrator left %v", at, tg.ri, tg.kind, mech, ok, tg.mech)
 		}
 		if tg.mech == core.PeriodicMechanism {
-			if w, ok := sys.Regs[tg.ri].Window(tg.kind); !ok || w != tg.win {
+			if w, ok := reg.Window(tg.kind); !ok || w != tg.win {
 				t.Fatalf("%s: r%d/%s window %d (ok=%v), migrator left %d", at, tg.ri, tg.kind, w, ok, tg.win)
 			}
 		}
 	}
-
-	subs := append([]heldSub(nil), held...)
-	for _, s := range survivors {
-		subs = append(subs, s...)
-	}
-
-	// Quiescent structural equivalence: replay the surviving
-	// subscriptions into a fresh model. Structure is migration-invariant
-	// (Migrate never touches edges or refcounts), so the replay needs no
-	// migration mirroring.
-	model := NewModel(wl)
-	for _, s := range subs {
-		if err := model.Subscribe(s.key.reg, s.key.kind); err != nil {
-			t.Fatalf("%s: model rejects surviving subscription %v: %v", at, s.key, err)
-		}
-	}
-	for ri := range wl.Regs {
-		reg := sys.Regs[ri]
-		for _, it := range wl.Regs[ri].Items {
-			inc, minc := reg.IsIncluded(it.Kind), model.IsIncluded(ri, it.Kind)
-			if inc != minc {
-				t.Fatalf("%s: r%d/%s included=%v, model=%v", at, ri, it.Kind, inc, minc)
-			}
-			if !inc {
-				continue
-			}
-			if got, want := reg.Refs(it.Kind), model.Refs(ri, it.Kind); got != want {
-				t.Fatalf("%s: r%d/%s refs=%d, model=%d", at, ri, it.Kind, got, want)
-			}
-			if v, err := reg.Peek(it.Kind); err != nil {
-				t.Fatalf("%s: r%d/%s Peek error %v", at, ri, it.Kind, err)
-			} else if _, ok := v.(float64); !ok {
-				t.Fatalf("%s: r%d/%s corrupt value %v (%T)", at, ri, it.Kind, v, v)
-			}
-			compareDeps(t, at, sys, model, ri, it.Kind)
-		}
-	}
-	if errs := core.VerifyIntegrity(extCounts(wl, subs), sys.BaseRegs()...); len(errs) > 0 {
-		t.Fatalf("%s: integrity violations: %v", at, errs)
-	}
-	if err := core.ScopesUnlocked(sys.Regs...); err != nil {
-		t.Fatalf("%s: %v", at, err)
-	}
-	checkWindowLogs(t, fmt.Sprintf("seed=%d", seed), sys, nil)
-
-	for _, s := range subs {
-		s.sub.Unsubscribe()
-	}
-	checkClean(t, fmt.Sprintf("seed=%d teardown", seed), sys)
-	return expected
 }

@@ -9,20 +9,23 @@
 //   - an operation DSL plus a seeded generator (workload.go) producing
 //     randomized topologies (registries, cross-registry dependencies,
 //     modules) and op scripts (subscribe/unsubscribe, define/attach/
-//     detach, FireEvent/NotifyChanged, virtual-clock advances), all
-//     replayable from the printed seed;
+//     detach, FireEvent/NotifyChanged, migrate, virtual-clock
+//     advances), all replayable from the printed seed;
 //
-//   - a sequential-equivalence driver and a concurrent stress driver
-//     (driver.go). The sequential driver compares the full observable
-//     state — inclusion sets, reference counts, dependency edges, and
-//     exact metadata values including periodic window boundaries —
-//     after every operation. The concurrent driver applies the same
-//     seeded workload through N goroutines over a pool updater, then
-//     checks quiescent-state equivalence (structure and refcounts are
-//     interleaving-independent for the commutative op mix it uses)
-//     plus the standing invariants: refcount conservation, inclusion
-//     closure, handler lifecycle, union-find scope consistency
-//     (core.VerifyIntegrity), unwedged component locks
+//   - one driver (driver.go): applyOp is the only code that applies an
+//     op to the real system. The lockstep loop mirrors every op into
+//     the model and compares the full observable state — inclusion
+//     sets, reference counts, dependency edges, mechanisms, and exact
+//     metadata values including periodic window boundaries — after
+//     each one; its after-op hook carries the adaptive controller
+//     (adaptive.go) and the crash harness's checkpoints (recover.go).
+//     The concurrent runner applies the same seeded workload through N
+//     goroutines over a pool updater, optionally beside a migrator,
+//     then checks quiescent-state equivalence (structure and refcounts
+//     are interleaving-independent for the commutative op mix it uses).
+//     Both check the standing invariants: refcount conservation,
+//     inclusion closure, handler lifecycle, union-find scope
+//     consistency (core.VerifyIntegrity), unwedged component locks
 //     (core.ScopesUnlocked), and the Figure 4 isolation condition for
 //     periodic values (windows tile time with no gaps or overlaps);
 //

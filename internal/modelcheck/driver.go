@@ -3,6 +3,7 @@ package modelcheck
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
@@ -52,6 +53,91 @@ func extCounts(wl *Workload, subs []heldSub) map[core.ItemKey]int {
 	return ext
 }
 
+// applyOp applies one workload op to the real system — the only place
+// an op reaches it. It returns the held subscriptions after the op, the
+// value an OpRead read, and the op's error. OpUnsubscribe releases held
+// subscription #Arg modulo the pool size and is a no-op on an empty
+// pool.
+func applyOp(sys *System, op Op, subs []heldSub) ([]heldSub, core.Value, error) {
+	reg := sys.Regs[op.Reg]
+	switch op.Kind {
+	case OpSubscribe:
+		sub, err := reg.Subscribe(op.Item)
+		if err == nil {
+			subs = append(subs, heldSub{sub: sub, key: ikey{op.Reg, op.Item}})
+		}
+		return subs, nil, err
+	case OpUnsubscribe:
+		if len(subs) > 0 {
+			idx := int(op.Arg) % len(subs)
+			subs[idx].sub.Unsubscribe()
+			subs = append(subs[:idx], subs[idx+1:]...)
+		}
+	case OpAdvance:
+		sys.Clk.Advance(clock.Duration(op.Arg))
+	case OpFireEvent:
+		reg.FireEvent(op.Event)
+	case OpNotifyChanged:
+		reg.NotifyChanged(op.Item)
+	case OpRead:
+		v, err := reg.Peek(op.Item)
+		return subs, v, err
+	case OpMigrate:
+		return subs, nil, reg.Migrate(op.Item, core.Mechanism(op.Arg&0xff), clock.Duration(op.Arg>>8))
+	case OpRedefine:
+		return subs, nil, reg.Define(sys.definition(op.Reg, *sys.Wl.Item(op.Reg, op.Item)))
+	case OpDetachModule:
+		return subs, nil, sys.Regs[sys.Wl.Regs[op.Reg].Parent].DetachModule(sys.Wl.Regs[op.Reg].ModName)
+	case OpAttachModule:
+		sys.Regs[sys.Wl.Regs[op.Reg].Parent].AttachModule(sys.Wl.Regs[op.Reg].ModName, reg)
+	}
+	return subs, nil, nil
+}
+
+// stepOp applies one op to the real system and mirrors it into the
+// model, comparing error classes (and, for reads, the value). It returns
+// the held subscriptions after the op and the real system's error.
+func stepOp(t *testing.T, at string, sys *System, model *Model, op Op, subs []heldSub) ([]heldSub, error) {
+	t.Helper()
+	if op.Kind == OpUnsubscribe && len(subs) > 0 {
+		model.Unsubscribe(subs[int(op.Arg)%len(subs)].key) // the one applyOp releases
+	}
+	subs, v, err := applyOp(sys, op, subs)
+	var merr error
+	switch op.Kind {
+	case OpSubscribe:
+		merr = model.Subscribe(op.Reg, op.Item)
+	case OpAdvance:
+		model.Advance(op.Arg)
+	case OpFireEvent:
+		model.FireEvent(op.Reg, op.Event)
+	case OpNotifyChanged:
+		model.NotifyChanged(op.Reg, op.Item)
+	case OpRead:
+		mv, ok := model.Value(op.Reg, op.Item)
+		if !ok {
+			if !errors.Is(err, core.ErrUnsubscribed) {
+				t.Fatalf("%s: real (%v, %v), model not included", at, v, err)
+			}
+		} else if err != nil || v != any(mv) {
+			t.Fatalf("%s: real (%v, %v), model %v", at, v, err, mv)
+		}
+		return subs, err
+	case OpMigrate:
+		merr = model.Migrate(op.Reg, op.Item, core.Mechanism(op.Arg&0xff), clock.Duration(op.Arg>>8))
+	case OpRedefine:
+		merr = model.Redefine(op.Reg, op.Item)
+	case OpDetachModule:
+		merr = model.Detach(op.Reg)
+	case OpAttachModule:
+		model.Attach(op.Reg)
+	}
+	if got, want := classify(err), classify(merr); got != want {
+		t.Fatalf("%s: real err %q, model err %q", at, got, want)
+	}
+	return subs, err
+}
+
 // RunSequential drives one seeded workload through the real system
 // and the reference model in lockstep, comparing the complete
 // observable state — error classes, inclusion sets, reference counts,
@@ -60,8 +146,7 @@ func extCounts(wl *Workload, subs []heldSub) map[core.ItemKey]int {
 // and lock hygiene (core.ScopesUnlocked).
 func RunSequential(t *testing.T, seed int64) {
 	t.Helper()
-	wl := Generate(seed, Config{Ops: 80})
-	runLockstep(t, fmt.Sprintf("seed=%d", seed), wl)
+	runLockstep(t, fmt.Sprintf("seed=%d", seed), Generate(seed, Config{Ops: 80}))
 }
 
 // RunSequentialMemo is RunSequential over a memo-enabled env
@@ -73,8 +158,7 @@ func RunSequential(t *testing.T, seed int64) {
 // happened.
 func RunSequentialMemo(t *testing.T, seed int64) {
 	t.Helper()
-	wl := Generate(seed, Config{Ops: 80})
-	runLockstep(t, fmt.Sprintf("seed=%d(memo)", seed), wl, core.WithMemoizedOnDemand())
+	runLockstep(t, fmt.Sprintf("seed=%d(memo)", seed), Generate(seed, Config{Ops: 80}), core.WithMemoizedOnDemand())
 }
 
 // RunSequentialDeltaOff is RunSequential over a delta-disabled env
@@ -90,108 +174,40 @@ func RunSequentialDeltaOff(t *testing.T, seed int64) {
 	wl := Generate(seed, Config{Ops: 80})
 	model := NewModel(wl)
 	model.DeltaOff = true
-	runLockstepModel(t, fmt.Sprintf("seed=%d(delta-off)", seed), wl, model,
-		core.WithoutDeltaPropagation())
+	label := fmt.Sprintf("seed=%d(delta-off)", seed)
+	sys := NewSystem(wl, nil, nil, core.WithoutDeltaPropagation())
+	teardown(t, label+" teardown", sys, lockstep(t, label, sys, model, wl.Ops, nil))
+	checkWindowLogs(t, label, sys, nil)
 }
 
 // runLockstep executes a workload's op script against the real system
 // (inline updater) and the model in lockstep, comparing after every
-// op. It is shared by the seeded sequential driver and the hand-built
+// op, then releases everything and verifies the graph drains clean. It
+// is shared by the seeded sequential drivers and the hand-built
 // coalescing workloads. extra env options (e.g. WithMemoizedOnDemand)
 // are forwarded to NewSystem.
 func runLockstep(t *testing.T, label string, wl *Workload, extra ...core.EnvOption) {
 	t.Helper()
-	runLockstepModel(t, label, wl, NewModel(wl), extra...)
-}
-
-// runLockstepModel is runLockstep with a caller-prepared model (e.g.
-// one with DeltaOff set to match a delta-disabled env).
-func runLockstepModel(t *testing.T, label string, wl *Workload, model *Model, extra ...core.EnvOption) {
-	t.Helper()
 	sys := NewSystem(wl, nil, nil, extra...)
-	var subs []heldSub
-
-	for i, op := range wl.Ops {
-		at := fmt.Sprintf("%s op#%d (%s)", label, i, op)
-		subs = stepOp(t, at, sys, model, op, subs)
-		compareStates(t, at, sys, model, subs)
-	}
-
-	// Teardown: release everything and verify the graph drains clean.
-	for _, s := range subs {
-		s.sub.Unsubscribe()
-		model.Unsubscribe(s.key)
-	}
-	checkClean(t, label+" teardown", sys)
+	teardown(t, label+" teardown", sys, lockstep(t, label, sys, NewModel(wl), wl.Ops, nil))
 	checkWindowLogs(t, label, sys, nil)
 }
 
-// stepOp applies one workload op to the real system and the model in
-// lockstep, comparing error classes, and returns the updated list of
-// held external subscriptions. Shared by the plain and adaptive
-// sequential drivers.
-func stepOp(t *testing.T, at string, sys *System, model *Model, op Op, subs []heldSub) []heldSub {
+// lockstep is the one lockstep loop: it steps ops through sys and
+// model, comparing the complete observable state after each. after,
+// when set, runs once op i has compared equal (the adaptive
+// controller's step, the crash harness's checkpoint). It returns the
+// subscriptions still held.
+func lockstep(t *testing.T, label string, sys *System, model *Model, ops []Op, after func(i int, at string, subs []heldSub)) []heldSub {
 	t.Helper()
-	switch op.Kind {
-	case OpSubscribe:
-		sub, err := sys.Regs[op.Reg].Subscribe(op.Item)
-		merr := model.Subscribe(op.Reg, op.Item)
-		if classify(err) != classify(merr) {
-			t.Fatalf("%s: real err %q, model err %q", at, classify(err), classify(merr))
+	var subs []heldSub
+	for i, op := range ops {
+		at := fmt.Sprintf("%s op#%d (%s)", label, i, op)
+		subs, _ = stepOp(t, at, sys, model, op, subs)
+		compareStates(t, at, sys, model, subs)
+		if after != nil {
+			after(i, at, subs)
 		}
-		if err == nil {
-			subs = append(subs, heldSub{sub: sub, key: ikey{op.Reg, op.Item}})
-		}
-	case OpUnsubscribe:
-		if len(subs) == 0 {
-			return subs
-		}
-		idx := int(op.Arg) % len(subs)
-		subs[idx].sub.Unsubscribe()
-		model.Unsubscribe(subs[idx].key)
-		subs = append(subs[:idx], subs[idx+1:]...)
-	case OpAdvance:
-		sys.Clk.Advance(clock.Duration(op.Arg))
-		model.Advance(op.Arg)
-	case OpFireEvent:
-		sys.Regs[op.Reg].FireEvent(op.Event)
-		model.FireEvent(op.Reg, op.Event)
-	case OpNotifyChanged:
-		sys.Regs[op.Reg].NotifyChanged(op.Item)
-		model.NotifyChanged(op.Reg, op.Item)
-	case OpRead:
-		v, err := sys.Regs[op.Reg].Peek(op.Item)
-		mv, ok := model.Value(op.Reg, op.Item)
-		if !ok {
-			if !errors.Is(err, core.ErrUnsubscribed) {
-				t.Fatalf("%s: real (%v, %v), model not included", at, v, err)
-			}
-		} else if err != nil || v != any(mv) {
-			t.Fatalf("%s: real (%v, %v), model %v", at, v, err, mv)
-		}
-	case OpMigrate:
-		to := core.Mechanism(op.Arg & 0xff)
-		win := clock.Duration(op.Arg >> 8)
-		err := sys.Regs[op.Reg].Migrate(op.Item, to, win)
-		if got, want := classify(err), classify(model.Migrate(op.Reg, op.Item, to, win)); got != want {
-			t.Fatalf("%s: real err %q, model err %q", at, got, want)
-		}
-	case OpRedefine:
-		spec := sys.Wl.Item(op.Reg, op.Item)
-		err := sys.Regs[op.Reg].Define(sys.definition(op.Reg, *spec))
-		if got, want := classify(err), classify(model.Redefine(op.Reg, op.Item)); got != want {
-			t.Fatalf("%s: real err %q, model err %q", at, got, want)
-		}
-	case OpDetachModule:
-		parent := sys.Wl.Regs[op.Reg].Parent
-		err := sys.Regs[parent].DetachModule(sys.Wl.Regs[op.Reg].ModName)
-		if got, want := classify(err), classify(model.Detach(op.Reg)); got != want {
-			t.Fatalf("%s: real err %q, model err %q", at, got, want)
-		}
-	case OpAttachModule:
-		parent := sys.Wl.Regs[op.Reg].Parent
-		sys.Regs[parent].AttachModule(sys.Wl.Regs[op.Reg].ModName, sys.Regs[op.Reg])
-		model.Attach(op.Reg)
 	}
 	return subs
 }
@@ -224,11 +240,22 @@ func compareStates(t *testing.T, at string, sys *System, model *Model, subs []he
 	if got, want := st.Migrations, model.Migrations(); got != want {
 		t.Fatalf("%s: %d migrations, model %d", at, got, want)
 	}
+	compareItems(t, at, sys, model, true)
+	checkInvariants(t, at, sys, extCounts(sys.Wl, subs))
+}
+
+// compareItems checks every workload item against the model: inclusion,
+// refcount, a clean float64 value and the dependency edges (as
+// multisets against the model's resolved groups). exact also pins what
+// only a lockstep run can predict: the live mechanism, the periodic
+// window — migrations must land on the real handler exactly as the
+// model recorded them — and the value itself.
+func compareItems(t *testing.T, at string, sys *System, model *Model, exact bool) {
+	t.Helper()
 	for ri := range sys.Wl.Regs {
 		reg := sys.Regs[ri]
 		for _, it := range sys.Wl.Regs[ri].Items {
-			inc := reg.IsIncluded(it.Kind)
-			minc := model.IsIncluded(ri, it.Kind)
+			inc, minc := reg.IsIncluded(it.Kind), model.IsIncluded(ri, it.Kind)
 			if inc != minc {
 				t.Fatalf("%s: r%d/%s included=%v, model=%v", at, ri, it.Kind, inc, minc)
 			}
@@ -238,30 +265,53 @@ func compareStates(t *testing.T, at string, sys *System, model *Model, subs []he
 			if got, want := reg.Refs(it.Kind), model.Refs(ri, it.Kind); got != want {
 				t.Fatalf("%s: r%d/%s refs=%d, model=%d", at, ri, it.Kind, got, want)
 			}
-			// Pin the live mechanism (and, for periodic, the window):
-			// migrations must land on the real handler exactly as the
-			// model recorded them.
-			mech, mwin, _ := model.Mechanism(ri, it.Kind)
-			if got, ok := reg.Mechanism(it.Kind); !ok || got != mech {
-				t.Fatalf("%s: r%d/%s mechanism %v (ok=%v), model %v", at, ri, it.Kind, got, ok, mech)
-			}
-			if mech == core.PeriodicMechanism {
-				if w, ok := reg.Window(it.Kind); !ok || w != mwin {
-					t.Fatalf("%s: r%d/%s window %d (ok=%v), model %d", at, ri, it.Kind, w, ok, mwin)
+			if exact {
+				mech, mwin, _ := model.Mechanism(ri, it.Kind)
+				if got, ok := reg.Mechanism(it.Kind); !ok || got != mech {
+					t.Fatalf("%s: r%d/%s mechanism %v (ok=%v), model %v", at, ri, it.Kind, got, ok, mech)
+				}
+				if mech == core.PeriodicMechanism {
+					if w, ok := reg.Window(it.Kind); !ok || w != mwin {
+						t.Fatalf("%s: r%d/%s window %d (ok=%v), model %d", at, ri, it.Kind, w, ok, mwin)
+					}
 				}
 			}
 			v, err := reg.Peek(it.Kind)
-			mv, _ := model.Value(ri, it.Kind)
 			if err != nil {
 				t.Fatalf("%s: r%d/%s Peek error %v", at, ri, it.Kind, err)
 			}
-			if f, ok := v.(float64); !ok || f != mv {
+			mv, _ := model.Value(ri, it.Kind)
+			if f, ok := v.(float64); !ok || (exact && f != mv) {
 				t.Fatalf("%s: r%d/%s value %v (%T), model %v", at, ri, it.Kind, v, v, mv)
 			}
-			compareDeps(t, at, sys, model, ri, it.Kind)
+			refs, ok := reg.Dependencies(it.Kind)
+			if !ok {
+				t.Fatalf("%s: r%d/%s included but Dependencies reports not", at, ri, it.Kind)
+			}
+			got := make(map[core.ItemKey]int)
+			for _, d := range refs {
+				got[core.ItemKey{Registry: d.RegistryID, Kind: d.Kind}]++
+			}
+			want := make(map[core.ItemKey]int)
+			for _, g := range model.items[ikey{ri, it.Kind}].depGroups {
+				for _, dk := range g {
+					want[core.ItemKey{Registry: sys.Wl.Regs[dk.reg].ID, Kind: dk.kind}]++
+				}
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("%s: r%d/%s deps %v, model %v", at, ri, it.Kind, got, want)
+			}
 		}
 	}
-	if errs := core.VerifyIntegrity(extCounts(sys.Wl, subs), sys.BaseRegs()...); len(errs) > 0 {
+}
+
+// checkInvariants asserts the standing invariants at a quiescent point:
+// core.VerifyIntegrity against the external subscription counts ext
+// (refcount conservation, inclusion closure, scope consistency) and no
+// component lock left held (core.ScopesUnlocked).
+func checkInvariants(t *testing.T, at string, sys *System, ext map[core.ItemKey]int) {
+	t.Helper()
+	if errs := core.VerifyIntegrity(ext, sys.BaseRegs()...); len(errs) > 0 {
 		t.Fatalf("%s: integrity violations: %v", at, errs)
 	}
 	if err := core.ScopesUnlocked(sys.Regs...); err != nil {
@@ -269,51 +319,20 @@ func compareStates(t *testing.T, at string, sys *System, model *Model, subs []he
 	}
 }
 
-// compareDeps checks the live dependency edges of one included item
-// against the model's resolved groups, as multisets.
-func compareDeps(t *testing.T, at string, sys *System, model *Model, ri int, kind core.Kind) {
-	t.Helper()
-	refs, ok := sys.Regs[ri].Dependencies(kind)
-	if !ok {
-		t.Fatalf("%s: r%d/%s included but Dependencies reports not", at, ri, kind)
-	}
-	got := make(map[core.ItemKey]int)
-	for _, d := range refs {
-		got[core.ItemKey{Registry: d.RegistryID, Kind: d.Kind}]++
-	}
-	want := make(map[core.ItemKey]int)
-	it := model.items[ikey{ri, kind}]
-	for _, g := range it.depGroups {
-		for _, dk := range g {
-			want[core.ItemKey{Registry: sys.Wl.Regs[dk.reg].ID, Kind: dk.kind}]++
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: r%d/%s deps %v, model %v", at, ri, kind, got, want)
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("%s: r%d/%s deps %v, model %v", at, ri, kind, got, want)
-		}
-	}
-}
-
-// checkClean verifies a fully-released graph: no included items, no
-// integrity violations, no held component locks, and handler
+// teardown drops every held subscription and verifies the fully-released
+// graph: no included items, the standing invariants, and handler
 // create/remove conservation.
-func checkClean(t *testing.T, at string, sys *System) {
+func teardown(t *testing.T, at string, sys *System, subs []heldSub) {
 	t.Helper()
+	for _, s := range subs {
+		s.sub.Unsubscribe()
+	}
 	for ri := range sys.Wl.Regs {
 		if inc := sys.Regs[ri].Included(); len(inc) > 0 {
 			t.Fatalf("%s: registry %s still includes %v", at, sys.Wl.Regs[ri].ID, inc)
 		}
 	}
-	if errs := core.VerifyIntegrity(map[core.ItemKey]int{}, sys.BaseRegs()...); len(errs) > 0 {
-		t.Fatalf("%s: integrity violations: %v", at, errs)
-	}
-	if err := core.ScopesUnlocked(sys.Regs...); err != nil {
-		t.Fatalf("%s: %v", at, err)
-	}
+	checkInvariants(t, at, sys, map[core.ItemKey]int{})
 	st := sys.Env.Stats().Snapshot()
 	if st.HandlersCreated != st.HandlersRemoved {
 		t.Fatalf("%s: %d handlers created, %d removed (leak)", at, st.HandlersCreated, st.HandlersRemoved)
@@ -362,10 +381,24 @@ func checkWindowLogs(t *testing.T, at string, sys *System, skip map[ikey]bool) {
 // readability), not for exact equality.
 func RunConcurrent(t *testing.T, seed int64, workers int, extra ...core.EnvOption) {
 	t.Helper()
+	runConcurrent(t, seed, workers, false, extra)
+}
+
+// runConcurrent is the one concurrent runner behind RunConcurrent and
+// RunConcurrentMigrations; migrate adds the migrator. It returns the
+// number of migrations the migrator performed.
+func runConcurrent(t *testing.T, seed int64, workers int, migrate bool, extra []core.EnvOption) int64 {
+	t.Helper()
 	wl := Generate(seed, Config{Ops: 40 * workers, Concurrent: true})
 	u := core.NewPoolUpdater(workers)
 	defer u.Stop()
 	sys := NewSystem(wl, u, nil, extra...)
+	var mg *migrator
+	var subs []heldSub
+	if migrate {
+		mg = newMigrator(t, seed, sys)
+		subs = append(subs, mg.held...)
+	}
 
 	// Partition the script: clock advances all go to worker 0 (the
 	// virtual clock forbids re-entrant advancement), the rest round-
@@ -387,96 +420,61 @@ func RunConcurrent(t *testing.T, seed int64, workers int, extra ...core.EnvOptio
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var subs []heldSub
+			var held []heldSub
 			for _, op := range scripts[w] {
-				switch op.Kind {
-				case OpSubscribe:
-					sub, err := sys.Regs[op.Reg].Subscribe(op.Item)
-					if err != nil {
-						t.Errorf("seed=%d worker %d: %s failed: %v", seed, w, op, err)
-						continue
-					}
-					subs = append(subs, heldSub{sub: sub, key: ikey{op.Reg, op.Item}})
-				case OpUnsubscribe:
-					if len(subs) == 0 {
-						continue
-					}
-					idx := int(op.Arg) % len(subs)
-					subs[idx].sub.Unsubscribe()
-					subs = append(subs[:idx], subs[idx+1:]...)
-				case OpAdvance:
-					sys.Clk.Advance(clock.Duration(op.Arg))
-				case OpFireEvent:
-					sys.Regs[op.Reg].FireEvent(op.Event)
-				case OpNotifyChanged:
-					sys.Regs[op.Reg].NotifyChanged(op.Item)
-				case OpRead:
-					// Mid-run reads must never observe a corrupt
-					// snapshot: a clean float64 or ErrUnsubscribed.
-					v, err := sys.Regs[op.Reg].Peek(op.Item)
-					if err != nil {
-						if !errors.Is(err, core.ErrUnsubscribed) {
-							t.Errorf("seed=%d worker %d: %s: %v", seed, w, op, err)
-						}
-						continue
-					}
+				var v core.Value
+				var err error
+				held, v, err = applyOp(sys, op, held)
+				// Every op of the concurrent mix succeeds, except that a
+				// read may find its item excluded; a mid-run read must
+				// never observe a corrupt snapshot.
+				switch {
+				case op.Kind == OpRead && errors.Is(err, core.ErrUnsubscribed):
+				case err != nil:
+					t.Errorf("seed=%d worker %d: %s: %v", seed, w, op, err)
+				case op.Kind == OpRead:
 					if _, ok := v.(float64); !ok {
 						t.Errorf("seed=%d worker %d: %s: corrupt value %v (%T)", seed, w, op, v, v)
 					}
 				}
 			}
-			survivors[w] = subs
+			survivors[w] = held
 		}(w)
+	}
+	if mg != nil && len(mg.targets) > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mg.storm(t, seed, 6*workers)
+		}()
 	}
 	wg.Wait()
 	sys.Env.Quiesce()
 
-	var subs []heldSub
+	at := fmt.Sprintf("seed=%d quiescent", seed)
+	if mg != nil {
+		mg.check(t, at)
+	}
 	for _, s := range survivors {
 		subs = append(subs, s...)
 	}
-	at := fmt.Sprintf("seed=%d quiescent", seed)
-
 	// Quiescent structural equivalence: replay only the surviving
 	// subscriptions into a fresh model; inclusion sets and refcounts
-	// must match exactly.
+	// must match exactly. Structure is migration-invariant (Migrate
+	// never touches edges or refcounts), so the replay needs no
+	// migration mirroring.
 	model := NewModel(wl)
 	for _, s := range subs {
 		if err := model.Subscribe(s.key.reg, s.key.kind); err != nil {
 			t.Fatalf("%s: model rejects surviving subscription %v: %v", at, s.key, err)
 		}
 	}
-	for ri := range wl.Regs {
-		reg := sys.Regs[ri]
-		for _, it := range wl.Regs[ri].Items {
-			inc, minc := reg.IsIncluded(it.Kind), model.IsIncluded(ri, it.Kind)
-			if inc != minc {
-				t.Fatalf("%s: r%d/%s included=%v, model=%v", at, ri, it.Kind, inc, minc)
-			}
-			if !inc {
-				continue
-			}
-			if got, want := reg.Refs(it.Kind), model.Refs(ri, it.Kind); got != want {
-				t.Fatalf("%s: r%d/%s refs=%d, model=%d", at, ri, it.Kind, got, want)
-			}
-			if v, err := reg.Peek(it.Kind); err != nil {
-				t.Fatalf("%s: r%d/%s Peek error %v", at, ri, it.Kind, err)
-			} else if _, ok := v.(float64); !ok {
-				t.Fatalf("%s: r%d/%s corrupt value %v (%T)", at, ri, it.Kind, v, v)
-			}
-			compareDeps(t, at, sys, model, ri, it.Kind)
-		}
-	}
-	if errs := core.VerifyIntegrity(extCounts(wl, subs), sys.BaseRegs()...); len(errs) > 0 {
-		t.Fatalf("%s: integrity violations: %v", at, errs)
-	}
-	if err := core.ScopesUnlocked(sys.Regs...); err != nil {
-		t.Fatalf("%s: %v", at, err)
-	}
+	compareItems(t, at, sys, model, false)
+	checkInvariants(t, at, sys, extCounts(wl, subs))
 	checkWindowLogs(t, fmt.Sprintf("seed=%d", seed), sys, nil)
-
-	for _, s := range subs {
-		s.sub.Unsubscribe()
+	teardown(t, fmt.Sprintf("seed=%d teardown", seed), sys, subs)
+	if mg == nil {
+		return 0
 	}
-	checkClean(t, fmt.Sprintf("seed=%d teardown", seed), sys)
+	return mg.expected
 }

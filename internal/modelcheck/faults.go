@@ -102,21 +102,13 @@ func RunFaultBuild(t *testing.T, seed int64, panicMode bool) {
 				}
 				subs = append(subs, heldSub{sub: sub, key: k})
 			}
-			if errs := core.VerifyIntegrity(extCounts(wl, subs), sys.BaseRegs()...); len(errs) > 0 {
-				t.Fatalf("%s: integrity violations: %v", at, errs)
-			}
-			if err := core.ScopesUnlocked(sys.Regs...); err != nil {
-				t.Fatalf("%s: %v", at, err)
-			}
+			checkInvariants(t, at, sys, extCounts(wl, subs))
 			if inc := sys.Regs[victim.reg].IsIncluded(victim.kind); inc {
 				t.Fatalf("%s: faulty victim became included", at)
 			}
 		}
 	}
-	for _, s := range subs {
-		s.sub.Unsubscribe()
-	}
-	checkClean(t, fmt.Sprintf("seed=%d teardown", seed), sys)
+	teardown(t, fmt.Sprintf("seed=%d teardown", seed), sys, subs)
 }
 
 // RunFaultPeriodicPanic runs a pool-updater system in which one
@@ -134,7 +126,7 @@ func RunFaultPeriodicPanic(t *testing.T, seed int64) {
 	defer u.Stop()
 	sys := NewSystem(wl, u, &Faults{PanicPeriodic: map[ikey]bool{victim: true}})
 
-	subs := subscribeAll(t, seed, wl, sys)
+	subs := subscribeAll(t, seed, sys, nil)
 	for step := 0; step < 6; step++ {
 		sys.Clk.Advance(5)
 		sys.Env.Quiesce()
@@ -143,20 +135,12 @@ func RunFaultPeriodicPanic(t *testing.T, seed int64) {
 	if _, err := sys.Regs[victim.reg].Peek(victim.kind); !errors.Is(err, core.ErrComputePanic) {
 		t.Fatalf("%s: victim Peek error %v, want ErrComputePanic", at, err)
 	}
-	if errs := core.VerifyIntegrity(extCounts(wl, subs), sys.BaseRegs()...); len(errs) > 0 {
-		t.Fatalf("%s: integrity violations: %v", at, errs)
-	}
-	if err := core.ScopesUnlocked(sys.Regs...); err != nil {
-		t.Fatalf("%s: %v", at, err)
-	}
+	checkInvariants(t, at, sys, extCounts(wl, subs))
 	// Non-victim periodic items must still satisfy the isolation
 	// condition; the victim's panicked windows are unlogged by design.
 	checkWindowLogs(t, at, sys, map[ikey]bool{victim: true})
 
-	for _, s := range subs {
-		s.sub.Unsubscribe()
-	}
-	checkClean(t, fmt.Sprintf("seed=%d teardown", seed), sys)
+	teardown(t, fmt.Sprintf("seed=%d teardown", seed), sys, subs)
 }
 
 // RunFaultSlowPeriodic blocks one periodic item's window computation
@@ -174,7 +158,7 @@ func RunFaultSlowPeriodic(t *testing.T, seed int64) {
 	defer u.Stop()
 	sys := NewSystem(wl, u, &Faults{BlockPeriodic: map[ikey]chan struct{}{victim: release}})
 
-	subs := subscribeAll(t, seed, wl, sys)
+	subs := subscribeAll(t, seed, sys, nil)
 	w := wl.Item(victim.reg, victim.kind).Window
 	// Three victim ticks queue up while the computation blocks (at
 	// most three of the four workers wedge on the handler); the first
@@ -199,16 +183,8 @@ func RunFaultSlowPeriodic(t *testing.T, seed int64) {
 	} else if _, ok := v.(float64); !ok {
 		t.Fatalf("%s: victim value %v (%T), want float64", at, v, v)
 	}
-	if errs := core.VerifyIntegrity(extCounts(wl, subs), sys.BaseRegs()...); len(errs) > 0 {
-		t.Fatalf("%s: integrity violations: %v", at, errs)
-	}
-	if err := core.ScopesUnlocked(sys.Regs...); err != nil {
-		t.Fatalf("%s: %v", at, err)
-	}
-	for _, s := range subs {
-		s.sub.Unsubscribe()
-	}
-	checkClean(t, fmt.Sprintf("seed=%d teardown", seed), sys)
+	checkInvariants(t, at, sys, extCounts(wl, subs))
+	teardown(t, fmt.Sprintf("seed=%d teardown", seed), sys, subs)
 }
 
 // waitFor polls cond until it holds, failing the test after a real-
@@ -266,12 +242,7 @@ func RunFaultHungCompute(t *testing.T, seed int64) {
 			MaxProbeBackoff:  12,
 		}))
 	model := NewModel(wl)
-	subs := subscribeAll(t, seed, wl, sys)
-	for _, s := range subs {
-		if err := model.Subscribe(s.key.reg, s.key.kind); err != nil {
-			t.Fatalf("seed=%d: model rejects %v: %v", seed, s.key, err)
-		}
-	}
+	subs := subscribeAll(t, seed, sys, model)
 	at := func(what string) string {
 		return fmt.Sprintf("seed=%d hung compute (victim %v): %s", seed, victim, what)
 	}
@@ -367,19 +338,11 @@ func RunFaultHungCompute(t *testing.T, seed int64) {
 			at("stats"), snap.Timeouts, snap.BreakerTrips, snap.BreakerRecoveries)
 	}
 
-	if errs := core.VerifyIntegrity(extCounts(wl, subs), sys.BaseRegs()...); len(errs) > 0 {
-		t.Fatalf("%s: integrity violations: %v", at("final"), errs)
-	}
-	if err := core.ScopesUnlocked(sys.Regs...); err != nil {
-		t.Fatalf("%s: %v", at("final"), err)
-	}
+	checkInvariants(t, at("final"), sys, extCounts(wl, subs))
 	// The victim's log holds late-released and probe windows that were
 	// never published in order; everyone else must still tile time.
 	checkWindowLogs(t, at("final"), sys, map[ikey]bool{victim: true})
-	for _, s := range subs {
-		s.sub.Unsubscribe()
-	}
-	checkClean(t, fmt.Sprintf("seed=%d teardown", seed), sys)
+	teardown(t, fmt.Sprintf("seed=%d teardown", seed), sys, subs)
 }
 
 // RunFaultFlappingCompute drives one periodic item through repeated
@@ -404,12 +367,7 @@ func RunFaultFlappingCompute(t *testing.T, seed int64) {
 			MaxProbeBackoff:  16,
 		}))
 	model := NewModel(wl)
-	subs := subscribeAll(t, seed, wl, sys)
-	for _, s := range subs {
-		if err := model.Subscribe(s.key.reg, s.key.kind); err != nil {
-			t.Fatalf("seed=%d: model rejects %v: %v", seed, s.key, err)
-		}
-	}
+	subs := subscribeAll(t, seed, sys, model)
 	at := func(what string) string {
 		return fmt.Sprintf("seed=%d flapping compute (victim %v, window %d): %s", seed, victim, w, what)
 	}
@@ -477,17 +435,9 @@ func RunFaultFlappingCompute(t *testing.T, seed int64) {
 		t.Fatalf("%s: trips=%d recoveries=%d, want 2/2", at("stats"), snap.BreakerTrips, snap.BreakerRecoveries)
 	}
 
-	if errs := core.VerifyIntegrity(extCounts(wl, subs), sys.BaseRegs()...); len(errs) > 0 {
-		t.Fatalf("%s: integrity violations: %v", at("final"), errs)
-	}
-	if err := core.ScopesUnlocked(sys.Regs...); err != nil {
-		t.Fatalf("%s: %v", at("final"), err)
-	}
+	checkInvariants(t, at("final"), sys, extCounts(wl, subs))
 	checkWindowLogs(t, at("final"), sys, map[ikey]bool{victim: true})
-	for _, s := range subs {
-		s.sub.Unsubscribe()
-	}
-	checkClean(t, fmt.Sprintf("seed=%d teardown", seed), sys)
+	teardown(t, fmt.Sprintf("seed=%d teardown", seed), sys, subs)
 }
 
 // RunClockSkew drives the full topology through irregular clock jumps
@@ -499,12 +449,7 @@ func RunClockSkew(t *testing.T, seed int64) {
 	wl := Generate(seed, Config{Ops: 1})
 	sys := NewSystem(wl, nil, nil)
 	model := NewModel(wl)
-	subs := subscribeAll(t, seed, wl, sys)
-	for _, s := range subs {
-		if err := model.Subscribe(s.key.reg, s.key.kind); err != nil {
-			t.Fatalf("seed=%d: model rejects %v: %v", seed, s.key, err)
-		}
-	}
+	subs := subscribeAll(t, seed, sys, model)
 
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	for i := 0; i < 40; i++ {
@@ -521,25 +466,29 @@ func RunClockSkew(t *testing.T, seed int64) {
 		model.Advance(d)
 		compareStates(t, fmt.Sprintf("seed=%d skew#%d (+%d)", seed, i, d), sys, model, subs)
 	}
-	for _, s := range subs {
-		s.sub.Unsubscribe()
-	}
-	checkClean(t, fmt.Sprintf("seed=%d teardown", seed), sys)
+	teardown(t, fmt.Sprintf("seed=%d teardown", seed), sys, subs)
 	checkWindowLogs(t, fmt.Sprintf("seed=%d", seed), sys, nil)
 }
 
 // subscribeAll subscribes to every item of the workload, failing the
-// test on any error, and returns the held subscriptions.
-func subscribeAll(t *testing.T, seed int64, wl *Workload, sys *System) []heldSub {
+// test on any error, and returns the held subscriptions. Given a model,
+// it mirrors each subscription into it.
+func subscribeAll(t *testing.T, seed int64, sys *System, model *Model) []heldSub {
 	t.Helper()
 	var subs []heldSub
-	for ri := range wl.Regs {
-		for _, it := range wl.Regs[ri].Items {
+	for ri := range sys.Wl.Regs {
+		for _, it := range sys.Wl.Regs[ri].Items {
 			sub, err := sys.Regs[ri].Subscribe(it.Kind)
 			if err != nil {
 				t.Fatalf("seed=%d: subscribe r%d/%s: %v", seed, ri, it.Kind, err)
 			}
 			subs = append(subs, heldSub{sub: sub, key: ikey{ri, it.Kind}})
+			if model == nil {
+				continue
+			}
+			if err := model.Subscribe(ri, it.Kind); err != nil {
+				t.Fatalf("seed=%d: model rejects r%d/%s: %v", seed, ri, it.Kind, err)
+			}
 		}
 	}
 	return subs

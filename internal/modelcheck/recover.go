@@ -15,22 +15,6 @@ import (
 	"repro/internal/persist"
 )
 
-func readFileT(t *testing.T, path string) []byte {
-	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func writeFileT(t *testing.T, path string, b []byte) {
-	t.Helper()
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Crash-recovery lockstep: run a workload with a durability plane
 // attached, kill the process at an arbitrary op boundary (or tear the
 // WAL at an arbitrary byte), recover into a fresh system, and verify
@@ -68,40 +52,6 @@ func crashScript(seed int64, ops int) (*Workload, []Op) {
 // under: recovery's stale-restore path needs the breaker machinery.
 func breakerEnv() []core.EnvOption {
 	return []core.EnvOption{core.WithBreaker(core.DefaultBreakerPolicy)}
-}
-
-// applyOp applies one op to a system without a model (the expected-
-// state replayer for torn-write prefixes). Mirrors the system half of
-// stepOp exactly — in particular the unsubscribe index arithmetic.
-func applyOp(sys *System, op Op, subs []heldSub) []heldSub {
-	switch op.Kind {
-	case OpSubscribe:
-		if sub, err := sys.Regs[op.Reg].Subscribe(op.Item); err == nil {
-			subs = append(subs, heldSub{sub: sub, key: ikey{op.Reg, op.Item}})
-		}
-	case OpUnsubscribe:
-		if len(subs) == 0 {
-			return subs
-		}
-		idx := int(op.Arg) % len(subs)
-		subs[idx].sub.Unsubscribe()
-		subs = append(subs[:idx], subs[idx+1:]...)
-	case OpAdvance:
-		sys.Clk.Advance(clock.Duration(op.Arg))
-	case OpFireEvent:
-		sys.Regs[op.Reg].FireEvent(op.Event)
-	case OpNotifyChanged:
-		sys.Regs[op.Reg].NotifyChanged(op.Item)
-	case OpRead:
-		sys.Regs[op.Reg].Peek(op.Item)
-	case OpMigrate:
-		sys.Regs[op.Reg].Migrate(op.Item, core.Mechanism(op.Arg&0xff), clock.Duration(op.Arg>>8))
-	case OpRedefine:
-		if spec := sys.Wl.Item(op.Reg, op.Item); spec != nil {
-			sys.Regs[op.Reg].Define(sys.definition(op.Reg, *spec))
-		}
-	}
-	return subs
 }
 
 // topologyString renders the full structural state of a system in a
@@ -270,16 +220,12 @@ func runCrashRecovery(t *testing.T, seed int64, ckptAt, killAt, every int, redef
 			}
 		}
 	}
-	var subs []heldSub
 	// ckptItems is what the last checkpoint saw: every journaled op
 	// writes its record as its last step, so the state after the op that
 	// checkpointed — inline or by the call below — is the checkpoint's.
 	ckptItems := map[ikey]itemState{}
 	ckpts := sys1.Env.Stats().Checkpoints.Load()
-	for i := 0; i < killAt; i++ {
-		opAt := fmt.Sprintf("%s op#%d (%s)", at, i, script[i])
-		subs = stepOp(t, opAt, sys1, model, script[i], subs)
-		compareStates(t, opAt, sys1, model, subs)
+	subs := lockstep(t, at, sys1, model, script[:killAt], func(i int, opAt string, _ []heldSub) {
 		if i == ckptAt-1 {
 			if err := plane1.Checkpoint(); err != nil {
 				t.Fatalf("%s: checkpoint: %v", opAt, err)
@@ -288,7 +234,7 @@ func runCrashRecovery(t *testing.T, seed int64, ckptAt, killAt, every int, redef
 		if n := sys1.Env.Stats().Checkpoints.Load(); n != ckpts {
 			ckpts, ckptItems = n, snapshotItems(sys1)
 		}
-	}
+	})
 	if every > 0 && sink.published.Load() == 0 {
 		for k, st := range snapshotItems(sys1) {
 			if st.version > 0 {
@@ -368,12 +314,7 @@ func runCrashRecovery(t *testing.T, seed int64, ckptAt, killAt, every int, redef
 		}
 		ext[core.ItemKey{Registry: sys2.Regs[0].ID(), Kind: redefKind}] = 1
 	}
-	if errs := core.VerifyIntegrity(ext, sys2.BaseRegs()...); len(errs) > 0 {
-		t.Fatalf("%s: recovered integrity violations: %v", at, errs)
-	}
-	if err := core.ScopesUnlocked(sys2.Regs...); err != nil {
-		t.Fatalf("%s: %v", at, err)
-	}
+	checkInvariants(t, at+" recovered", sys2, ext)
 }
 
 // RunTornWrite drives a workload with a plane, kills it, then mutilates
@@ -397,7 +338,7 @@ func RunTornWrite(t *testing.T, seed int64, mutate func(wal []byte) []byte) {
 	var subs []heldSub
 	recsAt := make([]int64, len(script))
 	for i, op := range script {
-		subs = applyOp(sys1, op, subs)
+		subs, _, _ = applyOp(sys1, op, subs)
 		recsAt[i] = sys1.Env.Stats().WALRecords.Load()
 	}
 	plane1.Abandon()
@@ -407,9 +348,14 @@ func RunTornWrite(t *testing.T, seed int64, mutate func(wal []byte) []byte) {
 	if len(walFiles) != 1 {
 		t.Fatalf("seed=%d: %d WAL segments, want 1", seed, len(walFiles))
 	}
-	raw := readFileT(t, walFiles[0])
-	mutated := mutate(append([]byte{}, raw...))
-	writeFileT(t, walFiles[0], mutated)
+	raw, err := os.ReadFile(walFiles[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := mutate(raw)
+	if err := os.WriteFile(walFiles[0], mutated, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// The durable prefix: recovery replays exactly the whole records
 	// that survive framing, i.e. the state at the op that wrote the
@@ -429,7 +375,7 @@ func RunTornWrite(t *testing.T, seed int64, mutate func(wal []byte) []byte) {
 	want := NewSystem(wl, nil, nil, breakerEnv()...)
 	var wsubs []heldSub
 	for i := 0; i <= boundary; i++ {
-		wsubs = applyOp(want, script[i], wsubs)
+		wsubs, _, _ = applyOp(want, script[i], wsubs)
 	}
 
 	sys2 := NewSystem(wl, nil, nil, breakerEnv()...)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,18 +13,15 @@ import (
 
 // This file proves the watch delivery contract (see watch_test.go)
 // holds THROUGH a relay hop: publications cross an HTTP mux session
-// into a watch.Relay, and local watchers on the relay must still see
-// monotonic, gap-flagged, bounded, caught-up-at-quiescence streams.
-// The relay strips upstream Snapshot/Coalesced flags and re-derives
-// both locally, so these checks would catch any hole in that
+// into a watch.Relay, which strips upstream Snapshot/Coalesced flags
+// and re-derives both locally, so these checks catch any hole in that
 // re-derivation.
 
-// relayPlane stands up the watch plane behind a real HTTP server and
-// a relay mirroring it over one mux session. The returned barrier
-// waits until the relay has mirrored version v of w1/val — quiescence
-// across the network hop (the hub barrier alone only covers the
-// upstream rings).
-func relayPlane(t *testing.T) (*watch.Relay, func(), func(uint64)) {
+// relayPlane serves watchPlane over a real HTTP server and hosts the
+// watchers on a relay mirroring it over one mux session. Its barrier
+// waits until the relay has mirrored version v — quiescence across the
+// network hop (the hub barrier alone only covers the upstream rings).
+func relayPlane(t *testing.T) deliveryPlane {
 	t.Helper()
 	env, r, publish := watchPlane(t)
 	h := watch.NewHub(env)
@@ -40,12 +36,12 @@ func relayPlane(t *testing.T) (*watch.Relay, func(), func(uint64)) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rel.Close)
-	barrier := func(v uint64) {
+	barrier := func(v uint64) (uint64, bool) {
 		h.Barrier()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			if got, ok := rel.ItemVersion("w1", "val"); ok && got >= v {
-				return
+				return got, ok
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("relay never mirrored w1/val v%d", v)
@@ -53,162 +49,28 @@ func relayPlane(t *testing.T) (*watch.Relay, func(), func(uint64)) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	return rel, publish, barrier
+	return deliveryPlane{
+		open:    func(o watch.Options) (*watch.Watcher, error) { return rel.WatchItem("w1", "val", o) },
+		publish: publish,
+		barrier: barrier,
+	}
 }
 
-// TestRelayDeliverySequential runs seeded schedules of interleaved
-// publishes, joins (random resume points and ring sizes), drains, and
-// closes against watchers hosted on the relay instead of the hub.
+// TestRelayDeliverySequential runs the seeded schedule on the relay.
 func TestRelayDeliverySequential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
-			rel, publish, barrier := relayPlane(t)
-
-			type rec struct {
-				since uint64
-				evs   []watch.Event
-				w     *watch.Watcher
-			}
-			var open []*rec
-			var closed []*rec
-			published := uint64(1) // the pinning subscription published v1
-			barrier(1)
-			for i := 0; i < 120; i++ {
-				switch rng.Intn(10) {
-				case 0: // join at a random resume point with a random ring
-					since := uint64(rng.Intn(int(published) + 1))
-					w, err := rel.WatchItem("w1", "val", watch.Options{Since: since, Buffer: 1 << rng.Intn(5)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					open = append(open, &rec{since: since, w: w})
-				case 1: // drain everybody once the relay is caught up
-					barrier(published)
-					for _, rc := range open {
-						rc.evs = append(rc.evs, drainW(rc.w)...)
-					}
-				case 2: // close a random watcher (its history still checks)
-					if len(open) > 0 {
-						j := rng.Intn(len(open))
-						rc := open[j]
-						barrier(published)
-						rc.evs = append(rc.evs, drainW(rc.w)...)
-						rc.w.Close()
-						open = append(open[:j], open[j+1:]...)
-						closed = append(closed, rc)
-					}
-				default:
-					publish()
-					published++
-				}
-			}
-
-			barrier(published)
-			final, ok := rel.ItemVersion("w1", "val")
-			if !ok || final != published {
-				t.Fatalf("relay version = %d,%v, want %d", final, ok, published)
-			}
-			for i, rc := range open {
-				rc.evs = append(rc.evs, drainW(rc.w)...)
-				label := fmt.Sprintf("open[%d]", i)
-				checkWatchDelivery(t, label, rc.since, rc.evs, final)
-				// Property 4: an open watcher is caught up at quiescence.
-				last := rc.since
-				if len(rc.evs) > 0 {
-					last = rc.evs[len(rc.evs)-1].Version
-				}
-				if last != final {
-					t.Fatalf("%s: last delivered %d, want final %d", label, last, final)
-				}
-				rc.w.Close()
-			}
-			for i, rc := range closed {
-				checkWatchDelivery(t, fmt.Sprintf("closed[%d]", i), rc.since, rc.evs, final)
-			}
+			p := relayPlane(t)
+			p.barrier(1) // the pinning subscription published v1
+			deliverySchedule(t, p, rng, 120)
 		})
 	}
 }
 
-// TestRelayStressConcurrent races 4 publisher workers against three
-// long-lived consumers on the relay (one with a 1-slot ring, forcing
-// shed and coalesce-to-latest on top of upstream mux coalescing) and
-// a watch/unwatch churn goroutine. Run it with -race.
+// TestRelayStressConcurrent runs deliveryStress on the relay, where the
+// 1-slot ring sheds on top of upstream mux coalescing. Run it with -race.
 func TestRelayStressConcurrent(t *testing.T) {
-	rel, publish, barrier := relayPlane(t)
-
-	type consumer struct {
-		w    *watch.Watcher
-		evs  []watch.Event
-		done chan struct{}
-	}
-	mk := func(buffer int) *consumer {
-		w, err := rel.WatchItem("w1", "val", watch.Options{Buffer: buffer})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &consumer{w: w, done: make(chan struct{})}
-		go func() {
-			defer close(c.done)
-			for {
-				ev, ok := c.w.Next()
-				if !ok {
-					return
-				}
-				c.evs = append(c.evs, ev)
-			}
-		}()
-		return c
-	}
-	consumers := []*consumer{mk(64), mk(4), mk(1)}
-
-	stop := make(chan struct{})
-	var churn sync.WaitGroup
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
-		rng := rand.New(rand.NewSource(99))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			w, err := rel.WatchItem("w1", "val", watch.Options{Buffer: 1 + rng.Intn(4)})
-			if err != nil {
-				continue
-			}
-			w.Poll()
-			w.Close()
-		}
-	}()
-
-	const workers, perWorker = 4, 250
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < perWorker; j++ {
-				publish()
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	churn.Wait()
-
-	final := uint64(workers*perWorker + 1)
-	barrier(final)
-	for i, c := range consumers {
-		c.w.Close()
-		<-c.done
-		c.evs = append(c.evs, drainW(c.w)...)
-		label := fmt.Sprintf("consumer[%d]", i)
-		checkWatchDelivery(t, label, 0, c.evs, final)
-		if last := c.evs[len(c.evs)-1].Version; last != final {
-			t.Fatalf("%s: last delivered %d, want final %d", label, last, final)
-		}
-	}
+	deliveryStress(t, relayPlane(t))
 }

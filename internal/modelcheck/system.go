@@ -43,28 +43,6 @@ type Faults struct {
 	FlapPeriodic map[ikey]*FlapFault
 }
 
-func (f *Faults) panicBuild(k ikey) bool    { return f != nil && f.PanicBuild[k] }
-func (f *Faults) failBuild(k ikey) bool     { return f != nil && f.FailBuild[k] }
-func (f *Faults) panicPeriodic(k ikey) bool { return f != nil && f.PanicPeriodic[k] }
-func (f *Faults) blockPeriodic(k ikey) chan struct{} {
-	if f == nil {
-		return nil
-	}
-	return f.BlockPeriodic[k]
-}
-func (f *Faults) hangPeriodic(k ikey) *HangFault {
-	if f == nil {
-		return nil
-	}
-	return f.HangPeriodic[k]
-}
-func (f *Faults) flapPeriodic(k ikey) *FlapFault {
-	if f == nil {
-		return nil
-	}
-	return f.FlapPeriodic[k]
-}
-
 // HangFault is a switchable hung-compute injector: while engaged,
 // every faulted computation blocks at the gate until Heal releases
 // them all. Caught counts computations that reached the gate while
@@ -190,6 +168,9 @@ func NewSystem(wl *Workload, updater core.Updater, faults *Faults, extra ...core
 		opts = append(opts, core.WithUpdater(updater))
 	}
 	opts = append(opts, extra...)
+	if faults == nil {
+		faults = &Faults{} // every map nil: nothing injected
+	}
 	s := &System{Wl: wl, Clk: vc, Env: core.NewEnv(vc, opts...), faults: faults}
 
 	for _, spec := range wl.Regs {
@@ -267,32 +248,17 @@ func (s *System) definition(ri int, it ItemSpec) *core.Definition {
 		Delta:  delta,
 		Adapt:  adaptSpec(it),
 		Build: func(ctx *core.BuildContext) (core.Handler, error) {
-			if s.faults.panicBuild(k) {
+			if s.faults.PanicBuild[k] {
 				panic(fmt.Sprintf("injected: build %v", k))
 			}
-			if s.faults.failBuild(k) {
+			if s.faults.FailBuild[k] {
 				return nil, fmt.Errorf("injected: build %v failed", k)
 			}
 			switch it.Mech {
 			case core.StaticMechanism:
 				return core.NewStatic(it.Base), nil
 			case core.OnDemandMechanism:
-				if it.Pure {
-					return core.NewOnDemand(func(clock.Time) (core.Value, error) {
-						v, err := sumDeps(ctx)
-						if err != nil {
-							return nil, err
-						}
-						return it.Base + v, nil
-					}), nil
-				}
-				return core.NewOnDemand(func(now clock.Time) (core.Value, error) {
-					v, err := sumDeps(ctx)
-					if err != nil {
-						return nil, err
-					}
-					return it.Base + v + 0.001*float64(now), nil
-				}), nil
+				return core.NewOnDemand(it.onDemand(ctx)), nil
 			case core.PeriodicMechanism:
 				log := &WindowLog{Item: k}
 				s.mu.Lock()
@@ -304,16 +270,16 @@ func (s *System) definition(ri int, it ItemSpec) *core.Definition {
 				var calls atomic.Int64
 				return core.NewPeriodic(it.Window, func(start, end clock.Time) (core.Value, error) {
 					if calls.Add(1) > 1 {
-						if ch := s.faults.blockPeriodic(k); ch != nil {
+						if ch := s.faults.BlockPeriodic[k]; ch != nil {
 							<-ch
 						}
-						if hf := s.faults.hangPeriodic(k); hf != nil {
+						if hf := s.faults.HangPeriodic[k]; hf != nil {
 							hf.gate()
 						}
-						if s.faults.panicPeriodic(k) {
+						if s.faults.PanicPeriodic[k] {
 							panic(fmt.Sprintf("injected: periodic %v", k))
 						}
-						if ff := s.faults.flapPeriodic(k); ff != nil && ff.step() {
+						if ff := s.faults.FlapPeriodic[k]; ff != nil && ff.step() {
 							panic(fmt.Sprintf("injected: flap %v", k))
 						}
 					}
@@ -327,13 +293,7 @@ func (s *System) definition(ri int, it ItemSpec) *core.Definition {
 					// channel when the exactness contract holds.
 					return core.NewDeltaAggregate(ctx)
 				}
-				return core.NewTriggered(func(now clock.Time) (core.Value, error) {
-					v, err := sumDeps(ctx)
-					if err != nil {
-						return nil, err
-					}
-					return it.Base + v + 0.01*float64(now), nil
-				}), nil
+				return core.NewTriggered(it.triggered(ctx)), nil
 			default:
 				return nil, fmt.Errorf("modelcheck: bad mechanism %v", it.Mech)
 			}
@@ -342,37 +302,20 @@ func (s *System) definition(ri int, it ItemSpec) *core.Definition {
 }
 
 // adaptSpec materializes the migration surface of an adaptable
-// workload item: the same deterministic value semantics as the Build
-// forms (system/model shared), constructed over the same resolved
-// dependency handles. AdaptExact omits the triggered form — its
-// 0.01·now term is not exactly representable, and AdaptExact items
-// feed delta-aggregate fan-ins that must stay bit-exact. The periodic
-// form computes plain window encodings without a WindowLog or fault
-// hooks: each migrated handler instance starts a fresh window
-// sequence, which the per-instance tiling check does not span.
+// workload item: the same compute forms as the Build (system/model
+// shared), constructed over the same resolved dependency handles.
+// AdaptExact omits the triggered form — its 0.01·now term is not
+// exactly representable, and AdaptExact items feed delta-aggregate
+// fan-ins that must stay bit-exact. The periodic form computes plain
+// window encodings without a WindowLog or fault hooks: each migrated
+// handler instance starts a fresh window sequence, which the
+// per-instance tiling check does not span.
 func adaptSpec(it ItemSpec) *core.AdaptSpec {
 	if it.Adapt == AdaptNone {
 		return nil
 	}
 	spec := &core.AdaptSpec{
-		OnDemand: func(ctx *core.BuildContext) core.ComputeFunc {
-			if it.Pure {
-				return func(clock.Time) (core.Value, error) {
-					v, err := sumDeps(ctx)
-					if err != nil {
-						return nil, err
-					}
-					return it.Base + v, nil
-				}
-			}
-			return func(now clock.Time) (core.Value, error) {
-				v, err := sumDeps(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return it.Base + v + 0.001*float64(now), nil
-			}
-		},
+		OnDemand: it.onDemand,
 		Periodic: func(*core.BuildContext) core.WindowComputeFunc {
 			return func(start, end clock.Time) (core.Value, error) {
 				return encodeWindow(start, end), nil
@@ -382,17 +325,36 @@ func adaptSpec(it ItemSpec) *core.AdaptSpec {
 		Pure:   it.Pure,
 	}
 	if it.Adapt == AdaptFull {
-		spec.Triggered = func(ctx *core.BuildContext) core.ComputeFunc {
-			return func(now clock.Time) (core.Value, error) {
-				v, err := sumDeps(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return it.Base + v + 0.01*float64(now), nil
-			}
-		}
+		spec.Triggered = it.triggered
 	}
 	return spec
+}
+
+// onDemand is the on-demand compute form: Base + Σ dep values, plus
+// 0.001·now at access time unless the item is pure.
+func (it ItemSpec) onDemand(ctx *core.BuildContext) core.ComputeFunc {
+	return func(now clock.Time) (core.Value, error) {
+		v, err := sumDeps(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if it.Pure {
+			return it.Base + v, nil
+		}
+		return it.Base + v + 0.001*float64(now), nil
+	}
+}
+
+// triggered is the triggered compute form: Base + Σ dep values +
+// 0.01·now at refresh time.
+func (it ItemSpec) triggered(ctx *core.BuildContext) core.ComputeFunc {
+	return func(now clock.Time) (core.Value, error) {
+		v, err := sumDeps(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return it.Base + v + 0.01*float64(now), nil
+	}
 }
 
 // encodeWindow is the canonical value a periodic workload item

@@ -9,8 +9,12 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/watch"
 )
+
+// TestMain fails the package if a test leaves a goroutine running.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // This file checks the watch hub's delivery contract against the
 // published version stream:
@@ -24,12 +28,8 @@ import (
 //     open watcher's last delivered event is the item's current
 //     version.
 //
-// The sequential variant runs seeded schedules of interleaved
-// publishes, joins (random resume points and ring sizes), drains, and
-// closes. The concurrent variant (run it with -race) publishes from 4
-// workers while long-lived consumers drain concurrently and a churn
-// goroutine races subscribe/unsubscribe with tiny rings, exercising
-// the shed and coalesce paths.
+// deliverySchedule and deliveryStress check it on the hub here and,
+// through a relay hop, in relay_test.go.
 
 // watchPlane builds a registry with a static "src" and a triggered
 // "val" republishing on every src notification, pinned by an
@@ -65,8 +65,8 @@ func watchPlane(t *testing.T) (*core.Env, *core.Registry, func()) {
 
 // checkWatchDelivery asserts properties 1-3 on one watcher's event
 // sequence, given the version it resumed from and the final published
-// version.
-func checkWatchDelivery(t *testing.T, label string, since uint64, evs []watch.Event, final uint64) {
+// version, and property 4 when the watcher is still open at quiescence.
+func checkWatchDelivery(t *testing.T, label string, since uint64, evs []watch.Event, final uint64, open bool) {
 	t.Helper()
 	prev := since
 	for i, ev := range evs {
@@ -84,6 +84,9 @@ func checkWatchDelivery(t *testing.T, label string, since uint64, evs []watch.Ev
 		}
 		prev = ev.Version
 	}
+	if open && prev != final {
+		t.Fatalf("%s: last delivered %d, want final %d", label, prev, final)
+	}
 }
 
 func drainW(w *watch.Watcher) []watch.Event {
@@ -97,97 +100,98 @@ func drainW(w *watch.Watcher) []watch.Event {
 	}
 }
 
-func TestWatchDeliverySequential(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			env, r, publish := watchPlane(t)
-			h := watch.NewHub(env)
-			defer h.Close()
+// deliveryPlane is where a suite's watchers live: open watches w1/val,
+// publish makes one more version, and barrier(v) waits until they can
+// have seen v and returns the item's version where they live.
+type deliveryPlane struct {
+	open    func(watch.Options) (*watch.Watcher, error)
+	publish func()
+	barrier func(v uint64) (uint64, bool)
+}
 
-			type rec struct {
-				since uint64
-				evs   []watch.Event
-				w     *watch.Watcher
-			}
-			var open []*rec
-			var closed []*rec
-			published := uint64(1) // the pinning subscription published v1
-			for i := 0; i < 200; i++ {
-				switch rng.Intn(10) {
-				case 0: // join at a random resume point with a random ring
-					since := uint64(rng.Intn(int(published) + 1))
-					w, err := h.Watch(r, "val", watch.Options{Since: since, Buffer: 1 << rng.Intn(5)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					open = append(open, &rec{since: since, w: w})
-				case 1: // drain everybody at a barrier
-					h.Barrier()
-					for _, rc := range open {
-						rc.evs = append(rc.evs, drainW(rc.w)...)
-					}
-				case 2: // close a random watcher (its history still checks)
-					if len(open) > 0 {
-						j := rng.Intn(len(open))
-						rc := open[j]
-						h.Barrier()
-						rc.evs = append(rc.evs, drainW(rc.w)...)
-						rc.w.Close()
-						open = append(open[:j], open[j+1:]...)
-						closed = append(closed, rc)
-					}
-				default:
-					publish()
-					published++
-				}
-			}
-
+// hubPlane hosts the watchers on a hub over watchPlane.
+func hubPlane(t *testing.T) deliveryPlane {
+	t.Helper()
+	env, r, publish := watchPlane(t)
+	h := watch.NewHub(env)
+	t.Cleanup(h.Close)
+	return deliveryPlane{
+		open:    func(o watch.Options) (*watch.Watcher, error) { return h.Watch(r, "val", o) },
+		publish: publish,
+		barrier: func(uint64) (uint64, bool) {
 			h.Barrier()
-			final, ok := r.ItemVersion("val")
-			if !ok || final != published {
-				t.Fatalf("published version = %d,%v, want %d", final, ok, published)
-			}
-			for i, rc := range open {
-				rc.evs = append(rc.evs, drainW(rc.w)...)
-				label := fmt.Sprintf("open[%d]", i)
-				checkWatchDelivery(t, label, rc.since, rc.evs, final)
-				// Property 4: an open watcher is caught up at quiescence.
-				last := rc.since
-				if len(rc.evs) > 0 {
-					last = rc.evs[len(rc.evs)-1].Version
-				}
-				if last != final {
-					t.Fatalf("%s: last delivered %d, want final %d", label, last, final)
-				}
-				rc.w.Close()
-			}
-			for i, rc := range closed {
-				checkWatchDelivery(t, fmt.Sprintf("closed[%d]", i), rc.since, rc.evs, final)
-			}
-		})
+			return r.ItemVersion("val")
+		},
 	}
 }
 
-// TestWatchStressConcurrent races 4 publisher workers against three
-// long-lived consumers (one with a 1-slot ring, forcing shed and
-// coalesce-to-latest) and a subscribe/unsubscribe churn goroutine.
-// Run it with -race. After quiescence every surviving consumer's
-// history must satisfy the delivery contract and end at the final
-// published version.
-func TestWatchStressConcurrent(t *testing.T) {
-	env, r, publish := watchPlane(t)
-	h := watch.NewHub(env)
-	defer h.Close()
+// deliverySchedule interleaves seeded publishes, joins (random resume
+// points and ring sizes), drains and closes, then checks every history.
+func deliverySchedule(t *testing.T, p deliveryPlane, rng *rand.Rand, steps int) {
+	t.Helper()
+	type rec struct {
+		since uint64
+		evs   []watch.Event
+		w     *watch.Watcher
+	}
+	var open, closed []*rec
+	published := uint64(1) // the pinning subscription published v1
+	for i := 0; i < steps; i++ {
+		switch rng.Intn(10) {
+		case 0: // join at a random resume point with a random ring
+			since := uint64(rng.Intn(int(published) + 1))
+			w, err := p.open(watch.Options{Since: since, Buffer: 1 << rng.Intn(5)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			open = append(open, &rec{since: since, w: w})
+		case 1: // drain everybody at a barrier
+			p.barrier(published)
+			for _, rc := range open {
+				rc.evs = append(rc.evs, drainW(rc.w)...)
+			}
+		case 2: // close a random watcher (its history still checks)
+			if len(open) > 0 {
+				j := rng.Intn(len(open))
+				rc := open[j]
+				p.barrier(published)
+				rc.evs = append(rc.evs, drainW(rc.w)...)
+				rc.w.Close()
+				open = append(open[:j], open[j+1:]...)
+				closed = append(closed, rc)
+			}
+		default:
+			p.publish()
+			published++
+		}
+	}
 
+	final, ok := p.barrier(published)
+	if !ok || final != published {
+		t.Fatalf("published version = %d,%v, want %d", final, ok, published)
+	}
+	for i, rc := range open {
+		rc.evs = append(rc.evs, drainW(rc.w)...)
+		checkWatchDelivery(t, fmt.Sprintf("open[%d]", i), rc.since, rc.evs, final, true)
+		rc.w.Close()
+	}
+	for i, rc := range closed {
+		checkWatchDelivery(t, fmt.Sprintf("closed[%d]", i), rc.since, rc.evs, final, false)
+	}
+}
+
+// deliveryStress races 4 publishers against three long-lived consumers
+// (a 1-slot ring forces shed and coalesce-to-latest) and a watch/unwatch
+// churn goroutine; every history must end at the final version.
+func deliveryStress(t *testing.T, p deliveryPlane) {
+	t.Helper()
 	type consumer struct {
 		w    *watch.Watcher
 		evs  []watch.Event
 		done chan struct{}
 	}
 	mk := func(buffer int) *consumer {
-		w, err := h.Watch(r, "val", watch.Options{Buffer: buffer})
+		w, err := p.open(watch.Options{Buffer: buffer})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +222,7 @@ func TestWatchStressConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			w, err := h.Watch(r, "val", watch.Options{Buffer: 1 + rng.Intn(4)})
+			w, err := p.open(watch.Options{Buffer: 1 + rng.Intn(4)})
 			if err != nil {
 				continue
 			}
@@ -234,7 +238,7 @@ func TestWatchStressConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
-				publish()
+				p.publish()
 			}
 		}()
 	}
@@ -242,8 +246,7 @@ func TestWatchStressConcurrent(t *testing.T) {
 	close(stop)
 	churn.Wait()
 
-	h.Barrier()
-	final, ok := r.ItemVersion("val")
+	final, ok := p.barrier(workers*perWorker + 1)
 	if !ok || final != workers*perWorker+1 {
 		t.Fatalf("final version = %d,%v, want %d", final, ok, workers*perWorker+1)
 	}
@@ -251,10 +254,21 @@ func TestWatchStressConcurrent(t *testing.T) {
 		c.w.Close()
 		<-c.done
 		c.evs = append(c.evs, drainW(c.w)...)
-		label := fmt.Sprintf("consumer[%d]", i)
-		checkWatchDelivery(t, label, 0, c.evs, final)
-		if last := c.evs[len(c.evs)-1].Version; last != final {
-			t.Fatalf("%s: last delivered %d, want final %d", label, last, final)
-		}
+		checkWatchDelivery(t, fmt.Sprintf("consumer[%d]", i), 0, c.evs, final, true)
 	}
+}
+
+func TestWatchDeliverySequential(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			deliverySchedule(t, hubPlane(t), rng, 200)
+		})
+	}
+}
+
+// TestWatchStressConcurrent runs deliveryStress on the hub; use -race.
+func TestWatchStressConcurrent(t *testing.T) {
+	deliveryStress(t, hubPlane(t))
 }

@@ -339,11 +339,9 @@ func genDeps(rng *rand.Rand, w *Workload, ri, j int) []DepSpec {
 		case p < 0.75 && len(reg.Inputs) > 0:
 			deps = append(deps, DepSpec{Sel: SelEachInput, Kind: "k0"})
 		case p < 0.90 && moduleOf(w, ri) >= 0:
-			mi := moduleOf(w, ri)
 			mk := rng.Intn(2) // module registries always have >= 2 items
 			deps = append(deps, DepSpec{Sel: SelModule, Name: "m", Kind: core.Kind(fmt.Sprintf("k%d", mk)),
 				Optional: rng.Float64() < 0.5})
-			_ = mi
 		default:
 			// An optional selector that resolves to nothing exercises
 			// the empty-dependency-group path.

@@ -212,6 +212,26 @@ func TestCheckpointBytesPerItem(t *testing.T) {
 	}
 }
 
+// TestWALBytesPerOp gates the journal's density on the same plane: each
+// journaled subscribe is one WAL record, and the mean record, frame
+// included, is a count like the checkpoint's bytes. The ceiling is the
+// figure measured here rounded up to the next byte.
+func TestWALBytesPerOp(t *testing.T) {
+	const regs, ceiling = 1000, 43.0
+	p, rs := chainPlane(t, t.TempDir(), regs)
+	defer p.Abandon()
+	st := rs[0].Env().Stats()
+	recs, n := st.WALRecords.Load(), st.WALBytes.Load()
+	if recs != 2*regs {
+		t.Fatalf("%d WAL records for %d journaled subscribes", recs, 2*regs)
+	}
+	perOp := float64(n) / float64(recs)
+	t.Logf("%d WAL bytes for %d records: %.2f B/op", n, recs, perOp)
+	if perOp > ceiling {
+		t.Fatalf("WAL is %.2f B/op, ceiling %v", perOp, ceiling)
+	}
+}
+
 // TestOpenAllocsPerRestoredItem gates what recovery allocates, on the
 // same plane at 10,000 items: decode, one Define per record (the shapes
 // are interned, so a definition costs its rare block, not a record and a

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sync"
 	"time"
@@ -24,6 +25,14 @@ const muxSessionTTL = time.Minute
 // larger than this simply spans frames, all written before one flush.
 const maxMuxBatch = 1024
 
+// maxControlBody bounds one POST /mux/watch body, so a peer cannot make
+// the server buffer an unbounded request. A muxAdd with a 20-digit id
+// and since is 81 bytes of JSON with its separating comma, plus its
+// registry and kind names, so 64 MiB holds 462,819 adds with 32-byte
+// names: a relay re-adding its whole inventory after a redial stays well
+// inside it.
+const maxControlBody = 64 << 20
+
 // Server exposes a watch Source over HTTP — the stdlib-only wire
 // surface behind cmd/mdserve, serving either a primary hub (HubView)
 // or a Relay. The mux session is the only watch transport; watching
@@ -37,7 +46,7 @@ const maxMuxBatch = 1024
 //	    "remove": [id...]}. A watch added behind its item (since below
 //	    the current version) starts with one snapshot event, then
 //	    deltas. Per-id failures come back in "errors"; unknown sessions
-//	    answer 410 Gone (redial signal).
+//	    answer 410 Gone (redial signal), bodies over maxControlBody 413.
 //	GET /mux/stream?session=ID
 //	    The session's single downstream: CRC-framed binary batches
 //	    ('E' frames carrying many events, 'H' heartbeats). Closing the
@@ -156,8 +165,12 @@ func (s *Server) handleMuxControl(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var ctl muxControl
-	if err := json.NewDecoder(req.Body).Decode(&ctl); err != nil {
-		http.Error(w, "bad control body: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxControlBody)).Decode(&ctl); err != nil {
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad control body: "+err.Error(), code)
 		return
 	}
 	res := muxControlResult{}

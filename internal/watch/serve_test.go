@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -170,5 +171,39 @@ func TestServerResume(t *testing.T) {
 	}
 	if ev3.Snapshot || ev3.Version != ev2.Version+1 {
 		t.Fatalf("current-resume event = %+v, want v%d delta", ev3, ev2.Version+1)
+	}
+}
+
+// TestServerControlBodyLimit posts a control body one byte over
+// maxControlBody to a live session: the server answers 413, and the
+// same session still takes a watch and streams its snapshot.
+func TestServerControlBodyLimit(t *testing.T) {
+	env, r, _, _ := testPlane(t)
+	h := NewHub(env)
+	defer h.Close()
+	srv := httptest.NewServer(NewServer(h, env, r).Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	m, err := NewClient(srv.URL).Mux(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	body := bytes.NewReader(bytes.Repeat([]byte(" "), maxControlBody+1))
+	resp, err := http.Post(srv.URL+"/mux/watch?session="+m.ID(), "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("control body of %d bytes = %d, want 413", maxControlBody+1, resp.StatusCode)
+	}
+	rejects, err := m.Add(ctx, map[uint64]MuxWatch{1: {Registry: "n1", Kind: "val"}})
+	if err != nil || len(rejects) != 0 {
+		t.Fatalf("Add after the 413 = %v, %v", rejects, err)
+	}
+	if ev, err := m.Next(); err != nil || ev.ID != 1 || !ev.Snapshot {
+		t.Fatalf("first event after the 413 = %+v, %v; want watch 1's snapshot", ev, err)
 	}
 }
