@@ -301,18 +301,31 @@ func (r ckptReader) check() (*CheckpointInfo, error) {
 func DecodeCheckpoint(b []byte) (*CheckpointInfo, error) { return newCkptReader(b).check() }
 
 // writeCheckpoint atomically replaces dir/checkpoint.db with the
-// records fill puts: stream them into a temp file in the same
-// directory, fsync it, rename over the target, fsync the directory so
-// the rename itself is durable.
+// records fill puts: stream them over the spare checkpoint.db.tmp (the
+// checkpoint before the current one), cut it to length and fsync it,
+// rename it over the target, fsync the directory so the rename itself
+// is durable. The outgoing checkpoint keeps a link under
+// checkpoint.db.old across the rename and then becomes the next spare,
+// so no rotation frees a fsynced file, which on a filesystem mounted
+// with discard takes tens of milliseconds (DESIGN §13.2). Where hard
+// links are refused the rename drops the old checkpoint instead.
 func writeCheckpoint(dir string, seq uint64, now clock.Time, fill func(*ckptWriter)) error {
-	tmp := filepath.Join(dir, "checkpoint.db.tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	path := filepath.Join(dir, "checkpoint.db")
+	tmp, old := path+".tmp", path+".old"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("persist: checkpoint temp: %w", err)
 	}
 	w := newCkptWriter(f, seq, now)
 	fill(w)
-	if err := w.finish(); err != nil {
+	err = w.finish()
+	if err == nil {
+		var n int64
+		if n, err = f.Seek(0, io.SeekCurrent); err == nil {
+			err = f.Truncate(n)
+		}
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("persist: checkpoint write: %w", err)
 	}
@@ -323,8 +336,15 @@ func writeCheckpoint(dir string, seq uint64, now clock.Time, fill func(*ckptWrit
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("persist: checkpoint close: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, "checkpoint.db")); err != nil {
+	// A checkpoint.db.old left by a crash is either a second link to the
+	// current checkpoint or the one before it, which recovery never reads.
+	os.Remove(old)
+	linked := os.Link(path, old) == nil
+	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("persist: checkpoint rename: %w", err)
+	}
+	if linked {
+		os.Rename(old, tmp) // on failure the next checkpoint removes it
 	}
 	return syncDir(dir)
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -343,5 +344,172 @@ func TestStaleCauseSurvivesRestartsUnchanged(t *testing.T) {
 	}
 	if size2 != size3 {
 		t.Fatalf("checkpoint grew from %d to %d bytes over one more restart", size2, size3)
+	}
+}
+
+// checkSteadyState fails unless p's directory holds exactly what a
+// rotation leaves: the checkpoint, its spare and the current WAL segment.
+func checkSteadyState(t *testing.T, p *Plane) {
+	t.Helper()
+	ents, err := os.ReadDir(p.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if want := []string{"checkpoint.db", "checkpoint.db.tmp", filepath.Base(p.walPath(p.seq))}; !slices.Equal(names, want) {
+		t.Fatalf("directory holds %q, want %q", names, want)
+	}
+}
+
+// TestCheckpointReusesSpare: a checkpoint is written over the file of
+// the one before the current, so a rotation frees no file. From the
+// third checkpoint on, the new checkpoint.db is the file that
+// checkpoint.db.tmp was; the fourth is smaller than that file and must
+// still read back whole.
+func TestCheckpointReusesSpare(t *testing.T) {
+	dir := t.TempDir()
+	env, _ := testEnv(t, true)
+	r := env.NewRegistry("op")
+	for i := 8; i < 12; i++ {
+		defineCell(t, r, i)
+	}
+	p, _, err := Open(env, dir, Options{}, r) // its barrier is the first checkpoint
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var subs []*core.Subscription
+	for i := 8; i < 12; i++ {
+		s, err := r.Subscribe(core.Kind(fmt.Sprintf("cell%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, s)
+	}
+	path := filepath.Join(dir, "checkpoint.db")
+	for n := 2; n <= 4; n++ {
+		spare, spareErr := os.Stat(path + ".tmp")
+		if n == 4 {
+			for _, s := range subs[1:] {
+				s.Unsubscribe()
+			}
+		}
+		if err := p.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", n, err)
+		}
+		cur, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 2 && (spareErr != nil || !os.SameFile(cur, spare)) {
+			t.Fatalf("checkpoint %d went to a new file, not over the spare (%v)", n, spareErr)
+		}
+		checkSteadyState(t, p)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := DecodeCheckpoint(raw); err != nil || info.Seq != 4 {
+		t.Fatalf("the fourth checkpoint reads %+v, %v", info, err)
+	}
+}
+
+// TestCheckpointRotationCrashStates hand-builds the directory a crash
+// leaves at each step boundary of writeCheckpoint. Open recovers the
+// checkpoint last renamed into place, and the checkpoints after it
+// reuse or remove whatever the crash left.
+func TestCheckpointRotationCrashStates(t *testing.T) {
+	// Two checkpoints of one plane, the newer with other values. Values
+	// are not journaled, so the older one's WAL segment is empty.
+	src := t.TempDir()
+	env, _ := testEnv(t, true)
+	r := env.NewRegistry("op")
+	kinds := []core.Kind{"cell12", "cell13", "cell14"}
+	for i := range kinds {
+		defineCell(t, r, 12+i)
+		setSrc(12+i, float64(10+i))
+	}
+	p, _, err := Open(env, src, Options{}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range kinds {
+		if _, err := r.Subscribe(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint := func() []byte {
+		if err := p.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(src, "checkpoint.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	older := checkpoint()
+	olderSeq := p.seq
+	for i, k := range kinds {
+		if err := r.RestoreStale(k, float64(20+i), 5, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newer := checkpoint()
+	p.Abandon()
+
+	garbage := bytes.Repeat([]byte{0xA5}, len(newer)+100)
+	for _, tc := range []struct {
+		name                 string
+		ckpt, spare, sideOld []byte // nil: no such file
+		link                 bool   // checkpoint.db.old is a second link to checkpoint.db
+		seq                  uint64
+		base                 float64 // the recovered value of kinds[i] is base+i
+	}{
+		{name: "garbage spare", ckpt: older, spare: garbage, seq: olderSeq, base: 10},
+		{name: "complete spare never renamed", ckpt: older, spare: newer, seq: olderSeq, base: 10},
+		{name: "complete spare, old linked", ckpt: older, spare: newer, link: true, seq: olderSeq, base: 10},
+		{name: "renamed, old under side name", ckpt: newer, sideOld: older, seq: olderSeq + 1, base: 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "checkpoint.db")
+			for name, b := range map[string][]byte{path: tc.ckpt, path + ".tmp": tc.spare, path + ".old": tc.sideOld, filepath.Join(dir, fmt.Sprintf("wal.%d.log", olderSeq)): {}} {
+				if b != nil {
+					if err := os.WriteFile(name, b, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if tc.link {
+				if err := os.Link(path, path+".old"); err != nil {
+					t.Skipf("hard links: %v", err)
+				}
+			}
+			env, _ := testEnv(t, true)
+			r := env.NewRegistry("op")
+			p, rs, err := Open(env, dir, Options{}, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Abandon()
+			if rs.CheckpointSeq != tc.seq || rs.Restored != len(kinds) || rs.Subscribed != len(kinds) || rs.Skipped != 0 {
+				t.Fatalf("recovery stats %+v, want checkpoint %d with %d restored and subscribed", rs, tc.seq, len(kinds))
+			}
+			for i, k := range kinds {
+				if v, err := r.Peek(k); !errors.Is(err, core.ErrRestored) || v != tc.base+float64(i) {
+					t.Fatalf("%s recovered %v, %v; want %v restored", k, v, err, tc.base+float64(i))
+				}
+			}
+			checkSteadyState(t, p) // after the barrier checkpoint
+			if err := p.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			checkSteadyState(t, p)
+		})
 	}
 }

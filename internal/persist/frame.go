@@ -7,11 +7,15 @@
 //
 // On-disk layout (all inside one directory):
 //
-//	checkpoint.db   magic + a sequence of CRC frames of at most 256 KiB
-//	                carrying one binary record stream that ends in a
-//	                trailer of record totals (temp+rename; checkpoint.go)
-//	wal.<seq>.log   CRC-framed JSON records, one per structural op;
-//	                <seq> is the checkpoint sequence the segment follows
+//	checkpoint.db      magic + a sequence of CRC frames of at most 256 KiB
+//	                   carrying one binary record stream that ends in a
+//	                   trailer of record totals (temp+rename; checkpoint.go)
+//	checkpoint.db.tmp  the checkpoint before it, never read: the spare the
+//	                   next checkpoint overwrites in place and renames over
+//	                   checkpoint.db, whose file then becomes the spare
+//	                   (named checkpoint.db.old while the two swap)
+//	wal.<seq>.log      CRC-framed JSON records, one per structural op;
+//	                   <seq> is the checkpoint sequence the segment follows
 //
 // Record framing is crash-safe: a torn tail (partial frame, or a frame
 // whose CRC does not match) terminates replay at the last whole record

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -139,6 +141,48 @@ func BenchmarkOpenRecover100k(b *testing.B) {
 			b.Fatalf("recovery stats %+v", rs)
 		}
 		p.Abandon()
+	}
+}
+
+// BenchmarkWALAppend appends one journaled subscribe's record per op
+// under each sync policy. Then it ends the segment as a checkpoint's
+// rotation does, closed without a flush and removed, and reports the
+// removal as rotate-ms: under syncalways every append was fsynced, so
+// that is the price of freeing a synced file. The segment holds b.N
+// records; -benchtime 10000x is the size of the tail segment of the
+// repository benchmark's durable-restart workload.
+func BenchmarkWALAppend(b *testing.B) {
+	op := core.JournalOp{Op: core.JournalSubscribe, Registry: "d04242", Kind: chainKind(chainLen - 1)}
+	payload, err := json.Marshal(walRecOf(op))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		sync SyncPolicy
+	}{{"syncnone", SyncNone}, {"syncalways", SyncAlways}} {
+		b.Run(bc.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "wal.1.log")
+			w, err := openWAL(path, bc.sync)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(frameHeader + len(payload)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.append(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			w.f.Close()
+			t0 := time.Now()
+			if err := os.Remove(path); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(time.Since(t0))/1e6, "rotate-ms")
+		})
 	}
 }
 

@@ -498,12 +498,17 @@ func (p *Plane) checkpointLocked() error {
 	if err != nil {
 		return err
 	}
-	old, oldSeq := p.w, p.seq
-	p.w, p.seq, p.sinceCkpt = neww, seq, 0
-	if old != nil {
-		old.close()
+	if p.w != nil {
+		// No flush: the checkpoint holds every op of the segment, and a
+		// fsynced file costs the filesystem far more to free.
+		p.w.f.Close()
 	}
-	os.Remove(p.walPath(oldSeq))
+	// The segment before the old one too: a crash between a checkpoint's
+	// rename and its rotation leaves it behind.
+	for _, s := range []uint64{p.seq - 1, p.seq} {
+		os.Remove(p.walPath(s))
+	}
+	p.w, p.seq, p.sinceCkpt = neww, seq, 0
 	st := p.env.Stats()
 	st.Checkpoints.Add(1)
 	st.CheckpointAt.Store(int64(now))
