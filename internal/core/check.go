@@ -28,16 +28,19 @@ import (
 //  6. flat-graph consistency: every dependency edge stores the slot of
 //     a dependents element that points back at it and vice versa (so
 //     the dependents length is the declared-edge count), edges are
-//     stored in group order, the lock-free ndeps mirror matches, no
-//     plan-build mark is left behind, every slot table is strictly
-//     ascending by shape.kind, an included item's definition is the
+//     stored in group order, the lock-free ndeps mirror and deltaDeps
+//     (eligible delta edges) match, no plan-build mark is left behind,
+//     every slot table is strictly ascending by shape.kind, an
+//     included item's definition is the
 //     shape of the slot it is filed in, and every slot's shape is the
 //     env's interned shape for its own content.
 //  7. item state: every included item is in service; the mechanism it
 //     reports is the policy installed on it; a window policy has a
 //     boundary task unless the item is quarantined; delta state exists
-//     iff the definition declares Delta; and a removed item still
-//     reachable through a (broken) edge is out of service.
+//     iff the definition declares Delta; a breaker iff the env has one
+//     and the item is not static, as the side block of the item it
+//     guards; and a removed item still reachable through a (broken)
+//     edge is out of service.
 
 // ItemKey identifies one metadata item across registries, for the
 // external-subscription counts passed to VerifyIntegrity.
@@ -180,6 +183,15 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			if got := int(it.ndeps.Load()); got != len(it.dependents) {
 				bad("%s/%s: ndeps mirror %d, dependents %d", r.id, kind, got, len(it.dependents))
 			}
+			eligible := int32(0)
+			for _, d := range it.dependents {
+				if ds := d.it.delta(); ds != nil && ds.eligible {
+					eligible++
+				}
+			}
+			if it.deltaDeps != eligible {
+				bad("%s/%s: deltaDeps %d, but %d eligible delta-aggregate edges depend on it", r.id, kind, it.deltaDeps, eligible)
+			}
 			if it.planIn != 0 {
 				bad("%s/%s: plan scratch %d left behind", r.id, kind, it.planIn)
 			}
@@ -194,14 +206,14 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 
 			// Invariant 5: event registrations, item side.
 			for _, name := range it.def.events {
-				if !slices.Contains(r.events[name], it) {
+				if !slices.Contains(r.ext.events[name], it) {
 					bad("%s/%s: missing from event table %q", r.id, kind, name)
 				}
 			}
 		}
 
 		// Invariant 5: event registrations, table side.
-		for name, es := range r.events {
+		for name, es := range r.ext.events {
 			if len(es) == 0 {
 				bad("%s: empty event table %q not removed", r.id, name)
 			}
@@ -230,8 +242,8 @@ func withModules(regs []*Registry) []*Registry {
 		seen[r] = true
 		out = append(out, r)
 		r.mu.RLock()
-		mods := make([]*Registry, 0, len(r.modules))
-		for _, m := range r.modules {
+		mods := make([]*Registry, 0, len(r.ext.modules))
+		for _, m := range r.ext.modules {
 			mods = append(mods, m)
 		}
 		r.mu.RUnlock()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clock"
@@ -208,5 +210,108 @@ func TestPoolUpdaterRunsPeriodicUpdates(t *testing.T) {
 			t.Fatalf("value = %v, want 100", v)
 		}
 		s.Unsubscribe()
+	}
+}
+
+// TestSideBlockRacesPublishers runs pooled periodic publishers against
+// everything that makes or uses a side block on the same items:
+// Watch/Unwatch, TrackReads with lock-free reads, and a delta aggregate
+// over them subscribed and released, which moves their delta edge
+// state while they publish. Run with -race: the side block is made
+// lazily under the scope lock while publishers and readers load it
+// holding no lock.
+func TestSideBlockRacesPublishers(t *testing.T) {
+	vc := clock.NewVirtual()
+	pool := NewPoolUpdater(4)
+	defer pool.Stop()
+	env := NewEnv(vc, WithUpdater(pool))
+	r := env.NewRegistry("n")
+	var kinds []Kind
+	var deps []DepRef
+	for i := 0; i < 6; i++ {
+		kind := Kind(rune('a' + i))
+		kinds, deps = append(kinds, kind), append(deps, Dep(Self(), kind))
+		r.MustDefine(&Definition{
+			Kind: kind,
+			Build: func(*BuildContext) (Handler, error) {
+				return NewPeriodic(10, func(_, end clock.Time) (Value, error) { return float64(end), nil }), nil
+			},
+		})
+	}
+	defineDeltaAgg(r, "sum", DeltaSum(), deps...)
+	var subs []*Subscription
+	for _, k := range kinds {
+		s, err := r.Subscribe(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Unsubscribe()
+		subs = append(subs, s)
+	}
+
+	sink := &recordingSink{}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	loop := func(body func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				body(i)
+			}
+		}()
+	}
+	loop(func(i int) {
+		k := kinds[i%len(kinds)]
+		if _, err := r.Watch(k, sink); err != nil {
+			t.Error(err)
+		}
+		if i%3 == 0 {
+			r.Unwatch(k)
+		}
+	})
+	loop(func(i int) {
+		r.TrackReads(kinds[i%len(kinds)])
+		if _, err := subs[i%len(subs)].Float(); err != nil {
+			t.Error(err)
+		}
+	})
+	var cycles atomic.Int64
+	loop(func(int) {
+		cycles.Add(1)
+		s, err := r.Subscribe("sum")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := s.Float(); err != nil {
+			t.Error(err)
+		}
+		s.Unsubscribe()
+	})
+	// Publish until every racer has had its turns (bounded, for a
+	// scheduler that starves them).
+	for i := 0; i < 100000 && (i < 300 || len(sink.versions()) < 100 || cycles.Load() < 100); i++ {
+		vc.Advance(10)
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	pool.WaitIdle()
+
+	if len(sink.versions()) == 0 {
+		t.Fatal("the watched publishers reported no publication")
+	}
+	ext := map[ItemKey]int{}
+	for _, k := range kinds {
+		ext[ItemKey{Registry: "n", Kind: k}] = 1
+	}
+	if errs := VerifyIntegrity(ext, r); len(errs) > 0 {
+		t.Fatalf("integrity: %v", errs)
 	}
 }

@@ -207,8 +207,10 @@ func (h *Handle) Value() (Value, error) {
 	// a dependency. The snapshot is loaded before the read is counted, so
 	// the load the result waits for issues first.
 	s := it.cur.Load()
-	if t := it.track.Load(); t != nil {
-		t.Add(1)
+	if sd := it.side.Load(); sd != nil {
+		if t := sd.track.Load(); t != nil {
+			t.Add(1)
+		}
 	}
 	if s != nil {
 		return s.val, s.err

@@ -229,9 +229,16 @@ func NewDeltaAggregate(ctx *BuildContext) (Handler, error) {
 		return nil, fmt.Errorf("core: NewDeltaAggregate on %s/%s: Delta spec without Combine",
 			ctx.reg.id, ctx.Kind())
 	}
-	ds := &deltaState{spec: spec, fan: ctx.deps, rebase: spec.rebaseLimit()}
+	// The item's side block and its delta state are one allocation (on a
+	// breaker env bind moves the item to the breaker's block).
+	side := &struct {
+		itemSide
+		deltaState
+	}{deltaState: deltaState{spec: spec, fan: ctx.deps, rebase: spec.rebaseLimit()}}
+	ds := &side.deltaState
+	side.ds = ds
 	it := newItem(TriggeredMechanism)
-	it.ds = ds
+	it.side.Store(&side.itemSide)
 	// The full recompute folds every fan-in value in declaration order,
 	// first error wins. It returns the raw DeltaAcc; the item publishes
 	// finishAcc of it (foldSnap), so fold and delta paths share one
@@ -284,13 +291,12 @@ func (ds *deltaState) foldSnap(a *snapAlloc, v Value, err error, epoch uint64) *
 // full fold, which re-seeds the accumulator. The caller holds the
 // dependency-scope lock (every refresh caller does), which guards the
 // delta state.
-func (it *item) refreshDelta(now clock.Time) {
+func (it *item) refreshDelta(ds *deltaState, now clock.Time) {
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	if !it.live {
 		return
 	}
-	ds := it.ds
 	// Consume the delta input first — pairs and poison marks must not
 	// leak into a later refresh — even when this refresh cannot use
 	// them (quarantine below drops them and invalidates instead).
@@ -298,7 +304,7 @@ func (it *item) refreshDelta(now clock.Time) {
 	poisoned := ds.poisoned
 	ds.pending = ds.pending[:0]
 	ds.poisoned = false
-	if it.health.isQuarantined() {
+	if it.breaker().isQuarantined() {
 		// The stale publication stands (see refresh); the accumulator
 		// no longer reflects the consumed pair stream.
 		ds.valid = false
@@ -453,7 +459,7 @@ func notifyDeltaLocked(it *item) {
 	}
 	pair := good && it.deltaLastOK
 	for _, d := range it.dependents {
-		ds := d.it.ds
+		ds := d.it.delta()
 		if ds == nil || !ds.eligible {
 			continue
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/clock"
 )
@@ -26,6 +28,7 @@ const (
 type testPlane struct {
 	tenants   []*Registry
 	pipelines []*Registry
+	ops       []*Registry
 	regs      []*Registry
 }
 
@@ -61,6 +64,7 @@ func buildTestPlane(env *Env, pipelines int) *testPlane {
 				defineDerived(op, "est", Dep(Self(), "sel"), Dep(Self(), "rate"), OptionalDep(Input(0), "est"))
 				ops = append(ops, op)
 			}
+			p.ops = append(p.ops, ops...)
 			pl.SetNeighbors(neighbors(ops), nil)
 			pl.MustDefine(&Definition{
 				Kind:  "mem_sum",
@@ -98,6 +102,32 @@ func (p *testPlane) subscribeAll(tb testing.TB) []*Subscription {
 	return held
 }
 
+// subscribeReads defines and includes churn-read-mix's on-demand items
+// on every operator: `cost` (pure, memoized on a WithMemoizedOnDemand
+// env) and `cost_now` (volatile), both over the operator's `est`.
+func (p *testPlane) subscribeReads(tb testing.TB) []*Subscription {
+	tb.Helper()
+	var held []*Subscription
+	for _, op := range p.ops {
+		for _, d := range []*Definition{
+			{Kind: "cost", Deps: []DepRef{Dep(Self(), "est")}, Pure: true},
+			{Kind: "cost_now", Deps: []DepRef{Dep(Self(), "est")}},
+		} {
+			d.Build = func(ctx *BuildContext) (Handler, error) {
+				h := ctx.Dep(0)
+				return NewOnDemand(func(clock.Time) (Value, error) { return h.Value() }), nil
+			}
+			op.MustDefine(d)
+			s, err := op.Subscribe(d.Kind)
+			if err != nil {
+				tb.Fatalf("subscribing %s/%s: %v", op.ID(), d.Kind, err)
+			}
+			held = append(held, s)
+		}
+	}
+	return held
+}
+
 func (p *testPlane) includedItems() int {
 	n := 0
 	for _, r := range p.regs {
@@ -116,34 +146,45 @@ func settledHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// Ceilings of the footprint guard: bytes 2 % above what one object per
-// included item landed (480.7 B per included item; a separate entry and
-// item measured 496.7 B, the table of per-definition records 604 B, the
-// map of slots with retained Definitions 773 B, the map-based graph
-// before it 1,210 B), allocations 5 % above one object per included
-// item's 278 per cold pipeline inclusion and release (a separate entry
-// and item: 319; the flat dependency graph's first reading: 381; the
-// map-based graph: 700).
+// Ceilings of the footprint guard: bytes 2 % above what moving an
+// item's rare fields to a side block landed — 433.5 B per included item
+// on a plain env, 554.5 under WithBreaker and 444.2 with churn-read-mix's
+// on-demand items, where one object per included item read 484.5, 593.5
+// and 481.2 (and the plain plane, read before the plane kept its
+// operator list, 496.7 B with a separate entry and item, 604 B with
+// per-definition records, 773 B with a map of slots retaining
+// Definitions, 1,210 B as a map-based graph) — and allocations 5 % above
+// one object per included item's 278 per cold pipeline inclusion and
+// release (a separate entry and item: 319; the flat dependency graph's
+// first reading: 381; the map-based graph: 700).
 const (
-	maxPlaneBytesPerItem   = 490
-	maxColdInclusionAllocs = 291
+	maxPlaneBytesPerItem         = 442
+	maxBreakerPlaneBytesPerItem  = 565
+	maxOnDemandPlaneBytesPerItem = 453
+	maxColdInclusionAllocs       = 291
 )
 
-// TestFootprintPlaneBytesPerItem builds the benchmark's plane shape at
-// 20 pipelines and bounds the settled heap per included item:
-// definitions, registries, entries, edges and handlers.
-func TestFootprintPlaneBytesPerItem(t *testing.T) {
+// planeBytesPerItem builds the benchmark's plane shape at 20 pipelines
+// on an env with opts — with churn-read-mix's on-demand items too when
+// reads is set — and returns the settled heap per included item:
+// definitions, registries, items, side blocks, edges and handlers.
+func planeBytesPerItem(t *testing.T, reads bool, opts ...EnvOption) float64 {
 	const pipelines = 20
 	best := 0.0
 	// Other tests' garbage or a late finalizer can only add to a
 	// reading; the smallest of three is the plane's own footprint.
 	for trial := 0; trial < 3; trial++ {
 		before := settledHeap()
-		p := buildTestPlane(NewEnv(clock.NewVirtual()), pipelines)
+		p := buildTestPlane(NewEnv(clock.NewVirtual(), opts...), pipelines)
 		held := p.subscribeAll(t)
+		want := pipelines*planeItemsPerPipeline + planeTenants
+		if reads {
+			held = append(held, p.subscribeReads(t)...)
+			want += 2 * len(p.ops)
+		}
 		after := settledHeap()
 		items := p.includedItems()
-		if want := pipelines*planeItemsPerPipeline + planeTenants; items != want {
+		if items != want {
 			t.Fatalf("included %d items, want %d", items, want)
 		}
 		if per := float64(after-before) / float64(items); trial == 0 || per < best {
@@ -152,9 +193,89 @@ func TestFootprintPlaneBytesPerItem(t *testing.T) {
 		runtime.KeepAlive(held)
 		runtime.KeepAlive(p)
 	}
-	t.Logf("%.1f B per included item (ceiling %d)", best, maxPlaneBytesPerItem)
-	if best > maxPlaneBytesPerItem {
-		t.Fatalf("plane costs %.1f B per included item, ceiling %d", best, maxPlaneBytesPerItem)
+	return best
+}
+
+func checkPlaneBytes(t *testing.T, per float64, ceiling int) {
+	t.Helper()
+	t.Logf("%.1f B per included item (ceiling %d)", per, ceiling)
+	if per > float64(ceiling) {
+		t.Fatalf("plane costs %.1f B per included item, ceiling %d", per, ceiling)
+	}
+}
+
+// TestFootprintPlaneBytesPerItem bounds the plane's bytes per included
+// item on a plain env, the configuration of the benchmark's figure.
+func TestFootprintPlaneBytesPerItem(t *testing.T) {
+	checkPlaneBytes(t, planeBytesPerItem(t, false), maxPlaneBytesPerItem)
+}
+
+// TestFootprintBreakerPlaneBytesPerItem bounds it under WithBreaker,
+// the configuration of mdserve -durable and durable-restart: every
+// non-static item has a breaker, which is also its side block.
+func TestFootprintBreakerPlaneBytesPerItem(t *testing.T) {
+	checkPlaneBytes(t, planeBytesPerItem(t, false, WithBreaker(BreakerPolicy{})), maxBreakerPlaneBytesPerItem)
+}
+
+// TestFootprintOnDemandPlaneBytesPerItem bounds it with churn-read-mix's
+// on-demand items included, whose read state lives in the side block.
+func TestFootprintOnDemandPlaneBytesPerItem(t *testing.T) {
+	checkPlaneBytes(t, planeBytesPerItem(t, true, WithMemoizedOnDemand()), maxOnDemandPlaneBytesPerItem)
+}
+
+// TestItemLayout pins the sizes the footprint is sized for: an item in
+// the 208-B size class, a registry 8 B inside the 112-B one, and the
+// side block and the breaker that embeds it in the 64-B and 160-B ones.
+// A field added to any of them fails here before it moves a byte count.
+func TestItemLayout(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"item", unsafe.Sizeof(item{}), 208},
+		{"Registry", unsafe.Sizeof(Registry{}), 104},
+		{"itemSide", unsafe.Sizeof(itemSide{}), 64},
+		{"itemHealth", unsafe.Sizeof(itemHealth{}), 160},
+	} {
+		if c.size > c.max {
+			t.Errorf("%s is %d B, which takes the %d-B size class; ceiling %d B", c.name, c.size, sizeClass(c.size), c.max)
+		}
+	}
+}
+
+// sizeClass returns the heap size class an object of n bytes takes
+// (the runtime's table up to 512 B).
+func sizeClass(n uintptr) uintptr {
+	for _, c := range []uintptr{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256, 288, 320, 352, 384, 416, 448, 480, 512} {
+		if n <= c {
+			return c
+		}
+	}
+	return n
+}
+
+// TestSideBlocksOnTestPlane counts side blocks on the 20-pipeline
+// plane: only the delta aggregates (mem_sum, mem_mean) have one, so the
+// traffic the item's layout is sized for is checked, not assumed.
+func TestSideBlocksOnTestPlane(t *testing.T) {
+	p := buildTestPlane(NewEnv(clock.NewVirtual()), 20)
+	held := p.subscribeAll(t)
+	defer func() {
+		for _, s := range held {
+			s.Unsubscribe()
+		}
+	}()
+	blocks := map[Kind]int{}
+	for _, r := range p.regs {
+		for _, sl := range r.slots {
+			if it := sl.entry; it != nil && it.side.Load() != nil {
+				blocks[it.kind()]++
+			}
+		}
+	}
+	want := map[Kind]int{"mem_sum": 20, "mem_mean": planeTenants}
+	if !maps.Equal(blocks, want) {
+		t.Fatalf("side blocks by kind %v, want %v (in, rate, sel and est none)", blocks, want)
 	}
 }
 

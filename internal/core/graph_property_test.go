@@ -257,7 +257,7 @@ func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 // expects VerifyIntegrity to object (with the named complaint, where
 // one is given).
 func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
-	env, _ := testEnv()
+	env := NewEnv(clock.NewVirtual(), WithBreaker(BreakerPolicy{}))
 	r := env.NewRegistry("n")
 	defineConst(r, "a", 1.0)
 	defineDerived(r, "b", Dep(Self(), "a"), Dep(Self(), "a"))
@@ -277,7 +277,7 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 		t.Fatalf("clean graph: %v", errs)
 	}
 	a, b := r.entryOf("a"), r.entryOf("b")
-	bi, pi, aggi := b, r.entryOf("p"), r.entryOf("agg")
+	bi, ci, pi, aggi := b, r.entryOf("c"), r.entryOf("p"), r.entryOf("agg")
 	type corruption struct {
 		do   func() (undo func())
 		want string // a complaint VerifyIntegrity must make; "" = any
@@ -332,9 +332,28 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 			return func() { pi.win.Load().task = task }
 		}},
 		"aggregate without delta state": {want: "delta state", do: func() func() {
-			ds := aggi.ds
-			aggi.ds = nil
-			return func() { aggi.ds = ds }
+			sd := aggi.side.Load()
+			ds := sd.ds
+			sd.ds = nil
+			return func() { sd.ds = ds }
+		}},
+		"delta edge count off by one": {want: "eligible delta-aggregate edges", do: func() func() {
+			ci.deltaDeps++
+			return func() { ci.deltaDeps-- }
+		}},
+		"delta edge counted on an ineligible aggregate": {want: "eligible delta-aggregate edges", do: func() func() {
+			aggi.delta().eligible = false
+			return func() { aggi.delta().eligible = true }
+		}},
+		"breaker guarding another item": {want: "guards another item", do: func() func() {
+			h := bi.breaker()
+			h.it = pi
+			return func() { h.it = bi }
+		}},
+		"item without its breaker": {want: "breaker presence", do: func() func() {
+			sd := bi.side.Load()
+			bi.side.Store(nil)
+			return func() { bi.side.Store(sd) }
 		}},
 		"removed entry holding its item": {want: "removed but still in service", do: func() func() {
 			i, _ := r.searchSlot("c")

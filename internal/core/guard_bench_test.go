@@ -110,10 +110,17 @@ func BenchmarkSubscribeUnsubscribe(b *testing.B) {
 	}
 }
 
-// BenchmarkValueRead measures a metadata read per mechanism.
+// BenchmarkValueRead measures a metadata read per mechanism, on a plain
+// env and (breaker-*) on a WithBreaker one, where every non-static item
+// has a side block.
 func BenchmarkValueRead(b *testing.B) {
+	benchValueRead(b, "")
+	benchValueRead(b, "breaker-", WithBreaker(BreakerPolicy{}))
+}
+
+func benchValueRead(b *testing.B, prefix string, opts ...EnvOption) {
 	vc := clock.NewVirtual()
-	env := NewEnv(vc)
+	env := NewEnv(vc, opts...)
 	r := env.NewRegistry("op")
 	r.MustDefine(&Definition{
 		Kind:  "static",
@@ -139,7 +146,7 @@ func BenchmarkValueRead(b *testing.B) {
 	})
 	for _, kind := range []Kind{"static", "ondemand", "periodic", "triggered"} {
 		kind := kind
-		b.Run(string(kind), func(b *testing.B) {
+		b.Run(prefix+string(kind), func(b *testing.B) {
 			s, err := r.Subscribe(kind)
 			if err != nil {
 				b.Fatal(err)

@@ -144,13 +144,13 @@ type HealthSnapshot struct {
 	Cause error
 }
 
-// itemHealth is the per-item circuit breaker. It exists only when the
-// env enables WithBreaker; every method is safe on a nil receiver so
-// items call the bookkeeping hooks unconditionally — the healthy hot
-// path with no breaker configured pays a single nil check.
+// itemHealth is the per-item circuit breaker and, with it, the item's
+// side block (item.go). It exists only when the env enables WithBreaker;
+// every method is safe on a nil receiver so items call the bookkeeping
+// hooks unconditionally — the healthy hot path with no breaker
+// configured pays a single nil check.
 type itemHealth struct {
-	env    *Env
-	policy *BreakerPolicy
+	itemSide
 	// it is the item the breaker guards; a fired probe runs it.runProbe.
 	it *item
 
@@ -162,14 +162,13 @@ type itemHealth struct {
 	lastGood *valueSnapshot
 	scratch  *valueSnapshot
 
-	// st mirrors state for lock-free healthy-path checks: the publish
-	// path reads it on every compute (isQuarantined, the onSuccess
-	// fast path), so it must not pay the transition mutex. Transitions
-	// hold mu and store both fields via setStateLocked.
-	st atomic.Int32
+	// st is the HealthState. Transitions hold mu (setStateLocked); the
+	// publish path reads it lock-free on every compute (isQuarantined,
+	// the onSuccess fast path), so it must not pay the mutex.
+	st      atomic.Int32
+	stopped bool // guarded by mu
 
 	mu       sync.Mutex
-	state    HealthState  // guarded by mu; mirrored in st
 	failures []clock.Time // breaker-eligible failure instants, pruned to the window
 	cause    error
 	since    clock.Time
@@ -177,17 +176,11 @@ type itemHealth struct {
 	// probeTask is the armed recovery probe; its Data points back at
 	// this itemHealth so the tick dispatcher can route it.
 	probeTask *clock.Task
-	stopped   bool
 }
 
-// newItemHealth returns breaker state for it, or nil when the env has
-// no breaker configured.
-func newItemHealth(env *Env, it *item) *itemHealth {
-	if env.breaker == nil {
-		return nil
-	}
-	return &itemHealth{env: env, policy: env.breaker, it: it}
-}
+func (ih *itemHealth) env() *Env { return ih.it.reg.env }
+
+func (ih *itemHealth) state() HealthState { return HealthState(ih.st.Load()) }
 
 // keepLastGood records a clean value that is not being published — an
 // on-demand result, served to its reader, or a restored checkpoint
@@ -217,10 +210,7 @@ func breakerEligible(err error) bool {
 }
 
 // setStateLocked transitions the state machine; callers hold mu.
-func (ih *itemHealth) setStateLocked(s HealthState) {
-	ih.state = s
-	ih.st.Store(int32(s))
-}
+func (ih *itemHealth) setStateLocked(s HealthState) { ih.st.Store(int32(s)) }
 
 // onSuccess records a successful compute, resetting the failure window.
 // An item that is already Healthy has nothing to reset (Healthy implies
@@ -235,7 +225,7 @@ func (ih *itemHealth) onSuccess() {
 
 func (ih *itemHealth) resetFailures() {
 	ih.mu.Lock()
-	if ih.state == Degraded {
+	if ih.state() == Degraded {
 		ih.setStateLocked(Healthy)
 		ih.failures = ih.failures[:0]
 		ih.cause = nil
@@ -255,10 +245,11 @@ func (ih *itemHealth) onFailure(now clock.Time, err error) (tripped bool) {
 	}
 	ih.mu.Lock()
 	defer ih.mu.Unlock()
-	if ih.stopped || ih.state == Quarantined || ih.state == Probing {
+	if ih.stopped || ih.isQuarantined() {
 		return false
 	}
-	cutoff := now.Add(-ih.policy.FailureWindow)
+	policy := ih.env().breaker
+	cutoff := now.Add(-policy.FailureWindow)
 	kept := ih.failures[:0]
 	for _, t := range ih.failures {
 		if t > cutoff {
@@ -266,7 +257,7 @@ func (ih *itemHealth) onFailure(now clock.Time, err error) (tripped bool) {
 		}
 	}
 	ih.failures = append(kept, now)
-	if len(ih.failures) < ih.policy.FailureThreshold {
+	if len(ih.failures) < policy.FailureThreshold {
 		ih.setStateLocked(Degraded)
 		ih.cause = err
 		return false
@@ -274,8 +265,8 @@ func (ih *itemHealth) onFailure(now clock.Time, err error) (tripped bool) {
 	ih.setStateLocked(Quarantined)
 	ih.cause = err
 	ih.since = now
-	ih.backoff = ih.policy.ProbeBackoff
-	ih.env.stats.BreakerTrips.Add(1)
+	ih.backoff = policy.ProbeBackoff
+	ih.env().stats.BreakerTrips.Add(1)
 	ih.armProbeLocked(now)
 	return true
 }
@@ -292,13 +283,13 @@ func (ih *itemHealth) forceQuarantine(now clock.Time, cause error) {
 	}
 	ih.mu.Lock()
 	defer ih.mu.Unlock()
-	if ih.stopped || ih.state == Quarantined || ih.state == Probing {
+	if ih.stopped || ih.isQuarantined() {
 		return
 	}
 	ih.setStateLocked(Quarantined)
 	ih.cause = cause
 	ih.since = now
-	ih.backoff = ih.policy.ProbeBackoff
+	ih.backoff = ih.env().breaker.ProbeBackoff
 	ih.armProbeLocked(now)
 }
 
@@ -308,7 +299,7 @@ func (ih *itemHealth) forceQuarantine(now clock.Time, cause error) {
 func (ih *itemHealth) staleError() *StaleError {
 	ih.mu.Lock()
 	defer ih.mu.Unlock()
-	return &StaleError{Cause: ih.cause, Since: ih.since, clk: ih.env.clk}
+	return &StaleError{Cause: ih.cause, Since: ih.since, clk: ih.env().clk}
 }
 
 // armProbeLocked arms the next recovery probe backoff units after now.
@@ -321,7 +312,7 @@ func (ih *itemHealth) armProbeLocked(now clock.Time) {
 	if ih.probeTask == nil {
 		ih.probeTask = &clock.Task{Data: ih}
 	}
-	ih.env.scheduler().At(now.Add(ih.backoff), ih.probeTask)
+	ih.env().scheduler().At(now.Add(ih.backoff), ih.probeTask)
 }
 
 // probeFired is called by the tick dispatcher when the probe backoff
@@ -330,14 +321,14 @@ func (ih *itemHealth) armProbeLocked(now clock.Time) {
 // one would strand the handler in quarantine for a full extra backoff.
 func (ih *itemHealth) probeFired(now clock.Time) {
 	ih.mu.Lock()
-	if ih.stopped || ih.state != Quarantined {
+	if ih.stopped || ih.state() != Quarantined {
 		ih.mu.Unlock()
 		return
 	}
 	ih.setStateLocked(Probing)
 	ih.mu.Unlock()
-	if ih.env.async {
-		ih.env.updater.Submit(func() { ih.it.runProbe(now) })
+	if env := ih.env(); env.async {
+		env.updater.Submit(func() { ih.it.runProbe(now) })
 	} else {
 		ih.it.runProbe(now)
 	}
@@ -351,7 +342,7 @@ func (ih *itemHealth) probeFailed(now clock.Time, err error) {
 	}
 	ih.mu.Lock()
 	defer ih.mu.Unlock()
-	if ih.stopped || ih.state != Probing {
+	if ih.stopped || ih.state() != Probing {
 		return
 	}
 	ih.setStateLocked(Quarantined)
@@ -359,9 +350,7 @@ func (ih *itemHealth) probeFailed(now clock.Time, err error) {
 		ih.cause = err
 	}
 	ih.backoff *= 2
-	if ih.backoff > ih.policy.MaxProbeBackoff {
-		ih.backoff = ih.policy.MaxProbeBackoff
-	}
+	ih.backoff = min(ih.backoff, ih.env().breaker.MaxProbeBackoff)
 	ih.armProbeLocked(now)
 }
 
@@ -374,7 +363,7 @@ func (ih *itemHealth) closeBreaker() {
 	}
 	ih.mu.Lock()
 	defer ih.mu.Unlock()
-	if ih.state != Probing && ih.state != Quarantined {
+	if !ih.isQuarantined() {
 		return
 	}
 	ih.setStateLocked(Healthy)
@@ -382,7 +371,7 @@ func (ih *itemHealth) closeBreaker() {
 	ih.cause = nil
 	ih.since = 0
 	ih.backoff = 0
-	ih.env.stats.BreakerRecoveries.Add(1)
+	ih.env().stats.BreakerRecoveries.Add(1)
 }
 
 // isQuarantined reports whether the item currently serves stale
@@ -407,7 +396,7 @@ func (ih *itemHealth) stop() {
 	ih.probeTask = nil
 	ih.mu.Unlock()
 	if t != nil {
-		ih.env.scheduler().Cancel(t)
+		ih.env().scheduler().Cancel(t)
 	}
 }
 
@@ -419,13 +408,13 @@ func (ih *itemHealth) snapshot() HealthSnapshot {
 	ih.mu.Lock()
 	defer ih.mu.Unlock()
 	hs := HealthSnapshot{
-		State:          ih.state,
+		State:          ih.state(),
 		RecentFailures: len(ih.failures),
 		Cause:          ih.cause,
 	}
-	if ih.state == Quarantined || ih.state == Probing {
+	if ih.isQuarantined() {
 		hs.Since = ih.since
-		hs.StaleFor = ih.env.clk.Now().Sub(ih.since)
+		hs.StaleFor = ih.env().clk.Now().Sub(ih.since)
 	}
 	return hs
 }
@@ -439,7 +428,7 @@ func (r *Registry) Health(kind Kind) (HealthSnapshot, bool) {
 	if it == nil {
 		return HealthSnapshot{}, false
 	}
-	return it.health.snapshot(), true
+	return it.breaker().snapshot(), true
 }
 
 // --- Bounded computes ---

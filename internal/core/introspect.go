@@ -20,8 +20,8 @@ type ItemRef struct {
 func (r *Registry) Modules() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.modules))
-	for name := range r.modules {
+	out := make([]string, 0, len(r.ext.modules))
+	for name := range r.ext.modules {
 		out = append(out, name)
 	}
 	sort.Strings(out)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/clock"
 )
@@ -84,36 +85,42 @@ type valueSnapshot struct {
 // mutex).
 type snapAlloc struct {
 	// first is the first chunk, inline: an item and the first value it
-	// publishes are one allocation (see newItem).
-	first [1]valueSnapshot
-	// chunk's length counts the slots handed out of the current chunk,
-	// its capacity is the chunk size.
-	chunk []valueSnapshot
+	// publishes are one allocation.
+	first valueSnapshot
+	// next is the slot to hand out next, nil before first is. A chunk
+	// ends in a slot never handed out, its end mark: fbox is minus the
+	// chunk's slot count, where a slot handed out starts at 0.
+	next *valueSnapshot
 }
+
+var firstEnd = valueSnapshot{fbox: -1} // the inline chunk's end mark
 
 // slot returns the next slot, freshly zeroed.
 func (a *snapAlloc) slot() *valueSnapshot {
-	n := len(a.chunk)
-	if n == cap(a.chunk) {
+	s := a.next
+	if s == nil {
+		a.next = &firstEnd
+		return &a.first
+	}
+	if s.fbox < 0 {
 		// Grow geometrically from the single inline slot: an item that
 		// only ever publishes once (create/destroy churn) allocates no
 		// chunk at all, while a long-lived periodic item quickly reaches
-		// full chunks.
-		a.chunk = make([]valueSnapshot, 0, min(max(2*n, 1), 64))
-		n = 0
+		// full chunks (63 slots and the mark: 2,560 B, a size class).
+		n := min(-2*int(s.fbox), 63)
+		c := make([]valueSnapshot, n+1)
+		c[n].fbox = -float64(n)
+		s = &c[0]
 	}
-	a.chunk = a.chunk[:n+1]
-	return &a.chunk[n]
+	a.next = (*valueSnapshot)(unsafe.Add(unsafe.Pointer(s), unsafe.Sizeof(*s)))
+	return s
 }
 
 func (a *snapAlloc) put(v Value, err error) *valueSnapshot {
 	s := a.slot()
-	s.val = v
-	if err != nil {
-		// Slots are freshly zeroed and never reused, so the nil-error
-		// common case needs no store (and no write barrier).
-		s.err = err
-	}
+	// One store of both, not a test for a nil error: it keeps put within
+	// the inliner's budget, so a publication makes no call here.
+	s.val, s.err = v, err
 	return s
 }
 
@@ -135,6 +142,9 @@ func (a *snapAlloc) put(v Value, err error) *valueSnapshot {
 // consumers never interfere with each other's measurements (contrast
 // Figure 4, where naive on-demand rate computations by two consumers
 // corrupt each other's counters).
+//
+// The fields the publish path reads first (cur, side, mu, the policy
+// flags and the entry's version) share the first cache line.
 type item struct {
 	// cur is the published snapshot. Periodic and triggered items hold
 	// one from start to stop, a static item from construction. An
@@ -143,9 +153,8 @@ type item struct {
 	// before start and after stop, where reads report ErrUnsubscribed.
 	cur atomic.Pointer[valueSnapshot]
 
-	// entry is the structural half, guarded by the owning component's
-	// lock; bind files it when the inclusion commits.
-	entry
+	// side is the side block (itemSide), nil while the item needs none.
+	side atomic.Pointer[itemSide]
 
 	// mu is the item mutex. It guards live, snaps, the policy fields
 	// below and the breaker's lastGood, and it is held across every
@@ -156,13 +165,12 @@ type item struct {
 	// and no caller holds one item's mutex while refreshing another
 	// (propagation refreshes strictly one item at a time under the
 	// scope lock). No scope lock is ever taken with mu held.
-	mu    sync.Mutex
-	snaps snapAlloc
+	mu sync.Mutex
 
 	// The installed policy. start and Migrate write it holding the
 	// scope lock and mu together, so holding either suffices to read
-	// it; mech and rd are atomic as well because Mechanism() and
-	// Value() read them holding neither.
+	// it; mech and win are atomic as well because Mechanism(), Value()
+	// and a checkpoint read them holding neither.
 	mech atomic.Int32
 	// live is the one stale-publisher fence: set by start, cleared by
 	// stop, both holding the scope lock and mu. Every compute path checks
@@ -173,17 +181,77 @@ type item struct {
 	// dependencies (Definition.Pure at start, AdaptSpec.Pure after a
 	// migration); it decides memo engagement of an on-demand policy.
 	pure bool
+
+	// entry is the structural half, guarded by the owning component's
+	// lock; bind files it when the inclusion commits.
+	entry
+
+	snaps snapAlloc
 	// fn is the compute of the on-read and on-notify policies.
 	fn ComputeFunc
-	// win is the at-a-boundary policy (periodic), nil otherwise. Atomic
-	// so a checkpoint reads the window holding no lock (AppendSlots).
+	// win is the at-a-boundary policy (periodic), nil otherwise.
 	win atomic.Pointer[windowPolicy]
-	// rd is the on-read policy state (on-demand), nil otherwise.
-	rd atomic.Pointer[readPolicy]
+}
+
+// itemSide is the side block: what few items use, kept off the item. On
+// a breaker env it is the breaker (itemHealth embeds it), made at bind;
+// elsewhere sideLocked makes it on first use, under the scope lock. It
+// is never replaced once the item is bound, so a loaded one stays good.
+type itemSide struct {
+	// health is the item's circuit breaker, the itemHealth this block is
+	// embedded in; nil on envs without WithBreaker and for static items.
+	health *itemHealth
+	// track, installed by Registry.TrackReads, counts value reads (Handle
+	// reads and Registry.Peek) for the adaptive controller's sampling.
+	track atomic.Pointer[ShardedCounter]
+	// watch, when non-nil, is the publication sink notified after every
+	// version bump (watchgate.go). The cell is write-once: Watch installs
+	// a fresh one, so a publisher may call through one it loaded.
+	watch atomic.Pointer[WatchSink]
 	// ds is the delta-aggregate state of an on-notify policy built by
 	// NewDeltaAggregate, nil otherwise. Fixed at construction; its
 	// mutable fields are guarded by the scope lock (see delta.go).
 	ds *deltaState
+
+	// The on-read policy's state (memo.go). mstate is stored fresh each
+	// time memoization engages (env option + pure + stampable deps), and
+	// is nil otherwise and whenever the item is not on-demand; nil keeps
+	// the paper's recompute-per-access behaviour untouched.
+	mstate atomic.Pointer[memoState]
+	// memo is the current dependency-stamped snapshot; nil before the
+	// first memoized compute, after a breaker trip, and after stop.
+	memo atomic.Pointer[memoSnapshot]
+	// flight is the in-flight coalesced compute, guarded by the item
+	// mutex.
+	flight *memoFlight
+}
+
+// sideLocked returns the item's side block, making it on first use. The
+// scope lock must be held.
+func (it *item) sideLocked() *itemSide {
+	if s := it.side.Load(); s != nil {
+		return s
+	}
+	s := new(itemSide)
+	it.side.Store(s)
+	return s
+}
+
+// breaker returns the item's circuit breaker, nil when it has none.
+func (it *item) breaker() *itemHealth {
+	if s := it.side.Load(); s != nil {
+		return s.health
+	}
+	return nil
+}
+
+// delta returns the item's delta-aggregate state, nil unless the item
+// is a delta aggregate.
+func (it *item) delta() *deltaState {
+	if s := it.side.Load(); s != nil {
+		return s.ds
+	}
+	return nil
 }
 
 // windowPolicy is the periodic mechanism: compute over [winStart, now)
@@ -205,26 +273,9 @@ type windowPolicy struct {
 	task     *clock.Task
 }
 
-// readPolicy is the state of the on-demand mechanism beyond its
-// compute: the versioned read path of memo.go.
-type readPolicy struct {
-	// mstate is published when memoization engages (env option + pure
-	// + stampable deps) and nil otherwise. Non-nil mstate routes reads
-	// through the memo; nil keeps the paper's recompute-per-access
-	// behaviour untouched.
-	mstate atomic.Pointer[memoState]
-	// memo is the current dependency-stamped snapshot; nil before the
-	// first memoized compute, after a breaker trip, and after stop.
-	memo atomic.Pointer[memoSnapshot]
-	// flight is the in-flight coalesced compute, guarded by the item
-	// mutex.
-	flight *memoFlight
-}
-
 func newItem(m Mechanism) *item {
 	it := new(item)
 	it.mech.Store(int32(m))
-	it.snaps.chunk = it.snaps.first[:0]
 	return it
 }
 
@@ -244,7 +295,6 @@ func NewStatic(v Value) Handler {
 func NewOnDemand(compute ComputeFunc) Handler {
 	it := newItem(OnDemandMechanism)
 	it.fn = compute
-	it.rd.Store(new(readPolicy))
 	return it
 }
 
@@ -288,8 +338,11 @@ func (it *item) bind(ctx *BuildContext) (*item, error) {
 			ctx.reg.id, ctx.Kind(), it.reg.id, it.kind())
 	}
 	it.reg, it.def, it.seq, it.deps, it.ngroups = ctx.reg, ctx.def, ctx.seq, ctx.deps, ctx.ngroups
-	if it.Mechanism() != StaticMechanism {
-		it.health = newItemHealth(ctx.reg.env, it)
+	if ctx.reg.env.breaker != nil && it.Mechanism() != StaticMechanism {
+		// The breaker becomes the side block, keeping a delta state.
+		h := &itemHealth{it: it}
+		h.health, h.ds = h, it.delta()
+		it.side.Store(&h.itemSide)
 	}
 	return it, nil
 }
@@ -308,14 +361,14 @@ func (it *item) start() {
 		return
 	case OnDemandMechanism:
 		it.pure = it.def.pure
-		it.rd.Load().mstate.Store(newMemoState(it, it.pure))
+		it.sideLocked().mstate.Store(newMemoState(it, it.pure))
 		return
 	}
-	if it.ds != nil {
+	if ds := it.delta(); ds != nil {
 		// Fix delta eligibility and register on the dependencies' delta
 		// channels before the initial fold, so the fold reads the same
 		// deltaLast values the accumulator will be patched from.
-		it.ds.startLocked(env)
+		ds.startLocked(env)
 	}
 	if w := it.win.Load(); w != nil {
 		w.winStart = now
@@ -344,14 +397,14 @@ func (it *item) stop() {
 	it.live = false
 	it.mech.Store(int32(StaticMechanism))
 	it.cur.Store(nil)
-	if rd := it.rd.Load(); rd != nil {
-		rd.mstate.Store(nil)
-		rd.memo.Store(nil)
+	if s := it.side.Load(); s != nil {
+		s.mstate.Store(nil)
+		s.memo.Store(nil)
 	}
 	it.disarm()
 	it.mu.Unlock()
 	// Retire the breaker and any armed recovery probe with the item.
-	it.health.stop()
+	it.breaker().stop()
 }
 
 // arm schedules the first boundary of an installed window policy; a
@@ -390,7 +443,7 @@ func (it *item) store(snap *valueSnapshot) {
 // accept publishes snap as a computed result and remembers a clean one
 // as the last-good value. it.mu must be held.
 func (it *item) accept(snap *valueSnapshot) {
-	if h := it.health; h != nil && snap.err == nil {
+	if h := it.breaker(); h != nil && snap.err == nil {
 		// lastGood is only ever served while quarantined, so the
 		// breaker-less hot path skips the pointer store (and its write
 		// barrier).
@@ -409,11 +462,12 @@ func (it *item) accept(snap *valueSnapshot) {
 // it.mu must be held, so the stale publication and the trip are one
 // atomic step from a reader's perspective.
 func (it *item) admit(now clock.Time, err error) bool {
+	h := it.breaker()
 	if err == nil || !breakerEligible(err) {
-		it.health.onSuccess()
+		h.onSuccess()
 		return true
 	}
-	if !it.health.onFailure(now, err) {
+	if !h.onFailure(now, err) {
 		return true
 	}
 	it.publishStale()
@@ -437,18 +491,19 @@ func (it *item) publish(now clock.Time, snap *valueSnapshot) {
 func (it *item) publishStale() {
 	it.disarm()
 	it.dropMemo()
+	h := it.breaker()
 	var last Value
-	if lg := it.health.lastGood; lg != nil {
+	if lg := h.lastGood; lg != nil {
 		last = lg.val
 	}
-	it.store(it.snaps.put(last, it.health.staleError()))
+	it.store(it.snaps.put(last, h.staleError()))
 }
 
 // dropMemo discards an on-demand item's memo (its stamps cover
 // dependencies, not whatever the caller is about to announce).
 func (it *item) dropMemo() {
-	if rd := it.rd.Load(); rd != nil {
-		rd.memo.Store(nil)
+	if s := it.side.Load(); s != nil {
+		s.memo.Store(nil)
 	}
 }
 
@@ -478,8 +533,8 @@ func (it *item) snapshot(now clock.Time, bounded bool) *valueSnapshot {
 	} else {
 		v, err = boundedCompute(env.clk, d, &env.stats, it.fn, now)
 	}
-	if it.ds != nil {
-		return it.ds.foldSnap(&it.snaps, v, err, epoch)
+	if ds := it.delta(); ds != nil {
+		return ds.foldSnap(&it.snaps, v, err, epoch)
 	}
 	return it.snaps.put(v, err)
 }
@@ -537,7 +592,7 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 		return 0, false
 	}
 	defer it.mu.Unlock()
-	if !it.live || it.win.Load() != w || it.health.isQuarantined() {
+	if !it.live || it.win.Load() != w || it.breaker().isQuarantined() {
 		// Stopped, migrated off w, or tripped since the boundary was
 		// dispatched; a quarantined item's stale publication stands
 		// until a probe succeeds.
@@ -552,7 +607,7 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 	}
 	env.stats.PeriodicUpdates.Add(1)
 	it.publish(now, it.snapshot(now, true))
-	if !it.health.isQuarantined() {
+	if !it.breaker().isQuarantined() {
 		// A trip leaves winStart in place: the recovery probe recomputes
 		// the cumulative window [winStart, probe instant).
 		w.winStart = now
@@ -566,13 +621,13 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 // scope lock (propagation, event fires), which is also what guards a
 // delta aggregate's accumulator.
 func (it *item) refresh(now clock.Time) {
-	if it.ds != nil {
-		it.refreshDelta(now)
+	if ds := it.delta(); ds != nil {
+		it.refreshDelta(ds, now)
 		return
 	}
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	if !it.live || it.health.isQuarantined() {
+	if !it.live || it.breaker().isQuarantined() {
 		// The stale publication stands; recovery goes through the probe,
 		// not through trigger propagation (a quarantined compute re-run
 		// on every upstream update would defeat the quarantine).
@@ -587,25 +642,25 @@ func (it *item) refresh(now clock.Time) {
 // read is Value() for an item with nothing published: an on-demand
 // item, whose reads compute — or one that is not in service.
 func (it *item) read() (Value, error) {
-	rd := it.rd.Load()
-	if rd == nil {
-		// Not on-demand (any more). A migration away from on-demand
-		// publishes before it clears rd, so a second look at cur tells a
-		// migrated item from a stopped one.
+	if it.Mechanism() != OnDemandMechanism || it.side.Load() == nil {
+		// Not on-demand (any more), or not started. A migration away
+		// publishes before it changes the mechanism, so a second look at
+		// cur tells a migrated item from a stopped one.
 		if s := it.cur.Load(); s != nil {
 			return s.val, s.err
 		}
 		return nil, ErrUnsubscribed
 	}
-	if ms := rd.mstate.Load(); ms != nil {
+	sd := it.side.Load()
+	if ms := sd.mstate.Load(); ms != nil {
 		// Memoized fast path: a hit is a few atomic pointer loads plus
 		// the stamp walk — no mutex, no compute, no allocation. The
 		// atomic memo load orders the snapshot's fields before this read.
-		if m := rd.memo.Load(); m != nil && ms.memoValid(m) {
+		if m := sd.memo.Load(); m != nil && ms.memoValid(m) {
 			ms.env.stats.MemoHits.Add(1)
 			return m.val, m.err
 		}
-		return it.readMiss(rd, ms)
+		return it.readMiss(sd, ms)
 	}
 	// The paper's on-demand read: recompute per access under the item
 	// mutex. A deadline wait needs the clock to keep advancing, so
@@ -653,8 +708,8 @@ func (it *item) settle(now clock.Time, v Value, err error, m *memoSnapshot) (Val
 		s := it.cur.Load()
 		return s.val, s.err
 	}
-	if err == nil && it.health != nil {
-		it.health.keepLastGood(&it.snaps, v)
+	if h := it.breaker(); err == nil && h != nil {
+		h.keepLastGood(&it.snaps, v)
 	}
 	if m != nil && !breakerEligible(err) {
 		// Publish the memo, then bump the version (publication order: a
@@ -662,7 +717,7 @@ func (it *item) settle(now clock.Time, v Value, err error, m *memoSnapshot) (Val
 		// one). Pure compute errors are memoized like values —
 		// recomputing would fail identically.
 		m.val, m.err = v, err
-		it.rd.Load().memo.Store(m)
+		it.side.Load().memo.Store(m)
 		it.bumpVersion()
 	}
 	return v, err
@@ -671,7 +726,7 @@ func (it *item) settle(now clock.Time, v Value, err error, m *memoSnapshot) (Val
 // readMiss is the memoized slow path: revalidate under the mutex,
 // coalesce onto an in-flight compute when one exists, else lead one
 // compute outside the mutex and publish the stamped result.
-func (it *item) readMiss(rd *readPolicy, ms *memoState) (Value, error) {
+func (it *item) readMiss(sd *itemSide, ms *memoState) (Value, error) {
 	env := ms.env
 	stats := &env.stats
 	it.mu.Lock()
@@ -681,12 +736,12 @@ func (it *item) readMiss(rd *readPolicy, ms *memoState) (Value, error) {
 	}
 	// Double-check under the mutex: a leader that beat us here may have
 	// published a valid memo while we blocked on the lock.
-	if m := rd.memo.Load(); m != nil && ms.memoValid(m) {
+	if m := sd.memo.Load(); m != nil && ms.memoValid(m) {
 		it.mu.Unlock()
 		stats.MemoHits.Add(1)
 		return m.val, m.err
 	}
-	if f := rd.flight; f != nil {
+	if f := sd.flight; f != nil {
 		// Coalesce: another reader is computing this miss. Wait off the
 		// mutex so the leader can publish.
 		it.mu.Unlock()
@@ -695,7 +750,7 @@ func (it *item) readMiss(rd *readPolicy, ms *memoState) (Value, error) {
 		return f.val, f.err
 	}
 	f := &memoFlight{done: make(chan struct{})}
-	rd.flight = f
+	sd.flight = f
 	stats.MemoMisses.Add(1)
 	stats.ComputeCalls.Add(1)
 	stats.OnDemandComputes.Add(1)
@@ -726,13 +781,15 @@ func (it *item) readMiss(rd *readPolicy, ms *memoState) (Value, error) {
 	v, err := boundedCompute(env.clk, deadline, stats, fn, now)
 
 	it.mu.Lock()
-	rd.flight = nil
-	if it.live && it.rd.Load() == rd {
+	if sd.flight == f {
+		sd.flight = nil
+	}
+	if it.live && sd.mstate.Load() == ms {
 		v, err = it.settle(now, v, err, m)
 	}
-	// Else the item stopped or migrated mid-compute: the result still
-	// answers this read and its waiters, but there is nothing left to
-	// publish it to.
+	// Else the item stopped, migrated or re-decided its memo engagement
+	// mid-compute: the result still answers this read and its waiters,
+	// but there is nothing left to publish it to.
 	it.mu.Unlock()
 	f.deliver(v, err)
 	return v, err
@@ -761,7 +818,7 @@ func (it *item) runProbe(now clock.Time) {
 		now = env.clampLate(now)
 		if now <= w.winStart {
 			it.mu.Unlock()
-			it.health.probeFailed(now, nil)
+			it.breaker().probeFailed(now, nil)
 			return
 		}
 	}
@@ -769,7 +826,7 @@ func (it *item) runProbe(now clock.Time) {
 		stats.OnDemandComputes.Add(1)
 	}
 	var snap *valueSnapshot
-	if ds := it.ds; ds != nil {
+	if ds := it.delta(); ds != nil {
 		// The probe runs without the scope lock, so it must not touch
 		// the scope-guarded delta state: fold the live snapshots (the
 		// accumulator stays invalid; the next locked refresh re-folds
@@ -779,12 +836,13 @@ func (it *item) runProbe(now clock.Time) {
 	} else {
 		snap = it.snapshot(now, true)
 	}
+	h := it.breaker()
 	if snap.err != nil && breakerEligible(snap.err) {
 		it.mu.Unlock()
-		it.health.probeFailed(now, snap.err)
+		h.probeFailed(now, snap.err)
 		return
 	}
-	it.health.closeBreaker()
+	h.closeBreaker()
 	switch mech {
 	case OnDemandMechanism:
 		// Live again: reads compute fresh where they were served stale.
@@ -792,7 +850,7 @@ func (it *item) runProbe(now clock.Time) {
 		// recomputes with fresh stamps — and the bump makes dependent
 		// memos stamped over this item revalidate.
 		if snap.err == nil {
-			it.health.keepLastGood(&it.snaps, snap.val)
+			h.keepLastGood(&it.snaps, snap.val)
 		}
 		it.cur.Store(nil)
 		it.bumpVersion()
@@ -817,27 +875,33 @@ func (it *item) runProbe(now clock.Time) {
 func (it *item) inconsistency(sl *slot) string {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	rd, win := it.rd.Load(), it.win.Load()
+	sd, win := it.side.Load(), it.win.Load()
+	memo := sd != nil && sd.mstate.Load() != nil
 	var policy bool
 	switch it.Mechanism() {
 	case StaticMechanism:
-		policy = it.fn == nil && win == nil && rd == nil
+		policy = it.fn == nil && win == nil && !memo
 	case OnDemandMechanism:
-		policy = it.fn != nil && win == nil && rd != nil
+		policy = it.fn != nil && win == nil && sd != nil
 	case PeriodicMechanism:
-		policy = win != nil && win.it == it && rd == nil
+		policy = win != nil && win.it == it && !memo
 	case TriggeredMechanism:
-		policy = it.fn != nil && win == nil && rd == nil
+		policy = it.fn != nil && win == nil && !memo
 	}
+	h := it.breaker()
 	switch {
 	case !it.live:
 		return "item is not in service"
 	case !policy:
 		return fmt.Sprintf("item reports %v but another policy is installed", it.Mechanism())
-	case win != nil && (win.task == nil) != it.health.isQuarantined():
+	case win != nil && (win.task == nil) != h.isQuarantined():
 		return "window policy's boundary task does not match the breaker state"
-	case (it.ds != nil) != (sl.rareFields().delta != nil):
+	case (it.delta() != nil) != (sl.rareFields().delta != nil):
 		return "delta state does not match the definition's Delta spec"
+	case (h != nil) != (it.reg.env.breaker != nil && it.Mechanism() != StaticMechanism):
+		return "breaker presence does not match the env's WithBreaker"
+	case h != nil && (h.it != it || &h.itemSide != sd):
+		return "side block's breaker guards another item"
 	}
 	return ""
 }

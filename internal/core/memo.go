@@ -90,12 +90,12 @@ func newMemoState(it *item, pure bool) *memoState {
 	if !env.memoOnDemand || !pure {
 		return nil
 	}
-	ms := &memoState{env: env, health: it.health}
+	ms := &memoState{env: env, health: it.breaker()}
 	for i := range it.deps {
 		de := it.deps[i].h.it
 		var memoized *item
 		if de.Mechanism() == OnDemandMechanism {
-			if de.rd.Load().mstate.Load() == nil {
+			if de.side.Load().mstate.Load() == nil {
 				return nil
 			}
 			memoized = de
@@ -110,13 +110,13 @@ func newMemoState(it *item, pure bool) *memoState {
 // memo; a no-op for the other mechanisms. The component lock must be
 // held.
 func (it *item) rememo() {
-	rd := it.rd.Load()
-	if rd == nil {
+	if it.Mechanism() != OnDemandMechanism {
 		return
 	}
+	sd := it.side.Load()
 	it.mu.Lock()
-	rd.mstate.Store(newMemoState(it, it.pure))
-	rd.memo.Store(nil)
+	sd.mstate.Store(newMemoState(it, it.pure))
+	sd.memo.Store(nil)
 	it.mu.Unlock()
 }
 
@@ -146,15 +146,15 @@ func (ms *memoState) memoValid(m *memoSnapshot) bool {
 // bumping its version first, so a parent stamp over it only holds
 // while the dependency's own memo holds.
 func (it *item) memoCurrent() bool {
-	rd := it.rd.Load()
-	if rd == nil {
+	sd := it.side.Load()
+	if sd == nil {
 		return false
 	}
-	ms := rd.mstate.Load()
+	ms := sd.mstate.Load()
 	if ms == nil {
 		return false
 	}
-	m := rd.memo.Load()
+	m := sd.memo.Load()
 	return m != nil && ms.memoValid(m)
 }
 

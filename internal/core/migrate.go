@@ -163,31 +163,35 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	// quarantined: then the stale publication stands, the cadence stays
 	// unscheduled, and the armed probe owns recovery, now through the
 	// new mechanism. Readers switch over without a gap: a target that
-	// publishes stores its snapshot before rd is cleared, an on-demand
-	// target sets rd before the snapshot is withdrawn (see item.read).
-	// Either way the item's version moves exactly once.
+	// publishes stores its snapshot before the mechanism changes, an
+	// on-demand target changes it (its read state ready) before the
+	// snapshot is withdrawn (see item.read). Either way the item's
+	// version moves exactly once.
 	it.mu.Lock()
-	quarantined := it.health.isQuarantined()
+	quarantined := it.breaker().isQuarantined()
 	it.disarm()
-	it.mech.Store(int32(to))
 	it.fn, it.pure = fn, spec.Pure
 	it.win.Store(win)
 	switch {
 	case to == OnDemandMechanism:
-		rd := new(readPolicy)
-		rd.mstate.Store(newMemoState(it, it.pure))
-		it.rd.Store(rd)
+		sd := it.sideLocked()
+		sd.flight = nil // an earlier on-demand period's, if a read still computes
+		sd.mstate.Store(newMemoState(it, it.pure))
+		it.mech.Store(int32(to))
 		if !quarantined {
 			it.cur.Store(nil)
 		}
 		it.bumpVersion()
 	case quarantined:
+		it.mech.Store(int32(to))
 		it.bumpVersion()
 	default:
 		it.accept(it.snapshot(now, false))
+		it.mech.Store(int32(to))
 	}
-	if to != OnDemandMechanism {
-		it.rd.Store(nil)
+	if sd := it.side.Load(); sd != nil && to != OnDemandMechanism {
+		sd.mstate.Store(nil)
+		sd.memo.Store(nil)
 	}
 	if !quarantined {
 		it.arm(now)
@@ -208,7 +212,7 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	// item twice is listed twice: the drop-and-reset pass is idempotent,
 	// and the re-register pass skips an aggregate that is eligible again.
 	for _, d := range it.dependents {
-		if ds := d.it.ds; ds != nil {
+		if ds := d.it.delta(); ds != nil {
 			ds.stopLocked()
 			ds.pending = ds.pending[:0]
 			ds.poisoned = false
@@ -216,7 +220,7 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 		}
 	}
 	for _, d := range it.dependents {
-		if ds := d.it.ds; ds != nil && !ds.eligible {
+		if ds := d.it.delta(); ds != nil && !ds.eligible {
 			ds.startLocked(env)
 		}
 		// Re-decide memo engagement of direct on-demand dependents:
@@ -277,12 +281,14 @@ func adaptWindowCompute(f func(*BuildContext) WindowComputeFunc, ctx *BuildConte
 // item's policy, not the item) and ends when the item is excluded. It
 // returns false if the item is not included.
 func (r *Registry) TrackReads(kind Kind) bool {
-	it := r.entryOf(kind)
+	sc := r.env.lockScope(r)
+	defer sc.unlock()
+	it := r.entryLocked(kind)
 	if it == nil {
 		return false
 	}
-	if it.track.Load() == nil {
-		it.track.CompareAndSwap(nil, new(ShardedCounter))
+	if sd := it.sideLocked(); sd.track.Load() == nil {
+		sd.track.Store(new(ShardedCounter))
 	}
 	return true
 }
@@ -298,8 +304,8 @@ func (r *Registry) AccessStats(kind Kind) (reads int64, updates uint64, ok bool)
 	if it == nil {
 		return 0, 0, false
 	}
-	if t := it.track.Load(); t != nil {
-		reads = t.Load()
+	if sd := it.side.Load(); sd != nil && sd.track.Load() != nil {
+		reads = sd.track.Load().Load()
 	}
 	return reads, it.version.Load(), true
 }

@@ -33,26 +33,39 @@ type Registry struct {
 	// graph layer and read at inclusion time.
 	inputs  func() []*Registry
 	outputs func() []*Registry
-	parent  *Registry
 
-	// mu is the node-level lock of slots, modules and watchSinks. Every
+	// mu is the node-level lock of slots, ext and ext.modules. Every
 	// write also holds the registry's component lock, so structural code
 	// reads them under the component lock alone and lock-free read paths
-	// (Peek, IsIncluded, ...) under mu.RLock alone. events — the included
-	// items registered per event name — is guarded by the component lock
-	// only. modules and events are made on first use.
+	// (Peek, IsIncluded, ...) under mu.RLock alone.
 	mu sync.RWMutex
 	// slots is the slot table: one slot per defined kind, by value, strictly
 	// ascending by shape.kind. Define shifts and moves it, so an index or a
 	// &slots[i] is good only under the lock it was found under; shapes never move.
-	slots   []slot
+	slots []slot
+	ext   *registryExt // modules and events: the shared, empty noExt until extLocked
+}
+
+// registryExt is what few registries use: the module tree and the
+// included items registered per event name (events is guarded by the
+// component lock only).
+type registryExt struct {
+	parent  *Registry
 	modules map[string]*Registry
 	events  map[string][]*item
+}
 
-	// watchSinks holds the registered publication sinks per kind
-	// (watchgate.go), so a sink survives exclusion/re-inclusion of its
-	// item. Guarded by mu; nil until the first Watch.
-	watchSinks map[Kind]WatchSink
+var noExt registryExt // only ever read
+
+// extLocked returns the registry's own ext block, making it on first
+// use. The component lock must be held and r.mu must not be.
+func (r *Registry) extLocked() *registryExt {
+	if r.ext == &noExt {
+		r.mu.Lock()
+		r.ext = &registryExt{modules: make(map[string]*Registry), events: make(map[string][]*item)}
+		r.mu.Unlock()
+	}
+	return r.ext
 }
 
 // defShape is the part of a definition every instance of an operator
@@ -177,57 +190,12 @@ type dependent struct {
 
 // entry is the structural half of an in-use item, embedded in it: the
 // item is its own handler (1-to-1, Section 2.1), so one object serves
-// the inclusion. bind files reg, def, seq, health, deps and ngroups when
-// the inclusion commits. All structural fields are guarded by the owning
+// the inclusion. bind files reg, def, seq, deps and ngroups when the
+// inclusion commits. All structural fields are guarded by the owning
 // component's structural lock.
 type entry struct {
 	reg *Registry
 	def *defShape // the shape the item was built from — its slot's, for the item's life
-	seq int64
-
-	// health is the item's circuit breaker: nil on envs without
-	// WithBreaker and for static items. Set by bind, before the item
-	// commits, and fixed from then on.
-	health *itemHealth
-
-	// track, when non-nil, counts value reads of this item (Handle
-	// reads and Registry.Peek) for the adaptive controller's access
-	// sampling; nil — the default — keeps the read path at a single
-	// predicted branch. Installed by Registry.TrackReads.
-	track atomic.Pointer[ShardedCounter]
-
-	// deps holds the item's dependency edges, dependents the mirror
-	// elements of the edges pointing at it (see depEdge, dependent).
-	// deps is fixed when the item commits — Build, migration factories
-	// and compute closures hold pointers into it — and dependents only
-	// changes through linkLocked/unlinkLocked, both under the component
-	// lock.
-	deps       []depEdge
-	dependents []dependent
-
-	refs    int32
-	ngroups int32 // resolved DepRefs: the BuildContext's NumDeps
-
-	// planIn is buildPlanLocked's scratch: 0 outside a plan build,
-	// 1 + unplanned in-degree while the item is in the affected set.
-	// Guarded by the component lock.
-	planIn int32
-
-	// ndeps mirrors len(dependents) so periodic items can skip the
-	// component lock entirely when nothing depends on them — the
-	// key to parallel periodic updates on the worker pool (Section
-	// 4.3: only the locks involved in the currently included items
-	// are used).
-	ndeps atomic.Int32
-
-	// Delta-channel edge state, guarded by the component lock (see
-	// delta.go). deltaDeps counts delta-eligible dependent edges;
-	// while it is positive, deltaLast/deltaLastOK track the latest
-	// delta-visible published value — the value every dependent
-	// accumulator over this edge currently reflects.
-	deltaDeps   int32
-	deltaLastOK bool
-	deltaLast   float64
 
 	// version counts the item's publications: every periodic window
 	// publish, triggered refresh, probe republish, quarantine trip, and
@@ -242,13 +210,40 @@ type entry struct {
 	// stamp can never revalidate.
 	version atomic.Uint64
 
-	// watch, when non-nil, is the publication sink notified after every
-	// version bump (see watchgate.go). nil — the default — keeps the
-	// publish path at a single predicted branch over the bare bump. The
-	// cell is write-once: Watch installs a fresh cell, so a publisher
-	// that loaded it may call through without synchronization while a
-	// replacement is installed.
-	watch atomic.Pointer[WatchSink]
+	// ndeps mirrors len(dependents) so periodic items can skip the
+	// component lock entirely when nothing depends on them — the
+	// key to parallel periodic updates on the worker pool (Section
+	// 4.3: only the locks involved in the currently included items
+	// are used).
+	ndeps atomic.Int32
+	refs  int32
+
+	seq int64
+
+	// deps holds the item's dependency edges, dependents the mirror
+	// elements of the edges pointing at it (see depEdge, dependent).
+	// deps is fixed when the item commits — Build, migration factories
+	// and compute closures hold pointers into it — and dependents only
+	// changes through linkLocked/unlinkLocked, both under the component
+	// lock.
+	deps       []depEdge
+	dependents []dependent
+
+	ngroups int32 // resolved DepRefs: the BuildContext's NumDeps
+
+	// planIn is buildPlanLocked's scratch: 0 outside a plan build,
+	// 1 + unplanned in-degree while the item is in the affected set.
+	// Guarded by the component lock.
+	planIn int32
+
+	// Delta-channel edge state, guarded by the component lock (see
+	// delta.go). deltaDeps counts delta-eligible dependent edges;
+	// while it is positive, deltaLast/deltaLastOK track the latest
+	// delta-visible published value — the value every dependent
+	// accumulator over this edge currently reflects.
+	deltaDeps   int32
+	deltaLastOK bool
+	deltaLast   float64
 }
 
 // kind returns the item's kind.
@@ -291,7 +286,7 @@ func (ed *depEdge) unlinkLocked() {
 // registry starts as its own dependency-scope component; components
 // merge as metadata dependencies connect registries.
 func (env *Env) NewRegistry(id string) *Registry {
-	return &Registry{env: env, id: id, comp: env.newComponent()}
+	return &Registry{env: env, id: id, comp: env.newComponent(), ext: &noExt}
 }
 
 // searchSlot returns where the kind's slot is, or would be inserted, in the
@@ -358,12 +353,10 @@ func (r *Registry) SetNeighbors(inputs, outputs func() []*Registry) {
 func (r *Registry) AttachModule(name string, m *Registry) {
 	sc := r.env.lockScope(r, m)
 	defer sc.unlock()
-	m.parent = r
+	m.extLocked().parent = r
+	x := r.extLocked()
 	r.mu.Lock()
-	if r.modules == nil {
-		r.modules = make(map[string]*Registry)
-	}
-	r.modules[name] = m
+	x.modules[name] = m
 	r.mu.Unlock()
 }
 
@@ -372,17 +365,13 @@ func (r *Registry) AttachModule(name string, m *Registry) {
 // linked module and node; lockScope orders the two locks by component
 // id.
 func (r *Registry) DetachModule(name string) error {
-	r.mu.RLock()
-	m := r.modules[name]
-	r.mu.RUnlock()
+	m := r.ModuleRegistry(name)
 	if m == nil {
 		return nil
 	}
 	sc := r.env.lockScope(r, m)
 	defer sc.unlock()
-	r.mu.RLock()
-	still := r.modules[name] == m
-	r.mu.RUnlock()
+	still := r.ext.modules[name] == m
 	if !still {
 		return nil
 	}
@@ -391,9 +380,9 @@ func (r *Registry) DetachModule(name string) error {
 			ErrItemInUse, name, r.id, inUse)
 	}
 	r.mu.Lock()
-	delete(r.modules, name)
+	delete(r.ext.modules, name)
 	r.mu.Unlock()
-	m.parent = nil
+	m.ext.parent = nil
 	return nil
 }
 
@@ -401,7 +390,7 @@ func (r *Registry) DetachModule(name string) error {
 func (r *Registry) ModuleRegistry(name string) *Registry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.modules[name]
+	return r.ext.modules[name]
 }
 
 // Define registers (or overrides) the definition of a metadata item.
@@ -702,12 +691,9 @@ func (r *Registry) resolveSelector(s Selector, one *[1]*Registry) ([]*Registry, 
 	case selEachOutput:
 		return get(r.outputs), nil
 	case selModule:
-		r.mu.RLock()
-		m := r.modules[s.name]
-		r.mu.RUnlock()
-		return single(m)
+		return single(r.ext.modules[s.name]) // the scope lock covers r
 	case selParent:
-		return single(r.parent)
+		return single(r.ext.parent)
 	default:
 		return nil, fmt.Errorf("core: unknown selector %v on %s", s, r.id)
 	}
@@ -831,12 +817,9 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*item, error) {
 	// from the now-included dependencies).
 	it.linkLocked()
 	events := sl.shape.events
-	if len(events) > 0 && r.events == nil {
-		r.events = make(map[string][]*item)
-	}
 	for i, name := range events {
-		if !slices.Contains(events[:i], name) {
-			r.events[name] = append(r.events[name], it)
+		if x := r.extLocked(); !slices.Contains(events[:i], name) {
+			x.events[name] = append(x.events[name], it)
 		}
 	}
 	if rare.probe != nil {
@@ -845,9 +828,6 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*item, error) {
 	it.refs = 1
 	r.mu.Lock()
 	sl.entry = it
-	if r.watchSinks != nil {
-		r.reattachWatchLocked(it)
-	}
 	r.mu.Unlock()
 	// The new item and its trigger edges changed the component's
 	// propagation structure; cached plans are stale.
@@ -905,17 +885,17 @@ func (it *item) releaseLocked() {
 	it.stop()
 	// Deregister from the dependencies' delta channels before the
 	// dependencies themselves are released.
-	if it.ds != nil {
-		it.ds.stopLocked()
+	if ds := it.delta(); ds != nil {
+		ds.stopLocked()
 	}
 	if probe := sl.rareFields().probe; probe != nil {
 		probe.Deactivate()
 	}
 	for _, name := range it.def.events {
-		if es := slices.DeleteFunc(r.events[name], func(x *item) bool { return x == it }); len(es) == 0 {
-			delete(r.events, name)
+		if es := slices.DeleteFunc(r.ext.events[name], func(x *item) bool { return x == it }); len(es) == 0 {
+			delete(r.ext.events, name)
 		} else {
-			r.events[name] = es
+			r.ext.events[name] = es
 		}
 	}
 	for i := range it.deps {
@@ -938,7 +918,7 @@ func (r *Registry) FireEvent(name string) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
 	r.env.stats.EventsFired.Add(1)
-	es := r.events[name]
+	es := r.ext.events[name]
 	if len(es) == 0 {
 		return
 	}

@@ -94,7 +94,8 @@ func (r *Registry) RestoreStaleBatch(items []RestoredItem) int {
 			ri.Err = fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, ri.Kind)
 			continue
 		}
-		if it.health == nil {
+		h := it.breaker()
+		if h == nil {
 			why := "has no breaker (env without WithBreaker)"
 			if it.Mechanism() == StaticMechanism {
 				why = "is static"
@@ -107,13 +108,13 @@ func (r *Registry) RestoreStaleBatch(items []RestoredItem) int {
 			cause = ErrRestored
 		}
 		it.mu.Lock()
-		it.health.keepLastGood(&it.snaps, ri.Value)
-		if it.ds != nil {
+		h.keepLastGood(&it.snaps, ri.Value)
+		if ds := it.delta(); ds != nil {
 			// The restored accumulator is unknown; the next locked refresh
 			// (or the probe) re-folds and re-validates.
-			it.ds.valid = false
+			ds.valid = false
 		}
-		it.health.forceQuarantine(now, cause)
+		h.forceQuarantine(now, cause)
 		// Restore the publication version stream: raise to the persisted
 		// version (CAS loop: a concurrent publication may race the
 		// restore); the stale publication itself then bumps it. Like a

@@ -134,7 +134,7 @@ func (w *restoreWorld) view(t *testing.T, deltaState bool) map[Kind]itemView {
 		if hs.Cause != nil {
 			iv.Cause = hs.Cause.Error()
 		}
-		if ds := w.r.entryOf(kind).ds; ds != nil && deltaState {
+		if ds := w.r.entryOf(kind).delta(); ds != nil && deltaState {
 			iv.DeltaValid = ds.valid
 		}
 		out[kind] = iv

@@ -24,50 +24,44 @@ type WatchSink interface {
 
 // bumpVersion is the single publication gate: it advances the item's
 // monotonic publication version and, when a watch sink is installed,
-// hands the new version to it. With no watcher the cost over a bare
-// version bump is one atomic load and a predicted-false branch, which
-// keeps the zero-watcher publish path at its PR 7 cost.
-func (e *entry) bumpVersion() {
-	v := e.version.Add(1)
-	if ws := e.watch.Load(); ws != nil {
-		(*ws).Published(v)
+// hands the new version to it. An item with no side block pays one
+// atomic load and a predicted-false branch over the bare bump; a
+// watched one pays one more pointer load.
+func (it *item) bumpVersion() {
+	v := it.version.Add(1)
+	if sd := it.side.Load(); sd != nil {
+		if ws := sd.watch.Load(); ws != nil {
+			(*ws).Published(v)
+		}
 	}
 }
 
-// Watch installs sink as the item's publication sink and returns the
-// item's current publication version, the watcher's catch-up anchor: a
-// snapshot read (Peek) taken after Watch returns reflects version v or
-// newer, and every later publication reaches the sink with a version
-// > v (a publication racing Watch may be reported both ways, which is
-// harmless under the at-least semantics of WatchSink).
+// Watch installs sink as the publication sink of the included item and
+// returns the item's current publication version, the watcher's
+// catch-up anchor: a snapshot read (Peek) taken after Watch returns
+// reflects version v or newer, and every later publication reaches the
+// sink with a version > v (a publication racing Watch may be reported
+// both ways, which is harmless under the at-least semantics of
+// WatchSink).
 //
-// One sink per (registry, kind): a second Watch replaces the previous
-// sink, which stops receiving notifications. The item must currently
-// be included (ErrUnsubscribed otherwise) and the sink survives
-// exclusion/re-inclusion of the item: it is re-installed when a new
-// item for the kind commits. Note that publication versions are
-// per-item-lifetime — a re-included item restarts at version 1 — so
-// callers that need a stable stream across re-inclusion (the watch
-// hub) pin the item with a Subscription for the sink's lifetime.
+// One sink per item: a second Watch replaces the previous one. The sink
+// lives and dies with the item: on a kind that is not included Watch
+// fails with ErrUnsubscribed and installs nothing, and a later inclusion
+// is a new item, unwatched, whose versions restart at 1. Callers that
+// need a stable stream (the watch hub) pin the item with a Subscription.
 func (r *Registry) Watch(kind Kind, sink WatchSink) (uint64, error) {
 	if sink == nil {
 		return 0, fmt.Errorf("core: nil WatchSink for %s/%s", r.id, kind)
 	}
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	r.mu.Lock()
-	if r.watchSinks == nil {
-		r.watchSinks = make(map[Kind]WatchSink)
-	}
-	r.watchSinks[kind] = sink
-	r.mu.Unlock()
 	it := r.entryLocked(kind)
 	if it == nil {
 		return 0, fmt.Errorf("%w: %s/%s", ErrUnsubscribed, r.id, kind)
 	}
 	cell := new(WatchSink)
 	*cell = sink
-	it.watch.Store(cell)
+	it.sideLocked().watch.Store(cell)
 	return it.version.Load(), nil
 }
 
@@ -77,11 +71,8 @@ func (r *Registry) Watch(kind Kind, sink WatchSink) (uint64, error) {
 func (r *Registry) Unwatch(kind Kind) {
 	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	r.mu.Lock()
-	delete(r.watchSinks, kind)
-	r.mu.Unlock()
-	if it := r.entryLocked(kind); it != nil {
-		it.watch.Store(nil)
+	if it := r.entryLocked(kind); it != nil && it.side.Load() != nil {
+		it.side.Load().watch.Store(nil)
 	}
 }
 
@@ -97,18 +88,4 @@ func (r *Registry) ItemVersion(kind Kind) (uint64, bool) {
 		return 0, false
 	}
 	return it.version.Load(), true
-}
-
-// reattachWatchLocked re-installs a previously registered watch sink
-// on a freshly committed item. Called from includeLocked under the
-// component lock, gated on the registry having any sinks at all so the
-// common include path pays one map-nil check.
-func (r *Registry) reattachWatchLocked(it *item) {
-	sink, ok := r.watchSinks[it.kind()]
-	if !ok {
-		return
-	}
-	cell := new(WatchSink)
-	*cell = sink
-	it.watch.Store(cell)
 }

@@ -85,11 +85,19 @@ func TestWatchGateErrors(t *testing.T) {
 	}
 }
 
-func TestWatchSinkSurvivesReinclusion(t *testing.T) {
+// TestWatchSinkEndsWithItem pins that a watch sink lives and dies with
+// its item: excluding the item ends the sink, a re-included item starts
+// unwatched, and a Watch that fails with ErrUnsubscribed leaves nothing
+// behind for a later inclusion.
+func TestWatchSinkEndsWithItem(t *testing.T) {
 	env, _ := testEnv()
 	r := env.NewRegistry("n1")
 	defineConst(r, "src", 1.0)
 	defineDerived(r, "sum", Dep(Self(), "src"))
+	early := &recordingSink{}
+	if _, err := r.Watch("sum", early); !errors.Is(err, ErrUnsubscribed) {
+		t.Fatalf("Watch on an excluded kind: err = %v, want ErrUnsubscribed", err)
+	}
 	sub, err := r.Subscribe("sum")
 	if err != nil {
 		t.Fatal(err)
@@ -98,17 +106,25 @@ func TestWatchSinkSurvivesReinclusion(t *testing.T) {
 	if _, err := r.Watch("sum", sink); err != nil {
 		t.Fatal(err)
 	}
-	sub.Unsubscribe() // entry released; sink stays registered
+	r.NotifyChanged("src")
+	if n := len(sink.versions()); n != 1 {
+		t.Fatalf("sink saw %d publications of the watched item, want 1", n)
+	}
+	sub.Unsubscribe()
 
 	sub2, err := r.Subscribe("sum")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub2.Unsubscribe()
-	// The fresh entry's initial compute publishes version 1 through the
-	// re-attached sink.
-	vers := sink.versions()
-	if len(vers) == 0 || vers[len(vers)-1] != 1 {
-		t.Fatalf("sink saw %v after re-inclusion, want trailing 1", vers)
+	r.NotifyChanged("src")
+	if vers := sink.versions(); len(vers) != 1 {
+		t.Fatalf("sink of the released item saw %v, want only its own item's publication", vers)
+	}
+	if vers := early.versions(); len(vers) != 0 {
+		t.Fatalf("sink whose Watch failed saw %v, want nothing", vers)
+	}
+	if v, _ := r.ItemVersion("sum"); v != 2 {
+		t.Fatalf("re-included item at version %d, want 2 (initial compute + one refresh)", v)
 	}
 }
