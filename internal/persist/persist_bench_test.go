@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -152,11 +151,7 @@ func BenchmarkOpenRecover100k(b *testing.B) {
 // records; -benchtime 10000x is the size of the tail segment of the
 // repository benchmark's durable-restart workload.
 func BenchmarkWALAppend(b *testing.B) {
-	op := core.JournalOp{Op: core.JournalSubscribe, Registry: "d04242", Kind: chainKind(chainLen - 1)}
-	payload, err := json.Marshal(walRecOf(op))
-	if err != nil {
-		b.Fatal(err)
-	}
+	rec := ckptRec{tag: recSub, reg: "d04242", kind: string(chainKind(chainLen - 1)), n: 1}
 	for _, bc := range []struct {
 		name string
 		sync SyncPolicy
@@ -167,15 +162,15 @@ func BenchmarkWALAppend(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(frameHeader + len(payload)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := w.append(payload); err != nil {
+				if err := w.append(&rec); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(w.bytes)/float64(b.N), "B/record")
 			w.f.Close()
 			t0 := time.Now()
 			if err := os.Remove(path); err != nil {
@@ -258,10 +253,11 @@ func TestCheckpointBytesPerItem(t *testing.T) {
 
 // TestWALBytesPerOp gates the journal's density on the same plane: each
 // journaled subscribe is one WAL record, and the mean record, frame
-// included, is a count like the checkpoint's bytes. The ceiling is the
-// figure measured here rounded up to the next byte.
+// included, is a count like the checkpoint's bytes. The first pass names
+// each registry in the segment's string table, the second refers back.
+// The ceiling is the figure measured here rounded up to the next byte.
 func TestWALBytesPerOp(t *testing.T) {
-	const regs, ceiling = 1000, 43.0
+	const regs, ceiling = 1000, 20.0
 	p, rs := chainPlane(t, t.TempDir(), regs)
 	defer p.Abandon()
 	st := rs[0].Env().Stats()
@@ -273,6 +269,29 @@ func TestWALBytesPerOp(t *testing.T) {
 	t.Logf("%d WAL bytes for %d records: %.2f B/op", n, recs, perOp)
 	if perOp > ceiling {
 		t.Fatalf("WAL is %.2f B/op, ceiling %v", perOp, ceiling)
+	}
+}
+
+// TestWALRecordAllocs gates what journaling costs once the segment has
+// named a record's registry and kind: nothing. It records the chain
+// plane's second subscribe pass again.
+func TestWALRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const regs = 1000
+	p, rs := chainPlane(t, t.TempDir(), regs)
+	defer p.Abandon()
+	i, kind := 0, chainKind(chainMid)
+	allocs := testing.AllocsPerRun(regs, func() {
+		p.Record(core.JournalOp{Op: core.JournalSubscribe, Registry: rs[i%regs].ID(), Kind: kind})
+		i++
+	})
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Record allocates %v objects per op, want 0", allocs)
 	}
 }
 
