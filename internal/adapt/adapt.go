@@ -137,7 +137,6 @@ func (m Migration) String() string {
 type itemState struct {
 	slo         clock.Duration
 	cost        float64
-	pure        bool
 	lastReads   int64
 	lastUpdates uint64
 	lastDeps    uint64

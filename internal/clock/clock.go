@@ -22,12 +22,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration elapsed from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Clock abstracts the flow of time. Implementations must be safe for
 // concurrent use.
 type Clock interface {
@@ -64,6 +58,3 @@ type Event struct {
 	canceled bool
 	index    int // heap index; -1 once fired or removed
 }
-
-// When returns the time the event is scheduled for.
-func (e *Event) When() Time { return e.when }

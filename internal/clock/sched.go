@@ -198,14 +198,3 @@ func (s *Scheduler) PendingBuckets() int {
 	defer s.mu.Unlock()
 	return len(s.buckets)
 }
-
-// PendingTasks returns the total number of armed tasks.
-func (s *Scheduler) PendingTasks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, b := range s.buckets {
-		n += len(b.tasks)
-	}
-	return n
-}

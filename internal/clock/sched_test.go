@@ -12,6 +12,17 @@ type collectDispatch struct {
 	times   []Time
 }
 
+// PendingTasks returns the total number of armed tasks.
+func (s *Scheduler) PendingTasks() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, b := range s.buckets {
+		n += len(b.tasks)
+	}
+	return n
+}
+
 func (c *collectDispatch) fn(now Time, due []*Task) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

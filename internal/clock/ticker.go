@@ -70,6 +70,3 @@ func (t *Ticker) Stop() {
 		t.next = nil
 	}
 }
-
-// Period returns the tick period.
-func (t *Ticker) Period() Duration { return t.period }

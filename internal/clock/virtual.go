@@ -161,20 +161,6 @@ func (v *Virtual) PendingEvents() int {
 	return n
 }
 
-// NextEventTime returns the timestamp of the earliest pending event and
-// whether one exists.
-func (v *Virtual) NextEventTime() (Time, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for len(v.queue) > 0 && v.queue[0].canceled {
-		heap.Pop(&v.queue)
-	}
-	if len(v.queue) == 0 {
-		return 0, false
-	}
-	return v.queue[0].when, true
-}
-
 // eventQueue is a min-heap over (when, seq).
 type eventQueue []*Event
 

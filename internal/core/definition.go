@@ -100,9 +100,6 @@ type ResolveContext struct {
 	reg *Registry
 }
 
-// Registry returns the registry defining the item being resolved.
-func (rc *ResolveContext) Registry() *Registry { return rc.reg }
-
 // IsIncluded reports whether the item kind at the registries matched
 // by target currently has a handler (i.e. is already provided). With a
 // multi-registry selector it reports whether all matches are included.
@@ -140,12 +137,6 @@ type BuildContext struct {
 
 // Kind returns the kind of the item being built.
 func (ctx *BuildContext) Kind() Kind { return ctx.def.kind }
-
-// Registry returns the registry owning the item.
-func (ctx *BuildContext) Registry() *Registry { return ctx.reg }
-
-// Clock returns the environment clock.
-func (ctx *BuildContext) Clock() clock.Clock { return ctx.reg.env.Clock() }
 
 // NumDeps returns the number of dependency groups (one per DepRef).
 func (ctx *BuildContext) NumDeps() int { return int(ctx.ngroups) }
@@ -235,9 +226,6 @@ func (h *Handle) Float() (float64, error) {
 	return Float(v)
 }
 
-// Kind returns the item's kind.
-func (h *Handle) Kind() Kind { return h.it.kind() }
-
 // Registry returns the registry providing the item.
 func (h *Handle) Registry() *Registry { return h.it.reg }
 
@@ -274,12 +262,6 @@ func (s *Subscription) Float() (float64, error) {
 func (s *Subscription) Handle() *Handle {
 	return &s.h
 }
-
-// Kind returns the subscribed item's kind.
-func (s *Subscription) Kind() Kind { return s.h.Kind() }
-
-// Mechanism returns the update mechanism of the item's handler.
-func (s *Subscription) Mechanism() Mechanism { return s.h.Mechanism() }
 
 // Unsubscribe releases the claim. It is idempotent.
 func (s *Subscription) Unsubscribe() {

@@ -17,6 +17,20 @@ func wire(node *Registry, inputs, outputs []*Registry) {
 	)
 }
 
+// The downstream and parent selectors have no non-test user: the
+// resolution supports them and these tests construct them.
+
+// Output selects the registry of the i-th downstream node (inter-node
+// dependency on a node downstream, e.g. QoS specifications at sinks).
+func Output(i int) Selector { return Selector{kind: selOutput, index: i} }
+
+// EachOutput selects the registries of all downstream nodes.
+func EachOutput() Selector { return Selector{kind: selEachOutput} }
+
+// Parent selects the registry of the node owning this module. It lets
+// module metadata reach the enclosing operator.
+func Parent() Selector { return Selector{kind: selParent} }
+
 func TestInterNodeDependencyUpstream(t *testing.T) {
 	env, _ := testEnv()
 	src := env.NewRegistry("src")

@@ -95,9 +95,10 @@ type Env struct {
 
 	// restorePending, when non-nil, is the recovery-time predicate
 	// consulted by handler start paths: items it claims skip their
-	// initial compute and publish ErrNoValue, pending a RestoreStale
-	// that re-publishes the checkpointed last-good value (see
-	// restore.go). Installed only for the duration of a recovery replay.
+	// initial compute and publish ErrNoValue, pending a
+	// RestoreStaleBatch that re-publishes the checkpointed last-good
+	// value (see restore.go). Installed only for the duration of a
+	// recovery replay.
 	restorePending atomic.Pointer[func(*Registry, Kind) bool]
 }
 
@@ -181,9 +182,6 @@ func NewEnv(clk clock.Clock, opts ...EnvOption) *Env {
 
 // Clock returns the environment's clock.
 func (e *Env) Clock() clock.Clock { return e.clk }
-
-// Updater returns the periodic-update executor.
-func (e *Env) Updater() Updater { return e.updater }
 
 // Stats returns the framework self-metrics.
 func (e *Env) Stats() *Stats { return &e.stats }

@@ -174,10 +174,10 @@ func TestSubscriptionAccessors(t *testing.T) {
 	defineConst(r, "x", 1.5)
 	s, _ := r.Subscribe("x")
 	defer s.Unsubscribe()
-	if s.Kind() != "x" {
+	if s.Handle().Kind() != "x" {
 		t.Fatal("Kind wrong")
 	}
-	if s.Mechanism() != StaticMechanism {
+	if s.Handle().Mechanism() != StaticMechanism {
 		t.Fatal("Mechanism wrong")
 	}
 	if v, err := s.Float(); err != nil || v != 1.5 {

@@ -70,7 +70,7 @@ func BenchmarkHealthyOverhead(b *testing.B) {
 				}
 				sub.Unsubscribe()
 			}
-			env.Updater().Stop()
+			env.updater.Stop()
 		})
 	}
 }

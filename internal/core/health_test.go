@@ -311,7 +311,7 @@ func TestDeadlineInlineEnvInert(t *testing.T) {
 // seen once by the watch sink; a compute error is published as a
 // value; a panic as ErrComputePanic; a trip serves the last-good value
 // under a *StaleError and stops computing; a successful probe
-// republishes and propagates exactly once; RestoreStale raises, then
+// republishes and propagates exactly once; RestoreStaleBatch raises, then
 // bumps, the version; and a stopped item reports ErrUnsubscribed.
 func TestPublishContract(t *testing.T) {
 	const (
@@ -517,8 +517,9 @@ func TestPublishContract(t *testing.T) {
 					if state() != Healthy {
 						t.Fatalf("health %v without a breaker", state())
 					}
-					if err := r.RestoreStale("x", 99.0, version+100, nil); !errors.Is(err, ErrNotRestorable) {
-						t.Fatalf("RestoreStale without a breaker: %v, want ErrNotRestorable", err)
+					one := []RestoredItem{{Kind: "x", Value: 99.0, Version: version + 100}}
+					if r.RestoreStaleBatch(one); !errors.Is(one[0].Err, ErrNotRestorable) {
+						t.Fatalf("RestoreStaleBatch without a breaker: %v, want ErrNotRestorable", one[0].Err)
 					}
 				} else {
 					if state() != Degraded {
@@ -576,18 +577,19 @@ func TestPublishContract(t *testing.T) {
 						t.Fatalf("BreakerRecoveries = %d, want 1", got)
 					}
 
-					// RestoreStale raises the version to the persisted one,
-					// then bumps it for the stale publication: the sink sees
-					// that one step, not the raise.
+					// RestoreStaleBatch raises the version to the persisted
+					// one, then bumps it for the stale publication: the sink
+					// sees that one step, not the raise.
 					target := version + 100
-					if err := r.RestoreStale("x", 99.0, target, nil); err != nil {
-						t.Fatalf("RestoreStale: %v", err)
+					one := []RestoredItem{{Kind: "x", Value: 99.0, Version: target}}
+					if r.RestoreStaleBatch(one); one[0].Err != nil {
+						t.Fatalf("RestoreStaleBatch: %v", one[0].Err)
 					}
 					if got, _ := r.ItemVersion("x"); got != target+1 {
-						t.Fatalf("RestoreStale: version %d, want %d", got, target+1)
+						t.Fatalf("RestoreStaleBatch: version %d, want %d", got, target+1)
 					}
 					if seen := sink.take(); len(seen) != 1 || seen[0] != target+1 {
-						t.Fatalf("RestoreStale: sink saw %v, want [%d]", seen, target+1)
+						t.Fatalf("RestoreStaleBatch: sink saw %v, want [%d]", seen, target+1)
 					}
 					if v, err := xSub.Value(); !errors.Is(err, ErrStale) || !errors.Is(err, ErrRestored) || v != 99.0 {
 						t.Fatalf("restored: %v, %v; want 99 under ErrStale wrapping ErrRestored", v, err)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 )
 
@@ -43,28 +42,6 @@ func (r *Registry) Dependencies(kind Kind) (deps []ItemRef, ok bool) {
 		deps = append(deps, itemRefLocked(it.deps[i].h.it))
 	}
 	return deps, true
-}
-
-// Dependents returns the included items that currently depend on the
-// item kind, each once however many edges it declares, or ok=false if
-// the item is not included.
-func (r *Registry) Dependents(kind Kind) (deps []ItemRef, ok bool) {
-	sc := r.env.lockScope(r)
-	defer sc.unlock()
-	it := r.entryLocked(kind)
-	if it == nil {
-		return nil, false
-	}
-	for _, d := range it.dependents {
-		deps = append(deps, itemRefLocked(d.it))
-	}
-	sort.Slice(deps, func(i, j int) bool {
-		if deps[i].RegistryID != deps[j].RegistryID {
-			return deps[i].RegistryID < deps[j].RegistryID
-		}
-		return deps[i].Kind < deps[j].Kind
-	})
-	return slices.Compact(deps), true
 }
 
 // Ref returns the ItemRef of an included item.

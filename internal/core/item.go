@@ -374,7 +374,7 @@ func (it *item) start() {
 		w.winStart = now
 	}
 	if env.restorePendingFor(it.reg, it.kind()) {
-		// Recovery replay: skip the initial compute — RestoreStale will
+		// Recovery replay: skip the initial compute — RestoreStaleBatch will
 		// re-publish the checkpointed last-good value before the plane is
 		// exposed — but still arm the boundary cadence below, so an item
 		// that turns out to have no checkpoint snapshot updates normally.
@@ -587,7 +587,7 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 		// batches). Waiting instead would park a pool worker behind a
 		// slow compute at every boundary it misses, and start a second
 		// compute on a hung item the moment its deadline frees the
-		// mutex. Any other holder — stop, Migrate, RestoreStale, a probe
+		// mutex. Any other holder — stop, Migrate, RestoreStaleBatch, a probe
 		// — leaves the item in a state where this tick is moot.
 		return 0, false
 	}

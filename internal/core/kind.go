@@ -74,20 +74,9 @@ func Input(i int) Selector { return Selector{kind: selInput, index: i} }
 // dependency group then holds one handle per input.
 func EachInput() Selector { return Selector{kind: selEachInput} }
 
-// Output selects the registry of the i-th downstream node (inter-node
-// dependency on a node downstream, e.g. QoS specifications at sinks).
-func Output(i int) Selector { return Selector{kind: selOutput, index: i} }
-
-// EachOutput selects the registries of all downstream nodes.
-func EachOutput() Selector { return Selector{kind: selEachOutput} }
-
 // Module selects the registry of the named exchangeable module of the
 // node (Section 4.5), e.g. the join's "left" sweep area.
 func Module(name string) Selector { return Selector{kind: selModule, name: name} }
-
-// Parent selects the registry of the node owning this module. It lets
-// module metadata reach the enclosing operator.
-func Parent() Selector { return Selector{kind: selParent} }
 
 // String renders the selector for error messages.
 func (s Selector) String() string {

@@ -96,8 +96,9 @@ func TestMigrateTransitionMatrix(t *testing.T) {
 			if quarantined {
 				// Park x in quarantine on a value no form computes.
 				want = 5
-				if err := r.RestoreStale("x", want, 0, nil); err != nil {
-					t.Fatal(err)
+				one := []RestoredItem{{Kind: "x", Value: want}}
+				if r.RestoreStaleBatch(one); one[0].Err != nil {
+					t.Fatal(one[0].Err)
 				}
 			}
 
@@ -447,7 +448,7 @@ func TestMigrateReanchorsDeltaAggregates(t *testing.T) {
 	// adaptable: its on-demand form reads the clock at access time, so
 	// the sum stays exact in every configuration.
 	clockCompute := func(ctx *BuildContext) ComputeFunc {
-		c := ctx.Clock()
+		c := ctx.reg.env.Clock()
 		return func(clock.Time) (Value, error) { return float64(c.Now()), nil }
 	}
 	r.MustDefine(&Definition{

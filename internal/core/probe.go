@@ -95,13 +95,6 @@ func (g *Gauge) Deactivate() {
 // Active reports whether at least one activation is held.
 func (g *Gauge) Active() bool { return g.active.Load() > 0 }
 
-// Set stores v if the probe is active.
-func (g *Gauge) Set(v int64) {
-	if g.Active() {
-		g.v.Store(v)
-	}
-}
-
 // Add accumulates delta if the probe is active.
 func (g *Gauge) Add(delta int64) {
 	if g.Active() {
@@ -109,32 +102,5 @@ func (g *Gauge) Add(delta int64) {
 	}
 }
 
-// Read returns the current value.
-func (g *Gauge) Read() int64 { return g.v.Load() }
-
 // Take returns the current value and resets it to zero.
 func (g *Gauge) Take() int64 { return g.v.Swap(0) }
-
-// FuncProbe adapts a pair of functions to the Probe interface.
-type FuncProbe struct {
-	// OnActivate runs when the first activation is acquired.
-	OnActivate func()
-	// OnDeactivate runs when the last activation is released.
-	OnDeactivate func()
-
-	active atomic.Int32
-}
-
-// Activate implements Probe.
-func (p *FuncProbe) Activate() {
-	if p.active.Add(1) == 1 && p.OnActivate != nil {
-		p.OnActivate()
-	}
-}
-
-// Deactivate implements Probe.
-func (p *FuncProbe) Deactivate() {
-	if p.active.Add(-1) == 0 && p.OnDeactivate != nil {
-		p.OnDeactivate()
-	}
-}

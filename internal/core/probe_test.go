@@ -67,43 +67,22 @@ func TestCounterConcurrent(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(5)
-	if g.Read() != 0 {
+	g.Add(5)
+	if g.Take() != 0 {
 		t.Fatal("inactive gauge stored")
 	}
 	g.Activate()
-	g.Set(5)
+	g.Add(5)
 	g.Add(2)
-	if g.Read() != 7 {
-		t.Fatalf("Read = %d, want 7", g.Read())
+	if got := g.Take(); got != 7 {
+		t.Fatalf("Take = %d, want 7", got)
 	}
-	if g.Take() != 7 || g.Read() != 0 {
+	if g.Take() != 0 {
 		t.Fatal("Take did not reset")
 	}
 	g.Deactivate()
 	if g.Active() {
 		t.Fatal("still active")
-	}
-}
-
-func TestFuncProbeFiresOnEdges(t *testing.T) {
-	on, off := 0, 0
-	p := &FuncProbe{
-		OnActivate:   func() { on++ },
-		OnDeactivate: func() { off++ },
-	}
-	p.Activate()
-	p.Activate()
-	if on != 1 {
-		t.Fatalf("OnActivate fired %d times, want 1", on)
-	}
-	p.Deactivate()
-	if off != 0 {
-		t.Fatal("OnDeactivate fired before last release")
-	}
-	p.Deactivate()
-	if off != 1 {
-		t.Fatalf("OnDeactivate fired %d times, want 1", off)
 	}
 }
 

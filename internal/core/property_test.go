@@ -170,7 +170,7 @@ func TestPropertyDerivedValuesCorrect(t *testing.T) {
 		// All earlier subscriptions must still read correct values.
 		for _, s := range subs {
 			v, err := s.Float()
-			if err != nil || v != eval(s.Kind()) {
+			if err != nil || v != eval(s.Handle().Kind()) {
 				return false
 			}
 			s.Unsubscribe()

@@ -536,14 +536,6 @@ func (r *Registry) AppendSlots(dst []SlotState) []SlotState {
 	return dst
 }
 
-// IsDefined reports whether the item kind has a definition.
-func (r *Registry) IsDefined(kind Kind) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.searchSlot(kind)
-	return ok
-}
-
 // IsIncluded reports whether the item currently has a handler.
 func (r *Registry) IsIncluded(kind Kind) bool { return r.entryOf(kind) != nil }
 

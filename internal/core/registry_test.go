@@ -10,6 +10,17 @@ import (
 )
 
 // testEnv returns a virtual-clock environment.
+// Kind returns the item's kind.
+func (h *Handle) Kind() Kind { return h.it.kind() }
+
+// IsDefined reports whether the item kind has a definition.
+func (r *Registry) IsDefined(kind Kind) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ok := r.searchSlot(kind)
+	return ok
+}
+
 func testEnv() (*Env, *clock.Virtual) {
 	vc := clock.NewVirtual()
 	return NewEnv(vc), vc
@@ -70,8 +81,8 @@ func TestSubscribeStatic(t *testing.T) {
 	if err != nil || v.(int64) != 32 {
 		t.Fatalf("Value = %v, %v; want 32", v, err)
 	}
-	if sub.Mechanism() != StaticMechanism {
-		t.Fatalf("Mechanism = %v, want static", sub.Mechanism())
+	if sub.Handle().Mechanism() != StaticMechanism {
+		t.Fatalf("Mechanism = %v, want static", sub.Handle().Mechanism())
 	}
 }
 
@@ -217,7 +228,7 @@ func TestBuildMustReturnFreshHandler(t *testing.T) {
 			first, kind := tc.setup(t, r)
 			ext := map[ItemKey]int{{Registry: "n", Kind: "src"}: 1}
 			if !first.released {
-				ext[ItemKey{Registry: "n", Kind: first.Kind()}] = 1
+				ext[ItemKey{Registry: "n", Kind: first.Handle().Kind()}] = 1
 			}
 			refs := r.Refs("src")
 

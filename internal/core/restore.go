@@ -28,7 +28,7 @@ import "fmt"
 // skip-compute predicate. While installed, a periodic or triggered
 // handler whose (registry, kind) the predicate claims publishes
 // ErrNoValue at start instead of running its initial compute; the
-// caller is expected to RestoreStale the item before exposing the
+// caller is expected to RestoreStaleBatch the item before exposing the
 // plane. Only internal/persist should install this.
 func (e *Env) SetRestorePending(pred func(reg *Registry, kind Kind) bool) {
 	if pred == nil {
@@ -56,13 +56,6 @@ type RestoredItem struct {
 	Version uint64
 	Cause   error
 	Err     error
-}
-
-// RestoreStale is RestoreStaleBatch for one item.
-func (r *Registry) RestoreStale(kind Kind, v Value, version uint64, cause error) error {
-	one := [1]RestoredItem{{Kind: kind, Value: v, Version: version, Cause: cause}}
-	r.RestoreStaleBatch(one[:])
-	return one[0].Err
 }
 
 // RestoreStaleBatch re-publishes checkpointed last-good values on the

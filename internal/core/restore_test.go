@@ -155,9 +155,9 @@ func TestRestoreStaleBatchEquivalence(t *testing.T) {
 
 		order := rand.New(rand.NewSource(seed)).Perm(len(one.batch))
 		for _, i := range order {
-			it := one.batch[i]
-			if err := one.r.RestoreStale(it.Kind, it.Value, it.Version, it.Cause); err != nil {
-				t.Fatalf("%s: RestoreStale(%s): %v", at, it.Kind, err)
+			it := []RestoredItem{one.batch[i]}
+			if one.r.RestoreStaleBatch(it); it[0].Err != nil {
+				t.Fatalf("%s: RestoreStaleBatch(%s): %v", at, it[0].Kind, it[0].Err)
 			}
 		}
 		if n := all.r.RestoreStaleBatch(all.batch); n != len(all.batch) {

@@ -254,15 +254,6 @@ func (e *Engine) RunToCompletion() {
 	}
 }
 
-// QueuedElements returns the total number of queued elements.
-func (e *Engine) QueuedElements() int {
-	n := 0
-	for _, q := range e.queues {
-		n += q.els.Len()
-	}
-	return n
-}
-
 // QueuedBytes returns the total memory held in inter-operator queues —
 // the objective Chain scheduling minimizes.
 func (e *Engine) QueuedBytes() int64 {
@@ -278,6 +269,3 @@ func (e *Engine) Processed() int64 { return e.processed }
 
 // Graph returns the engine's query graph.
 func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// Clock returns the engine's virtual clock.
-func (e *Engine) Clock() *clock.Virtual { return e.vc }

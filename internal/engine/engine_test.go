@@ -15,6 +15,15 @@ var intSchema = stream.Schema{Name: "ints", Fields: []stream.Field{{Name: "v", T
 
 // pipeline builds src -> filter(keep even) -> sink and returns the
 // parts.
+// QueuedElements returns the total number of queued elements.
+func (e *Engine) QueuedElements() int {
+	n := 0
+	for _, q := range e.queues {
+		n += q.els.Len()
+	}
+	return n
+}
+
 func pipeline(opts ...Option) (*Engine, *ops.Source, *[]stream.Element) {
 	vc := clock.NewVirtual()
 	g := graph.New(core.NewEnv(vc))
@@ -209,7 +218,7 @@ func TestStartTwicePanics(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	e, _, _ := pipeline()
-	if e.Graph() == nil || e.Clock() == nil {
+	if e.Graph() == nil || e.vc == nil {
 		t.Fatal("accessors returned nil")
 	}
 }

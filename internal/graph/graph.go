@@ -173,27 +173,6 @@ func (g *Graph) Nodes() []Node {
 	return out
 }
 
-// Sources returns all source nodes.
-func (g *Graph) Sources() []Node { return g.byType(SourceNode) }
-
-// Sinks returns all sink nodes.
-func (g *Graph) Sinks() []Node { return g.byType(SinkNode) }
-
-// Operators returns all operator nodes.
-func (g *Graph) Operators() []Node { return g.byType(OperatorNode) }
-
-func (g *Graph) byType(t NodeType) []Node {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []Node
-	for _, n := range g.nodes {
-		if n != nil && n.Type() == t {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Topological returns the nodes in a topological order (producers
 // before consumers). It panics on a cyclic graph; query graphs are
 // DAGs by construction.
@@ -243,26 +222,6 @@ func (g *Graph) Downstream(n Node) []Node {
 				seen[c.ID()] = true
 				out = append(out, c)
 				visit(c)
-			}
-		}
-	}
-	visit(n)
-	return out
-}
-
-// Upstream returns every node n transitively reads from (excluding n).
-func (g *Graph) Upstream(n Node) []Node {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	seen := make(map[int]bool)
-	var out []Node
-	var visit func(m Node)
-	visit = func(m Node) {
-		for _, p := range g.ins[m.ID()] {
-			if !seen[p.ID()] {
-				seen[p.ID()] = true
-				out = append(out, p)
-				visit(p)
 			}
 		}
 	}

@@ -115,20 +115,6 @@ func TestSubquerySharing(t *testing.T) {
 	}
 }
 
-func TestByTypeAccessors(t *testing.T) {
-	g := newTestGraph()
-	addNode(g, "s1", SourceNode)
-	addNode(g, "s2", SourceNode)
-	addNode(g, "o", OperatorNode)
-	addNode(g, "k", SinkNode)
-	if len(g.Sources()) != 2 || len(g.Operators()) != 1 || len(g.Sinks()) != 1 {
-		t.Fatal("type accessors wrong")
-	}
-	if len(g.Nodes()) != 4 {
-		t.Fatalf("Nodes = %d, want 4", len(g.Nodes()))
-	}
-}
-
 func TestTopologicalOrder(t *testing.T) {
 	g := newTestGraph()
 	s := addNode(g, "s", SourceNode)
@@ -151,23 +137,19 @@ func TestTopologicalOrder(t *testing.T) {
 	}
 }
 
-func TestUpstreamDownstream(t *testing.T) {
+func TestDownstream(t *testing.T) {
 	g := newTestGraph()
 	s := addNode(g, "s", SourceNode)
 	a := addNode(g, "a", OperatorNode)
 	k := addNode(g, "k", SinkNode)
 	g.Connect(s, a)
 	g.Connect(a, k)
-	up := g.Upstream(k)
-	if len(up) != 2 {
-		t.Fatalf("Upstream(k) = %d nodes, want 2", len(up))
-	}
 	down := g.Downstream(s)
 	if len(down) != 2 {
 		t.Fatalf("Downstream(s) = %d nodes, want 2", len(down))
 	}
-	if len(g.Downstream(k)) != 0 || len(g.Upstream(s)) != 0 {
-		t.Fatal("terminal nodes have neighbors")
+	if len(g.Downstream(k)) != 0 {
+		t.Fatal("the sink has downstream nodes")
 	}
 }
 

@@ -175,18 +175,6 @@ func (m *Model) Refs(ri int, kind core.Kind) int {
 	return 0
 }
 
-// Included returns the included kinds of registry ri, sorted.
-func (m *Model) Included(ri int) []core.Kind {
-	var out []core.Kind
-	for k := range m.items {
-		if k.reg == ri {
-			out = append(out, k.kind)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // resolve maps a dependency spec of registry ri to target registry
 // indices, mirroring Registry.resolveSelector.
 func (m *Model) resolve(ri int, d DepSpec) []int {

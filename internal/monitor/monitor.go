@@ -338,16 +338,10 @@ func NewProfiler(env *core.Env) *Profiler {
 	return &Profiler{env: env, start: env.Stats().Snapshot(), since: env.Now()}
 }
 
-// Stop returns the profile since construction (or the last Reset).
+// Stop returns the profile since construction.
 func (p *Profiler) Stop() OverheadProfile {
 	return OverheadProfile{
 		Window:   p.env.Stats().Snapshot().Sub(p.start),
 		Duration: p.env.Now().Sub(p.since),
 	}
-}
-
-// Reset restarts the profiling window.
-func (p *Profiler) Reset() {
-	p.start = p.env.Stats().Snapshot()
-	p.since = p.env.Now()
 }

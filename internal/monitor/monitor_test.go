@@ -169,9 +169,9 @@ func TestProfilerMeasuresUpdateWork(t *testing.T) {
 	if got := prof.UpdatesPerTimeUnit(); got != 0.1 {
 		t.Fatalf("UpdatesPerTimeUnit = %v, want 0.1", got)
 	}
-	p.Reset()
+	p = NewProfiler(env)
 	if got := p.Stop().Window.PeriodicUpdates; got != 0 {
-		t.Fatalf("after Reset: %d updates, want 0", got)
+		t.Fatalf("fresh profiler: %d updates, want 0", got)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestOverheadProfileHealth(t *testing.T) {
 
 	// Recovery: heal and let the probe (armed at t=25) close the
 	// breaker; a fresh window shows the recovery, not the old trip.
-	p.Reset()
+	p = NewProfiler(env)
 	fail = false
 	vc.Advance(5)
 	prof = p.Stop()

@@ -51,9 +51,6 @@ func newCommon(g *graph.Graph, name string, typ graph.NodeType, schema stream.Sc
 // Schema returns the node's output schema.
 func (c *Common) Schema() stream.Schema { return c.schema }
 
-// StatWindow returns the node's periodic update window.
-func (c *Common) StatWindow() clock.Duration { return c.statWindow }
-
 // recordIn instruments one input element.
 func (c *Common) recordIn() {
 	c.totIn.Inc()

@@ -42,7 +42,7 @@ func TestSinkLatencyProbeInactiveWithoutSubscription(t *testing.T) {
 	// latency state (activation-gated monitoring).
 	vc.Advance(50)
 	s.Process(stream.NewElement(stream.Tuple{1}, 0), 0)
-	if s.latCount.Read() != 0 || s.latSum.Read() != 0 {
+	if s.latCount.Read() != 0 || s.latSum.Take() != 0 {
 		t.Fatal("latency probes counted while inactive")
 	}
 }

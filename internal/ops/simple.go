@@ -84,29 +84,24 @@ func (f *Filter) Process(el stream.Element, port int) []stream.Element {
 // Map transforms each tuple with a function.
 type Map struct {
 	*Common
-	fn             func(stream.Tuple) stream.Tuple
-	costPerElement int64
+	fn func(stream.Tuple) stream.Tuple
 }
 
 // NewMap creates a map operator with the given output schema.
 func NewMap(g *graph.Graph, name string, outSchema stream.Schema, fn func(stream.Tuple) stream.Tuple, statWindow clock.Duration) *Map {
 	m := &Map{
-		Common:         newCommon(g, name, graph.OperatorNode, outSchema, statWindow),
-		fn:             fn,
-		costPerElement: 1,
+		Common: newCommon(g, name, graph.OperatorNode, outSchema, statWindow),
+		fn:     fn,
 	}
 	defineStaticImplType(m.Registry(), "map")
 	g.Register(m)
 	return m
 }
 
-// SetCostPerElement adjusts the simulated mapping cost.
-func (m *Map) SetCostPerElement(c int64) { m.costPerElement = c }
-
 // Process implements graph.Node.
 func (m *Map) Process(el stream.Element, port int) []stream.Element {
 	m.recordIn()
-	m.recordCost(m.costPerElement)
+	m.recordCost(1)
 	out := el
 	out.Tuple = m.fn(el.Tuple)
 	m.recordOut(1)

@@ -35,9 +35,6 @@ func NewSource(g *graph.Graph, name string, schema stream.Schema, declaredRate f
 	return s
 }
 
-// DeclaredRate returns the declared expected rate.
-func (s *Source) DeclaredRate() float64 { return s.declaredRate }
-
 // Emit instruments and returns one outgoing element; the engine
 // forwards it to the source's consumers.
 func (s *Source) Emit(el stream.Element) stream.Element {

@@ -109,9 +109,6 @@ func NewCountWindow(g *graph.Graph, name string, schema stream.Schema, n int, st
 	return w
 }
 
-// N returns the window's element count.
-func (w *CountWindow) N() int { return w.n }
-
 // Process implements graph.Node.
 func (w *CountWindow) Process(el stream.Element, port int) []stream.Element {
 	w.recordIn()
@@ -129,20 +126,5 @@ func (w *CountWindow) Process(el stream.Element, port int) []stream.Element {
 	if out != nil {
 		w.recordOut(1)
 	}
-	return out
-}
-
-// Flush emits the buffered elements with the given end timestamp; used
-// when a bounded stream terminates.
-func (w *CountWindow) Flush(end clock.Time) []stream.Element {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]stream.Element, 0, len(w.buf))
-	for _, el := range w.buf {
-		el.End = end
-		out = append(out, el)
-	}
-	w.buf = nil
-	w.recordOut(int64(len(out)))
 	return out
 }

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ops"
 	"repro/internal/stream"
@@ -45,7 +44,6 @@ type FilterChain struct {
 	filters  []*ops.Filter
 	sels     []*core.Subscription
 	reorders int
-	ticker   *clock.Ticker
 }
 
 // NewFilterChain subscribes to the selectivity metadata of every
@@ -123,16 +121,6 @@ func (c *FilterChain) Optimize() bool {
 	return true
 }
 
-// AutoOptimize runs Optimize every period time units until Close.
-func (c *FilterChain) AutoOptimize(env *core.Env, period clock.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
-	c.ticker = clock.NewTicker(env.Clock(), period, func(clock.Time) { c.Optimize() })
-}
-
 // Reorders returns how many Optimize calls changed the order.
 func (c *FilterChain) Reorders() int {
 	c.mu.Lock()
@@ -140,15 +128,10 @@ func (c *FilterChain) Reorders() int {
 	return c.reorders
 }
 
-// Close stops auto-optimization and releases the metadata
-// subscriptions.
+// Close releases the metadata subscriptions.
 func (c *FilterChain) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ticker != nil {
-		c.ticker.Stop()
-		c.ticker = nil
-	}
 	for _, s := range c.sels {
 		if s != nil {
 			s.Unsubscribe()

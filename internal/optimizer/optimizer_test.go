@@ -140,21 +140,6 @@ func TestFilterChainPreservesResults(t *testing.T) {
 	}
 }
 
-func TestFilterChainAutoOptimize(t *testing.T) {
-	e, vc, f1, f2, env := filterChainPlan()
-	chain, err := NewFilterChain(f1, f2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer chain.Close()
-	chain.AutoOptimize(env, 500)
-	e.RunUntil(2000)
-	_ = vc
-	if chain.Reorders() == 0 {
-		t.Fatal("auto-optimizer never reordered")
-	}
-}
-
 func TestJoinOrderAdvisorRecommendsCheapest(t *testing.T) {
 	vc := clock.NewVirtual()
 	env := core.NewEnv(vc)

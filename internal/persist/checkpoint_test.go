@@ -310,8 +310,9 @@ func TestStaleCauseSurvivesRestartsUnchanged(t *testing.T) {
 			}
 			// cell0 is quarantined at run time with a cause of its own;
 			// cell1 is healthy when the process dies.
-			if err := r.RestoreStale("cell0", 1.5, 3, boom); err != nil {
-				t.Fatal(err)
+			one := []core.RestoredItem{{Kind: "cell0", Value: 1.5, Version: 3, Cause: boom}}
+			if r.RestoreStaleBatch(one); one[0].Err != nil {
+				t.Fatal(one[0].Err)
 			}
 			if err := p.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -459,8 +460,9 @@ func TestCheckpointRotationCrashStates(t *testing.T) {
 	older := checkpoint()
 	olderSeq := p.seq
 	for i, k := range kinds {
-		if err := r.RestoreStale(k, float64(20+i), 5, nil); err != nil {
-			t.Fatal(err)
+		one := []core.RestoredItem{{Kind: k, Value: float64(20 + i), Version: 5}}
+		if r.RestoreStaleBatch(one); one[0].Err != nil {
+			t.Fatal(one[0].Err)
 		}
 	}
 	newer := checkpoint()

@@ -22,14 +22,6 @@ type Value = any
 // Tuple is an ordered list of attribute values.
 type Tuple []Value
 
-// Clone returns a shallow copy of the tuple. Attribute values are
-// treated as immutable by all operators.
-func (t Tuple) Clone() Tuple {
-	c := make(Tuple, len(t))
-	copy(c, t)
-	return c
-}
-
 // Concat returns a new tuple holding t's values followed by u's.
 func (t Tuple) Concat(u Tuple) Tuple {
 	c := make(Tuple, 0, len(t)+len(u))
@@ -64,9 +56,6 @@ func NewElement(tuple Tuple, ts clock.Time) Element {
 	return Element{Tuple: tuple, TS: ts, End: ts + 1}
 }
 
-// Validity returns the length of the element's validity interval.
-func (e Element) Validity() clock.Duration { return e.End.Sub(e.TS) }
-
 // Overlaps reports whether the validity intervals of e and f intersect.
 // This is the join condition on time used by sliding-window joins.
 func (e Element) Overlaps(f Element) bool {
@@ -97,16 +86,6 @@ type Field struct {
 
 // Arity returns the number of attributes.
 func (s Schema) Arity() int { return len(s.Fields) }
-
-// FieldIndex returns the position of the named attribute, or -1.
-func (s Schema) FieldIndex(name string) int {
-	for i, f := range s.Fields {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // Concat returns the schema of a join output: s's fields followed by
 // o's, with the combined name "s⋈o".

@@ -12,9 +12,6 @@ func TestNewElementIsPoint(t *testing.T) {
 	if e.TS != 42 || e.End != 43 {
 		t.Fatalf("NewElement = [%d,%d), want [42,43)", e.TS, e.End)
 	}
-	if e.Validity() != 1 {
-		t.Fatalf("Validity = %d, want 1", e.Validity())
-	}
 }
 
 func TestOverlaps(t *testing.T) {
@@ -54,15 +51,6 @@ func TestPropertyOverlapsSymmetric(t *testing.T) {
 	}
 }
 
-func TestTupleCloneIsIndependent(t *testing.T) {
-	a := Tuple{1, "x"}
-	b := a.Clone()
-	b[0] = 99
-	if a[0] != 1 {
-		t.Fatal("Clone shares backing array")
-	}
-}
-
 func TestTupleConcat(t *testing.T) {
 	c := Tuple{1, 2}.Concat(Tuple{3})
 	if len(c) != 3 || c[0] != 1 || c[2] != 3 {
@@ -76,14 +64,8 @@ func TestTupleString(t *testing.T) {
 	}
 }
 
-func TestSchemaFieldIndex(t *testing.T) {
+func TestSchemaArity(t *testing.T) {
 	s := Schema{Name: "s", Fields: []Field{{"a", "int"}, {"b", "float"}}}
-	if got := s.FieldIndex("b"); got != 1 {
-		t.Fatalf("FieldIndex(b) = %d, want 1", got)
-	}
-	if got := s.FieldIndex("zz"); got != -1 {
-		t.Fatalf("FieldIndex(zz) = %d, want -1", got)
-	}
 	if s.Arity() != 2 {
 		t.Fatalf("Arity = %d, want 2", s.Arity())
 	}

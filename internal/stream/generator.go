@@ -51,9 +51,6 @@ func NewConstantRate(start clock.Time, interval clock.Duration, count int) *Cons
 	return &ConstantRate{Start: start, Interval: interval, Count: count}
 }
 
-// Rate returns the true element rate in elements per time unit.
-func (g *ConstantRate) Rate() float64 { return 1 / float64(g.Interval) }
-
 // Next implements Generator.
 func (g *ConstantRate) Next() (Arrival, bool) {
 	if g.Count > 0 && g.i >= g.Count {
@@ -157,9 +154,6 @@ func (g *Bursty) MeanRate() float64 {
 	cycle := float64(g.OnDuration + g.OffDuration)
 	return perBurst / cycle
 }
-
-// PeakRate returns the rate during a burst.
-func (g *Bursty) PeakRate() float64 { return 1 / float64(g.OnInterval) }
 
 // Next implements Generator.
 func (g *Bursty) Next() (Arrival, bool) {
@@ -272,19 +266,6 @@ func (t *Trace) Reset() { t.pos = 0 }
 // Len returns the number of arrivals in the trace.
 func (t *Trace) Len() int { return len(t.Arrivals) }
 
-// MeasuredRate returns the empirical rate of the trace: count divided
-// by the span from the first to one past the last arrival.
-func (t *Trace) MeasuredRate() float64 {
-	if len(t.Arrivals) < 2 {
-		return 0
-	}
-	span := t.Arrivals[len(t.Arrivals)-1].At - t.Arrivals[0].At
-	if span <= 0 {
-		return 0
-	}
-	return float64(len(t.Arrivals)-1) / float64(span)
-}
-
 // Validate checks that arrivals are in nondecreasing time order.
 func (t *Trace) Validate() error {
 	for i := 1; i < len(t.Arrivals); i++ {
@@ -294,29 +275,4 @@ func (t *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Merge combines several traces into one time-ordered trace. Arrivals
-// at equal times keep their input order (earlier trace first).
-func Merge(traces ...*Trace) *Trace {
-	var out Trace
-	idx := make([]int, len(traces))
-	for {
-		best := -1
-		var bestAt clock.Time
-		for i, tr := range traces {
-			if idx[i] >= len(tr.Arrivals) {
-				continue
-			}
-			at := tr.Arrivals[idx[i]].At
-			if best == -1 || at < bestAt {
-				best, bestAt = i, at
-			}
-		}
-		if best == -1 {
-			return &out
-		}
-		out.Arrivals = append(out.Arrivals, traces[best].Arrivals[idx[best]])
-		idx[best]++
-	}
 }

@@ -80,9 +80,6 @@ func (c *Client) mux(ctx context.Context, hbt time.Duration) (*MuxSession, error
 	}, nil
 }
 
-// ID returns the server-assigned session id.
-func (m *MuxSession) ID() string { return m.id }
-
 // Add registers watches under caller-chosen ids in one control round
 // trip. The returned map carries per-id registration errors (absent
 // ids succeeded); err is a transport- or session-level failure — a
@@ -100,12 +97,6 @@ func (m *MuxSession) Add(ctx context.Context, adds map[uint64]MuxWatch) (map[uin
 		ctl.Add = append(ctl.Add, muxAdd{ID: id, Registry: w.Registry, Kind: w.Kind, Since: w.Since})
 	}
 	return m.control(ctx, ctl)
-}
-
-// Remove unregisters watch ids in one control round trip.
-func (m *MuxSession) Remove(ctx context.Context, ids ...uint64) error {
-	_, err := m.control(ctx, muxControl{Remove: ids})
-	return err
 }
 
 func (m *MuxSession) control(ctx context.Context, ctl muxControl) (map[uint64]string, error) {
@@ -259,19 +250,6 @@ func (m *ReconnectMux) Add(id uint64, w MuxWatch) error {
 	return nil
 }
 
-// Remove takes id out of the desired set and, when connected,
-// unregisters it best-effort.
-func (m *ReconnectMux) Remove(id uint64) {
-	m.mu.Lock()
-	delete(m.watches, id)
-	delete(m.lastSeen, id)
-	sess := m.sess
-	m.mu.Unlock()
-	if sess != nil {
-		_ = sess.Remove(m.ctx, id)
-	}
-}
-
 // drop removes a permanently rejected id and fires OnReject.
 func (m *ReconnectMux) drop(id uint64, msg string) {
 	m.mu.Lock()
@@ -281,21 +259,6 @@ func (m *ReconnectMux) drop(id uint64, msg string) {
 	if m.OnReject != nil {
 		m.OnReject(id, msg)
 	}
-}
-
-// LastSeen reports the highest version delivered for watch id — its
-// resume point.
-func (m *ReconnectMux) LastSeen(id uint64) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastSeen[id]
-}
-
-// Watches reports the size of the desired watch set.
-func (m *ReconnectMux) Watches() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.watches)
 }
 
 // Session exposes the live underlying session (nil before the first

@@ -9,6 +9,38 @@ import (
 )
 
 // muxTestServer serves the test plane over a real HTTP listener.
+// Remove unregisters watch ids in one control round trip.
+func (m *MuxSession) Remove(ctx context.Context, ids ...uint64) error {
+	_, err := m.control(ctx, muxControl{Remove: ids})
+	return err
+}
+
+// ID returns the server-assigned session id.
+func (m *MuxSession) ID() string { return m.id }
+
+// LastSeen reports the highest version delivered for watch id — its
+// resume point.
+func (m *ReconnectMux) LastSeen(id uint64) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lastSeen[id]
+}
+
+// Watches reports the size of the desired watch set.
+func (m *ReconnectMux) Watches() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.watches)
+}
+
+// SetHeartbeat overrides the keepalive interval with a millisecond-scale
+// one; zero keeps the default. Call before serving.
+func (s *Server) SetHeartbeat(d time.Duration) {
+	if d > 0 {
+		s.heartbeat = d
+	}
+}
+
 func muxTestServer(t *testing.T, heartbeat time.Duration) (*httptest.Server, *Hub, func()) {
 	t.Helper()
 	env, r, _, publish := testPlane(t)

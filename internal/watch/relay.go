@@ -79,7 +79,6 @@ type Relay struct {
 	items  map[string][]string  // upstream inventory at attach time
 
 	attaches atomic.Int64
-	err      atomic.Value // error: terminal pump failure
 	done     chan struct{}
 }
 
@@ -150,10 +149,9 @@ func (r *Relay) pump() {
 	for {
 		ev, err := r.mux.Next()
 		if err != nil {
-			// Canceled context or exhausted retry budget: park the
-			// error and stop. Local watchers keep serving the last
-			// mirrored values until the relay is closed.
-			r.err.Store(err)
+			// Canceled context or exhausted retry budget: stop.
+			// Local watchers keep serving the last mirrored values
+			// until the relay is closed.
 			return
 		}
 		if i := ev.ID - 1; i < uint64(len(r.byID)) {
@@ -239,16 +237,6 @@ func (r *Relay) Resumes() int64 { return max(r.attaches.Load()-1, 0) }
 // Watches reports the relay's upstream watch count (its whole
 // mirrored inventory).
 func (r *Relay) Watches() int { return len(r.byID) }
-
-// Err returns the terminal upstream failure, if the pump has stopped.
-func (r *Relay) Err() error {
-	err, _ := r.err.Load().(error)
-	return err
-}
-
-// Done is closed when the upstream pump exits (cancellation or an
-// exhausted retry budget).
-func (r *Relay) Done() <-chan struct{} { return r.done }
 
 // Close tears down the upstream session, waits for the pump, and
 // closes every local watcher with the hub.

@@ -84,14 +84,6 @@ func NewSourceServer(src Source) *Server {
 	return &Server{src: src, heartbeat: DefaultHeartbeat, sessions: make(map[string]*muxSessionState)}
 }
 
-// SetHeartbeat overrides the keepalive interval (tests use millisecond
-// values). Call before serving.
-func (s *Server) SetHeartbeat(d time.Duration) {
-	if d > 0 {
-		s.heartbeat = d
-	}
-}
-
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -213,13 +213,6 @@ func (s *Session) Signal() <-chan struct{} { return s.signal }
 // Done is closed when the session is closed.
 func (s *Session) Done() <-chan struct{} { return s.done }
 
-// Watches returns the number of registered watches.
-func (s *Session) Watches() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // Close unregisters every watch. Events already polled stay valid;
 // queued ones are dropped, and Next returns ok == false.
 func (s *Session) Close() {

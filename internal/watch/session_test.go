@@ -7,6 +7,13 @@ import (
 
 // sessionPlane builds a hub + view over the test plane and a session
 // on it.
+// Watches returns the number of registered watches.
+func (s *Session) Watches() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
+}
+
 func sessionPlane(t *testing.T) (*Session, *Hub, func()) {
 	t.Helper()
 	env, r, _, publish := testPlane(t)

@@ -49,9 +49,6 @@ func NewHubView(hub *Hub, env *core.Env, regs ...*core.Registry) *HubView {
 	return v
 }
 
-// Hub returns the underlying fan-out hub.
-func (v *HubView) Hub() *Hub { return v.hub }
-
 // WatchItem implements Source by resolving the registry name and
 // registering on the hub.
 func (v *HubView) WatchItem(registry string, kind core.Kind, opt Options) (*Watcher, error) {

@@ -215,7 +215,7 @@ func TestUpdaterPoolOption(t *testing.T) {
 	// length (rate 1.5 or 2, about one run in ten).
 	for end := Time(10); end <= 100; end += 10 {
 		sys.Run(end)
-		sys.Env().Updater().WaitIdle()
+		sys.Env().Quiesce()
 	}
 	if v, _ := rate.Float(); v < 0.7 || v > 1.3 {
 		t.Fatalf("pooled rate = %v, want ~1", v)
