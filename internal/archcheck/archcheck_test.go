@@ -102,7 +102,7 @@ const crcOwner = "internal/frame"
 // exportedCeiling is the number of exported package-level identifiers in
 // internal/* that no other package's non-test code uses. It only falls:
 // a change that unexports or deletes one lowers it.
-const exportedCeiling = 155
+const exportedCeiling = 154
 
 // rules is what a check run compares a module against: the real module
 // uses the tables above, the negative cases a fixture's own.

@@ -93,13 +93,11 @@ type Env struct {
 	// the no-journal hot path at one atomic load.
 	journal atomic.Pointer[Journal]
 
-	// restorePending, when non-nil, is the recovery-time predicate
-	// consulted by handler start paths: items it claims skip their
-	// initial compute and publish ErrNoValue, pending a
-	// RestoreStaleBatch that re-publishes the checkpointed last-good
-	// value (see restore.go). Installed only for the duration of a
-	// recovery replay.
-	restorePending atomic.Pointer[func(*Registry, Kind) bool]
+	// restore, when non-nil, is the recovery-time lookup of checkpointed
+	// publications consulted by start: an item it answers serves that
+	// publication stale instead of computing (see restore.go). Installed
+	// only for the duration of a recovery replay.
+	restore atomic.Pointer[func(*Registry, Kind) *RestoredItem]
 }
 
 // EnvOption configures an Env.
@@ -200,7 +198,7 @@ func (e *Env) Quiesce() { e.updater.WaitIdle() }
 
 // HasBreaker reports whether circuit-breaker quarantine is enabled
 // (WithBreaker). Recovery uses it to decide whether restored items can
-// be parked in the quarantine-backed stale-serving state.
+// start in the quarantine-backed stale-serving state.
 func (e *Env) HasBreaker() bool { return e.breaker != nil }
 
 // nextSeq returns the next item creation sequence number.

@@ -182,11 +182,10 @@ func (ih *itemHealth) env() *Env { return ih.it.reg.env }
 
 func (ih *itemHealth) state() HealthState { return HealthState(ih.st.Load()) }
 
-// keepLastGood records a clean value that is not being published — an
-// on-demand result, served to its reader, or a restored checkpoint
-// value. A trip copies the value into the stale snapshot it publishes,
-// so the slot stays private to the breaker and is reused. The item
-// mutex must be held.
+// keepLastGood records a clean value that is not being published: an
+// on-demand result, served to its reader. A trip copies the value into
+// the stale snapshot it publishes, so the slot stays private to the
+// breaker and is reused. The item mutex must be held.
 func (ih *itemHealth) keepLastGood(a *snapAlloc, v Value) {
 	if ih.scratch == nil {
 		ih.scratch = a.slot()

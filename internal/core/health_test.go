@@ -311,8 +311,9 @@ func TestDeadlineInlineEnvInert(t *testing.T) {
 // seen once by the watch sink; a compute error is published as a
 // value; a panic as ErrComputePanic; a trip serves the last-good value
 // under a *StaleError and stops computing; a successful probe
-// republishes and propagates exactly once; RestoreStaleBatch raises, then
-// bumps, the version; and a stopped item reports ErrUnsubscribed.
+// republishes and propagates exactly once; a recovery's restore at
+// inclusion raises, then bumps, the version, and only on a breaker env;
+// and a stopped item reports ErrUnsubscribed.
 func TestPublishContract(t *testing.T) {
 	const (
 		modeOK int32 = iota
@@ -476,6 +477,30 @@ func TestPublishContract(t *testing.T) {
 					}
 					return hs.State
 				}
+				// reinclude drops x and dep and includes them again as a
+				// recovery does, under a lookup that holds 99 at persisted
+				// version target for x; the sink watches the new x.
+				reinclude := func(target uint64) {
+					t.Helper()
+					xSub.Unsubscribe()
+					depSub.Unsubscribe()
+					env.SetRestoreLookup(func(_ *Registry, kind Kind) *RestoredItem {
+						if kind != "x" {
+							return nil
+						}
+						return &RestoredItem{Value: 99.0, Version: target}
+					})
+					defer env.SetRestoreLookup(nil)
+					if depSub, err = r.Subscribe("dep"); err != nil {
+						t.Fatal(err)
+					}
+					if xSub, err = r.Subscribe("x"); err != nil {
+						t.Fatal(err)
+					}
+					if version, err = r.Watch("x", sink); err != nil {
+						t.Fatal(err)
+					}
+				}
 
 				// A healthy publication.
 				if v, err := poke(); err != nil || v != src {
@@ -517,9 +542,11 @@ func TestPublishContract(t *testing.T) {
 					if state() != Healthy {
 						t.Fatalf("health %v without a breaker", state())
 					}
-					one := []RestoredItem{{Kind: "x", Value: 99.0, Version: version + 100}}
-					if r.RestoreStaleBatch(one); !errors.Is(one[0].Err, ErrNotRestorable) {
-						t.Fatalf("RestoreStaleBatch without a breaker: %v, want ErrNotRestorable", one[0].Err)
+					// Nor is the lookup consulted: x computes as it starts.
+					mode.Store(modeOK)
+					reinclude(version + 100)
+					if v, err := xSub.Value(); err != nil || v != src || version > 1 {
+						t.Fatalf("included under a lookup without a breaker: %v, %v at version %d; want %v computed", v, err, version, src)
 					}
 				} else {
 					if state() != Degraded {
@@ -577,19 +604,13 @@ func TestPublishContract(t *testing.T) {
 						t.Fatalf("BreakerRecoveries = %d, want 1", got)
 					}
 
-					// RestoreStaleBatch raises the version to the persisted
-					// one, then bumps it for the stale publication: the sink
-					// sees that one step, not the raise.
+					// A recovery restores x as it includes it: the version is
+					// raised to the persisted one, then bumped once for the
+					// stale publication, x's first.
 					target := version + 100
-					one := []RestoredItem{{Kind: "x", Value: 99.0, Version: target}}
-					if r.RestoreStaleBatch(one); one[0].Err != nil {
-						t.Fatalf("RestoreStaleBatch: %v", one[0].Err)
-					}
-					if got, _ := r.ItemVersion("x"); got != target+1 {
-						t.Fatalf("RestoreStaleBatch: version %d, want %d", got, target+1)
-					}
-					if seen := sink.take(); len(seen) != 1 || seen[0] != target+1 {
-						t.Fatalf("RestoreStaleBatch: sink saw %v, want [%d]", seen, target+1)
+					reinclude(target)
+					if version != target+1 {
+						t.Fatalf("restored: version %d, want %d", version, target+1)
 					}
 					if v, err := xSub.Value(); !errors.Is(err, ErrStale) || !errors.Is(err, ErrRestored) || v != 99.0 {
 						t.Fatalf("restored: %v, %v; want 99 under ErrStale wrapping ErrRestored", v, err)

@@ -349,20 +349,22 @@ func (it *item) bind(ctx *BuildContext) (*item, error) {
 
 // start brings a bound item into service. includeLocked calls it once,
 // under the scope lock, after the item committed — dependencies are
-// included and started, so an initial compute may read them.
+// included and started, so an initial compute may read them. An item a
+// recovery holds a checkpointed publication for serves that instead of
+// computing (restore.go).
 func (it *item) start() {
 	env := it.reg.env
 	now := env.Now()
 	it.mu.Lock()
 	defer it.mu.Unlock()
 	it.live = true
-	switch it.Mechanism() {
+	m := it.Mechanism()
+	switch m {
 	case StaticMechanism:
 		return
 	case OnDemandMechanism:
 		it.pure = it.def.pure
 		it.sideLocked().mstate.Store(newMemoState(it, it.pure))
-		return
 	}
 	if ds := it.delta(); ds != nil {
 		// Fix delta eligibility and register on the dependencies' delta
@@ -373,20 +375,17 @@ func (it *item) start() {
 	if w := it.win.Load(); w != nil {
 		w.winStart = now
 	}
-	if env.restorePendingFor(it.reg, it.kind()) {
-		// Recovery replay: skip the initial compute — RestoreStaleBatch will
-		// re-publish the checkpointed last-good value before the plane is
-		// exposed — but still arm the boundary cadence below, so an item
-		// that turns out to have no checkpoint snapshot updates normally.
-		// A delta aggregate keeps its accumulator invalid; its first
-		// refresh after recovery re-folds.
-		it.store(it.snaps.put(nil, ErrNoValue))
-	} else {
-		// Section 3.2.3: "values of metadata items with triggered
-		// handlers are pre-computed on the first subscription"; a
-		// periodic item publishes its zero-width initial window.
-		it.accept(it.snapshot(now, false))
+	if ri := env.restoredFor(it.reg, it.kind()); ri != nil {
+		it.restore(now, ri)
+		return
 	}
+	if m == OnDemandMechanism {
+		return
+	}
+	// Section 3.2.3: "values of metadata items with triggered handlers
+	// are pre-computed on the first subscription"; a periodic item
+	// publishes its zero-width initial window.
+	it.accept(it.snapshot(now, false))
 	it.arm(now)
 }
 
@@ -587,8 +586,8 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 		// batches). Waiting instead would park a pool worker behind a
 		// slow compute at every boundary it misses, and start a second
 		// compute on a hung item the moment its deadline frees the
-		// mutex. Any other holder — stop, Migrate, RestoreStaleBatch, a probe
-		// — leaves the item in a state where this tick is moot.
+		// mutex. Any other holder — stop, Migrate, a probe — leaves the
+		// item in a state where this tick is moot.
 		return 0, false
 	}
 	defer it.mu.Unlock()

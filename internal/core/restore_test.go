@@ -12,33 +12,32 @@ import (
 
 // restoreWorld is one recovering registry: n items over a random DAG
 // (item i reads a subset of the items before it), some of them
-// checkpointed — included under the restore-pending predicate, waiting
-// for their value — the rest subscribed "in the WAL tail", computing
-// from whatever their dependencies hold.
+// checkpointed — answered by the recovery's lookup, so they start
+// serving their checkpointed value — the rest subscribed "in the WAL
+// tail", computing from whatever their dependencies serve.
 type restoreWorld struct {
 	env   *Env
 	vc    *clock.Virtual
 	r     *Registry
 	kinds []Kind
-	sinks []*recordingSink
-	batch []RestoredItem // the checkpointed items, in kind order
-	// want is the value every item must serve once the batch stands: a
+	ckpt  map[Kind]*RestoredItem // the checkpointed items
+	// want is the value every item must serve once it is included: a
 	// restored item its checkpointed value, any other item what its
 	// compute makes of the values its dependencies serve then.
 	want map[Kind]float64
 }
 
-// buildRestoreWorld is a pure function of seed, so two worlds of one
-// seed differ only in how they are restored afterwards.
-func buildRestoreWorld(t *testing.T, seed int64) *restoreWorld {
+// buildRestoreWorld is a pure function of seed, with the items
+// subscribed in kind order or, when shuffle is set, in a random order
+// that includes many of them through their dependents.
+func buildRestoreWorld(t *testing.T, seed int64, shuffle bool) *restoreWorld {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	vc := clock.NewVirtual()
 	w := &restoreWorld{env: NewEnv(vc, WithBreaker(DefaultBreakerPolicy)), vc: vc}
 	w.r = w.env.NewRegistry("r")
-	w.want = map[Kind]float64{}
+	w.want, w.ckpt = map[Kind]float64{}, map[Kind]*RestoredItem{}
 	n := 6 + rng.Intn(10)
-	restored := map[Kind]bool{}
 	for i := 0; i < n; i++ {
 		kind := Kind(fmt.Sprintf("k%02d", i))
 		w.kinds = append(w.kinds, kind)
@@ -62,7 +61,7 @@ func buildRestoreWorld(t *testing.T, seed int64) *restoreWorld {
 			}
 		default:
 			// Degrade-aware: a stale dependency still counts with its
-			// last-good value, a placeholder is an error.
+			// last-good value.
 			def.Build = func(ctx *BuildContext) (Handler, error) {
 				var hs []*Handle
 				for g := 0; g < ctx.NumDeps(); g++ {
@@ -86,27 +85,25 @@ func buildRestoreWorld(t *testing.T, seed int64) *restoreWorld {
 		// dependency for an error, which would leave the oracle below
 		// with nothing to say about it.
 		if rng.Intn(3) != 0 || def.Delta != nil {
-			restored[kind] = true
 			w.want[kind] = float64(1000 * (i + 1))
-			it := RestoredItem{Kind: kind, Value: w.want[kind], Version: uint64(100 + rng.Intn(900))}
+			it := &RestoredItem{Value: w.want[kind], Version: uint64(100 + rng.Intn(900))}
 			if rng.Intn(4) == 0 {
 				it.Cause = fmt.Errorf("pre-crash trouble %d", i)
 			}
-			w.batch = append(w.batch, it)
+			w.ckpt[kind] = it
 		}
 	}
-	w.env.SetRestorePending(func(_ *Registry, kind Kind) bool { return restored[kind] })
-	for _, kind := range w.kinds {
-		if _, err := w.r.Subscribe(kind); err != nil {
+	order := rng.Perm(n)
+	w.env.SetRestoreLookup(func(_ *Registry, kind Kind) *RestoredItem { return w.ckpt[kind] })
+	for i := range w.kinds {
+		if shuffle {
+			i = order[i]
+		}
+		if _, err := w.r.Subscribe(w.kinds[i]); err != nil {
 			t.Fatal(err)
 		}
-		sink := &recordingSink{}
-		if _, err := w.r.Watch(kind, sink); err != nil {
-			t.Fatal(err)
-		}
-		w.sinks = append(w.sinks, sink)
 	}
-	w.env.SetRestorePending(nil)
+	w.env.SetRestoreLookup(nil)
 	return w
 }
 
@@ -142,94 +139,72 @@ func (w *restoreWorld) view(t *testing.T, deltaState bool) map[Kind]itemView {
 	return out
 }
 
-// TestRestoreStaleBatchEquivalence: restoring a registry's checkpointed
-// items as one batch reaches the state that restoring them one by one
-// reaches, in whatever order — values, errors, health, delta-state
-// invalidation and the version of every restored item; unrestored
-// dependents hold the value computed from the restored ones; a watcher
-// resuming with since = the persisted version sees exactly one event.
-func TestRestoreStaleBatchEquivalence(t *testing.T) {
+// TestRestoreAtInclusion: a checkpointed item starts serving its
+// checkpointed value, quarantined, with its delta accumulator invalid,
+// at its persisted version + 1 — its first and only publication — and
+// every other item computes once, from the values its dependencies
+// serve then. Nothing propagates, and the state is the same whatever
+// order the items are subscribed in. Warm-up heals everything.
+func TestRestoreAtInclusion(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		one, all := buildRestoreWorld(t, seed), buildRestoreWorld(t, seed)
-		at := fmt.Sprintf("seed %d (%d items, %d restored)", seed, len(one.kinds), len(one.batch))
-
-		order := rand.New(rand.NewSource(seed)).Perm(len(one.batch))
-		for _, i := range order {
-			it := []RestoredItem{one.batch[i]}
-			if one.r.RestoreStaleBatch(it); it[0].Err != nil {
-				t.Fatalf("%s: RestoreStaleBatch(%s): %v", at, it[0].Kind, it[0].Err)
-			}
-		}
-		if n := all.r.RestoreStaleBatch(all.batch); n != len(all.batch) {
-			t.Fatalf("%s: batch restored %d of %d", at, n, len(all.batch))
-		}
+		inOrder, shuffled := buildRestoreWorld(t, seed, false), buildRestoreWorld(t, seed, true)
+		at := fmt.Sprintf("seed %d (%d items, %d restored)", seed, len(inOrder.kinds), len(inOrder.ckpt))
 
 		// After the warm-up an accumulator's validity is not compared: a
 		// probe leaves it invalid until the next locked refresh, so it
 		// follows the order the probes were armed in, which is the order
-		// the items were restored in.
+		// the items were included in.
 		check := func(phase string, deltaState bool) {
 			t.Helper()
-			a, b := one.view(t, deltaState), all.view(t, deltaState)
+			a, b := inOrder.view(t, deltaState), shuffled.view(t, deltaState)
 			if !reflect.DeepEqual(a, b) {
-				for _, kind := range one.kinds {
+				for _, kind := range inOrder.kinds {
 					if !reflect.DeepEqual(a[kind], b[kind]) {
-						t.Errorf("%s %s: %s one by one %+v, batch %+v", at, phase, kind, a[kind], b[kind])
+						t.Errorf("%s %s: %s in order %+v, shuffled %+v", at, phase, kind, a[kind], b[kind])
 					}
 				}
 				t.FailNow()
 			}
 		}
 		check("restored", true)
-		for kind, iv := range all.view(t, true) {
-			if iv.Value != all.want[kind] {
-				t.Fatalf("%s: %s serves %v (%s), want %v", at, kind, iv.Value, iv.Err, all.want[kind])
-			}
-		}
-		for _, it := range all.batch {
-			for name, w := range map[string]*restoreWorld{"one by one": one, "batch": all} {
-				iv := w.view(t, true)[it.Kind]
+		for _, w := range []*restoreWorld{inOrder, shuffled} {
+			for kind, it := range w.ckpt {
+				iv := w.view(t, true)[kind]
 				if iv.Value != it.Value || iv.Health != Quarantined || iv.DeltaValid {
-					t.Fatalf("%s %s: %s = %+v, want %v quarantined", at, name, it.Kind, iv, it.Value)
+					t.Fatalf("%s: %s = %+v, want %v quarantined", at, kind, iv, it.Value)
 				}
-				if ver, _ := w.r.ItemVersion(it.Kind); ver != it.Version+1 {
-					t.Fatalf("%s %s: %s version %d, want persisted %d + 1", at, name, it.Kind, ver, it.Version)
-				}
-				var resumed []uint64
-				for k, kind := range w.kinds {
-					if kind != it.Kind {
-						continue
-					}
-					for _, v := range w.sinks[k].versions() {
-						if v > it.Version {
-							resumed = append(resumed, v)
-						}
-					}
-				}
-				if len(resumed) != 1 || resumed[0] != it.Version+1 {
-					t.Fatalf("%s %s: a watcher of %s since %d saw %v, want one event", at, name, it.Kind, it.Version, resumed)
+				if ver, _ := w.r.ItemVersion(kind); ver != it.Version+1 {
+					t.Fatalf("%s: %s version %d, want persisted %d + 1", at, kind, ver, it.Version)
 				}
 			}
-		}
-		if a, b := one.env.Stats().RestoredStale.Load(), all.env.Stats().RestoredStale.Load(); a != b || int(b) != len(all.batch) {
-			t.Fatalf("%s: RestoredStale %d one by one, %d batch", at, a, b)
+			for kind, iv := range w.view(t, true) {
+				if iv.Value != w.want[kind] {
+					t.Fatalf("%s: %s serves %v (%s), want %v", at, kind, iv.Value, iv.Err, w.want[kind])
+				}
+				if ver, _ := w.r.ItemVersion(kind); w.ckpt[kind] == nil && ver != 1 {
+					t.Fatalf("%s: %s published %d times, want its initial compute alone", at, kind, ver)
+				}
+			}
+			if st := w.env.Stats(); st.PlanCacheMisses.Load()+st.PlanCacheHits.Load() != 0 {
+				t.Fatalf("%s: including the items propagated", at)
+			}
 		}
 
 		// Warm both through the probes: everything heals to the same
 		// live values.
-		for _, w := range []*restoreWorld{one, all} {
+		for _, w := range []*restoreWorld{inOrder, shuffled} {
 			for i := 0; i < 4; i++ {
 				w.vc.Advance(clock.Duration(DefaultBreakerPolicy.MaxProbeBackoff))
 				w.env.Quiesce()
 			}
 		}
 		check("warm", false)
-		for kind, iv := range all.view(t, false) {
+		for kind, iv := range shuffled.view(t, false) {
 			if iv.Err != "" || iv.Health != Healthy {
 				t.Fatalf("%s: %s after warm-up: %+v", at, kind, iv)
 			}
 		}
-		for _, w := range []*restoreWorld{one, all} {
+		for _, w := range []*restoreWorld{inOrder, shuffled} {
 			if errs := VerifyIntegrity(nil, w.r); len(errs) > 0 {
 				t.Fatalf("%s: integrity: %v", at, errs)
 			}
@@ -237,36 +212,35 @@ func TestRestoreStaleBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestRestoreStaleBatchVerdicts: items the batch cannot restore get
-// their reason and do not stop the others.
-func TestRestoreStaleBatchVerdicts(t *testing.T) {
-	vc := clock.NewVirtual()
-	env := NewEnv(vc, WithBreaker(DefaultBreakerPolicy))
+// TestRestoreLookupScope: the lookup restores the non-static items it
+// answers, and only while it is installed; a static item keeps its
+// given value.
+func TestRestoreLookupScope(t *testing.T) {
+	env := NewEnv(clock.NewVirtual(), WithBreaker(DefaultBreakerPolicy))
 	r := env.NewRegistry("r")
 	defineConst(r, "fixed", 1.0)
 	defineDerived(r, "sum", Dep(Self(), "fixed"))
-	defineDerived(r, "idle")
-	if _, err := r.Subscribe("sum"); err != nil {
+	ckpt := map[Kind]*RestoredItem{
+		"fixed": {Value: 2.0, Version: 5},
+		"sum":   {Value: 3.0, Version: 5},
+	}
+	env.SetRestoreLookup(func(_ *Registry, kind Kind) *RestoredItem { return ckpt[kind] })
+	s, err := r.Subscribe("sum")
+	env.SetRestoreLookup(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	batch := []RestoredItem{
-		{Kind: "idle", Value: 1.0, Version: 5},
-		{Kind: "fixed", Value: 2.0, Version: 5},
-		{Kind: "sum", Value: 3.0, Version: 5, Err: errors.New("left over")},
-		{Kind: "nowhere", Value: 4.0},
-	}
-	if n := r.RestoreStaleBatch(batch); n != 1 {
-		t.Fatalf("restored %d items, want 1", n)
-	}
-	for i, want := range []error{ErrUnsubscribed, ErrNotRestorable, nil, ErrUnsubscribed} {
-		if got := batch[i].Err; !errors.Is(got, want) || (want == nil) != (got == nil) {
-			t.Errorf("%s: verdict %v, want %v", batch[i].Kind, got, want)
-		}
+	if v, err := r.Peek("fixed"); v != 1.0 || err != nil {
+		t.Fatalf("fixed = %v, %v; want its given 1", v, err)
 	}
 	if v, err := r.Peek("sum"); v != 3.0 || !errors.Is(err, ErrRestored) {
 		t.Fatalf("sum = %v, %v; want 3 under ErrRestored", v, err)
 	}
-	if r.RestoreStaleBatch(nil) != 0 {
-		t.Fatal("empty batch restored something")
+	s.Unsubscribe()
+	if _, err := r.Subscribe("sum"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r.Peek("sum"); v != 1.0 || err != nil {
+		t.Fatalf("sum included after the recovery = %v, %v; want 1 computed", v, err)
 	}
 }

@@ -153,8 +153,8 @@ type Stats struct {
 	// Recoveries counts recoveries performed by persist.Open (0 on a
 	// fresh start, 1 after loading a checkpoint and/or WAL).
 	Recoveries atomic.Int64
-	// RestoredStale counts items re-published by RestoreStaleBatch into the
-	// quarantine-backed stale-serving state during recovery.
+	// RestoredStale counts the items persist.Open left serving their
+	// checkpointed value in the quarantine-backed stale-serving state.
 	RestoredStale atomic.Int64
 }
 

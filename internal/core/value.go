@@ -53,11 +53,6 @@ var (
 	// spec provides no compute for, a static or delta-aggregate item, or
 	// a handler type the framework does not own.
 	ErrNotMigratable = errors.New("core: metadata item is not migratable")
-	// ErrNotRestorable reports a Registry.RestoreStaleBatch item the
-	// registry cannot restore: a static handler (nothing to restore
-	// into), or an env without WithBreaker (no quarantine machinery to
-	// serve the restored value through). See restore.go.
-	ErrNotRestorable = errors.New("core: metadata item is not restorable")
 	// ErrRestored is the default quarantine cause of an item restored
 	// from a checkpoint: the served value is the pre-crash last-good,
 	// not yet recomputed by this process. It surfaces wrapped in the

@@ -303,17 +303,20 @@ func TestStaleCauseSurvivesRestartsUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		if first {
+			// cell0 starts quarantined with a cause of its own; cell1 is
+			// healthy when the process dies.
+			env.SetRestoreLookup(func(_ *core.Registry, kind core.Kind) *core.RestoredItem {
+				if kind != "cell0" {
+					return nil
+				}
+				return &core.RestoredItem{Value: 1.5, Version: 3, Cause: boom}
+			})
 			for _, kind := range []core.Kind{"cell0", "cell1"} {
 				if _, err := r.Subscribe(kind); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// cell0 is quarantined at run time with a cause of its own;
-			// cell1 is healthy when the process dies.
-			one := []core.RestoredItem{{Kind: "cell0", Value: 1.5, Version: 3, Cause: boom}}
-			if r.RestoreStaleBatch(one); one[0].Err != nil {
-				t.Fatal(one[0].Err)
-			}
+			env.SetRestoreLookup(nil)
 			if err := p.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -428,8 +431,9 @@ func TestCheckpointReusesSpare(t *testing.T) {
 // checkpoint last renamed into place, and the checkpoints after it
 // reuse or remove whatever the crash left.
 func TestCheckpointRotationCrashStates(t *testing.T) {
-	// Two checkpoints of one plane, the newer with other values. Values
-	// are not journaled, so the older one's WAL segment is empty.
+	// Two checkpoints of one plane, the newer with other values. Each
+	// case leaves the older one's WAL segment empty, so a recovery reads
+	// its checkpoint alone.
 	src := t.TempDir()
 	env, _ := testEnv(t, true)
 	r := env.NewRegistry("op")
@@ -442,11 +446,15 @@ func TestCheckpointRotationCrashStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range kinds {
-		if _, err := r.Subscribe(k); err != nil {
-			t.Fatal(err)
+	subs := make([]*core.Subscription, len(kinds))
+	subscribe := func() {
+		for i, k := range kinds {
+			if subs[i], err = r.Subscribe(k); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	subscribe()
 	checkpoint := func() []byte {
 		if err := p.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -459,12 +467,16 @@ func TestCheckpointRotationCrashStates(t *testing.T) {
 	}
 	older := checkpoint()
 	olderSeq := p.seq
-	for i, k := range kinds {
-		one := []core.RestoredItem{{Kind: k, Value: float64(20 + i), Version: 5}}
-		if r.RestoreStaleBatch(one); one[0].Err != nil {
-			t.Fatal(one[0].Err)
-		}
+	// The items of the newer one serve other values, restored as they
+	// are included again.
+	for _, s := range subs {
+		s.Unsubscribe()
 	}
+	env.SetRestoreLookup(func(_ *core.Registry, kind core.Kind) *core.RestoredItem {
+		return &core.RestoredItem{Value: float64(20 + slices.Index(kinds, kind)), Version: 5}
+	})
+	subscribe()
+	env.SetRestoreLookup(nil)
 	newer := checkpoint()
 	p.Abandon()
 
@@ -517,5 +529,117 @@ func TestCheckpointRotationCrashStates(t *testing.T) {
 			}
 			checkSteadyState(t, p)
 		})
+	}
+}
+
+// TestCheckpointSectionsFollowMirror: the sub and migration sections a
+// checkpoint writes are the plane's mirror, in (registry, kind) order —
+// every item with subscriptions, and every migration still live on an
+// included item with its current window — across registries opened out
+// of order, one the plane does not cover, a migration undone by a
+// release, and unsubscriptions.
+func TestCheckpointSectionsFollowMirror(t *testing.T) {
+	env, _ := testEnv(t, true)
+	regs := map[string]*core.Registry{}
+	cell := 30
+	for _, id := range []string{"c", "a", "b", "ab"} {
+		regs[id] = env.NewRegistry(id)
+		for i := 0; i < 3; i++ {
+			defineCell(t, regs[id], cell)
+			cell++
+		}
+	}
+	dir := t.TempDir()
+	p, _, err := Open(env, dir, Options{}, regs["c"], regs["a"], regs["b"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Abandon()
+	sub := func(id string, kind core.Kind) *core.Subscription {
+		t.Helper()
+		s, err := regs[id].Subscribe(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	migrate := func(id string, kind core.Kind, to core.Mechanism, window clock.Duration) {
+		t.Helper()
+		if err := regs[id].Migrate(kind, to, window); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// c holds cell30-32, a cell33-35, b cell36-38, the uncovered ab
+	// cell39-41.
+	sub("ab", "cell40")
+	sub("a", "cell33")
+	sub("a", "cell33").Unsubscribe()
+	sub("a", "cell35")
+	migrate("a", "cell33", core.PeriodicMechanism, 25)
+	sub("b", "cell36")
+	released := sub("b", "cell37")
+	migrate("b", "cell37", core.OnDemandMechanism, 0)
+	released.Unsubscribe()
+	sub("c", "cell30").Unsubscribe()
+	for i := 0; i < 3; i++ {
+		sub("c", "cell32")
+	}
+	migrate("c", "cell32", core.OnDemandMechanism, 0)
+
+	// The oracle: the mirror in sorted order, each section filtered as
+	// the checkpoint's format defines it.
+	var ids []string
+	for id := range p.topo {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	var want []ckptRec
+	for _, id := range ids {
+		for _, t := range p.topo[id] {
+			if t.subs > 0 {
+				want = append(want, ckptRec{tag: recSub, reg: id, kind: t.kind, n: uint64(t.subs)})
+			}
+		}
+	}
+	for _, id := range ids {
+		for _, t := range p.topo[id] {
+			kind := core.Kind(t.kind)
+			if mech, ok := regs[id].Mechanism(kind); t.mig == nil || !ok || mech != core.Mechanism(t.mig.b[0]) {
+				continue
+			}
+			rec := *t.mig
+			if w, _ := regs[id].Window(kind); w > 0 {
+				rec.n = uint64(w)
+			}
+			want = append(want, rec)
+		}
+	}
+	if len(want) != 7 {
+		t.Fatalf("the plane mirrors %d sub and migration records, want 5 + 2: %+v", len(want), want)
+	}
+
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "checkpoint.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := decodeRecs(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []ckptRec
+	for _, rec := range recs {
+		if rec.tag == recSub || rec.tag == recMig {
+			rec.s, rec.b = "", bytes.Clone(rec.b)
+			if rec.tag == recSub {
+				rec.b = nil
+			}
+			got = append(got, rec)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("checkpoint sections\n%+v\nwant the mirror's\n%+v", got, want)
 	}
 }

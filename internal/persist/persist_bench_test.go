@@ -197,33 +197,6 @@ func BenchmarkDecodeCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkRestoreStaleBatch restores a whole plane of placeholders,
-// one batch per registry; ns/op is per plane of benchRegs*chainLen items.
-func BenchmarkRestoreStaleBatch(b *testing.B) {
-	batch := make([]core.RestoredItem, chainLen)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		env, regs := chainEnv(b, benchRegs, true)
-		env.SetRestorePending(func(*core.Registry, core.Kind) bool { return true })
-		for _, r := range regs {
-			if _, err := r.Subscribe(chainKind(chainLen - 1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		env.SetRestorePending(nil)
-		b.StartTimer()
-		for ri, r := range regs {
-			for k := range batch {
-				batch[k] = core.RestoredItem{Kind: chainKind(k), Value: float64(ri + k), Version: 7}
-			}
-			if n := r.RestoreStaleBatch(batch); n != chainLen {
-				b.Fatalf("restored %d of %d", n, chainLen)
-			}
-		}
-	}
-}
-
 // TestCheckpointBytesPerItem gates the format's density on the
 // benchmark plane. The figure is a count — it repeats to the byte — so
 // a format regression fails here without a timing in CI.
@@ -298,15 +271,16 @@ func TestWALRecordAllocs(t *testing.T) {
 // TestOpenAllocsPerRestoredItem gates what recovery allocates, on the
 // same plane at 10,000 items: decode, one Define per record (the shapes
 // are interned, so a definition costs its rare block, not a record and a
-// Deps clone), the replayed subscriptions' inclusions, the batch restore
-// and the barrier checkpoint. A count, like the bytes above; the ceiling
-// is 2 % over the reading of 22.23 (a separate entry and item read
-// 23.23, the per-definition records 24.1).
+// Deps clone), the replayed subscriptions' inclusions, each restoring
+// its items as it includes them, and the barrier checkpoint. A count,
+// like the bytes above; the ceiling is 2 % over the reading of 18.33
+// (a separate restore pass read 22.23, a separate entry and item 23.23,
+// the per-definition records 24.1).
 func TestOpenAllocsPerRestoredItem(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
-	const regs, ceiling = 1000, 22.7
+	const regs, ceiling = 1000, 18.7
 	dir := t.TempDir()
 	chainCheckpoint(t, dir, regs)
 	env, bare := chainEnv(t, regs, false)
@@ -325,5 +299,62 @@ func TestOpenAllocsPerRestoredItem(t *testing.T) {
 	t.Logf("%d allocations for %d restored items: %.2f per item", after.Mallocs-before.Mallocs, rs.Restored, perItem)
 	if perItem > ceiling {
 		t.Fatalf("Open allocates %.2f objects per restored item, ceiling %v", perItem, ceiling)
+	}
+}
+
+// settledHeap is the live heap after two collections.
+func settledHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestRecoveredPlaneBytesPerItem gates what a recovered plane holds
+// against the same plane subscribed fresh, on the chain plane at 10,000
+// items: the settled heap of each, per item, both after one checkpoint
+// of their full state (the recovered one's is its barrier). Recovery
+// restores a checkpointed item as it includes it, its value the item's
+// first publication, so it builds no propagation plan and runs no
+// compute. A count, like the bytes above; the ceiling is 2 % over the
+// reading of 1.199–1.201 (720 B/item against 600; a separate restore
+// pass, which republished every item and announced each registry, read
+// 1.587).
+func TestRecoveredPlaneBytesPerItem(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const regs, ceiling = 1000, 1.225
+	dir := t.TempDir()
+	base := settledHeap()
+	p, fresh := chainPlane(t, dir, regs)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	freshBytes := float64(settledHeap()-base) / (regs * chainLen)
+	runtime.KeepAlive(fresh)
+	p.Abandon()
+	p, fresh = nil, nil
+
+	base = settledHeap()
+	env, bare := chainEnv(t, regs, false)
+	p, rs, err := Open(env, dir, Options{Sync: SyncNone}, bare...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoveredBytes := float64(settledHeap()-base) / (regs * chainLen)
+	defer p.Abandon()
+	if rs.Restored != regs*chainLen || rs.Skipped != 0 {
+		t.Fatalf("recovery stats %+v", rs)
+	}
+	if st := env.Stats(); st.PlanCacheMisses.Load() != 0 || st.ComputeCalls.Load() != 0 {
+		t.Fatalf("Open built %d propagation plans and ran %d computes, want 0 and 0",
+			st.PlanCacheMisses.Load(), st.ComputeCalls.Load())
+	}
+	ratio := recoveredBytes / freshBytes
+	t.Logf("recovered %.0f B/item, fresh %.0f B/item: %.3f", recoveredBytes, freshBytes, ratio)
+	if ratio > ceiling {
+		t.Fatalf("a recovered plane holds %.3f times the bytes per item of a fresh one, ceiling %v", ratio, ceiling)
 	}
 }

@@ -237,8 +237,8 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if w, _ := r2.Window("cell7"); w != 40 {
 		t.Fatalf("cell7 window = %d, want 40", w)
 	}
-	if k := (key{"op", "cell7"}); p2.subs[k] != 1 || len(p2.held[k]) != 1 {
-		t.Fatalf("cell7 holds %d subscriptions (mirror %d), want 1", len(p2.held[k]), p2.subs[k])
+	if k, ts := (key{"op", "cell7"}), p2.topo["op"]; len(ts) != 1 || ts[0].subs != 1 || len(p2.held[k]) != 1 {
+		t.Fatalf("cell7 holds %d subscriptions (mirror %+v), want 1", len(p2.held[k]), ts)
 	}
 }
 

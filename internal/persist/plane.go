@@ -38,8 +38,9 @@ type RecoveryStats struct {
 	WALRecords   int
 	WALTruncated bool
 	// Defined/Subscribed/Migrated count replayed structural ops;
-	// Restored counts items re-published into the stale-serving state;
-	// Skipped counts ops and items the replay could not apply.
+	// Restored counts the checkpointed items still included when Open
+	// returns, each started serving its pre-crash value stale; Skipped
+	// counts ops and items the replay could not apply.
 	Defined    int
 	Subscribed int
 	Migrated   int
@@ -49,13 +50,13 @@ type RecoveryStats struct {
 	// CheckpointBytes is the size of the loaded checkpoint. The
 	// durations split Open's wall time: reading and validating the
 	// checkpoint, reading and decoding the WAL tail, rebuilding the
-	// topology (defines, subscribes and migrations of both), restoring
-	// the checkpointed values, and writing the barrier checkpoint.
+	// topology (defines, subscribes and migrations of both, each
+	// checkpointed item restored as it is included), and writing the
+	// barrier checkpoint.
 	CheckpointBytes int64
 	DecodeDur       time.Duration
 	ReplayDur       time.Duration
 	RebuildDur      time.Duration
-	RestoreDur      time.Duration
 	BarrierDur      time.Duration
 }
 
@@ -67,12 +68,22 @@ func (rs *RecoveryStats) String() string {
 	}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return fmt.Sprintf("ckpt seq %d (%d B), %d WAL records, %d defined, %d subs, %d migrated, %d items restored stale, %d skipped; "+
-		"decode %.1f ms, replay %.1f ms, rebuild %.1f ms, restore %.1f ms, barrier %.1f ms",
+		"decode %.1f ms, replay %.1f ms, rebuild %.1f ms, barrier %.1f ms",
 		rs.CheckpointSeq, rs.CheckpointBytes, rs.WALRecords, rs.Defined, rs.Subscribed, rs.Migrated, rs.Restored, rs.Skipped,
-		ms(rs.DecodeDur), ms(rs.ReplayDur), ms(rs.RebuildDur), ms(rs.RestoreDur), ms(rs.BarrierDur))
+		ms(rs.DecodeDur), ms(rs.ReplayDur), ms(rs.RebuildDur), ms(rs.BarrierDur))
 }
 
 type key struct{ reg, kind string }
+
+// itemTopo is what the checkpoint mirrors of one item's topology: its
+// subscription count and its last migration, nil before one.
+type itemTopo struct {
+	kind string
+	subs int
+	mig  *ckptRec
+}
+
+func byTopoKind(t itemTopo, kind string) int { return cmp.Compare(t.kind, kind) }
 
 // restoredError is the quarantine cause of an item the checkpoint
 // recorded as already stale: ErrRestored, carrying the root cause's
@@ -101,7 +112,16 @@ func rootCause(cause error) string {
 	return cause.Error()
 }
 
-func byKind(it core.RestoredItem, k core.Kind) int { return cmp.Compare(it.Kind, k) }
+// pendingItem is a checkpointed snapshot for its item's inclusion.
+type pendingItem struct {
+	reg  *core.Registry
+	kind core.Kind
+	core.RestoredItem
+}
+
+func byRegKind(a, b pendingItem) int {
+	return cmp.Or(cmp.Compare(a.reg.ID(), b.reg.ID()), cmp.Compare(a.kind, b.kind))
+}
 
 // Plane is the durability side of one Env: it implements core.Journal
 // (appending every structural op to the WAL), writes checkpoints, and
@@ -121,12 +141,23 @@ type Plane struct {
 	mu        sync.Mutex
 	w         *walWriter
 	seq       uint64
-	subs      map[key]int
 	held      map[key][]*core.Subscription
-	migs      map[key]ckptRec // the last migration of each item
 	sinceCkpt int
 	closed    bool
 	broken    error
+
+	// topo is the one mirror of the topology the next checkpoint
+	// serializes: per registry id, the items with subscriptions or a
+	// migration, sorted by kind like the registry's slots. topoIDs holds
+	// its ids, uncovered registries' too, sorted by the next checkpoint
+	// once one is added.
+	topo       map[string][]itemTopo
+	topoIDs    []string
+	topoSorted bool
+	// snapshot's scratch, reused by every checkpoint: the slot table of
+	// one registry, and the migration section the slots pass collects.
+	slots []core.SlotState
+	migs  []ckptRec
 
 	// appDefined holds, per registry id, the sorted kinds application code
 	// defined before Open: replay keeps those and (re)defines every other
@@ -146,12 +177,12 @@ func (p *Plane) walPath(seq uint64) string {
 // a hard ErrCorrupt error; a torn WAL tail is not), advance a virtual
 // clock to the persisted instant, re-register codec-backed definitions,
 // replay external subscriptions and migrations (checkpoint state first,
-// then the WAL tail in commit order) with initial computes suppressed,
-// re-publish every checkpointed item's last-good value in quarantine
-// (serving it tagged core.ErrStale, recovery probe armed), and finally
-// attach the journal and write a fresh barrier checkpoint. On an env
-// without WithBreaker the stale-restore phase is skipped and recovered
-// items cold-compute instead.
+// then the WAL tail in commit order), and finally attach the journal and
+// write a fresh barrier checkpoint. A checkpointed item is not computed
+// when the replay includes it: its last-good value is its first
+// publication, served in quarantine tagged core.ErrStale with the
+// recovery probe armed. On an env without WithBreaker the checkpointed
+// values are passed over and recovered items cold-compute instead.
 func Open(env *core.Env, dir string, opt Options, regs ...*core.Registry) (*Plane, *RecoveryStats, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("persist: creating %s: %w", dir, err)
@@ -161,9 +192,8 @@ func Open(env *core.Env, dir string, opt Options, regs ...*core.Registry) (*Plan
 		env:  env,
 		opt:  opt,
 		regs: make(map[string]*core.Registry, len(regs)),
-		subs: make(map[key]int),
+		topo: make(map[string][]itemTopo),
 		held: make(map[key][]*core.Subscription),
-		migs: make(map[key]ckptRec),
 	}
 	for _, r := range regs {
 		if _, dup := p.regs[r.ID()]; dup {
@@ -248,11 +278,12 @@ func (p *Plane) recover() (*RecoveryStats, error) {
 	// Checkpoint state, record by record in file order: definitions are
 	// registered and item snapshots collected per registry, then external
 	// subscriptions and the last applied migration per item are replayed.
-	// Replayed subscriptions of collected items skip their initial compute
-	// (the restore below re-publishes the last-good value), which requires
-	// the breaker machinery; without it the snapshots are passed over.
+	// Through them and the WAL tail, an item with a collected snapshot
+	// starts serving it instead of computing (core.Env.SetRestoreLookup),
+	// which requires the breaker machinery; without it the snapshots are
+	// passed over.
 	t0 = time.Now()
-	pending := make(map[*core.Registry][]core.RestoredItem)
+	var pending []pendingItem // sorted by (registry, kind), as written
 	if rd != nil {
 		// Resume the pre-crash timeline on virtual clocks so probe
 		// backoffs and window cadences recover deterministically; wall
@@ -266,7 +297,7 @@ func (p *Plane) recover() (*RecoveryStats, error) {
 			if rec.tag == recDefine {
 				p.apply(&rec, rs)
 			} else if reg := p.regs[rec.reg]; reg != nil && p.env.HasBreaker() {
-				it := core.RestoredItem{Kind: core.Kind(rec.kind), Version: rec.n}
+				it := pendingItem{reg, core.Kind(rec.kind), core.RestoredItem{Version: rec.n}}
 				if it.Value, err = decodeValue(rec.b); err != nil {
 					rs.Skipped++
 					continue
@@ -274,18 +305,19 @@ func (p *Plane) recover() (*RecoveryStats, error) {
 				if rec.s != "" {
 					it.Cause = &restoredError{root: rec.s}
 				}
-				pending[reg] = append(pending[reg], it)
+				pending = append(pending, it)
 			}
 		}
-		for _, items := range pending {
-			slices.SortFunc(items, func(a, b core.RestoredItem) int { return byKind(a, b.Kind) })
-		}
+		slices.SortFunc(pending, byRegKind)
 		if len(pending) > 0 {
-			p.env.SetRestorePending(func(reg *core.Registry, kind core.Kind) bool {
-				_, ok := slices.BinarySearchFunc(pending[reg], kind, byKind)
-				return ok
+			p.env.SetRestoreLookup(func(reg *core.Registry, kind core.Kind) *core.RestoredItem {
+				key := pendingItem{reg: reg, kind: kind}
+				if i, ok := slices.BinarySearchFunc(pending, key, byRegKind); ok {
+					return &pending[i].RestoredItem
+				}
+				return nil
 			})
-			defer p.env.SetRestorePending(nil)
+			defer p.env.SetRestoreLookup(nil)
 		}
 		for ; more; more = rd.next(&rec) {
 			p.apply(&rec, rs)
@@ -297,24 +329,18 @@ func (p *Plane) recover() (*RecoveryStats, error) {
 	}
 	rs.RebuildDur = time.Since(t0)
 
-	// Degraded-mode restore, one batch per registry: every checkpointed
-	// item still included serves its pre-crash last-good tagged ErrStale,
-	// recovery probe armed. Items excluded by the WAL tail are passed
-	// over; any other refusal counts as skipped.
-	t0 = time.Now()
-	for _, id := range p.regOrder {
-		items := pending[p.regs[id]]
-		if len(items) == 0 {
-			continue
-		}
-		rs.Restored += p.regs[id].RestoreStaleBatch(items)
-		for i := range items {
-			if err := items[i].Err; err != nil && !errors.Is(err, core.ErrUnsubscribed) {
-				rs.Skipped++
-			}
+	// Every checkpointed item still included started serving its
+	// snapshot, but a static one, which the kind's current definition
+	// makes nothing to restore into. Items excluded by the WAL tail are
+	// passed over.
+	for i := range pending {
+		if m, ok := pending[i].reg.Mechanism(pending[i].kind); ok && m == core.StaticMechanism {
+			rs.Skipped++
+		} else if ok {
+			rs.Restored++
 		}
 	}
-	rs.RestoreDur = time.Since(t0)
+	p.env.Stats().RestoredStale.Add(int64(rs.Restored))
 	p.env.Stats().Recoveries.Add(1)
 	return rs, nil
 }
@@ -379,17 +405,32 @@ func (p *Plane) applyOp(rec *ckptRec, rs *RecoveryStats) bool {
 // checkpoint serializes in step with a recorded or replayed op. Defines
 // have none: checkpoints read them from the live registry (AppendSlots).
 func (p *Plane) mirror(rec *ckptRec) {
-	k := key{rec.reg, rec.kind}
+	if rec.tag == recDefine {
+		return
+	}
+	ts, known := p.topo[rec.reg]
+	if !known {
+		p.topoIDs, p.topoSorted = append(p.topoIDs, rec.reg), false
+	}
+	i, ok := slices.BinarySearchFunc(ts, rec.kind, byTopoKind)
+	if !ok {
+		ts = slices.Insert(ts, i, itemTopo{kind: rec.kind})
+	}
+	t := &ts[i]
 	switch rec.tag {
 	case recSub:
-		p.subs[k]++
+		t.subs++
 	case recUnsub:
-		if p.subs[k]--; p.subs[k] <= 0 {
-			delete(p.subs, k)
-		}
+		t.subs = max(t.subs-1, 0)
 	case recMig:
-		p.migs[k] = ckptRec{tag: recMig, reg: rec.reg, kind: rec.kind, n: rec.n, b: []byte{rec.b[0]}}
+		t.mig = &ckptRec{tag: recMig, reg: rec.reg, kind: rec.kind, n: rec.n, b: []byte{rec.b[0]}}
 	}
+	if t.subs == 0 && t.mig == nil {
+		ts = slices.Delete(ts, i, i+1)
+	} else if ok {
+		return
+	}
+	p.topo[rec.reg] = ts
 }
 
 // Record implements core.Journal: append the op to the WAL as one
@@ -502,27 +543,31 @@ func (p *Plane) checkpointLocked() error {
 
 // snapshot puts the plane's records in file order: per registry its
 // codec-backed definitions and the last-good snapshot of every included
-// item, then the subscription counts, then the migrations. p.mu must be
+// item, then the subscription counts, then the migrations, each section
+// in (registry, kind) order. The slots pass walks each registry's mirror
+// beside its slots, as both are sorted by kind, and collects the
+// migrations still live. A registry the plane does not cover has no
+// slots pass, so only its subscription counts are written. p.mu must be
 // held.
 func (p *Plane) snapshot(w *ckptWriter) {
-	var slots []core.SlotState
 	var val []byte
-	// migs collects the migration section during the slots pass, which
-	// visits items in the section's (registry, kind) order.
-	var migs []ckptRec
+	migs := p.migs[:0]
 	for _, id := range p.regOrder {
-		slots = p.regs[id].AppendSlots(slots[:0])
-		for i := range slots {
-			s := &slots[i]
+		ts := p.topo[id]
+		p.slots = p.regs[id].AppendSlots(p.slots[:0])
+		for i := range p.slots {
+			s := &p.slots[i]
 			// The mirror is last-written intent; an item fully released
 			// since its migration reverts to its definition's default
 			// mechanism on re-include, so only migrations still live on an
 			// included handler are replayable state.
-			if m, ok := p.migs[key{id, string(s.Kind)}]; ok && s.Included && s.Mechanism == core.Mechanism(m.b[0]) {
-				if s.Window > 0 {
-					m.n = uint64(s.Window)
+			for ; len(ts) > 0 && ts[0].kind <= string(s.Kind); ts = ts[1:] {
+				if m := ts[0].mig; m != nil && ts[0].kind == string(s.Kind) && s.Included && s.Mechanism == core.Mechanism(m.b[0]) {
+					migs = append(migs, *m)
+					if s.Window > 0 {
+						migs[len(migs)-1].n = uint64(s.Window)
+					}
 				}
-				migs = append(migs, m)
 			}
 			if s.Codec != "" {
 				val = append(val[:0], s.Args...)
@@ -546,12 +591,21 @@ func (p *Plane) snapshot(w *ckptWriter) {
 			}
 		}
 	}
-	for _, k := range sortedKeys(p.subs) {
-		w.put(&ckptRec{tag: recSub, reg: k.reg, kind: k.kind, n: uint64(p.subs[k])})
+	if !p.topoSorted {
+		slices.Sort(p.topoIDs)
+		p.topoSorted = true
+	}
+	for _, id := range p.topoIDs {
+		for _, t := range p.topo[id] {
+			if t.subs > 0 {
+				w.put(&ckptRec{tag: recSub, reg: id, kind: t.kind, n: uint64(t.subs)})
+			}
+		}
 	}
 	for i := range migs {
 		w.put(&migs[i])
 	}
+	p.migs = migs
 }
 
 // Close writes a final checkpoint, detaches the journal, and releases
@@ -604,17 +658,4 @@ func (p *Plane) Abandon() {
 		p.w = nil
 	}
 	p.closed = true
-}
-
-// sortedKeys returns m's keys ordered by (reg, kind) for deterministic
-// checkpoint bytes.
-func sortedKeys[V any](m map[key]V) []key {
-	ks := make([]key, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.SortFunc(ks, func(a, b key) int {
-		return cmp.Or(cmp.Compare(a.reg, b.reg), cmp.Compare(a.kind, b.kind))
-	})
-	return ks
 }

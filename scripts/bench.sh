@@ -19,8 +19,8 @@
 # publish hot path with the hub attached in internal/watch/hub_test.go,
 # the relay hop (apply into a mirrored point plus a local Session poll)
 # in internal/watch/relay_test.go,
-# and the durability ones (checkpoint, recovery, decode, batch restore
-# of a 100k-item plane, and a WAL append under each sync policy with the
+# and the durability ones (checkpoint, recovery and decode of a
+# 100k-item plane, and a WAL append under each sync policy with the
 # cost of removing the segment at rotation) in
 # internal/persist/persist_bench_test.go. The
 # paper's experiments are not timed here: TestExperimentIndex in
@@ -32,6 +32,6 @@ cd "$(dirname "$0")/.."
 out="${1:-bench.txt}"
 count="${2:-4}"
 
-benches='BenchmarkValueRead|BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkHealthyOverhead|BenchmarkE23PublishHotPath|BenchmarkRelayApply|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkMigrate|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkRestoreStaleBatch|BenchmarkWALAppend'
+benches='BenchmarkValueRead|BenchmarkValueReadParallel|BenchmarkTriggerPropagation|BenchmarkSubscribeChurnParallel|BenchmarkHealthyOverhead|BenchmarkE23PublishHotPath|BenchmarkRelayApply|BenchmarkIncludeCold41|BenchmarkReleaseFanout10k|BenchmarkPropagateSeeds|BenchmarkSlotLookup|BenchmarkDefine|BenchmarkMigrate|BenchmarkAppendSlots|BenchmarkCheckpoint100k|BenchmarkOpenRecover100k|BenchmarkDecodeCheckpoint|BenchmarkWALAppend'
 
 go test -run '^$' -bench "^(${benches})$" -benchmem -count "${count}" ./internal/core ./internal/watch ./internal/persist | tee "${out}"
