@@ -89,7 +89,7 @@ func (env *Env) dispatchTicks(now clock.Time, due []*clock.Task) {
 		// The item's registry is fixed from bind on, so this read needs
 		// no mutex; an item stopped between fire and dispatch still
 		// groups, and its tick does nothing.
-		root := find(w.it.reg.comp)
+		root := find(&w.it.reg.comp)
 		idx := -1
 		for i := 0; i < n; i++ {
 			if env.tickGroups[i].root == root {
@@ -205,7 +205,7 @@ func (env *Env) announceLocked(now clock.Time, pubs ...*item) {
 	// Seeds — the dependents of every published item — go into the
 	// root's scratch buffer; duplicates (an item depending on several
 	// publishers) are deduplicated by the plan lookup.
-	sb := find(pubs[0].reg.comp).scratchLocked()
+	sb := find(&pubs[0].reg.comp).scratchLocked()
 	sb.seeds = sb.seeds[:0]
 	for _, it := range pubs {
 		sb.seeds = appendDependents(sb.seeds, it)

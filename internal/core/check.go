@@ -58,7 +58,7 @@ type ItemKey struct {
 func ScopesUnlocked(regs ...*Registry) error {
 	var seen []*component
 	for _, r := range withModules(regs) {
-		root := find(r.comp)
+		root := find(&r.comp)
 		if rootsContain(seen, root) {
 			continue
 		}
@@ -143,8 +143,7 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 			// included item inside the same dependency-scope component,
 			// and its slot holds the mirror element pointing back at it.
 			group := int32(0)
-			for i := range it.deps {
-				ed := &it.deps[i]
+			for i, ed := range it.deps() {
 				de := ed.h.it
 				if !included(de) {
 					bad("%s/%s: depends on %s/%s which is not included", r.id, kind, de.reg.id, de.kind())
@@ -158,7 +157,7 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 					bad("%s/%s: edge %d in group %d after group %d (of %d)", r.id, kind, i, ed.group, group, it.ngroups)
 				}
 				group = ed.group
-				if find(it.reg.comp) != find(de.reg.comp) {
+				if find(&it.reg.comp) != find(&de.reg.comp) {
 					bad("%s/%s and dependency %s/%s are in different scope components",
 						r.id, kind, de.reg.id, de.kind())
 				}
@@ -175,7 +174,7 @@ func VerifyIntegrity(ext map[ItemKey]int, regs ...*Registry) []error {
 					bad("%s/%s: dependent %s/%s is not included", r.id, kind, d.it.reg.id, d.it.kind())
 					continue
 				}
-				if k := int(d.edge); k < 0 || k >= len(d.it.deps) || d.it.deps[k].h.it != it || int(d.it.deps[k].back) != j {
+				if k, dd := int(d.edge), d.it.deps(); k < 0 || k >= len(dd) || dd[k].h.it != it || int(dd[k].back) != j {
 					bad("%s/%s: dependents slot %d names edge %d of %s/%s, which does not point back at it",
 						r.id, kind, j, d.edge, d.it.reg.id, d.it.kind())
 				}

@@ -284,8 +284,9 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 	}
 	corruptions := map[string]corruption{
 		"edge slot": {do: func() func() {
-			b.deps[0].back, b.deps[1].back = b.deps[1].back, b.deps[0].back
-			return func() { b.deps[0].back, b.deps[1].back = b.deps[1].back, b.deps[0].back }
+			d := b.deps()
+			d[0].back, d[1].back = d[1].back, d[0].back
+			return func() { d[0].back, d[1].back = d[1].back, d[0].back }
 		}},
 		"dependents element": {do: func() func() {
 			a.dependents[2].edge = 7

@@ -38,8 +38,8 @@ func (r *Registry) Dependencies(kind Kind) (deps []ItemRef, ok bool) {
 	if it == nil {
 		return nil, false
 	}
-	for i := range it.deps {
-		deps = append(deps, itemRefLocked(it.deps[i].h.it))
+	for _, ed := range it.deps() {
+		deps = append(deps, itemRefLocked(ed.h.it))
 	}
 	return deps, true
 }

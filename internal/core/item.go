@@ -180,7 +180,8 @@ type item struct {
 	// pure records whether fn is a pure function of the declared
 	// dependencies (Definition.Pure at start, AdaptSpec.Pure after a
 	// migration); it decides memo engagement of an on-demand policy.
-	pure bool
+	pure        bool
+	deltaLastOK bool // the entry's delta state (deltaLast), here to close the padding
 
 	// entry is the structural half, guarded by the owning component's
 	// lock; bind files it when the inclusion commits.
@@ -337,7 +338,7 @@ func (it *item) bind(ctx *BuildContext) (*item, error) {
 		return nil, fmt.Errorf("core: handler of %s/%s is already bound to %s/%s (Build must return a fresh handler)",
 			ctx.reg.id, ctx.Kind(), it.reg.id, it.kind())
 	}
-	it.reg, it.def, it.seq, it.deps, it.ngroups = ctx.reg, ctx.def, ctx.seq, ctx.deps, ctx.ngroups
+	it.reg, it.def, it.seq, it.ngroups, it.edges, it.nedges = ctx.reg, ctx.def, ctx.seq, ctx.ngroups, unsafe.SliceData(ctx.deps), int32(len(ctx.deps))
 	if ctx.reg.env.breaker != nil && it.Mechanism() != StaticMechanism {
 		// The breaker becomes the side block, keeping a delta state.
 		h := &itemHealth{it: it}

@@ -91,8 +91,8 @@ func newMemoState(it *item, pure bool) *memoState {
 		return nil
 	}
 	ms := &memoState{env: env, health: it.breaker()}
-	for i := range it.deps {
-		de := it.deps[i].h.it
+	for _, ed := range it.deps() {
+		de := ed.h.it
 		var memoized *item
 		if de.Mechanism() == OnDemandMechanism {
 			if de.side.Load().mstate.Load() == nil {

@@ -137,7 +137,7 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	// nil-returning) factory leaves it untouched. The context is a fresh
 	// view of the item's edge slice: the same dependency handles the
 	// original Build saw.
-	bctx := &BuildContext{reg: r, def: it.def, deps: it.deps, ngroups: it.ngroups}
+	bctx := &BuildContext{reg: r, def: it.def, deps: it.deps(), ngroups: it.ngroups}
 	var fn ComputeFunc
 	var win *windowPolicy
 	var err error
@@ -327,10 +327,10 @@ func (r *Registry) DepUpdates(kind Kind) (sum uint64, ndeps int, ok bool) {
 	if it == nil {
 		return 0, 0, false
 	}
-	for i := range it.deps {
-		sum += it.deps[i].h.it.version.Load()
+	for _, ed := range it.deps() {
+		sum += ed.h.it.version.Load()
 	}
-	return sum, len(it.deps), true
+	return sum, int(it.nedges), true
 }
 
 // Window returns the update window of an included periodic item, or

@@ -23,12 +23,13 @@ import (
 //
 // Invalidation: every structural mutation of a component — entry
 // inclusion (new trigger edges), entry removal, component merges, and
-// (conservatively) redefinition — bumps the root's structVer and drops
-// its plans. Plans are keyed by the exact canonical seed-seq set (not
-// a hash of it), so distinct seed sets can never alias, and each plan
-// additionally records the structVer it was built under, so a stale
-// plan can never be executed. All cache state lives on the component
-// root and is guarded by the root's structural lock, which every
+// (conservatively) redefinition — bumps the version on the root's
+// planScratch and drops its plans. Plans are keyed by the exact
+// canonical seed-seq set (not a hash of it), so distinct seed sets can
+// never alias, and each plan additionally records the version it was
+// built under, so a stale plan can never be executed. All cache state
+// lives on the component root (a root without a planScratch has no
+// plans) and is guarded by the root's structural lock, which every
 // propagation path already holds.
 
 // planScratch is the plan cache and the reusable propagation scratch of
@@ -36,6 +37,7 @@ import (
 // registries never become — or stay — roots), made on first use under
 // the root's lock.
 type planScratch struct {
+	ver      uint64 // the structural version, stamped on each plan
 	plans    map[string]*propPlan
 	seeds    []*item // seed collection (announceLocked)
 	affected []*item // buildPlanLocked's affected set
@@ -78,8 +80,8 @@ const maxPlansPerScope = 64
 // The caller must hold the root's lock (c must be a root or about to
 // stop being one under both locks, see union).
 func (c *component) bumpStructLocked() {
-	c.structVer++
 	if c.scratch != nil {
+		c.scratch.ver++
 		clear(c.scratch.plans)
 	}
 }
@@ -91,7 +93,7 @@ func (c *component) bumpStructLocked() {
 // unsubscribe could otherwise leave a memo revalidating against a dead
 // dependency entry).
 func bumpStruct(r *Registry) {
-	find(r.comp).bumpStructLocked()
+	find(&r.comp).bumpStructLocked()
 	r.env.writeEpoch.Add(1)
 }
 
@@ -101,9 +103,9 @@ func bumpStruct(r *Registry) {
 // observes a merge in flight) fall back to an uncached build. The
 // structural lock(s) covering the seeds must be held.
 func (env *Env) planFor(seeds []*item) []*item {
-	root := find(seeds[0].reg.comp)
+	root := find(&seeds[0].reg.comp)
 	for _, s := range seeds[1:] {
-		if find(s.reg.comp) != root {
+		if find(&s.reg.comp) != root {
 			return env.buildPlanLocked(seeds)
 		}
 	}
@@ -142,7 +144,7 @@ func (env *Env) planFor(seeds []*item) []*item {
 	}
 	sb.keyBytes = key
 
-	if p := sb.plans[string(key)]; p != nil && p.ver == root.structVer {
+	if p := sb.plans[string(key)]; p != nil && p.ver == sb.ver {
 		env.stats.PlanCacheHits.Add(1)
 		return p.order
 	}
@@ -154,7 +156,7 @@ func (env *Env) planFor(seeds []*item) []*item {
 	if len(sb.plans) >= maxPlansPerScope {
 		clear(sb.plans)
 	}
-	sb.plans[string(key)] = &propPlan{ver: root.structVer, order: order}
+	sb.plans[string(key)] = &propPlan{ver: sb.ver, order: order}
 	return order
 }
 
@@ -170,7 +172,7 @@ func (env *Env) planFor(seeds []*item) []*item {
 // element per declared edge means an element between two affected
 // entries is exactly one unit of in-degree.
 func (env *Env) buildPlanLocked(seeds []*item) []*item {
-	sb := find(seeds[0].reg.comp).scratchLocked()
+	sb := find(&seeds[0].reg.comp).scratchLocked()
 	for _, s := range seeds {
 		sb.admit(s)
 	}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/clock"
 )
@@ -23,10 +24,10 @@ type Registry struct {
 	env *Env
 	id  string
 
-	// comp is the registry's dependency-scope component (union-find
-	// node, see scope.go). Structural operations lock the component's
-	// root instead of a graph-wide mutex.
-	comp *component
+	// comp is the registry's own dependency-scope node (union-find, see
+	// scope.go). Structural operations lock the component's root
+	// instead of a graph-wide mutex.
+	comp component
 
 	// inputs/outputs resolve the node's upstream and downstream
 	// registries for inter-node dependencies. They are set by the
@@ -185,7 +186,7 @@ type depEdge struct {
 // in-degrees are the element count, not a stored number.
 type dependent struct {
 	it   *item // the dependent item
-	edge int32 // index of the mirrored edge in it.deps
+	edge int32 // index of the mirrored edge in it.deps()
 }
 
 // entry is the structural half of an in-use item, embedded in it: the
@@ -220,15 +221,15 @@ type entry struct {
 
 	seq int64
 
-	// deps holds the item's dependency edges, dependents the mirror
-	// elements of the edges pointing at it (see depEdge, dependent).
-	// deps is fixed when the item commits — Build, migration factories
-	// and compute closures hold pointers into it — and dependents only
-	// changes through linkLocked/unlinkLocked, both under the component
-	// lock.
-	deps       []depEdge
+	// edges (nedges long; deps() is the slice) are the item's dependency
+	// edges, fixed when the item commits — Build, migration factories
+	// and compute closures hold pointers into them. dependents are the
+	// mirror elements of the edges pointing at it (see depEdge,
+	// dependent), changed by linkLocked/unlinkLocked under the lock.
+	edges      *depEdge
 	dependents []dependent
 
+	nedges  int32
 	ngroups int32 // resolved DepRefs: the BuildContext's NumDeps
 
 	// planIn is buildPlanLocked's scratch: 0 outside a plan build,
@@ -238,23 +239,26 @@ type entry struct {
 
 	// Delta-channel edge state, guarded by the component lock (see
 	// delta.go). deltaDeps counts delta-eligible dependent edges;
-	// while it is positive, deltaLast/deltaLastOK track the latest
-	// delta-visible published value — the value every dependent
-	// accumulator over this edge currently reflects.
-	deltaDeps   int32
-	deltaLastOK bool
-	deltaLast   float64
+	// while it is positive, deltaLast and the item's deltaLastOK track
+	// the latest delta-visible published value — the value every
+	// dependent accumulator over this edge currently reflects.
+	deltaDeps int32
+	deltaLast float64
 }
 
 // kind returns the item's kind.
 func (e *entry) kind() Kind { return e.def.kind }
 
+// deps returns the item's dependency edges in declaration order.
+func (e *entry) deps() []depEdge { return unsafe.Slice(e.edges, e.nedges) }
+
 // linkLocked appends the mirror element of every dependency edge of it
 // to its dependency's dependents, recording each side's slot on the
 // other. The component lock must be held.
 func (it *item) linkLocked() {
-	for i := range it.deps {
-		ed := &it.deps[i]
+	deps := it.deps()
+	for i := range deps {
+		ed := &deps[i]
 		de := ed.h.it
 		ed.back = int32(len(de.dependents))
 		de.dependents = append(de.dependents, dependent{it: it, edge: int32(i)})
@@ -271,7 +275,7 @@ func (ed *depEdge) unlinkLocked() {
 	last := len(de.dependents) - 1
 	if moved := de.dependents[last]; int(ed.back) != last {
 		de.dependents[ed.back] = moved
-		moved.it.deps[moved.edge].back = ed.back
+		moved.it.deps()[moved.edge].back = ed.back
 	}
 	de.dependents[last] = dependent{}
 	de.dependents = de.dependents[:last]
@@ -286,7 +290,7 @@ func (ed *depEdge) unlinkLocked() {
 // registry starts as its own dependency-scope component; components
 // merge as metadata dependencies connect registries.
 func (env *Env) NewRegistry(id string) *Registry {
-	return &Registry{env: env, id: id, comp: env.newComponent(), ext: &noExt}
+	return &Registry{env: env, id: id, comp: component{id: env.compSeq.Add(1)}, ext: &noExt}
 }
 
 // searchSlot returns where the kind's slot is, or would be inserted, in the
@@ -890,8 +894,9 @@ func (it *item) releaseLocked() {
 			r.ext.events[name] = es
 		}
 	}
-	for i := range it.deps {
-		ed := &it.deps[i]
+	deps := it.deps()
+	for i := range deps {
+		ed := &deps[i]
 		ed.unlinkLocked()
 		ed.h.it.releaseLocked()
 	}

@@ -19,13 +19,15 @@ import (
 // involved in the currently included items are used" at the graph
 // level.
 //
-// The partition is a union-find forest maintained incrementally:
-// NewRegistry creates a singleton component, and the inclusion
-// traversal merges the components of two registries the moment it
-// creates a dependency edge between them. Components only ever merge
-// (a conservative over-approximation: unsubscribing the last
+// The partition is a union-find forest maintained incrementally: a
+// Registry embeds its node, a singleton component of its own, and the
+// inclusion traversal merges the components of two registries the
+// moment it creates a dependency edge between them. Components only
+// merge (a conservative over-approximation: unsubscribing the last
 // cross-registry edge does not split them), which is what makes the
-// locking protocol below terminate.
+// locking protocol below terminate. Parent pointers point into the
+// root's registry, which thus stays alive, slot table and all, while
+// any registry of its component does (no non-test code drops one).
 //
 // find is lock-free: parent pointers are atomic, path compression uses
 // benign CAS. A root can only gain a parent (lose root-hood) while its
@@ -43,19 +45,10 @@ type component struct {
 	// another, only while both roots' locks are held.
 	parent atomic.Pointer[component]
 
-	// structVer counts structural mutations of the component — entry
-	// inclusion/removal, component merges, redefinitions — and stamps
-	// cached plans so a stale plan can never be executed. scratch is the
-	// propagation-plan cache and reusable scratch space (see plan.go),
-	// nil until the root first propagates. Both are guarded by mu and
-	// meaningful at roots.
-	structVer uint64
-	scratch   *planScratch
-}
-
-// newComponent allocates a fresh singleton component.
-func (e *Env) newComponent() *component {
-	return &component{id: e.compSeq.Add(1)}
+	// scratch is the propagation-plan cache, its structural version and
+	// reusable scratch space (see plan.go), nil until the root first
+	// propagates. Guarded by mu and meaningful at roots.
+	scratch *planScratch
 }
 
 // find returns the root of c's component, compressing the path. It is
@@ -138,9 +131,9 @@ func (e *Env) lockScope(regs ...*Registry) scope {
 	// scope).
 	if len(regs) == 1 {
 		for {
-			root := find(regs[0].comp)
+			root := find(&regs[0].comp)
 			root.mu.Lock()
-			if find(regs[0].comp) == root {
+			if find(&regs[0].comp) == root {
 				return scope{n: 1, inline: [2]*component{root}}
 			}
 			root.mu.Unlock()
@@ -149,7 +142,7 @@ func (e *Env) lockScope(regs ...*Registry) scope {
 	for {
 		roots := make([]*component, 0, len(regs))
 		for _, r := range regs {
-			root := find(r.comp)
+			root := find(&r.comp)
 			dup := false
 			for _, c := range roots {
 				if c == root {
@@ -167,7 +160,7 @@ func (e *Env) lockScope(regs ...*Registry) scope {
 		}
 		ok := true
 		for _, r := range regs {
-			if !rootsContain(roots, find(r.comp)) {
+			if !rootsContain(roots, find(&r.comp)) {
 				ok = false
 				break
 			}
@@ -185,14 +178,14 @@ func (e *Env) lockScope(regs ...*Registry) scope {
 // answer is stable for the lifetime of the scope (merges into or out
 // of a held component are impossible).
 func (s *scope) covers(r *Registry) bool {
-	return rootsContain(s.roots(), find(r.comp))
+	return rootsContain(s.roots(), find(&r.comp))
 }
 
 // mergeLocked unions the components of a and b, both of which must be
 // covered by the scope. Called when the inclusion traversal creates a
 // dependency edge between registries of different components.
 func (s *scope) mergeLocked(a, b *Registry) {
-	union(find(a.comp), find(b.comp))
+	union(find(&a.comp), find(&b.comp))
 }
 
 // unlock releases every component lock of the scope.

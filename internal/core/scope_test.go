@@ -19,14 +19,14 @@ func TestComponentsMergeOnDependencyEdge(t *testing.T) {
 	a.SetNeighbors(func() []*Registry { return []*Registry{b} }, nil)
 	defineDerived(a, "up", Dep(Input(0), "base"))
 
-	if find(a.comp) == find(b.comp) {
+	if find(&a.comp) == find(&b.comp) {
 		t.Fatal("components merged before any dependency edge exists")
 	}
 	s, err := a.Subscribe("up")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if find(a.comp) != find(b.comp) {
+	if find(&a.comp) != find(&b.comp) {
 		t.Fatal("components not merged by inter-registry subscription")
 	}
 	v, err := s.Float()
@@ -35,7 +35,7 @@ func TestComponentsMergeOnDependencyEdge(t *testing.T) {
 	}
 	s.Unsubscribe()
 	// Components stay merged after release (conservative, documented).
-	if find(a.comp) != find(b.comp) {
+	if find(&a.comp) != find(&b.comp) {
 		t.Fatal("components split on unsubscribe")
 	}
 	if got := len(a.Included()) + len(b.Included()); got != 0 {
@@ -51,7 +51,7 @@ func TestModuleKeepsOwnComponentUntilLinked(t *testing.T) {
 	op := env.NewRegistry("op")
 	mod := env.NewRegistry("op.state")
 	op.AttachModule("state", mod)
-	if find(op.comp) == find(mod.comp) {
+	if find(&op.comp) == find(&mod.comp) {
 		t.Fatal("attach merged components without a metadata link")
 	}
 	if err := op.DetachModule("state"); err != nil {
@@ -66,7 +66,7 @@ func TestModuleKeepsOwnComponentUntilLinked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if find(op.comp) != find(mod.comp) {
+	if find(&op.comp) != find(&mod.comp) {
 		t.Fatal("module dependency did not merge components")
 	}
 	if err := op.DetachModule("state"); err == nil {
