@@ -119,11 +119,13 @@ func (rc *ResolveContext) IsIncluded(target Selector, kind Kind) bool {
 
 // BuildContext carries the resolved dependencies into Definition.Build
 // (and into AdaptSpec factories at migration). At inclusion it is the
-// scratch the traversal gathers the item's structural fields in — its
-// registry, shape, creation sequence, group count and flat edge slice,
-// whose embedded Handles are the dependency handles — and bind files
-// them into the handler Build returned; at migration it is a fresh view
-// of the item's own fields. The framework does not retain it.
+// traversal's one scratch, reset for each item built, holding the item's
+// structural fields — registry, shape, creation sequence, group count and
+// flat edge slice, whose embedded Handles are the dependency handles —
+// which bind files into the handler Build returned; at migration it is a
+// fresh view of the item's own fields. Neither the framework nor the
+// caller retains it: Build and the factories must not keep ctx past their
+// return, but may keep the *Handles and DepGroup slices it gives them.
 type BuildContext struct {
 	reg     *Registry
 	def     *defShape

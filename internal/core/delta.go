@@ -458,7 +458,7 @@ func notifyDeltaLocked(it *item) {
 		return
 	}
 	pair := good && it.deltaLastOK
-	for _, d := range it.dependents {
+	for _, d := range it.dependents() {
 		ds := d.it.delta()
 		if ds == nil || !ds.eligible {
 			continue

@@ -146,24 +146,25 @@ func settledHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// Ceilings of the footprint guard: bytes 2 % above what a 192-B item
-// and a registry that embeds its union-find node landed — 408.8 B per
-// included item on a plain env, 529.9 under WithBreaker and 422.4 with
-// churn-read-mix's on-demand items, where the 208-B item with a
-// separately allocated node read 433.5, 554.5 and 444.2, and one object
+// Ceilings of the footprint guard: bytes 2 % above what a 176-B item,
+// whose fan-out is an array counted by ndeps, landed — 392.8 B per
+// included item on a plain env, 513.9 under WithBreaker and 406.4 with
+// churn-read-mix's on-demand items, where the 192-B item with a
+// dependents slice read 408.8, 529.9 and 422.4, the 208-B item with a
+// separately allocated node 433.5, 554.5 and 444.2, and one object
 // per included item before the side block 484.5, 593.5 and 481.2 (and
 // the plain plane, read before the plane kept its
 // operator list, 496.7 B with a separate entry and item, 604 B with
 // per-definition records, 773 B with a map of slots retaining
 // Definitions, 1,210 B as a map-based graph) — and allocations 5 % above
-// one object per included item's 278 per cold pipeline inclusion and
-// release (a separate entry and item: 319; the flat dependency graph's
-// first reading: 381; the map-based graph: 700).
+// one build context per traversal's 238 per cold pipeline inclusion and
+// release (one per built item: 278; a separate entry and item: 319; the
+// flat dependency graph's first reading: 381; the map-based graph: 700).
 const (
-	maxPlaneBytesPerItem         = 417
-	maxBreakerPlaneBytesPerItem  = 541
-	maxOnDemandPlaneBytesPerItem = 431
-	maxColdInclusionAllocs       = 291
+	maxPlaneBytesPerItem         = 401
+	maxBreakerPlaneBytesPerItem  = 525
+	maxOnDemandPlaneBytesPerItem = 415
+	maxColdInclusionAllocs       = 250
 )
 
 // planeBytesPerItem builds the benchmark's plane shape at 20 pipelines
@@ -226,16 +227,17 @@ func TestFootprintOnDemandPlaneBytesPerItem(t *testing.T) {
 }
 
 // TestItemLayout pins the sizes the footprint is sized for: an item in
-// the 192-B size class, a registry with its own union-find node in the
-// 128-B one (the node alone 32 B), and the side block and the breaker
-// that embeds it in the 64-B and 160-B ones. A field added to any of
-// them fails here before it moves a byte count.
+// the 176-B size class with its entry in 80 B, a registry with its own
+// union-find node in the 128-B one (the node alone 32 B), and the side
+// block and the breaker that embeds it in the 64-B and 160-B ones. A
+// field added to any of them fails here before it moves a byte count.
 func TestItemLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		size, max uintptr
 	}{
-		{"item", unsafe.Sizeof(item{}), 192},
+		{"item", unsafe.Sizeof(item{}), 176},
+		{"entry", unsafe.Sizeof(entry{}), 80},
 		{"Registry with its node", unsafe.Sizeof(Registry{}), 128},
 		{"component", unsafe.Sizeof(component{}), 32},
 		{"itemSide", unsafe.Sizeof(itemSide{}), 64},

@@ -86,7 +86,7 @@ func (f *fanoutChurn) srcDependents() []dependent {
 	sc := f.env.lockScope(f.r)
 	defer sc.unlock()
 	if e := f.r.entryLocked("src"); e != nil {
-		return slices.Clone(e.dependents)
+		return slices.Clone(e.dependents())
 	}
 	return nil
 }
@@ -252,6 +252,89 @@ func TestPropertyFlatGraphUnderChurn(t *testing.T) {
 	}
 }
 
+// TestFanOutAcrossPowersOfTwo takes one held source through every
+// fan-out from 1 to 17 dependents. The fan-out array doubles at each
+// power of two as the dependents are included, gives elements back by
+// swap-remove as they are released in a seeded random order (and the
+// array itself at zero), and grows again as they are re-included.
+// After every step the graph verifies, ndeps is the number of live
+// dependents, and one NotifyChanged refreshes each of them. Run with
+// -race: checkptr then checks every fan-out slice against its array.
+func TestFanOutAcrossPowersOfTwo(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for k := 1; k <= 17; k++ {
+		env, _ := testEnv()
+		r := env.NewRegistry("fan")
+		state := 0.0
+		r.MustDefine(&Definition{Kind: "src", Build: func(*BuildContext) (Handler, error) {
+			return NewOnDemand(func(clock.Time) (Value, error) { return state, nil }), nil
+		}})
+		src, err := r.Subscribe("src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ext := map[ItemKey]int{{Registry: "fan", Kind: "src"}: 1}
+		held := make([]*Subscription, k)
+		toggle := func(i int) {
+			key := ItemKey{Registry: "fan", Kind: fanoutKind(i)}
+			if held[i] != nil {
+				held[i].Unsubscribe()
+				held[i] = nil
+				delete(ext, key)
+				return
+			}
+			if held[i], err = r.Subscribe(fanoutKind(i)); err != nil {
+				t.Fatal(err)
+			}
+			ext[key] = 1
+		}
+		check := func(step string) {
+			t.Helper()
+			if errs := VerifyIntegrity(ext, r); len(errs) > 0 {
+				t.Fatalf("k=%d %s: %d integrity violations, first: %v", k, step, len(errs), errs[0])
+			}
+			live := 0
+			for _, s := range held {
+				if s != nil {
+					live++
+				}
+			}
+			if got := int(r.entryOf("src").ndeps.Load()); got != live {
+				t.Fatalf("k=%d %s: ndeps %d, %d live dependents", k, step, got, live)
+			}
+			state++
+			r.NotifyChanged("src")
+			for i, s := range held {
+				if s == nil {
+					continue
+				}
+				if v, err := s.Float(); err != nil || v != state {
+					t.Fatalf("k=%d %s: %s = %v, %v after NotifyChanged; want %v", k, step, fanoutKind(i), v, err, state)
+				}
+			}
+		}
+		for i := 0; i < k; i++ {
+			defineDerived(r, fanoutKind(i), Dep(Self(), "src"))
+		}
+		for i := 0; i < k; i++ {
+			toggle(i)
+			check(fmt.Sprintf("include %d", i))
+		}
+		for _, i := range rng.Perm(k) {
+			toggle(i)
+			check(fmt.Sprintf("release %d", i))
+		}
+		for _, i := range rng.Perm(k) {
+			toggle(i)
+			check(fmt.Sprintf("re-include %d", i))
+		}
+		for _, s := range held {
+			s.Unsubscribe()
+		}
+		src.Unsubscribe()
+	}
+}
+
 // TestVerifyIntegrityCatchesBrokenEdges corrupts each half of the edge
 // mirror, and each clause of the item-state invariant, in turn and
 // expects VerifyIntegrity to object (with the named complaint, where
@@ -289,12 +372,16 @@ func TestVerifyIntegrityCatchesBrokenEdges(t *testing.T) {
 			return func() { d[0].back, d[1].back = d[1].back, d[0].back }
 		}},
 		"dependents element": {do: func() func() {
-			a.dependents[2].edge = 7
-			return func() { a.dependents[2].edge = 0 }
+			a.dependents()[2].edge = 7
+			return func() { a.dependents()[2].edge = 0 }
 		}},
-		"ndeps mirror": {do: func() func() {
+		"fan-out length": {do: func() func() {
 			a.ndeps.Store(2)
 			return func() { a.ndeps.Store(3) }
+		}},
+		"drained fan-out keeping its array": {want: "fan-out array is kept", do: func() func() {
+			bi.fanout = new(dependent)
+			return func() { bi.fanout = nil }
 		}},
 		"plan mark": {do: func() func() {
 			b.planIn = 1

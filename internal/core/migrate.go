@@ -211,7 +211,7 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 	// the propagation below re-folds them. A dependent declaring this
 	// item twice is listed twice: the drop-and-reset pass is idempotent,
 	// and the re-register pass skips an aggregate that is eligible again.
-	for _, d := range it.dependents {
+	for _, d := range it.dependents() {
 		if ds := d.it.delta(); ds != nil {
 			ds.stopLocked()
 			ds.pending = ds.pending[:0]
@@ -219,7 +219,7 @@ func (r *Registry) Migrate(kind Kind, to Mechanism, window clock.Duration) error
 			ds.valid = false
 		}
 	}
-	for _, d := range it.dependents {
+	for _, d := range it.dependents() {
 		if ds := d.it.delta(); ds != nil && !ds.eligible {
 			ds.startLocked(env)
 		}

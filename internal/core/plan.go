@@ -58,7 +58,7 @@ func (c *component) scratchLocked() *planScratch {
 // a dependent declaring it twice appears twice, which the plan lookup's
 // seed deduplication absorbs. The component lock must be held.
 func appendDependents(dst []*item, it *item) []*item {
-	for _, d := range it.dependents {
+	for _, d := range it.dependents() {
 		dst = append(dst, d.it)
 	}
 	return dst
@@ -177,7 +177,7 @@ func (env *Env) buildPlanLocked(seeds []*item) []*item {
 		sb.admit(s)
 	}
 	for i := 0; i < len(sb.affected); i++ {
-		for _, d := range sb.affected[i].dependents {
+		for _, d := range sb.affected[i].dependents() {
 			if sb.admit(d.it) {
 				d.it.planIn++
 			}
@@ -199,7 +199,7 @@ func (env *Env) buildPlanLocked(seeds []*item) []*item {
 	// planned, entries from head on are ready.
 	for head := 0; head < len(order); head++ {
 		next := len(order)
-		for _, d := range order[head].dependents {
+		for _, d := range order[head].dependents() {
 			if d.it.planIn == 0 {
 				continue
 			}

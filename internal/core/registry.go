@@ -176,7 +176,7 @@ func (env *Env) compileDef(def *Definition) slot {
 // back is guarded by the component lock.
 type depEdge struct {
 	h     Handle // h.it is the dependency
-	back  int32  // index of the mirror element in h.it.dependents
+	back  int32  // index of the mirror element in h.it.dependents()
 	group int32  // index of the declaring DepRef
 }
 
@@ -211,11 +211,11 @@ type entry struct {
 	// stamp can never revalidate.
 	version atomic.Uint64
 
-	// ndeps mirrors len(dependents) so periodic items can skip the
-	// component lock entirely when nothing depends on them — the
-	// key to parallel periodic updates on the worker pool (Section
-	// 4.3: only the locks involved in the currently included items
-	// are used).
+	// ndeps is the length of the fan-out array (dependents() is the
+	// slice), atomic so periodic items can skip the component lock
+	// entirely when nothing depends on them — the key to parallel
+	// periodic updates on the worker pool (Section 4.3: only the locks
+	// involved in the currently included items are used).
 	ndeps atomic.Int32
 	refs  int32
 
@@ -223,11 +223,12 @@ type entry struct {
 
 	// edges (nedges long; deps() is the slice) are the item's dependency
 	// edges, fixed when the item commits — Build, migration factories
-	// and compute closures hold pointers into them. dependents are the
-	// mirror elements of the edges pointing at it (see depEdge,
-	// dependent), changed by linkLocked/unlinkLocked under the lock.
-	edges      *depEdge
-	dependents []dependent
+	// and compute closures hold pointers into them. fanout (ndeps long,
+	// with room for ndeps rounded up to a power of two; dependents() is
+	// the slice) holds the mirror elements of the edges pointing at it
+	// (see depEdge, dependent), changed by linkLocked/unlinkLocked.
+	edges  *depEdge
+	fanout *dependent
 
 	nedges  int32
 	ngroups int32 // resolved DepRefs: the BuildContext's NumDeps
@@ -252,6 +253,10 @@ func (e *entry) kind() Kind { return e.def.kind }
 // deps returns the item's dependency edges in declaration order.
 func (e *entry) deps() []depEdge { return unsafe.Slice(e.edges, e.nedges) }
 
+// dependents returns the mirror elements of the edges pointing at the
+// item. The component lock must be held.
+func (e *entry) dependents() []dependent { return unsafe.Slice(e.fanout, e.ndeps.Load()) }
+
 // linkLocked appends the mirror element of every dependency edge of it
 // to its dependency's dependents, recording each side's slot on the
 // other. The component lock must be held.
@@ -260,9 +265,13 @@ func (it *item) linkLocked() {
 	for i := range deps {
 		ed := &deps[i]
 		de := ed.h.it
-		ed.back = int32(len(de.dependents))
-		de.dependents = append(de.dependents, dependent{it: it, edge: int32(i)})
-		de.ndeps.Store(int32(len(de.dependents)))
+		n := de.ndeps.Load()
+		if n&(n-1) == 0 { // full at 0 and at a power of two: grow as append does
+			de.fanout = unsafe.SliceData(slices.Grow(de.dependents(), max(int(n), 1)))
+		}
+		unsafe.Slice(de.fanout, n+1)[n] = dependent{it: it, edge: int32(i)}
+		ed.back = n
+		de.ndeps.Store(n + 1)
 	}
 }
 
@@ -272,15 +281,15 @@ func (it *item) linkLocked() {
 // lock must be held.
 func (ed *depEdge) unlinkLocked() {
 	de := ed.h.it
-	last := len(de.dependents) - 1
-	if moved := de.dependents[last]; int(ed.back) != last {
-		de.dependents[ed.back] = moved
+	ds := de.dependents()
+	last := len(ds) - 1
+	if moved := ds[last]; int(ed.back) != last {
+		ds[ed.back] = moved
 		moved.it.deps()[moved.edge].back = ed.back
 	}
-	de.dependents[last] = dependent{}
-	de.dependents = de.dependents[:last]
+	ds[last] = dependent{}
 	if last == 0 {
-		de.dependents = nil // a drained fan-out gives its array back
+		de.fanout = nil // a drained fan-out gives its array back
 	}
 	de.ndeps.Store(int32(last))
 }
@@ -639,6 +648,7 @@ type traversal struct {
 	// escaped lists the registries outside the scope the attempt ran
 	// into, once per edge that reached them (lockScope deduplicates).
 	escaped []*Registry
+	ctx     *BuildContext // reset for each item built; made by the first one
 }
 
 type visitKey struct {
@@ -734,18 +744,16 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*item, error) {
 		return nil, fmt.Errorf("resolving deps of %s/%s: %w", r.id, kind, err)
 	}
 
-	// The item's structural fields are gathered in the build context and
-	// filed into the item Build returns. seq is drawn before the
-	// dependencies are included, as creation-order tie-breaks expect.
-	ctx := &BuildContext{reg: r, def: sl.shape, seq: r.env.nextSeq(), ngroups: int32(len(deps))}
+	seq := r.env.nextSeq() // before the dependencies, as creation-order tie-breaks expect
 
 	// Include dependencies depth-first; roll back on any failure so a
 	// failed subscription leaves no residue. The edges are not linked
 	// into the dependencies' dependents until commit, so rollback only
 	// has to drop the references taken so far.
+	var edges []depEdge
 	rollback := func() {
-		for i := len(ctx.deps) - 1; i >= 0; i-- {
-			ctx.deps[i].h.it.releaseLocked()
+		for i := len(edges) - 1; i >= 0; i-- {
+			edges[i].h.it.releaseLocked()
 		}
 	}
 	escaped := false
@@ -763,7 +771,7 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*item, error) {
 		}
 		// One exact-size growth per DepRef: the edge slice lives as long as
 		// the item, so append's doubling would be retained slack.
-		ctx.deps = slices.Grow(ctx.deps, len(regs)+len(deps)-i-1)
+		edges = slices.Grow(edges, len(regs)+len(deps)-i-1)
 		for _, tr := range regs {
 			if !tv.sc.covers(tr) {
 				tv.escaped = append(tv.escaped, tr)
@@ -783,7 +791,7 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*item, error) {
 				rollback()
 				return nil, fmt.Errorf("including %s/%s: %w", r.id, kind, err)
 			}
-			ctx.deps = append(ctx.deps, depEdge{h: Handle{it: de}, group: int32(i)})
+			edges = append(edges, depEdge{h: Handle{it: de}, group: int32(i)})
 		}
 	}
 	if escaped {
@@ -792,7 +800,14 @@ func (r *Registry) includeLocked(kind Kind, tv *traversal) (*item, error) {
 	}
 
 	// Build the handler with handles on the resolved dependencies, and
-	// file the inclusion into the item behind it.
+	// file the inclusion into the item behind it. The dependencies are
+	// built, so the traversal's context is free; the reset drops ptrs,
+	// whose DepGroup slices the previous item's handler may keep.
+	if tv.ctx == nil {
+		tv.ctx = new(BuildContext)
+	}
+	ctx := tv.ctx
+	*ctx = BuildContext{reg: r, def: sl.shape, seq: seq, deps: edges, ngroups: int32(len(deps))}
 	handler, err := buildHandler(sl.build, ctx)
 	if err != nil {
 		rollback()

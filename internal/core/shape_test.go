@@ -324,7 +324,8 @@ func TestShapeCountIsTheProgramsNotThePlanes(t *testing.T) {
 			def := Definition{
 				Kind: Kind(fmt.Sprintf("c%d", k)), Persist: "codec", PersistArgs: fmt.Sprintf("%d,%d", i, k),
 				Build: func(ctx *BuildContext) (Handler, error) {
-					return NewTriggered(func(clock.Time) (Value, error) { return float64(ctx.NumDeps()), nil }), nil
+					n := float64(ctx.NumDeps())
+					return NewTriggered(func(clock.Time) (Value, error) { return n, nil }), nil
 				},
 			}
 			if k > 0 {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/clock"
 )
 
 // recordingSink records every Published call, for gate tests.
@@ -66,6 +68,51 @@ func TestWatchGateNotifiesOnPublish(t *testing.T) {
 	r.NotifyChanged("src")
 	if got := sink.versions(); len(got) != 1 {
 		t.Fatalf("sink saw %v after Unwatch, want no new notifications", got)
+	}
+}
+
+// peekingSink reads the item back inside Published, as the watch hub's
+// catch-up does: a sink told version v must read the value published
+// at v (or a newer one), never the one before it.
+type peekingSink struct {
+	r    *Registry
+	kind Kind
+	seen map[uint64]Value
+}
+
+func (s *peekingSink) Published(v uint64) {
+	val, _ := s.r.Peek(s.kind)
+	s.seen[v] = val
+}
+
+// TestWatchSinkPeeksPublishedValue pins store's order — the snapshot
+// first, then the version that announces it — on one goroutine: each
+// NotifyChanged on the source refreshes sum to a new value, and the
+// sink's Peek inside Published(v) must already see it.
+func TestWatchSinkPeeksPublishedValue(t *testing.T) {
+	env, _ := testEnv()
+	r := env.NewRegistry("n1")
+	state := 0.0
+	r.MustDefine(&Definition{Kind: "src", Build: func(*BuildContext) (Handler, error) {
+		return NewOnDemand(func(clock.Time) (Value, error) { return state, nil }), nil
+	}})
+	defineDerived(r, "sum", Dep(Self(), "src"))
+	sub, err := r.Subscribe("sum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Unsubscribe()
+	sink := &peekingSink{r: r, kind: "sum", seen: map[uint64]Value{}}
+	v0, err := r.Watch("sum", sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(1); k <= 3; k++ {
+		state = float64(k)
+		r.NotifyChanged("src")
+		if got, ok := sink.seen[v0+k]; !ok || got != state {
+			t.Fatalf("Published(%d) peeked %v (reported %v); want %v", v0+k, got, ok, state)
+		}
 	}
 }
 

@@ -48,6 +48,19 @@ func TestReadStreamEnds(t *testing.T) {
 	}
 }
 
+// TestReadRefusesFlippedPayloadByte flips each payload byte of a frame
+// in turn: Read must report ErrCorrupt, never the damaged payload.
+func TestReadRefusesFlippedPayloadByte(t *testing.T) {
+	b := Append(nil, []byte("metadata"))
+	for i := Header; i < len(b); i++ {
+		bad := bytes.Clone(b)
+		bad[i] ^= 0x01
+		if p, err := Read(bytes.NewReader(bad), testMax); err != ErrCorrupt {
+			t.Fatalf("payload byte %d flipped: Read = %q, %v; want ErrCorrupt", i-Header, p, err)
+		}
+	}
+}
+
 // FuzzFrame pins the header codec: no panic and no payload above the
 // caller's bound on arbitrary input; Decode and Read agree; an accepted
 // frame re-frames to the bytes it was decoded from.

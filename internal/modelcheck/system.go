@@ -333,8 +333,9 @@ func adaptSpec(it ItemSpec) *core.AdaptSpec {
 // onDemand is the on-demand compute form: Base + Σ dep values, plus
 // 0.001·now at access time unless the item is pure.
 func (it ItemSpec) onDemand(ctx *core.BuildContext) core.ComputeFunc {
+	hs := depHandles(ctx)
 	return func(now clock.Time) (core.Value, error) {
-		v, err := sumDeps(ctx)
+		v, err := sumDeps(hs)
 		if err != nil {
 			return nil, err
 		}
@@ -348,8 +349,9 @@ func (it ItemSpec) onDemand(ctx *core.BuildContext) core.ComputeFunc {
 // triggered is the triggered compute form: Base + Σ dep values +
 // 0.01·now at refresh time.
 func (it ItemSpec) triggered(ctx *core.BuildContext) core.ComputeFunc {
+	hs := depHandles(ctx)
 	return func(now clock.Time) (core.Value, error) {
-		v, err := sumDeps(ctx)
+		v, err := sumDeps(hs)
 		if err != nil {
 			return nil, err
 		}
@@ -365,19 +367,27 @@ func encodeWindow(start, end clock.Time) float64 {
 	return float64(start)*1e6 + float64(end)
 }
 
+// depHandles returns the dependency handles in declaration order, taken
+// while ctx is valid: the compute closures keep the handles, not ctx.
+func depHandles(ctx *core.BuildContext) []*core.Handle {
+	var hs []*core.Handle
+	for i := 0; i < ctx.NumDeps(); i++ {
+		hs = append(hs, ctx.DepGroup(i)...)
+	}
+	return hs
+}
+
 // sumDeps folds the dependency handles in declaration order. The model
 // performs the identical float64 additions in the identical order, so
 // values compare exactly.
-func sumDeps(ctx *core.BuildContext) (float64, error) {
+func sumDeps(hs []*core.Handle) (float64, error) {
 	total := 0.0
-	for i := 0; i < ctx.NumDeps(); i++ {
-		for _, h := range ctx.DepGroup(i) {
-			f, err := h.Float()
-			if err != nil {
-				return 0, err
-			}
-			total += f
+	for _, h := range hs {
+		f, err := h.Float()
+		if err != nil {
+			return 0, err
 		}
+		total += f
 	}
 	return total, nil
 }
