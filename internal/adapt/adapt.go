@@ -200,15 +200,6 @@ func (c *Controller) Track(kind core.Kind, slo clock.Duration, cost float64) err
 	return nil
 }
 
-// Untrack forgets a tracked item. The read counter stays installed
-// (tracking is per-entry and harmless); only the controller state is
-// dropped.
-func (c *Controller) Untrack(kind core.Kind) {
-	c.mu.Lock()
-	delete(c.items, kind)
-	c.mu.Unlock()
-}
-
 // Sample reads each tracked item's counters and returns per-item rate
 // observations for the elapsed interval, advancing the baselines. An
 // item whose interval is empty (no time elapsed) or that is no longer

@@ -1,11 +1,14 @@
 // Package archcheck holds the design rules a type checker can see as
 // tier-1 tests. It has no non-test file: the tests load the module once
 // (go list for the build, export data for the standard library, go/types
-// over every module package's non-test files) and check four rules:
+// over every module package's non-test files) and check these rules:
 //
 //   - import-graph: each package's module imports are exactly the ones
 //     importTable lists, and the table stays inside layerLimits;
-//   - one-crc-importer: only internal/frame imports hash/crc32;
+//   - restricted imports: a standard-library package in
+//     restrictedImports is imported only by the packages its row names
+//     (one-crc-importer: only internal/frame imports hash/crc32;
+//     testing-importers: only the two test helpers import testing);
 //   - every-function-has-a-caller: every non-test function and method is
 //     referenced from non-test code, is main or init, is required by an
 //     interface its type implements, or is on the allowlist;
@@ -61,7 +64,6 @@ var importTable = map[string][]string{
 	"internal/frame":       {},
 	"internal/graph":       {"internal/core", "internal/stream"},
 	"internal/leakcheck":   {},
-	"internal/modelcheck":  {"internal/adapt", "internal/clock", "internal/core", "internal/persist"},
 	"internal/monitor":     {"internal/clock", "internal/core", "internal/graph"},
 	"internal/ops":         {"internal/clock", "internal/core", "internal/graph", "internal/stream"},
 	"internal/optimizer":   {"internal/core", "internal/ops", "internal/stream"},
@@ -95,14 +97,21 @@ var layerLimits = map[string][]string{
 // outerLayers are the module trees nothing under internal/ may import.
 var outerLayers = []string{"pipes", "cmd", "examples", "benchmark"}
 
-// crcOwner is the one package that may import hash/crc32: every CRC in
-// the module is a frame's.
-const crcOwner = "internal/frame"
+// restrictedImports lists the standard-library packages that only a few
+// module packages may import in non-test files, each under its own rule.
+var restrictedImports = []struct {
+	path, rule string
+	owners     []string
+	why        string
+}{
+	{"hash/crc32", "one-crc-importer", []string{"internal/frame"}, "frame every checksummed byte stream with it"},
+	{"testing", "testing-importers", []string{"internal/leakcheck", "internal/smoketest"}, "a test harness lives in _test.go files"},
+}
 
 // exportedCeiling is the number of exported package-level identifiers in
 // internal/* that no other package's non-test code uses. It only falls:
 // a change that unexports or deletes one lowers it.
-const exportedCeiling = 154
+const exportedCeiling = 73
 
 // rules is what a check run compares a module against: the real module
 // uses the tables above, the negative cases a fixture's own.
@@ -244,11 +253,11 @@ func (m *module) rel(path string) (string, bool) {
 	return strings.CutPrefix(path, m.path+"/")
 }
 
-// check runs the four rules and returns one message per violation.
+// check runs every rule and returns one message per violation.
 func check(m *module, r rules) []string {
 	var out []string
 	out = append(out, checkImportGraph(m, r)...)
-	out = append(out, checkCRCImporter(m)...)
+	out = append(out, checkRestrictedImports(m)...)
 	out = append(out, checkCallers(m, r)...)
 	out = append(out, checkExportedCeiling(m, r)...)
 	return out
@@ -303,11 +312,13 @@ func checkImportGraph(m *module, r rules) []string {
 	return out
 }
 
-func checkCRCImporter(m *module) []string {
+func checkRestrictedImports(m *module) []string {
 	var out []string
-	for _, p := range m.pkgs {
-		if p.rel != crcOwner && slices.Contains(p.imports, "hash/crc32") {
-			out = append(out, fmt.Sprintf("one-crc-importer: %s imports hash/crc32; only %s may (frame every checksummed byte stream with it)", p.rel, crcOwner))
+	for _, r := range restrictedImports {
+		for _, p := range m.pkgs {
+			if !slices.Contains(r.owners, p.rel) && slices.Contains(p.imports, r.path) {
+				out = append(out, fmt.Sprintf("%s: %s imports %s; only %s may (%s)", r.rule, p.rel, r.path, strings.Join(r.owners, " and "), r.why))
+			}
 		}
 	}
 	return out
@@ -572,8 +583,8 @@ func TestImportGraph(t *testing.T) {
 	report(t, checkImportGraph(repoModule(t), moduleRules))
 }
 
-func TestOneCRCImporter(t *testing.T) {
-	report(t, checkCRCImporter(repoModule(t)))
+func TestRestrictedImports(t *testing.T) {
+	report(t, checkRestrictedImports(repoModule(t)))
 }
 
 func TestEveryFunctionHasACaller(t *testing.T) {
@@ -615,6 +626,7 @@ func TestRulesFire(t *testing.T) {
 		{"core imports watch (table)", "import-graph: internal/core imports internal/watch, which the import table does not list"},
 		{"core imports watch (layer)", "import-graph: internal/core imports internal/watch; its layer may import only [internal/clock internal/ring]"},
 		{"second crc32 importer", "one-crc-importer: internal/other imports hash/crc32"},
+		{"testing outside the test helpers", "testing-importers: internal/other imports testing"},
 		{"uncalled exported function", "every-function-has-a-caller: internal/other.Uncalled has no non-test caller"},
 		{"stale allowlist entry", "every-function-has-a-caller: allowlist entry internal/other.Removed is stale"},
 		{"self-reference is not a caller", "every-function-has-a-caller: internal/other.loop has no non-test caller"},

@@ -14,8 +14,8 @@ import (
 	"repro/internal/stream"
 )
 
-// E8Sample is one time point of the cost-model tracking experiment.
-type E8Sample struct {
+// e8Sample is one time point of the cost-model tracking experiment.
+type e8Sample struct {
 	// At is the sampling time.
 	At clock.Time
 	// EstCPU is the cost model's estimated CPU usage.
@@ -26,21 +26,21 @@ type E8Sample struct {
 	WindowSize clock.Duration
 }
 
-// E8Result is the outcome of the Figure 3 / Section 3.3 scenario.
-type E8Result struct {
+// e8Result is the outcome of the Figure 3 / Section 3.3 scenario.
+type e8Result struct {
 	// Samples is the recorded trajectory.
-	Samples []E8Sample
+	Samples []e8Sample
 	// ResizeAt is the time the resource manager halved the windows.
 	ResizeAt clock.Time
 }
 
-// RunE8 runs the full Figure 3 cost-model scenario: a sliding-window
+// runE8 runs the full Figure 3 cost-model scenario: a sliding-window
 // join over two constant-rate streams, with the estimated and measured
 // CPU usage recorded every sampleEvery units. Halfway through the run
 // the window sizes are halved (the Section 3.3 window adjustment); the
 // event-triggered re-estimation must step immediately, and the
 // measured value follows as old state expires.
-func RunE8(rate float64, window clock.Duration, duration clock.Duration, sampleEvery clock.Duration) *E8Result {
+func runE8(rate float64, window clock.Duration, duration clock.Duration, sampleEvery clock.Duration) *e8Result {
 	vc := clock.NewVirtual()
 	g := graph.New(core.NewEnv(vc))
 	statWindow := sampleEvery
@@ -74,12 +74,12 @@ func RunE8(rate float64, window clock.Duration, duration clock.Duration, sampleE
 	e.Bind(src1, stream.NewConstantRate(0, interval, 0))
 	e.Bind(src2, stream.NewConstantRate(clock.Time(interval/2), interval, 0))
 
-	res := &E8Result{ResizeAt: clock.Time(duration / 2)}
+	res := &e8Result{ResizeAt: clock.Time(duration / 2)}
 	for t := sampleEvery; t <= duration; t += sampleEvery {
 		vc.Schedule(clock.Time(t)+1, func(now clock.Time) {
 			ev, _ := est.Float()
 			mv, _ := meas.Float()
-			res.Samples = append(res.Samples, E8Sample{
+			res.Samples = append(res.Samples, e8Sample{
 				At: now, EstCPU: ev, MeasCPU: mv, WindowSize: w1.Size(),
 			})
 		})
@@ -93,7 +93,7 @@ func RunE8(rate float64, window clock.Duration, duration clock.Duration, sampleE
 }
 
 // table renders the trajectory.
-func (r *E8Result) table() *Table {
+func (r *e8Result) table() *Table {
 	t := &Table{
 		Title:  "E8 / Figure 3 — estimated vs measured join CPU usage under a window change",
 		Note:   fmt.Sprintf("windows halved at t=%d: the triggered estimate steps immediately; the measurement follows as state expires", r.ResizeAt),
@@ -105,8 +105,8 @@ func (r *E8Result) table() *Table {
 	return t
 }
 
-// E10Row is one scheduling-strategy result.
-type E10Row struct {
+// e10Row is one scheduling-strategy result.
+type e10Row struct {
 	// Strategy names the scheduler.
 	Strategy string
 	// PeakQueueBytes is the maximum total queue memory observed.
@@ -117,15 +117,15 @@ type E10Row struct {
 	Processed int64
 }
 
-// RunE10 compares scheduling strategies on queue memory (the Chain
+// runE10 compares scheduling strategies on queue memory (the Chain
 // motivating application [5]): a bursty source feeds two parallel
 // two-filter branches — branch A's first filter discards 90% of its
 // input, branch B's passes everything — under a tight service budget.
 // Chain, informed by live selectivity metadata, spends its budget
 // where servicing frees the most queue memory; the oblivious baselines
 // waste budget moving branch-B elements from one queue to the next.
-func RunE10(duration clock.Duration) []E10Row {
-	var rows []E10Row
+func runE10(duration clock.Duration) []e10Row {
+	var rows []e10Row
 	for _, strategy := range []string{"roundrobin", "fifo", "chain"} {
 		vc := clock.NewVirtual()
 		g := graph.New(core.NewEnv(vc))
@@ -171,7 +171,7 @@ func RunE10(duration clock.Duration) []E10Row {
 				peak = b
 			}
 		}
-		rows = append(rows, E10Row{
+		rows = append(rows, e10Row{
 			Strategy:        strategy,
 			PeakQueueBytes:  peak,
 			FinalQueueBytes: e.QueuedBytes(),
@@ -183,7 +183,7 @@ func RunE10(duration clock.Duration) []E10Row {
 }
 
 // e10Table renders the scheduling comparison.
-func e10Table(rows []E10Row) *Table {
+func e10Table(rows []e10Row) *Table {
 	t := &Table{
 		Title:  "E10 — Chain scheduling vs baselines (queue memory under overload)",
 		Note:   "Chain consumes live selectivity metadata and drains the discarding filter first, minimizing queue memory [5]",
@@ -195,8 +195,8 @@ func e10Table(rows []E10Row) *Table {
 	return t
 }
 
-// E11Row is one load-shedding result.
-type E11Row struct {
+// e11Row is one load-shedding result.
+type e11Row struct {
 	// Shedding reports whether the load shedder was active.
 	Shedding bool
 	// FinalMeasuredCPU is the join's measured CPU usage at the end.
@@ -209,11 +209,11 @@ type E11Row struct {
 	Capacity float64
 }
 
-// RunE11 runs an overloaded join with and without a metadata-driven
+// runE11 runs an overloaded join with and without a metadata-driven
 // load shedder in front of it ([21]): with shedding, the measured CPU
 // usage converges to the capacity; without, it stays far above.
-func RunE11(capacity float64, duration clock.Duration) []E11Row {
-	var rows []E11Row
+func runE11(capacity float64, duration clock.Duration) []e11Row {
+	var rows []e11Row
 	for _, shedding := range []bool{false, true} {
 		vc := clock.NewVirtual()
 		g := graph.New(core.NewEnv(vc))
@@ -258,7 +258,7 @@ func RunE11(capacity float64, duration clock.Duration) []E11Row {
 			}
 		}
 		final, _ := load.Float()
-		rows = append(rows, E11Row{
+		rows = append(rows, e11Row{
 			Shedding:         shedding,
 			FinalMeasuredCPU: final,
 			PeakMeasuredCPU:  peak,
@@ -274,7 +274,7 @@ func RunE11(capacity float64, duration clock.Duration) []E11Row {
 }
 
 // e11Table renders the shedding comparison.
-func e11Table(rows []E11Row) *Table {
+func e11Table(rows []e11Row) *Table {
 	t := &Table{
 		Title:  "E11 — load shedding driven by resource-usage metadata",
 		Note:   "the shedder raises the drop probability until the measured CPU usage meets the capacity bound [21]",
@@ -286,8 +286,8 @@ func e11Table(rows []E11Row) *Table {
 	return t
 }
 
-// E14Result is the inheritance-override outcome.
-type E14Result struct {
+// e14Result is the inheritance-override outcome.
+type e14Result struct {
 	// BaseMemUsage is the memory item value under the inherited
 	// definition.
 	BaseMemUsage float64
@@ -301,13 +301,13 @@ type E14Result struct {
 	HandlersOverridden int64
 }
 
-// RunE14 reproduces the Section 4.4.2 example: an operator provides a
+// runE14 reproduces the Section 4.4.2 example: an operator provides a
 // memory-usage item; a specialized implementation overrides it to
 // account for an additional index structure.
-func RunE14() *E14Result {
+func runE14() *e14Result {
 	vc := clock.NewVirtual()
 	env := core.NewEnv(vc)
-	res := &E14Result{}
+	res := &e14Result{}
 
 	// "Super class" node.
 	r := env.NewRegistry("op")
@@ -367,7 +367,7 @@ func RunE14() *E14Result {
 }
 
 // table renders the override comparison.
-func (r *E14Result) table() *Table {
+func (r *e14Result) table() *Table {
 	t := &Table{
 		Title:  "E14 — metadata inheritance and redefinition (Section 4.4.2)",
 		Note:   "the subclass overrides memUsage to reflect its auxiliary index; redefinition adds one dependency handler, no steady-state cost",
@@ -378,8 +378,8 @@ func (r *E14Result) table() *Table {
 	return t
 }
 
-// E15Row is one sweep-area module result.
-type E15Row struct {
+// e15Row is one sweep-area module result.
+type e15Row struct {
 	// Impl is the module implementation type.
 	Impl string
 	// MemUsage is the join-level memory item (aggregating modules).
@@ -391,12 +391,12 @@ type E15Row struct {
 	ModuleItems int
 }
 
-// RunE15 exchanges the join's sweep-area modules (list vs hash) and
+// runE15 exchanges the join's sweep-area modules (list vs hash) and
 // shows that the join-level metadata follows the modules (Section
 // 4.5): the memory item aggregates whatever modules are installed, and
 // the measured CPU reflects the hash areas' cheaper probes.
-func RunE15(keys int, duration clock.Duration) []E15Row {
-	var rows []E15Row
+func runE15(keys int, duration clock.Duration) []e15Row {
+	var rows []e15Row
 	for _, impl := range []string{"list", "hash"} {
 		vc := clock.NewVirtual()
 		g := graph.New(core.NewEnv(vc))
@@ -444,7 +444,7 @@ func RunE15(keys int, duration clock.Duration) []E15Row {
 
 		mv, _ := mem.Float()
 		cv, _ := cpu.Float()
-		rows = append(rows, E15Row{
+		rows = append(rows, e15Row{
 			Impl:        impl,
 			MemUsage:    mv,
 			MeasuredCPU: cv,
@@ -457,7 +457,7 @@ func RunE15(keys int, duration clock.Duration) []E15Row {
 }
 
 // e15Table renders the module comparison.
-func e15Table(rows []E15Row) *Table {
+func e15Table(rows []e15Row) *Table {
 	t := &Table{
 		Title:  "E15 — metadata of exchangeable modules (list vs hash sweep areas)",
 		Note:   "join-level memUsage aggregates module metadata recursively; hash areas probe fewer candidates, visible in the measured CPU item",

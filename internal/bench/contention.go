@@ -9,9 +9,9 @@ import (
 	"repro/internal/core"
 )
 
-// C1Row is one contention measurement: g goroutines hammering value
+// c1Row is one contention measurement: g goroutines hammering value
 // reads and subscription churn over independent dependency scopes.
-type C1Row struct {
+type c1Row struct {
 	// Goroutines is the number of concurrent clients.
 	Goroutines int
 	// Workers is the periodic-updater pool size (0 = inline).
@@ -25,7 +25,7 @@ type C1Row struct {
 	ChurnNs  int64
 }
 
-// RunC1 measures structural-lock contention (the scalability target of
+// runC1 measures structural-lock contention (the scalability target of
 // the dependency-scope locking scheme). It builds `registries`
 // independent registries — each its own dependency-scope component,
 // carrying a periodic item and a triggered dependent — pins one
@@ -43,8 +43,8 @@ type C1Row struct {
 // per-scope locks and atomic value snapshots they scale with cores.
 // elapsed returns the wall-clock nanoseconds of running its argument
 // (injected so this package stays free of wall-time dependencies).
-func RunC1(goroutineCounts []int, registries, ops, workers int, elapsed func(func()) int64) []C1Row {
-	var rows []C1Row
+func runC1(goroutineCounts []int, registries, ops, workers int, elapsed func(func()) int64) []c1Row {
+	var rows []c1Row
 	for _, g := range goroutineCounts {
 		vc := clock.NewVirtual()
 		var updater core.Updater
@@ -82,7 +82,7 @@ func RunC1(goroutineCounts []int, registries, ops, workers int, elapsed func(fun
 			regs[i], pinned[i] = r, s
 		}
 
-		row := C1Row{Goroutines: g, Workers: workers}
+		row := c1Row{Goroutines: g, Workers: workers}
 
 		// Phase 1: parallel value reads racing periodic publishes.
 		var done atomic.Int64
@@ -140,7 +140,7 @@ func RunC1(goroutineCounts []int, registries, ops, workers int, elapsed func(fun
 }
 
 // c1Table renders the contention sweep.
-func c1Table(rows []C1Row) *Table {
+func c1Table(rows []c1Row) *Table {
 	t := &Table{
 		Title: "C1 — structural-lock contention: parallel reads & subscription churn",
 		Note: "independent registries are independent dependency-scope components: value reads are lock-free atomic\n" +

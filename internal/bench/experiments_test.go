@@ -10,8 +10,8 @@ import (
 )
 
 func TestE3OnDemandBeatsMaintainAll(t *testing.T) {
-	rows := RunE3([]int{20, 80}, 0.1, 2000)
-	byKey := map[string]E3Row{}
+	rows := runE3([]int{20, 80}, 0.1, 2000)
+	byKey := map[string]e3Row{}
 	for _, r := range rows {
 		byKey[r.Policy+"/"+strconv.Itoa(r.Operators)] = r
 	}
@@ -37,7 +37,7 @@ func TestE3OnDemandBeatsMaintainAll(t *testing.T) {
 
 func TestE4TradeOffShape(t *testing.T) {
 	windows := []clock.Duration{10, 50, 200}
-	rows := RunE4(windows, 1.0, 0.2, 500, 4000)
+	rows := runE4(windows, 1.0, 0.2, 500, 4000)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -56,15 +56,15 @@ func TestE4TradeOffShape(t *testing.T) {
 }
 
 func TestE5TriggeredTracksChangeRate(t *testing.T) {
-	rows := RunE5([]clock.Duration{50, 400}, 20, 4000)
-	get := func(ci clock.Duration, mech string) E5Row {
+	rows := runE5([]clock.Duration{50, 400}, 20, 4000)
+	get := func(ci clock.Duration, mech string) e5Row {
 		for _, r := range rows {
 			if r.ChangeEvery == ci && r.Mechanism == mech {
 				return r
 			}
 		}
 		t.Fatalf("missing row %d/%s", ci, mech)
-		return E5Row{}
+		return e5Row{}
 	}
 	// Triggered updates equal the number of changes.
 	if got := get(50, "triggered").Updates; got != 80 {
@@ -92,15 +92,15 @@ func TestE5TriggeredTracksChangeRate(t *testing.T) {
 }
 
 func TestE6SharingConstantUnsharedLinear(t *testing.T) {
-	rows := RunE6([]int{1, 8, 32}, 1000)
-	get := func(k int, shared bool) E6Row {
+	rows := runE6([]int{1, 8, 32}, 1000)
+	get := func(k int, shared bool) e6Row {
 		for _, r := range rows {
 			if r.Consumers == k && r.Shared == shared {
 				return r
 			}
 		}
 		t.Fatalf("missing row %d/%v", k, shared)
-		return E6Row{}
+		return e6Row{}
 	}
 	// Shared: exactly one handler and constant work for any k.
 	for _, k := range []int{1, 8, 32} {
@@ -122,7 +122,7 @@ func TestE6SharingConstantUnsharedLinear(t *testing.T) {
 }
 
 func TestE7TraversalCosts(t *testing.T) {
-	rows := RunE7([]int{1, 10, 100})
+	rows := runE7([]int{1, 10, 100})
 	for i, d := range []int{1, 10, 100} {
 		r := rows[i]
 		if r.FirstTraversals != int64(d+1) {
@@ -138,11 +138,11 @@ func TestE7TraversalCosts(t *testing.T) {
 }
 
 func TestE8EstimateStepsAtResize(t *testing.T) {
-	res := RunE8(0.1, 100, 4000, 100)
+	res := runE8(0.1, 100, 4000, 100)
 	if len(res.Samples) < 30 {
 		t.Fatalf("samples = %d", len(res.Samples))
 	}
-	var before, after E8Sample
+	var before, after e8Sample
 	for _, s := range res.Samples {
 		if s.At < res.ResizeAt {
 			before = s
@@ -161,7 +161,7 @@ func TestE8EstimateStepsAtResize(t *testing.T) {
 	// The estimate tracks the measurement within 2x in steady state
 	// (both before and well after the resize).
 	last := res.Samples[len(res.Samples)-1]
-	for _, s := range []E8Sample{before, last} {
+	for _, s := range []e8Sample{before, last} {
 		if s.MeasCPU <= 0 {
 			t.Fatalf("no measured CPU at t=%d", s.At)
 		}
@@ -173,8 +173,8 @@ func TestE8EstimateStepsAtResize(t *testing.T) {
 }
 
 func TestE10ChainMinimizesQueueMemory(t *testing.T) {
-	rows := RunE10(1200)
-	byName := map[string]E10Row{}
+	rows := runE10(1200)
+	byName := map[string]e10Row{}
 	for _, r := range rows {
 		byName[r.Strategy] = r
 	}
@@ -188,8 +188,8 @@ func TestE10ChainMinimizesQueueMemory(t *testing.T) {
 }
 
 func TestE11SheddingBoundsLoad(t *testing.T) {
-	rows := RunE11(5, 12000)
-	var with, without E11Row
+	rows := runE11(5, 12000)
+	var with, without e11Row
 	for _, r := range rows {
 		if r.Shedding {
 			with = r
@@ -209,8 +209,8 @@ func TestE11SheddingBoundsLoad(t *testing.T) {
 }
 
 func TestE12AutoRemovalBoundsState(t *testing.T) {
-	rows := RunE12(200, 10, 20)
-	var auto, noAuto E12Row
+	rows := runE12(200, 10, 20)
+	var auto, noAuto e12Row
 	for _, r := range rows {
 		if r.AutoRemoval {
 			auto = r
@@ -230,8 +230,8 @@ func TestE12AutoRemovalBoundsState(t *testing.T) {
 }
 
 func TestE13DynamicResolutionAvoidsChain(t *testing.T) {
-	rows := RunE13(50)
-	var static, dyn E13Row
+	rows := runE13(50)
+	var static, dyn e13Row
 	for _, r := range rows {
 		if r.Resolution == "static" {
 			static = r
@@ -253,7 +253,7 @@ func TestE13DynamicResolutionAvoidsChain(t *testing.T) {
 }
 
 func TestE14OverrideValues(t *testing.T) {
-	r := RunE14()
+	r := runE14()
 	if r.BaseMemUsage != 100 {
 		t.Fatalf("base memUsage = %v, want 100", r.BaseMemUsage)
 	}
@@ -267,8 +267,8 @@ func TestE14OverrideValues(t *testing.T) {
 }
 
 func TestE15HashModuleCheaper(t *testing.T) {
-	rows := RunE15(20, 3000)
-	var list, hash E15Row
+	rows := runE15(20, 3000)
+	var list, hash e15Row
 	for _, r := range rows {
 		if r.Impl == "list" {
 			list = r
@@ -296,7 +296,7 @@ func TestE9PoolSpeedsUpLargeGraphs(t *testing.T) {
 		fn()
 		return time.Since(start).Nanoseconds()
 	}
-	rows := RunE9([]int{0, 4}, 200, 20, 20000, elapsed)
+	rows := runE9([]int{0, 4}, 200, 20, 20000, elapsed)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}

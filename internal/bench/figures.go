@@ -6,13 +6,13 @@ import (
 	"repro/internal/stream"
 )
 
-// E1Result reproduces Figure 4: two consumers measuring the input rate
+// e1Result reproduces Figure 4: two consumers measuring the input rate
 // of a constant-rate stream (one element every 10 units, true rate
 // 0.1) concurrently. The naive scheme — an on-demand computation over
 // a shared reset-on-read counter — lets the consumers corrupt each
 // other's measurements; the shared periodic handler returns the
 // correct rate to both.
-type E1Result struct {
+type e1Result struct {
 	// TrueRate is the analytic input rate (0.1).
 	TrueRate float64
 	// User1Naive and User2Naive are the rates the two naive consumers
@@ -26,10 +26,10 @@ type E1Result struct {
 	User2Periodic []float64
 }
 
-// RunE1 executes the Figure 4 scenario. Arrivals occur every 10 units;
+// runE1 executes the Figure 4 scenario. Arrivals occur every 10 units;
 // both users access every 50 units, user 2 offset by 20 (the figure's
 // interleaving). accesses is the number of accesses per user.
-func RunE1(accesses int) *E1Result {
+func runE1(accesses int) *e1Result {
 	vc := clock.NewVirtual()
 	env := core.NewEnv(vc)
 	r := env.NewRegistry("op")
@@ -79,7 +79,7 @@ func RunE1(accesses int) *E1Result {
 	}
 	scheduleArrival()
 
-	res := &E1Result{TrueRate: 0.1}
+	res := &e1Result{TrueRate: 0.1}
 
 	// Consumer access schedules: user 1 at 51, 101, ...; user 2 at
 	// 71, 121, ... (one unit past the window boundaries, so the
@@ -109,7 +109,7 @@ func RunE1(accesses int) *E1Result {
 }
 
 // table renders the Figure 4 comparison.
-func (r *E1Result) table() *Table {
+func (r *e1Result) table() *Table {
 	t := &Table{
 		Title:  "E1 / Figure 4 — problems with concurrent periodic access",
 		Note:   "true input rate 0.1; naive on-demand sharing corrupts both users, the shared periodic handler is exact",
@@ -133,12 +133,12 @@ func trimFloat(f float64) string {
 	return t.Rows[0][0]
 }
 
-// E2Result reproduces Figure 5: on a bursty stream, an on-demand
+// e2Result reproduces Figure 5: on a bursty stream, an on-demand
 // average over the periodic input rate — sampled whenever consumers
 // happen to look, here at burst peaks — reports the peak rate instead
 // of the mean, while a triggered average synchronized with the input
 // rate's updates is correct.
-type E2Result struct {
+type e2Result struct {
 	// TrueMean is the analytic long-run mean rate.
 	TrueMean float64
 	// PeakRate is the in-burst rate.
@@ -150,11 +150,11 @@ type E2Result struct {
 	TriggeredAvg float64
 }
 
-// RunE2 executes the Figure 5 scenario: bursts of 1 element/unit for
+// runE2 executes the Figure 5 scenario: bursts of 1 element/unit for
 // onDur units followed by offDur units of silence, for the given
 // number of cycles. The periodic input rate updates every window
 // units; the on-demand average is accessed once per burst, mid-burst.
-func RunE2(onDur, offDur clock.Duration, window clock.Duration, cycles int) *E2Result {
+func runE2(onDur, offDur clock.Duration, window clock.Duration, cycles int) *e2Result {
 	vc := clock.NewVirtual()
 	env := core.NewEnv(vc)
 	r := env.NewRegistry("op")
@@ -254,7 +254,7 @@ func RunE2(onDur, offDur clock.Duration, window clock.Duration, cycles int) *E2R
 	vc.AdvanceTo(clock.Time(clock.Duration(cycles) * cycle))
 
 	tgv, _ := tg.Float()
-	return &E2Result{
+	return &e2Result{
 		TrueMean:     stream.NewBursty(0, 1, onDur, offDur, 0).MeanRate(),
 		PeakRate:     1,
 		OnDemandAvg:  lastOD,
@@ -263,7 +263,7 @@ func RunE2(onDur, offDur clock.Duration, window clock.Duration, cycles int) *E2R
 }
 
 // table renders the Figure 5 comparison.
-func (r *E2Result) table() *Table {
+func (r *e2Result) table() *Table {
 	t := &Table{
 		Title:  "E2 / Figure 5 — problems with on-demand aggregation",
 		Note:   "bursty arrivals: the on-demand average sampled at peaks reports ~the peak rate; the triggered average reports the true mean",

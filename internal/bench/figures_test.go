@@ -7,7 +7,7 @@ import (
 )
 
 func TestE1NaiveRatesWrongPeriodicExact(t *testing.T) {
-	r := RunE1(8)
+	r := runE1(8)
 	if len(r.User1Naive) != 8 || len(r.User2Naive) != 8 {
 		t.Fatalf("access counts: %d/%d", len(r.User1Naive), len(r.User2Naive))
 	}
@@ -37,7 +37,7 @@ func TestE1NaiveRatesWrongPeriodicExact(t *testing.T) {
 }
 
 func TestE1SteadyStateMatchesFigure(t *testing.T) {
-	r := RunE1(8)
+	r := runE1(8)
 	// With accesses at 50k (user1) and 50k+20 (user2) over arrivals
 	// every 10 units: user1's inter-access window catches 3 elements
 	// (0.06), user2's catches 2 (0.04).
@@ -52,7 +52,7 @@ func TestE1SteadyStateMatchesFigure(t *testing.T) {
 }
 
 func TestE1Table(t *testing.T) {
-	tab := RunE1(4).table()
+	tab := runE1(4).table()
 	out := tab.String()
 	if !strings.Contains(out, "Figure 4") || len(tab.Rows) != 4 {
 		t.Fatalf("table wrong:\n%s", out)
@@ -61,7 +61,7 @@ func TestE1Table(t *testing.T) {
 
 func TestE2OnDemandBiasedTriggeredCorrect(t *testing.T) {
 	// Bursts: 20 units at rate 1, then 80 units silence; mean 0.2.
-	r := RunE2(20, 80, 10, 50)
+	r := runE2(20, 80, 10, 50)
 	if r.TrueMean != 0.2 {
 		t.Fatalf("true mean = %v, want 0.2", r.TrueMean)
 	}
@@ -76,7 +76,7 @@ func TestE2OnDemandBiasedTriggeredCorrect(t *testing.T) {
 }
 
 func TestE2Table(t *testing.T) {
-	out := RunE2(20, 80, 10, 10).table().String()
+	out := runE2(20, 80, 10, 10).table().String()
 	if !strings.Contains(out, "Figure 5") || !strings.Contains(out, "triggered average") {
 		t.Fatalf("table wrong:\n%s", out)
 	}

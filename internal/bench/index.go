@@ -24,63 +24,63 @@ func Experiments(elapsed func(func()) int64) []Experiment {
 		{"c1", "contention: parallel reads & churn across dependency scopes", func() *Table {
 			// Both updaters: inline (workers=0) and a 2-worker pool.
 			return c1Table(append(
-				RunC1([]int{1, 2, 4, 8}, 64, 100000, 0, elapsed),
-				RunC1([]int{1, 2, 4, 8}, 64, 100000, 2, elapsed)...))
+				runC1([]int{1, 2, 4, 8}, 64, 100000, 0, elapsed),
+				runC1([]int{1, 2, 4, 8}, 64, 100000, 2, elapsed)...))
 		}},
 		{"e1", "Figure 4: concurrent periodic access", func() *Table {
-			return RunE1(8).table()
+			return runE1(8).table()
 		}},
 		{"e2", "Figure 5: on-demand aggregation", func() *Table {
-			return RunE2(20, 80, 10, 50).table()
+			return runE2(20, 80, 10, 50).table()
 		}},
 		{"e3", "provision scalability (pub-sub vs maintain-all)", func() *Table {
-			return e3Table(RunE3([]int{10, 50, 100, 200, 400}, 0.1, 2000))
+			return e3Table(runE3([]int{10, 50, 100, 200, 400}, 0.1, 2000))
 		}},
 		{"e4", "freshness vs overhead (window sweep)", func() *Table {
-			return e4Table(RunE4([]clock.Duration{10, 20, 50, 100, 200, 500}, 1.0, 0.2, 500, 8000))
+			return e4Table(runE4([]clock.Duration{10, 20, 50, 100, 200, 500}, 1.0, 0.2, 500, 8000))
 		}},
 		{"e5", "triggered vs periodic maintenance", func() *Table {
-			return e5Table(RunE5([]clock.Duration{25, 50, 100, 200, 400, 800}, 20, 8000))
+			return e5Table(runE5([]clock.Duration{25, 50, 100, 200, 400, 800}, 20, 8000))
 		}},
 		{"e6", "handler sharing across consumers", func() *Table {
-			return e6Table(RunE6([]int{1, 2, 4, 8, 16, 32, 64}, 1000))
+			return e6Table(runE6([]int{1, 2, 4, 8, 16, 32, 64}, 1000))
 		}},
 		{"e7", "automated dependency inclusion", func() *Table {
-			return e7Table(RunE7([]int{1, 2, 5, 10, 20, 50, 100, 200}))
+			return e7Table(runE7([]int{1, 2, 5, 10, 20, 50, 100, 200}))
 		}},
 		{"e8", "Figure 3: cost model under window change", func() *Table {
-			return RunE8(0.1, 100, 4000, 200).table()
+			return runE8(0.1, 100, 4000, 200).table()
 		}},
 		{"e9", "periodic update worker pool", func() *Table {
-			return e9Table(RunE9([]int{0, 1, 2, 4, 8}, 400, 25, 20000, elapsed))
+			return e9Table(runE9([]int{0, 1, 2, 4, 8}, 400, 25, 20000, elapsed))
 		}},
 		{"f2", "Figure 2: metadata taxonomy, live", f2Table},
 		{"e10", "Chain scheduling vs baselines", func() *Table {
-			return e10Table(RunE10(1200))
+			return e10Table(runE10(1200))
 		}},
 		{"e11", "load shedding under overload", func() *Table {
-			return e11Table(RunE11(5, 12000))
+			return e11Table(runE11(5, 12000))
 		}},
 		{"e12", "subscription churn and auto-removal", func() *Table {
-			return e12Table(RunE12(200, 10, 20))
+			return e12Table(runE12(200, 10, 20))
 		}},
 		{"e13", "dynamic dependency resolution", func() *Table {
-			return e13Table(RunE13(50))
+			return e13Table(runE13(50))
 		}},
 		{"e14", "metadata inheritance and redefinition", func() *Table {
-			return RunE14().table()
+			return runE14().table()
 		}},
 		{"e15", "exchangeable module metadata", func() *Table {
-			return e15Table(RunE15(20, 3000))
+			return e15Table(runE15(20, 3000))
 		}},
 		{"e16", "adaptive filter reordering (optimizer)", func() *Table {
-			return RunE16(3000).table()
+			return runE16(3000).table()
 		}},
 		{"e17", "join-order advisor on rate metadata", func() *Table {
-			return e17Table(RunE17())
+			return e17Table(runE17())
 		}},
 		{"e18", "QoS-priority scheduling vs round-robin", func() *Table {
-			return e18Table(RunE18(3000))
+			return e18Table(runE18(3000))
 		}},
 	}
 }

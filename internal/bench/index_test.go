@@ -29,7 +29,7 @@ func TestC1ContentionRows(t *testing.T) {
 	gs := []int{1, 2, 4}
 	for _, workers := range []int{0, 2} {
 		timed := 0
-		rows := RunC1(gs, 4, ops, workers, func(fn func()) int64 { timed++; fn(); return 1 })
+		rows := runC1(gs, 4, ops, workers, func(fn func()) int64 { timed++; fn(); return 1 })
 		if len(rows) != len(gs) || timed != 2*len(gs) {
 			t.Fatalf("workers=%d: %d rows and %d timed phases for %d goroutine counts", workers, len(rows), timed, len(gs))
 		}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/core"
 )
 
-// E4Row is one point of the freshness/overhead trade-off sweep.
-type E4Row struct {
+// e4Row is one point of the freshness/overhead trade-off sweep.
+type e4Row struct {
 	// Window is the periodic update window size.
 	Window clock.Duration
 	// Updates is the number of periodic updates during the run.
@@ -20,13 +20,13 @@ type E4Row struct {
 	MeanAbsError float64
 }
 
-// RunE4 sweeps the periodic window size for a rate measurement over a
+// runE4 sweeps the periodic window size for a rate measurement over a
 // square-wave workload (rate alternates between hi and lo every phase
 // time units). Small windows track the changes closely but update
 // often; large windows are cheap but stale — the calibration knob of
 // Section 3.1.
-func RunE4(windows []clock.Duration, hi, lo float64, phase clock.Duration, duration clock.Duration) []E4Row {
-	var rows []E4Row
+func runE4(windows []clock.Duration, hi, lo float64, phase clock.Duration, duration clock.Duration) []e4Row {
+	var rows []e4Row
 	for _, w := range windows {
 		vc := clock.NewVirtual()
 		env := core.NewEnv(vc)
@@ -84,7 +84,7 @@ func RunE4(windows []clock.Duration, hi, lo float64, phase clock.Duration, durat
 		before := env.Stats().Snapshot()
 		vc.AdvanceTo(clock.Time(duration))
 		delta := env.Stats().Snapshot().Sub(before)
-		rows = append(rows, E4Row{
+		rows = append(rows, e4Row{
 			Window:       w,
 			Updates:      delta.PeriodicUpdates,
 			MeanAbsError: errSum / float64(samples),
@@ -95,7 +95,7 @@ func RunE4(windows []clock.Duration, hi, lo float64, phase clock.Duration, durat
 }
 
 // e4Table renders the sweep.
-func e4Table(rows []E4Row) *Table {
+func e4Table(rows []e4Row) *Table {
 	t := &Table{
 		Title:  "E4 — freshness vs computational overhead (periodic window sweep)",
 		Note:   "updates fall as 1/window while the staleness error grows with the window — the trade-off of Section 3.1",
@@ -107,8 +107,8 @@ func e4Table(rows []E4Row) *Table {
 	return t
 }
 
-// E5Row is one point of the triggered-vs-periodic comparison.
-type E5Row struct {
+// e5Row is one point of the triggered-vs-periodic comparison.
+type e5Row struct {
 	// ChangeEvery is the interval between changes of the underlying
 	// item.
 	ChangeEvery clock.Duration
@@ -121,14 +121,14 @@ type E5Row struct {
 	StaleFraction float64
 }
 
-// RunE5 compares triggered and periodic maintenance for a derived item
+// runE5 compares triggered and periodic maintenance for a derived item
 // whose underlying item changes every changeEvery units: the triggered
 // handler updates exactly once per change (cost proportional to the
 // change rate, never stale at sampling points); the periodic handler
 // pays its fixed rate regardless and is stale between refreshes
 // (Section 3.2.3: "this causes fewer costs than a periodic update").
-func RunE5(changeIntervals []clock.Duration, periodicWindow clock.Duration, duration clock.Duration) []E5Row {
-	var rows []E5Row
+func runE5(changeIntervals []clock.Duration, periodicWindow clock.Duration, duration clock.Duration) []e5Row {
+	var rows []e5Row
 	for _, ci := range changeIntervals {
 		for _, mech := range []string{"triggered", "periodic"} {
 			vc := clock.NewVirtual()
@@ -199,7 +199,7 @@ func RunE5(changeIntervals []clock.Duration, periodicWindow clock.Duration, dura
 				// change.
 				updates -= int64(duration / ci)
 			}
-			rows = append(rows, E5Row{
+			rows = append(rows, e5Row{
 				ChangeEvery:   ci,
 				Mechanism:     mech,
 				Updates:       updates,
@@ -212,7 +212,7 @@ func RunE5(changeIntervals []clock.Duration, periodicWindow clock.Duration, dura
 }
 
 // e5Table renders the comparison.
-func e5Table(rows []E5Row) *Table {
+func e5Table(rows []e5Row) *Table {
 	t := &Table{
 		Title:  "E5 — triggered vs periodic maintenance",
 		Note:   "triggered updates scale with the change rate and are never stale; periodic updates cost a fixed rate and go stale between windows",
@@ -224,8 +224,8 @@ func e5Table(rows []E5Row) *Table {
 	return t
 }
 
-// E9Row is one point of the worker-pool throughput experiment.
-type E9Row struct {
+// e9Row is one point of the worker-pool throughput experiment.
+type e9Row struct {
 	// Workers is the pool size (0 = inline updater).
 	Workers int
 	// Updates is the number of periodic updates completed.
@@ -234,14 +234,14 @@ type E9Row struct {
 	NsTotal int64
 }
 
-// RunE9 measures the periodic-update throughput of the worker pool
+// runE9 measures the periodic-update throughput of the worker pool
 // (Section 4.3): nHandlers periodic items whose computation burns
 // spinWork iterations, advanced through ticks clock windows, executed
 // by pools of various sizes. The distribution over workers speeds up
 // large graphs; "for small query graphs a single thread is
 // sufficient".
-func RunE9(workerCounts []int, nHandlers, ticks, spinWork int, elapsed func(func()) int64) []E9Row {
-	var rows []E9Row
+func runE9(workerCounts []int, nHandlers, ticks, spinWork int, elapsed func(func()) int64) []e9Row {
+	var rows []e9Row
 	for _, k := range workerCounts {
 		vc := clock.NewVirtual()
 		var updater core.Updater
@@ -282,7 +282,7 @@ func RunE9(workerCounts []int, nHandlers, ticks, spinWork int, elapsed func(func
 			updater.WaitIdle()
 		})
 		delta := env.Stats().Snapshot().Sub(before)
-		rows = append(rows, E9Row{Workers: k, Updates: delta.PeriodicUpdates, NsTotal: ns})
+		rows = append(rows, e9Row{Workers: k, Updates: delta.PeriodicUpdates, NsTotal: ns})
 		for _, s := range subs {
 			s.Unsubscribe()
 		}
@@ -292,7 +292,7 @@ func RunE9(workerCounts []int, nHandlers, ticks, spinWork int, elapsed func(func
 }
 
 // e9Table renders the throughput sweep.
-func e9Table(rows []E9Row) *Table {
+func e9Table(rows []e9Row) *Table {
 	t := &Table{
 		Title: "E9 — periodic update execution: worker pool sweep",
 		Note: "periodic update tasks distribute over a small worker pool (Section 4.3); workers=0 is the inline single-thread\n" +

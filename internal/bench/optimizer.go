@@ -11,8 +11,8 @@ import (
 	"repro/internal/stream"
 )
 
-// E16Result is the adaptive filter-reordering outcome.
-type E16Result struct {
+// e16Result is the adaptive filter-reordering outcome.
+type e16Result struct {
 	// CPUBefore is the chain's total measured CPU usage (work
 	// units/time) before reordering.
 	CPUBefore float64
@@ -28,12 +28,12 @@ type E16Result struct {
 	ResultsMatch bool
 }
 
-// RunE16 demonstrates runtime query re-optimization (motivating
+// runE16 demonstrates runtime query re-optimization (motivating
 // application 3): a filter chain starts in the worst order — an
 // expensive, barely selective predicate first — and the optimizer,
 // reading live selectivity metadata, reorders the commuting predicates
 // to ascending rank.
-func RunE16(duration clock.Duration) *E16Result {
+func runE16(duration clock.Duration) *e16Result {
 	run := func(optimize bool) (float64, float64, []float64, int, []int) {
 		vc := clock.NewVirtual()
 		g := graph.New(core.NewEnv(vc))
@@ -101,7 +101,7 @@ func RunE16(duration clock.Duration) *E16Result {
 			}
 		}
 	}
-	return &E16Result{
+	return &e16Result{
 		CPUBefore:    before,
 		CPUAfter:     after,
 		RanksBefore:  ranks,
@@ -111,7 +111,7 @@ func RunE16(duration clock.Duration) *E16Result {
 }
 
 // table renders the reordering outcome.
-func (r *E16Result) table() *Table {
+func (r *e16Result) table() *Table {
 	t := &Table{
 		Title:  "E16 — adaptive filter reordering on selectivity metadata (motivating app 3)",
 		Note:   "the optimizer moves the cheap, selective predicate first (rank = cost/(1-sel)); the query result is unchanged",
@@ -128,8 +128,8 @@ func (r *E16Result) table() *Table {
 	return t
 }
 
-// E17Row is one advisor recommendation.
-type E17Row struct {
+// e17Row is one advisor recommendation.
+type e17Row struct {
 	// Phase labels the workload phase ("initial" / "after B spikes").
 	Phase string
 	// Plan is the recommended ordering.
@@ -140,12 +140,12 @@ type E17Row struct {
 	Alternatives []optimizer.Ordering
 }
 
-// RunE17 demonstrates the join-order advisor: three streams with rates
+// runE17 demonstrates the join-order advisor: three streams with rates
 // (0.1, 0.1, 0.5); the advisor recommends joining the two slow streams
 // first. When stream B's rate spikes to 5, the recommendation flips to
 // pairing A with C — the re-optimization trigger the paper motivates
 // with "changes in stream characteristics, such as stream rates".
-func RunE17() []E17Row {
+func runE17() []e17Row {
 	vc := clock.NewVirtual()
 	env := core.NewEnv(vc)
 	rateB := 0.1
@@ -185,12 +185,12 @@ func RunE17() []E17Row {
 		0.05, 1,
 	)
 
-	var rows []E17Row
+	var rows []e17Row
 	recs, err := adv.Recommend()
 	if err != nil {
 		panic(err)
 	}
-	rows = append(rows, E17Row{Phase: "initial (rB=0.1)", Plan: recs[0].Description, EstCPU: recs[0].EstCPU, Alternatives: recs[1:]})
+	rows = append(rows, e17Row{Phase: "initial (rB=0.1)", Plan: recs[0].Description, EstCPU: recs[0].EstCPU, Alternatives: recs[1:]})
 
 	rateB = 5
 	rb.Handle().Registry().FireEvent("rateChanged")
@@ -198,12 +198,12 @@ func RunE17() []E17Row {
 	if err != nil {
 		panic(err)
 	}
-	rows = append(rows, E17Row{Phase: "after spike (rB=5)", Plan: recs[0].Description, EstCPU: recs[0].EstCPU, Alternatives: recs[1:]})
+	rows = append(rows, e17Row{Phase: "after spike (rB=5)", Plan: recs[0].Description, EstCPU: recs[0].EstCPU, Alternatives: recs[1:]})
 	return rows
 }
 
 // e17Table renders the advisor comparison.
-func e17Table(rows []E17Row) *Table {
+func e17Table(rows []e17Row) *Table {
 	t := &Table{
 		Title:  "E17 — join-order advisor on estimated-rate metadata ([22, 25, 18])",
 		Note:   "the cost model scores all orderings from live rate estimates; a rate spike flips the recommendation",
@@ -219,8 +219,8 @@ func e17Table(rows []E17Row) *Table {
 	return t
 }
 
-// E18Row is one scheduling strategy's latency outcome.
-type E18Row struct {
+// e18Row is one scheduling strategy's latency outcome.
+type e18Row struct {
 	// Strategy names the scheduler.
 	Strategy string
 	// HiLatency and LoLatency are the measured average delivery
@@ -229,13 +229,13 @@ type E18Row struct {
 	LoLatency float64
 }
 
-// RunE18 compares QoS-priority scheduling against round-robin on two
+// runE18 compares QoS-priority scheduling against round-robin on two
 // identical queries with priorities 9 and 1 under bursty overload: the
 // priority scheduler reads the sinks' query-level qosPriority metadata
 // (Figure 1) and delivers the important query with near-immediate
 // latency, while round-robin treats both alike.
-func RunE18(duration clock.Duration) []E18Row {
-	var rows []E18Row
+func runE18(duration clock.Duration) []e18Row {
+	var rows []e18Row
 	for _, strategy := range []string{"roundrobin", "qos"} {
 		vc := clock.NewVirtual()
 		g := graph.New(core.NewEnv(vc))
@@ -263,7 +263,7 @@ func RunE18(duration clock.Duration) []E18Row {
 		e.RunUntil(clock.Time(duration))
 		loV, _ := loLat.Float()
 		hiV, _ := hiLat.Float()
-		rows = append(rows, E18Row{Strategy: strategy, HiLatency: hiV, LoLatency: loV})
+		rows = append(rows, e18Row{Strategy: strategy, HiLatency: hiV, LoLatency: loV})
 		loLat.Unsubscribe()
 		hiLat.Unsubscribe()
 		sc.Close()
@@ -272,7 +272,7 @@ func RunE18(duration clock.Duration) []E18Row {
 }
 
 // e18Table renders the QoS comparison.
-func e18Table(rows []E18Row) *Table {
+func e18Table(rows []e18Row) *Table {
 	t := &Table{
 		Title:  "E18 — QoS-priority scheduling on query-level metadata",
 		Note:   "the qos scheduler reads sink qosPriority items: the important query is served near-immediately under overload",

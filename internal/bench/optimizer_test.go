@@ -6,7 +6,7 @@ import (
 )
 
 func TestE16ReorderingPaysOff(t *testing.T) {
-	r := RunE16(3000)
+	r := runE16(3000)
 	if r.Reorders != 1 {
 		t.Fatalf("reorders = %d, want 1", r.Reorders)
 	}
@@ -25,7 +25,7 @@ func TestE16ReorderingPaysOff(t *testing.T) {
 }
 
 func TestE17AdvisorFlips(t *testing.T) {
-	rows := RunE17()
+	rows := runE17()
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -41,8 +41,8 @@ func TestE17AdvisorFlips(t *testing.T) {
 }
 
 func TestE18QoSBeatsRoundRobinOnPriorityLatency(t *testing.T) {
-	rows := RunE18(3000)
-	var rr, qos E18Row
+	rows := runE18(3000)
+	var rr, qos e18Row
 	for _, r := range rows {
 		if r.Strategy == "qos" {
 			qos = r

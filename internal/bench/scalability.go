@@ -33,8 +33,8 @@ func chainPlan(n int, statWindow clock.Duration) (*graph.Graph, *clock.Virtual, 
 	return g, vc, src, filters
 }
 
-// E3Row is one point of the provision-scalability sweep.
-type E3Row struct {
+// e3Row is one point of the provision-scalability sweep.
+type e3Row struct {
 	// Operators is the query-graph size n.
 	Operators int
 	// Policy is "maintain-all" or "on-demand".
@@ -49,14 +49,14 @@ type E3Row struct {
 	UpdateWork int64
 }
 
-// RunE3 sweeps query-graph size under two provision policies:
+// runE3 sweeps query-graph size under two provision policies:
 // "maintain-all" subscribes to every measured item of every operator
 // (the compute-everything strawman of Section 1); "on-demand"
 // subscribes only to the selectivity of every (1/f)-th operator. The
 // workload runs for duration time units with a periodic stat window of
 // 50.
-func RunE3(sizes []int, f float64, duration clock.Duration) []E3Row {
-	var rows []E3Row
+func runE3(sizes []int, f float64, duration clock.Duration) []e3Row {
+	var rows []e3Row
 	measured := []core.Kind{ops.KindInputRate, ops.KindOutputRate, ops.KindSelectivity, ops.KindMeasuredCPU}
 	for _, n := range sizes {
 		for _, policy := range []string{"maintain-all", "on-demand"} {
@@ -90,7 +90,7 @@ func RunE3(sizes []int, f float64, duration clock.Duration) []E3Row {
 			before := g.Env().Stats().Snapshot()
 			e.RunUntil(clock.Time(duration))
 			delta := g.Env().Stats().Snapshot().Sub(before)
-			rows = append(rows, E3Row{
+			rows = append(rows, e3Row{
 				Operators:          n,
 				Policy:             policy,
 				SubscribedFraction: frac,
@@ -106,7 +106,7 @@ func RunE3(sizes []int, f float64, duration clock.Duration) []E3Row {
 }
 
 // e3Table renders the sweep.
-func e3Table(rows []E3Row) *Table {
+func e3Table(rows []e3Row) *Table {
 	t := &Table{
 		Title:  "E3 — metadata provision scalability (pub-sub on demand vs maintain-all)",
 		Note:   "maintain-all cost grows O(n); on-demand grows O(f*n) — tailored provision is crucial to scalability (Sections 1, 4.3)",
@@ -118,8 +118,8 @@ func e3Table(rows []E3Row) *Table {
 	return t
 }
 
-// E6Row is one point of the handler-sharing experiment.
-type E6Row struct {
+// e6Row is one point of the handler-sharing experiment.
+type e6Row struct {
 	// Consumers is the number of concurrent consumers k.
 	Consumers int
 	// Shared reports the run with handler sharing (the framework) or
@@ -131,13 +131,13 @@ type E6Row struct {
 	UpdateWork int64
 }
 
-// RunE6 measures handler sharing (Section 2.1): k consumers subscribe
+// runE6 measures handler sharing (Section 2.1): k consumers subscribe
 // to the same periodic item ("shared"); the baseline gives every
 // consumer a private copy of the item ("unshared", modeling a system
 // without subscription sharing). Maintenance cost per time unit stays
 // constant with sharing and grows linearly without.
-func RunE6(ks []int, duration clock.Duration) []E6Row {
-	var rows []E6Row
+func runE6(ks []int, duration clock.Duration) []e6Row {
+	var rows []e6Row
 	for _, k := range ks {
 		for _, shared := range []bool{true, false} {
 			vc := clock.NewVirtual()
@@ -173,7 +173,7 @@ func RunE6(ks []int, duration clock.Duration) []E6Row {
 			before := env.Stats().Snapshot()
 			vc.Advance(duration)
 			delta := env.Stats().Snapshot().Sub(before)
-			rows = append(rows, E6Row{
+			rows = append(rows, e6Row{
 				Consumers:  k,
 				Shared:     shared,
 				Handlers:   before.HandlersCreated,
@@ -188,7 +188,7 @@ func RunE6(ks []int, duration clock.Duration) []E6Row {
 }
 
 // e6Table renders the sharing comparison.
-func e6Table(rows []E6Row) *Table {
+func e6Table(rows []e6Row) *Table {
 	t := &Table{
 		Title:  "E6 — handler sharing across consumers",
 		Note:   "shared: one handler regardless of k (constant maintenance); unshared baseline: k handlers (linear maintenance)",
@@ -204,8 +204,8 @@ func e6Table(rows []E6Row) *Table {
 	return t
 }
 
-// E7Row is one point of the dependency-resolution experiment.
-type E7Row struct {
+// e7Row is one point of the dependency-resolution experiment.
+type e7Row struct {
 	// Depth is the dependency chain length.
 	Depth int
 	// FirstTraversals is the number of DFS inclusion steps for the
@@ -219,12 +219,12 @@ type E7Row struct {
 	IncludedItems int
 }
 
-// RunE7 measures automated dependency inclusion (Section 2.4) over
+// runE7 measures automated dependency inclusion (Section 2.4) over
 // chains of increasing depth: the first subscription traverses and
 // includes the whole chain; a re-subscription stops immediately at the
 // already-provided item.
-func RunE7(depths []int) []E7Row {
-	var rows []E7Row
+func runE7(depths []int) []e7Row {
+	var rows []e7Row
 	for _, d := range depths {
 		vc := clock.NewVirtual()
 		env := core.NewEnv(vc)
@@ -260,7 +260,7 @@ func RunE7(depths []int) []E7Row {
 			panic(err)
 		}
 		after := env.Stats().Snapshot()
-		rows = append(rows, E7Row{
+		rows = append(rows, e7Row{
 			Depth:            d,
 			FirstTraversals:  mid.Sub(before).IncludeTraversals,
 			SecondTraversals: after.Sub(mid).IncludeTraversals,
@@ -273,7 +273,7 @@ func RunE7(depths []int) []E7Row {
 }
 
 // e7Table renders the resolution sweep.
-func e7Table(rows []E7Row) *Table {
+func e7Table(rows []e7Row) *Table {
 	t := &Table{
 		Title:  "E7 — automated dependency inclusion (DFS)",
 		Note:   "first subscription traverses the whole chain (depth+1 steps); a re-subscription stops at the provided item (0 steps)",
@@ -285,8 +285,8 @@ func e7Table(rows []E7Row) *Table {
 	return t
 }
 
-// E12Row is one point of the subscription-churn experiment.
-type E12Row struct {
+// e12Row is one point of the subscription-churn experiment.
+type e12Row struct {
 	// Cycles is the number of subscribe/unsubscribe cycles executed.
 	Cycles int
 	// AutoRemoval reports whether unsubscription removed handlers.
@@ -297,13 +297,13 @@ type E12Row struct {
 	UpdateWork int64
 }
 
-// RunE12 measures the effect of automated handler removal (Section
+// runE12 measures the effect of automated handler removal (Section
 // 2.1) under subscription churn over a pool of periodic items: with
 // auto-removal the maintained set stays bounded by the concurrently
 // subscribed items; the baseline never unsubscribes, so handlers and
 // update work accumulate.
-func RunE12(cycles int, poolSize int, holdTime clock.Duration) []E12Row {
-	var rows []E12Row
+func runE12(cycles int, poolSize int, holdTime clock.Duration) []e12Row {
+	var rows []e12Row
 	for _, auto := range []bool{true, false} {
 		vc := clock.NewVirtual()
 		env := core.NewEnv(vc)
@@ -331,7 +331,7 @@ func RunE12(cycles int, poolSize int, holdTime clock.Duration) []E12Row {
 			}
 		}
 		delta := env.Stats().Snapshot().Sub(before)
-		rows = append(rows, E12Row{
+		rows = append(rows, e12Row{
 			Cycles:       cycles,
 			AutoRemoval:  auto,
 			LiveHandlers: delta.HandlersCreated - delta.HandlersRemoved,
@@ -342,7 +342,7 @@ func RunE12(cycles int, poolSize int, holdTime clock.Duration) []E12Row {
 }
 
 // e12Table renders the churn comparison.
-func e12Table(rows []E12Row) *Table {
+func e12Table(rows []e12Row) *Table {
 	t := &Table{
 		Title:  "E12 — subscription churn and automated handler removal",
 		Note:   "with auto-removal the maintained set stays bounded and unused items cost nothing; without it, handlers and update work accumulate",
@@ -354,8 +354,8 @@ func e12Table(rows []E12Row) *Table {
 	return t
 }
 
-// E13Row is one point of the dynamic-dependency experiment.
-type E13Row struct {
+// e13Row is one point of the dynamic-dependency experiment.
+type e13Row struct {
 	// Resolution is "static" or "dynamic".
 	Resolution string
 	// Traversals is the inclusion steps for subscribing to A with C
@@ -365,13 +365,13 @@ type E13Row struct {
 	IncludedItems int
 }
 
-// RunE13 measures dynamic dependency resolution (Section 4.4.3): item
+// runE13 measures dynamic dependency resolution (Section 4.4.3): item
 // A is computable from B — itself the top of an expensive chain of
 // chainDepth items — or from the cheap item C. With C already
 // included, the dynamic resolver redirects A to C and avoids including
 // the chain; static resolution pays for the whole chain.
-func RunE13(chainDepth int) []E13Row {
-	var rows []E13Row
+func runE13(chainDepth int) []e13Row {
+	var rows []e13Row
 	for _, dynamic := range []bool{false, true} {
 		vc := clock.NewVirtual()
 		env := core.NewEnv(vc)
@@ -429,7 +429,7 @@ func RunE13(chainDepth int) []E13Row {
 		if dynamic {
 			name = "dynamic"
 		}
-		rows = append(rows, E13Row{
+		rows = append(rows, e13Row{
 			Resolution:    name,
 			Traversals:    delta.IncludeTraversals,
 			IncludedItems: len(r.Included()),
@@ -442,7 +442,7 @@ func RunE13(chainDepth int) []E13Row {
 }
 
 // e13Table renders the comparison.
-func e13Table(rows []E13Row) *Table {
+func e13Table(rows []e13Row) *Table {
 	t := &Table{
 		Title:  "E13 — dynamic dependency resolution (A from B or C)",
 		Note:   "with C already included, the dynamic resolver avoids including B's whole chain (Section 4.4.3)",

@@ -36,7 +36,7 @@ import (
 // would stall every boundary and probe of the env behind one slow
 // compute (and, on the virtual clock, deadlock a compute whose release
 // needs time to advance). Publishing takes the item mutex per item
-// around the window compute, or skips the item when a compute is still
+// around the window compute, or leaves the boundary to a compute still
 // in flight (see item.tick); propagation then takes the
 // dependency-scope lock(s) once per batch — no item mutex is held while
 // any structural lock is taken, and no structural lock is held while a

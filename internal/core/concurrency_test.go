@@ -213,6 +213,69 @@ func TestPoolUpdaterRunsPeriodicUpdates(t *testing.T) {
 	}
 }
 
+// returnSignalingUpdater runs tasks on its Updater and signals on
+// returned each time one of them returns.
+type returnSignalingUpdater struct {
+	Updater
+	returned chan struct{}
+}
+
+func (u *returnSignalingUpdater) Submit(fn func()) {
+	u.Updater.Submit(func() {
+		fn()
+		u.returned <- struct{}{}
+	})
+}
+
+// TestHeldWindowKeepsLastBoundary holds the compute of the window ending
+// at 90 on a pool worker until the batch of the boundary at 100 has run
+// and returned; that tick finds the item's mutex taken. When the held
+// compute returns, the item must still end on the window ending at 100:
+// the boundary a skipped tick leaves behind is the last one, and no
+// later tick covers it.
+func TestHeldWindowKeepsLastBoundary(t *testing.T) {
+	vc := clock.NewVirtual()
+	// One signal per scope batch: the ten boundaries of one item.
+	upd := &returnSignalingUpdater{Updater: NewPoolUpdater(2), returned: make(chan struct{}, 10)}
+	defer upd.Stop()
+	env := NewEnv(vc, WithUpdater(upd))
+	r := env.NewRegistry("n")
+	entered, release := make(chan struct{}), make(chan struct{})
+	r.MustDefine(&Definition{
+		Kind: "w",
+		Build: func(*BuildContext) (Handler, error) {
+			return NewPeriodic(10, func(start, end clock.Time) (Value, error) {
+				if end == 90 {
+					close(entered)
+					<-release
+				}
+				return float64(end), nil
+			}), nil
+		},
+	})
+	s, err := r.Subscribe("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Unsubscribe()
+	for i := 0; i < 8; i++ {
+		vc.Advance(10)
+		<-upd.returned
+	}
+	vc.Advance(10)
+	<-entered
+	vc.Advance(10)
+	<-upd.returned // the batch of the boundary at 100
+	close(release)
+	upd.WaitIdle()
+	if v, err := s.Float(); err != nil || v != 100 {
+		t.Fatalf("value = %v (err %v), want 100", v, err)
+	}
+	if got := env.Stats().ScopeBatches.Load(); got != 10 {
+		t.Fatalf("ScopeBatches = %d, want 10", got)
+	}
+}
+
 // TestSideBlockRacesPublishers runs pooled periodic publishers against
 // everything that makes or uses a side block on the same items:
 // Watch/Unwatch, TrackReads with lock-free reads, and a delta aggregate

@@ -242,6 +242,7 @@ func TestItemLayout(t *testing.T) {
 		{"component", unsafe.Sizeof(component{}), 32},
 		{"itemSide", unsafe.Sizeof(itemSide{}), 64},
 		{"itemHealth", unsafe.Sizeof(itemHealth{}), 160},
+		{"windowPolicy", unsafe.Sizeof(windowPolicy{}), 48},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d B, which takes the %d-B size class; ceiling %d B", c.name, c.size, sizeClass(c.size), c.max)

@@ -272,6 +272,19 @@ type windowPolicy struct {
 	// and the recovery probe re-arms it on a fresh task.
 	winStart clock.Time
 	task     *clock.Task
+	// missed is the newest boundary whose tick found a compute in
+	// flight (0 when none is pending); see tick.
+	missed atomic.Int64
+}
+
+// noteMissed raises missed to now.
+func (w *windowPolicy) noteMissed(now clock.Time) {
+	for {
+		old := w.missed.Load()
+		if old >= int64(now) || w.missed.CompareAndSwap(old, int64(now)) {
+			return
+		}
+	}
 }
 
 func newItem(m Mechanism) *item {
@@ -574,24 +587,57 @@ func (env *Env) clampLate(now clock.Time) clock.Time {
 
 // tick computes and publishes the window ending at now (clamped, see
 // clampLate) without propagating, for a boundary dispatched under
-// policy w. It reports the actual window end, or ok == false when the
-// tick did nothing. The computation runs under the item mutex only, so
-// independent scope batches execute in parallel on the worker pool and
-// no structural lock is held while user code computes.
+// policy w. It reports the end of the newest window it published, or
+// ok == false when the tick did nothing. The computation runs under
+// the item mutex only, so independent scope batches execute in
+// parallel on the worker pool and no structural lock is held while
+// user code computes.
 func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) {
 	if !it.mu.TryLock() {
 		// The mutex is held across every compute of the item, so a tick
 		// that finds it taken arrived while a window compute is still in
-		// flight — skip it: windows are cumulative, the next boundary
-		// covers this one (the argument SubmitSheddable makes for whole
-		// batches). Waiting instead would park a pool worker behind a
-		// slow compute at every boundary it misses, and start a second
-		// compute on a hung item the moment its deadline frees the
-		// mutex. Any other holder — stop, Migrate, a probe — leaves the
-		// item in a state where this tick is moot.
-		return 0, false
+		// flight. It does not wait: waiting would park a pool worker
+		// behind a slow compute at every boundary it misses, and start a
+		// second compute on a hung item the moment its deadline frees
+		// the mutex. It notes its boundary instead, and the holder runs
+		// the newest noted boundary once it lets go (runMissed): windows
+		// are cumulative, so one late compute covers every boundary
+		// skipped meanwhile, and the last one is never lost. The holder
+		// may have let go before the note landed, so the tick tries the
+		// mutex once more through runMissed itself. Any other holder —
+		// stop, Migrate, a probe — leaves the item in a state where the
+		// note is moot.
+		w.noteMissed(now)
+		return it.runMissed(w)
 	}
-	defer it.mu.Unlock()
+	end, ok = it.tickLocked(w, now)
+	it.mu.Unlock()
+	if e, o := it.runMissed(w); o {
+		end, ok = e, true
+	}
+	return end, ok
+}
+
+// runMissed runs the newest boundary a skipped tick noted on w while
+// the mutex is free, and reports the end of the window it published.
+// A note found after a compute that panicked or timed out is dropped:
+// re-running it would start a second compute on a hung item, and the
+// next boundary covers its window.
+func (it *item) runMissed(w *windowPolicy) (end clock.Time, ok bool) {
+	for w.missed.Load() != 0 && it.mu.TryLock() {
+		now := clock.Time(w.missed.Swap(0))
+		if s := it.cur.Load(); now != 0 && (s == nil || !breakerEligible(s.err)) {
+			if e, o := it.tickLocked(w, now); o {
+				end, ok = e, true
+			}
+		}
+		it.mu.Unlock()
+	}
+	return end, ok
+}
+
+// tickLocked is tick's compute and publish; it.mu must be held.
+func (it *item) tickLocked(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) {
 	if !it.live || it.win.Load() != w || it.breaker().isQuarantined() {
 		// Stopped, migrated off w, or tripped since the boundary was
 		// dispatched; a quarantined item's stale publication stands
