@@ -121,16 +121,16 @@ func TestServeDurableRestartResume(t *testing.T) {
 	}
 	seen := f.Version
 	st.Close()
-	d1.Shutdown(io.Discard) // graceful: drains sessions, writes final checkpoint
+	d1.Shutdown(ctx) // graceful: drains sessions, writes final checkpoint
 
 	// ---- Life 2: recover; a since=seen watcher resumes. ----
 	d2, err := startDemo("127.0.0.1:0", dir, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d2.release) != 0 {
+	if d2.pinned != 0 {
 		d2.Close()
-		t.Fatalf("restart made %d fresh pins, want recovery to re-pin", len(d2.release))
+		t.Fatalf("restart made %d fresh pins, want recovery to re-pin", d2.pinned)
 	}
 	c2 := watch.NewClient(d2.URL)
 	stats, err := c2.Stats(ctx)
@@ -160,8 +160,8 @@ func TestServeDurableRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d3.Shutdown(io.Discard)
-	if len(d3.release) != 0 {
+	defer d3.Shutdown(ctx)
+	if d3.pinned != 0 {
 		t.Fatal("crash restart made fresh pins, want recovery to re-pin")
 	}
 	c3 := watch.NewClient(d3.URL)

@@ -4,61 +4,37 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/clock"
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/ops"
-	"repro/internal/stream"
+	"repro/pipes"
 )
 
-// runWall drives a small pipeline on the wall clock for the given
-// number of seconds, printing live metadata once per second. One
-// abstract time unit is one millisecond, so a stat window of 1000
-// updates the periodic items once per second.
+// runWall runs mdserve's demo pipeline (src -> even filter -> sink,
+// arrivals every 10 ms, stats once per second) paced by the wall clock
+// for the given number of seconds: once per wall second it releases
+// the next 1000 time units of the simulation (one unit is one
+// millisecond) and prints the filter's live metadata.
 func runWall(seconds int) {
-	rc := clock.NewReal()
-	defer rc.Stop()
-	env := core.NewEnv(rc)
-	g := graph.New(env)
+	sys := pipes.NewSystem(pipes.WithStatWindow(1000))
+	schema := pipes.Schema{Name: "ticks", Fields: []pipes.Field{{Name: "v", Type: "int"}}}
+	f := sys.Source("src", schema, pipes.NewConstantRate(10, 10, 0), 0).
+		Filter("even", func(tp pipes.Tuple) bool { return tp[0].(int)%2 == 0 })
+	f.Sink("sink", nil)
 
-	schema := stream.Schema{Name: "ticks", Fields: []stream.Field{{Name: "v", Type: "int"}}}
-	src := ops.NewSource(g, "src", schema, 0, 1000)
-	f := ops.NewFilter(g, "even", schema, func(tp stream.Tuple) bool { return tp[0].(int)%2 == 0 }, 1000)
-	sink := ops.NewSink(g, "sink", schema, nil, 0, 0, 1000)
-	g.Connect(src, f)
-	g.Connect(f, sink)
-
-	rate, err := f.Registry().Subscribe(ops.KindInputRate)
-	must(err)
-	defer rate.Unsubscribe()
-	sel, err := f.Registry().Subscribe(ops.KindSelectivity)
-	must(err)
-	defer sel.Unsubscribe()
-	avg, err := f.Registry().Subscribe(ops.KindAvgInputRate)
-	must(err)
-	defer avg.Unsubscribe()
-
-	// Arrivals every 10 ms (rate 0.1 per ms), delivered straight
-	// through the two operators.
-	i := 0
-	var arrive func(now clock.Time)
-	arrive = func(now clock.Time) {
-		el := src.Emit(stream.NewElement(stream.Tuple{i}, now))
-		for _, out := range f.Process(el, 0) {
-			sink.Process(out, 0)
-		}
-		i++
-		rc.After(10, arrive)
+	var subs [3]*pipes.Subscription
+	for i, kind := range []pipes.Kind{pipes.KindInputRate, pipes.KindSelectivity, pipes.KindAvgInputRate} {
+		sub, err := f.Subscribe(kind)
+		must(err)
+		defer sub.Unsubscribe()
+		subs[i] = sub
 	}
-	rc.After(10, arrive)
 
 	fmt.Printf("wall-clock mode: %d seconds, arrivals every 10ms (true rate 0.1/ms)\n", seconds)
 	fmt.Printf("%8s %12s %12s %12s\n", "t(ms)", "inputRate", "selectivity", "avgRate")
-	for s := 0; s < seconds; s++ {
+	for s := 1; s <= seconds; s++ {
 		time.Sleep(time.Second)
-		rv, _ := rate.Float()
-		sv, _ := sel.Float()
-		av, _ := avg.Float()
-		fmt.Printf("%8d %12.4f %12.3f %12.4f\n", rc.Now(), rv, sv, av)
+		sys.Run(pipes.Time(s * 1000))
+		rv, _ := subs[0].Float()
+		sv, _ := subs[1].Float()
+		av, _ := subs[2].Float()
+		fmt.Printf("%8d %12.4f %12.3f %12.4f\n", sys.Now(), rv, sv, av)
 	}
 }

@@ -24,8 +24,6 @@ var allowlist = map[string]string{
 	"internal/leakcheck.Main": entryPoint + ": TestMain of modelcheck and watch",
 	"internal/smoketest.Run":  entryPoint + ": the smoke tests of cmd/* and examples/*",
 
-	"pipes.NewRelay":                  pipesAPI,
-	"pipes.NewRelayServer":            pipesAPI,
 	"pipes.Stream.Aggregate":          pipesAPI,
 	"pipes.Stream.CountWindow":        pipesAPI,
 	"pipes.Stream.Map":                pipesAPI,
@@ -33,17 +31,12 @@ var allowlist = map[string]string{
 	"pipes.Stream.SetDropProbability": pipesAPI,
 	"pipes.Stream.Union":              pipesAPI,
 	"pipes.System.Checkpoint":         pipesAPI,
-	"pipes.System.CloseDurability":    pipesAPI,
-	"pipes.System.DurabilityErr":      pipesAPI,
-	"pipes.System.NewWatchServer":     pipesAPI,
-	"pipes.System.OpenDurability":     pipesAPI,
 	"pipes.System.RunToCompletion":    pipesAPI,
 	"pipes.System.WatchMux":           pipesAPI,
 	"pipes.WithBoundedUpdaterPool":    pipesAPI,
-	"pipes.WithDurability":            pipesAPI,
 	"pipes.WithMemoizedOnDemand":      pipesAPI,
 	"pipes.WithoutDeltaPropagation":   pipesAPI,
 }
 
 // maxAllowlisted caps the allowlist's length. It only falls.
-const maxAllowlisted = 27
+const maxAllowlisted = 20

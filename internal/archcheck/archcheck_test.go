@@ -44,8 +44,8 @@ import (
 var importTable = map[string][]string{
 	"benchmark":            {"internal/clock", "internal/core", "internal/persist", "internal/ring", "internal/watch"},
 	"cmd/mdbench":          {"internal/bench"},
-	"cmd/mdserve":          {"internal/clock", "internal/core", "internal/graph", "internal/ops", "internal/persist", "internal/stream", "internal/watch"},
-	"cmd/mdtop":            {"internal/clock", "internal/core", "internal/graph", "internal/monitor", "internal/ops", "internal/stream", "pipes"},
+	"cmd/mdserve":          {"pipes"},
+	"cmd/mdtop":            {"internal/monitor", "pipes"},
 	"cmd/qgen":             {"internal/clock", "internal/core", "internal/engine", "internal/graph", "internal/monitor", "internal/ops", "internal/stream"},
 	"examples/adaptive":    {"pipes"},
 	"examples/costmonitor": {"pipes"},

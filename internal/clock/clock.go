@@ -1,12 +1,13 @@
 // Package clock provides the time substrate for the stream processing
-// system. All components observe time through the Clock interface so
-// that experiments can run on a deterministic virtual clock while live
-// deployments use the wall clock.
+// system. All components observe time through the Clock interface, and
+// every system runs on the deterministic virtual clock: a simulation
+// advances it as fast as it can, a live deployment paces it with the
+// wall clock (pipes.System.Serve).
 //
 // Time is measured in abstract, signed 64-bit "time units". The paper's
 // figures are expressed in such units (e.g. Figure 4 uses an element
-// arrival every 10 time units); when running against the wall clock one
-// unit is one millisecond.
+// arrival every 10 time units); when paced by the wall clock one unit
+// is one millisecond.
 package clock
 
 // Time is a point in time, in abstract time units since an arbitrary
@@ -29,9 +30,8 @@ type Clock interface {
 	Now() Time
 
 	// Schedule arranges for fn to run at time t. If t is not after
-	// Now, fn runs at the next clock advancement (virtual clock) or
-	// immediately (real clock). The returned Event can cancel the
-	// call. fn must not block.
+	// Now, fn runs at the next clock advancement. The returned Event
+	// can cancel the call. fn must not block.
 	Schedule(t Time, fn func(now Time)) *Event
 
 	// After arranges for fn to run d units from now.

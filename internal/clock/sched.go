@@ -29,8 +29,8 @@ type Task struct {
 // moments would have produced.
 //
 // Scheduler is safe for concurrent use. The dispatch callback runs on
-// the clock's callback goroutine (the advancing goroutine for Virtual,
-// a timer goroutine for Real) with no scheduler lock held; it may arm,
+// the clock's callback goroutine (the advancing goroutine for Virtual)
+// with no scheduler lock held; it may arm,
 // re-arm, and cancel tasks freely. The slice passed to dispatch is
 // reused and must not be retained after the call returns.
 type Scheduler struct {

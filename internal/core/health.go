@@ -432,12 +432,11 @@ func (r *Registry) Health(kind Kind) (HealthSnapshot, bool) {
 
 // --- Bounded computes ---
 
-// deadlineGrace is how long a compute whose deadline expired on a
-// simulated clock may still deliver its result. A deadline is in clock
-// time but a compute runs in real time: a virtual clock can jump past a
-// deadline in no real time at all, while a compute that never blocks is
-// still waiting for a processor. The real clock needs no grace — there
-// the deadline itself was real time.
+// deadlineGrace is how long a compute whose deadline expired may still
+// deliver its result. A deadline is in clock time but a compute runs in
+// real time: the virtual clock can jump past a deadline in no real time
+// at all, while a compute that never blocks is still waiting for a
+// processor.
 const deadlineGrace = 10 * time.Millisecond
 
 type computeResult struct {
@@ -483,14 +482,12 @@ func runBounded(clk clock.Clock, d clock.Duration, stats *Stats, compute func() 
 		clk.Cancel(ev)
 		return r.v, r.err
 	case <-timeout:
-		if _, realTime := clk.(*clock.Real); !realTime {
-			// The clock may have outrun the compute (see deadlineGrace):
-			// a result that arrives within the grace still wins.
-			select {
-			case r := <-done:
-				return r.v, r.err
-			case <-time.After(deadlineGrace):
-			}
+		// The clock may have outrun the compute (see deadlineGrace): a
+		// result that arrives within the grace still wins.
+		select {
+		case r := <-done:
+			return r.v, r.err
+		case <-time.After(deadlineGrace):
 		}
 		if gen.CompareAndSwap(0, 1) {
 			stats.Timeouts.Add(1)

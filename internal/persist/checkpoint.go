@@ -97,9 +97,9 @@ type CheckpointInfo struct {
 	// Seq numbers checkpoints; the WAL segment wal.<Seq>.log holds the
 	// ops recorded after this checkpoint.
 	Seq uint64
-	// Now is the env clock at checkpoint time. Recovery advances a
+	// Now is the env clock at checkpoint time. Recovery advances the
 	// virtual clock to it so probe backoffs and window cadences resume
-	// on the pre-crash timeline; real clocks are left alone.
+	// on the pre-crash timeline.
 	Now     clock.Time
 	Records uint64
 }

@@ -285,9 +285,9 @@ func (p *Plane) recover() (*RecoveryStats, error) {
 	t0 = time.Now()
 	var pending []pendingItem // sorted by (registry, kind), as written
 	if rd != nil {
-		// Resume the pre-crash timeline on virtual clocks so probe
-		// backoffs and window cadences recover deterministically; wall
-		// clocks are already past the persisted instant.
+		// Resume the pre-crash timeline so probe backoffs and window
+		// cadences recover deterministically; a served system paces on
+		// from there.
 		if vc, ok := p.env.Clock().(*clock.Virtual); ok && rs.CheckpointNow > p.env.Now() {
 			vc.AdvanceTo(rs.CheckpointNow)
 		}

@@ -7,6 +7,7 @@
 package smoketest
 
 import (
+	"flag"
 	"io"
 	"os"
 	"strings"
@@ -14,17 +15,19 @@ import (
 )
 
 // Run invokes fn (typically a main function) with os.Args replaced by
-// args and returns what fn printed to stdout. Stdout is drained on a
-// separate goroutine so programs that print more than a pipe buffer
-// don't wedge.
+// args and a fresh flag.CommandLine, so one test binary can run a main
+// more than once, and returns what fn printed to stdout. Stdout is
+// drained on a separate goroutine so programs that print more than a
+// pipe buffer don't wedge.
 func Run(t *testing.T, args []string, fn func()) (out string) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatalf("smoketest: pipe: %v", err)
 	}
-	oldArgs, oldStdout := os.Args, os.Stdout
+	oldArgs, oldStdout, oldFlags := os.Args, os.Stdout, flag.CommandLine
 	os.Args, os.Stdout = args, w
+	flag.CommandLine = flag.NewFlagSet(args[0], flag.ExitOnError)
 	var buf strings.Builder
 	done := make(chan struct{})
 	go func() {
@@ -32,7 +35,7 @@ func Run(t *testing.T, args []string, fn func()) (out string) {
 		close(done)
 	}()
 	defer func() {
-		os.Args, os.Stdout = oldArgs, oldStdout
+		os.Args, os.Stdout, flag.CommandLine = oldArgs, oldStdout, oldFlags
 		w.Close()
 		<-done
 		r.Close()

@@ -3,7 +3,6 @@ package pipes
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/persist"
 )
 
@@ -75,12 +74,8 @@ func (s *System) OpenDurability() (*RecoveryStats, error) {
 	case every < 0:
 		every = 0
 	}
-	regs := make([]*core.Registry, 0)
-	for _, n := range s.graph.Nodes() {
-		regs = append(regs, n.Registry())
-	}
 	plane, rs, err := persist.Open(s.env, s.durDir,
-		persist.Options{Sync: s.durOpts.Sync, CheckpointEvery: every}, regs...)
+		persist.Options{Sync: s.durOpts.Sync, CheckpointEvery: every}, s.registries()...)
 	if err != nil {
 		return nil, err
 	}
@@ -95,26 +90,4 @@ func (s *System) Checkpoint() error {
 		return fmt.Errorf("pipes: durability not open")
 	}
 	return s.plane.Checkpoint()
-}
-
-// CloseDurability writes a final checkpoint and stops journaling. The
-// subscriptions recovery re-created are released; the checkpoint
-// already carries them, so the next OpenDurability re-pins them.
-func (s *System) CloseDurability() error {
-	if s.plane == nil {
-		return nil
-	}
-	p := s.plane
-	s.plane = nil
-	return p.Close()
-}
-
-// DurabilityErr reports the first persistence failure, or nil. A
-// non-nil error means journaling stopped (the system degraded to
-// non-durable) with on-disk state frozen at the last successful write.
-func (s *System) DurabilityErr() error {
-	if s.plane == nil {
-		return nil
-	}
-	return s.plane.Err()
 }

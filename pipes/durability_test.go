@@ -1,6 +1,7 @@
 package pipes
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestDurabilityRestartServesStaleThenRecovers(t *testing.T) {
 	if err := sys1.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	// No CloseDurability: the process dies here.
+	sys1.Close() // the process dies here: no final checkpoint
 
 	// ---- Second life: same graph, fresh system, recover. ----
 	sys2 := NewSystem(WithStatWindow(50), WithDurability(dir, DurabilityOptions{}))
@@ -51,7 +52,7 @@ func TestDurabilityRestartServesStaleThenRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery OpenDurability: %v", err)
 	}
-	defer sys2.CloseDurability()
+	defer sys2.Shutdown(context.Background())
 	if !rs2.Recovered || rs2.Subscribed != 1 || rs2.Restored < 1 {
 		t.Fatalf("recovery stats = %+v, want 1 subscription and >= 1 restored item", rs2)
 	}
@@ -106,8 +107,8 @@ func TestDurabilityGracefulRestartCycle(t *testing.T) {
 		if !f.Metadata().IsIncluded(KindSelectivity) {
 			t.Fatalf("cycle %d: selectivity not included", i)
 		}
-		if err := sys.CloseDurability(); err != nil {
-			t.Fatalf("cycle %d close: %v", i, err)
+		if err := sys.Shutdown(context.Background()); err != nil {
+			t.Fatalf("cycle %d shutdown: %v", i, err)
 		}
 	}
 }
@@ -120,7 +121,7 @@ func TestDurabilityNotConfigured(t *testing.T) {
 	if err := sys.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint without open durability did not error")
 	}
-	if err := sys.CloseDurability(); err != nil {
-		t.Fatalf("CloseDurability no-op returned %v", err)
+	if err := sys.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown without durability returned %v", err)
 	}
 }

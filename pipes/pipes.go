@@ -24,6 +24,8 @@
 package pipes
 
 import (
+	"net/http"
+
 	"repro/internal/adapt"
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -157,7 +159,9 @@ const (
 )
 
 // System owns one query graph, its metadata environment, and its
-// execution engine, all on a shared deterministic virtual clock.
+// execution engine, all on a shared deterministic virtual clock. Run
+// advances the clock as a simulation; Serve paces it with the wall
+// clock.
 type System struct {
 	vc    *clock.Virtual
 	env   *core.Env
@@ -188,6 +192,12 @@ type System struct {
 	// hub is the system's watch fan-out hub, created on first use (see
 	// watch.go).
 	hub *WatchHub
+
+	// Serving (see serve.go): the HTTP server, and the pacing
+	// goroutine's stop signal and exit.
+	hs       *http.Server
+	stopPace chan struct{}
+	paced    chan struct{}
 }
 
 // SystemOption configures a System.
@@ -286,6 +296,15 @@ func NewSystem(opts ...SystemOption) *System {
 	s.env = core.NewEnv(s.vc, envOpts...)
 	s.graph = graph.New(s.env)
 	return s
+}
+
+// registries lists every node's registry in graph order.
+func (s *System) registries() []*Registry {
+	var regs []*Registry
+	for _, n := range s.graph.Nodes() {
+		regs = append(regs, n.Registry())
+	}
+	return regs
 }
 
 // Graph exposes the underlying query graph.

@@ -74,27 +74,12 @@ func (st *Stream) Watch(kind Kind, opt WatchOptions) (*Watcher, error) {
 	return st.sys.WatchHub().Watch(st.node.Registry(), kind, opt)
 }
 
-// NewWatchServer builds an HTTP server over the system's hub exposing
-// every node's registry by node name through the mux session
-// endpoints (see watch.Server).
-func (s *System) NewWatchServer() *WatchServer {
-	regs := make([]*Registry, 0)
-	for _, n := range s.graph.Nodes() {
-		regs = append(regs, n.Registry())
-	}
-	return watch.NewServer(s.WatchHub(), s.env, regs...)
-}
-
 // WatchMux creates an in-process mux session over the system's hub:
 // add any number of (node, kind) watches by id and drain one merged
 // queue with one wakeup channel, instead of one goroutine per watcher.
 // Close the session to release all its watches.
 func (s *System) WatchMux() *WatchSession {
-	regs := make([]*Registry, 0)
-	for _, n := range s.graph.Nodes() {
-		regs = append(regs, n.Registry())
-	}
-	return watch.NewSession(watch.NewHubView(s.WatchHub(), s.env, regs...))
+	return watch.NewSession(watch.NewHubView(s.WatchHub(), s.env, s.registries()...))
 }
 
 // NewRelay connects to an upstream WatchServer and mirrors its whole
