@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/monitor"
 	"repro/pipes"
 )
 
@@ -101,5 +100,5 @@ func runConnect(base, item string, frames int, since uint64, out io.Writer) erro
 	if err != nil {
 		return err
 	}
-	return monitor.WriteStats(out, stats)
+	return pipes.WriteStats(out, stats)
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/monitor"
 	"repro/pipes"
 )
 
@@ -95,7 +94,7 @@ func main() {
 			name, s.Mean(), s.Last().Value, s.Max(), len(s.Samples))
 	}
 	fmt.Println("\nframework activity:")
-	must(monitor.WriteStats(os.Stdout, sys.Env().Stats().Snapshot()))
+	must(pipes.WriteStats(os.Stdout, sys.Env().Stats().Snapshot()))
 }
 
 func must(err error) {

@@ -25,9 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/clock"
-	"repro/internal/core"
-	"repro/internal/monitor"
 	"repro/pipes"
 )
 
@@ -57,7 +54,7 @@ func (e *estimator) heal() {
 
 // estimate computes the selectivity estimate for [start, end). The
 // value is a deterministic stand-in for a real estimator.
-func (e *estimator) estimate(start, end clock.Time) (core.Value, error) {
+func (e *estimator) estimate(start, end pipes.Time) (pipes.MetaValue, error) {
 	e.mu.Lock()
 	ch := e.blocked
 	if ch != nil {
@@ -84,7 +81,7 @@ func main() {
 	)
 	sys := pipes.NewSystem(
 		pipes.WithStatWindow(100),
-		pipes.WithUpdaterPool(2),
+		pipes.WithUpdaterPool(2, 64),
 		pipes.WithComputeDeadline(deadline),
 		pipes.WithBreaker(pipes.BreakerPolicy{
 			FailureThreshold: 2,
@@ -99,10 +96,10 @@ func main() {
 	hot.Sink("out", nil)
 
 	est := &estimator{}
-	hot.Metadata().MustDefine(&core.Definition{
+	hot.Metadata().MustDefine(&pipes.Definition{
 		Kind: "selEstimate",
-		Build: func(*core.BuildContext) (core.Handler, error) {
-			return core.NewPeriodic(window, est.estimate), nil
+		Build: func(*pipes.BuildContext) (pipes.Handler, error) {
+			return pipes.NewPeriodic(window, est.estimate), nil
 		},
 	})
 	sub, err := hot.Subscribe("selEstimate")
@@ -171,7 +168,7 @@ func main() {
 	sys.Run(5 * window)
 	env.Quiesce()
 	fmt.Println()
-	check(monitor.WriteStats(os.Stdout, stats.Snapshot()))
+	check(pipes.WriteStats(os.Stdout, stats.Snapshot()))
 }
 
 // waitUntil polls for pool-worker progress that happens on OS

@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/pipes"
 )
 
@@ -43,15 +41,15 @@ func main() {
 	check(reg.Define(&pipes.Definition{
 		Kind:   "queue",
 		Events: []string{"enq"},
-		Build: func(*core.BuildContext) (core.Handler, error) {
-			return core.NewTriggered(func(clock.Time) (core.Value, error) {
+		Build: func(*pipes.BuildContext) (pipes.Handler, error) {
+			return pipes.NewTriggered(func(pipes.Time) (pipes.MetaValue, error) {
 				return float64(depth), nil
 			}), nil
 		},
 	}))
-	compute := func(ctx *core.BuildContext) core.ComputeFunc {
+	compute := func(ctx *pipes.BuildContext) pipes.ComputeFunc {
 		dep := ctx.Dep(0)
-		return func(clock.Time) (core.Value, error) {
+		return func(pipes.Time) (pipes.MetaValue, error) {
 			f, err := dep.Float()
 			if err != nil {
 				return nil, err
@@ -65,9 +63,9 @@ func main() {
 		Adapt: &pipes.AdaptSpec{
 			OnDemand:  compute,
 			Triggered: compute,
-			Periodic: func(ctx *core.BuildContext) core.WindowComputeFunc {
+			Periodic: func(ctx *pipes.BuildContext) pipes.WindowComputeFunc {
 				dep := ctx.Dep(0)
-				return func(_, _ clock.Time) (core.Value, error) {
+				return func(_, _ pipes.Time) (pipes.MetaValue, error) {
 					f, err := dep.Float()
 					if err != nil {
 						return nil, err
@@ -77,8 +75,8 @@ func main() {
 			},
 			Window: 100,
 		},
-		Build: func(ctx *core.BuildContext) (core.Handler, error) {
-			return core.NewOnDemand(compute(ctx)), nil
+		Build: func(ctx *pipes.BuildContext) (pipes.Handler, error) {
+			return pipes.NewOnDemand(compute(ctx)), nil
 		},
 	}))
 

@@ -41,6 +41,20 @@ func main() {
 	var lastCount pipes.Tuple
 	perSensor.Sink("dashboard", func(e pipes.Element) { lastCount = e.Tuple })
 
+	// Third application: merge a second site's sensors (one reading
+	// every 10 units) with the first, convert to Fahrenheit, and
+	// average 8 consecutive readings of either site: the count window
+	// releases a reading, valid until the 8th reading after it, when
+	// that one arrives.
+	annexGen := pipes.NewConstantRate(2, 10, 0)
+	annexGen.MakeTup = func(i int) pipes.Tuple { return pipes.Tuple{4 + i%2, 10 + (i*3)%15} }
+	annex := sys.Source("annex", schema, annexGen, 0.1)
+	fahrenheit := readings.Union("allSites", annex).
+		Map("toF", schema, func(t pipes.Tuple) pipes.Tuple { return pipes.Tuple{t[0], t[1].(int)*9/5 + 32} })
+	trend := fahrenheit.CountWindow("last8", 8).Aggregate("meanF", pipes.NewAvg(1))
+	var meanF float64
+	trend.Sink("trend", func(e pipes.Element) { meanF = e.Tuple[0].(float64) })
+
 	// Metadata on demand: subscribing creates exactly the handlers
 	// needed — here the filter's selectivity (periodic measurement)
 	// and its running average input rate (triggered, which implicitly
@@ -59,6 +73,7 @@ func main() {
 	fmt.Printf("after %d time units:\n", sys.Now())
 	fmt.Printf("  alerts delivered:        %d\n", alerts)
 	fmt.Printf("  last per-sensor count:   %v\n", lastCount)
+	fmt.Printf("  8-reading mean (F):      %.1f (both sites)\n", meanF)
 	fmt.Printf("  hot-filter selectivity:  %.3f (measured periodically)\n", selV)
 	fmt.Printf("  avg input rate:          %.3f elements/unit (triggered running average)\n", avgV)
 	fmt.Println("\nmetadata inventory (only subscribed items have handlers):")

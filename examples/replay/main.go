@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/stream"
 	"repro/pipes"
 )
 
@@ -27,7 +26,7 @@ var schema = pipes.Schema{Name: "orders", Fields: []pipes.Field{
 
 // run replays a trace through the demo query and returns the final
 // measured metadata values.
-func run(tr *stream.Trace) map[string]float64 {
+func run(tr *pipes.Trace) map[string]float64 {
 	tr.Reset()
 	sys := pipes.NewSystem(pipes.WithStatWindow(100))
 	src := sys.Source("orders", schema, tr, 0)
@@ -67,13 +66,13 @@ func main() {
 	// Record a Poisson workload with random quantities into a trace.
 	gen := pipes.NewPoisson(0, 0.1, 1000, 2026)
 	gen.MakeTup = func(i int) pipes.Tuple { return pipes.Tuple{i % 5, (i * 7) % 10} }
-	trace := stream.Record(gen, 0)
+	trace := pipes.Record(gen, 0)
 
 	// Persist to CSV and load it back.
 	var buf bytes.Buffer
 	check(trace.WriteCSV(&buf, schema))
 	fmt.Printf("recorded %d arrivals (%d bytes of CSV)\n", trace.Len(), buf.Len())
-	loaded, err := stream.ReadTraceCSV(bytes.NewReader(buf.Bytes()), schema)
+	loaded, err := pipes.ReadTraceCSV(bytes.NewReader(buf.Bytes()), schema)
 	check(err)
 
 	// Replay twice: metadata must be bit-identical.

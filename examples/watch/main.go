@@ -16,9 +16,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/clock"
-	"repro/internal/core"
-	"repro/internal/monitor"
 	"repro/pipes"
 )
 
@@ -33,8 +30,8 @@ func main() {
 	check(reg.Define(&pipes.Definition{
 		Kind:   "queue",
 		Events: []string{"enq"},
-		Build: func(*core.BuildContext) (core.Handler, error) {
-			return core.NewTriggered(func(clock.Time) (core.Value, error) {
+		Build: func(*pipes.BuildContext) (pipes.Handler, error) {
+			return pipes.NewTriggered(func(pipes.Time) (pipes.MetaValue, error) {
 				return float64(depth), nil
 			}), nil
 		},
@@ -116,7 +113,7 @@ func main() {
 	fmt.Printf("  delivered as %d event(s) <= ring size; caught up to v%d queue=%.0f\n", n, last.Version, v)
 
 	fmt.Println()
-	check(monitor.WriteStats(os.Stdout, sys.Env().Stats().Snapshot()))
+	check(pipes.WriteStats(os.Stdout, sys.Env().Stats().Snapshot()))
 }
 
 func check(err error) {

@@ -104,8 +104,10 @@ type Observation struct {
 	// Mech and Window describe the item's current configuration.
 	Mech   core.Mechanism
 	Window clock.Duration
-	// Pure reports the item's AdaptSpec.Pure declaration (memoizable
-	// on-demand form).
+	// Pure reports that the item's on-demand form is memoized: it
+	// declares AdaptSpec.Pure and its env memoizes on-demand items
+	// (core.WithMemoizedOnDemand). An undeclared or unmemoized form
+	// is priced at one compute per read.
 	Pure bool
 	// Dwell counts completed sampling intervals since the item's last
 	// migration (or since Track).

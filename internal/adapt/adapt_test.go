@@ -10,11 +10,11 @@ import (
 
 // buildLoop defines a triggered source "src" (refreshed by event "w")
 // and a migratable item "hot" = src + 1 with all three maintenance
-// forms, starting on-demand.
-func buildLoop(t *testing.T) (*core.Env, *clock.Virtual, *core.Registry, *core.Subscription) {
+// forms, starting on-demand; pure is its AdaptSpec.Pure declaration.
+func buildLoop(t *testing.T, pure bool, opts ...core.EnvOption) (*core.Env, *clock.Virtual, *core.Registry, *core.Subscription) {
 	t.Helper()
 	vc := clock.NewVirtual()
-	env := core.NewEnv(vc)
+	env := core.NewEnv(vc, opts...)
 	r := env.NewRegistry("n")
 	srcVal := 5.0
 	r.MustDefine(&core.Definition{
@@ -53,10 +53,12 @@ func buildLoop(t *testing.T) (*core.Env, *clock.Virtual, *core.Registry, *core.S
 				}
 			},
 			Window: 50,
+			Pure:   pure,
 		},
 		Build: func(ctx *core.BuildContext) (core.Handler, error) {
 			return core.NewOnDemand(compute(ctx)), nil
 		},
+		Pure: pure,
 	})
 	s, err := r.Subscribe("hot")
 	if err != nil {
@@ -72,7 +74,7 @@ func buildLoop(t *testing.T) (*core.Env, *clock.Virtual, *core.Registry, *core.S
 // write-heavy and rarely read -> on-demand, read+write-heavy under a
 // loose SLO and costly compute -> periodic at the SLO window.
 func TestControllerClosedLoop(t *testing.T) {
-	env, vc, r, s := buildLoop(t)
+	env, vc, r, s := buildLoop(t, false)
 	c := New(r, Config{Interval: 100, MinDwell: -1, MinWindow: 10, MaxWindow: 1000})
 	// SLO 100 and recompute cost 50: expensive enough that a periodic
 	// cadence wins when both reads and writes are hot.
@@ -141,7 +143,7 @@ func TestControllerPhaseFlipCost(t *testing.T) {
 	const rounds = 40
 	type cost struct{ readHeavy, writeHeavy, migrations int64 }
 	run := func(static core.Mechanism, adaptive bool) cost {
-		env, vc, r, s := buildLoop(t)
+		env, vc, r, s := buildLoop(t, false)
 		if static != core.OnDemandMechanism {
 			if err := r.Migrate("hot", static, 0); err != nil {
 				t.Fatal(err)
@@ -218,7 +220,7 @@ func TestControllerPhaseFlipCost(t *testing.T) {
 // migration is still held back until the item has dwelled enough
 // sampling intervals, then fires.
 func TestControllerDwellDamping(t *testing.T) {
-	_, vc, r, s := buildLoop(t)
+	_, vc, r, s := buildLoop(t, false)
 	c := New(r, Config{Interval: 100, MinDwell: 2})
 	if err := c.Track("hot", 0, 1); err != nil {
 		t.Fatal(err)
@@ -245,9 +247,55 @@ func TestControllerDwellDamping(t *testing.T) {
 	}
 }
 
+// TestControllerPricesPureByEnvMemo pins that a Pure on-demand item is
+// priced as memoized only when its env memoizes. 200 reads against 10
+// input changes per interval, cost 50: without the memo every read
+// recomputes, so triggered (one compute per change) is 20x cheaper and
+// the first Step migrates; with the memo on-demand recomputes once per
+// change plus the first read, as triggered would, and stays.
+func TestControllerPricesPureByEnvMemo(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		opts     []core.EnvOption
+		computes int64
+		want     core.Mechanism
+	}{
+		{"memo off", nil, 200, core.TriggeredMechanism},
+		{"memo on", []core.EnvOption{core.WithMemoizedOnDemand()}, 11, core.OnDemandMechanism},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, vc, r, s := buildLoop(t, true, tc.opts...)
+			c := New(r, Config{Interval: 100, MinDwell: -1})
+			if err := c.Track("hot", 0, 50); err != nil {
+				t.Fatal(err)
+			}
+			before := env.Stats().Snapshot()
+			for i := 0; i < 200; i++ {
+				if i%20 == 19 {
+					r.FireEvent("w")
+				}
+				if v, err := s.Float(); err != nil || v != 6 {
+					t.Fatalf("hot = %v, %v, want 6", v, err)
+				}
+			}
+			if got := env.Stats().Snapshot().Sub(before).OnDemandComputes; got != tc.computes {
+				t.Fatalf("on-demand computes = %d, want %d", got, tc.computes)
+			}
+			vc.Advance(100)
+			ms, err := c.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mech, _ := r.Mechanism("hot"); mech != tc.want {
+				t.Fatalf("after the first step: %v (migrations %v), want %v", mech, ms, tc.want)
+			}
+		})
+	}
+}
+
 // TestControllerTrackErrors pins Track's failure modes.
 func TestControllerTrackErrors(t *testing.T) {
-	_, _, r, _ := buildLoop(t)
+	_, _, r, _ := buildLoop(t, false)
 	c := New(r, Config{})
 	if err := c.Track("src", 0, 0); err == nil {
 		t.Fatal("tracking a non-migratable item succeeded")

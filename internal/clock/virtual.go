@@ -126,28 +126,6 @@ func (v *Virtual) AdvanceTo(t Time) {
 	v.mu.Unlock()
 }
 
-// RunUntilIdle fires every pending event regardless of its timestamp,
-// moving time to the last event fired. It returns the number of events
-// fired. Use it to drain a simulation to quiescence.
-func (v *Virtual) RunUntilIdle() int {
-	fired := 0
-	for {
-		v.mu.Lock()
-		if v.advancing {
-			v.mu.Unlock()
-			panic("clock: re-entrant RunUntilIdle from event callback")
-		}
-		if len(v.queue) == 0 {
-			v.mu.Unlock()
-			return fired
-		}
-		next := v.queue[0].when
-		v.mu.Unlock()
-		v.AdvanceTo(next)
-		fired++
-	}
-}
-
 // PendingEvents returns the number of events not yet fired or canceled.
 func (v *Virtual) PendingEvents() int {
 	v.mu.Lock()

@@ -176,22 +176,6 @@ func TestCallbackSchedulingSameInstantFiresInSameAdvance(t *testing.T) {
 	}
 }
 
-func TestRunUntilIdleDrainsEverything(t *testing.T) {
-	v := NewVirtual()
-	n := 0
-	v.Schedule(10, func(now Time) {
-		n++
-		v.Schedule(now.Add(1000), func(Time) { n++ })
-	})
-	v.RunUntilIdle()
-	if n != 2 {
-		t.Fatalf("n = %d, want 2", n)
-	}
-	if got := v.Now(); got != 1010 {
-		t.Fatalf("Now() = %d, want 1010", got)
-	}
-}
-
 func TestPendingEvents(t *testing.T) {
 	v := NewVirtual()
 	e1 := v.Schedule(10, func(Time) {})

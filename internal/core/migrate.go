@@ -346,14 +346,15 @@ func (r *Registry) Window(kind Kind) (clock.Duration, bool) {
 
 // Adaptable reports whether the included item declares alternative
 // maintenance forms (Definition.Adapt) and, if so, whether its
-// on-demand form is memoizable (AdaptSpec.Pure). ok is false for
-// excluded items and for items without an AdaptSpec.
+// on-demand form would be memoized: it declares AdaptSpec.Pure and the
+// env memoizes (WithMemoizedOnDemand). ok is false for excluded items
+// and for items without an AdaptSpec.
 func (r *Registry) Adaptable(kind Kind) (pure bool, ok bool) {
 	// Read under the node lock: Define moves the table once it is released.
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if i, ok := r.searchSlot(kind); ok && r.slots[i].entry != nil && r.slots[i].adapt != nil {
-		return r.slots[i].adapt.Pure, true
+		return r.env.memoOnDemand && r.slots[i].adapt.Pure, true
 	}
 	return false, false
 }

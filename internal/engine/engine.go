@@ -239,21 +239,6 @@ func (e *Engine) RunUntil(t clock.Time) {
 	e.vc.AdvanceTo(t)
 }
 
-// RunToCompletion drains all scheduled work. It only terminates when
-// every clock event is finite: bounded generators, no budget-mode
-// service ticker, and no subscribed periodic metadata (whose tickers
-// reschedule forever). Simulations with periodic metadata or
-// scheduling should use RunUntil.
-func (e *Engine) RunToCompletion() {
-	if !e.started {
-		e.Start()
-	}
-	e.vc.RunUntilIdle()
-	if e.scheduler == nil {
-		e.drain(e.vc.Now())
-	}
-}
-
 // QueuedBytes returns the total memory held in inter-operator queues —
 // the objective Chain scheduling minimizes.
 func (e *Engine) QueuedBytes() int64 {

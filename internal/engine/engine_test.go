@@ -40,7 +40,7 @@ func pipeline(opts ...Option) (*Engine, *ops.Source, *[]stream.Element) {
 func TestDrainModeDeliversEndToEnd(t *testing.T) {
 	e, src, got := pipeline()
 	e.Bind(src, stream.NewConstantRate(0, 10, 10))
-	e.RunToCompletion()
+	e.RunUntil(1000) // past the last arrival
 	if len(*got) != 5 {
 		t.Fatalf("sink received %d elements, want 5 (even values)", len(*got))
 	}
@@ -64,7 +64,7 @@ func TestRunUntilPartialProgress(t *testing.T) {
 func TestElementTimestampsPreserved(t *testing.T) {
 	e, src, got := pipeline()
 	e.Bind(src, stream.NewConstantRate(5, 10, 4))
-	e.RunToCompletion()
+	e.RunUntil(1000) // past the last arrival
 	if (*got)[0].TS != 5 || (*got)[1].TS != 25 {
 		t.Fatalf("timestamps wrong: %v", *got)
 	}
@@ -100,7 +100,7 @@ func TestBudgetModeKeepsUpWhenProvisioned(t *testing.T) {
 func TestProcessedCounter(t *testing.T) {
 	e, src, _ := pipeline()
 	e.Bind(src, stream.NewConstantRate(0, 1, 10))
-	e.RunToCompletion()
+	e.RunUntil(1000) // past the last arrival
 	// 10 through filter + 5 through sink.
 	if got := e.Processed(); got != 15 {
 		t.Fatalf("Processed = %d, want 15", got)
@@ -129,7 +129,7 @@ func TestJoinPipelineEndToEnd(t *testing.T) {
 	// within the 100-unit window joins once per side combination.
 	e.Bind(left, stream.NewConstantRate(0, 10, 10))
 	e.Bind(right, stream.NewConstantRate(5, 10, 10))
-	e.RunToCompletion()
+	e.RunUntil(1000) // past the last arrival
 	// Left i has value i at t=10i valid [10i, 10i+100); right i value
 	// i at 10i+5 valid [10i+5, 10i+105): they overlap and match.
 	if len(results) != 10 {
@@ -155,7 +155,7 @@ func TestSharedSubqueryDeliversToBothSinks(t *testing.T) {
 	g.Connect(f, s2)
 	e := New(g, vc)
 	e.Bind(src, stream.NewConstantRate(0, 1, 20))
-	e.RunToCompletion()
+	e.RunUntil(1000) // past the last arrival
 	if n1 != 20 || n2 != 20 {
 		t.Fatalf("sinks received %d/%d, want 20/20 (subquery sharing)", n1, n2)
 	}

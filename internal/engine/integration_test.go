@@ -78,8 +78,6 @@ func TestIntegrationFullStack(t *testing.T) {
 	gen1 := stream.NewConstantRate(0, 5, 2000) // rate 0.2, 2000 elements
 	e.Bind(src1, gen1)
 	e.Bind(src2, stream.NewBursty(0, 2, 50, 150, 1000))
-	// RunUntil, not RunToCompletion: the subscribed periodic handlers
-	// keep tickers alive indefinitely.
 	e.RunUntil(10_000)
 
 	// Element conservation: q1 got exactly the evens.

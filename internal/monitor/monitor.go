@@ -240,23 +240,6 @@ func FormatInventory(inv []NodeInventory) string {
 	return b.String()
 }
 
-// OverheadProfile summarizes framework activity between two stats
-// snapshots — the profiling view of the metadata subsystem itself.
-type OverheadProfile struct {
-	// Window is the profiled activity delta.
-	Window core.Snapshot
-	// Duration is the profiled time span.
-	Duration clock.Duration
-}
-
-// UpdatesPerTimeUnit returns the maintenance operations per time unit.
-func (p OverheadProfile) UpdatesPerTimeUnit() float64 {
-	if p.Duration <= 0 {
-		return 0
-	}
-	return float64(p.Window.UpdateWork()) / float64(p.Duration)
-}
-
 // stat is one label=value entry of a report line: the Snapshot field
 // named field, or a ratio derived from the snapshot, printed with prec
 // decimals.
@@ -324,24 +307,4 @@ func WriteStats(w io.Writer, s core.Snapshot) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Profiler captures framework overhead over a time window.
-type Profiler struct {
-	env   *core.Env
-	start core.Snapshot
-	since clock.Time
-}
-
-// NewProfiler begins profiling now.
-func NewProfiler(env *core.Env) *Profiler {
-	return &Profiler{env: env, start: env.Stats().Snapshot(), since: env.Now()}
-}
-
-// Stop returns the profile since construction.
-func (p *Profiler) Stop() OverheadProfile {
-	return OverheadProfile{
-		Window:   p.env.Stats().Snapshot().Sub(p.start),
-		Duration: p.env.Now().Sub(p.since),
-	}
 }

@@ -145,6 +145,8 @@ func TestInventoryReportsIncludedItems(t *testing.T) {
 	}
 }
 
+// TestProfilerMeasuresUpdateWork profiles framework activity the way
+// internal/bench does: the difference of two stats snapshots.
 func TestProfilerMeasuresUpdateWork(t *testing.T) {
 	env, vc, _ := testSetup()
 	r2 := env.NewRegistry("p")
@@ -157,21 +159,18 @@ func TestProfilerMeasuresUpdateWork(t *testing.T) {
 	sub, _ := r2.Subscribe("tick")
 	defer sub.Unsubscribe()
 
-	p := NewProfiler(env)
+	start := env.Stats().Snapshot()
 	vc.Advance(100)
-	prof := p.Stop()
-	if prof.Window.PeriodicUpdates != 10 {
-		t.Fatalf("PeriodicUpdates = %d, want 10", prof.Window.PeriodicUpdates)
+	win := env.Stats().Snapshot().Sub(start)
+	if win.PeriodicUpdates != 10 {
+		t.Fatalf("PeriodicUpdates = %d, want 10", win.PeriodicUpdates)
 	}
-	if prof.Duration != 100 {
-		t.Fatalf("Duration = %d, want 100", prof.Duration)
+	if got := win.UpdateWork(); got != 10 {
+		t.Fatalf("UpdateWork = %d, want 10", got)
 	}
-	if got := prof.UpdatesPerTimeUnit(); got != 0.1 {
-		t.Fatalf("UpdatesPerTimeUnit = %v, want 0.1", got)
-	}
-	p = NewProfiler(env)
-	if got := p.Stop().Window.PeriodicUpdates; got != 0 {
-		t.Fatalf("fresh profiler: %d updates, want 0", got)
+	start = env.Stats().Snapshot()
+	if got := env.Stats().Snapshot().Sub(start).PeriodicUpdates; got != 0 {
+		t.Fatalf("fresh window: %d updates, want 0", got)
 	}
 }
 
@@ -202,14 +201,14 @@ func TestOverheadProfileHealth(t *testing.T) {
 	}
 	defer sub.Unsubscribe()
 
-	p := NewProfiler(env)
+	start := env.Stats().Snapshot()
 	fail = true
 	vc.Advance(20) // two panicking boundaries: degraded at 10, tripped at 20
-	prof := p.Stop()
-	if prof.Window.BreakerTrips != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", prof.Window.BreakerTrips)
+	win := env.Stats().Snapshot().Sub(start)
+	if win.BreakerTrips != 1 {
+		t.Fatalf("BreakerTrips = %d, want 1", win.BreakerTrips)
 	}
-	line := statLine(t, prof.Window, "degraded ops")
+	line := statLine(t, win, "degraded ops")
 	for _, want := range []string{"trips=1", "timeouts=0", "recoveries=0", "shedTicks=0"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("degraded ops line = %q, missing %q", line, want)
@@ -218,15 +217,15 @@ func TestOverheadProfileHealth(t *testing.T) {
 
 	// Recovery: heal and let the probe (armed at t=25) close the
 	// breaker; a fresh window shows the recovery, not the old trip.
-	p = NewProfiler(env)
+	start = env.Stats().Snapshot()
 	fail = false
 	vc.Advance(5)
-	prof = p.Stop()
-	if prof.Window.BreakerTrips != 0 || prof.Window.BreakerRecoveries != 1 {
+	win = env.Stats().Snapshot().Sub(start)
+	if win.BreakerTrips != 0 || win.BreakerRecoveries != 1 {
 		t.Fatalf("after recovery: trips=%d recoveries=%d, want 0/1",
-			prof.Window.BreakerTrips, prof.Window.BreakerRecoveries)
+			win.BreakerTrips, win.BreakerRecoveries)
 	}
-	if line := statLine(t, prof.Window, "degraded ops"); !strings.Contains(line, "recoveries=1") {
+	if line := statLine(t, win, "degraded ops"); !strings.Contains(line, "recoveries=1") {
 		t.Fatalf("degraded ops line = %q, missing recoveries=1", line)
 	}
 }
@@ -254,15 +253,15 @@ func TestOverheadProfileAdaptive(t *testing.T) {
 	}
 	defer sub.Unsubscribe()
 
-	p := NewProfiler(env)
+	start := env.Stats().Snapshot()
 	if err := r.Migrate("adaptable", core.TriggeredMechanism, 0); err != nil {
 		t.Fatal(err)
 	}
-	prof := p.Stop()
-	if prof.Window.Migrations != 1 {
-		t.Fatalf("Migrations = %d, want 1", prof.Window.Migrations)
+	win := env.Stats().Snapshot().Sub(start)
+	if win.Migrations != 1 {
+		t.Fatalf("Migrations = %d, want 1", win.Migrations)
 	}
-	line := statLine(t, prof.Window, "adaptive")
+	line := statLine(t, win, "adaptive")
 	for _, want := range []string{"migrations=1", "handlersCreated=1", "handlersRemoved=1"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("adaptive line = %q, missing %q", line, want)
@@ -281,7 +280,7 @@ func TestOverheadProfileWatch(t *testing.T) {
 		},
 	})
 
-	p := NewProfiler(env)
+	start := env.Stats().Snapshot()
 	h := watch.NewHub(env)
 	defer h.Close()
 	w, err := h.Watch(r, "item", watch.Options{})
@@ -291,22 +290,15 @@ func TestOverheadProfileWatch(t *testing.T) {
 	defer w.Close()
 	r.NotifyChanged("item")
 	h.Barrier()
-	prof := p.Stop()
-	if prof.Window.Watchers != 1 || prof.Window.CatchUps != 1 {
-		t.Fatalf("Watchers=%d CatchUps=%d, want 1/1", prof.Window.Watchers, prof.Window.CatchUps)
+	win := env.Stats().Snapshot().Sub(start)
+	if win.Watchers != 1 || win.CatchUps != 1 {
+		t.Fatalf("Watchers=%d CatchUps=%d, want 1/1", win.Watchers, win.CatchUps)
 	}
-	line := statLine(t, prof.Window, "watch hub")
+	line := statLine(t, win, "watch hub")
 	for _, want := range []string{"watchers=1", "catchUps=1", "wakeups=", "coalescedWakeups=", "shedNotifies=0"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("watch hub line = %q, missing %q", line, want)
 		}
-	}
-}
-
-func TestOverheadProfileZeroDuration(t *testing.T) {
-	var p OverheadProfile
-	if p.UpdatesPerTimeUnit() != 0 {
-		t.Fatal("zero-duration profile should report 0")
 	}
 }
 
@@ -327,18 +319,18 @@ func TestOverheadProfilePipeline(t *testing.T) {
 	subB, _ := r2.Subscribe("tickB")
 	defer subB.Unsubscribe()
 
-	p := NewProfiler(env)
+	start := env.Stats().Snapshot()
 	vc.Advance(100)
-	prof := p.Stop()
+	win := env.Stats().Snapshot().Sub(start)
 	// Two same-boundary handlers in one scope: one batch of two ticks
 	// per boundary.
-	if prof.Window.ScopeBatches != 10 || prof.Window.BatchedTicks != 20 {
-		t.Fatalf("ScopeBatches=%d BatchedTicks=%d, want 10/20", prof.Window.ScopeBatches, prof.Window.BatchedTicks)
+	if win.ScopeBatches != 10 || win.BatchedTicks != 20 {
+		t.Fatalf("ScopeBatches=%d BatchedTicks=%d, want 10/20", win.ScopeBatches, win.BatchedTicks)
 	}
-	if got := prof.Window.MeanBatchSize(); got != 2 {
+	if got := win.MeanBatchSize(); got != 2 {
 		t.Fatalf("MeanBatchSize = %v, want 2", got)
 	}
-	line := statLine(t, prof.Window, "update pipeline")
+	line := statLine(t, win, "update pipeline")
 	for _, want := range []string{"scopeBatches=10", "batchedTicks=20", "meanBatch=2.0"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("update pipeline line = %q, missing %q", line, want)
@@ -349,7 +341,7 @@ func TestOverheadProfilePipeline(t *testing.T) {
 func TestOverheadProfileDurability(t *testing.T) {
 	vc := clock.NewVirtual()
 	env := core.NewEnv(vc)
-	p := NewProfiler(env)
+	start := env.Stats().Snapshot()
 
 	// Simulate durable-plane activity the way persist reports it.
 	st := env.Stats()
@@ -361,7 +353,7 @@ func TestOverheadProfileDurability(t *testing.T) {
 	st.Recoveries.Add(1)
 	st.RestoredStale.Add(2)
 
-	line := statLine(t, p.Stop().Window, "durability")
+	line := statLine(t, env.Stats().Snapshot().Sub(start), "durability")
 	for _, want := range []string{
 		"walRecords=3", "walBytes=120", "checkpoints=1",
 		"checkpointAt=40", "recoveries=1", "restoredStale=2",

@@ -50,7 +50,7 @@ func WithHashAreas(leftKey, rightKey func(stream.Tuple) any) JoinOption {
 	keys := [2]func(stream.Tuple) any{leftKey, rightKey}
 	return func(c *joinConfig) {
 		c.makeArea = func(env *core.Env, id string, elemSize int64, side int) SweepArea {
-			return NewHashSweepArea(env, id, elemSize, keys[side])
+			return newHashSweepArea(env, id, elemSize, keys[side])
 		}
 	}
 }

@@ -287,7 +287,7 @@ func TestSweepAreaPurgeBoundary(t *testing.T) {
 	env := g.Env()
 	for name, sa := range map[string]SweepArea{
 		"list": NewListSweepArea(env, "l", 32),
-		"hash": NewHashSweepArea(env, "h", 32, func(tp stream.Tuple) any { return tp[0] }),
+		"hash": newHashSweepArea(env, "h", 32, func(tp stream.Tuple) any { return tp[0] }),
 	} {
 		sa.Insert(windowed(1, 0, 10)) // valid [0,10)
 		sa.Insert(windowed(2, 0, 11)) // valid [0,11)
@@ -302,7 +302,7 @@ func TestSweepAreaPurgeBoundary(t *testing.T) {
 
 func TestHashSweepAreaMemIncludesBuckets(t *testing.T) {
 	g, _ := newTestGraph()
-	sa := NewHashSweepArea(g.Env(), "h", 32, func(tp stream.Tuple) any { return tp[0] })
+	sa := newHashSweepArea(g.Env(), "h", 32, func(tp stream.Tuple) any { return tp[0] })
 	if sa.MemBytes() != 0 {
 		t.Fatal("empty area has nonzero memory")
 	}

@@ -148,8 +148,8 @@ type HashSweepArea struct {
 	size    int
 }
 
-// NewHashSweepArea creates a hash-based sweep area partitioned by key.
-func NewHashSweepArea(env *core.Env, id string, elemSize int64, key func(stream.Tuple) any) *HashSweepArea {
+// newHashSweepArea creates a hash-based sweep area partitioned by key.
+func newHashSweepArea(env *core.Env, id string, elemSize int64, key func(stream.Tuple) any) *HashSweepArea {
 	sa := &HashSweepArea{
 		reg:      env.NewRegistry(id),
 		elemSize: elemSize,

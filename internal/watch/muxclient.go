@@ -119,7 +119,7 @@ func (m *MuxSession) Next() (MuxEvent, error) {
 			m.pending = m.pending[1:]
 			return ev, nil
 		}
-		evs, heartbeat, err := ReadMuxFrame(m.br)
+		evs, heartbeat, err := readMuxFrame(m.br)
 		if err != nil {
 			if m.wd.expired() {
 				return MuxEvent{}, ErrHeartbeatTimeout

@@ -59,11 +59,11 @@ type MuxEvent struct {
 	Err       string
 }
 
-// MuxEventOf converts an in-process event for watch id to wire form:
+// muxEventOf converts an in-process event for watch id to wire form:
 // a finite numeric value travels in Value with Numeric set, every other
 // value (NaN and ±Inf included, which the strict decoder refuses as
 // numerics) as its string form in Raw, and an error as its text in Err.
-func MuxEventOf(id uint64, ev Event) MuxEvent {
+func muxEventOf(id uint64, ev Event) MuxEvent {
 	me := MuxEvent{ID: id, Version: ev.Version, Snapshot: ev.Snapshot, Coalesced: ev.Coalesced}
 	if ev.Err != nil {
 		me.Err = ev.Err.Error()
@@ -79,7 +79,7 @@ func MuxEventOf(id uint64, ev Event) MuxEvent {
 	return me
 }
 
-// Event is MuxEventOf's inverse: the in-process event for the
+// Event is muxEventOf's inverse: the in-process event for the
 // (registry, kind) the watch id was registered under. A numeric value
 // comes back as float64, any other as its string form, an error as its
 // text.
@@ -156,8 +156,8 @@ func AppendMuxEvents(dst []byte, evs []MuxEvent) []byte {
 	return frame.Finish(dst, off)
 }
 
-// AppendMuxHeartbeat appends one framed 'H' payload.
-func AppendMuxHeartbeat(dst []byte) []byte {
+// appendMuxHeartbeat appends one framed 'H' payload.
+func appendMuxHeartbeat(dst []byte) []byte {
 	return frame.Append(dst, []byte{muxPayloadHeartbeat})
 }
 
@@ -231,11 +231,11 @@ func decodeMuxString(b []byte) (string, int, error) {
 	return string(b[n : n+int(ln)]), n + int(ln), nil
 }
 
-// DecodeMuxPayload decodes one frame payload (header already stripped
+// decodeMuxPayload decodes one frame payload (header already stripped
 // and CRC-verified). It returns the events for an 'E' payload, or
 // heartbeat == true for an 'H'. Trailing garbage, an empty event list,
 // and unknown payload types are all ErrMuxCorrupt.
-func DecodeMuxPayload(payload []byte) (evs []MuxEvent, heartbeat bool, err error) {
+func decodeMuxPayload(payload []byte) (evs []MuxEvent, heartbeat bool, err error) {
 	if len(payload) == 0 {
 		return nil, false, ErrMuxCorrupt
 	}
@@ -265,25 +265,25 @@ func DecodeMuxPayload(payload []byte) (evs []MuxEvent, heartbeat bool, err error
 }
 
 // DecodeMuxFrame decodes one whole frame at the start of b, returning
-// the bytes consumed — the byte-slice twin of ReadMuxFrame, used by
+// the bytes consumed — the byte-slice twin of readMuxFrame, used by
 // tests and the fuzz harness.
 func DecodeMuxFrame(b []byte) (evs []MuxEvent, heartbeat bool, n int, err error) {
 	payload, n, err := frame.Decode(b, maxMuxFrame)
 	if err != nil {
 		return nil, false, 0, ErrMuxCorrupt
 	}
-	evs, heartbeat, err = DecodeMuxPayload(payload)
+	evs, heartbeat, err = decodeMuxPayload(payload)
 	if err != nil {
 		return nil, false, 0, err
 	}
 	return evs, heartbeat, n, nil
 }
 
-// ReadMuxFrame reads one whole frame from r. io.EOF on a frame
+// readMuxFrame reads one whole frame from r. io.EOF on a frame
 // boundary passes through as io.EOF (clean end of stream); a tear
 // inside a frame is io.ErrUnexpectedEOF, and a CRC/grammar violation
 // is ErrMuxCorrupt.
-func ReadMuxFrame(r io.Reader) (evs []MuxEvent, heartbeat bool, err error) {
+func readMuxFrame(r io.Reader) (evs []MuxEvent, heartbeat bool, err error) {
 	payload, err := frame.Read(r, maxMuxFrame)
 	if err == frame.ErrCorrupt {
 		return nil, false, ErrMuxCorrupt
@@ -291,7 +291,7 @@ func ReadMuxFrame(r io.Reader) (evs []MuxEvent, heartbeat bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	return DecodeMuxPayload(payload)
+	return decodeMuxPayload(payload)
 }
 
 // muxAdd is one watch registration in a control request.

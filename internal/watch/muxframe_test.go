@@ -31,14 +31,14 @@ func TestMuxEventOf(t *testing.T) {
 		{"+Inf", Event{Version: 7, Value: math.Inf(1)}, MuxEvent{ID: 9, Version: 7, Raw: "+Inf"}},
 		{"-Inf", Event{Version: 8, Value: math.Inf(-1)}, MuxEvent{ID: 9, Version: 8, Raw: "-Inf"}},
 	} {
-		if got := MuxEventOf(9, tc.ev); got != tc.want {
-			t.Errorf("%s: MuxEventOf = %+v, want %+v", tc.name, got, tc.want)
+		if got := muxEventOf(9, tc.ev); got != tc.want {
+			t.Errorf("%s: muxEventOf = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }
 
 // TestFrameRoundTrip sends events through a mux frame and back:
-// MuxEventOf → AppendMuxEvents → DecodeMuxFrame → MuxEvent.Event keeps
+// muxEventOf → AppendMuxEvents → DecodeMuxFrame → MuxEvent.Event keeps
 // version, flags, value and error text, rebound to the item the watch
 // id was registered under.
 func TestFrameRoundTrip(t *testing.T) {
@@ -52,7 +52,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	wire := make([]MuxEvent, len(in))
 	for i, ev := range in {
-		wire[i] = MuxEventOf(uint64(i+1), ev)
+		wire[i] = muxEventOf(uint64(i+1), ev)
 	}
 	b := AppendMuxEvents(nil, wire)
 	got, _, n, err := DecodeMuxFrame(b)
@@ -94,16 +94,16 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 	}
 
 	// The io.Reader path decodes the same bytes, one frame per call.
-	two := AppendMuxHeartbeat(b) // events frame then heartbeat frame
+	two := appendMuxHeartbeat(b) // events frame then heartbeat frame
 	r := bytes.NewReader(two)
-	got2, hb2, err := ReadMuxFrame(r)
+	got2, hb2, err := readMuxFrame(r)
 	if err != nil || hb2 || !reflect.DeepEqual(got2, evs) {
-		t.Fatalf("ReadMuxFrame events = %+v hb=%v err=%v", got2, hb2, err)
+		t.Fatalf("readMuxFrame events = %+v hb=%v err=%v", got2, hb2, err)
 	}
-	if _, hb3, err := ReadMuxFrame(r); err != nil || !hb3 {
-		t.Fatalf("ReadMuxFrame heartbeat = hb=%v err=%v", hb3, err)
+	if _, hb3, err := readMuxFrame(r); err != nil || !hb3 {
+		t.Fatalf("readMuxFrame heartbeat = hb=%v err=%v", hb3, err)
 	}
-	if _, _, err := ReadMuxFrame(r); err != io.EOF {
+	if _, _, err := readMuxFrame(r); err != io.EOF {
 		t.Fatalf("stream end = %v, want io.EOF", err)
 	}
 }
@@ -133,7 +133,7 @@ func TestMuxFrameTornAndCorrupt(t *testing.T) {
 		if _, _, _, err := DecodeMuxFrame(b[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
-		_, _, err := ReadMuxFrame(bytes.NewReader(b[:cut]))
+		_, _, err := readMuxFrame(bytes.NewReader(b[:cut]))
 		switch {
 		case cut == 0 && err != io.EOF:
 			t.Fatalf("empty stream = %v, want io.EOF", err)
@@ -160,7 +160,7 @@ func TestMuxFrameTornAndCorrupt(t *testing.T) {
 		{'Z'},
 		{},
 	} {
-		if _, _, err := DecodeMuxPayload(payload); !errors.Is(err, ErrMuxCorrupt) {
+		if _, _, err := decodeMuxPayload(payload); !errors.Is(err, ErrMuxCorrupt) {
 			t.Fatalf("payload %v accepted (err=%v)", payload, err)
 		}
 	}
@@ -177,7 +177,7 @@ func FuzzMuxFrame(f *testing.F) {
 		{ID: 9, Version: 1, Snapshot: true, Raw: "r"},
 		{ID: 10, Version: 77, Coalesced: true, Err: "e"},
 	}))
-	f.Add(AppendMuxHeartbeat(nil))
+	f.Add(appendMuxHeartbeat(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 
@@ -188,7 +188,7 @@ func FuzzMuxFrame(f *testing.F) {
 		}
 		var enc1 []byte
 		if heartbeat {
-			enc1 = AppendMuxHeartbeat(nil)
+			enc1 = appendMuxHeartbeat(nil)
 		} else {
 			enc1 = AppendMuxEvents(nil, evs)
 		}
@@ -201,7 +201,7 @@ func FuzzMuxFrame(f *testing.F) {
 		}
 		var enc2 []byte
 		if hb2 {
-			enc2 = AppendMuxHeartbeat(nil)
+			enc2 = appendMuxHeartbeat(nil)
 		} else {
 			enc2 = AppendMuxEvents(nil, evs2)
 		}

@@ -235,7 +235,7 @@ func (s *Server) handleMuxStream(w http.ResponseWriter, req *http.Request) {
 				if !ok {
 					break
 				}
-				evs = append(evs, MuxEventOf(se.ID, se.Event))
+				evs = append(evs, muxEventOf(se.ID, se.Event))
 			}
 			if len(evs) == 0 {
 				break
@@ -251,7 +251,7 @@ func (s *Server) handleMuxStream(w http.ResponseWriter, req *http.Request) {
 		select {
 		case <-st.sess.Signal():
 		case <-hb.C:
-			buf = AppendMuxHeartbeat(buf[:0])
+			buf = appendMuxHeartbeat(buf[:0])
 			if _, err := w.Write(buf); err != nil {
 				return
 			}

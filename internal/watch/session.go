@@ -23,7 +23,7 @@ type SessionEvent struct {
 // those of a standalone Watcher — but wakeups aggregate onto one cap-1
 // signal channel, so a consumer of 10k watches waits on one channel,
 // not 10k. The HTTP mux transport serializes a Session onto one
-// connection; pipes.System.WatchMux exposes it in-process.
+// connection.
 //
 // Delivery notifications push the affected watch onto a dirty queue
 // (deduplicated per watch), and Poll services dirty watches in FIFO

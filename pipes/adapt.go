@@ -43,11 +43,8 @@ var ErrNotMigratable = core.ErrNotMigratable
 // cfg.Interval time units and live-migrated to whichever maintenance
 // mechanism their observed read and update rates make cheapest, with
 // hysteresis and dwell damping against flapping. The zero AdaptConfig
-// selects the documented defaults.
-//
-// The sampling ticker reschedules itself forever once the first item
-// is autotuned; like live periodic subscriptions, that makes
-// RunToCompletion non-terminating — drive such systems with Run.
+// selects the documented defaults. The sampling ticker reschedules
+// itself every cfg.Interval once the first item is autotuned.
 func WithAdaptiveMaintenance(cfg AdaptConfig) SystemOption {
 	return func(s *System) { s.adaptCfg = &cfg }
 }
@@ -61,14 +58,6 @@ func WithAdaptiveMaintenance(cfg AdaptConfig) SystemOption {
 // the default).
 func (st *Stream) Autotune(kind Kind, slo Duration, cost float64) error {
 	return st.sys.autotune(st.node.Registry(), kind, slo, cost)
-}
-
-// Migrate switches one of the node's metadata items to the given
-// maintenance mechanism by hand, preserving subscribers, last-good
-// state, and dependents. window is the update period when to is
-// PeriodicMechanism (0 uses the AdaptSpec default).
-func (st *Stream) Migrate(kind Kind, to Mechanism, window Duration) error {
-	return st.node.Registry().Migrate(kind, to, window)
 }
 
 func (s *System) autotune(reg *Registry, kind Kind, slo Duration, cost float64) error {

@@ -113,13 +113,13 @@ func TestAutotuneClosedLoop(t *testing.T) {
 	}
 }
 
-// TestManualMigrate pins the by-hand migration surface on a stream.
+// TestManualMigrate pins by-hand migration through a node's registry.
 func TestManualMigrate(t *testing.T) {
 	sys := NewSystem()
 	src := sys.Source("s", Schema{Name: "s", Fields: []Field{{Name: "v", Type: "int"}}}, nil, 0)
 	sub := defineAdaptable(t, src)
 
-	if err := src.Migrate("hot", PeriodicMechanism, 0); err != nil {
+	if err := src.Metadata().Migrate("hot", PeriodicMechanism, 0); err != nil {
 		t.Fatalf("Migrate(periodic, default window): %v", err)
 	}
 	if w, ok := src.Metadata().Window("hot"); !ok || w != 50 {
@@ -130,7 +130,7 @@ func TestManualMigrate(t *testing.T) {
 		t.Fatalf("hot = %v, %v, want 6", v, err)
 	}
 	// Items without an AdaptSpec stay pinned.
-	if err := src.Migrate("src", OnDemandMechanism, 0); !errors.Is(err, ErrNotMigratable) {
+	if err := src.Metadata().Migrate("src", OnDemandMechanism, 0); !errors.Is(err, ErrNotMigratable) {
 		t.Fatalf("Migrate(src) = %v, want ErrNotMigratable", err)
 	}
 }

@@ -13,11 +13,6 @@ type (
 	DeltaSpec = core.DeltaSpec
 	// DeltaAcc is the aggregate's fixed-size accumulator.
 	DeltaAcc = core.DeltaAcc
-	// Definition declares a metadata item (used with Registry.Define
-	// to register custom delta aggregates on a node).
-	Definition = core.Definition
-	// DepRef names one dependency edge of a Definition.
-	DepRef = core.DepRef
 )
 
 var (
@@ -36,16 +31,4 @@ var (
 	// DeltaMin tracks the minimum; it is not invertible (Retract=nil)
 	// and always refolds on updates, kept for uniform declaration.
 	DeltaMin = core.DeltaMin
-	// Dep builds a dependency reference for a Definition.
-	Dep = core.Dep
-	// SelfNode selects a dependency on the defining node itself.
-	SelfNode = core.Self
 )
-
-// WithoutDeltaPropagation disables the incremental delta channel:
-// every aggregate refresh runs the full fold — the kill-switch for the
-// delta path, and the delta-off twin of the model-based equivalence
-// harness.
-func WithoutDeltaPropagation() SystemOption {
-	return func(s *System) { s.envOpts = append(s.envOpts, core.WithoutDeltaPropagation()) }
-}

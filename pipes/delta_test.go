@@ -51,35 +51,3 @@ func TestDeltaAggregateThroughFacade(t *testing.T) {
 		t.Fatalf("delta channel never fired: %+v", st)
 	}
 }
-
-func TestWithoutDeltaPropagationFacade(t *testing.T) {
-	sys := NewSystem(WithStatWindow(50), WithoutDeltaPropagation())
-	src := sys.Source("src", intSchema, NewConstantRate(0, 5, 0), 0)
-	src.Sink("out", nil)
-	src.Metadata().MustDefine(&Definition{
-		Kind:  "traffic",
-		Deps:  []DepRef{Dep(SelfNode(), KindOutputRate)},
-		Delta: DeltaSum(),
-		Build: NewDeltaAggregate,
-	})
-	traffic, err := src.Subscribe("traffic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer traffic.Unsubscribe()
-	out, err := src.Subscribe(KindOutputRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Unsubscribe()
-	sys.Run(500)
-	tv, _ := traffic.Float()
-	ov, _ := out.Float()
-	if tv != ov {
-		t.Fatalf("traffic = %v, want %v", tv, ov)
-	}
-	st := sys.Env().Stats().Snapshot()
-	if st.DeltaFires != 0 || st.DeltaFallbacks == 0 {
-		t.Fatalf("delta-off system: fires=%d fallbacks=%d", st.DeltaFires, st.DeltaFallbacks)
-	}
-}

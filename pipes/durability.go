@@ -82,12 +82,3 @@ func (s *System) OpenDurability() (*RecoveryStats, error) {
 	s.plane = plane
 	return rs, nil
 }
-
-// Checkpoint writes a full-plane checkpoint now (durability must be
-// open). Useful before a planned shutdown or on an operator signal.
-func (s *System) Checkpoint() error {
-	if s.plane == nil {
-		return fmt.Errorf("pipes: durability not open")
-	}
-	return s.plane.Checkpoint()
-}

@@ -78,6 +78,41 @@ type (
 	HealthSnapshot = core.HealthSnapshot
 )
 
+// Re-exported metadata-definition building blocks: a custom item is a
+// Definition registered with Registry.Define, whose Build returns one
+// of the three handler forms.
+type (
+	// Definition declares a metadata item.
+	Definition = core.Definition
+	// DepRef names one dependency edge of a Definition.
+	DepRef = core.DepRef
+	// BuildContext gives a Definition's Build its resolved
+	// dependencies.
+	BuildContext = core.BuildContext
+	// Handler maintains one included metadata item.
+	Handler = core.Handler
+	// ComputeFunc computes an item's value at an instant.
+	ComputeFunc = core.ComputeFunc
+	// WindowComputeFunc computes a periodic item's value over one
+	// window [start, end).
+	WindowComputeFunc = core.WindowComputeFunc
+)
+
+var (
+	// NewOnDemand recomputes the item on every read (memoized when the
+	// Definition declares Pure).
+	NewOnDemand = core.NewOnDemand
+	// NewPeriodic recomputes the item once per window.
+	NewPeriodic = core.NewPeriodic
+	// NewTriggered recomputes the item whenever a dependency or one of
+	// its Events fires.
+	NewTriggered = core.NewTriggered
+	// Dep builds a dependency reference for a Definition.
+	Dep = core.Dep
+	// SelfNode selects a dependency on the defining node itself.
+	SelfNode = core.Self
+)
+
 // Re-exported degraded-operation states and sentinels.
 const (
 	Healthy     = core.Healthy
@@ -109,6 +144,18 @@ var (
 	NewBursty = stream.NewBursty
 	// NewZipfValues draws Zipf-distributed keys.
 	NewZipfValues = stream.NewZipfValues
+)
+
+// Re-exported trace recording and replay: a Trace is a Generator that
+// replays recorded arrivals (Reset rewinds it).
+type Trace = stream.Trace
+
+var (
+	// Record drains up to limit arrivals (0: all) of a bounded
+	// generator into a Trace.
+	Record = stream.Record
+	// ReadTraceCSV loads a Trace written by Trace.WriteCSV.
+	ReadTraceCSV = stream.ReadTraceCSV
 )
 
 // Re-exported aggregate constructors.
@@ -157,6 +204,11 @@ const (
 	KindEstCPU        = costmodel.KindEstCPU
 	KindEstMem        = costmodel.KindEstMem
 )
+
+// WriteStats renders a framework stats snapshot (Env().Stats().Snapshot(),
+// or a WatchClient's Stats) as the report, one "group: label=value ..."
+// line per group.
+var WriteStats = monitor.WriteStats
 
 // System owns one query graph, its metadata environment, and its
 // execution engine, all on a shared deterministic virtual clock. Run
@@ -211,17 +263,13 @@ func WithStatWindow(w Duration) SystemOption {
 }
 
 // WithUpdaterPool runs periodic metadata updates on k worker
-// goroutines instead of inline (for large query graphs).
-func WithUpdaterPool(k int) SystemOption {
-	return func(s *System) { s.pool = core.NewPoolUpdater(k) }
-}
-
-// WithBoundedUpdaterPool is WithUpdaterPool with a bounded task queue:
-// under backpressure, queued periodic scope batches superseded by a
-// newer boundary are coalesced (counted in Stats.ShedTicks), while
-// triggered propagations are never dropped.
-func WithBoundedUpdaterPool(k, capacity int) SystemOption {
-	return func(s *System) { s.pool = core.NewPoolUpdater(k, core.WithQueueCapacity(capacity)) }
+// goroutines instead of inline (for large query graphs). A queueCap
+// above 0 bounds the pool's task queue: under backpressure, queued
+// periodic scope batches superseded by a newer boundary are coalesced
+// (counted in Stats.ShedTicks), while triggered propagations are never
+// dropped. A queueCap of 0 or less leaves the queue unbounded.
+func WithUpdaterPool(k, queueCap int) SystemOption {
+	return func(s *System) { s.pool = core.NewPoolUpdater(k, core.WithQueueCapacity(queueCap)) }
 }
 
 // WithComputeDeadline bounds every asynchronous metadata computation
@@ -230,18 +278,6 @@ func WithBoundedUpdaterPool(k, capacity int) SystemOption {
 // off. Inert on the inline updater.
 func WithComputeDeadline(d Duration) SystemOption {
 	return func(s *System) { s.envOpts = append(s.envOpts, core.WithComputeDeadline(d)) }
-}
-
-// WithMemoizedOnDemand enables the versioned read path: on-demand
-// metadata items whose Definition declares Pure serve repeat reads from
-// a dependency-stamped memo — lock-free and compute-free while no
-// dependency has republished — and concurrent readers of a miss
-// coalesce behind a single compute. Items not declared Pure (anything
-// reading the clock or external state) keep the paper's exact
-// recompute-per-access behaviour, as does every item when this option
-// is off.
-func WithMemoizedOnDemand() SystemOption {
-	return func(s *System) { s.envOpts = append(s.envOpts, core.WithMemoizedOnDemand()) }
 }
 
 // WithBreaker arms a per-item circuit breaker: an item whose compute
@@ -282,7 +318,9 @@ func NewSystem(opts ...SystemOption) *System {
 	for _, o := range opts {
 		o(s)
 	}
-	var envOpts []core.EnvOption
+	// Declaring Pure is what memoizes an on-demand item: the memo only
+	// engages for items whose Definition (or AdaptSpec) says Pure.
+	envOpts := []core.EnvOption{core.WithMemoizedOnDemand()}
 	if s.pool != nil {
 		envOpts = append(envOpts, core.WithUpdater(s.pool))
 	}
@@ -325,15 +363,6 @@ func (s *System) InstallCostModel() { costmodel.Install(s.graph) }
 func (s *System) Run(t Time) {
 	s.ensureEngine()
 	s.eng.RunUntil(t)
-}
-
-// RunToCompletion drains all scheduled work. It only terminates when
-// every clock event is finite: bounded generators, no budget-mode
-// scheduling, and no live subscriptions to periodic metadata (whose
-// update tickers reschedule forever) — otherwise use Run.
-func (s *System) RunToCompletion() {
-	s.ensureEngine()
-	s.eng.RunToCompletion()
 }
 
 // Engine exposes the execution engine (queue statistics etc.); it is

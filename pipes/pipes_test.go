@@ -14,7 +14,7 @@ func TestQuickstartPipeline(t *testing.T) {
 	big := src.Filter("big", func(tp Tuple) bool { return tp[0].(int) >= 10 })
 	var got []Element
 	big.Sink("out", func(e Element) { got = append(got, e) })
-	sys.RunToCompletion()
+	sys.Run(1000) // past the last arrival
 	if len(got) != 10 {
 		t.Fatalf("sink got %d elements, want 10", len(got))
 	}
@@ -77,7 +77,7 @@ func TestAggregateThroughFacade(t *testing.T) {
 	cnt := w.Aggregate("cnt", NewCount())
 	var last float64
 	cnt.Sink("out", func(e Element) { last = e.Tuple[0].(float64) })
-	sys.RunToCompletion()
+	sys.Run(1000) // past the last arrival
 	// With 30-unit validity and 10-unit spacing, 3 elements are live.
 	if last != 3 {
 		t.Fatalf("final count = %v, want 3", last)
@@ -93,7 +93,7 @@ func TestGroupAggregateAndUnionFacade(t *testing.T) {
 	ga := w.GroupAggregate("g", 0, NewCount())
 	seen := map[any]float64{}
 	ga.Sink("out", func(e Element) { seen[e.Tuple[0]] = e.Tuple[1].(float64) })
-	sys.RunToCompletion()
+	sys.Run(1000) // past the last arrival
 	if len(seen) == 0 {
 		t.Fatal("group aggregate produced nothing")
 	}
@@ -199,7 +199,7 @@ func TestUnknownSchedulingPanics(t *testing.T) {
 }
 
 func TestUpdaterPoolOption(t *testing.T) {
-	sys := NewSystem(WithUpdaterPool(2), WithStatWindow(10))
+	sys := NewSystem(WithUpdaterPool(2, 0), WithStatWindow(10))
 	src := sys.Source("src", intSchema, NewConstantRate(0, 1, 0), 0)
 	f := src.Filter("f", func(Tuple) bool { return true })
 	f.Sink("out", nil)
@@ -228,7 +228,7 @@ func TestCountWindowFacade(t *testing.T) {
 	cw := src.CountWindow("cw", 3)
 	n := 0
 	cw.Sink("out", func(Element) { n++ })
-	sys.RunToCompletion()
+	sys.Run(1000) // past the last arrival
 	if n != 7 {
 		t.Fatalf("count window emitted %d, want 7 (10 arrivals, 3 retained)", n)
 	}
@@ -240,7 +240,7 @@ func TestMapFacade(t *testing.T) {
 	doubled := src.Map("x2", intSchema, func(tp Tuple) Tuple { return Tuple{tp[0].(int) * 2} })
 	var vals []int
 	doubled.Sink("out", func(e Element) { vals = append(vals, e.Tuple[0].(int)) })
-	sys.RunToCompletion()
+	sys.Run(1000) // past the last arrival
 	if len(vals) != 5 || vals[4] != 8 {
 		t.Fatalf("mapped values = %v", vals)
 	}

@@ -144,8 +144,3 @@ func (st *Stream) SinkQoS(name string, fn func(Element), qosLatency, priority fl
 func (st *Stream) SetWindowSize(size Duration) {
 	st.node.(*ops.TimeWindow).SetSize(size)
 }
-
-// SetDropProbability adjusts a sampler stream's drop probability.
-func (st *Stream) SetDropProbability(p float64) {
-	st.node.(*ops.Sampler).SetDropProbability(p)
-}

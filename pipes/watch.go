@@ -22,12 +22,6 @@ type (
 	WatchServer = watch.Server
 	// WatchClient consumes a WatchServer's mux sessions.
 	WatchClient = watch.Client
-	// WatchSession is an in-process mux session: many watches, one
-	// merged queue and wakeup (see System.WatchMux).
-	WatchSession = watch.Session
-	// WatchSessionEvent is one event from a WatchSession, tagged with
-	// its watch id.
-	WatchSessionEvent = watch.SessionEvent
 	// MuxWatch names one (registry, kind, since) watch in a mux
 	// session.
 	MuxWatch = watch.MuxWatch
@@ -72,14 +66,6 @@ func (s *System) WatchHub() *WatchHub {
 // Subscribe would; closing the last watcher releases it.
 func (st *Stream) Watch(kind Kind, opt WatchOptions) (*Watcher, error) {
 	return st.sys.WatchHub().Watch(st.node.Registry(), kind, opt)
-}
-
-// WatchMux creates an in-process mux session over the system's hub:
-// add any number of (node, kind) watches by id and drain one merged
-// queue with one wakeup channel, instead of one goroutine per watcher.
-// Close the session to release all its watches.
-func (s *System) WatchMux() *WatchSession {
-	return watch.NewSession(watch.NewHubView(s.WatchHub(), s.env, s.registries()...))
 }
 
 // NewRelay connects to an upstream WatchServer and mirrors its whole
