@@ -105,9 +105,10 @@ type Observation struct {
 	Mech   core.Mechanism
 	Window clock.Duration
 	// Pure reports that the item's on-demand form is memoized: it
-	// declares AdaptSpec.Pure and its env memoizes on-demand items
-	// (core.WithMemoizedOnDemand). An undeclared or unmemoized form
-	// is priced at one compute per read.
+	// declares AdaptSpec.Pure, its env memoizes on-demand items
+	// (core.WithMemoizedOnDemand), and every on-demand dependency is
+	// memoized too (core.Registry.Adaptable). An undeclared or
+	// unmemoized form is priced at one compute per read.
 	Pure bool
 	// Dwell counts completed sampling intervals since the item's last
 	// migration (or since Track).

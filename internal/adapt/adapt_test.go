@@ -293,6 +293,60 @@ func TestControllerPricesPureByEnvMemo(t *testing.T) {
 	}
 }
 
+// TestAdaptablePureNeedsMemoizedDeps pins that a Pure on-demand item
+// over an on-demand dependency that is not memoized is not priced as
+// memoized: the dependency recomputes on access without publishing, so
+// no stamp over it holds and the item recomputes on every read. Over a
+// Pure dependency both are memoized and it is.
+func TestAdaptablePureNeedsMemoizedDeps(t *testing.T) {
+	for _, srcPure := range []bool{false, true} {
+		env := core.NewEnv(clock.NewVirtual(), core.WithMemoizedOnDemand())
+		r := env.NewRegistry("n")
+		r.MustDefine(&core.Definition{
+			Kind: "src",
+			Build: func(*core.BuildContext) (core.Handler, error) {
+				return core.NewOnDemand(func(clock.Time) (core.Value, error) { return 5.0, nil }), nil
+			},
+			Pure: srcPure,
+		})
+		compute := func(ctx *core.BuildContext) core.ComputeFunc {
+			dep := ctx.Dep(0)
+			return func(clock.Time) (core.Value, error) {
+				f, err := dep.Float()
+				return f + 1, err
+			}
+		}
+		r.MustDefine(&core.Definition{
+			Kind:  "hot",
+			Deps:  []core.DepRef{core.Dep(core.Self(), "src")},
+			Adapt: &core.AdaptSpec{OnDemand: compute, Triggered: compute, Pure: true},
+			Build: func(ctx *core.BuildContext) (core.Handler, error) {
+				return core.NewOnDemand(compute(ctx)), nil
+			},
+			Pure: true,
+		})
+		s, err := r.Subscribe("hot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := env.Stats().Snapshot()
+		for i := 0; i < 10; i++ {
+			if v, err := s.Float(); err != nil || v != 6 {
+				t.Fatalf("hot = %v, %v, want 6", v, err)
+			}
+		}
+		computes := env.Stats().Snapshot().Sub(before).OnDemandComputes
+		pure, ok := r.Adaptable("hot")
+		if !ok || pure != srcPure {
+			t.Errorf("src Pure=%v: Adaptable(hot) = %v, %v; want %v, true (%d on-demand computes over 10 reads)", srcPure, pure, ok, srcPure, computes)
+		}
+		if memoized := computes < 10; memoized != pure {
+			t.Errorf("src Pure=%v: %d on-demand computes over 10 reads, but Adaptable reports pure=%v", srcPure, computes, pure)
+		}
+		s.Unsubscribe()
+	}
+}
+
 // TestControllerTrackErrors pins Track's failure modes.
 func TestControllerTrackErrors(t *testing.T) {
 	_, _, r, _ := buildLoop(t, false)

@@ -206,7 +206,7 @@ func (h *Handle) Value() (Value, error) {
 		}
 	}
 	if s != nil {
-		return s.val, s.err
+		return s.get()
 	}
 	return it.read()
 }

@@ -282,7 +282,7 @@ func (ds *deltaState) foldSnap(a *snapAlloc, v Value, err error, epoch uint64) *
 		v = nil
 	}
 	ds.valid = false
-	return a.put(v, err)
+	return a.slot().set(v, err)
 }
 
 // refreshDelta is refresh for delta aggregates: consume the pending
@@ -493,10 +493,10 @@ var float64EfaceType = func() unsafe.Pointer {
 	return (*eface)(unsafe.Pointer(&v)).typ
 }()
 
-// putFloat is put for a clean float64 value: the float is stored in the
+// putFloat publishes a clean float64 value: the float is stored in the
 // slot's inline fbox and the eface points at it, so no per-publish heap
-// allocation occurs (the slot's chunk is the only allocation,
-// amortized 1/64). The data pointer is an interior pointer into the
+// allocation occurs (the slot's chunk is the only allocation, amortized
+// over chunkSlots). The data pointer is an interior pointer into the
 // live chunk, which the GC tracks like any other; slots are never
 // reused, so a reader holding the snapshot keeps the box alive.
 func (a *snapAlloc) putFloat(f float64) *valueSnapshot {

@@ -311,7 +311,7 @@ func TestDeltaNotifyChangedOnFloatStatic(t *testing.T) {
 func setStatic(h Handler, v Value) {
 	it := h.(*item)
 	it.mu.Lock()
-	it.cur.Store(it.snaps.put(v, nil))
+	it.cur.Store(it.snaps.slot().set(v, nil))
 	it.mu.Unlock()
 }
 
@@ -425,7 +425,7 @@ func TestPutFloatBoxing(t *testing.T) {
 	var a snapAlloc
 	s1 := a.putFloat(3.5)
 	s2 := a.putFloat(-0.0)
-	s3 := a.put("str", nil)
+	s3 := a.slot().set("str", nil)
 	if f, ok := s1.val.(float64); !ok || f != 3.5 {
 		t.Fatalf("s1.val = %#v, want float64 3.5", s1.val)
 	}

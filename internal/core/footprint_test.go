@@ -146,10 +146,11 @@ func settledHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// Ceilings of the footprint guard: bytes 2 % above what a 176-B item,
-// whose fan-out is an array counted by ndeps, landed — 392.8 B per
-// included item on a plain env, 513.9 under WithBreaker and 406.4 with
-// churn-read-mix's on-demand items, where the 192-B item with a
+// Ceilings of the footprint guard: bytes 2 % above what a 160-B item,
+// whose publications keep their error out of line, landed — 376.8 B
+// per included item on a plain env, 497.9 under WithBreaker and 390.4
+// with churn-read-mix's on-demand items, where the 176-B item with the
+// error inline read 392.8, 513.9 and 406.4, the 192-B item with a
 // dependents slice read 408.8, 529.9 and 422.4, the 208-B item with a
 // separately allocated node 433.5, 554.5 and 444.2, and one object
 // per included item before the side block 484.5, 593.5 and 481.2 (and
@@ -161,9 +162,9 @@ func settledHeap() int64 {
 // release (one per built item: 278; a separate entry and item: 319; the
 // flat dependency graph's first reading: 381; the map-based graph: 700).
 const (
-	maxPlaneBytesPerItem         = 401
-	maxBreakerPlaneBytesPerItem  = 525
-	maxOnDemandPlaneBytesPerItem = 415
+	maxPlaneBytesPerItem         = 385
+	maxBreakerPlaneBytesPerItem  = 509
+	maxOnDemandPlaneBytesPerItem = 399
 	maxColdInclusionAllocs       = 250
 )
 
@@ -227,22 +228,26 @@ func TestFootprintOnDemandPlaneBytesPerItem(t *testing.T) {
 }
 
 // TestItemLayout pins the sizes the footprint is sized for: an item in
-// the 176-B size class with its entry in 80 B, a registry with its own
-// union-find node in the 128-B one (the node alone 32 B), and the side
-// block and the breaker that embeds it in the 64-B and 160-B ones. A
-// field added to any of them fails here before it moves a byte count.
+// the 160-B size class with its entry in 80 B and its inline snapshot in
+// 24 B, a registry with its own union-find node in the 128-B one (the
+// node alone 32 B), the side block and the breaker that embeds it in
+// the 64-B and 160-B ones, and a stale publication's record in the 48-B
+// one. A field added to any of them fails here before it moves a byte
+// count.
 func TestItemLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		size, max uintptr
 	}{
-		{"item", unsafe.Sizeof(item{}), 176},
+		{"item", unsafe.Sizeof(item{}), 160},
 		{"entry", unsafe.Sizeof(entry{}), 80},
+		{"valueSnapshot", unsafe.Sizeof(valueSnapshot{}), 24},
 		{"Registry with its node", unsafe.Sizeof(Registry{}), 128},
 		{"component", unsafe.Sizeof(component{}), 32},
 		{"itemSide", unsafe.Sizeof(itemSide{}), 64},
 		{"itemHealth", unsafe.Sizeof(itemHealth{}), 160},
 		{"windowPolicy", unsafe.Sizeof(windowPolicy{}), 48},
+		{"StaleError", unsafe.Sizeof(StaleError{}), 48},
 	} {
 		if c.size > c.max {
 			t.Errorf("%s is %d B, which takes the %d-B size class; ceiling %d B", c.name, c.size, sizeClass(c.size), c.max)

@@ -109,7 +109,11 @@ type StaleError struct {
 	// Since is the instant the breaker tripped.
 	Since clock.Time
 
-	clk clock.Clock
+	// val is the last-good value the stale publication serves: the
+	// error is the publication's out-of-line record (item.go).
+	val Value
+	// env is the item's env, whose clock Age reads.
+	env *Env
 }
 
 // Error implements error.
@@ -121,7 +125,7 @@ func (e *StaleError) Error() string {
 // Age returns how long the handler has been serving this stale value —
 // evaluated against the live clock, so the age grows while quarantine
 // lasts.
-func (e *StaleError) Age() clock.Duration { return e.clk.Now().Sub(e.Since) }
+func (e *StaleError) Age() clock.Duration { return e.env.Now().Sub(e.Since) }
 
 // Unwrap lets errors.Is see both the ErrStale marker and the
 // underlying cause (e.g. ErrComputeTimeout).
@@ -184,13 +188,13 @@ func (ih *itemHealth) state() HealthState { return HealthState(ih.st.Load()) }
 
 // keepLastGood records a clean value that is not being published: an
 // on-demand result, served to its reader. A trip copies the value into
-// the stale snapshot it publishes, so the slot stays private to the
+// the *StaleError it publishes, so the slot stays private to the
 // breaker and is reused. The item mutex must be held.
 func (ih *itemHealth) keepLastGood(a *snapAlloc, v Value) {
 	if ih.scratch == nil {
 		ih.scratch = a.slot()
 	}
-	ih.scratch.val = v
+	ih.scratch.set(v, nil)
 	ih.lastGood = ih.scratch
 }
 
@@ -293,12 +297,12 @@ func (ih *itemHealth) forceQuarantine(now clock.Time, cause error) {
 }
 
 // staleError returns the *StaleError to publish for the current
-// quarantine. Must be called after onFailure tripped (or while
-// quarantined).
-func (ih *itemHealth) staleError() *StaleError {
+// quarantine, serving last. Must be called after onFailure tripped (or
+// while quarantined).
+func (ih *itemHealth) staleError(last Value) *StaleError {
 	ih.mu.Lock()
 	defer ih.mu.Unlock()
-	return &StaleError{Cause: ih.cause, Since: ih.since, clk: ih.env().clk}
+	return &StaleError{Cause: ih.cause, Since: ih.since, val: last, env: ih.env()}
 }
 
 // armProbeLocked arms the next recovery probe backoff units after now.

@@ -644,6 +644,122 @@ func TestPublishContract(t *testing.T) {
 	}
 }
 
+// TestPublicationRecord pins the two forms of a publication: a clean
+// value inline in its snapshot, and a (value, error) pair out of line
+// in a record — a *StaleError for a stale publication, which carries
+// its last-good value itself. Every row reads its item through the
+// lock-free handle read and the item's own Value.
+func TestPublicationRecord(t *testing.T) {
+	errX := errors.New("x failed")
+	// cleanStale is a value whose dynamic type is a record type: it must
+	// read back as a value, never as the publication's error.
+	cleanStale := &StaleError{Cause: errX, env: NewEnv(clock.NewVirtual())}
+	breaker := WithBreaker(BreakerPolicy{
+		FailureThreshold: 1, FailureWindow: 1 << 20,
+		ProbeBackoff: 1000, MaxProbeBackoff: 4000,
+	})
+	// publishing includes x, a triggered item whose compute returns
+	// (v, err), on a plain env.
+	publishing := func(v Value, err error) func(*testing.T, *clock.Virtual) *Registry {
+		return func(t *testing.T, vc *clock.Virtual) *Registry {
+			r := NewEnv(vc).NewRegistry("op")
+			r.MustDefine(&Definition{Kind: "x", Build: func(*BuildContext) (Handler, error) {
+				return NewTriggered(func(clock.Time) (Value, error) { return v, err }), nil
+			}})
+			return r
+		}
+	}
+	// tripping includes x on a breaker env: its first compute returns 4,
+	// the next one panics and trips the breaker. The probe's backoff
+	// outlasts the test.
+	tripping := func(build func(ComputeFunc) Handler) func(*testing.T, *clock.Virtual) *Registry {
+		return func(t *testing.T, vc *clock.Virtual) *Registry {
+			r := NewEnv(vc, breaker).NewRegistry("op")
+			calls := 0
+			r.MustDefine(&Definition{Kind: "x", Events: []string{"ev"}, Build: func(*BuildContext) (Handler, error) {
+				return build(func(clock.Time) (Value, error) {
+					if calls++; calls > 1 {
+						panic("estimator corrupted")
+					}
+					return 4.0, nil
+				}), nil
+			}})
+			return r
+		}
+	}
+	rows := []struct {
+		name  string
+		setup func(*testing.T, *clock.Virtual) *Registry
+		// poke runs after the subscription, before the reads.
+		poke func(*Registry)
+		val  Value
+		// err is what the read's error must match (errors.Is), nil for
+		// none; stale says it is a *StaleError whose cause it is.
+		err   error
+		stale bool
+	}{
+		{name: "value", setup: publishing(3.0, nil), val: 3.0},
+		{name: "error", setup: publishing(nil, errX), err: errX},
+		{name: "value and error", setup: publishing(3.0, errX), val: 3.0, err: errX},
+		{name: "clean *StaleError value", setup: publishing(cleanStale, nil), val: cleanStale},
+		{name: "tripped triggered", setup: tripping(func(c ComputeFunc) Handler { return NewTriggered(c) }),
+			poke: func(r *Registry) { r.FireEvent("ev") }, val: 4.0, err: ErrComputePanic, stale: true},
+		{name: "tripped on-demand", setup: tripping(func(c ComputeFunc) Handler { return NewOnDemand(c) }),
+			poke: func(r *Registry) { r.Peek("x"); r.Peek("x") }, val: 4.0, err: ErrComputePanic, stale: true},
+		{name: "restored", setup: func(t *testing.T, vc *clock.Virtual) *Registry {
+			env := NewEnv(vc, breaker)
+			r := env.NewRegistry("op")
+			r.MustDefine(&Definition{Kind: "x", Build: func(*BuildContext) (Handler, error) {
+				return NewTriggered(func(clock.Time) (Value, error) { return 1.0, nil }), nil
+			}})
+			env.SetRestoreLookup(func(_ *Registry, kind Kind) *RestoredItem {
+				return &RestoredItem{Value: 7.0, Version: 3}
+			})
+			t.Cleanup(func() { env.SetRestoreLookup(nil) })
+			return r
+		}, val: 7.0, err: ErrRestored, stale: true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			vc := clock.NewVirtual()
+			r := row.setup(t, vc)
+			s, err := r.Subscribe("x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Unsubscribe()
+			if row.poke != nil {
+				row.poke(r)
+			}
+			reads := []struct {
+				how string
+				get func() (Value, error)
+			}{{"Handle.Value", s.Value}, {"item.Value", r.entryOf("x").Value}}
+			for _, rd := range reads {
+				v, err := rd.get()
+				if v != row.val || (row.err == nil) != (err == nil) || !errors.Is(err, row.err) {
+					t.Fatalf("%s = %v, %v; want %v, %v", rd.how, v, err, row.val, row.err)
+				}
+				var se *StaleError
+				if errors.As(err, &se) != row.stale || errors.Is(err, ErrStale) != row.stale {
+					t.Fatalf("%s: error %v is stale: %v, want %v", rd.how, err, !row.stale, row.stale)
+				}
+				if !row.stale {
+					continue
+				}
+				if u := se.Unwrap(); len(u) != 2 || u[0] != ErrStale || !errors.Is(u[1], row.err) || u[1] != se.Cause {
+					t.Fatalf("%s: Unwrap = %v, want [ErrStale, the cause %v]", rd.how, u, row.err)
+				}
+				age := se.Age()
+				vc.Advance(5)
+				if got := se.Age(); got != age+5 {
+					t.Fatalf("%s: Age %d, then %d after advancing 5", rd.how, age, got)
+				}
+			}
+		})
+	}
+}
+
 // TestBackpressureShedsSupersededBatches: with a bounded queue, a
 // periodic scope batch still queued when the same scope's next boundary
 // arrives is superseded by it — dropped and counted, never run twice —

@@ -64,16 +64,67 @@ type ComputeFunc func(now clock.Time) (Value, error)
 // zero-width window (typically by returning 0).
 type WindowComputeFunc func(start, end clock.Time) (Value, error)
 
-// valueSnapshot is one published (value, error) pair. Publishing swaps
-// a pointer to the current snapshot, so Value() is a single atomic
-// load and the read path never touches a mutex.
+// valueSnapshot is one publication. Publishing swaps a pointer to the
+// current snapshot, so Value() is a single atomic load and the read
+// path never touches a mutex. A clean value is stored as it is; a
+// publication whose error is not nil keeps its (value, error) pair out
+// of line, in a record val points at — a *StaleError for a stale
+// publication, which carries its value itself, a *pubRecord otherwise —
+// so the error costs no bytes in the item or in the chunks of the
+// publications that have none. Every reader goes through get.
 type valueSnapshot struct {
 	val Value
-	err error
 	// fbox is the inline storage of a float64 published via putFloat
 	// (delta path): val's eface points at it, so the publish costs no
 	// boxing allocation (see delta.go).
 	fbox float64
+}
+
+// pubRecord is the out-of-line (value, error) of a publication: one
+// whose error is not nil, or a clean value whose own dynamic type is a
+// record type, boxed so that get never reads it as an error.
+type pubRecord struct {
+	val Value
+	err error
+}
+
+// get returns the published (value, error) pair.
+func (s *valueSnapshot) get() (Value, error) {
+	switch r := s.val.(type) {
+	case *pubRecord:
+		return r.val, r.err
+	case *StaleError:
+		return r.val, r
+	}
+	return s.val, nil
+}
+
+// set stores (v, err) in a slot no reader holds yet, and returns it.
+// Callers write a.slot().set(v, err): slot and set each fit the
+// inliner's budget, and one function doing both would not, so a
+// publication makes no call here.
+func (s *valueSnapshot) set(v Value, err error) *valueSnapshot {
+	if err != nil || isRecord(v) {
+		v = &pubRecord{val: v, err: err}
+	}
+	s.val = v
+	return s
+}
+
+// setStale is set for a stale publication: se is its own record.
+func (s *valueSnapshot) setStale(se *StaleError) *valueSnapshot {
+	s.val = se
+	return s
+}
+
+// isRecord reports whether v's dynamic type is one get reads as a
+// record.
+func isRecord(v Value) bool {
+	switch v.(type) {
+	case *pubRecord, *StaleError:
+		return true
+	}
+	return false
 }
 
 // snapAlloc hands out valueSnapshot slots from chunked backing arrays,
@@ -95,6 +146,12 @@ type snapAlloc struct {
 
 var firstEnd = valueSnapshot{fbox: -1} // the inline chunk's end mark
 
+// chunkSlots is the slot count of a full chunk. A chunk holds pointers
+// and is larger than 512 B, so the runtime prefixes it with an 8-B
+// header: 84 slots and the mark are 2,040 B, which with the header fill
+// the 2,048-B size class exactly.
+const chunkSlots = 84
+
 // slot returns the next slot, freshly zeroed.
 func (a *snapAlloc) slot() *valueSnapshot {
 	s := a.next
@@ -106,21 +163,13 @@ func (a *snapAlloc) slot() *valueSnapshot {
 		// Grow geometrically from the single inline slot: an item that
 		// only ever publishes once (create/destroy churn) allocates no
 		// chunk at all, while a long-lived periodic item quickly reaches
-		// full chunks (63 slots and the mark: 2,560 B, a size class).
-		n := min(-2*int(s.fbox), 63)
+		// full chunks (chunkSlots).
+		n := min(-2*int(s.fbox), chunkSlots)
 		c := make([]valueSnapshot, n+1)
 		c[n].fbox = -float64(n)
 		s = &c[0]
 	}
 	a.next = (*valueSnapshot)(unsafe.Add(unsafe.Pointer(s), unsafe.Sizeof(*s)))
-	return s
-}
-
-func (a *snapAlloc) put(v Value, err error) *valueSnapshot {
-	s := a.slot()
-	// One store of both, not a test for a nil error: it keeps put within
-	// the inliner's budget, so a publication makes no call here.
-	s.val, s.err = v, err
 	return s
 }
 
@@ -299,7 +348,7 @@ func NewStatic(v Value) Handler {
 	it := newItem(StaticMechanism)
 	// The value is given, not computed: serving it is not a publication,
 	// and the item's version stays 0.
-	it.cur.Store(it.snaps.put(v, nil))
+	it.cur.Store(it.snaps.slot().set(v, nil))
 	return it
 }
 
@@ -337,7 +386,7 @@ func (it *item) Mechanism() Mechanism { return Mechanism(it.mech.Load()) }
 
 func (it *item) Value() (Value, error) {
 	if s := it.cur.Load(); s != nil {
-		return s.val, s.err
+		return s.get()
 	}
 	return it.read()
 }
@@ -456,11 +505,13 @@ func (it *item) store(snap *valueSnapshot) {
 // accept publishes snap as a computed result and remembers a clean one
 // as the last-good value. it.mu must be held.
 func (it *item) accept(snap *valueSnapshot) {
-	if h := it.breaker(); h != nil && snap.err == nil {
+	if h := it.breaker(); h != nil {
 		// lastGood is only ever served while quarantined, so the
 		// breaker-less hot path skips the pointer store (and its write
 		// barrier).
-		h.lastGood = snap
+		if _, err := snap.get(); err == nil {
+			h.lastGood = snap
+		}
 	}
 	it.store(snap)
 }
@@ -492,7 +543,7 @@ func (it *item) admit(now clock.Time, err error) bool {
 // propagation that follows (announce) carries a quarantine's degraded
 // view onward to dependents just like a fresh value.
 func (it *item) publish(now clock.Time, snap *valueSnapshot) {
-	if it.admit(now, snap.err) {
+	if _, err := snap.get(); it.admit(now, err) {
 		it.accept(snap)
 	}
 }
@@ -507,9 +558,9 @@ func (it *item) publishStale() {
 	h := it.breaker()
 	var last Value
 	if lg := h.lastGood; lg != nil {
-		last = lg.val
+		last, _ = lg.get()
 	}
-	it.store(it.snaps.put(last, h.staleError()))
+	it.store(it.snaps.slot().setStale(h.staleError(last)))
 }
 
 // dropMemo discards an on-demand item's memo (its stamps cover
@@ -549,7 +600,7 @@ func (it *item) snapshot(now clock.Time, bounded bool) *valueSnapshot {
 	if ds := it.delta(); ds != nil {
 		return ds.foldSnap(&it.snaps, v, err, epoch)
 	}
-	return it.snaps.put(v, err)
+	return it.snaps.slot().set(v, err)
 }
 
 // announce propagates the item's latest publication to its dependents.
@@ -626,7 +677,11 @@ func (it *item) tick(w *windowPolicy, now clock.Time) (end clock.Time, ok bool) 
 func (it *item) runMissed(w *windowPolicy) (end clock.Time, ok bool) {
 	for w.missed.Load() != 0 && it.mu.TryLock() {
 		now := clock.Time(w.missed.Swap(0))
-		if s := it.cur.Load(); now != 0 && (s == nil || !breakerEligible(s.err)) {
+		var err error
+		if s := it.cur.Load(); s != nil {
+			_, err = s.get()
+		}
+		if now != 0 && !breakerEligible(err) {
 			if e, o := it.tickLocked(w, now); o {
 				end, ok = e, true
 			}
@@ -693,7 +748,7 @@ func (it *item) read() (Value, error) {
 		// publishes before it changes the mechanism, so a second look at
 		// cur tells a migrated item from a stopped one.
 		if s := it.cur.Load(); s != nil {
-			return s.val, s.err
+			return s.get()
 		}
 		return nil, ErrUnsubscribed
 	}
@@ -738,7 +793,8 @@ func (it *item) readGate() (v Value, err error, ok bool) {
 		return nil, ErrUnsubscribed, false
 	}
 	if s := it.cur.Load(); s != nil {
-		return s.val, s.err, false
+		v, err := s.get()
+		return v, err, false
 	}
 	return nil, nil, true
 }
@@ -751,8 +807,7 @@ func (it *item) readGate() (v Value, err error, ok bool) {
 // it.mu must be held.
 func (it *item) settle(now clock.Time, v Value, err error, m *memoSnapshot) (Value, error) {
 	if !it.admit(now, err) {
-		s := it.cur.Load()
-		return s.val, s.err
+		return it.cur.Load().get()
 	}
 	if h := it.breaker(); err == nil && h != nil {
 		h.keepLastGood(&it.snaps, v)
@@ -878,14 +933,15 @@ func (it *item) runProbe(now clock.Time) {
 		// accumulator stays invalid; the next locked refresh re-folds
 		// and re-validates) and publish the finished float.
 		stats.ComputeCalls.Add(1)
-		snap = it.snaps.put(boundedCompute(env.clk, env.deadlineFor(it.def), stats, ds.foldLive, now))
+		snap = it.snaps.slot().set(boundedCompute(env.clk, env.deadlineFor(it.def), stats, ds.foldLive, now))
 	} else {
 		snap = it.snapshot(now, true)
 	}
 	h := it.breaker()
-	if snap.err != nil && breakerEligible(snap.err) {
+	v, err := snap.get()
+	if breakerEligible(err) {
 		it.mu.Unlock()
-		h.probeFailed(now, snap.err)
+		h.probeFailed(now, err)
 		return
 	}
 	h.closeBreaker()
@@ -895,8 +951,8 @@ func (it *item) runProbe(now clock.Time) {
 		// The memo stays dropped (since the trip) — the next read
 		// recomputes with fresh stamps — and the bump makes dependent
 		// memos stamped over this item revalidate.
-		if snap.err == nil {
-			h.keepLastGood(&it.snaps, snap.val)
+		if err == nil {
+			h.keepLastGood(&it.snaps, v)
 		}
 		it.cur.Store(nil)
 		it.bumpVersion()

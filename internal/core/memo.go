@@ -86,24 +86,36 @@ type memoState struct {
 // (Definition.Pure at start, AdaptSpec.Pure after a migration to
 // on-demand).
 func newMemoState(it *item, pure bool) *memoState {
-	env := it.reg.env
-	if !env.memoOnDemand || !pure {
+	if !memoEligible(it, pure) {
 		return nil
 	}
-	ms := &memoState{env: env, health: it.breaker()}
+	ms := &memoState{env: it.reg.env, health: it.breaker()}
 	for _, ed := range it.deps() {
 		de := ed.h.it
 		var memoized *item
 		if de.Mechanism() == OnDemandMechanism {
-			if de.side.Load().mstate.Load() == nil {
-				return nil
-			}
 			memoized = de
 		}
 		ms.deps = append(ms.deps, de)
 		ms.depMemo = append(ms.depMemo, memoized)
 	}
 	return ms
+}
+
+// memoEligible reports whether an on-demand form of it with the given
+// purity is memoized: the env memoizes, the form is pure, and every
+// dependency is stampable — no on-demand dependency lacks a memo of its
+// own. The component lock must be held.
+func memoEligible(it *item, pure bool) bool {
+	if !it.reg.env.memoOnDemand || !pure {
+		return false
+	}
+	for _, ed := range it.deps() {
+		if de := ed.h.it; de.Mechanism() == OnDemandMechanism && de.side.Load().mstate.Load() == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // rememo re-decides an on-demand item's memo engagement and drops its

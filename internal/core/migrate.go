@@ -346,15 +346,17 @@ func (r *Registry) Window(kind Kind) (clock.Duration, bool) {
 
 // Adaptable reports whether the included item declares alternative
 // maintenance forms (Definition.Adapt) and, if so, whether its
-// on-demand form would be memoized: it declares AdaptSpec.Pure and the
-// env memoizes (WithMemoizedOnDemand). ok is false for excluded items
-// and for items without an AdaptSpec.
+// on-demand form would be memoized: it declares AdaptSpec.Pure, the env
+// memoizes (WithMemoizedOnDemand), and no on-demand dependency lacks a
+// memo of its own — the test newMemoState applies. ok is false for
+// excluded items and for items without an AdaptSpec.
 func (r *Registry) Adaptable(kind Kind) (pure bool, ok bool) {
-	// Read under the node lock: Define moves the table once it is released.
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	// The scope lock keeps the table (Define takes it) and the edges
+	// stable.
+	sc := r.env.lockScope(r)
+	defer sc.unlock()
 	if i, ok := r.searchSlot(kind); ok && r.slots[i].entry != nil && r.slots[i].adapt != nil {
-		return r.env.memoOnDemand && r.slots[i].adapt.Pure, true
+		return memoEligible(r.slots[i].entry, r.slots[i].adapt.Pure), true
 	}
 	return false, false
 }

@@ -74,6 +74,6 @@ func (it *item) restore(now clock.Time, ri *RestoredItem) {
 	// The item is fresh: its version is raised to the persisted one, and
 	// the publication bumps it past.
 	it.version.Store(max(it.version.Load(), ri.Version))
-	h.lastGood = it.snaps.put(ri.Value, h.staleError())
+	h.lastGood = it.snaps.slot().setStale(h.staleError(ri.Value))
 	it.store(h.lastGood)
 }
