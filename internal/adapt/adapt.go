@@ -34,15 +34,14 @@ import (
 // Config parameterizes a Controller. The zero value is usable: every
 // field has a documented default applied by New.
 type Config struct {
-	// Interval is the sampling period Run uses between Steps (also the
-	// denominator hint callers should use when stepping manually).
-	// Default 100 time units.
+	// Interval is the sampling period between Steps. Default 100 time
+	// units.
 	Interval clock.Duration
 
 	// Hysteresis is the fractional cost-rate improvement a candidate
 	// mechanism must show over the current one before the controller
 	// migrates: migrate only if best*(1+Hysteresis) < current.
-	// Default 0.2; negative values are clamped to 0.
+	// Default 0.2; pass a negative value for no hysteresis.
 	Hysteresis float64
 
 	// MinDwell is the number of sampling intervals an item must hold
@@ -71,7 +70,9 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 100
 	}
-	if c.Hysteresis < 0 {
+	if c.Hysteresis == 0 {
+		c.Hysteresis = 0.2
+	} else if c.Hysteresis < 0 {
 		c.Hysteresis = 0
 	}
 	if c.MinDwell == 0 {

@@ -380,6 +380,19 @@ func TestPlanHysteresis(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults: the zero Config selects every documented default,
+// and a negative Hysteresis or MinDwell turns its damper off.
+func TestConfigDefaults(t *testing.T) {
+	got := New(nil, Config{}).Config()
+	want := Config{Interval: 100, Hysteresis: 0.2, MinDwell: 2, MinWindow: 10, MaxWindow: 1000, CostHint: 1}
+	if got != want {
+		t.Fatalf("zero Config = %+v, want %+v", got, want)
+	}
+	if got := New(nil, Config{Hysteresis: -1, MinDwell: -1}).Config(); got.Hysteresis != 0 || got.MinDwell != 0 {
+		t.Fatalf("negative dampers = %+v, want Hysteresis 0, MinDwell 0", got)
+	}
+}
+
 // FuzzMigrationPlan fuzzes the planner over arbitrary workload
 // observations and configurations, checking that every planned
 // migration is legal (dynamic target mechanisms only, windows positive

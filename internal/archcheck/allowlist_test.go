@@ -12,7 +12,6 @@ var allowlist = map[string]string{
 	"internal/core.Registry.IsIncluded":    "test observer: the tests of core, ops, sched, resource, persist, watch, monitor, pipes and modelcheck, and pipes' ExampleStream_Subscribe doc example, check inclusion with it",
 	"internal/core.Registry.ItemVersion":   "test observer: the tests of core, persist and pipes and modelcheck's recovery and delivery suites read an item's publication version with it",
 
-	"internal/core.Registry.DetachModule":   "the paper's module exchange (PAPER.md §1 item 4): core's scope and slot-table tests and modelcheck's detach op call it until pipes offers it (ROADMAP item 28c) or it goes",
 	"internal/core.ScopesUnlocked":          "the checked-build re-entry assertion of ROADMAP item 1b: core's fault, fuzz and migrate tests and modelcheck's driver assert unwedged scope locks with it until that build calls it",
 	"internal/core.WithoutDeltaPropagation": "the reference twin of the delta channel: core's delta tests and modelcheck's delta-off lockstep and stress suites run the full fold with it to prove the channel exact",
 
@@ -21,4 +20,4 @@ var allowlist = map[string]string{
 }
 
 // maxAllowlisted caps the allowlist's length. It only falls.
-const maxAllowlisted = 9
+const maxAllowlisted = 8

@@ -5,7 +5,7 @@ import (
 	"unsafe"
 )
 
-// ShardedCounter is a monotonic int64 counter striped over
+// shardedCounter is a monotonic int64 counter striped over
 // cache-line-padded cells. The hot value-read path increments framework
 // counters on every access; a single shared atomic.Int64 turns those
 // increments into cache-line ping-pong between cores and bounds
@@ -31,8 +31,8 @@ type counterStripe struct {
 	_ [56]byte
 }
 
-// ShardedCounter is the striped counter. See the package comment above.
-type ShardedCounter struct {
+// shardedCounter is the striped counter. See the package comment above.
+type shardedCounter struct {
 	stripes [counterStripes]counterStripe
 }
 
@@ -48,13 +48,13 @@ func stripeIndex() uintptr {
 }
 
 // Add adds n to the counter.
-func (c *ShardedCounter) Add(n int64) {
+func (c *shardedCounter) Add(n int64) {
 	c.stripes[stripeIndex()].v.Add(n)
 }
 
 // Load returns the current total. Concurrent Adds may or may not be
 // included, exactly as with a plain atomic counter.
-func (c *ShardedCounter) Load() int64 {
+func (c *shardedCounter) Load() int64 {
 	var sum int64
 	for i := range c.stripes {
 		sum += c.stripes[i].v.Load()

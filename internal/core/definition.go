@@ -37,7 +37,7 @@ type Definition struct {
 	// Probe is the monitoring code the item requires in the node's
 	// processing path. It is activated when the handler is created
 	// and deactivated when the handler is removed.
-	Probe Probe
+	Probe probe
 
 	// Build constructs the handler. The BuildContext carries handles
 	// to the resolved dependencies in Deps order.

@@ -60,9 +60,9 @@ import (
 // path moves it by value, allocation-free.
 type DeltaAcc [3]float64
 
-// DeltaPair is one (old, new) value transition published along a
+// deltaPair is one (old, new) value transition published along a
 // dependency edge.
-type DeltaPair struct {
+type deltaPair struct {
 	Old float64
 	New float64
 }
@@ -206,7 +206,7 @@ type deltaState struct {
 	// pending and poisoned are the delta input of the next refresh:
 	// pairs pushed by dependency publications, and the mark set when a
 	// publication could not be expressed as a pair.
-	pending  []DeltaPair
+	pending  []deltaPair
 	poisoned bool
 }
 
@@ -278,7 +278,7 @@ func (ds *deltaState) foldSnap(a *snapAlloc, v Value, err error, epoch uint64) *
 			ds.epoch = epoch
 			return a.putFloat(ds.spec.finishAcc(acc))
 		}
-		err = fmt.Errorf("%w: delta aggregate fold returned %T, want DeltaAcc", ErrNotNumeric, v)
+		err = fmt.Errorf("%w: delta aggregate fold returned %T, want DeltaAcc", errNotNumeric, v)
 		v = nil
 	}
 	ds.valid = false
@@ -370,7 +370,7 @@ func (ds *deltaState) foldFrom(useLast bool) (DeltaAcc, error) {
 // applyPairs applies the pending pairs to acc: Combine the new value,
 // Retract the old. A panic in user spec code is converted to ok=false
 // so the refresh falls back to the (equally recovered) fold.
-func (ds *deltaState) applyPairs(acc DeltaAcc, pairs []DeltaPair) (out DeltaAcc, ok bool) {
+func (ds *deltaState) applyPairs(acc DeltaAcc, pairs []deltaPair) (out DeltaAcc, ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
@@ -464,7 +464,7 @@ func notifyDeltaLocked(it *item) {
 			continue
 		}
 		if pair {
-			ds.pending = append(ds.pending, DeltaPair{Old: it.deltaLast, New: f})
+			ds.pending = append(ds.pending, deltaPair{Old: it.deltaLast, New: f})
 		} else {
 			// No trackable predecessor (error value, first good value
 			// after an error, NotifyChanged on a non-float): the

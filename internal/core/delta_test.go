@@ -274,8 +274,8 @@ func TestDeltaNotifyChangedPoisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Unsubscribe()
-	if _, err := sub.Float(); !errors.Is(err, ErrNotNumeric) {
-		t.Fatalf("err = %v, want ErrNotNumeric for pointer-valued dep", err)
+	if _, err := sub.Float(); !errors.Is(err, errNotNumeric) {
+		t.Fatalf("err = %v, want errNotNumeric for pointer-valued dep", err)
 	}
 }
 

@@ -17,8 +17,8 @@ func wire(node *Registry, inputs, outputs []*Registry) {
 	)
 }
 
-// The downstream and parent selectors have no non-test user: the
-// resolution supports them and these tests construct them.
+// The downstream selectors have no non-test user: the resolution
+// supports them and these tests construct them.
 
 // Output selects the registry of the i-th downstream node (inter-node
 // dependency on a node downstream, e.g. QoS specifications at sinks).
@@ -26,10 +26,6 @@ func Output(i int) Selector { return Selector{kind: selOutput, index: i} }
 
 // EachOutput selects the registries of all downstream nodes.
 func EachOutput() Selector { return Selector{kind: selEachOutput} }
-
-// Parent selects the registry of the node owning this module. It lets
-// module metadata reach the enclosing operator.
-func Parent() Selector { return Selector{kind: selParent} }
 
 func TestInterNodeDependencyUpstream(t *testing.T) {
 	env, _ := testEnv()
@@ -279,45 +275,6 @@ func TestNestedModuleMetadataRecursion(t *testing.T) {
 	}
 }
 
-func TestParentSelector(t *testing.T) {
-	env, _ := testEnv()
-	op := env.NewRegistry("op")
-	mod := env.NewRegistry("op.m")
-	op.AttachModule("m", mod)
-	defineConst(op, "elementSize", 32.0)
-	defineDerived(mod, "memUsage", Dep(Parent(), "elementSize"))
-	s, err := mod.Subscribe("memUsage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Unsubscribe()
-	if v, _ := s.Float(); v != 32 {
-		t.Fatalf("module memUsage = %v, want 32 (via parent)", v)
-	}
-}
-
-func TestDetachModuleInUseFails(t *testing.T) {
-	env, _ := testEnv()
-	op := env.NewRegistry("op")
-	mod := env.NewRegistry("op.m")
-	op.AttachModule("m", mod)
-	defineConst(mod, "x", 1.0)
-	s, _ := mod.Subscribe("x")
-	if err := op.DetachModule("m"); !errors.Is(err, ErrItemInUse) {
-		t.Fatalf("DetachModule err = %v, want ErrItemInUse", err)
-	}
-	s.Unsubscribe()
-	if err := op.DetachModule("m"); err != nil {
-		t.Fatalf("DetachModule after release: %v", err)
-	}
-	if op.ModuleRegistry("m") != nil {
-		t.Fatal("module still attached")
-	}
-	if err := op.DetachModule("m"); err != nil {
-		t.Fatalf("detaching absent module should be a no-op, got %v", err)
-	}
-}
-
 // TestDynamicDependencyResolution reproduces Section 4.4.3: item A is
 // computable from B or C; when C is already included the resolver picks
 // C, avoiding the inclusion cost of B.
@@ -396,7 +353,6 @@ func TestSelectorStrings(t *testing.T) {
 		"output(0)":  Output(0),
 		"eachOutput": EachOutput(),
 		"module(m)":  Module("m"),
-		"parent":     Parent(),
 	}
 	for want, sel := range cases {
 		if got := sel.String(); got != want {

@@ -26,7 +26,7 @@ func FuzzResolveSelector(f *testing.F) {
 	f.Add(uint8(0), 0, "", "zzz", false)   // unknown kind
 	f.Fuzz(func(t *testing.T, selPick uint8, index int, name, depKind string, optional bool) {
 		var sel Selector
-		switch selPick % 7 {
+		switch selPick % 6 {
 		case 0:
 			sel = Self()
 		case 1:
@@ -39,8 +39,6 @@ func FuzzResolveSelector(f *testing.F) {
 			sel = EachOutput()
 		case 5:
 			sel = Module(name)
-		case 6:
-			sel = Parent()
 		}
 
 		env := NewEnv(clock.NewVirtual())

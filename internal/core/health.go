@@ -112,7 +112,8 @@ type StaleError struct {
 	// val is the last-good value the stale publication serves: the
 	// error is the publication's out-of-line record (item.go).
 	val Value
-	// env is the item's env, whose clock Age reads.
+	// env is the item's env, whose clock Age reads; nil when the value
+	// was built outside core.
 	env *Env
 }
 
@@ -124,8 +125,13 @@ func (e *StaleError) Error() string {
 
 // Age returns how long the handler has been serving this stale value —
 // evaluated against the live clock, so the age grows while quarantine
-// lasts.
-func (e *StaleError) Age() clock.Duration { return e.env.Now().Sub(e.Since) }
+// lasts. A StaleError built outside core has no clock: its Age is 0.
+func (e *StaleError) Age() clock.Duration {
+	if e.env == nil {
+		return 0
+	}
+	return e.env.Now().Sub(e.Since)
+}
 
 // Unwrap lets errors.Is see both the ErrStale marker and the
 // underlying cause (e.g. ErrComputeTimeout).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -697,11 +698,16 @@ func TestPublicationRecord(t *testing.T) {
 		// none; stale says it is a *StaleError whose cause it is.
 		err   error
 		stale bool
+		// clockless says the *StaleError was built outside core: it has
+		// no clock, so its Age is 0 and stays 0.
+		clockless bool
 	}{
 		{name: "value", setup: publishing(3.0, nil), val: 3.0},
 		{name: "error", setup: publishing(nil, errX), err: errX},
 		{name: "value and error", setup: publishing(3.0, errX), val: 3.0, err: errX},
 		{name: "clean *StaleError value", setup: publishing(cleanStale, nil), val: cleanStale},
+		{name: "*StaleError built outside core", setup: publishing(nil, &StaleError{Cause: errX}),
+			err: errX, stale: true, clockless: true},
 		{name: "tripped triggered", setup: tripping(func(c ComputeFunc) Handler { return NewTriggered(c) }),
 			poke: func(r *Registry) { r.FireEvent("ev") }, val: 4.0, err: ErrComputePanic, stale: true},
 		{name: "tripped on-demand", setup: tripping(func(c ComputeFunc) Handler { return NewOnDemand(c) }),
@@ -750,9 +756,16 @@ func TestPublicationRecord(t *testing.T) {
 				if u := se.Unwrap(); len(u) != 2 || u[0] != ErrStale || !errors.Is(u[1], row.err) || u[1] != se.Cause {
 					t.Fatalf("%s: Unwrap = %v, want [ErrStale, the cause %v]", rd.how, u, row.err)
 				}
+				if msg := se.Error(); !strings.Contains(msg, ErrStale.Error()) || !strings.Contains(msg, row.err.Error()) {
+					t.Fatalf("%s: Error() = %q, want it to name ErrStale and the cause", rd.how, msg)
+				}
 				age := se.Age()
 				vc.Advance(5)
-				if got := se.Age(); got != age+5 {
+				want := age + 5
+				if row.clockless {
+					want = 0
+				}
+				if got := se.Age(); got != want || row.clockless && age != 0 {
 					t.Fatalf("%s: Age %d, then %d after advancing 5", rd.how, age, got)
 				}
 			}

@@ -253,7 +253,7 @@ type itemSide struct {
 	health *itemHealth
 	// track, installed by Registry.TrackReads, counts value reads (Handle
 	// reads and Registry.Peek) for the adaptive controller's sampling.
-	track atomic.Pointer[ShardedCounter]
+	track atomic.Pointer[shardedCounter]
 	// watch, when non-nil, is the publication sink notified after every
 	// version bump (watchgate.go). The cell is write-once: Watch installs
 	// a fresh one, so a publisher may call through one it loaded.

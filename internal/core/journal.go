@@ -18,13 +18,13 @@ import "repro/internal/clock"
 // serialized, so non-persistable definitions are expected to be
 // re-registered by application code before recovery replays the log.
 
-// JournalOpKind identifies one structural operation class.
-type JournalOpKind uint8
+// journalOpKind identifies one structural operation class.
+type journalOpKind uint8
 
 const (
 	// JournalDefine records Registry.Define of a definition that
 	// declares a persistence codec.
-	JournalDefine JournalOpKind = iota + 1
+	JournalDefine journalOpKind = iota + 1
 	// JournalSubscribe records a successful external Registry.Subscribe.
 	JournalSubscribe
 	// JournalUnsubscribe records Subscription.Unsubscribe.
@@ -35,7 +35,7 @@ const (
 
 // JournalOp is one recorded structural mutation.
 type JournalOp struct {
-	Op       JournalOpKind
+	Op       journalOpKind
 	Registry string
 	Kind     Kind
 	// To and Window carry the target mechanism (and resolved periodic

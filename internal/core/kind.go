@@ -49,7 +49,6 @@ const (
 	selOutput
 	selEachOutput
 	selModule
-	selParent
 )
 
 // Selector addresses the registry (or registries) a dependency refers
@@ -93,8 +92,6 @@ func (s Selector) String() string {
 		return "eachOutput"
 	case selModule:
 		return "module(" + s.name + ")"
-	case selParent:
-		return "parent"
 	default:
 		return "selector(?)"
 	}

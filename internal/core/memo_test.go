@@ -564,7 +564,7 @@ func TestQueueDepthDeltaGauge(t *testing.T) {
 
 // TestShardedCounter checks that concurrent striped adds sum exactly.
 func TestShardedCounter(t *testing.T) {
-	var c ShardedCounter
+	var c shardedCounter
 	const workers, rounds = 8, 10000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -288,7 +288,7 @@ func (r *Registry) TrackReads(kind Kind) bool {
 		return false
 	}
 	if sd := it.sideLocked(); sd.track.Load() == nil {
-		sd.track.Store(new(ShardedCounter))
+		sd.track.Store(new(shardedCounter))
 	}
 	return true
 }

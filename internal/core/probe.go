@@ -2,13 +2,13 @@ package core
 
 import "sync/atomic"
 
-// Probe is monitoring code a metadata item needs inside the node's
+// probe is monitoring code a metadata item needs inside the node's
 // processing path (Section 4.4.1): for example, the input-rate item
 // needs the node to count incoming elements. Probes are activated when
 // the item's handler is created by addMetadata and deactivated when the
 // handler is removed, so inactive items impose (almost) no cost on the
 // element path.
-type Probe interface {
+type probe interface {
 	// Activate enables the probe. Activations nest: a probe shared by
 	// several items stays active until every activation is released.
 	Activate()
@@ -17,16 +17,16 @@ type Probe interface {
 }
 
 // Probes combines several probes into one.
-type Probes []Probe
+type Probes []probe
 
-// Activate implements Probe.
+// Activate implements probe.
 func (p Probes) Activate() {
 	for _, q := range p {
 		q.Activate()
 	}
 }
 
-// Deactivate implements Probe.
+// Deactivate implements probe.
 func (p Probes) Deactivate() {
 	for _, q := range p {
 		q.Deactivate()
@@ -41,10 +41,10 @@ type Counter struct {
 	n      atomic.Int64
 }
 
-// Activate implements Probe.
+// Activate implements probe.
 func (c *Counter) Activate() { c.active.Add(1) }
 
-// Deactivate implements Probe. Deactivating resets the count once the
+// Deactivate implements probe. Deactivating resets the count once the
 // last activation is released so a later re-activation starts fresh.
 func (c *Counter) Deactivate() {
 	if c.active.Add(-1) == 0 {
@@ -74,33 +74,3 @@ func (c *Counter) Read() int64 { return c.n.Load() }
 
 // Take returns the current count and resets it to zero.
 func (c *Counter) Take() int64 { return c.n.Swap(0) }
-
-// Gauge is an activation-gated instantaneous value (e.g. accumulated
-// simulated CPU cost). Unlike Counter it is set, not accumulated.
-type Gauge struct {
-	active atomic.Int32
-	v      atomic.Int64
-}
-
-// Activate implements Probe.
-func (g *Gauge) Activate() { g.active.Add(1) }
-
-// Deactivate implements Probe.
-func (g *Gauge) Deactivate() {
-	if g.active.Add(-1) == 0 {
-		g.v.Store(0)
-	}
-}
-
-// Active reports whether at least one activation is held.
-func (g *Gauge) Active() bool { return g.active.Load() > 0 }
-
-// Add accumulates delta if the probe is active.
-func (g *Gauge) Add(delta int64) {
-	if g.Active() {
-		g.v.Add(delta)
-	}
-}
-
-// Take returns the current value and resets it to zero.
-func (g *Gauge) Take() int64 { return g.v.Swap(0) }

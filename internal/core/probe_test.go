@@ -5,25 +5,44 @@ import (
 	"testing"
 )
 
+// TestCounterGating counts only while active, and Take reads and resets.
 func TestCounterGating(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(5)
-	if c.Read() != 0 {
-		t.Fatal("inactive counter counted")
-	}
-	c.Activate()
-	c.Inc()
-	c.Add(2)
-	if c.Read() != 3 {
-		t.Fatalf("Read = %d, want 3", c.Read())
-	}
-	if c.Take() != 3 || c.Read() != 0 {
-		t.Fatal("Take did not reset")
-	}
-	c.Deactivate()
-	if c.Active() {
-		t.Fatal("still active")
+	for _, tc := range []struct {
+		name string
+		incs int
+		adds []int64
+		want int64
+	}{
+		{"inc and add", 1, []int64{2}, 3},
+		{"adds only", 0, []int64{5, 2}, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c Counter
+			record := func() {
+				for range tc.incs {
+					c.Inc()
+				}
+				for _, d := range tc.adds {
+					c.Add(d)
+				}
+			}
+			record()
+			if c.Read() != 0 || c.Take() != 0 {
+				t.Fatal("inactive counter counted")
+			}
+			c.Activate()
+			record()
+			if got := c.Read(); got != tc.want {
+				t.Fatalf("Read = %d, want %d", got, tc.want)
+			}
+			if got := c.Take(); got != tc.want || c.Read() != 0 || c.Take() != 0 {
+				t.Fatalf("Take = %d then did not reset", got)
+			}
+			c.Deactivate()
+			if c.Active() {
+				t.Fatal("still active")
+			}
+		})
 	}
 }
 
@@ -62,27 +81,6 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Read() != 8000 {
 		t.Fatalf("Read = %d, want 8000", c.Read())
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Add(5)
-	if g.Take() != 0 {
-		t.Fatal("inactive gauge stored")
-	}
-	g.Activate()
-	g.Add(5)
-	g.Add(2)
-	if got := g.Take(); got != 7 {
-		t.Fatalf("Take = %d, want 7", got)
-	}
-	if g.Take() != 0 {
-		t.Fatal("Take did not reset")
-	}
-	g.Deactivate()
-	if g.Active() {
-		t.Fatal("still active")
 	}
 }
 

@@ -51,7 +51,6 @@ type Registry struct {
 // included items registered per event name (events is guarded by the
 // component lock only).
 type registryExt struct {
-	parent  *Registry
 	modules map[string]*Registry
 	events  map[string][]*item
 }
@@ -97,7 +96,7 @@ type slot struct {
 // slotRare holds Definition's Resolve, Probe, Delta and PersistArgs.
 type slotRare struct {
 	resolve     func(rc *ResolveContext) []DepRef
-	probe       Probe
+	probe       probe
 	delta       *DeltaSpec
 	persistArgs string
 }
@@ -361,42 +360,15 @@ func (r *Registry) SetNeighbors(inputs, outputs func() []*Registry) {
 // the given name (Section 4.5). Metadata items of the node can then
 // depend on the module's items via the Module selector, recursively.
 // The module keeps its own dependency-scope component until metadata
-// actually links it to the node; attach itself only needs both
-// components locked (in deterministic order).
+// actually links it to the node, so attaching locks the node's
+// component alone.
 func (r *Registry) AttachModule(name string, m *Registry) {
-	sc := r.env.lockScope(r, m)
+	sc := r.env.lockScope(r)
 	defer sc.unlock()
-	m.extLocked().parent = r
 	x := r.extLocked()
 	r.mu.Lock()
 	x.modules[name] = m
 	r.mu.Unlock()
-}
-
-// DetachModule removes a module registry. Items of the module must not
-// be in use. This is a cross-component operation when no metadata ever
-// linked module and node; lockScope orders the two locks by component
-// id.
-func (r *Registry) DetachModule(name string) error {
-	m := r.ModuleRegistry(name)
-	if m == nil {
-		return nil
-	}
-	sc := r.env.lockScope(r, m)
-	defer sc.unlock()
-	still := r.ext.modules[name] == m
-	if !still {
-		return nil
-	}
-	if inUse := len(m.Included()); inUse > 0 {
-		return fmt.Errorf("%w: module %q of %s has %d included items",
-			ErrItemInUse, name, r.id, inUse)
-	}
-	r.mu.Lock()
-	delete(r.ext.modules, name)
-	r.mu.Unlock()
-	m.ext.parent = nil
-	return nil
 }
 
 // ModuleRegistry returns the registry of the named module, or nil.
@@ -698,8 +670,6 @@ func (r *Registry) resolveSelector(s Selector, one *[1]*Registry) ([]*Registry, 
 		return get(r.outputs), nil
 	case selModule:
 		return single(r.ext.modules[s.name]) // the scope lock covers r
-	case selParent:
-		return single(r.ext.parent)
 	default:
 		return nil, fmt.Errorf("core: unknown selector %v on %s", s, r.id)
 	}

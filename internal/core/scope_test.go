@@ -44,8 +44,8 @@ func TestComponentsMergeOnDependencyEdge(t *testing.T) {
 }
 
 // TestModuleKeepsOwnComponentUntilLinked verifies that AttachModule
-// does not merge scopes by itself, and that DetachModule — a
-// cross-component structural operation — works either way.
+// does not merge scopes by itself, and that a metadata link through the
+// module does.
 func TestModuleKeepsOwnComponentUntilLinked(t *testing.T) {
 	env, _ := testEnv()
 	op := env.NewRegistry("op")
@@ -54,27 +54,16 @@ func TestModuleKeepsOwnComponentUntilLinked(t *testing.T) {
 	if find(&op.comp) == find(&mod.comp) {
 		t.Fatal("attach merged components without a metadata link")
 	}
-	if err := op.DetachModule("state"); err != nil {
-		t.Fatal(err)
-	}
 
-	// Re-attach and link via metadata: now they merge.
-	op.AttachModule("state", mod)
 	defineConst(mod, "memUsage", 64.0)
 	defineDerived(op, "memUsage", Dep(Module("state"), "memUsage"))
 	s, err := op.Subscribe("memUsage")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Unsubscribe()
 	if find(&op.comp) != find(&mod.comp) {
 		t.Fatal("module dependency did not merge components")
-	}
-	if err := op.DetachModule("state"); err == nil {
-		t.Fatal("detach succeeded with included module items")
-	}
-	s.Unsubscribe()
-	if err := op.DetachModule("state"); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // experiments: every handler creation/removal, value computation,
 // periodic update, and trigger propagation is counted so the cost of
 // the metadata subsystem itself can be measured.
-// Every field is a counter (atomic.Int64, or ShardedCounter on a hot
-// path) or a Level; Snapshot copies field i into its own field i.
+// Every field is a counter (atomic.Int64, or shardedCounter on a hot
+// path) or a level; Snapshot copies field i into its own field i.
 type Stats struct {
 	// HandlersCreated counts first subscriptions that built a handler.
 	HandlersCreated atomic.Int64
@@ -22,10 +22,10 @@ type Stats struct {
 	SharedSubscriptions atomic.Int64
 	// ComputeCalls counts metadata value computations, across all
 	// mechanisms. Sharded: it sits on the on-demand read path.
-	ComputeCalls ShardedCounter
+	ComputeCalls shardedCounter
 	// OnDemandComputes counts computations by on-demand handlers.
 	// Sharded: it sits on the on-demand read path.
-	OnDemandComputes ShardedCounter
+	OnDemandComputes shardedCounter
 	// PeriodicUpdates counts window-boundary updates by periodic
 	// handlers.
 	PeriodicUpdates atomic.Int64
@@ -69,13 +69,13 @@ type Stats struct {
 	ShedTicks atomic.Int64
 	// QueueDepth is the current number of tasks queued in the updater
 	// (bounded pool updaters only; 0 for inline).
-	QueueDepth Level
+	QueueDepth level
 	// QueueHighWater is the maximum QueueDepth observed.
-	QueueHighWater Level
+	QueueHighWater level
 	// MemoHits counts on-demand reads served from a dependency-stamped
 	// memo without recomputing (WithMemoizedOnDemand + Definition.Pure).
 	// Sharded: it is the memoized read hot path.
-	MemoHits ShardedCounter
+	MemoHits shardedCounter
 	// MemoMisses counts memoized on-demand reads that had to recompute:
 	// first read, a dependency published a new version, a structural
 	// change bumped the write epoch, or the item was quarantined.
@@ -88,41 +88,41 @@ type Stats struct {
 	// DeltaFires counts delta-aggregate refreshes served by the O(1)
 	// pair-apply path without re-running the full fold. Sharded: it is
 	// the delta propagation hot path.
-	DeltaFires ShardedCounter
+	DeltaFires shardedCounter
 	// DeltaFallbacks counts delta-aggregate refreshes that ran the
 	// exact full-fold fallback (see the fallback matrix in delta.go);
 	// on delta-off envs every aggregate refresh counts here. Sharded:
 	// it sits on the same refresh path as DeltaFires.
-	DeltaFallbacks ShardedCounter
+	DeltaFallbacks shardedCounter
 	// DeltaRebases counts scheduled re-folds that bound float drift
 	// (DeltaSpec.RebaseEvery); counted separately from DeltaFallbacks
 	// so the hit rate distinguishes policy from inability. Sharded:
 	// same refresh path.
-	DeltaRebases ShardedCounter
+	DeltaRebases shardedCounter
 	// Migrations counts live mechanism migrations performed by
 	// Registry.Migrate (identity no-ops excluded).
 	Migrations atomic.Int64
 	// Watchers is the current number of registered watchers across all
 	// hubs on this env.
-	Watchers Level
+	Watchers level
 	// Wakeups counts sweep passes of the watch hub that processed at
 	// least one dirty item — the fan-out events that actually ran.
 	Wakeups atomic.Int64
 	// CoalescedWakeups counts publications absorbed into an already
 	// pending wakeup: the item was still marked dirty, or the sweeper
 	// kick found one armed. Sharded: it sits on the publish hot path.
-	CoalescedWakeups ShardedCounter
+	CoalescedWakeups shardedCounter
 	// ShedNotifies counts watch notifications dropped or overwritten by
 	// a slow consumer's full ring (coalesce-to-latest overflow). Watch
 	// delivery is sheddable in the PR 4 sense: publishers never block
 	// on watchers. Sharded: overflow can burst across sweeper and
 	// subscriber goroutines.
-	ShedNotifies ShardedCounter
+	ShedNotifies shardedCounter
 	// CatchUps counts snapshot-then-delta catch-ups delivered to late
 	// or lagging joiners (one Peek snapshot, then deltas only).
 	CatchUps atomic.Int64
 	// MuxSessions is the current number of live mux transport sessions.
-	MuxSessions Level
+	MuxSessions level
 	// MuxFrames counts batched binary frames written to mux streams
 	// (heartbeats excluded); MuxEvents/MuxFrames is the amortization
 	// factor — events delivered per write.
@@ -143,13 +143,13 @@ type Stats struct {
 	WALRecords atomic.Int64
 	// WALBytes is the size of the current WAL segment; it resets to 0
 	// when a checkpoint truncates the log.
-	WALBytes Level
+	WALBytes level
 	// Checkpoints counts checkpoints written (manual, periodic, and the
 	// post-recovery barrier checkpoint).
 	Checkpoints atomic.Int64
 	// CheckpointAt is the clock instant of the last checkpoint (0 before
 	// the first, or after one at instant 0: see Checkpoints).
-	CheckpointAt Level
+	CheckpointAt level
 	// Recoveries counts recoveries performed by persist.Open (0 on a
 	// fresh start, 1 after loading a checkpoint and/or WAL).
 	Recoveries atomic.Int64
@@ -158,10 +158,10 @@ type Stats struct {
 	RestoredStale atomic.Int64
 }
 
-// Level is a Stats field holding a current level rather than a running
+// level is a Stats field holding a current level rather than a running
 // count: Snapshot.Sub keeps the newer snapshot's value instead of
-// differencing it. (Gauge is probe.go's activation-gated gauge.)
-type Level struct{ atomic.Int64 }
+// differencing it.
+type level struct{ atomic.Int64 }
 
 // noteQueueDelta adjusts the updater queue-depth gauge by delta (+1 per
 // enqueue, -1 per dequeue) and maintains the high-water mark. Tracking
@@ -241,7 +241,7 @@ func (s *Stats) Snapshot() Snapshot {
 }
 
 // Sub returns the per-counter difference s - t, for measuring a window
-// of activity between two snapshots. A Level keeps s's value.
+// of activity between two snapshots. A level keeps s's value.
 func (s Snapshot) Sub(t Snapshot) Snapshot {
 	d, tv := reflect.ValueOf(&s).Elem(), reflect.ValueOf(&t).Elem()
 	for i, level := range statsLevels {
@@ -259,7 +259,7 @@ var statsLevels = func() []bool {
 	t := reflect.TypeFor[Stats]()
 	levels := make([]bool, t.NumField())
 	for i := range levels {
-		levels[i] = t.Field(i).Type == reflect.TypeFor[Level]()
+		levels[i] = t.Field(i).Type == reflect.TypeFor[level]()
 	}
 	return levels
 }()

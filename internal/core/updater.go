@@ -84,8 +84,8 @@ type poolUpdater struct {
 	closed    bool // queue drained; workers exit
 }
 
-// PoolOption configures NewPoolUpdater.
-type PoolOption func(*poolUpdater)
+// poolOption configures NewPoolUpdater.
+type poolOption func(*poolUpdater)
 
 // WithQueueCapacity bounds the updater's queue at n tasks and enables
 // the sheddable backpressure class: periodic scope batches coalesce per
@@ -94,12 +94,12 @@ type PoolOption func(*poolUpdater)
 // in Stats.ShedTicks). Must-run submissions are never dropped; the
 // queue may exceed n with must-run work, which Stats.QueueHighWater
 // makes visible. n <= 0 leaves the queue unbounded.
-func WithQueueCapacity(n int) PoolOption {
+func WithQueueCapacity(n int) poolOption {
 	return func(u *poolUpdater) { u.capacity = n }
 }
 
 // NewPoolUpdater returns an Updater backed by k worker goroutines.
-func NewPoolUpdater(k int, opts ...PoolOption) Updater {
+func NewPoolUpdater(k int, opts ...poolOption) Updater {
 	if k <= 0 {
 		panic("core: pool updater needs at least one worker")
 	}

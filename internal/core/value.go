@@ -22,13 +22,13 @@ var (
 	ErrItemInUse = errors.New("core: metadata item is in use")
 	// ErrUnsubscribed reports a read through a released subscription.
 	ErrUnsubscribed = errors.New("core: subscription already released")
-	// ErrNoValue reports that a handler has no value yet.
-	ErrNoValue = errors.New("core: metadata value not available")
+	// errNoValue reports that a handler has no value yet.
+	errNoValue = errors.New("core: metadata value not available")
 	// ErrBadSelector reports a dependency selector that matched no
 	// registry (e.g. Input(2) on a unary operator).
 	ErrBadSelector = errors.New("core: dependency selector matched no registry")
-	// ErrNotNumeric reports a Float conversion of a non-numeric value.
-	ErrNotNumeric = errors.New("core: metadata value is not numeric")
+	// errNotNumeric reports a Float conversion of a non-numeric value.
+	errNotNumeric = errors.New("core: metadata value is not numeric")
 	// ErrComputePanic reports that user-supplied compute, Build, or
 	// Resolve code panicked. The framework converts such panics into
 	// errors surfaced on Value()/Subscribe so a faulty metadata item
@@ -89,9 +89,9 @@ func Float(v Value) (float64, error) {
 	case uint64:
 		return float64(x), nil
 	case nil:
-		return 0, ErrNoValue
+		return 0, errNoValue
 	default:
-		return 0, fmt.Errorf("%w: %T", ErrNotNumeric, v)
+		return 0, fmt.Errorf("%w: %T", errNotNumeric, v)
 	}
 }
 

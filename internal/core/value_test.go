@@ -35,11 +35,11 @@ func TestFloatConversions(t *testing.T) {
 }
 
 func TestFloatErrors(t *testing.T) {
-	if _, err := Float(nil); !errors.Is(err, ErrNoValue) {
-		t.Fatalf("Float(nil) err = %v, want ErrNoValue", err)
+	if _, err := Float(nil); !errors.Is(err, errNoValue) {
+		t.Fatalf("Float(nil) err = %v, want errNoValue", err)
 	}
-	if _, err := Float("str"); !errors.Is(err, ErrNotNumeric) {
-		t.Fatalf("Float(string) err = %v, want ErrNotNumeric", err)
+	if _, err := Float("str"); !errors.Is(err, errNotNumeric) {
+		t.Fatalf("Float(string) err = %v, want errNotNumeric", err)
 	}
 }
 
@@ -89,20 +89,20 @@ func TestStatsSnapshotSub(t *testing.T) {
 
 // TestStatsMatchesSnapshot pins what Snapshot's field walk relies on:
 // Stats and Snapshot list the same names in the same order, every Stats
-// field is a counter or a Level, and every Snapshot field an int64.
+// field is a counter or a level, and every Snapshot field an int64.
 func TestStatsMatchesSnapshot(t *testing.T) {
 	st, sn := reflect.TypeFor[Stats](), reflect.TypeFor[Snapshot]()
 	if st.NumField() != sn.NumField() {
 		t.Fatalf("Stats has %d fields, Snapshot %d", st.NumField(), sn.NumField())
 	}
-	kinds := []reflect.Type{reflect.TypeFor[atomic.Int64](), reflect.TypeFor[ShardedCounter](), reflect.TypeFor[Level]()}
+	kinds := []reflect.Type{reflect.TypeFor[atomic.Int64](), reflect.TypeFor[shardedCounter](), reflect.TypeFor[level]()}
 	for i := range st.NumField() {
 		f, g := st.Field(i), sn.Field(i)
 		if f.Name != g.Name {
 			t.Errorf("field %d: Stats.%s, Snapshot.%s", i, f.Name, g.Name)
 		}
 		if !slices.Contains(kinds, f.Type) {
-			t.Errorf("Stats.%s is a %v, want atomic.Int64, ShardedCounter or Level", f.Name, f.Type)
+			t.Errorf("Stats.%s is a %v, want atomic.Int64, shardedCounter or level", f.Name, f.Type)
 		}
 		if g.Type.Kind() != reflect.Int64 {
 			t.Errorf("Snapshot.%s is a %v, want int64", g.Name, g.Type)
@@ -119,7 +119,7 @@ func TestSnapshotSubEveryField(t *testing.T) {
 	add := func(base int64) {
 		for i := range sv.NumField() {
 			switch c := sv.Field(i).Addr().Interface().(type) {
-			case *ShardedCounter:
+			case *shardedCounter:
 				c.Add(base + int64(i))
 			case interface{ Add(int64) int64 }:
 				c.Add(base + int64(i))
@@ -139,7 +139,7 @@ func TestSnapshotSubEveryField(t *testing.T) {
 			t.Errorf("Snapshot.%s = %d, want %d", name, got, 1000+i)
 		}
 		want := bv.Field(i).Int() - av.Field(i).Int()
-		if sv.Field(i).Type() == reflect.TypeFor[Level]() {
+		if sv.Field(i).Type() == reflect.TypeFor[level]() {
 			levels = append(levels, name)
 			want = bv.Field(i).Int()
 		}

@@ -28,9 +28,9 @@ type Workload struct {
 	Pure bool
 }
 
-// Decision is the outcome of Choose: the cheapest maintenance
+// decision is the outcome of Choose: the cheapest maintenance
 // mechanism for the workload and its estimated steady-state cost.
-type Decision struct {
+type decision struct {
 	// Mech is the chosen update mechanism.
 	Mech core.Mechanism
 	// Window is the update period when Mech is periodic, 0 otherwise.
@@ -88,7 +88,7 @@ func (w Workload) Rate(m core.Mechanism, window clock.Duration) float64 {
 // thresholds: Reads == Writes chooses on-demand, not triggered, and a
 // periodic window would have to beat — not match — the event-driven
 // mechanisms to win.
-func Choose(w Workload, minWindow, maxWindow clock.Duration) Decision {
+func Choose(w Workload, minWindow, maxWindow clock.Duration) decision {
 	type candidate struct {
 		mech   core.Mechanism
 		window clock.Duration
@@ -120,5 +120,5 @@ func Choose(w Workload, minWindow, maxWindow clock.Duration) Decision {
 			best = c
 		}
 	}
-	return Decision{Mech: best.mech, Window: best.window, CostRate: best.rate}
+	return decision{Mech: best.mech, Window: best.window, CostRate: best.rate}
 }

@@ -26,8 +26,6 @@
 package costmodel
 
 import (
-	"fmt"
-
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -51,39 +49,29 @@ const (
 )
 
 // Install registers cost-model metadata on every supported node of the
-// graph. Unsupported node types are skipped silently; call InstallNode
-// to get per-node errors.
+// graph. Node types the model does not cover are skipped.
 func Install(g *graph.Graph) {
 	for _, n := range g.Nodes() {
-		_ = InstallNode(n)
+		switch op := n.(type) {
+		case *ops.Source:
+			installSource(op)
+		case *ops.TimeWindow:
+			installTimeWindow(op)
+		case *ops.Filter:
+			installPassThroughRate(n, true)
+			installPassThroughValidity(n)
+		case *ops.Map, *ops.Union:
+			installPassThroughRate(n, false)
+			installPassThroughValidity(n)
+		case *ops.Sampler:
+			installSamplerRate(op)
+			installPassThroughValidity(n)
+		case *ops.Join:
+			installJoin(op)
+		case *ops.Sink:
+			installPassThroughRate(n, false)
+		}
 	}
-}
-
-// InstallNode registers the cost-model items for one node. It returns
-// an error for node types the model does not cover.
-func InstallNode(n graph.Node) error {
-	switch op := n.(type) {
-	case *ops.Source:
-		installSource(op)
-	case *ops.TimeWindow:
-		installTimeWindow(op)
-	case *ops.Filter:
-		installPassThroughRate(n, true)
-		installPassThroughValidity(n)
-	case *ops.Map, *ops.Union:
-		installPassThroughRate(n, false)
-		installPassThroughValidity(n)
-	case *ops.Sampler:
-		installSamplerRate(op)
-		installPassThroughValidity(n)
-	case *ops.Join:
-		installJoin(op)
-	case *ops.Sink:
-		installPassThroughRate(n, false)
-	default:
-		return fmt.Errorf("costmodel: unsupported node type %T (%s)", n, n.Name())
-	}
-	return nil
 }
 
 // installSource defines the source's estimated output rate with

@@ -240,7 +240,8 @@ func TestInstallNodeUnsupported(t *testing.T) {
 	type bare struct{ *graph.Base }
 	n := &bare{g.NewBase("bare", graph.OperatorNode)}
 	g.Register(n)
-	if err := InstallNode(n); err == nil {
-		t.Fatal("InstallNode accepted an unsupported node type")
+	Install(g)
+	if got := n.Registry().Available(); len(got) != 0 {
+		t.Fatalf("Install defined %v on an unsupported node type", got)
 	}
 }

@@ -8,8 +8,8 @@
 //
 //   - an operation DSL plus a seeded generator (workload_test.go) producing
 //     randomized topologies (registries, cross-registry dependencies,
-//     modules) and op scripts (subscribe/unsubscribe, define/attach/
-//     detach, FireEvent/NotifyChanged, migrate, virtual-clock
+//     modules) and op scripts (subscribe/unsubscribe, define, module
+//     attach, FireEvent/NotifyChanged, migrate, virtual-clock
 //     advances), all replayable from the printed seed;
 //
 //   - one driver (driver_test.go): applyOp is the only code that applies an

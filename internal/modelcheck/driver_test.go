@@ -86,8 +86,6 @@ func applyOp(sys *System, op Op, subs []heldSub) ([]heldSub, core.Value, error) 
 		return subs, nil, reg.Migrate(op.Item, core.Mechanism(op.Arg&0xff), clock.Duration(op.Arg>>8))
 	case OpRedefine:
 		return subs, nil, reg.Define(sys.definition(op.Reg, *sys.Wl.Item(op.Reg, op.Item)))
-	case OpDetachModule:
-		return subs, nil, sys.Regs[sys.Wl.Regs[op.Reg].Parent].DetachModule(sys.Wl.Regs[op.Reg].ModName)
 	case OpAttachModule:
 		sys.Regs[sys.Wl.Regs[op.Reg].Parent].AttachModule(sys.Wl.Regs[op.Reg].ModName, reg)
 	}
@@ -127,10 +125,6 @@ func stepOp(t *testing.T, at string, sys *System, model *Model, op Op, subs []he
 		merr = model.Migrate(op.Reg, op.Item, core.Mechanism(op.Arg&0xff), clock.Duration(op.Arg>>8))
 	case OpRedefine:
 		merr = model.Redefine(op.Reg, op.Item)
-	case OpDetachModule:
-		merr = model.Detach(op.Reg)
-	case OpAttachModule:
-		model.Attach(op.Reg)
 	}
 	if got, want := classify(err), classify(merr); got != want {
 		t.Fatalf("%s: real err %q, model err %q", at, got, want)

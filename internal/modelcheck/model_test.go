@@ -29,10 +29,9 @@ import (
 // Value semantics are shared with system_test.go (same float64 operations
 // in the same order), so the drivers compare values exactly.
 type Model struct {
-	wl       *Workload
-	now      clock.Time
-	attached []bool // per registry index; modules start attached
-	items    map[ikey]*mItem
+	wl    *Workload
+	now   clock.Time
+	items map[ikey]*mItem
 
 	// DeltaOff mirrors core.WithoutDeltaPropagation on the system under
 	// test: no pairs flow and every aggregate refresh is a fallback.
@@ -116,17 +115,7 @@ type mDelta struct {
 // NewModel returns the reference model for a workload, at time 0 with
 // all modules attached (matching NewSystem).
 func NewModel(wl *Workload) *Model {
-	m := &Model{
-		wl:       wl,
-		items:    make(map[ikey]*mItem),
-		attached: make([]bool, len(wl.Regs)),
-	}
-	for i, r := range wl.Regs {
-		if r.Parent >= 0 {
-			m.attached[i] = true
-		}
-	}
-	return m
+	return &Model{wl: wl, items: make(map[ikey]*mItem)}
 }
 
 // Now returns the model's clock position.
@@ -192,7 +181,7 @@ func (m *Model) resolve(ri int, d DepSpec) []int {
 	case SelModule:
 		for mi := range m.wl.Regs {
 			mr := &m.wl.Regs[mi]
-			if mr.Parent == ri && mr.ModName == d.Name && m.attached[mi] {
+			if mr.Parent == ri && mr.ModName == d.Name {
 				return []int{mi}
 			}
 		}
@@ -662,24 +651,6 @@ func (m *Model) Redefine(ri int, kind core.Kind) error {
 	m.epoch++
 	return nil
 }
-
-// Detach mirrors Registry.DetachModule on the module registry mi: nil
-// if not attached, an error while the module has included items.
-func (m *Model) Detach(mi int) error {
-	if !m.attached[mi] {
-		return nil
-	}
-	for k := range m.items {
-		if k.reg == mi {
-			return core.ErrItemInUse
-		}
-	}
-	m.attached[mi] = false
-	return nil
-}
-
-// Attach mirrors Registry.AttachModule: unconditional.
-func (m *Model) Attach(mi int) { m.attached[mi] = true }
 
 // pushPairs mirrors notifyDeltaLocked for a fault-free publication: an
 // unchanged value delivers nothing, a changed one delivers one pair

@@ -29,18 +29,16 @@ import (
 //  3. warming through the probe machinery converges every item back to
 //     healthy fresh values.
 //
-// Module detach/attach ops are filtered from crash workloads: module
+// Module attach ops are filtered from crash workloads: module
 // attachment is wiring re-established by process setup code (NewSystem
-// here), not journaled plane state, and a workload that crashes while
-// detached would recover against different resolution wiring than the
-// journal assumes.
+// here), not journaled plane state.
 
 // crashScript derives the crash-harness op script from a seed.
 func crashScript(seed int64, ops int) (*Workload, []Op) {
 	wl := Generate(seed, Config{Ops: ops})
 	script := make([]Op, 0, len(wl.Ops))
 	for _, op := range wl.Ops {
-		if op.Kind == OpDetachModule || op.Kind == OpAttachModule {
+		if op.Kind == OpAttachModule {
 			continue
 		}
 		script = append(script, op)

@@ -116,7 +116,6 @@ const (
 	OpNotifyChanged               // announce a change of (Reg, Item)
 	OpRead                        // read (Reg, Item) via Peek
 	OpRedefine                    // re-Define (Reg, Item); fails while included
-	OpDetachModule                // detach module Reg from its parent
 	OpAttachModule                // re-attach module Reg to its parent
 	OpMigrate                     // migrate (Reg, Item) to mechanism Arg&0xff, window Arg>>8
 )
@@ -147,8 +146,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("read r%d/%s", o.Reg, o.Item)
 	case OpRedefine:
 		return fmt.Sprintf("redefine r%d/%s", o.Reg, o.Item)
-	case OpDetachModule:
-		return fmt.Sprintf("detach r%d", o.Reg)
 	case OpAttachModule:
 		return fmt.Sprintf("attach r%d", o.Reg)
 	case OpMigrate:
@@ -181,8 +178,8 @@ type Config struct {
 	// Ops is the script length (default 60).
 	Ops int
 	// Concurrent restricts the op mix to operations whose final
-	// structural outcome is interleaving-independent (no redefine or
-	// module attach/detach, whose success depends on racy state), so
+	// structural outcome is interleaving-independent (no redefine,
+	// whose success depends on racy state, and no module attach), so
 	// the concurrent driver can predict the quiescent state.
 	Concurrent bool
 }
@@ -475,7 +472,7 @@ func genOp(rng *rand.Rand, w *Workload, cfg Config) Op {
 		ri, k := randomItem()
 		return Op{Kind: OpRedefine, Reg: ri, Item: k}
 	default:
-		// Module churn: detach/attach a random module registry, if any.
+		// Module churn: re-attach a random module registry, if any.
 		var mods []int
 		for i, r := range w.Regs {
 			if r.Parent >= 0 {
@@ -486,11 +483,7 @@ func genOp(rng *rand.Rand, w *Workload, cfg Config) Op {
 			ri, k := randomItem()
 			return Op{Kind: OpRead, Reg: ri, Item: k}
 		}
-		mi := mods[rng.Intn(len(mods))]
-		if rng.Float64() < 0.5 {
-			return Op{Kind: OpDetachModule, Reg: mi}
-		}
-		return Op{Kind: OpAttachModule, Reg: mi}
+		return Op{Kind: OpAttachModule, Reg: mods[rng.Intn(len(mods))]}
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 	"repro/internal/graph"
 )
 
-// Sample is one recorded metadata value.
-type Sample struct {
+// sample is one recorded metadata value.
+type sample struct {
 	// At is the sampling time.
 	At clock.Time
 	// Value is the metadata value at that time.
@@ -30,24 +30,24 @@ type Sample struct {
 	Err error
 }
 
-// Series is the recorded history of one tracked item.
-type Series struct {
+// series is the recorded history of one tracked item.
+type series struct {
 	// Name labels the series.
 	Name string
 	// Samples holds the recorded values in time order.
-	Samples []Sample
+	Samples []sample
 }
 
-// Last returns the most recent sample (zero Sample if empty).
-func (s *Series) Last() Sample {
+// Last returns the most recent sample (zero sample if empty).
+func (s *series) Last() sample {
 	if len(s.Samples) == 0 {
-		return Sample{}
+		return sample{}
 	}
 	return s.Samples[len(s.Samples)-1]
 }
 
 // Mean returns the mean of the successfully recorded values.
-func (s *Series) Mean() float64 {
+func (s *series) Mean() float64 {
 	sum, n := 0.0, 0
 	for _, sm := range s.Samples {
 		if sm.Err == nil {
@@ -62,7 +62,7 @@ func (s *Series) Mean() float64 {
 }
 
 // Max returns the maximum recorded value.
-func (s *Series) Max() float64 {
+func (s *series) Max() float64 {
 	max := 0.0
 	for i, sm := range s.Samples {
 		if sm.Err == nil && (i == 0 || sm.Value > max) {
@@ -89,7 +89,7 @@ type Recorder struct {
 	mu      sync.Mutex
 	order   []string
 	tracks  map[string]*tracked
-	series  map[string]*Series
+	series  map[string]*series
 	stopped bool
 }
 
@@ -99,7 +99,7 @@ func NewRecorder(env *core.Env, period clock.Duration) *Recorder {
 		env:    env,
 		every:  period,
 		tracks: make(map[string]*tracked),
-		series: make(map[string]*Series),
+		series: make(map[string]*series),
 	}
 	r.ticker = clock.NewTicker(env.Clock(), period, func(now clock.Time) { r.Sample(now) })
 	return r
@@ -119,7 +119,7 @@ func (r *Recorder) Track(name string, reg *core.Registry, kind core.Kind) error 
 	}
 	r.order = append(r.order, name)
 	r.tracks[name] = &tracked{name: name, sub: sub}
-	r.series[name] = &Series{Name: name}
+	r.series[name] = &series{Name: name}
 	return nil
 }
 
@@ -133,12 +133,12 @@ func (r *Recorder) Sample(now clock.Time) {
 	for _, name := range r.order {
 		tr := r.tracks[name]
 		v, err := tr.sub.Float()
-		r.series[name].Samples = append(r.series[name].Samples, Sample{At: now, Value: v, Err: err})
+		r.series[name].Samples = append(r.series[name].Samples, sample{At: now, Value: v, Err: err})
 	}
 }
 
 // Series returns the recorded series by name, or nil.
-func (r *Recorder) Series(name string) *Series {
+func (r *Recorder) Series(name string) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.series[name]
@@ -196,9 +196,9 @@ func (r *Recorder) Close() {
 	}
 }
 
-// NodeInventory describes the metadata surface of one node: what it
+// nodeInventory describes the metadata surface of one node: what it
 // can provide and what is currently provided.
-type NodeInventory struct {
+type nodeInventory struct {
 	// Node is the node's name and id label.
 	Node string
 	// Type is the node type.
@@ -211,10 +211,10 @@ type NodeInventory struct {
 
 // Inventory walks the graph and reports each node's metadata surface —
 // the discovery facility of Section 2.2.
-func Inventory(g *graph.Graph) []NodeInventory {
-	var out []NodeInventory
+func Inventory(g *graph.Graph) []nodeInventory {
+	var out []nodeInventory
 	for _, n := range g.Nodes() {
-		out = append(out, NodeInventory{
+		out = append(out, nodeInventory{
 			Node:      n.Registry().ID(),
 			Type:      n.Type(),
 			Available: n.Registry().Available(),
@@ -226,7 +226,7 @@ func Inventory(g *graph.Graph) []NodeInventory {
 }
 
 // FormatInventory renders the inventory as a fixed-width table.
-func FormatInventory(inv []NodeInventory) string {
+func FormatInventory(inv []nodeInventory) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %-9s %9s %9s  included items\n", "node", "type", "available", "included")
 	for _, ni := range inv {

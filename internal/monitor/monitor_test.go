@@ -109,7 +109,7 @@ func TestRecorderCSV(t *testing.T) {
 }
 
 func TestEmptySeriesStats(t *testing.T) {
-	s := &Series{Name: "e"}
+	s := &series{Name: "e"}
 	if s.Mean() != 0 || s.Max() != 0 || s.Last().At != 0 {
 		t.Fatal("empty series stats should be zero")
 	}

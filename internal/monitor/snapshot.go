@@ -9,8 +9,8 @@ import (
 	"repro/internal/graph"
 )
 
-// ItemSnapshot is the captured state of one included metadata item.
-type ItemSnapshot struct {
+// itemSnapshot is the captured state of one included metadata item.
+type itemSnapshot struct {
 	// Kind is the item kind.
 	Kind string `json:"kind"`
 	// Mechanism is the handler's update mechanism.
@@ -31,27 +31,27 @@ type ItemSnapshot struct {
 	StaleFor int64 `json:"staleFor,omitempty"`
 }
 
-// NodeSnapshot captures one registry (node or module).
-type NodeSnapshot struct {
+// nodeSnapshot captures one registry (node or module).
+type nodeSnapshot struct {
 	// Registry is the registry identifier.
 	Registry string `json:"registry"`
 	// Type is the node type ("source", "operator", "sink", "module").
 	Type string `json:"type"`
 	// Items holds the included items in kind order.
-	Items []ItemSnapshot `json:"items"`
+	Items []itemSnapshot `json:"items"`
 }
 
-// Snapshot captures the complete metadata state of the graph: every
+// snapshot captures the complete metadata state of the graph: every
 // included item of every node and module with its current value — the
 // raw material of the paper's system-profiling application ("analysis
 // gives insight into system behavior", Section 1).
-func Snapshot(g *graph.Graph) []NodeSnapshot {
-	var out []NodeSnapshot
+func snapshot(g *graph.Graph) []nodeSnapshot {
+	var out []nodeSnapshot
 	var capture func(r *core.Registry, typ string)
 	capture = func(r *core.Registry, typ string) {
-		ns := NodeSnapshot{Registry: r.ID(), Type: typ}
+		ns := nodeSnapshot{Registry: r.ID(), Type: typ}
 		for _, kind := range r.Included() {
-			item := ItemSnapshot{Kind: string(kind), Refs: r.Refs(kind)}
+			item := itemSnapshot{Kind: string(kind), Refs: r.Refs(kind)}
 			if mech, ok := r.Mechanism(kind); ok {
 				item.Mechanism = mech.String()
 			}
@@ -92,5 +92,5 @@ func Snapshot(g *graph.Graph) []NodeSnapshot {
 
 // SnapshotJSON renders the snapshot as indented JSON.
 func SnapshotJSON(g *graph.Graph) ([]byte, error) {
-	return json.MarshalIndent(Snapshot(g), "", "  ")
+	return json.MarshalIndent(snapshot(g), "", "  ")
 }

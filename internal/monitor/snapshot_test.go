@@ -21,7 +21,7 @@ func TestSnapshotCapturesIncludedItems(t *testing.T) {
 	implSub, _ := f.Registry().Subscribe(ops.KindImplType)
 	defer implSub.Unsubscribe()
 
-	snaps := Snapshot(g)
+	snaps := snapshot(g)
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %d, want 1 (only the filter has items)", len(snaps))
 	}
@@ -29,7 +29,7 @@ func TestSnapshotCapturesIncludedItems(t *testing.T) {
 	if ns.Type != "operator" {
 		t.Fatalf("type = %s", ns.Type)
 	}
-	kinds := map[string]ItemSnapshot{}
+	kinds := map[string]itemSnapshot{}
 	for _, it := range ns.Items {
 		kinds[it.Kind] = it
 	}
@@ -57,7 +57,7 @@ func TestSnapshotIncludesModules(t *testing.T) {
 		func(l, r stream.Tuple) bool { return true }, 0)
 	sub, _ := j.Registry().Subscribe(ops.KindMemUsage)
 	defer sub.Unsubscribe()
-	snaps := Snapshot(g)
+	snaps := snapshot(g)
 	var moduleSeen bool
 	for _, ns := range snaps {
 		if ns.Type == "module" {
@@ -82,7 +82,7 @@ func TestSnapshotJSONRoundTrips(t *testing.T) {
 	if !strings.Contains(string(raw), "countIn") {
 		t.Fatalf("JSON missing item:\n%s", raw)
 	}
-	var decoded []NodeSnapshot
+	var decoded []nodeSnapshot
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("snapshot JSON does not round-trip: %v", err)
 	}
@@ -120,9 +120,9 @@ func TestSnapshotReportsQuarantine(t *testing.T) {
 	vc.Advance(20) // two panicking boundaries trip the breaker at t=20
 	vc.Advance(3)  // stale age grows while quarantined (probe due at 25)
 
-	var item ItemSnapshot
+	var item itemSnapshot
 	found := false
-	for _, ns := range Snapshot(g) {
+	for _, ns := range snapshot(g) {
 		for _, it := range ns.Items {
 			if it.Kind == "flaky" {
 				item, found = it, true
@@ -158,7 +158,7 @@ func TestSnapshotEmptyGraph(t *testing.T) {
 	vc := clock.NewVirtual()
 	g := graph.New(core.NewEnv(vc))
 	ops.NewSource(g, "s", intSchema, 0, 0)
-	if snaps := Snapshot(g); len(snaps) != 0 {
+	if snaps := snapshot(g); len(snaps) != 0 {
 		t.Fatalf("snapshot of idle graph = %v, want empty", snaps)
 	}
 }

@@ -147,19 +147,19 @@ func (a *minAgg) Value() float64 {
 func (a *minAgg) Clone() AggFunc { return &minAgg{field: a.field, live: make(map[float64]int)} }
 func (a *minAgg) Name() string   { return fmt.Sprintf("min(%d)", a.field) }
 
-// Aggregate computes a windowed aggregate over its input: every
+// aggregate computes a windowed aggregate over its input: every
 // arriving element retracts the elements whose validity has ended,
 // adds itself, and emits the current aggregate value.
-type Aggregate struct {
-	*Common
+type aggregate struct {
+	*common
 	agg AggFunc
 
 	mu   sync.Mutex
 	live []stream.Element
 }
 
-// AggSchema returns the output schema of an ungrouped aggregate.
-func AggSchema(agg AggFunc) stream.Schema {
+// aggSchema returns the output schema of an ungrouped aggregate.
+func aggSchema(agg AggFunc) stream.Schema {
 	return stream.Schema{
 		Name:   agg.Name(),
 		Fields: []stream.Field{{Name: agg.Name(), Type: "float"}},
@@ -167,9 +167,9 @@ func AggSchema(agg AggFunc) stream.Schema {
 }
 
 // NewAggregate creates a windowed aggregation operator.
-func NewAggregate(g *graph.Graph, name string, agg AggFunc, statWindow clock.Duration) *Aggregate {
-	a := &Aggregate{
-		Common: newCommon(g, name, graph.OperatorNode, AggSchema(agg), statWindow),
+func NewAggregate(g *graph.Graph, name string, agg AggFunc, statWindow clock.Duration) *aggregate {
+	a := &aggregate{
+		common: newCommon(g, name, graph.OperatorNode, aggSchema(agg), statWindow),
 		agg:    agg,
 	}
 	defineStaticImplType(a.Registry(), "aggregate")
@@ -188,7 +188,7 @@ func NewAggregate(g *graph.Graph, name string, agg AggFunc, statWindow clock.Dur
 }
 
 // Process implements graph.Node.
-func (a *Aggregate) Process(el stream.Element, port int) []stream.Element {
+func (a *aggregate) Process(el stream.Element, port int) []stream.Element {
 	a.recordIn()
 	a.mu.Lock()
 	kept := a.live[:0]
@@ -213,9 +213,9 @@ func (a *Aggregate) Process(el stream.Element, port int) []stream.Element {
 	return []stream.Element{{Tuple: stream.Tuple{v}, TS: el.TS, End: el.End}}
 }
 
-// GroupAggregate computes a windowed aggregate per group key.
-type GroupAggregate struct {
-	*Common
+// groupAggregate computes a windowed aggregate per group key.
+type groupAggregate struct {
+	*common
 	keyField int
 	proto    AggFunc
 
@@ -224,8 +224,8 @@ type GroupAggregate struct {
 	live   []stream.Element
 }
 
-// GroupAggSchema returns the output schema of a grouped aggregate.
-func GroupAggSchema(agg AggFunc) stream.Schema {
+// groupAggSchema returns the output schema of a grouped aggregate.
+func groupAggSchema(agg AggFunc) stream.Schema {
 	return stream.Schema{
 		Name: "group-" + agg.Name(),
 		Fields: []stream.Field{
@@ -237,9 +237,9 @@ func GroupAggSchema(agg AggFunc) stream.Schema {
 
 // NewGroupAggregate creates a grouped windowed aggregation operator
 // keyed by the given tuple field.
-func NewGroupAggregate(g *graph.Graph, name string, keyField int, proto AggFunc, statWindow clock.Duration) *GroupAggregate {
-	a := &GroupAggregate{
-		Common:   newCommon(g, name, graph.OperatorNode, GroupAggSchema(proto), statWindow),
+func NewGroupAggregate(g *graph.Graph, name string, keyField int, proto AggFunc, statWindow clock.Duration) *groupAggregate {
+	a := &groupAggregate{
+		common:   newCommon(g, name, graph.OperatorNode, groupAggSchema(proto), statWindow),
 		keyField: keyField,
 		proto:    proto,
 		groups:   make(map[any]AggFunc),
@@ -260,7 +260,7 @@ func NewGroupAggregate(g *graph.Graph, name string, keyField int, proto AggFunc,
 }
 
 // Process implements graph.Node.
-func (a *GroupAggregate) Process(el stream.Element, port int) []stream.Element {
+func (a *groupAggregate) Process(el stream.Element, port int) []stream.Element {
 	a.recordIn()
 	a.mu.Lock()
 	cost := int64(1)

@@ -149,11 +149,11 @@ func TestPropertyAggregateEqualsRescan(t *testing.T) {
 }
 
 func TestAggSchemas(t *testing.T) {
-	if s := AggSchema(NewCount()); s.Arity() != 1 || s.Name != "count" {
-		t.Fatalf("AggSchema = %v", s)
+	if s := aggSchema(NewCount()); s.Arity() != 1 || s.Name != "count" {
+		t.Fatalf("aggSchema = %v", s)
 	}
-	if s := GroupAggSchema(NewSum(1)); s.Arity() != 2 {
-		t.Fatalf("GroupAggSchema = %v", s)
+	if s := groupAggSchema(NewSum(1)); s.Arity() != 2 {
+		t.Fatalf("groupAggSchema = %v", s)
 	}
 }
 

@@ -12,12 +12,12 @@ import (
 // 3.1 and can be overridden per node.
 const DefaultStatWindow = clock.Duration(100)
 
-// Common carries the per-node instrumentation shared by all concrete
+// common carries the per-node instrumentation shared by all concrete
 // nodes: activation-gated probes for the measured metadata items, and
 // the standard metadata definitions. Each metadata item owns its own
 // probe so that, e.g., the input-rate item and the selectivity item
 // can reset their window counters independently.
-type Common struct {
+type common struct {
 	*graph.Base
 
 	schema     stream.Schema
@@ -31,15 +31,15 @@ type Common struct {
 	rateOut core.Counter // outputRate window counter
 	selIn   core.Counter // selectivity window counters
 	selOut  core.Counter
-	cpu     core.Gauge // measuredCPUUsage work accumulator
+	cpu     core.Counter // measuredCPUUsage work accumulator
 }
 
 // newCommon builds the node core and registers the standard metadata.
-func newCommon(g *graph.Graph, name string, typ graph.NodeType, schema stream.Schema, statWindow clock.Duration) *Common {
+func newCommon(g *graph.Graph, name string, typ graph.NodeType, schema stream.Schema, statWindow clock.Duration) *common {
 	if statWindow <= 0 {
 		statWindow = DefaultStatWindow
 	}
-	c := &Common{
+	c := &common{
 		Base:       g.NewBase(name, typ),
 		schema:     schema,
 		statWindow: statWindow,
@@ -49,24 +49,24 @@ func newCommon(g *graph.Graph, name string, typ graph.NodeType, schema stream.Sc
 }
 
 // Schema returns the node's output schema.
-func (c *Common) Schema() stream.Schema { return c.schema }
+func (c *common) Schema() stream.Schema { return c.schema }
 
 // recordIn instruments one input element.
-func (c *Common) recordIn() {
+func (c *common) recordIn() {
 	c.totIn.Inc()
 	c.rateIn.Inc()
 	c.selIn.Inc()
 }
 
 // recordOut instruments n output elements.
-func (c *Common) recordOut(n int64) {
+func (c *common) recordOut(n int64) {
 	c.totOut.Add(n)
 	c.rateOut.Add(n)
 	c.selOut.Add(n)
 }
 
 // recordCost accumulates simulated CPU work units.
-func (c *Common) recordCost(units int64) { c.cpu.Add(units) }
+func (c *common) recordCost(units int64) { c.cpu.Add(units) }
 
 // rateDefinition builds a periodic rate item over a window counter.
 func rateDefinition(kind core.Kind, probe *core.Counter, window clock.Duration) *core.Definition {
@@ -122,7 +122,7 @@ func counterDefinition(kind core.Kind, probe *core.Counter) *core.Definition {
 }
 
 // defineStandardMetadata registers the items every node provides.
-func (c *Common) defineStandardMetadata() {
+func (c *common) defineStandardMetadata() {
 	r := c.Registry()
 	schema := c.schema
 	r.MustDefine(&core.Definition{

@@ -17,9 +17,9 @@ import (
 // two modules through module metadata dependencies (Section 4.5), and
 // its probe comparisons feed the measured-CPU item.
 type Join struct {
-	*Common
-	pred  JoinPredicate
-	areas [2]SweepArea
+	*common
+	pred  func(left, right stream.Tuple) bool
+	areas [2]sweepArea
 	// predCost is the simulated CPU cost of one predicate evaluation,
 	// exposed as metadata for the cost model (Figure 3's "costs of the
 	// join predicate" intra-node dependency).
@@ -30,15 +30,15 @@ type Join struct {
 type JoinOption func(*joinConfig)
 
 type joinConfig struct {
-	makeArea func(env *core.Env, id string, elemSize int64, side int) SweepArea
+	makeArea func(env *core.Env, id string, elemSize int64, side int) sweepArea
 	predCost int64
 }
 
 // WithListAreas stores join state in list sweep areas (default).
 func WithListAreas() JoinOption {
 	return func(c *joinConfig) {
-		c.makeArea = func(env *core.Env, id string, elemSize int64, _ int) SweepArea {
-			return NewListSweepArea(env, id, elemSize)
+		c.makeArea = func(env *core.Env, id string, elemSize int64, _ int) sweepArea {
+			return newListSweepArea(env, id, elemSize)
 		}
 	}
 }
@@ -49,7 +49,7 @@ func WithListAreas() JoinOption {
 func WithHashAreas(leftKey, rightKey func(stream.Tuple) any) JoinOption {
 	keys := [2]func(stream.Tuple) any{leftKey, rightKey}
 	return func(c *joinConfig) {
-		c.makeArea = func(env *core.Env, id string, elemSize int64, side int) SweepArea {
+		c.makeArea = func(env *core.Env, id string, elemSize int64, side int) sweepArea {
 			return newHashSweepArea(env, id, elemSize, keys[side])
 		}
 	}
@@ -63,7 +63,7 @@ func WithPredicateCost(c int64) JoinOption {
 
 // NewJoin creates a sliding-window join. leftSchema and rightSchema
 // are the input schemas (the output schema is their concatenation).
-func NewJoin(g *graph.Graph, name string, leftSchema, rightSchema stream.Schema, pred JoinPredicate, statWindow clock.Duration, opts ...JoinOption) *Join {
+func NewJoin(g *graph.Graph, name string, leftSchema, rightSchema stream.Schema, pred func(left, right stream.Tuple) bool, statWindow clock.Duration, opts ...JoinOption) *Join {
 	cfg := joinConfig{predCost: 1}
 	WithListAreas()(&cfg)
 	for _, o := range opts {
@@ -71,7 +71,7 @@ func NewJoin(g *graph.Graph, name string, leftSchema, rightSchema stream.Schema,
 	}
 	outSchema := leftSchema.Concat(rightSchema)
 	j := &Join{
-		Common:   newCommon(g, name, graph.OperatorNode, outSchema, statWindow),
+		common:   newCommon(g, name, graph.OperatorNode, outSchema, statWindow),
 		pred:     pred,
 		predCost: cfg.predCost,
 	}
@@ -98,8 +98,8 @@ func (j *Join) defineJoinMetadata() {
 	r.MustDefine(&core.Definition{
 		Kind: KindStateSize,
 		Deps: []core.DepRef{
-			core.Dep(core.Module("left"), KindSize),
-			core.Dep(core.Module("right"), KindSize),
+			core.Dep(core.Module("left"), kindSize),
+			core.Dep(core.Module("right"), kindSize),
 		},
 		Build: func(ctx *core.BuildContext) (core.Handler, error) {
 			l, rt := ctx.Dep(0), ctx.Dep(1)
@@ -149,7 +149,7 @@ func (j *Join) defineJoinMetadata() {
 }
 
 // Area returns the sweep-area module of the given side (0 = left).
-func (j *Join) Area(side int) SweepArea { return j.areas[side] }
+func (j *Join) Area(side int) sweepArea { return j.areas[side] }
 
 // Process implements graph.Node.
 func (j *Join) Process(el stream.Element, port int) []stream.Element {

@@ -209,7 +209,7 @@ func TestJoinPredicateCostMetadata(t *testing.T) {
 
 // referenceJoin recomputes all join results of a two-sided trace by
 // brute force over every pair.
-func referenceJoin(left, right []stream.Element, pred JoinPredicate) int {
+func referenceJoin(left, right []stream.Element, pred func(left, right stream.Tuple) bool) int {
 	n := 0
 	for _, l := range left {
 		for _, r := range right {
@@ -285,8 +285,8 @@ func TestPropertyHashJoinEqualsReference(t *testing.T) {
 func TestSweepAreaPurgeBoundary(t *testing.T) {
 	g, _ := newTestGraph()
 	env := g.Env()
-	for name, sa := range map[string]SweepArea{
-		"list": NewListSweepArea(env, "l", 32),
+	for name, sa := range map[string]sweepArea{
+		"list": newListSweepArea(env, "l", 32),
 		"hash": newHashSweepArea(env, "h", 32, func(tp stream.Tuple) any { return tp[0] }),
 	} {
 		sa.Insert(windowed(1, 0, 10)) // valid [0,10)

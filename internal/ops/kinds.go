@@ -55,16 +55,16 @@ const (
 	KindWindowSize = core.Kind("windowSize")
 	// KindDropProbability is the sampler's current drop probability.
 	KindDropProbability = core.Kind("dropProbability")
-	// KindCountDropped is the cumulative number of dropped elements
+	// kindCountDropped is the cumulative number of dropped elements
 	// at a sampler.
-	KindCountDropped = core.Kind("countDropped")
+	kindCountDropped = core.Kind("countDropped")
 	// KindQoSLatency is a sink's static Quality-of-Service latency
 	// budget (query-level metadata).
 	KindQoSLatency = core.Kind("qosLatency")
 	// KindQoSPriority is a sink's static scheduling priority.
 	KindQoSPriority = core.Kind("qosPriority")
-	// KindSize is an exchangeable module's element count.
-	KindSize = core.Kind("size")
+	// kindSize is an exchangeable module's element count.
+	kindSize = core.Kind("size")
 	// KindImplType is the static implementation type of a node or
 	// module (e.g. "hash", "list"), per Figure 1's operator metadata.
 	KindImplType = core.Kind("implType")
@@ -80,7 +80,7 @@ const (
 	// EventWindowChanged fires when a window operator's size is
 	// adjusted (e.g. by the adaptive resource manager of Section 3.3).
 	EventWindowChanged = "windowSizeChanged"
-	// EventStateChanged fires when an operator announces a relevant
+	// eventStateChanged fires when an operator announces a relevant
 	// state change to dependent triggered handlers.
-	EventStateChanged = "stateChanged"
+	eventStateChanged = "stateChanged"
 )

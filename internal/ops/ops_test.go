@@ -237,7 +237,7 @@ func TestSamplerDropsDeterministically(t *testing.T) {
 		t.Fatalf("passed %d of 1000 at p=0.5", passed)
 	}
 	// Drop counter metadata.
-	d, _ := s.Registry().Subscribe(KindCountDropped)
+	d, _ := s.Registry().Subscribe(kindCountDropped)
 	defer d.Unsubscribe()
 	if v, _ := d.Float(); v != 0 {
 		// The probe was inactive during the loop above, so it counted

@@ -15,7 +15,7 @@ import (
 // the drop probability when resource-usage metadata exceeds its bound
 // and lowers it when headroom returns.
 type Sampler struct {
-	*Common
+	*common
 	mu      sync.Mutex
 	dropP   float64
 	rng     *rand.Rand
@@ -29,7 +29,7 @@ func NewSampler(g *graph.Graph, name string, schema stream.Schema, dropP float64
 		panic("ops: drop probability must be in [0, 1]")
 	}
 	s := &Sampler{
-		Common: newCommon(g, name, graph.OperatorNode, schema, statWindow),
+		common: newCommon(g, name, graph.OperatorNode, schema, statWindow),
 		dropP:  dropP,
 		rng:    rand.New(rand.NewSource(seed)),
 	}
@@ -42,7 +42,7 @@ func NewSampler(g *graph.Graph, name string, schema stream.Schema, dropP float64
 			}), nil
 		},
 	})
-	s.Registry().MustDefine(counterDefinition(KindCountDropped, &s.dropped))
+	s.Registry().MustDefine(counterDefinition(kindCountDropped, &s.dropped))
 	g.Register(s)
 	return s
 }

@@ -13,7 +13,7 @@ import (
 // selectivity metadata is the canonical scheduler input (Chain [5]
 // reacts to selectivity changes).
 type Filter struct {
-	*Common
+	*common
 	mu   sync.Mutex
 	pred func(stream.Tuple) bool
 	// costPerElement is the simulated CPU work of one predicate
@@ -24,7 +24,7 @@ type Filter struct {
 // NewFilter creates a filter over the schema of its (future) input.
 func NewFilter(g *graph.Graph, name string, schema stream.Schema, pred func(stream.Tuple) bool, statWindow clock.Duration) *Filter {
 	f := &Filter{
-		Common:         newCommon(g, name, graph.OperatorNode, schema, statWindow),
+		common:         newCommon(g, name, graph.OperatorNode, schema, statWindow),
 		pred:           pred,
 		costPerElement: 1,
 	}
@@ -64,7 +64,7 @@ func (f *Filter) SetPredicate(pred func(stream.Tuple) bool, cost int64) {
 	f.pred = pred
 	f.costPerElement = cost
 	f.mu.Unlock()
-	f.Registry().FireEvent(EventStateChanged)
+	f.Registry().FireEvent(eventStateChanged)
 }
 
 // Process implements graph.Node.
@@ -83,14 +83,14 @@ func (f *Filter) Process(el stream.Element, port int) []stream.Element {
 
 // Map transforms each tuple with a function.
 type Map struct {
-	*Common
+	*common
 	fn func(stream.Tuple) stream.Tuple
 }
 
 // NewMap creates a map operator with the given output schema.
 func NewMap(g *graph.Graph, name string, outSchema stream.Schema, fn func(stream.Tuple) stream.Tuple, statWindow clock.Duration) *Map {
 	m := &Map{
-		Common: newCommon(g, name, graph.OperatorNode, outSchema, statWindow),
+		common: newCommon(g, name, graph.OperatorNode, outSchema, statWindow),
 		fn:     fn,
 	}
 	defineStaticImplType(m.Registry(), "map")
@@ -110,12 +110,12 @@ func (m *Map) Process(el stream.Element, port int) []stream.Element {
 
 // Union merges any number of inputs with identical schemas.
 type Union struct {
-	*Common
+	*common
 }
 
 // NewUnion creates a union operator.
 func NewUnion(g *graph.Graph, name string, schema stream.Schema, statWindow clock.Duration) *Union {
-	u := &Union{Common: newCommon(g, name, graph.OperatorNode, schema, statWindow)}
+	u := &Union{common: newCommon(g, name, graph.OperatorNode, schema, statWindow)}
 	defineStaticImplType(u.Registry(), "union")
 	g.Register(u)
 	return u
@@ -135,9 +135,9 @@ func (u *Union) Process(el stream.Element, port int) []stream.Element {
 // time between an element's timestamp and its arrival at the sink —
 // as periodic metadata, the runtime statistic QoS enforcement needs.
 type Sink struct {
-	*Common
+	*common
 	onElement func(stream.Element)
-	latSum    core.Gauge   // sum of delivery latencies in the window
+	latSum    core.Counter // sum of delivery latencies in the window
 	latCount  core.Counter // deliveries in the window
 }
 
@@ -146,7 +146,7 @@ type Sink struct {
 // priority exposed as metadata.
 func NewSink(g *graph.Graph, name string, schema stream.Schema, onElement func(stream.Element), qosLatency float64, priority float64, statWindow clock.Duration) *Sink {
 	s := &Sink{
-		Common:    newCommon(g, name, graph.SinkNode, schema, statWindow),
+		common:    newCommon(g, name, graph.SinkNode, schema, statWindow),
 		onElement: onElement,
 	}
 	defineStaticImplType(s.Registry(), "sink")

@@ -12,7 +12,7 @@ import (
 // point. A source may additionally declare its expected rate, which
 // seeds the cost model before measurements are available.
 type Source struct {
-	*Common
+	*common
 	declaredRate float64
 }
 
@@ -21,7 +21,7 @@ type Source struct {
 // pass 0 if unknown.
 func NewSource(g *graph.Graph, name string, schema stream.Schema, declaredRate float64, statWindow clock.Duration) *Source {
 	s := &Source{
-		Common:       newCommon(g, name, graph.SourceNode, schema, statWindow),
+		common:       newCommon(g, name, graph.SourceNode, schema, statWindow),
 		declaredRate: declaredRate,
 	}
 	defineStaticImplType(s.Registry(), "source")

@@ -8,15 +8,12 @@ import (
 	"repro/internal/stream"
 )
 
-// JoinPredicate decides whether two tuples join.
-type JoinPredicate func(left, right stream.Tuple) bool
-
-// SweepArea is an exchangeable join-state module (Section 4.5): the
+// sweepArea is an exchangeable join-state module (Section 4.5): the
 // data structure storing one input's window contents. The join
 // operator can be based on different implementations (lists, hash
 // tables); each carries its own metadata registry so the join's
 // memory-usage item can aggregate module metadata recursively.
-type SweepArea interface {
+type sweepArea interface {
 	// Insert adds an element.
 	Insert(el stream.Element)
 	// PurgeBefore removes all elements whose validity ended at or
@@ -36,11 +33,11 @@ type SweepArea interface {
 
 // defineSweepAreaMetadata registers the module items every sweep area
 // provides.
-func defineSweepAreaMetadata(sa SweepArea, impl string) {
+func defineSweepAreaMetadata(sa sweepArea, impl string) {
 	r := sa.Registry()
 	defineStaticImplType(r, impl)
 	r.MustDefine(&core.Definition{
-		Kind: KindSize,
+		Kind: kindSize,
 		Build: func(*core.BuildContext) (core.Handler, error) {
 			return core.NewOnDemand(func(clock.Time) (core.Value, error) {
 				return float64(sa.Size()), nil
@@ -57,10 +54,10 @@ func defineSweepAreaMetadata(sa SweepArea, impl string) {
 	})
 }
 
-// ListSweepArea stores elements in arrival order and probes by linear
+// listSweepArea stores elements in arrival order and probes by linear
 // scan. It is the nested-loops implementation type of Section 1's
 // operator metadata example.
-type ListSweepArea struct {
+type listSweepArea struct {
 	reg      *core.Registry
 	elemSize int64
 
@@ -68,26 +65,26 @@ type ListSweepArea struct {
 	els []stream.Element
 }
 
-// NewListSweepArea creates a list-based sweep area. elemSize is the
+// newListSweepArea creates a list-based sweep area. elemSize is the
 // per-element memory estimate in bytes.
-func NewListSweepArea(env *core.Env, id string, elemSize int64) *ListSweepArea {
-	sa := &ListSweepArea{reg: env.NewRegistry(id), elemSize: elemSize}
+func newListSweepArea(env *core.Env, id string, elemSize int64) *listSweepArea {
+	sa := &listSweepArea{reg: env.NewRegistry(id), elemSize: elemSize}
 	defineSweepAreaMetadata(sa, "list")
 	return sa
 }
 
-// Registry implements SweepArea.
-func (sa *ListSweepArea) Registry() *core.Registry { return sa.reg }
+// Registry implements sweepArea.
+func (sa *listSweepArea) Registry() *core.Registry { return sa.reg }
 
-// Insert implements SweepArea.
-func (sa *ListSweepArea) Insert(el stream.Element) {
+// Insert implements sweepArea.
+func (sa *listSweepArea) Insert(el stream.Element) {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	sa.els = append(sa.els, el)
 }
 
-// PurgeBefore implements SweepArea.
-func (sa *ListSweepArea) PurgeBefore(t clock.Time) int {
+// PurgeBefore implements sweepArea.
+func (sa *listSweepArea) PurgeBefore(t clock.Time) int {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	kept := sa.els[:0]
@@ -107,8 +104,8 @@ func (sa *ListSweepArea) PurgeBefore(t clock.Time) int {
 	return removed
 }
 
-// Probe implements SweepArea.
-func (sa *ListSweepArea) Probe(el stream.Element, pred func(stream.Tuple) bool, emit func(stream.Element)) int {
+// Probe implements sweepArea.
+func (sa *listSweepArea) Probe(el stream.Element, pred func(stream.Tuple) bool, emit func(stream.Element)) int {
 	sa.mu.Lock()
 	snapshot := make([]stream.Element, len(sa.els))
 	copy(snapshot, sa.els)
@@ -123,22 +120,22 @@ func (sa *ListSweepArea) Probe(el stream.Element, pred func(stream.Tuple) bool, 
 	return comparisons
 }
 
-// Size implements SweepArea.
-func (sa *ListSweepArea) Size() int {
+// Size implements sweepArea.
+func (sa *listSweepArea) Size() int {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	return len(sa.els)
 }
 
-// MemBytes implements SweepArea.
-func (sa *ListSweepArea) MemBytes() int64 {
+// MemBytes implements sweepArea.
+func (sa *listSweepArea) MemBytes() int64 {
 	return int64(sa.Size()) * sa.elemSize
 }
 
-// HashSweepArea partitions elements by a key function and probes only
+// hashSweepArea partitions elements by a key function and probes only
 // the matching bucket. It is the hash-based implementation type; the
 // join predicate must imply key equality.
-type HashSweepArea struct {
+type hashSweepArea struct {
 	reg      *core.Registry
 	elemSize int64
 	key      func(stream.Tuple) any
@@ -149,8 +146,8 @@ type HashSweepArea struct {
 }
 
 // newHashSweepArea creates a hash-based sweep area partitioned by key.
-func newHashSweepArea(env *core.Env, id string, elemSize int64, key func(stream.Tuple) any) *HashSweepArea {
-	sa := &HashSweepArea{
+func newHashSweepArea(env *core.Env, id string, elemSize int64, key func(stream.Tuple) any) *hashSweepArea {
+	sa := &hashSweepArea{
 		reg:      env.NewRegistry(id),
 		elemSize: elemSize,
 		key:      key,
@@ -160,11 +157,11 @@ func newHashSweepArea(env *core.Env, id string, elemSize int64, key func(stream.
 	return sa
 }
 
-// Registry implements SweepArea.
-func (sa *HashSweepArea) Registry() *core.Registry { return sa.reg }
+// Registry implements sweepArea.
+func (sa *hashSweepArea) Registry() *core.Registry { return sa.reg }
 
-// Insert implements SweepArea.
-func (sa *HashSweepArea) Insert(el stream.Element) {
+// Insert implements sweepArea.
+func (sa *hashSweepArea) Insert(el stream.Element) {
 	k := sa.key(el.Tuple)
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
@@ -172,8 +169,8 @@ func (sa *HashSweepArea) Insert(el stream.Element) {
 	sa.size++
 }
 
-// PurgeBefore implements SweepArea.
-func (sa *HashSweepArea) PurgeBefore(t clock.Time) int {
+// PurgeBefore implements sweepArea.
+func (sa *hashSweepArea) PurgeBefore(t clock.Time) int {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	removed := 0
@@ -199,8 +196,8 @@ func (sa *HashSweepArea) PurgeBefore(t clock.Time) int {
 	return removed
 }
 
-// Probe implements SweepArea.
-func (sa *HashSweepArea) Probe(el stream.Element, pred func(stream.Tuple) bool, emit func(stream.Element)) int {
+// Probe implements sweepArea.
+func (sa *hashSweepArea) Probe(el stream.Element, pred func(stream.Tuple) bool, emit func(stream.Element)) int {
 	k := sa.key(el.Tuple)
 	sa.mu.Lock()
 	bucket := sa.buckets[k]
@@ -217,16 +214,16 @@ func (sa *HashSweepArea) Probe(el stream.Element, pred func(stream.Tuple) bool, 
 	return comparisons
 }
 
-// Size implements SweepArea.
-func (sa *HashSweepArea) Size() int {
+// Size implements sweepArea.
+func (sa *hashSweepArea) Size() int {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	return sa.size
 }
 
-// MemBytes implements SweepArea. Hash buckets carry a small per-bucket
+// MemBytes implements sweepArea. Hash buckets carry a small per-bucket
 // overhead on top of the element payloads.
-func (sa *HashSweepArea) MemBytes() int64 {
+func (sa *hashSweepArea) MemBytes() int64 {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
 	return int64(sa.size)*sa.elemSize + int64(len(sa.buckets))*48

@@ -17,7 +17,7 @@ import (
 // triggered handlers — estimated element validity, estimated join CPU
 // usage — re-estimate immediately.
 type TimeWindow struct {
-	*Common
+	*common
 	mu   sync.Mutex
 	size clock.Duration
 }
@@ -28,7 +28,7 @@ func NewTimeWindow(g *graph.Graph, name string, schema stream.Schema, size clock
 		panic("ops: window size must be positive")
 	}
 	w := &TimeWindow{
-		Common: newCommon(g, name, graph.OperatorNode, schema, statWindow),
+		common: newCommon(g, name, graph.OperatorNode, schema, statWindow),
 		size:   size,
 	}
 	defineStaticImplType(w.Registry(), "timeWindow")
@@ -74,24 +74,24 @@ func (w *TimeWindow) Process(el stream.Element, port int) []stream.Element {
 	return []stream.Element{out}
 }
 
-// CountWindow is a count-based window: each element is valid until n
+// countWindow is a count-based window: each element is valid until n
 // further elements have arrived. Because the expiring timestamp is
 // only known when the (i+n)-th element arrives, element i is emitted
 // at that moment with validity [TS_i, TS_{i+n}).
-type CountWindow struct {
-	*Common
+type countWindow struct {
+	*common
 	n   int
 	mu  sync.Mutex
 	buf []stream.Element
 }
 
 // NewCountWindow creates a count-based window of n elements.
-func NewCountWindow(g *graph.Graph, name string, schema stream.Schema, n int, statWindow clock.Duration) *CountWindow {
+func NewCountWindow(g *graph.Graph, name string, schema stream.Schema, n int, statWindow clock.Duration) *countWindow {
 	if n <= 0 {
 		panic("ops: count window must hold at least one element")
 	}
-	w := &CountWindow{
-		Common: newCommon(g, name, graph.OperatorNode, schema, statWindow),
+	w := &countWindow{
+		common: newCommon(g, name, graph.OperatorNode, schema, statWindow),
 		n:      n,
 	}
 	defineStaticImplType(w.Registry(), "countWindow")
@@ -110,7 +110,7 @@ func NewCountWindow(g *graph.Graph, name string, schema stream.Schema, n int, st
 }
 
 // Process implements graph.Node.
-func (w *CountWindow) Process(el stream.Element, port int) []stream.Element {
+func (w *countWindow) Process(el stream.Element, port int) []stream.Element {
 	w.recordIn()
 	w.recordCost(1)
 	w.mu.Lock()

@@ -10,7 +10,7 @@
 //   - FilterChain reorders the commuting predicates of a filter chain
 //     by the classical rank criterion cost/(1-selectivity), using the
 //     live selectivity metadata of each slot;
-//   - JoinOrderAdvisor scores the possible join orders of a
+//   - joinOrderAdvisor scores the possible join orders of a
 //     multi-stream sliding-window join with the Figure 3 cost model,
 //     fed by estimated-rate metadata, and recommends the cheapest
 //     (the rate-based optimization of [22] / plan-migration trigger of
@@ -161,10 +161,10 @@ type Ordering struct {
 	EstCPU float64
 }
 
-// JoinOrderAdvisor scores the three possible orders of a three-way
+// joinOrderAdvisor scores the three possible orders of a three-way
 // sliding-window join using the Figure 3 cost model and live
 // estimated-rate metadata.
-type JoinOrderAdvisor struct {
+type joinOrderAdvisor struct {
 	inputs [3]JoinInput
 	// MatchProbability is the estimated probability that a pair of
 	// elements satisfies the join predicate (calibrates the
@@ -175,8 +175,8 @@ type JoinOrderAdvisor struct {
 }
 
 // NewJoinOrderAdvisor creates an advisor over exactly three inputs.
-func NewJoinOrderAdvisor(a, b, c JoinInput, matchP, predCost float64) *JoinOrderAdvisor {
-	return &JoinOrderAdvisor{
+func NewJoinOrderAdvisor(a, b, c JoinInput, matchP, predCost float64) *joinOrderAdvisor {
+	return &joinOrderAdvisor{
 		inputs:           [3]JoinInput{a, b, c},
 		MatchProbability: matchP,
 		PredicateCost:    predCost,
@@ -186,7 +186,7 @@ func NewJoinOrderAdvisor(a, b, c JoinInput, matchP, predCost float64) *JoinOrder
 // pairCost returns the Figure 3 CPU estimate of joining inputs with
 // rates r1, r2 and validities v1, v2, plus the rate and validity of
 // the intermediate result.
-func (a *JoinOrderAdvisor) pairCost(r1, v1, r2, v2 float64) (cost, outRate, outValidity float64) {
+func (a *joinOrderAdvisor) pairCost(r1, v1, r2, v2 float64) (cost, outRate, outValidity float64) {
 	cost = r1*r2*(v1+v2)*a.PredicateCost + r1 + r2
 	outRate = r1 * r2 * (v1 + v2) * a.MatchProbability
 	// A join result is valid on the intersection of its parents'
@@ -199,7 +199,7 @@ func (a *JoinOrderAdvisor) pairCost(r1, v1, r2, v2 float64) (cost, outRate, outV
 
 // Recommend evaluates the three left-deep orderings and returns them
 // sorted by estimated CPU usage, cheapest first.
-func (a *JoinOrderAdvisor) Recommend() ([]Ordering, error) {
+func (a *joinOrderAdvisor) Recommend() ([]Ordering, error) {
 	var rates [3]float64
 	for i, in := range a.inputs {
 		v, err := in.Rate.Float()

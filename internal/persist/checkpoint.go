@@ -40,7 +40,7 @@ import (
 // file. Writer and reader hold one record at a time. A file cut
 // anywhere lacks the trailer, so every defect — magic, torn or
 // oversized frame, CRC, malformed record, wrong total, trailing bytes —
-// is ErrCorrupt.
+// is errCorrupt.
 var ckptMagic = []byte("MDCKPT2\n")
 
 // ckptChunk bounds a checkpoint frame's payload.
@@ -187,7 +187,7 @@ func (w *ckptWriter) finish() error {
 // recReader decodes a record stream: a checkpoint's, whole (next), or a
 // WAL segment's, a frame at a time (decodeWAL). The slices it hands out
 // alias its stream; the first defect sticks in err, which the caller
-// wraps in ErrCorrupt.
+// wraps in errCorrupt.
 type recReader struct {
 	s    []byte // the unread stream
 	strs []string
@@ -313,14 +313,14 @@ func (r recReader) check() (*CheckpointInfo, error) {
 	for rec := new(ckptRec); r.next(rec); {
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("%w: checkpoint: %v", ErrCorrupt, r.err)
+		return nil, fmt.Errorf("%w: checkpoint: %v", errCorrupt, r.err)
 	}
 	return &r.info, nil
 }
 
 // DecodeCheckpoint reads a whole checkpoint and returns its header and
 // record total. Checkpoints are written atomically (temp-file +
-// rename), so any defect is real corruption and reports ErrCorrupt; it
+// rename), so any defect is real corruption and reports errCorrupt; it
 // never panics, and allocates in proportion to the input at most.
 func DecodeCheckpoint(b []byte) (*CheckpointInfo, error) { return newCkptReader(b).check() }
 

@@ -109,18 +109,18 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			return append(appendFrame(b[:len(ckptMagic):len(ckptMagic)], make([]byte, ckptChunk+1)), b[len(ckptMagic):]...)
 		},
 	} {
-		if _, err := DecodeCheckpoint(mangle(bytes.Clone(enc))); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		if _, err := DecodeCheckpoint(mangle(bytes.Clone(enc))); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: err = %v, want errCorrupt", name, err)
 		}
 	}
 	for cut := range enc {
-		if _, err := DecodeCheckpoint(enc[:cut]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("cut at byte %d of %d: err = %v, want ErrCorrupt", cut, len(enc), err)
+		if _, err := DecodeCheckpoint(enc[:cut]); !errors.Is(err, errCorrupt) {
+			t.Fatalf("cut at byte %d of %d: err = %v, want errCorrupt", cut, len(enc), err)
 		}
 	}
 	v1 := append([]byte("MDCKPT1\n"), enc[len(ckptMagic):]...)
-	if _, err := DecodeCheckpoint(v1); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `version '1'`) {
-		t.Errorf("v1 file: err = %v, want ErrCorrupt naming version 1", err)
+	if _, err := DecodeCheckpoint(v1); !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), `version '1'`) {
+		t.Errorf("v1 file: err = %v, want errCorrupt naming version 1", err)
 	}
 }
 
@@ -151,13 +151,13 @@ func TestCheckpointFramesAndDamage(t *testing.T) {
 		t.Fatalf("%d frames, want the records to span several", len(edges)-1)
 	}
 	for i, edge := range edges[:len(edges)-1] {
-		if _, err := DecodeCheckpoint(enc[:edge]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("cut at frame edge %d (byte %d): err = %v, want ErrCorrupt", i, edge, err)
+		if _, err := DecodeCheckpoint(enc[:edge]); !errors.Is(err, errCorrupt) {
+			t.Fatalf("cut at frame edge %d (byte %d): err = %v, want errCorrupt", i, edge, err)
 		}
 		flipped := bytes.Clone(enc)
 		flipped[edge+frameHeader+(edges[i+1]-edge-frameHeader)/2] ^= 0x10
-		if _, err := DecodeCheckpoint(flipped); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("bit flip in frame %d: err = %v, want ErrCorrupt", i, err)
+		if _, err := DecodeCheckpoint(flipped); !errors.Is(err, errCorrupt) {
+			t.Fatalf("bit flip in frame %d: err = %v, want errCorrupt", i, err)
 		}
 	}
 }
@@ -196,8 +196,8 @@ func TestCheckpointMalformedRecords(t *testing.T) {
 		"sub after mig":         stream(rec(recMig, 1, 2), again(recSub, 1), end(2)),
 		"unsub in a checkpoint": stream(rec(recUnsub, 1), end(1)),
 	} {
-		if _, err := DecodeCheckpoint(b); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		if _, err := DecodeCheckpoint(b); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: err = %v, want errCorrupt", name, err)
 		}
 	}
 	// The same shapes, well-formed, decode: the cases above fail for the

@@ -28,12 +28,12 @@ import (
 	"repro/internal/frame"
 )
 
-// ErrCorrupt reports persistence bytes that cannot be decoded: a bad
+// errCorrupt reports persistence bytes that cannot be decoded: a bad
 // magic, an absurd length, a CRC mismatch, or a truncation in a
 // structure that is written atomically (checkpoints). WAL tails are the
 // exception — a torn tail is the expected crash artifact and yields
 // partial replay, not an error.
-var ErrCorrupt = errors.New("persist: corrupt or truncated data")
+var errCorrupt = errors.New("persist: corrupt or truncated data")
 
 // Records and checkpoint chunks use the module's one CRC framing
 // (internal/frame).
@@ -47,13 +47,13 @@ const maxFrame = 64 << 20
 func appendFrame(dst, payload []byte) []byte { return frame.Append(dst, payload) }
 
 // readFrame decodes one frame at the start of b, returning the payload
-// and the total bytes consumed. It returns ErrCorrupt for a frame that
+// and the total bytes consumed. It returns errCorrupt for a frame that
 // is torn (truncated header or body), oversized, or whose CRC does not
 // match — callers decide whether that is a clean replay stop (WAL tail)
 // or a hard error (checkpoint).
 func readFrame(b []byte) (payload []byte, n int, err error) {
 	if payload, n, err = frame.Decode(b, maxFrame); err != nil {
-		err = ErrCorrupt
+		err = errCorrupt
 	}
 	return payload, n, err
 }

@@ -10,8 +10,8 @@ import (
 // Fuzz targets for the two decode surfaces. The contract under fuzzing:
 // arbitrary bytes never panic; WAL replay always yields a valid prefix
 // (every returned payload re-frames to a prefix of the input) whose
-// records either re-encode to the same bytes or report ErrCorrupt;
-// checkpoint decode either round-trips or reports ErrCorrupt.
+// records either re-encode to the same bytes or report errCorrupt;
+// checkpoint decode either round-trips or reports errCorrupt.
 
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{})
@@ -42,8 +42,8 @@ func FuzzWALReplay(f *testing.F) {
 		// re-encodes, with the segment's string table, to its frame.
 		recs, err := decodeWAL("fuzz", payloads)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode error %v does not wrap ErrCorrupt", err)
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("decode error %v does not wrap errCorrupt", err)
 			}
 			return
 		}
@@ -80,8 +80,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("DecodeCheckpoint says %v, the reader %v", err, rd.err)
 		}
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode error %v does not wrap ErrCorrupt", err)
+			if !errors.Is(err, errCorrupt) {
+				t.Fatalf("decode error %v does not wrap errCorrupt", err)
 			}
 			return
 		}

@@ -100,8 +100,8 @@ func TestFrameCorruption(t *testing.T) {
 		"bit flip":     append(append([]byte{}, good[:frameHeader]...), 'X', 'a', 'y', 'l', 'o', 'a', 'd'),
 	}
 	for name, b := range cases {
-		if _, _, err := readFrame(b); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		if _, _, err := readFrame(b); !errors.Is(err, errCorrupt) {
+			t.Errorf("%s: err = %v, want errCorrupt", name, err)
 		}
 	}
 }
@@ -244,7 +244,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 
 // TestOpenRefusesForeignWAL: a frame whose CRC holds but whose payload
 // is not one WAL record — here the JSON record of an earlier build — is
-// ErrCorrupt naming the segment and the record, before any op of the
+// errCorrupt naming the segment and the record, before any op of the
 // segment is applied. Cut inside the same frame it is a torn tail, and
 // so are zeros after the last record, which pass the CRC as an empty
 // frame.
@@ -273,8 +273,8 @@ func TestOpenRefusesForeignWAL(t *testing.T) {
 		return r, rs, err
 	}
 	r, _, err := open(wal)
-	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "wal.1.log") || !strings.Contains(err.Error(), "record 1") {
-		t.Fatalf("Open of a segment with a JSON record: %v, want ErrCorrupt naming wal.1.log, record 1", err)
+	if !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), "wal.1.log") || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("Open of a segment with a JSON record: %v, want errCorrupt naming wal.1.log, record 1", err)
 	}
 	t.Log(err)
 	if r.IsIncluded("cell0") {
@@ -501,7 +501,7 @@ func TestRecoverNoBreaker(t *testing.T) {
 }
 
 // TestCorruptCheckpointFails: a damaged checkpoint is a hard error (it
-// is written atomically, so damage is real), reported as ErrCorrupt.
+// is written atomically, so damage is real), reported as errCorrupt.
 func TestCorruptCheckpointFails(t *testing.T) {
 	dir := t.TempDir()
 	env1, _ := testEnv(t, true)
@@ -519,8 +519,8 @@ func TestCorruptCheckpointFails(t *testing.T) {
 
 	env2, _ := testEnv(t, true)
 	r2 := env2.NewRegistry("op")
-	if _, _, err := Open(env2, dir, Options{}, r2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Open on corrupt checkpoint = %v, want ErrCorrupt", err)
+	if _, _, err := Open(env2, dir, Options{}, r2); !errors.Is(err, errCorrupt) {
+		t.Fatalf("Open on corrupt checkpoint = %v, want errCorrupt", err)
 	}
 }
 

@@ -174,7 +174,7 @@ func (p *Plane) walPath(seq uint64) string {
 // addressed by their IDs, which must be unique.
 //
 // Recovery sequence: load the last checkpoint (a corrupt checkpoint is
-// a hard ErrCorrupt error; a torn WAL tail is not), advance a virtual
+// a hard errCorrupt error; a torn WAL tail is not), advance a virtual
 // clock to the persisted instant, re-register codec-backed definitions,
 // replay external subscriptions and migrations (checkpoint state first,
 // then the WAL tail in commit order), and finally attach the journal and
@@ -235,7 +235,7 @@ func (p *Plane) recover() (*RecoveryStats, error) {
 	switch {
 	case err == nil:
 		// Read the whole file once before its first record is applied: a
-		// defect anywhere is ErrCorrupt, never a partial restore.
+		// defect anywhere is errCorrupt, never a partial restore.
 		rd = newCkptReader(raw)
 		info, err := rd.check()
 		if err != nil {

@@ -97,7 +97,7 @@ func ReplayWAL(b []byte) (payloads [][]byte, truncated bool) {
 // decodeWAL decodes the frames ReplayWAL kept of segment seg, a record
 // each. A frame that passed its CRC but is not one WAL record as the
 // writer puts it — it does not re-encode to itself, say the JSON records
-// of earlier builds — is ErrCorrupt naming the segment and the record:
+// of earlier builds — is errCorrupt naming the segment and the record:
 // dropped as a torn tail, it would take every op after it along.
 func decodeWAL(seg string, payloads [][]byte) ([]ckptRec, error) {
 	var r recReader
@@ -109,7 +109,7 @@ func decodeWAL(seg string, payloads [][]byte) ([]ckptRec, error) {
 		w.put(&recs[i])
 		if r.err != nil || tag != recDefine && tag != recSub && tag != recUnsub && tag != recMig ||
 			tag == recSub && recs[i].n != 1 || !bytes.Equal(w.buf, p) {
-			return nil, fmt.Errorf("%w: WAL segment %s, record %d: not one WAL record (tag %d)", ErrCorrupt, seg, i, tag)
+			return nil, fmt.Errorf("%w: WAL segment %s, record %d: not one WAL record (tag %d)", errCorrupt, seg, i, tag)
 		}
 	}
 	return recs, nil

@@ -6,13 +6,13 @@ import (
 	"repro/internal/ops"
 )
 
-// QoS is a priority scheduler driven by query-level metadata: every
+// qos is a priority scheduler driven by query-level metadata: every
 // queue inherits the maximum static QoS priority of the sinks
 // reachable downstream of its operator (the "scheduling priority"
 // query metadata of Figure 1). Queues of higher-priority queries are
 // always serviced first; ties fall back to the oldest head so equal
 // queries share fairly.
-type QoS struct {
+type qos struct {
 	// prio caches per-node priority; sink priorities are obtained
 	// through metadata subscriptions.
 	prio map[int]float64
@@ -20,16 +20,16 @@ type QoS struct {
 }
 
 // NewQoS returns a QoS priority scheduler.
-func NewQoS() *QoS {
-	return &QoS{prio: make(map[int]float64)}
+func NewQoS() Scheduler {
+	return &qos{prio: make(map[int]float64)}
 }
 
 // Name implements Scheduler.
-func (s *QoS) Name() string { return "qos" }
+func (s *qos) Name() string { return "qos" }
 
 // priority computes (and caches) the node's priority as the maximum
 // qosPriority metadata value among its downstream sinks.
-func (s *QoS) priority(n graph.Node) float64 {
+func (s *qos) priority(n graph.Node) float64 {
 	if p, ok := s.prio[n.ID()]; ok {
 		return p
 	}
@@ -55,7 +55,7 @@ func (s *QoS) priority(n graph.Node) float64 {
 }
 
 // Pick implements Scheduler.
-func (s *QoS) Pick(queues []QueueInfo) int {
+func (s *qos) Pick(queues []QueueInfo) int {
 	best := -1
 	bestP := 0.0
 	for i, q := range queues {
@@ -70,7 +70,7 @@ func (s *QoS) Pick(queues []QueueInfo) int {
 }
 
 // Close releases the priority subscriptions.
-func (s *QoS) Close() {
+func (s *qos) Close() {
 	for _, sub := range s.subs {
 		sub.Unsubscribe()
 	}

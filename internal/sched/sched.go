@@ -40,20 +40,20 @@ type Scheduler interface {
 	Close()
 }
 
-// RoundRobin services queues in rotation. It is the metadata-oblivious
+// roundRobin services queues in rotation. It is the metadata-oblivious
 // baseline.
-type RoundRobin struct {
+type roundRobin struct {
 	next int
 }
 
 // NewRoundRobin returns a round-robin scheduler.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
+func NewRoundRobin() Scheduler { return &roundRobin{} }
 
 // Name implements Scheduler.
-func (s *RoundRobin) Name() string { return "roundrobin" }
+func (s *roundRobin) Name() string { return "roundrobin" }
 
 // Pick implements Scheduler.
-func (s *RoundRobin) Pick(queues []QueueInfo) int {
+func (s *roundRobin) Pick(queues []QueueInfo) int {
 	if len(queues) == 0 {
 		return -1
 	}
@@ -63,20 +63,20 @@ func (s *RoundRobin) Pick(queues []QueueInfo) int {
 }
 
 // Close implements Scheduler.
-func (s *RoundRobin) Close() {}
+func (s *roundRobin) Close() {}
 
-// FIFO services the queue holding the globally oldest element,
+// fifo services the queue holding the globally oldest element,
 // approximating arrival-order processing.
-type FIFO struct{}
+type fifo struct{}
 
 // NewFIFO returns a FIFO scheduler.
-func NewFIFO() *FIFO { return &FIFO{} }
+func NewFIFO() Scheduler { return &fifo{} }
 
 // Name implements Scheduler.
-func (s *FIFO) Name() string { return "fifo" }
+func (s *fifo) Name() string { return "fifo" }
 
 // Pick implements Scheduler.
-func (s *FIFO) Pick(queues []QueueInfo) int {
+func (s *fifo) Pick(queues []QueueInfo) int {
 	best := -1
 	for i, q := range queues {
 		if best == -1 || q.HeadArrival < queues[best].HeadArrival {
@@ -87,29 +87,29 @@ func (s *FIFO) Pick(queues []QueueInfo) int {
 }
 
 // Close implements Scheduler.
-func (s *FIFO) Close() {}
+func (s *fifo) Close() {}
 
-// Chain is the memory-minimizing strategy of Babcock et al. [5],
+// chain is the memory-minimizing strategy of Babcock et al. [5],
 // driven by live selectivity metadata: it greedily services the
 // operator with the steepest memory-reduction slope, i.e. the one that
 // discards the largest expected fraction of its input per unit of
 // work. Selectivities are obtained through metadata subscriptions and
 // follow workload changes automatically.
-type Chain struct {
+type chain struct {
 	subs map[int]*core.Subscription // node id -> selectivity subscription
 }
 
 // NewChain returns a Chain scheduler.
-func NewChain() *Chain {
-	return &Chain{subs: make(map[int]*core.Subscription)}
+func NewChain() Scheduler {
+	return &chain{subs: make(map[int]*core.Subscription)}
 }
 
 // Name implements Scheduler.
-func (s *Chain) Name() string { return "chain" }
+func (s *chain) Name() string { return "chain" }
 
 // selectivity returns the operator's current selectivity estimate,
 // subscribing to the metadata item on first use.
-func (s *Chain) selectivity(n graph.Node) float64 {
+func (s *chain) selectivity(n graph.Node) float64 {
 	sub, ok := s.subs[n.ID()]
 	if !ok {
 		var err error
@@ -138,7 +138,7 @@ func (s *Chain) selectivity(n graph.Node) float64 {
 // queue system entirely, so an operator feeding only sinks has slope
 // 1 regardless of selectivity; an operator feeding further operators
 // retains a fraction equal to its measured selectivity.
-func (s *Chain) slope(n graph.Node) float64 {
+func (s *chain) slope(n graph.Node) float64 {
 	requeued := false
 	if gn, ok := n.(interface{ Graph() *graph.Graph }); ok {
 		for _, c := range gn.Graph().Outputs(n) {
@@ -155,7 +155,7 @@ func (s *Chain) slope(n graph.Node) float64 {
 }
 
 // Pick implements Scheduler.
-func (s *Chain) Pick(queues []QueueInfo) int {
+func (s *chain) Pick(queues []QueueInfo) int {
 	best := -1
 	bestSlope := -1.0
 	for i, q := range queues {
@@ -171,7 +171,7 @@ func (s *Chain) Pick(queues []QueueInfo) int {
 }
 
 // Close releases the selectivity subscriptions.
-func (s *Chain) Close() {
+func (s *chain) Close() {
 	for _, sub := range s.subs {
 		if sub != nil {
 			sub.Unsubscribe()

@@ -31,9 +31,9 @@ type Generator interface {
 
 // --- Constant-rate generator (Figure 4's workload) ---
 
-// ConstantRate emits one element every Interval time units, starting at
+// constantRate emits one element every Interval time units, starting at
 // Start, for Count elements (Count <= 0 means unbounded).
-type ConstantRate struct {
+type constantRate struct {
 	Start    clock.Time
 	Interval clock.Duration
 	Count    int
@@ -44,15 +44,15 @@ type ConstantRate struct {
 
 // NewConstantRate returns a generator emitting one single-attribute
 // tuple (the sequence number) every interval units.
-func NewConstantRate(start clock.Time, interval clock.Duration, count int) *ConstantRate {
+func NewConstantRate(start clock.Time, interval clock.Duration, count int) *constantRate {
 	if interval <= 0 {
 		panic("stream: constant-rate interval must be positive")
 	}
-	return &ConstantRate{Start: start, Interval: interval, Count: count}
+	return &constantRate{Start: start, Interval: interval, Count: count}
 }
 
 // Next implements Generator.
-func (g *ConstantRate) Next() (Arrival, bool) {
+func (g *constantRate) Next() (Arrival, bool) {
 	if g.Count > 0 && g.i >= g.Count {
 		return Arrival{}, false
 	}
@@ -66,13 +66,13 @@ func (g *ConstantRate) Next() (Arrival, bool) {
 }
 
 // Reset implements Generator.
-func (g *ConstantRate) Reset() { g.i = 0 }
+func (g *constantRate) Reset() { g.i = 0 }
 
 // --- Poisson generator ---
 
-// Poisson emits elements with exponentially distributed inter-arrival
+// poisson emits elements with exponentially distributed inter-arrival
 // times of mean 1/Rate, deterministically from Seed.
-type Poisson struct {
+type poisson struct {
 	Start   clock.Time
 	Rate    float64 // elements per time unit
 	Count   int
@@ -85,17 +85,17 @@ type Poisson struct {
 }
 
 // NewPoisson returns a Poisson-process generator.
-func NewPoisson(start clock.Time, rate float64, count int, seed int64) *Poisson {
+func NewPoisson(start clock.Time, rate float64, count int, seed int64) *poisson {
 	if rate <= 0 {
 		panic("stream: poisson rate must be positive")
 	}
-	g := &Poisson{Start: start, Rate: rate, Count: count, Seed: seed}
+	g := &poisson{Start: start, Rate: rate, Count: count, Seed: seed}
 	g.Reset()
 	return g
 }
 
 // Next implements Generator.
-func (g *Poisson) Next() (Arrival, bool) {
+func (g *poisson) Next() (Arrival, bool) {
 	if g.Count > 0 && g.i >= g.Count {
 		return Arrival{}, false
 	}
@@ -113,7 +113,7 @@ func (g *Poisson) Next() (Arrival, bool) {
 }
 
 // Reset implements Generator.
-func (g *Poisson) Reset() {
+func (g *poisson) Reset() {
 	g.rng = rand.New(rand.NewSource(g.Seed))
 	g.i = 0
 	g.at = g.Start
@@ -121,11 +121,11 @@ func (g *Poisson) Reset() {
 
 // --- Bursty on/off generator (Figure 5's workload) ---
 
-// Bursty alternates between an "on" phase emitting at a high constant
+// bursty alternates between an "on" phase emitting at a high constant
 // rate and a silent "off" phase. This is the bursty arrival process of
 // Figure 5, where on-demand averaging sampled at burst peaks reports a
 // wrong average rate.
-type Bursty struct {
+type bursty struct {
 	Start       clock.Time
 	OnInterval  clock.Duration // inter-arrival gap during bursts
 	OnDuration  clock.Duration // length of a burst
@@ -139,24 +139,24 @@ type Bursty struct {
 }
 
 // NewBursty returns an on/off burst generator.
-func NewBursty(start clock.Time, onInterval, onDuration, offDuration clock.Duration, count int) *Bursty {
+func NewBursty(start clock.Time, onInterval, onDuration, offDuration clock.Duration, count int) *bursty {
 	if onInterval <= 0 || onDuration <= 0 || offDuration < 0 {
 		panic("stream: invalid bursty parameters")
 	}
-	g := &Bursty{Start: start, OnInterval: onInterval, OnDuration: onDuration, OffDuration: offDuration, Count: count}
+	g := &bursty{Start: start, OnInterval: onInterval, OnDuration: onDuration, OffDuration: offDuration, Count: count}
 	g.Reset()
 	return g
 }
 
 // MeanRate returns the long-run average element rate.
-func (g *Bursty) MeanRate() float64 {
+func (g *bursty) MeanRate() float64 {
 	perBurst := float64(g.OnDuration / g.OnInterval)
 	cycle := float64(g.OnDuration + g.OffDuration)
 	return perBurst / cycle
 }
 
 // Next implements Generator.
-func (g *Bursty) Next() (Arrival, bool) {
+func (g *bursty) Next() (Arrival, bool) {
 	if g.Count > 0 && g.i >= g.Count {
 		return Arrival{}, false
 	}
@@ -176,7 +176,7 @@ func (g *Bursty) Next() (Arrival, bool) {
 }
 
 // Reset implements Generator.
-func (g *Bursty) Reset() {
+func (g *bursty) Reset() {
 	g.i = 0
 	g.at = g.Start
 	g.on = 0
@@ -184,10 +184,10 @@ func (g *Bursty) Reset() {
 
 // --- Zipf-valued generator ---
 
-// ZipfValues wraps another generator, replacing tuple payloads with
+// zipfValues wraps another generator, replacing tuple payloads with
 // integer keys drawn from a Zipf distribution. It models skewed value
 // distributions for join and group-by workloads.
-type ZipfValues struct {
+type zipfValues struct {
 	Base Generator
 	N    int     // key domain [0, N)
 	S    float64 // skew, > 1
@@ -199,17 +199,17 @@ type ZipfValues struct {
 
 // NewZipfValues returns a generator emitting Zipf-distributed keys at
 // the base generator's arrival times.
-func NewZipfValues(base Generator, n int, s float64, seed int64) *ZipfValues {
+func NewZipfValues(base Generator, n int, s float64, seed int64) Generator {
 	if n <= 0 || s <= 1 {
 		panic("stream: zipf requires n > 0 and s > 1")
 	}
-	g := &ZipfValues{Base: base, N: n, S: s, Seed: seed}
+	g := &zipfValues{Base: base, N: n, S: s, Seed: seed}
 	g.Reset()
 	return g
 }
 
 // Next implements Generator.
-func (g *ZipfValues) Next() (Arrival, bool) {
+func (g *zipfValues) Next() (Arrival, bool) {
 	a, ok := g.Base.Next()
 	if !ok {
 		return Arrival{}, false
@@ -219,7 +219,7 @@ func (g *ZipfValues) Next() (Arrival, bool) {
 }
 
 // Reset implements Generator.
-func (g *ZipfValues) Reset() {
+func (g *zipfValues) Reset() {
 	g.Base.Reset()
 	g.rng = rand.New(rand.NewSource(g.Seed))
 	g.zipf = rand.NewZipf(g.rng, g.S, 1, uint64(g.N-1))

@@ -13,12 +13,12 @@ import (
 	"repro/internal/core"
 )
 
-// ErrHeartbeatTimeout reports a stream whose peer went silent past the
+// errHeartbeatTimeout reports a stream whose peer went silent past the
 // heartbeat deadline: no event or heartbeat frame arrived in time, so
 // the TCP peer is presumed dead even though the connection never
 // errored. It is reconnectable — ReconnectMux redials on it like any
 // transport failure.
-var ErrHeartbeatTimeout = errors.New("watch: heartbeat timeout")
+var errHeartbeatTimeout = errors.New("watch: heartbeat timeout")
 
 // Client consumes a Server's mux sessions — the library behind
 // cmd/mdtop's -connect mode. It uses only net/http.
@@ -28,7 +28,7 @@ type Client struct {
 
 	// HeartbeatTimeout, when positive, arms a watchdog on every session
 	// this client opens: if no frame (events or heartbeat) arrives for
-	// this long, the session fails with ErrHeartbeatTimeout instead of
+	// this long, the session fails with errHeartbeatTimeout instead of
 	// hanging on a dead peer. Set it above the server's heartbeat
 	// interval (e.g. 4x).
 	HeartbeatTimeout time.Duration
@@ -73,7 +73,7 @@ func (wd *watchdog) stop() {
 	}
 }
 
-// expired translates a read error into ErrHeartbeatTimeout when the
+// expired translates a read error into errHeartbeatTimeout when the
 // watchdog caused it.
 func (wd *watchdog) expired() bool {
 	return wd != nil && wd.timedOut.Load()

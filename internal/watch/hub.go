@@ -35,9 +35,9 @@ import (
 // delivery on different shards never contend on one lock.
 const shardCount = 8
 
-// DefaultBuffer is the per-watcher ring capacity when Options.Buffer
+// defaultBuffer is the per-watcher ring capacity when Options.Buffer
 // is zero.
-const DefaultBuffer = 16
+const defaultBuffer = 16
 
 // Options configure one Watch registration.
 type Options struct {
@@ -46,7 +46,7 @@ type Options struct {
 	// watcher receives one snapshot event at the current version, then
 	// only versions greater than it.
 	Since uint64
-	// Buffer is the watcher's ring capacity (DefaultBuffer if zero).
+	// Buffer is the watcher's ring capacity (16 if zero).
 	// When the ring is full the newest slot is overwritten with the
 	// latest event (coalesce-to-latest).
 	Buffer int

@@ -68,7 +68,7 @@ func (c *Client) mux(ctx context.Context, hbt time.Duration) (*MuxSession, error
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
-		return nil, &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}
+		return nil, &statusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(body))}
 	}
 	return &MuxSession{
 		c:    c,
@@ -83,7 +83,7 @@ func (c *Client) mux(ctx context.Context, hbt time.Duration) (*MuxSession, error
 // Add registers watches under caller-chosen ids in one control round
 // trip. The returned map carries per-id registration errors (absent
 // ids succeeded); err is a transport- or session-level failure — a
-// *StatusError with code 410 means the session is gone and the caller
+// *statusError with code 410 means the session is gone and the caller
 // must redial.
 func (m *MuxSession) Add(ctx context.Context, adds map[uint64]MuxWatch) (map[uint64]string, error) {
 	ctl := muxControl{}
@@ -110,7 +110,7 @@ func (m *MuxSession) control(ctx context.Context, ctl muxControl) (map[uint64]st
 
 // Next blocks for the next event, consuming heartbeat frames
 // internally (they feed the watchdog, not the caller). It returns
-// io.EOF on clean stream end and ErrHeartbeatTimeout when the peer
+// io.EOF on clean stream end and errHeartbeatTimeout when the peer
 // goes silent past the deadline.
 func (m *MuxSession) Next() (MuxEvent, error) {
 	for {
@@ -122,7 +122,7 @@ func (m *MuxSession) Next() (MuxEvent, error) {
 		evs, heartbeat, err := readMuxFrame(m.br)
 		if err != nil {
 			if m.wd.expired() {
-				return MuxEvent{}, ErrHeartbeatTimeout
+				return MuxEvent{}, errHeartbeatTimeout
 			}
 			return MuxEvent{}, err
 		}
@@ -174,7 +174,7 @@ func (c *Client) postJSON(ctx context.Context, path string, body, out any) error
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(b))}
+		return &statusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(b))}
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -178,7 +178,7 @@ func TestMuxControlErrors(t *testing.T) {
 	}
 
 	// Unknown sessions answer 410 Gone — the redial signal.
-	var se *StatusError
+	var se *statusError
 	if _, err := (&MuxSession{c: c, id: "deadbeef"}).Add(ctx, map[uint64]MuxWatch{1: {Registry: "n1", Kind: "val"}}); !errors.As(err, &se) || se.Code != 410 {
 		t.Fatalf("unknown session Add = %v; want 410", err)
 	}
@@ -254,8 +254,8 @@ func TestMuxHeartbeatTimeout(t *testing.T) {
 	if ev, err := m.Next(); err != nil || !ev.Snapshot {
 		t.Fatalf("snapshot = %+v, %v", ev, err)
 	}
-	if _, err := m.Next(); err != ErrHeartbeatTimeout {
-		t.Fatalf("idle Next = %v, want ErrHeartbeatTimeout", err)
+	if _, err := m.Next(); err != errHeartbeatTimeout {
+		t.Fatalf("idle Next = %v, want errHeartbeatTimeout", err)
 	}
 }
 

@@ -42,9 +42,9 @@ const (
 	maxMuxFrame = 16 << 20
 )
 
-// ErrMuxCorrupt reports mux transport bytes that cannot be decoded: a
+// errMuxCorrupt reports mux transport bytes that cannot be decoded: a
 // torn frame, a CRC mismatch, or a payload violating the grammar above.
-var ErrMuxCorrupt = errors.New("watch: corrupt mux frame")
+var errMuxCorrupt = errors.New("watch: corrupt mux frame")
 
 // MuxEvent is the wire form of one multiplexed event: an Event with
 // its registry/kind replaced by the session-scoped watch id.
@@ -164,27 +164,27 @@ func appendMuxHeartbeat(dst []byte) []byte {
 // decodeMuxEvent decodes one event body at the start of b, returning
 // the bytes consumed. The grammar is strict — unknown flag bits, a
 // non-finite numeric, a numeric-and-raw combination, or a truncated
-// field are all ErrMuxCorrupt — so that accepted inputs re-encode to a
+// field are all errMuxCorrupt — so that accepted inputs re-encode to a
 // stable canonical form (pinned by FuzzMuxFrame).
 func decodeMuxEvent(b []byte) (MuxEvent, int, error) {
 	var me MuxEvent
 	id, n := binary.Uvarint(b)
 	if n <= 0 {
-		return me, 0, ErrMuxCorrupt
+		return me, 0, errMuxCorrupt
 	}
 	off := n
 	ver, n := binary.Uvarint(b[off:])
 	if n <= 0 {
-		return me, 0, ErrMuxCorrupt
+		return me, 0, errMuxCorrupt
 	}
 	off += n
 	if off >= len(b) {
-		return me, 0, ErrMuxCorrupt
+		return me, 0, errMuxCorrupt
 	}
 	flags := b[off]
 	off++
 	if flags&^byte(muxFlagsMask) != 0 {
-		return me, 0, ErrMuxCorrupt
+		return me, 0, errMuxCorrupt
 	}
 	me.ID = id
 	me.Version = ver
@@ -192,12 +192,12 @@ func decodeMuxEvent(b []byte) (MuxEvent, int, error) {
 	me.Coalesced = flags&muxCoalesced != 0
 	if flags&muxNumeric != 0 {
 		if flags&muxRaw != 0 || len(b)-off < 8 {
-			return me, 0, ErrMuxCorrupt
+			return me, 0, errMuxCorrupt
 		}
 		me.Numeric = true
 		me.Value = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 		if math.IsNaN(me.Value) || math.IsInf(me.Value, 0) {
-			return me, 0, ErrMuxCorrupt
+			return me, 0, errMuxCorrupt
 		}
 		off += 8
 	}
@@ -226,7 +226,7 @@ func decodeMuxEvent(b []byte) (MuxEvent, int, error) {
 func decodeMuxString(b []byte) (string, int, error) {
 	ln, n := binary.Uvarint(b)
 	if n <= 0 || ln == 0 || ln > uint64(len(b)-n) {
-		return "", 0, ErrMuxCorrupt
+		return "", 0, errMuxCorrupt
 	}
 	return string(b[n : n+int(ln)]), n + int(ln), nil
 }
@@ -234,21 +234,21 @@ func decodeMuxString(b []byte) (string, int, error) {
 // decodeMuxPayload decodes one frame payload (header already stripped
 // and CRC-verified). It returns the events for an 'E' payload, or
 // heartbeat == true for an 'H'. Trailing garbage, an empty event list,
-// and unknown payload types are all ErrMuxCorrupt.
+// and unknown payload types are all errMuxCorrupt.
 func decodeMuxPayload(payload []byte) (evs []MuxEvent, heartbeat bool, err error) {
 	if len(payload) == 0 {
-		return nil, false, ErrMuxCorrupt
+		return nil, false, errMuxCorrupt
 	}
 	switch payload[0] {
 	case muxPayloadHeartbeat:
 		if len(payload) != 1 {
-			return nil, false, ErrMuxCorrupt
+			return nil, false, errMuxCorrupt
 		}
 		return nil, true, nil
 	case muxPayloadEvents:
 		b := payload[1:]
 		if len(b) == 0 {
-			return nil, false, ErrMuxCorrupt
+			return nil, false, errMuxCorrupt
 		}
 		for len(b) > 0 {
 			me, n, err := decodeMuxEvent(b)
@@ -260,7 +260,7 @@ func decodeMuxPayload(payload []byte) (evs []MuxEvent, heartbeat bool, err error
 		}
 		return evs, false, nil
 	default:
-		return nil, false, ErrMuxCorrupt
+		return nil, false, errMuxCorrupt
 	}
 }
 
@@ -270,7 +270,7 @@ func decodeMuxPayload(payload []byte) (evs []MuxEvent, heartbeat bool, err error
 func DecodeMuxFrame(b []byte) (evs []MuxEvent, heartbeat bool, n int, err error) {
 	payload, n, err := frame.Decode(b, maxMuxFrame)
 	if err != nil {
-		return nil, false, 0, ErrMuxCorrupt
+		return nil, false, 0, errMuxCorrupt
 	}
 	evs, heartbeat, err = decodeMuxPayload(payload)
 	if err != nil {
@@ -282,11 +282,11 @@ func DecodeMuxFrame(b []byte) (evs []MuxEvent, heartbeat bool, n int, err error)
 // readMuxFrame reads one whole frame from r. io.EOF on a frame
 // boundary passes through as io.EOF (clean end of stream); a tear
 // inside a frame is io.ErrUnexpectedEOF, and a CRC/grammar violation
-// is ErrMuxCorrupt.
+// is errMuxCorrupt.
 func readMuxFrame(r io.Reader) (evs []MuxEvent, heartbeat bool, err error) {
 	payload, err := frame.Read(r, maxMuxFrame)
 	if err == frame.ErrCorrupt {
-		return nil, false, ErrMuxCorrupt
+		return nil, false, errMuxCorrupt
 	}
 	if err != nil {
 		return nil, false, err

@@ -137,7 +137,7 @@ func TestMuxFrameTornAndCorrupt(t *testing.T) {
 		switch {
 		case cut == 0 && err != io.EOF:
 			t.Fatalf("empty stream = %v, want io.EOF", err)
-		case cut > 0 && err != io.ErrUnexpectedEOF && !errors.Is(err, ErrMuxCorrupt):
+		case cut > 0 && err != io.ErrUnexpectedEOF && !errors.Is(err, errMuxCorrupt):
 			t.Fatalf("torn frame at %d = %v", cut, err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestMuxFrameTornAndCorrupt(t *testing.T) {
 	for i := 8; i < len(b); i++ {
 		mut := append([]byte(nil), b...)
 		mut[i] ^= 0x01
-		if _, _, _, err := DecodeMuxFrame(mut); !errors.Is(err, ErrMuxCorrupt) {
+		if _, _, _, err := DecodeMuxFrame(mut); !errors.Is(err, errMuxCorrupt) {
 			t.Fatalf("payload bit flip at %d slipped past the CRC: %v", i, err)
 		}
 	}
@@ -160,7 +160,7 @@ func TestMuxFrameTornAndCorrupt(t *testing.T) {
 		{'Z'},
 		{},
 	} {
-		if _, _, err := decodeMuxPayload(payload); !errors.Is(err, ErrMuxCorrupt) {
+		if _, _, err := decodeMuxPayload(payload); !errors.Is(err, errMuxCorrupt) {
 			t.Fatalf("payload %v accepted (err=%v)", payload, err)
 		}
 	}

@@ -21,7 +21,7 @@ type ReconnectOptions struct {
 	MaxAttempts int
 	// HeartbeatTimeout arms the per-session silent-peer watchdog (see
 	// Client.HeartbeatTimeout); 0 falls back to the client's setting.
-	// A tripped watchdog surfaces as ErrHeartbeatTimeout internally and
+	// A tripped watchdog surfaces as errHeartbeatTimeout internally and
 	// is retried like any dropped connection.
 	HeartbeatTimeout time.Duration
 
@@ -30,15 +30,15 @@ type ReconnectOptions struct {
 	jitter func(time.Duration) time.Duration
 }
 
-// StatusError reports a request the server answered with a non-200
+// statusError reports a request the server answered with a non-200
 // status; on a session's control endpoint, 410 Gone means the session
 // died with its stream and the client must redial.
-type StatusError struct {
+type statusError struct {
 	Code int
 	Body string
 }
 
-func (e *StatusError) Error() string {
+func (e *statusError) Error() string {
 	return "watch: " + http.StatusText(e.Code) + ": " + e.Body
 }
 

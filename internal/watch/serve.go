@@ -12,10 +12,10 @@ import (
 	"repro/internal/core"
 )
 
-// DefaultHeartbeat is the interval between 'H' frames on an otherwise
+// defaultHeartbeat is the interval between 'H' frames on an otherwise
 // idle session stream. Clients use their absence to detect a silently
 // dead peer.
-const DefaultHeartbeat = 15 * time.Second
+const defaultHeartbeat = 15 * time.Second
 
 // muxSessionTTL bounds how long a created-but-unclaimed mux session
 // may wait for its stream before the next create sweeps it.
@@ -34,7 +34,7 @@ const maxMuxBatch = 1024
 const maxControlBody = 64 << 20
 
 // Server exposes a watch Source over HTTP — the stdlib-only wire
-// surface behind cmd/mdserve, serving either a primary hub (HubView)
+// surface behind cmd/mdserve, serving either a primary hub (hubView)
 // or a Relay. The mux session is the only watch transport; watching
 // one item is a session holding one watch. Endpoints:
 //
@@ -78,10 +78,10 @@ func NewServer(hub *Hub, env *core.Env, regs ...*core.Registry) *Server {
 	return NewSourceServer(NewHubView(hub, env, regs...))
 }
 
-// NewSourceServer creates a server over any Source (a HubView or a
+// NewSourceServer creates a server over any Source (a hubView or a
 // Relay re-serving an upstream).
 func NewSourceServer(src Source) *Server {
-	return &Server{src: src, heartbeat: DefaultHeartbeat, sessions: make(map[string]*muxSessionState)}
+	return &Server{src: src, heartbeat: defaultHeartbeat, sessions: make(map[string]*muxSessionState)}
 }
 
 // Handler returns the server's HTTP handler.

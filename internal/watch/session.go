@@ -7,9 +7,9 @@ import (
 	"repro/internal/core"
 )
 
-// SessionEvent is one event delivered through a Session, tagged with
+// sessionEvent is one event delivered through a Session, tagged with
 // the caller-assigned watch id it belongs to.
-type SessionEvent struct {
+type sessionEvent struct {
 	ID uint64
 	Event
 }
@@ -154,7 +154,7 @@ func (s *Session) wakeLocked(e *sessionEntry) {
 
 // Poll removes and returns the next event across all watches without
 // blocking, servicing dirty watches round-robin.
-func (s *Session) Poll() (SessionEvent, bool) {
+func (s *Session) Poll() (sessionEvent, bool) {
 	for {
 		s.mu.Lock()
 		var e *sessionEntry
@@ -173,7 +173,7 @@ func (s *Session) Poll() (SessionEvent, bool) {
 		}
 		s.mu.Unlock()
 		if e == nil {
-			return SessionEvent{}, false
+			return sessionEvent{}, false
 		}
 		ev, ok := e.w.Poll()
 		if !ok {
@@ -182,13 +182,13 @@ func (s *Session) Poll() (SessionEvent, bool) {
 		if e.w.Pending() > 0 {
 			s.wake(e)
 		}
-		return SessionEvent{ID: e.id, Event: ev}, true
+		return sessionEvent{ID: e.id, Event: ev}, true
 	}
 }
 
 // Next blocks until an event is available on any watch and returns
 // it; ok is false once the session is closed and drained.
-func (s *Session) Next() (SessionEvent, bool) {
+func (s *Session) Next() (sessionEvent, bool) {
 	for {
 		if ev, ok := s.Poll(); ok {
 			return ev, true
@@ -197,7 +197,7 @@ func (s *Session) Next() (SessionEvent, bool) {
 		closed := s.closed
 		s.mu.Unlock()
 		if closed {
-			return SessionEvent{}, false
+			return sessionEvent{}, false
 		}
 		select {
 		case <-s.signal:

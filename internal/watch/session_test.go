@@ -26,8 +26,8 @@ func sessionPlane(t *testing.T) (*Session, *Hub, func()) {
 }
 
 // drainSession collects everything pending without blocking.
-func drainSession(s *Session) []SessionEvent {
-	var evs []SessionEvent
+func drainSession(s *Session) []sessionEvent {
+	var evs []sessionEvent
 	for {
 		ev, ok := s.Poll()
 		if !ok {

@@ -8,7 +8,7 @@ import (
 )
 
 // Source is anything that can register watchers on items addressed by
-// name: the in-process HubView (the epoch-diff hub over an
+// name: the in-process hubView (the epoch-diff hub over an
 // environment's registries) or a Relay re-serving an upstream server
 // (a hub whose points mirror the upstream's items). Either way the
 // watcher lives on a hub point. Server, Session, and the mux transport
@@ -26,9 +26,9 @@ type Source interface {
 	SourceStats() *core.Stats
 }
 
-// HubView adapts a Hub plus the registries it exposes by name into a
+// hubView adapts a Hub plus the registries it exposes by name into a
 // Source — the primary-server implementation.
-type HubView struct {
+type hubView struct {
 	hub  *Hub
 	env  *core.Env
 	regs map[string]*core.Registry
@@ -37,8 +37,8 @@ type HubView struct {
 
 // NewHubView builds the hub-backed source exposing the given
 // registries by their IDs.
-func NewHubView(hub *Hub, env *core.Env, regs ...*core.Registry) *HubView {
-	v := &HubView{hub: hub, env: env, regs: make(map[string]*core.Registry)}
+func NewHubView(hub *Hub, env *core.Env, regs ...*core.Registry) Source {
+	v := &hubView{hub: hub, env: env, regs: make(map[string]*core.Registry)}
 	for _, r := range regs {
 		if _, dup := v.regs[r.ID()]; !dup {
 			v.keys = append(v.keys, r.ID())
@@ -51,7 +51,7 @@ func NewHubView(hub *Hub, env *core.Env, regs ...*core.Registry) *HubView {
 
 // WatchItem implements Source by resolving the registry name and
 // registering on the hub.
-func (v *HubView) WatchItem(registry string, kind core.Kind, opt Options) (*Watcher, error) {
+func (v *hubView) WatchItem(registry string, kind core.Kind, opt Options) (*Watcher, error) {
 	reg := v.regs[registry]
 	if reg == nil {
 		return nil, fmt.Errorf("watch: unknown registry %q", registry)
@@ -63,7 +63,7 @@ func (v *HubView) WatchItem(registry string, kind core.Kind, opt Options) (*Watc
 }
 
 // ListItems implements Source: each exposed registry's defined kinds.
-func (v *HubView) ListItems() (map[string][]string, error) {
+func (v *hubView) ListItems() (map[string][]string, error) {
 	out := make(map[string][]string, len(v.keys))
 	for _, id := range v.keys {
 		var kinds []string
@@ -76,4 +76,4 @@ func (v *HubView) ListItems() (map[string][]string, error) {
 }
 
 // SourceStats implements Source with the environment's stats.
-func (v *HubView) SourceStats() *core.Stats { return v.env.Stats() }
+func (v *hubView) SourceStats() *core.Stats { return v.env.Stats() }

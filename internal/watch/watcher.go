@@ -62,7 +62,7 @@ type Watcher struct {
 func newWatcher(p *point, opt Options, shard int) *Watcher {
 	buffer := opt.Buffer
 	if buffer <= 0 {
-		buffer = DefaultBuffer
+		buffer = defaultBuffer
 	}
 	return &Watcher{
 		p:        p,
